@@ -215,7 +215,7 @@ func adaptiveGate(r Report) error {
 			continue
 		}
 		tol := adaptiveTolerance
-		if s.Workload == "zipf" || s.Workload == "w2vneg" {
+		if s.Workload != "uniform" {
 			tol = adaptiveToleranceSkewed
 		}
 		if a.Throughput < b.Throughput*(1-tol) {
@@ -246,8 +246,10 @@ func run(quick bool, rev string) Report {
 			cfg.OpsPerWorker /= 2
 		} else {
 			// Full runs use the paper's simulated testbed network so
-			// latency effects show in throughput.
+			// latency effects show in throughput, with the warm-up that
+			// network needs.
 			cfg.Net = harness.NetProfile(0) // Nodes filled in by RunHotKeys
+			cfg.Warmup = workloads["zipf-net"].Warmup
 		}
 		// The uniform and Zipf workloads sweep the server shard count;
 		// w2vneg keeps the single-shard layout as a fixed reference.
@@ -260,56 +262,19 @@ func run(quick bool, rev string) Report {
 				par := par
 				par.Shards = shards
 				for _, mode := range harness.HotKeyModes() {
-					// Quick (CI) cells are short enough that scheduler
-					// noise dwarfs real effects: measure best-of-3, so
-					// the -compare gate trips on genuine regressions,
-					// not on one descheduled run.
-					attempts := 1
-					if quick {
-						attempts = 3
-					}
-					pt := harness.RunHotKeys(par, cfg, mode)
-					allocs, bytesPer := pt.AllocsPerOp(), pt.BytesPerOp()
-					p50, p99, p999 := pullQuantiles(pt)
-					for a := 1; a < attempts; a++ {
-						again := harness.RunHotKeys(par, cfg, mode)
-						if again.Throughput() > pt.Throughput() {
-							pt = again
-						}
-						// Allocations and latency quantiles are compared as
-						// per-cell minima too: best-of-N suppresses one-off
-						// GC/scheduler noise.
-						allocs = min(allocs, again.AllocsPerOp())
-						bytesPer = min(bytesPer, again.BytesPerOp())
-						a50, a99, a999 := pullQuantiles(again)
-						p50, p99, p999 = min(p50, a50), min(p99, a99), min(p999, a999)
-					}
-					report.Results = append(report.Results, Result{
-						Workload:            name,
-						Mode:                string(mode),
-						Nodes:               par.Nodes,
-						Workers:             par.Workers,
-						Shards:              shards,
-						Ops:                 pt.Ops,
-						Seconds:             pt.Elapsed.Seconds(),
-						Throughput:          pt.Throughput(),
-						AllocsPerOp:         allocs,
-						BytesPerOp:          bytesPer,
-						NetworkMessages:     pt.Net.RemoteMessages,
-						NetworkBytes:        pt.Net.RemoteBytes,
-						LocalReads:          pt.Stats.LocalReads,
-						RemoteReads:         pt.Stats.RemoteReads,
-						ReplicaHits:         pt.Stats.ReplicaHits,
-						ReplicaSyncMessages: pt.Stats.ReplicaSyncMessages,
-						Relocations:         pt.Stats.Relocations,
-						AdaptTransitions:    pt.Stats.AdaptPromotions + pt.Stats.AdaptDemotions + pt.Stats.AdaptRelocations,
-						PullP50Ns:           p50,
-						PullP99Ns:           p99,
-						PullP999Ns:          p999,
-					})
+					report.Results = append(report.Results, hotKeyCell(name, par, cfg, mode, quick))
 				}
 			}
 		}
+	}
+	// The latency cell: the Zipf mix once more, one worker per node, on the
+	// paper's simulated network in quick sweeps too, where a remote worker
+	// issues a thousand accesses per second instead of a million. The
+	// adaptive gate must hold at both ends of that range with one
+	// configuration.
+	for _, mode := range harness.HotKeyModes() {
+		report.Results = append(report.Results,
+			hotKeyCell("zipf-net", harness.Parallelism{Nodes: 2, Workers: 1, Shards: 1}, workloads["zipf-net"], mode, quick))
 	}
 	// The serving cells: the open-loop read workload at one fixed arrival
 	// schedule over the simulated testbed network, through the plain
@@ -326,6 +291,56 @@ func run(quick bool, rev string) Report {
 	}
 	report.Results = append(report.Results, mp...)
 	return report
+}
+
+// hotKeyCell measures one (workload, parallelism, mode) cell of the hot-key
+// sweep.
+func hotKeyCell(name string, par harness.Parallelism, cfg harness.HotKeyConfig, mode harness.HotKeyMode, quick bool) Result {
+	// Quick (CI) cells are short enough that scheduler noise dwarfs real
+	// effects: measure best-of-3, so the -compare gate trips on genuine
+	// regressions, not on one descheduled run.
+	attempts := 1
+	if quick {
+		attempts = 3
+	}
+	pt := harness.RunHotKeys(par, cfg, mode)
+	allocs, bytesPer := pt.AllocsPerOp(), pt.BytesPerOp()
+	p50, p99, p999 := pullQuantiles(pt)
+	for a := 1; a < attempts; a++ {
+		again := harness.RunHotKeys(par, cfg, mode)
+		if again.Throughput() > pt.Throughput() {
+			pt = again
+		}
+		// Allocations and latency quantiles are compared as per-cell minima
+		// too: best-of-N suppresses one-off GC/scheduler noise.
+		allocs = min(allocs, again.AllocsPerOp())
+		bytesPer = min(bytesPer, again.BytesPerOp())
+		a50, a99, a999 := pullQuantiles(again)
+		p50, p99, p999 = min(p50, a50), min(p99, a99), min(p999, a999)
+	}
+	return Result{
+		Workload:            name,
+		Mode:                string(mode),
+		Nodes:               par.Nodes,
+		Workers:             par.Workers,
+		Shards:              par.Shards,
+		Ops:                 pt.Ops,
+		Seconds:             pt.Elapsed.Seconds(),
+		Throughput:          pt.Throughput(),
+		AllocsPerOp:         allocs,
+		BytesPerOp:          bytesPer,
+		NetworkMessages:     pt.Net.RemoteMessages,
+		NetworkBytes:        pt.Net.RemoteBytes,
+		LocalReads:          pt.Stats.LocalReads,
+		RemoteReads:         pt.Stats.RemoteReads,
+		ReplicaHits:         pt.Stats.ReplicaHits,
+		ReplicaSyncMessages: pt.Stats.ReplicaSyncMessages,
+		Relocations:         pt.Stats.Relocations,
+		AdaptTransitions:    pt.Stats.AdaptPromotions + pt.Stats.AdaptDemotions + pt.Stats.AdaptRelocations,
+		PullP50Ns:           p50,
+		PullP99Ns:           p99,
+		PullP999Ns:          p999,
+	}
 }
 
 // compare fails if any cell of the current report that also exists in the

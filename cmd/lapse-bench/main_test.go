@@ -27,11 +27,11 @@ func TestQuickBenchWritesReport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full quick sweep with subprocesses")
 	}
-	// uniform and zipf sweep shards {1,4}; w2vneg runs single-shard; the
-	// open-loop serving comparison adds one cell per read path; the
-	// multi-process transport sweep adds modes × transports cells.
+	// uniform and zipf sweep shards {1,4}; w2vneg and the latency cell run
+	// single-shard; the open-loop serving comparison adds one cell per read
+	// path; the multi-process transport sweep adds modes × transports cells.
 	report := run(true, "test")
-	want := (2*2+1)*1*len(harness.HotKeyModes()) + len(harness.ServingModes()) +
+	want := (2*2+1+1)*1*len(harness.HotKeyModes()) + len(harness.ServingModes()) +
 		len(mpModes())*len(mpTransports())
 	if len(report.Results) != want {
 		t.Fatalf("quick sweep produced %d results, want %d", len(report.Results), want)

@@ -6,37 +6,55 @@
 // and names the per-key combination of both as future work; this package is
 // that controller.
 //
-// Access counts are never compared raw across nodes: the home node hits its
-// keys through an in-memory fast path while remote nodes are capped by the
-// round-trip window, a gap of several orders of magnitude that would make
-// every home-hot key look owner-dominant forever. Instead each origin's
-// counts are read relative to that origin's own reported volume — a key
-// taking a meaningful share (InterestShare) of an origin's traffic marks the
-// origin as interested, and two interested origins mean replicate. Absolute
-// dominance decides only among keys with a single interested origin.
+// The controller runs on evidence, not on time. A node's access tracker
+// (replication.Tracker) keeps an exponentially decayed window that closes
+// after a fixed number of recorded observations, however long they took to
+// arrive: a worker on the shared-memory fast path fills it in milliseconds,
+// a worker waiting 600 µs for every access in seconds, and both are judged
+// on the same few thousand observations. Fast-path accesses are sampled;
+// slow-path accesses — the ones that wait for the network, and the ones the
+// controller exists to remove — are recorded one by one.
+//
+// Nothing is compared raw across nodes. A window says how a node's accesses
+// are spread, not how many it issues: the home node reaches its keys through
+// memory while a remote node is capped by the round-trip time, a gap of
+// several orders of magnitude. Each origin's counts are read relative to
+// that origin's own waiting — the accesses it currently makes over the slow
+// path. A key accounting for a meaningful share (InterestShare) of an
+// origin's waiting, on enough observations (HotCount), marks the origin as
+// interested; two interested origins mean replicate, a single one that
+// holds the key's demand alone means relocate to it. Because every key made
+// local leaves the waiting, the keys that remain stand out the more the
+// fewer they are: a skewed tail keeps being worked off — as deep as its keys
+// still gather HotCount observations in a window — while a uniform workload,
+// every key the same small part of the waiting, never starts.
 //
 // The machinery splits in two. A lightweight per-node ticker (internal/core's
-// controller goroutine) periodically snapshots the node's access tracker,
-// decays it, and sends each home node a report of the locally hot keys it
-// homes. The Classifier lives at the home — one instance per server shard, so
-// every decision executes on the shard goroutine that owns the key — and
-// turns the latest report of every node into transition decisions.
+// controller goroutine) rolls the node's tracker every Tick and, when the
+// window changed, sends each home node a report of the keys it homes. The
+// Classifier lives at the home — one instance per server shard, so every
+// decision executes on the shard goroutine that owns the key — and turns the
+// latest report of every node into transition decisions. A report stays in
+// force until its origin replaces it; origins that fall silent age out at
+// the tracker, which then retracts.
 //
-// Hysteresis keeps decisions stable on oscillating workloads in three ways:
-// promotion and demotion use separated thresholds (HotCount vs ColdCount), a
-// key that just transitioned is immune for MinDwellTicks epochs, and a
-// replicated key is demoted only after staying cold for ColdStreakEpochs
-// consecutive epochs — a single cold reading is routinely just sampling
-// noise on a sparsely accessed key. The tracker's per-tick halving supplies
-// the rest: a key accessed heavily on alternating ticks never decays below
-// the demotion threshold, so a flipping hot set settles into one transition
-// per key instead of one per flip (the oscillation bound pinned by
-// TestClassifierOscillationBound).
+// Hysteresis keeps decisions stable. Winning a key takes HotCount recorded
+// observations and InterestShare; keeping it takes any recent sign of use
+// above a share four times smaller (ColdCount, ColdShare). A key is cold
+// only on evidence of absence — a window too short to have shown it, or a
+// report cut short above the cold share, proves nothing, and neither
+// demotes a key nor takes it away from its owner. A key that just
+// transitioned is immune for MinDwellTicks epochs, and a replicated key is
+// demoted only after staying cold for ColdStreakEpochs consecutive epochs.
+// The window's decay supplies the rest: counts halve at a close and never
+// reset, so a key hot in alternating phases never reads cold, and a flipping
+// hot set settles into one transition per key instead of one per flip (the
+// oscillation bound pinned by TestClassifierOscillationBound).
 package adaptive
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"lapse/internal/kv"
@@ -44,71 +62,75 @@ import (
 
 // Defaults for Config fields left zero.
 const (
-	// DefaultTick is long enough that a remote node's sampled accesses (its
-	// issue rate is capped by round-trip latency) accumulate to a usable
-	// report every epoch; much shorter ticks make remote reports flicker
-	// in and out of existence and starve promotion.
-	DefaultTick           = 5 * time.Millisecond
-	DefaultHotCount       = 32
-	DefaultColdCount      = 8
+	// DefaultTick is the classifier's clock and the pace at which windows
+	// are looked at, not the length of a window: how much evidence a
+	// decision rests on is fixed by replication.WindowObservations, so a
+	// shorter tick reacts sooner without judging on less.
+	DefaultTick = 5 * time.Millisecond
+	// DefaultHotCount is the evidence floor of a promotion. With sixteen
+	// observations behind a key at the interest share, a key of a uniform
+	// workload over a thousand remote keys — a fifth of that share, three
+	// expected observations — does not reach the floor by chance.
+	DefaultHotCount       = 16
+	DefaultColdCount      = 4
 	DefaultDominanceShare = 0.75
-	// DefaultInterestShare admits a key once it takes half a percent of an
-	// origin's traffic: under a Zipf(1.3) workload that replicates roughly
-	// the top twenty keys — about the coverage a well-chosen static hot set
-	// gets — while leaving a uniform workload (every key ~0.05%) untouched.
+	// DefaultInterestShare admits a key once it accounts for half a percent
+	// of what an origin waits for. Under Zipf(1.3) over 2048 keys that is
+	// the top twenty keys at first and, as they leave the waiting, the next
+	// hundred or so; a uniform workload (every remote key ~0.1 % of the
+	// waiting) is left untouched.
 	DefaultInterestShare = 0.005
 	DefaultMinDwellTicks = 2
 	DefaultReportTopK    = 128
-	// DefaultColdStreakEpochs covers two of the origins' replicated-key
-	// keep-alive intervals (see internal/core's replicatedReportEvery) with
-	// slack, so a still-hot replicated key is always rescued by a keep-alive
-	// before its cold streak completes.
+	// DefaultColdStreakEpochs keeps a replicated key through a short run of
+	// cold readings: it is demoted when its traffic has moved on, not when
+	// one window's samples happened to miss it.
 	DefaultColdStreakEpochs = 8
 )
 
-// staleEpochs is how many epochs behind the newest report an origin's report
-// may be before it is treated as all-zero. Origins stop reporting keys that
-// went cold (only the TopK hottest are reported), so without expiry a stale
-// report would keep a key hot forever.
-const staleEpochs = 2
-
 // Config holds the controller knobs. One set of values is meant to work
-// across workloads — the benchmark gate compares a single default
-// configuration against every static one.
+// across workloads and network latencies — the benchmark gate compares a
+// single default configuration against every static one, on an instantaneous
+// network and at 300 µs one way.
 type Config struct {
-	// Tick is the controller period: every Tick, each node reports its
-	// hottest keys to their home nodes and decays its tracker.
+	// Tick is the controller period: every Tick, each node rolls its
+	// tracker window and, if it changed, reports it to the home nodes. It
+	// is also the unit of MinDwellTicks and ColdStreakEpochs.
 	Tick time.Duration
-	// HotCount is the promotion threshold: a key whose decayed per-tick
-	// access estimate (summed over nodes) reaches it is managed actively.
+	// HotCount is the evidence floor of a promotion, in recorded
+	// observations: an origin is interested in a key only if at least
+	// HotCount of the observations in its window are of that key. A window
+	// holding fewer observations than that in total supports no judgement
+	// and its report is set aside. A sampled fast-path observation counts
+	// once here, although it stands for several accesses.
 	HotCount int64
-	// ColdCount is the demotion threshold, strictly below HotCount so a key
-	// hovering between them changes nothing (hysteresis).
+	// ColdCount is the floor below which an origin stops keeping a managed
+	// key warm, in estimated accesses, strictly below HotCount so a key
+	// hovering between them changes nothing (hysteresis). The ratio of the
+	// two also separates the share thresholds (see ColdShare).
 	ColdCount int64
-	// DominanceShare splits hot keys into locality-skewed (one node holds at
-	// least this share of the accesses: relocate to it) and hot-everywhere
-	// (no node does: replicate).
+	// DominanceShare splits keys with one interested origin into
+	// locality-skewed (the origin holds at least this part of the key's
+	// shares summed over all origins: relocate to it) and hot in several
+	// places (it does not: replicate).
 	DominanceShare float64
-	// InterestShare is the fraction of an origin's total reported volume a
-	// key must take for that origin to count as interested in it. A key with
-	// two or more interested origins is hot everywhere and replicated even
-	// when the absolute counts are wildly skewed toward one origin: a remote
-	// origin's issue rate is capped by round-trip latency, so its counts
-	// systematically undercount its demand, and comparing raw counts across
-	// origins would make every home-hot key look owner-dominant — starving
-	// the controller of the very replicas that would lift the remote rate.
+	// InterestShare is the part of an origin's waiting — the accesses it
+	// currently makes over the slow path — that a key must account for to
+	// interest the origin (see Share). A key with two or more interested
+	// origins is replicated however different the origins' access rates
+	// are: a remote origin capped by round-trip latency and the home on the
+	// in-memory fast path are each judged against their own window.
 	InterestShare float64
 	// MinDwellTicks is the minimum number of epochs between transitions of
 	// one key.
 	MinDwellTicks uint32
 	// ColdStreakEpochs is how many consecutive epochs a replicated key must
-	// stay below ColdCount before it is demoted. Sampling makes sparse
-	// counts noisy — a tail key's estimate flips between zero and one
-	// extrapolated sample — and demoting on a single cold reading would
-	// churn such keys through demote/re-promote cycles; a sustained streak
-	// demotes only keys whose traffic has genuinely moved on.
+	// read cold — no origin holding it above ColdCount and ColdShare, and
+	// none whose report could be hiding it — before it is demoted.
 	ColdStreakEpochs uint32
-	// ReportTopK bounds each node's per-tick report to its K hottest keys.
+	// ReportTopK bounds each node's report to its K hottest keys. A report
+	// cut short says so (Report.Floor); keys missing from it are unknown,
+	// not cold.
 	ReportTopK int
 }
 
@@ -139,6 +161,15 @@ func (c Config) WithDefaults() Config {
 		c.ReportTopK = DefaultReportTopK
 	}
 	return c
+}
+
+// ColdShare is the share of an origin's window below which the origin stops
+// keeping a managed key warm: InterestShare scaled by ColdCount/HotCount, so
+// the two evidence floors and the two share thresholds are separated alike.
+// Origins need not report keys below it. Call on a config with defaults
+// applied.
+func (c Config) ColdShare() float64 {
+	return c.InterestShare * float64(c.ColdCount) / float64(c.HotCount)
 }
 
 // View is the classifier's window into the live per-key management state of
@@ -174,19 +205,59 @@ type Action struct {
 	Kind ActionKind
 	Key  kv.Key
 	Dest int // ActRelocate only
-	// Detail records the classifier inputs behind the decision (total and
-	// top access estimates, interested-origin count, cold streak length) in
-	// a compact human-readable form, for the control-plane trace ledger.
+	// Detail records the classifier inputs behind the decision (the key's
+	// shares, interested-origin count, cold streak length) in a compact
+	// human-readable form, for the control-plane trace ledger.
 	Detail string
 }
 
-// report is the latest tracker report of one origin node. total is the
-// origin's volume summed over the whole report — the denominator of that
-// origin's per-key interest shares.
+// Report is one origin's current evidence window (see replication.Tracker)
+// as far as it concerns one classifier: the window's sums and the keys homed
+// at the classifier. Waiting and every Counts entry estimate accesses — a
+// sampled fast-path observation stands for several — while Evidence and
+// every Seen entry count the recorded observations behind those estimates.
+// Waiting covers the keys the origin currently reaches over the slow path:
+// the traffic it waits for. A key's share (see Share) is the part of that
+// waiting it accounts for; the promotion floor (HotCount) applies to Seen,
+// so a key is judged on the same number of observations whichever path its
+// accesses took and however long they took to arrive.
+type Report struct {
+	Waiting  float32
+	Evidence float32
+	// Floor is the access estimate below which the origin left keys out of
+	// the report (its cold floors, or the cut to its top K): a key missing
+	// from Keys may still have up to this many accesses in the window.
+	Floor  float32
+	Keys   []kv.Key
+	Counts []float32
+	Seen   []float32
+}
+
+// Share is the part of an origin's waiting that a key with access estimate n
+// accounts for — or, for a key the origin reaches locally, would account for
+// if it did not: n over the origin's waiting traffic, at most one. Shares
+// are relative to what the origin still waits for, not to all it does: each
+// key made local leaves the waiting, so the keys that remain stand out the
+// more the fewer they are, and a skewed tail keeps being worked off where a
+// uniform one (every key the same small part of the waiting) never starts.
+func Share(n, waiting float32) float64 {
+	if n <= 0 {
+		return 0
+	}
+	return float64(n) / float64(max(n, waiting))
+}
+
+// tally is one reported key: access estimate and recorded observations.
+type tally struct{ n, seen float32 }
+
+// report is the stored form of an origin's latest Report.
 type report struct {
-	epoch  uint32
-	counts map[kv.Key]int64
-	total  int64
+	waiting, evidence float32
+	// provesAbsence: a key missing from the report is known to be cold at
+	// the origin — the window is mature and the report reaches down to the
+	// cold share.
+	provesAbsence bool
+	keys          map[kv.Key]tally
 }
 
 // Classifier decides transitions for the keys of one (home node, shard).
@@ -195,65 +266,112 @@ type report struct {
 // they are made and a key's dwell clock starts exactly when its transition
 // is issued.
 type Classifier struct {
-	cfg  Config
-	view View
-	// reports holds the newest report per origin, replaced wholesale on
-	// arrival.
-	reports map[int]*report
+	cfg       Config
+	view      View
+	coldShare float64 // cfg.ColdShare()
+	// matureEvidence is the window evidence at which a key exactly at
+	// InterestShare carries HotCount observations: only from there on can a
+	// key's absence from the window say the origin has no demand for it.
+	matureEvidence float32
+	// reports holds the newest report per origin (nil until the origin's
+	// first), replaced wholesale on arrival. A report stays in force until
+	// its origin sends the next one: origins report when their window
+	// changed, which a latency-capped origin's does far less often than a
+	// fast-path one's.
+	reports []*report
 	// managed tracks keys this classifier has placed under active management
 	// (plus statically replicated seeds), so keys that dropped out of every
 	// report are still revisited for demotion.
-	managed map[kv.Key]bool
+	managed map[kv.Key]struct{}
 	// lastChange is the epoch a key last transitioned, for the dwell gate.
 	lastChange map[kv.Key]uint32
 	// coldSince is the epoch a replicated key's cold streak began; the key
-	// is removed whenever a warm total is observed.
+	// is removed whenever a warm reading is observed.
 	coldSince map[kv.Key]uint32
 	now       uint32
+	// classify scratch, reused across calls.
+	seen map[kv.Key]struct{}
+	keys []kv.Key
+	acts []Action
 }
 
 // NewClassifier builds a classifier over view with cfg's thresholds
 // (defaults applied).
 func NewClassifier(cfg Config, view View) *Classifier {
+	cfg = cfg.WithDefaults()
 	return &Classifier{
-		cfg:        cfg.WithDefaults(),
-		view:       view,
-		reports:    make(map[int]*report),
-		managed:    make(map[kv.Key]bool),
-		lastChange: make(map[kv.Key]uint32),
-		coldSince:  make(map[kv.Key]uint32),
+		cfg:            cfg,
+		view:           view,
+		coldShare:      cfg.ColdShare(),
+		matureEvidence: float32(float64(cfg.HotCount) / cfg.InterestShare),
+		managed:        make(map[kv.Key]struct{}),
+		lastChange:     make(map[kv.Key]uint32),
+		coldSince:      make(map[kv.Key]uint32),
+		seen:           make(map[kv.Key]struct{}),
 	}
 }
 
 // Manage seeds a key into the managed set (a statically replicated key the
 // controller may demote once it goes cold).
-func (c *Classifier) Manage(k kv.Key) { c.managed[k] = true }
+func (c *Classifier) Manage(k kv.Key) { c.managed[k] = struct{}{} }
 
-// Ingest stores origin's report — keys with estimated decayed access counts
-// — and re-classifies every candidate key, returning the transitions to
-// execute now. The key and count slices are copied (callers pass decode
-// scratch). Issued actions immediately start the key's dwell clock; the
-// caller executes them synchronously on the same goroutine.
+// Managed returns the size of the managed set.
+func (c *Classifier) Managed() int { return len(c.managed) }
+
+// Sufficient reports whether a window holding evidence recorded
+// observations can be judged at all: below HotCount no key in it can reach
+// the promotion floor, and the report is set aside.
+func (c *Classifier) Sufficient(evidence float32) bool { return evidence >= float32(c.cfg.HotCount) }
+
+// Ingest stores a report whose window consists of exactly the listed keys,
+// every access of them a recorded observation (see IngestReport).
 func (c *Classifier) Ingest(origin int, epoch uint32, keys []kv.Key, counts []float32) []Action {
-	r := &report{epoch: epoch, counts: make(map[kv.Key]int64, len(keys))}
-	for i, k := range keys {
-		r.counts[k] = int64(counts[i])
-		r.total += int64(counts[i])
+	var total float32
+	for _, n := range counts {
+		total += n
 	}
-	c.reports[origin] = r
+	return c.IngestReport(origin, epoch, Report{Waiting: total, Evidence: total, Keys: keys, Counts: counts, Seen: counts})
+}
+
+// IngestReport stores origin's report and re-classifies every candidate key,
+// returning the transitions to execute now. The report's slices are copied
+// (callers pass decode scratch); the returned slice is scratch too, valid
+// until the next call. Issued actions immediately start the key's dwell
+// clock; the caller executes them synchronously on the same goroutine.
+func (c *Classifier) IngestReport(origin int, epoch uint32, rep Report) []Action {
 	if epoch > c.now {
 		c.now = epoch
+	}
+	for origin >= len(c.reports) {
+		c.reports = append(c.reports, nil)
+	}
+	r := c.reports[origin]
+	if r == nil {
+		r = &report{keys: make(map[kv.Key]tally, len(rep.Keys))}
+		c.reports[origin] = r
+	}
+	r.waiting, r.evidence = rep.Waiting, rep.Evidence
+	// An emptied window is a retraction; otherwise the window must be mature
+	// and the report reach down to the cold floors (with a rounding margin:
+	// the origin computed its floor from the same two numbers).
+	coldFloor := max(float64(c.cfg.ColdCount), c.coldShare*float64(rep.Waiting))
+	r.provesAbsence = rep.Evidence == 0 ||
+		rep.Evidence >= c.matureEvidence && float64(rep.Floor) <= coldFloor*1.001
+	clear(r.keys)
+	for i, k := range rep.Keys {
+		if rep.Counts[i] > 0 {
+			r.keys[k] = tally{n: rep.Counts[i], seen: rep.Seen[i]}
+		}
 	}
 	return c.classify()
 }
 
 // Sweep advances the classifier's epoch clock without ingesting a report and
-// re-classifies. Ingest is the only other place the clock moves, so on a home
-// whose keys stopped being accessed — no node reports them, no reports arrive
-// — a replicated key would never accumulate the cold streak that demotes it
-// and would hold replica memory on every node forever. The controller ticker
-// sends each of its own shards one ManageSweep per epoch to close that edge:
-// sweeping expires stale reports and lets the all-zero totals drive demotion.
+// re-classifies. Reports arrive only when an origin's window changed, so on
+// a home whose keys stopped being accessed the clock would stand still and a
+// replicated key would never accumulate the cold streak that demotes it. The
+// controller ticker sends each of its own shards with managed keys one
+// ManageSweep per epoch it did not report to, to close that edge.
 func (c *Classifier) Sweep(epoch uint32) []Action {
 	if epoch > c.now {
 		c.now = epoch
@@ -261,36 +379,40 @@ func (c *Classifier) Sweep(epoch uint32) []Action {
 	return c.classify()
 }
 
-// classify walks the candidate keys (everything reported recently plus the
-// managed set) in sorted order — determinism first — and applies the decision
-// rules.
+// classify walks the candidate keys (everything in a judgeable report plus
+// the managed set) in sorted order — determinism first — and applies the
+// decision rules.
 func (c *Classifier) classify() []Action {
-	candidates := make(map[kv.Key]bool)
-	for origin, r := range c.reports {
-		if r.epoch+staleEpochs <= c.now {
-			delete(c.reports, origin)
+	clear(c.seen)
+	keys := c.keys[:0]
+	for _, r := range c.reports {
+		if r == nil || !c.Sufficient(r.evidence) {
 			continue
 		}
-		for k := range r.counts {
-			candidates[k] = true
+		for k := range r.keys {
+			if _, dup := c.seen[k]; !dup {
+				c.seen[k] = struct{}{}
+				keys = append(keys, k)
+			}
 		}
 	}
 	for k := range c.managed {
-		candidates[k] = true
+		if _, dup := c.seen[k]; !dup {
+			c.seen[k] = struct{}{}
+			keys = append(keys, k)
+		}
 	}
-	keys := make([]kv.Key, 0, len(candidates))
-	for k := range candidates {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	slices.Sort(keys)
+	c.keys = keys
 
-	var acts []Action
+	acts := c.acts[:0]
 	for _, k := range keys {
 		if a, ok := c.decide(k); ok {
 			acts = append(acts, a)
 			c.lastChange[k] = c.now
 		}
 	}
+	c.acts = acts
 	return acts
 }
 
@@ -302,26 +424,51 @@ func (c *Classifier) decide(k kv.Key) (Action, bool) {
 	if last, ok := c.lastChange[k]; ok && c.now-last < c.cfg.MinDwellTicks {
 		return Action{}, false
 	}
-	var total, top int64
-	topOrigin, interested := -1, 0
+	hot, cold := float32(c.cfg.HotCount), float32(c.cfg.ColdCount)
+	// shares sums the key's share over the origins, lead is the interested
+	// origin holding the largest one. Shares, not counts, are compared across
+	// origins: every window holds the same evidence, so raw counts say how
+	// an origin's waiting is spread, not how much of it there is.
+	var shares, leadShare float64
+	lead, interested, warm, unsure := -1, 0, false, false
 	for origin, r := range c.reports {
-		n := r.counts[k]
-		total += n
-		if n > top || (n == top && topOrigin >= 0 && origin < topOrigin) {
-			top, topOrigin = n, origin
+		if r == nil {
+			continue
 		}
-		// An origin is interested when the key clears the hot threshold on
-		// its own, or takes a meaningful share of the origin's total volume.
-		// The share form is scale-free: it holds for a latency-capped remote
-		// origin whose absolute counts are dwarfed by the home's fast path.
-		if n >= c.cfg.HotCount ||
-			(r.total >= c.cfg.HotCount && float64(n) >= c.cfg.InterestShare*float64(r.total)) {
+		t, reported := r.keys[k]
+		if !reported && !r.provesAbsence {
+			unsure = true // the origin may hold demand its report cannot show
+		}
+		if !c.Sufficient(r.evidence) {
+			continue // too little evidence to judge: set aside
+		}
+		share := Share(t.n, r.waiting)
+		shares += share
+		// An origin is interested when the key has the evidence floor behind
+		// it and accounts for a meaningful share of the origin's waiting.
+		// Both are relative to the origin's own window, which holds the same
+		// amount of evidence whether the origin issues a thousand accesses
+		// per tick or ten: a latency-capped remote is judged like the
+		// fast-path home.
+		if t.seen >= hot && share >= c.cfg.InterestShare {
 			interested++
+			if share > leadShare {
+				lead, leadShare = origin, share
+			}
+		}
+		// Keeping a key takes less than winning it: any recent sign of use
+		// will do. The floor is on the access estimate, which one sampled
+		// fast-path observation of a replicated key clears for a window or
+		// two, not on recorded observations.
+		if t.n >= cold && share >= c.coldShare {
+			warm = true
 		}
 	}
 	owner := c.view.Owner(k)
 	if c.view.Replicated(k) {
-		if total >= c.cfg.ColdCount {
+		// A key is cold only on evidence of absence: no reporting origin holds
+		// it above the cold floors and none could be hiding it.
+		if warm || unsure {
 			delete(c.coldSince, k)
 			return Action{}, false
 		}
@@ -335,35 +482,40 @@ func (c *Classifier) decide(k kv.Key) (Action, bool) {
 		}
 		delete(c.coldSince, k)
 		return Action{Kind: ActDemote, Key: k,
-			Detail: fmt.Sprintf("total=%d streak=%d", total, c.now-since)}, true
+			Detail: fmt.Sprintf("shares=%.4f streak=%d", shares, c.now-since)}, true
 	}
-	if interested >= 2 {
+	switch {
+	case interested >= 2:
 		// Hot at several origins: replication serves every one of them
-		// locally. This outranks absolute-count dominance, which the
-		// fast-path/round-trip rate gap renders meaningless across origins.
-		c.managed[k] = true
+		// locally.
+		c.managed[k] = struct{}{}
 		return Action{Kind: ActReplicate, Key: k,
-			Detail: fmt.Sprintf("interested=%d total=%d", interested, total)}, true
-	}
-	if total >= c.cfg.HotCount {
-		if float64(top) >= c.cfg.DominanceShare*float64(total) {
-			if owner != topOrigin {
-				c.managed[k] = true
-				return Action{Kind: ActRelocate, Key: k, Dest: topOrigin,
-					Detail: fmt.Sprintf("total=%d top=%d@%d", total, top, topOrigin)}, true
-			}
-			return Action{}, false
-		}
-		c.managed[k] = true
+			Detail: fmt.Sprintf("interested=%d shares=%.4f", interested, shares)}, true
+	case interested == 1 && (leadShare < c.cfg.DominanceShare*shares ||
+		owner != lead && (unsure || owner >= len(c.reports) || c.reports[owner] == nil)):
+		// One origin is interested but others hold a real part of the key's
+		// demand, or may: a key missing from an immature window, or from a
+		// report cut short above the cold share, proves nothing about that
+		// origin's demand, and an owner that never reported has not said it
+		// can spare the key. The interested origin's need is established
+		// either way, and replication serves it without taking the key away
+		// from anyone.
+		c.managed[k] = struct{}{}
 		return Action{Kind: ActReplicate, Key: k,
-			Detail: fmt.Sprintf("interested=%d total=%d top=%d@%d", interested, total, top, topOrigin)}, true
-	}
-	if total < c.cfg.ColdCount && owner != c.view.Node {
-		c.managed[k] = true
+			Detail: fmt.Sprintf("interested=1 share=%.4f@%d shares=%.4f unsure=%t", leadShare, lead, shares, unsure)}, true
+	case interested == 1 && owner != lead:
+		// Locality-skewed: the interested origin dominates and every other
+		// reporting origin's window confirms it. Relocate to it.
+		c.managed[k] = struct{}{}
+		return Action{Kind: ActRelocate, Key: k, Dest: lead,
+			Detail: fmt.Sprintf("share=%.4f@%d shares=%.4f", leadShare, lead, shares)}, true
+	case interested == 1:
+		// Settled with the one origin that wants it.
+	case !warm && !unsure && owner != c.view.Node:
+		c.managed[k] = struct{}{}
 		return Action{Kind: ActRelocate, Key: k, Dest: c.view.Node,
-			Detail: fmt.Sprintf("cold total=%d owner=%d", total, owner)}, true
-	}
-	if total < c.cfg.ColdCount && owner == c.view.Node {
+			Detail: fmt.Sprintf("cold shares=%.4f owner=%d", shares, owner)}, true
+	case !warm && owner == c.view.Node:
 		// Settled: cold, unreplicated, home-owned. Stop revisiting it.
 		delete(c.managed, k)
 	}

@@ -2,12 +2,14 @@ package core
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"lapse/internal/adaptive"
 	"lapse/internal/kv"
 	"lapse/internal/metrics"
 	"lapse/internal/msg"
+	"lapse/internal/replication"
 )
 
 // This file wires the adaptive controller (internal/adaptive) into the
@@ -45,25 +47,77 @@ type deferredLocalize struct {
 	id     uint64
 }
 
-// startController spawns the node's report ticker: every tick it snapshots
-// the tracker's hottest keys, decays the tracker, and sends each (home node,
-// shard) group of keys one ManageReport. Reports use the node Send path like
-// any other message, including self-delivery for keys homed here.
+// reportGroup addresses one classifier: Manage messages are key-addressed, so
+// a node's report is split per (home node, shard) to keep each message
+// shard-pure.
+type reportGroup struct{ home, shard int }
+
+// reporter is the controller ticker's state: the node's epoch clock and the
+// messages it reuses from tick to tick (the transport encodes on Send, so a
+// message may be refilled as soon as Send returns).
+type reporter struct {
+	stop, done chan struct{}
+	// epoch is the node's controller clock. The ticker advances it; the
+	// node's classifiers read it when a report or sweep arrives, so every
+	// dwell and cold streak at a home runs on that home's own clock.
+	epoch atomic.Uint32
+	// groups holds one reusable report per classifier this node ever
+	// reported to; live marks those whose last report carried keys, which
+	// are owed a retraction once the node has none left for them.
+	groups map[reportGroup]*groupReport
+	sweep  msg.Manage
+	// reported[s] marks the local shards sent a report this tick: the report
+	// carries the clock, so they need no sweep.
+	reported []bool
+}
+
+type groupReport struct {
+	m msg.Manage
+	// seen collects the keys' recorded observations, appended to m.Vals
+	// behind their access estimates once the group is complete.
+	seen []float32
+	live bool
+}
+
+// reset empties the report and writes the window's sums at the head of its
+// values (see reportOf for the layout).
+func (g *groupReport) reset(sum replication.WindowSum) {
+	g.m.Keys, g.seen = g.m.Keys[:0], g.seen[:0]
+	g.m.Vals = append(g.m.Vals[:0], sum.Waiting, sum.Evidence, sum.Floor)
+}
+
+// reportOf reads a ManageReport's Vals — the window's waiting, evidence and
+// report floor, the keys' access estimates, the keys' recorded observations —
+// back into the classifier's form. ok is false for a malformed report.
+func reportOf(m *msg.Manage) (rep adaptive.Report, ok bool) {
+	n := len(m.Keys)
+	if len(m.Vals) != 3+2*n {
+		return rep, false
+	}
+	return adaptive.Report{Waiting: m.Vals[0], Evidence: m.Vals[1], Floor: m.Vals[2],
+		Keys: m.Keys, Counts: m.Vals[3 : 3+n], Seen: m.Vals[3+n:]}, true
+}
+
+// startController spawns the node's report ticker: every tick it rolls the
+// tracker's evidence window and, if the window changed, sends each (home
+// node, shard) group of keys one ManageReport. Reports use the node Send
+// path like any other message, including self-delivery for keys homed here.
 func (nd *node) startController(cfg adaptive.Config) {
-	nd.ctlStop = make(chan struct{})
-	nd.ctlDone = make(chan struct{})
+	r := &nd.ctl
+	r.stop = make(chan struct{})
+	r.done = make(chan struct{})
+	r.groups = make(map[reportGroup]*groupReport)
+	r.reported = make([]bool, len(nd.sh))
 	go func() {
-		defer close(nd.ctlDone)
+		defer close(r.done)
 		t := time.NewTicker(cfg.Tick)
 		defer t.Stop()
-		var epoch uint32
 		for {
 			select {
-			case <-nd.ctlStop:
+			case <-r.stop:
 				return
 			case <-t.C:
-				epoch++
-				nd.reportTick(cfg, epoch)
+				nd.reportTick(cfg)
 			}
 		}
 	}()
@@ -71,62 +125,83 @@ func (nd *node) startController(cfg adaptive.Config) {
 
 // stopController halts the report ticker (no-op if it never started).
 func (nd *node) stopController() {
-	if nd.ctlStop == nil {
+	if nd.ctl.stop == nil {
 		return
 	}
-	close(nd.ctlStop)
-	<-nd.ctlDone
+	close(nd.ctl.stop)
+	<-nd.ctl.done
 }
 
-// replicatedReportEvery throttles steady-state report traffic: a key this
-// origin already holds a replica of needs no further promotion decision at
-// its home, only a periodic keep-alive that holds off demotion, so it is
-// reported every few ticks instead of every tick. The interval must stay
-// well inside the classifier's cold-streak window (ColdStreakEpochs) or the
-// keep-alives of a still-hot key would arrive too late to stop its demotion.
-const replicatedReportEvery = 4
-
-// reportTick sends one round of tracker reports. Manage messages are
-// key-addressed, so the hot keys are grouped per (home node, shard) to keep
-// each message shard-pure. Origins that stop reporting a key implicitly
-// retract it: classifiers expire reports older than a few epochs.
-func (nd *node) reportTick(cfg adaptive.Config, epoch uint32) {
-	hot := nd.tracker.Hot(cfg.ReportTopK)
-	nd.tracker.Decay()
-	keepAlive := epoch%replicatedReportEvery == 0
-	type group struct{ home, shard int }
-	var groups map[group]*msg.Manage
-	for _, f := range hot {
-		if !keepAlive && nd.rep != nil && nd.rep.Replicated(f.Key) {
+// reportTick advances the node's epoch and, when the tracker's window
+// changed since the last tick, reports it: every key that could keep a
+// managed key warm at its home (the classifier's cold floors; colder keys
+// read as absent there anyway), with the window's totals. A report stays in
+// force at the classifier until the next one replaces it, so an unchanged
+// window sends nothing and a classifier this node has no keys left for gets
+// one retraction — its last report's first key with a zero count, which
+// routes the message to the right shard. A tick on an idle node with no
+// managed keys sends, and allocates, nothing.
+func (nd *node) reportTick(cfg adaptive.Config) {
+	r := &nd.ctl
+	epoch := r.epoch.Add(1)
+	clear(r.reported)
+	if nd.tracker.Roll() {
+		top, sum := nd.tracker.Window(cfg.ReportTopK, float32(cfg.ColdCount), cfg.ColdShare())
+		for _, g := range r.groups {
+			g.reset(sum)
+		}
+		for _, f := range top {
+			id := reportGroup{home: nd.sys.home.NodeOf(f.Key), shard: msg.ShardOfKey(f.Key, len(nd.sh))}
+			g := r.groups[id]
+			if g == nil {
+				g = &groupReport{m: msg.Manage{Kind: msg.ManageReport, Origin: int32(nd.id)}}
+				g.reset(sum)
+				r.groups[id] = g
+			}
+			g.m.Keys = append(g.m.Keys, f.Key)
+			g.m.Vals = append(g.m.Vals, f.Count)
+			g.seen = append(g.seen, f.Seen)
+		}
+		for id, g := range r.groups {
+			retract := len(g.m.Keys) == 0
+			if retract && !g.live {
+				continue
+			}
+			if retract { // the previous report's first key, now at zero
+				g.m.Keys, g.m.Vals, g.seen = g.m.Keys[:1], append(g.m.Vals, 0), append(g.seen, 0)
+			}
+			g.live = !retract
+			g.m.Epoch = epoch
+			g.m.Vals = append(g.m.Vals, g.seen...)
+			nd.srv.Send(id.home, &g.m)
+			if id.home == nd.id {
+				r.reported[id.shard] = true
+			}
+		}
+	}
+	for s, sh := range nd.sh {
+		for o := range sh.reportAt {
+			if at := sh.reportAt[o].Load(); at != 0 {
+				sh.stats.AdaptReportAge.Set(o, int64(epoch-(at-1)))
+			}
+		}
+		// Sweep: advance the clock of this home's classifiers that hold
+		// managed keys and were not sent a report, so a replicated key whose
+		// traffic stopped entirely still accumulates the cold streak that
+		// demotes it. The single key only selects the shard
+		// (ShardOfKey(s, shards) == s for s < shards).
+		if r.reported[s] || !sh.managing.Load() {
 			continue
 		}
-		g := group{home: nd.sys.home.NodeOf(f.Key), shard: msg.ShardOfKey(f.Key, len(nd.sh))}
-		if groups == nil {
-			groups = make(map[group]*msg.Manage)
-		}
-		m := groups[g]
-		if m == nil {
-			m = &msg.Manage{Kind: msg.ManageReport, Origin: int32(nd.id), Epoch: epoch}
-			groups[g] = m
-		}
-		m.Keys = append(m.Keys, f.Key)
-		m.Vals = append(m.Vals, float32(f.Count))
-	}
-	for g, m := range groups {
-		nd.srv.Send(g.home, m)
-	}
-	// Idle sweep: advance this home's own classifier clocks even when no
-	// reports flow anywhere, so a replicated key whose traffic stopped
-	// entirely still accumulates the cold streak that demotes it. One
-	// self-addressed sweep per shard; the single key only selects the shard
-	// (ShardOfKey(s, shards) == s for s < shards).
-	if nd.sh[0].classifier != nil {
-		for s := range nd.sh {
-			nd.srv.Send(nd.id, &msg.Manage{
-				Kind: msg.ManageSweep, Origin: int32(nd.id), Epoch: epoch, Keys: []kv.Key{kv.Key(s)}})
-		}
+		r.sweep = msg.Manage{Kind: msg.ManageSweep, Origin: int32(nd.id), Epoch: epoch, Keys: append(r.sweep.Keys[:0], kv.Key(s))}
+		nd.srv.Send(nd.id, &r.sweep)
 	}
 }
+
+// setAsideTraceEvery rate-limits the trace record of an origin whose report
+// is set aside for insufficient evidence: one per origin per this many
+// epochs (a second at the default tick).
+const setAsideTraceEvery = 200
 
 // handleManage dispatches one adaptive-management message on the shard
 // goroutine owning its keys.
@@ -136,12 +211,27 @@ func (sh *policyShard) handleManage(m *msg.Manage) {
 		if sh.classifier == nil {
 			return // adaptive management disabled; stray report
 		}
-		sh.runClassifier(sh.classifier.Ingest(int(m.Origin), m.Epoch, m.Keys, m.Vals))
+		rep, ok := reportOf(m)
+		now, o := sh.nd.ctl.epoch.Load(), int(m.Origin)
+		if !ok || o < 0 || o >= len(sh.reportAt) {
+			return // reports are advisory: one that does not parse is dropped
+		}
+		// Together with the age the ticker derives from reportAt, this
+		// answers "why was key k not replicated": how much evidence origin
+		// o's latest report carried and how long ago it arrived.
+		sh.stats.AdaptReportEvidence.Set(o, int64(rep.Evidence))
+		sh.reportAt[o].Store(now + 1)
+		if rep.Evidence > 0 && !sh.classifier.Sufficient(rep.Evidence) && now-sh.setAsideAt[o] >= setAsideTraceEvery {
+			sh.setAsideAt[o] = now
+			sh.trace.Record(sh.nd.id, sh.rt.Shard(), metrics.TraceReportSetAside, m.Keys[0], o, sh.nd.id,
+				fmt.Sprintf("evidence=%.1f keys=%d", rep.Evidence, len(m.Keys)))
+		}
+		sh.runClassifier(sh.classifier.IngestReport(o, now, rep))
 	case msg.ManageSweep:
 		if sh.classifier == nil {
 			return // adaptive management disabled; stray sweep
 		}
-		sh.runClassifier(sh.classifier.Sweep(m.Epoch))
+		sh.runClassifier(sh.classifier.Sweep(sh.nd.ctl.epoch.Load()))
 	case msg.ManageReplicate:
 		src := 0
 		for _, k := range m.Keys {
@@ -165,7 +255,9 @@ func (sh *policyShard) handleManage(m *msg.Manage) {
 }
 
 // runClassifier traces and executes one batch of classifier decisions (from
-// a report ingest or an idle sweep).
+// a report ingest or an idle sweep), then publishes how many keys the
+// classifier manages — as a gauge, and as the flag that tells the ticker
+// whether this shard still needs sweeps.
 func (sh *policyShard) runClassifier(acts []adaptive.Action) {
 	for _, a := range acts {
 		switch a.Kind {
@@ -176,6 +268,9 @@ func (sh *policyShard) runClassifier(acts []adaptive.Action) {
 		}
 		sh.execute(a)
 	}
+	n := sh.classifier.Managed()
+	sh.managing.Store(n > 0)
+	sh.stats.AdaptManaged.Set(int64(n))
 }
 
 // execute runs one classifier decision. The classifier already filtered busy

@@ -10,9 +10,10 @@ import (
 
 // TestAdaptiveIdleSweepDemotes drives a key hot from every node until the
 // online controller promotes it into replication, then stops ALL traffic.
-// With no accesses anywhere no reports flow, so before the idle sweep the
-// classifier's epoch clock froze with them and the replica survived forever;
-// the per-tick ManageSweep must keep the clock moving and demote the key
+// With no accesses anywhere the trackers' idle windows age out and retract
+// the key, and then no reports flow at all: without the idle sweep the
+// classifier's epoch clock would freeze with them and the replica survive
+// forever; the ManageSweep must keep the clock moving and demote the key
 // within the deadline.
 func TestAdaptiveIdleSweepDemotes(t *testing.T) {
 	_, sys := newTestSystem(t, 2, 1, 8, 1, Config{Adaptive: &adaptive.Config{

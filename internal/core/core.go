@@ -162,10 +162,9 @@ type node struct {
 	// Per-node (like stats), so worker fast paths never contend on a
 	// process-wide counter.
 	tracker *replication.Tracker
-	// ctlStop/ctlDone bracket the adaptive controller's report ticker
-	// goroutine (nil when adaptive management is off).
-	ctlStop chan struct{}
-	ctlDone chan struct{}
+	// ctl is the adaptive controller's report ticker (idle when adaptive
+	// management is off).
+	ctl reporter
 	// serving is the node's client-side lease cache, leases the owner-side
 	// lease registry, and leased[k] a lock-free flag the worker write fast
 	// path checks before touching the registry. All nil/empty when the
@@ -198,6 +197,15 @@ type policyShard struct {
 	// classifier decides management transitions for keys homed here (nil
 	// unless adaptive management is enabled).
 	classifier *adaptive.Classifier
+	// managing is set while the classifier holds managed keys — the only
+	// state an idle sweep can act on — so the controller ticker knows whether
+	// this shard needs one. Written by the shard goroutine.
+	managing atomic.Bool
+	// reportAt[o] is one past the epoch origin o's latest report arrived (0:
+	// never), for the ticker's report-age gauge; setAsideAt[o] the epoch o's
+	// last set-aside report was traced.
+	reportAt   []atomic.Uint32
+	setAsideAt []uint32
 	// handleOp answer scratch, reused across messages (only the shard's
 	// server goroutine touches it, and responses are consumed on send).
 	ansKeys []kv.Key
@@ -306,6 +314,12 @@ func New(cl *cluster.Cluster, layout kv.Layout, cfg Config) *System {
 			acfg := cfg.Adaptive.WithDefaults()
 			for _, shp := range nd.sh {
 				shp := shp
+				shp.reportAt = make([]atomic.Uint32, cl.Nodes())
+				// Backdated so an origin's first set-aside report is traced.
+				shp.setAsideAt = make([]uint32, cl.Nodes())
+				for o := range shp.setAsideAt {
+					shp.setAsideAt[o] -= setAsideTraceEvery
+				}
 				shp.classifier = adaptive.NewClassifier(acfg, adaptive.View{
 					Node:       n,
 					Owner:      func(k kv.Key) int { return int(nd.owner[k].Load()) },

@@ -20,8 +20,10 @@ type handle struct {
 	server.Handle
 	sys *System
 	nd  *node
-	// trk is this worker's private sampling handle onto the node's access
-	// tracker: always-on tracking without a shared counter on the fast path.
+	// trk is this worker's private handle onto the node's access tracker:
+	// always-on tracking without a shared counter on the fast path (sampled)
+	// and without losing any of the few accesses a round-trip-bound worker
+	// issues on the slow path (unsampled).
 	trk *replication.Handle
 }
 
@@ -69,22 +71,24 @@ func (h *handle) PushAsync(keys []kv.Key, vals []float32) *kv.Future {
 // serving-cache entry first, preserving read-your-writes for the node's own
 // workers whatever path the update takes.
 func (h *handle) RouteKey(t msg.OpType, op *server.OpCtx, k kv.Key, dst, vals []float32) server.KeyRoute {
-	h.trk.Observe(k)
 	sh := h.nd.shardOf(k)
 	if t == msg.OpPush && h.nd.serving != nil && h.nd.serving.invalidate(k) {
 		sh.stats.LeaseInvalidations.Inc()
 	}
 	if h.tryFast(sh, t, k, dst, vals) {
+		h.trk.Observe(k)
 		return server.KeyRoute{Served: true}
 	}
 	if t == msg.OpPull && op.Lease() && h.nd.serving != nil {
 		if h.nd.serving.get(k, dst) {
+			h.trk.Observe(k)
 			sh.stats.ServingHits.Inc()
 			sh.stats.ReadValues.Add(int64(len(dst)))
 			return server.KeyRoute{Served: true}
 		}
 		sh.stats.ServingMisses.Inc()
 	}
+	h.trk.ObserveRemote(k)
 	dest, enqueued := h.slowRoute(sh, t, op, k, dst, vals)
 	if enqueued {
 		return server.KeyRoute{Enqueued: true}

@@ -31,7 +31,8 @@ import (
 // replication — while the pushes are still streaming. Phase 2 moves all
 // traffic to an alternate group chosen to share (home node, server shard)
 // with the hot group — keeping reports flowing to the same classifiers — until
-// the decayed-cold hot group is demoted, again under live traffic. Exact push
+// the hot group has decayed out of every node's evidence window and is
+// demoted, again under live traffic. Exact push
 // counts are accumulated in atomics, so the final values are exact known sums
 // even though the phase lengths vary.
 
@@ -52,13 +53,11 @@ func confAdaptiveOptions() Options {
 	return Options{
 		ReplicaSyncEvery: 200 * time.Microsecond,
 		Adaptive: &adaptive.Config{
-			// A long tick accumulates enough 1-in-16 tracker samples per
-			// epoch that both nodes' reports overlap with balanced counts;
-			// with a short tick under the race detector's slowdown, epochs
-			// often see only one origin, which reads as total dominance and
-			// turns every would-be promotion into a relocation ping-pong.
+			// The defaults, but for the dwell: sixteen recorded observations
+			// of a key promote it, however many ticks the race detector's
+			// slowdown spreads them over.
 			Tick:          5 * time.Millisecond,
-			HotCount:      16, // one extrapolated tracker sample
+			HotCount:      16,
 			ColdCount:     4,
 			MinDwellTicks: 1,
 		},

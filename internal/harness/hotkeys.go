@@ -90,13 +90,16 @@ func (c HotKeyConfig) HotKeys() []kv.Key {
 }
 
 // HotKeyWorkloads returns the named workload configurations of the
-// benchmark runner: a uniform baseline, a Zipf-skewed mix, and a
+// benchmark runner: a uniform baseline, a Zipf-skewed mix, a
 // negative-sampling-like profile (heavier skew, read-mostly, larger
-// values — the word2vec access pattern).
+// values — the word2vec access pattern), and the Zipf mix on the paper's
+// simulated testbed network.
 func HotKeyWorkloads() map[string]HotKeyConfig {
 	return map[string]HotKeyConfig{
-		// Warmup must cover several adaptive controller epochs (5ms tick,
-		// 2-epoch dwell) so the measured window sees the settled hot set.
+		// Warmup must cover the evidence the adaptive controller needs (a few
+		// thousand recorded accesses per node) so the measured window sees
+		// the settled hot set: tens of milliseconds on an instantaneous
+		// network, about a second at 300 µs one way.
 		"uniform": {
 			Keys: 2048, ValLen: 8, OpsPerWorker: 400,
 			ZipfS: 0, HotK: 32, PushEvery: 2, Seed: 11,
@@ -111,6 +114,11 @@ func HotKeyWorkloads() map[string]HotKeyConfig {
 			Keys: 4096, ValLen: 16, OpsPerWorker: 400,
 			ZipfS: 2.0, HotK: 64, PushEvery: 4, Seed: 11,
 			Warmup: 50 * time.Millisecond,
+		},
+		"zipf-net": {
+			Keys: 2048, ValLen: 8, OpsPerWorker: 400,
+			ZipfS: 1.3, HotK: 32, PushEvery: 2, Seed: 11,
+			Warmup: time.Second, Net: NetProfile(0),
 		},
 	}
 }
@@ -162,10 +170,18 @@ func (p HotKeyPoint) BytesPerOp() float64 {
 // RunHotKeys executes the hot-key workload on Lapse with the given
 // management technique and returns the measured point.
 func RunHotKeys(par Parallelism, cfg HotKeyConfig, mode HotKeyMode) HotKeyPoint {
+	cl, ps, done := buildHotKeys(par, cfg, mode)
+	defer done()
+	return RunHotKeysNode(par, cl, ps, cfg, mode)
+}
+
+// buildHotKeys brings up the in-process cluster and parameter server of one
+// hot-key run; done tears both down.
+func buildHotKeys(par Parallelism, cfg HotKeyConfig, mode HotKeyMode) (cl *cluster.Cluster, ps driver.PS, done func()) {
 	net := cfg.Net
 	net.Nodes = par.Nodes
 	net.Shards = par.Shards
-	cl := cluster.New(cluster.Config{Nodes: par.Nodes, WorkersPerNode: par.Workers, Net: net})
+	cl = cluster.New(cluster.Config{Nodes: par.Nodes, WorkersPerNode: par.Workers, Net: net})
 	opt := driver.Options{ReplicaSyncEvery: cfg.SyncEvery}
 	if mode == HotKeyReplication {
 		opt.Replicate = cfg.HotKeys()
@@ -173,12 +189,11 @@ func RunHotKeys(par Parallelism, cfg HotKeyConfig, mode HotKeyMode) HotKeyPoint 
 	if mode == HotKeyAdaptive {
 		opt.Adaptive = &adaptive.Config{}
 	}
-	ps := driver.Build(driver.Lapse, cl, kv.NewUniformLayout(cfg.Keys, cfg.ValLen), opt)
-	defer func() {
+	ps = driver.Build(driver.Lapse, cl, kv.NewUniformLayout(cfg.Keys, cfg.ValLen), opt)
+	return cl, ps, func() {
 		cl.Close()
 		ps.Shutdown()
-	}()
-	return RunHotKeysNode(par, cl, ps, cfg, mode)
+	}
 }
 
 // RunHotKeysNode executes this process's share of the hot-key workload on a

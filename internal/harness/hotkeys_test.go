@@ -3,6 +3,8 @@ package harness
 import (
 	"testing"
 	"time"
+
+	"lapse/internal/metrics"
 )
 
 // TestZipfReplicationCutsHotKeyRemoteReads is the headline acceptance check
@@ -82,4 +84,46 @@ func TestUniformWorkloadRuns(t *testing.T) {
 	if pt.Stats.TotalReads() < pt.Ops {
 		t.Fatalf("TotalReads = %d < ops %d", pt.Stats.TotalReads(), pt.Ops)
 	}
+}
+
+// TestAdaptiveHoldsAtNetworkLatency runs the Zipf mix on the paper's
+// simulated network (300 µs one way), where a remote worker issues about a
+// thousand accesses per second. The controller must still find the hot set:
+// a quarter of the reads at most stay remote, throughput reaches that of the
+// statically replicated top-k, and the transitions it takes to get there
+// stay within a small multiple of the keys it ends up managing — one
+// promotion per key, not a promote/demote cycle on every noisy reading.
+func TestAdaptiveHoldsAtNetworkLatency(t *testing.T) {
+	if testing.Short() {
+		t.Skip("several seconds of simulated-latency workload")
+	}
+	par := Parallelism{Nodes: 2, Workers: 1}
+	cfg := HotKeyWorkloads()["zipf-net"]
+	static := RunHotKeys(par, cfg, HotKeyReplication)
+	cl, ps, done := buildHotKeys(par, cfg, HotKeyAdaptive)
+	defer done()
+	adapt := RunHotKeysNode(par, cl, ps, cfg, HotKeyAdaptive)
+
+	if ratio := float64(adapt.Stats.RemoteReads) / float64(adapt.Stats.TotalReads()); ratio > 0.25 {
+		t.Errorf("adaptive: %.2f of the reads remote, want at most 0.25", ratio)
+	}
+	if adapt.Throughput() < 0.9*static.Throughput() {
+		t.Errorf("adaptive %.0f ops/s vs static replication %.0f ops/s, want at least 0.9x", adapt.Throughput(), static.Throughput())
+	}
+	// The point covers the measured window only; the transitions of the
+	// whole run (warm-up included) are what churn would inflate.
+	tot := metrics.Sum(ps.Stats())
+	var managed int64
+	for _, n := range tot.AdaptManaged {
+		managed += int64(n)
+	}
+	transitions := tot.AdaptPromotions + tot.AdaptDemotions + tot.AdaptRelocations
+	if managed < 20 {
+		t.Errorf("only %d keys managed after warm-up: the top twenty carry 72 %% of the accesses", managed)
+	}
+	if transitions > 2*managed {
+		t.Errorf("%d transitions for %d managed keys, want at most 2 per key", transitions, managed)
+	}
+	t.Logf("adaptive %.0f ops/s (static %.0f), remote reads %d/%d, %d transitions for %d managed keys",
+		adapt.Throughput(), static.Throughput(), adapt.Stats.RemoteReads, adapt.Stats.TotalReads(), transitions, managed)
 }

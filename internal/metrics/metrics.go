@@ -6,6 +6,7 @@ package metrics
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,6 +28,53 @@ func (c *Counter) Load() int64 { return c.v.Load() }
 
 // Reset zeroes the counter.
 func (c *Counter) Reset() { c.v.Store(0) }
+
+// Gauge is an atomic instantaneous value (a size, a level), as opposed to a
+// Counter's running total.
+type Gauge struct{ v atomic.Int64 }
+
+// Set stores the current value.
+func (g *Gauge) Set(n int64) { g.v.Store(n) }
+
+// Load returns the current value.
+func (g *Gauge) Load() int64 { return g.v.Load() }
+
+// GaugeVec is a small vector of gauges indexed by a dense non-negative label
+// (a node ID). It grows on first Set of an index; unset slots read as -1 in
+// snapshots, so "never reported" stays distinguishable from zero.
+type GaugeVec struct {
+	mu sync.Mutex
+	v  []GaugeVal
+}
+
+// Set stores the current value of slot i.
+func (g *GaugeVec) Set(i int, n int64) {
+	g.mu.Lock()
+	for i >= len(g.v) {
+		g.v = append(g.v, -1)
+	}
+	g.v[i] = GaugeVal(n)
+	g.mu.Unlock()
+}
+
+// Snapshot returns a copy of the slots.
+func (g *GaugeVec) Snapshot() []GaugeVal {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return slices.Clone(g.v)
+}
+
+// Reset drops every slot.
+func (g *GaugeVec) Reset() {
+	g.mu.Lock()
+	g.v = nil
+	g.mu.Unlock()
+}
+
+// GaugeVal is a gauge reading inside Totals. Its own type tells readers that
+// reflect over Totals (the /metrics exposition, Since) that the field is a
+// level, not a running total: it is exported as a gauge and never windowed.
+type GaugeVal int64
 
 // Durations aggregates a stream of time.Durations (sum, count, min, max).
 type Durations struct {
@@ -133,6 +181,16 @@ type ServerStats struct {
 	AdaptPromotions  Counter
 	AdaptDemotions   Counter
 	AdaptRelocations Counter
+	// AdaptManaged is the size of this shard's classifier managed set.
+	// AdaptReportEvidence[o] is the evidence — observations in origin o's
+	// tracker window — behind o's latest report to this shard's classifier,
+	// and AdaptReportAge[o] that report's age in controller epochs. Together
+	// they answer why a key was not replicated: an origin whose evidence is
+	// below the promotion floor is set aside, and an old report means the
+	// origin's window has not changed since.
+	AdaptManaged        Gauge
+	AdaptReportEvidence GaugeVec
+	AdaptReportAge      GaugeVec
 	// ServingHits and ServingMisses count read-only pulls served from (or
 	// missing) the node's lease-based serving cache.
 	ServingHits   Counter
@@ -169,6 +227,9 @@ func (s *ServerStats) Reset() {
 	s.AdaptPromotions.Reset()
 	s.AdaptDemotions.Reset()
 	s.AdaptRelocations.Reset()
+	s.AdaptManaged.Set(0)
+	s.AdaptReportEvidence.Reset()
+	s.AdaptReportAge.Reset()
 	s.ServingHits.Reset()
 	s.ServingMisses.Reset()
 	s.LeaseGrants.Reset()
@@ -198,6 +259,9 @@ func Sum(nodes []*ServerStats) Totals {
 		t.AdaptPromotions += s.AdaptPromotions.Load()
 		t.AdaptDemotions += s.AdaptDemotions.Load()
 		t.AdaptRelocations += s.AdaptRelocations.Load()
+		t.AdaptManaged = append(t.AdaptManaged, GaugeVal(s.AdaptManaged.Load()))
+		t.AdaptReportEvidence = append(t.AdaptReportEvidence, s.AdaptReportEvidence.Snapshot())
+		t.AdaptReportAge = append(t.AdaptReportAge, s.AdaptReportAge.Snapshot())
 		t.ServingHits += s.ServingHits.Load()
 		t.ServingMisses += s.ServingMisses.Load()
 		t.LeaseGrants += s.LeaseGrants.Load()
@@ -211,7 +275,11 @@ func Sum(nodes []*ServerStats) Totals {
 	return t
 }
 
-// Totals is the cluster-wide aggregate of ServerStats.
+// Totals is the cluster-wide aggregate of ServerStats. Counters are summed
+// and histograms merged. Gauges (GaugeVal) are levels that do not add up, so
+// they are kept per shard: entry i belongs to the i-th ServerStats summed
+// (node-major, see server.Group.Stats), and the report gauges hold one slot
+// per origin node within it.
 type Totals struct {
 	LocalReads, RemoteReads   int64
 	LocalWrites, RemoteWrites int64
@@ -226,6 +294,9 @@ type Totals struct {
 	AdaptPromotions           int64
 	AdaptDemotions            int64
 	AdaptRelocations          int64
+	AdaptManaged              []GaugeVal
+	AdaptReportEvidence       [][]GaugeVal
+	AdaptReportAge            [][]GaugeVal
 	ServingHits               int64
 	ServingMisses             int64
 	LeaseGrants               int64
@@ -248,7 +319,7 @@ func (t Totals) TotalReads() int64 { return t.LocalReads + t.RemoteReads + t.Rep
 // additive counter is differenced and every histogram is windowed
 // bucket-wise, so derived statistics (means, extrema, quantiles) describe
 // only the window — a warmed-up measurement window is not polluted by
-// ramp-up outliers.
+// ramp-up outliers. Gauges are levels and keep their current reading.
 func (t Totals) Since(base Totals) Totals {
 	d := t
 	d.LocalReads -= base.LocalReads

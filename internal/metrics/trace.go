@@ -32,6 +32,11 @@ const (
 	// TraceTransportFallback: a same-host peer link fell back from the
 	// shared-memory ring transport to TCP at establishment time.
 	TraceTransportFallback = "transport_fallback"
+	// TraceReportSetAside: a classifier set an origin's report aside because
+	// its window held too little evidence to judge any key (From = origin,
+	// Key = the report's first key; Detail carries the evidence). Rate-limited
+	// per origin.
+	TraceReportSetAside = "report_set_aside"
 )
 
 // TraceEvent is one control-plane event. Node is the node that recorded the

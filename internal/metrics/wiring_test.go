@@ -38,6 +38,31 @@ func pokeServerStatsField(t *testing.T, s *ServerStats, i int) func(tot Totals) 
 			snap := tf.Interface().(HistSnapshot)
 			return snap.Count(), 1
 		}
+	case *Gauge:
+		v.Set(7)
+		return func(tot Totals) (int64, int64) {
+			tf := reflect.ValueOf(tot).FieldByName(f.Name)
+			if !tf.IsValid() || tf.Type() != reflect.TypeOf([]GaugeVal(nil)) {
+				t.Fatalf("ServerStats.%s (Gauge) has no []GaugeVal Totals.%s field — add it and wire it into Sum", f.Name, f.Name)
+			}
+			if tf.Len() != 1 {
+				t.Fatalf("Totals.%s has %d shard entries after summing one ServerStats, want 1", f.Name, tf.Len())
+			}
+			return tf.Index(0).Int(), 7
+		}
+	case *GaugeVec:
+		v.Set(2, 7)
+		return func(tot Totals) (int64, int64) {
+			tf := reflect.ValueOf(tot).FieldByName(f.Name)
+			if !tf.IsValid() || tf.Type() != reflect.TypeOf([][]GaugeVal(nil)) {
+				t.Fatalf("ServerStats.%s (GaugeVec) has no [][]GaugeVal Totals.%s field — add it and wire it into Sum", f.Name, f.Name)
+			}
+			row := tf.Index(0).Interface().([]GaugeVal)
+			if len(row) != 3 || row[0] != -1 || row[1] != -1 {
+				t.Fatalf("Totals.%s[0] = %v after setting slot 2, want [-1 -1 7]", f.Name, row)
+			}
+			return int64(row[2]), 7
+		}
 	default:
 		t.Fatalf("ServerStats.%s has unhandled type %s — extend the wiring test (and wire the field into Reset/Sum/Since)", f.Name, f.Type)
 		return nil
@@ -59,6 +84,14 @@ func isZeroServerStats(t *testing.T, s *ServerStats) (string, bool) {
 		case *Histogram:
 			snap := v.Snapshot()
 			if snap.Count() != 0 {
+				return f.Name, false
+			}
+		case *Gauge:
+			if v.Load() != 0 {
+				return f.Name, false
+			}
+		case *GaugeVec:
+			if len(v.Snapshot()) != 0 {
 				return f.Name, false
 			}
 		default:
@@ -90,12 +123,23 @@ func TestServerStatsFieldsWired(t *testing.T) {
 
 // TestTotalsFieldsWindowedBySince sets each Totals field to 5 in the current
 // view and 2 in the base and asserts Since yields 3 — catching any field
-// (including histogram snapshots) not differenced in Since.
+// (including histogram snapshots) not differenced in Since. Gauge fields are
+// levels: Since must hand the current reading through.
 func TestTotalsFieldsWindowedBySince(t *testing.T) {
 	typ := reflect.TypeOf(Totals{})
 	for i := 0; i < typ.NumField(); i++ {
 		f := typ.Field(i)
 		var cur, base Totals
+		switch f.Type {
+		case reflect.TypeOf([]GaugeVal(nil)), reflect.TypeOf([][]GaugeVal(nil)):
+			fv := reflect.ValueOf(&cur).Elem().Field(i)
+			fv.Set(reflect.MakeSlice(f.Type, 1, 1))
+			d := cur.Since(base)
+			if got := reflect.ValueOf(d).Field(i); got.Len() != 1 {
+				t.Errorf("Totals.%s: Since dropped the gauge reading", f.Name)
+			}
+			continue
+		}
 		set := func(tot *Totals, n int64) int64 {
 			fv := reflect.ValueOf(tot).Elem().Field(i)
 			switch {

@@ -234,9 +234,12 @@ type ManageKind uint8
 
 // Manage operations.
 const (
-	// ManageReport carries one node's tracker statistics for keys homed at
-	// the destination: Keys with their estimated access counts in Vals,
-	// stamped with the reporting node's controller Epoch.
+	// ManageReport carries one node's tracker window for keys homed at the
+	// destination, stamped with the reporting node's controller Epoch. Vals
+	// holds 3+2·len(Keys) numbers: the window's waiting (slow-path access
+	// estimate), evidence (recorded observations) and report floor, then
+	// every key's access estimate, then every key's recorded observations
+	// (see core.reportOf).
 	ManageReport ManageKind = iota
 	// ManageReplicate announces that Keys (with current values Vals) are now
 	// managed by replication; receivers install local replicas.
@@ -287,8 +290,9 @@ func (k ManageKind) String() string {
 // online controller. All operations are key-addressed — every key in one
 // message belongs to the same server shard — so transitions stay FIFO with
 // the operations of the keys they manage on each (link, shard) stream. Origin
-// is the sending node. Epoch is the controller tick of a report (unused
-// otherwise); Seqs is used only by demote acknowledgements.
+// is the sending node. Epoch is the sender's controller tick on a report or
+// sweep (unused otherwise; classifiers run on their own node's clock, so it
+// is informational); Seqs is used only by demote acknowledgements.
 type Manage struct {
 	Kind   ManageKind
 	Origin int32

@@ -79,8 +79,10 @@ var quantiles = []float64{0.5, 0.95, 0.99, 0.999}
 
 // WriteMetrics writes the Prometheus text exposition of src's current state.
 // Counters come from the int64 fields of metrics.Totals (reflected, so a new
-// counter field shows up here without wiring); histogram fields and the
-// worker latency snapshot are rendered as summaries with quantile labels.
+// counter field shows up here without wiring), gauges from its GaugeVal
+// slices (one series per shard, and per origin node where the gauge has that
+// dimension); histogram fields and the worker latency snapshot are rendered
+// as summaries with quantile labels.
 func WriteMetrics(w io.Writer, src Source) {
 	w = &typeTracker{Writer: w, seen: make(map[string]bool)}
 	t := src.Stats()
@@ -102,6 +104,19 @@ func WriteMetrics(w io.Writer, src Source) {
 		case reflect.TypeOf(metrics.HistSnapshot{}):
 			writeSummary(w, "lapse_"+snakeCase(f.Name)+"_seconds", label,
 				v.Field(i).Interface().(metrics.HistSnapshot))
+		case reflect.TypeOf([]metrics.GaugeVal(nil)):
+			for shard, g := range v.Field(i).Interface().([]metrics.GaugeVal) {
+				writeGauge(w, "lapse_"+snakeCase(f.Name), joinLabels(label, fmt.Sprintf(`shard="%d"`, shard)), g)
+			}
+		case reflect.TypeOf([][]metrics.GaugeVal(nil)):
+			for shard, row := range v.Field(i).Interface().([][]metrics.GaugeVal) {
+				for origin, g := range row {
+					if g >= 0 { // unset slots read -1
+						writeGauge(w, "lapse_"+snakeCase(f.Name),
+							joinLabels(label, fmt.Sprintf(`shard="%d",origin="%d"`, shard, origin)), g)
+					}
+				}
+			}
 		}
 	}
 	if src.Latencies != nil {
@@ -116,11 +131,7 @@ func WriteMetrics(w io.Writer, src Source) {
 			{"push", "slow", lat.PushSlow},
 			{"localize", "all", lat.Localize},
 		} {
-			lbl := fmt.Sprintf(`op="%s",path="%s"`, h.op, h.path)
-			if label != "" {
-				lbl = label + "," + lbl
-			}
-			writeSummary(w, "lapse_op_latency_seconds", lbl, h.s)
+			writeSummary(w, "lapse_op_latency_seconds", joinLabels(label, fmt.Sprintf(`op="%s",path="%s"`, h.op, h.path)), h.s)
 		}
 		// The merged fast+slow distributions: the end-to-end latency an
 		// application worker sees, matching the bench p50/p99/p999 columns.
@@ -134,6 +145,23 @@ func WriteMetrics(w io.Writer, src Source) {
 	}
 }
 
+// writeGauge renders one gauge reading. Its shard label is the index of the
+// ServerStats the reading came from (node-major over this process's nodes).
+func writeGauge(w io.Writer, name, labels string, g metrics.GaugeVal) {
+	if !typeSeen(w, name) {
+		fmt.Fprintf(w, "# TYPE %s gauge\n", name)
+	}
+	fmt.Fprintf(w, "%s %d\n", withLabels(name, labels), g)
+}
+
+// joinLabels puts the possibly empty label set a in front of b.
+func joinLabels(a, b string) string {
+	if a == "" {
+		return b
+	}
+	return a + "," + b
+}
+
 // writeSummary renders one histogram snapshot as a Prometheus summary in
 // seconds. The TYPE line is emitted once per metric name per scrape; repeated
 // label sets under the same name (the op-latency family) skip it.
@@ -142,11 +170,7 @@ func writeSummary(w io.Writer, name, labels string, s metrics.HistSnapshot) {
 		fmt.Fprintf(w, "# TYPE %s summary\n", name)
 	}
 	for _, q := range quantiles {
-		lbl := fmt.Sprintf(`quantile="%g"`, q)
-		if labels != "" {
-			lbl = labels + "," + lbl
-		}
-		fmt.Fprintf(w, "%s{%s} %g\n", name, lbl, s.Quantile(q).Seconds())
+		fmt.Fprintf(w, "%s{%s} %g\n", name, joinLabels(labels, fmt.Sprintf(`quantile="%g"`, q)), s.Quantile(q).Seconds())
 	}
 	fmt.Fprintf(w, "%s %g\n", withLabels(name+"_sum", labels), s.Sum().Seconds())
 	fmt.Fprintf(w, "%s %d\n", withLabels(name+"_count", labels), s.Count())

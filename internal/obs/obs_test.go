@@ -19,6 +19,9 @@ func testSource() Source {
 	st.Relocations.Add(3)
 	st.RelocationTime.Observe(2 * time.Millisecond)
 	st.RelocationTime.Observe(4 * time.Millisecond)
+	st.AdaptManaged.Set(5)
+	st.AdaptReportEvidence.Set(1, 640) // node 1 reported; node 0 never did
+	st.AdaptReportAge.Set(1, 3)
 	var lat metrics.OpLat
 	for i := 0; i < 100; i++ {
 		lat.PullFast.Observe(time.Microsecond)
@@ -92,10 +95,17 @@ func TestWriteMetricsExposition(t *testing.T) {
 		`lapse_op_latency_seconds{node="0",op="pull",path="fast",quantile="0.99"}`,
 		`lapse_pull_latency_seconds{node="0",quantile="0.999"}`,
 		`lapse_trace_events_total{node="0"} 2`,
+		"# TYPE lapse_adapt_managed gauge",
+		`lapse_adapt_managed{node="0",shard="0"} 5`,
+		`lapse_adapt_report_evidence{node="0",shard="0",origin="1"} 640`,
+		`lapse_adapt_report_age{node="0",shard="0",origin="1"} 3`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("exposition missing %q\n%s", want, body)
 		}
+	}
+	if strings.Contains(body, `origin="0"`) {
+		t.Errorf("exposition has a report gauge for an origin that never reported\n%s", body)
 	}
 }
 
@@ -105,8 +115,10 @@ func TestWriteMetricsNoNodeLabel(t *testing.T) {
 	var b strings.Builder
 	WriteMetrics(&b, src)
 	checkExposition(t, b.String())
-	if !strings.Contains(b.String(), "lapse_local_reads_total 100") {
-		t.Errorf("unlabeled counter missing:\n%s", b.String())
+	for _, want := range []string{"lapse_local_reads_total 100", `lapse_adapt_report_age{shard="0",origin="1"} 3`} {
+		if !strings.Contains(b.String(), want) {
+			t.Errorf("unlabeled exposition missing %q:\n%s", want, b.String())
+		}
 	}
 }
 
@@ -151,6 +163,7 @@ func TestServeEndpoints(t *testing.T) {
 
 	var st struct {
 		Node    int                        `json:"node"`
+		Totals  metrics.Totals             `json:"totals"`
 		Latency map[string]json.RawMessage `json:"latency"`
 	}
 	if err := json.Unmarshal([]byte(get("/debug/stats")), &st); err != nil {
@@ -158,6 +171,9 @@ func TestServeEndpoints(t *testing.T) {
 	}
 	if st.Node != 0 || st.Latency["pull"] == nil {
 		t.Fatalf("unexpected stats payload: node=%d latency keys=%d", st.Node, len(st.Latency))
+	}
+	if ev := st.Totals.AdaptReportEvidence; len(ev) != 1 || len(ev[0]) != 2 || ev[0][0] != -1 || ev[0][1] != 640 {
+		t.Fatalf("stats payload report evidence = %v, want [[-1 640]]", ev)
 	}
 }
 

@@ -247,43 +247,53 @@ type Config struct {
 
 // AdaptiveConfig tunes the adaptive management controller (Config.Adaptive).
 // Zero fields take documented defaults; one default set is meant to hold
-// across workloads, so most programs should leave all fields zero.
+// across workloads and network latencies, so most programs should leave all
+// fields zero.
+//
+// The controller judges every node on a window of its most recent recorded
+// accesses — a fixed amount of evidence (a few thousand observations), not a
+// span of time, so a worker that waits on the network for every access is
+// judged as precisely as one that runs from memory, only later. Accesses
+// that wait for the network are all recorded; local ones are sampled.
 type AdaptiveConfig struct {
-	// Tick is the controller period: every Tick, each node reports its
-	// hottest keys to their home nodes and halves its access tracker
-	// (0 = 5ms).
+	// Tick is the controller period: every Tick each node looks at its
+	// window and, if it changed, reports it to the keys' home nodes. It
+	// paces decisions and is the unit of MinDwellTicks and ColdStreakEpochs;
+	// it does not set how much evidence a decision rests on (0 = 5ms).
 	Tick time.Duration
-	// HotCount is the promotion threshold: a key whose decayed per-tick
-	// access estimate, summed over all nodes, reaches HotCount is placed
-	// under active management — replicated if it is hot everywhere,
-	// relocated if one node dominates its accesses (0 = 32).
+	// HotCount is the evidence floor of a promotion: a node counts as
+	// interested in a key only on at least this many recorded observations
+	// of the key in its window, and a window holding fewer observations
+	// than this in total is not judged at all (0 = 16).
 	HotCount int64
-	// ColdCount is the demotion threshold, strictly below HotCount so a key
-	// hovering between the two changes nothing (hysteresis). A replicated
-	// key whose estimate falls below ColdCount is demoted back to plain
-	// ownership at its home (0 = 8).
+	// ColdCount is the floor, in estimated accesses per window, below which
+	// a node stops keeping a replicated or relocated key warm; strictly
+	// below HotCount so a key hovering between the two changes nothing
+	// (hysteresis). The share below which a key counts as cold is
+	// InterestShare·ColdCount/HotCount (0 = 4).
 	ColdCount int64
-	// DominanceShare splits hot keys into locality-skewed and hot-everywhere:
-	// if one node holds at least this share of a hot key's accesses the key
-	// is relocated to that node, otherwise it is replicated (0 = 0.75).
+	// DominanceShare splits keys only one node is interested in: if that
+	// node holds at least this part of the key's demand (its share summed
+	// over all nodes) the key is relocated to it, otherwise it is
+	// replicated (0 = 0.75).
 	DominanceShare float64
-	// InterestShare is the fraction of a node's total reported volume a key
-	// must take for that node to count as interested in it; a key with two
-	// or more interested nodes is replicated regardless of how skewed the
-	// absolute counts are. This keeps promotion working when the home node's
-	// in-memory access rate dwarfs the latency-capped rates of remote nodes
-	// (0 = 0.005).
+	// InterestShare is the part of a node's waiting — the accesses it
+	// currently makes over the network — that a key must account for to
+	// interest the node; a key with two or more interested nodes is
+	// replicated. Shares are relative to each node's own window, so the
+	// home node's in-memory access rate and a remote node's latency-capped
+	// one are never compared. As keys become local they leave the waiting
+	// and the next-hottest stand out: a skewed tail is worked off key by
+	// key, a uniform workload is left alone (0 = 0.005).
 	InterestShare float64
 	// MinDwellTicks is the minimum number of controller epochs between two
 	// transitions of the same key (0 = 2).
 	MinDwellTicks uint32
 	// ColdStreakEpochs is how many consecutive controller epochs a
-	// replicated key must stay below ColdCount before it is demoted,
-	// shielding sparsely sampled keys from demote/re-promote churn on
-	// sampling noise (0 = 8).
+	// replicated key must read cold at every node — on windows long enough
+	// to have shown it — before it is demoted (0 = 8).
 	ColdStreakEpochs uint32
-	// ReportTopK bounds each node's per-tick report to its K hottest keys
-	// (0 = 128).
+	// ReportTopK bounds each node's report to its K hottest keys (0 = 128).
 	ReportTopK int
 }
 
