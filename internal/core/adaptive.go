@@ -376,10 +376,10 @@ func (sh *policyShard) finishReplicate(k kv.Key) {
 			panic(fmt.Sprintf("core: instruct queued during promotion of key %d", k))
 		}
 	}
-	if nd.leased != nil && nd.leased[k].Load() != 0 {
+	if nd.isLeased(k) {
 		// The key enters replication with outstanding serving leases:
-		// piggyback the revocation on the sync cycle's next refresh
-		// broadcast, which reaches every node anyway.
+		// piggyback their drop on the sync cycle's next refresh broadcast,
+		// which reaches every node anyway.
 		nd.queueRevoke(k)
 	}
 	delete(sh.transitioning, k)
@@ -449,6 +449,7 @@ func (sh *policyShard) applyQueuedLocalReplica(k kv.Key, op *localOp) {
 		if !nd.rep.Push(k, op.vals) {
 			panic(fmt.Sprintf("core: queued local push of %d failed after replication", k))
 		}
+		sh.endQueuedPush(k)
 	}
 	sh.rt.Pending().ClaimOffset(op.id, k, op.off)
 	sh.rt.Pending().FinishKeys(op.id, 1)

@@ -117,8 +117,9 @@ type Config struct {
 	// node of a multi-process deployment.
 	Adaptive *adaptive.Config
 	// Serving enables the read-path serving tier: MultiGet misses install
-	// TTL-leased values in a node-local serving cache, owners track and
-	// revoke leases on writes/relocations/promotions, and subsequent
+	// TTL-leased values in a node-local serving cache, owners track the
+	// holders and overwrite their copies in place on every write (dropping
+	// them only when the value leaves: relocation, promotion), and subsequent
 	// MultiGets of leased keys are shared-memory reads with zero
 	// pending-table registration (see serving.go and DESIGN.md "Serving
 	// tier"). nil disables the tier; MultiGet then behaves like Pull.
@@ -560,22 +561,38 @@ func (s *System) Handle(worker int) kv.KV {
 }
 
 // OnOpResp implements server.Policy: refresh the location cache with the
-// responder's identity, and install leased values in the serving cache, both
-// before the runtime completes the pending operation — a worker unblocked by
-// the completion must already see the lease installed, or its own later
-// write-through invalidation could be overtaken by this install. The
-// response's keys all belong to this shard.
+// responder's identity and bring the serving cache up to date, both before
+// the runtime completes the pending operation — the worker the completion
+// unblocks must find the cache as the response left it. A pull response that
+// grants a lease installs the values; a push ack takes the keys' "own push in
+// flight" marks off, keeping an entry only if the responder granted it and
+// says it refreshed it ahead of the ack (see serving.go,
+// "Read-your-writes"). The response's keys all belong to this shard.
 func (sh *policyShard) OnOpResp(m *msg.OpResp) {
 	if sh.nd.cache != nil {
 		for _, k := range m.Keys {
 			sh.nd.cache[k].Store(m.Responder)
 		}
 	}
-	if sh.nd.serving != nil && m.LeaseTTL > 0 && m.Type == msg.OpPull {
+	sc := sh.nd.serving
+	if sc == nil {
+		return
+	}
+	if m.Type == msg.OpPush {
+		refresher := noRefresher
+		if m.LeaseTTL > 0 {
+			refresher = m.Responder
+		}
+		for _, k := range m.Keys {
+			if sc.pushEnd(k, refresher) {
+				sh.stats.LeaseInvalidations.Inc()
+			}
+		}
+	} else if m.LeaseTTL > 0 {
 		src := 0
 		for _, k := range m.Keys {
 			l := sh.nd.sys.layout.Len(k)
-			sh.nd.serving.install(k, m.Vals[src:src+l], m.LeaseTTL)
+			sc.install(k, m.Vals[src:src+l], m.LeaseTTL, m.Responder)
 			src += l
 		}
 	}
@@ -597,15 +614,15 @@ func (sh *policyShard) HandleMessage(src int, m any) {
 		// successive sync rounds keep their per-link order.
 		sh.nd.rep.HandleSync(t)
 	case *msg.ReplicaRefresh:
-		// Piggybacked lease revocations must apply before the refresh: a
-		// worker that observes the refreshed replica must not fall back to a
-		// stale cached lease afterwards.
+		// Piggybacked lease drops must apply before the refresh: a worker
+		// that observes the refreshed replica must not fall back to a stale
+		// cached lease afterwards.
 		if len(t.Revoke) > 0 {
-			sh.nd.servingInvalidate(t.Revoke, &sh.stats.LeaseInvalidations)
+			sh.nd.servingDrop(t.Revoke, sh.stats)
 		}
 		sh.nd.rep.HandleRefresh(t)
 	case *msg.LeaseRevoke:
-		sh.nd.servingInvalidate(t.Keys, &sh.stats.LeaseInvalidations)
+		sh.nd.applyLeaseRevoke(t, sh.stats)
 	case *msg.Manage:
 		// Key-addressed like operations, so transitions stay FIFO with the
 		// accesses of the keys they manage on each (link, shard) stream.
@@ -637,6 +654,10 @@ func (sh *policyShard) handleOp(m *msg.Op) {
 	// the lease protocol, so a mixed answer grants nothing (rare; the origin
 	// simply retries the lease on its next miss).
 	leaseOK := m.Lease && m.Type == msg.OpPull && nd.leases != nil && int(m.Origin) != nd.id
+	// A push ack vouches for the origin's cached copies (OpResp.LeaseTTL)
+	// only if every acknowledged key's copy was refreshed ahead of it: the
+	// least lease time left over the keys, 0 as soon as one was not.
+	ackTTL := ^uint32(0)
 	var fwd map[int]*msg.Op
 	src := 0
 	for _, k := range m.Keys {
@@ -666,6 +687,7 @@ func (sh *policyShard) handleOp(m *msg.Op) {
 			case msg.OpPush:
 				if nd.rep.Push(k, upd) {
 					ansKeys = append(ansKeys, k)
+					ackTTL = 0
 					continue
 				}
 			}
@@ -687,16 +709,12 @@ func (sh *policyShard) handleOp(m *msg.Op) {
 			case msg.OpPush:
 				if nd.store.Add(k, upd) {
 					ansKeys = append(ansKeys, k)
-					if nd.leased != nil && nd.leased[k].Load() != 0 {
-						// Another node wrote a leased key: revoke before the
-						// ack leaves, so the revoke chases the last grant on
-						// each holder's FIFO (link, shard) stream. The writer
-						// itself is NOT skipped — a grant carrying the
-						// pre-write value may still be in flight to it, and
-						// only a revoke ahead of this push's ack keeps the
-						// writer's read-your-writes intact.
-						nd.revokeLeases(k)
-					}
+					// Another node wrote: refresh the holders' copies before
+					// the ack leaves, the writer's own included — its entry,
+					// or a grant still in flight to it, holds the pre-write
+					// value, and the refresh reaches it ahead of the ack on
+					// the same FIFO (link, shard) stream.
+					ackTTL = min(ackTTL, nd.refreshAfterPush(k, int(m.Origin)))
 					continue
 				}
 			}
@@ -706,13 +724,12 @@ func (sh *policyShard) handleOp(m *msg.Op) {
 	}
 	sh.ansKeys, sh.ansVals = ansKeys, ansVals // keep grown capacity
 	if len(ansKeys) > 0 {
-		vals := ansVals
-		if m.Type == msg.OpPush {
-			vals = nil
-		}
 		resp := &sh.resp
-		*resp = msg.OpResp{Type: m.Type, ID: m.ID, Responder: int32(sh.rt.Node()), Keys: ansKeys, Vals: vals}
-		if leaseOK {
+		*resp = msg.OpResp{Type: m.Type, ID: m.ID, Responder: int32(sh.rt.Node()), Keys: ansKeys, Vals: ansVals}
+		switch {
+		case m.Type == msg.OpPush:
+			resp.Vals, resp.LeaseTTL = nil, ackTTL
+		case leaseOK:
 			resp.LeaseTTL = nd.grantLeases(ansKeys, int(m.Origin))
 		}
 		sh.rt.SendOrDispatch(int(m.Origin), resp)
@@ -821,12 +838,10 @@ func (sh *policyShard) requeueRacedOp(m *msg.Op, k kv.Key) {
 		if !nd.store.Add(k, m.Vals) {
 			panic(fmt.Sprintf("core: key %d claimed by owner table at node %d but absent", k, sh.rt.Node()))
 		}
-		if nd.leased != nil && nd.leased[k].Load() != 0 {
-			// As in handleOp: the writer is not skipped, so the revoke chases
-			// any grant still in flight to it ahead of this push's ack.
-			nd.revokeLeases(k)
-		}
-		resp := &msg.OpResp{Type: msg.OpPush, ID: m.ID, Responder: int32(sh.rt.Node()), Keys: []kv.Key{k}}
+		// As in handleOp: the holders' copies, the writer's included, are
+		// refreshed ahead of this push's ack.
+		resp := &msg.OpResp{Type: msg.OpPush, ID: m.ID, Responder: int32(sh.rt.Node()), Keys: []kv.Key{k},
+			LeaseTTL: nd.refreshAfterPush(k, int(m.Origin))}
 		sh.rt.SendOrDispatch(int(m.Origin), resp)
 	}
 }
@@ -913,10 +928,10 @@ func (sh *policyShard) takeOwned(k kv.Key) []float32 {
 	if v == nil {
 		panic(fmt.Sprintf("core: instruct for key %d at node %d: not owned and not incoming", k, sh.rt.Node()))
 	}
-	if sh.nd.leased != nil && sh.nd.leased[k].Load() != 0 {
+	if sh.nd.isLeased(k) {
 		// The key moves to a new owner who knows nothing of the leases this
-		// node granted; withdraw them before the transfer leaves.
-		sh.nd.revokeLeases(k)
+		// node granted; drop them before the transfer leaves.
+		sh.nd.dropLeases(k)
 	}
 	return v
 }
@@ -1004,17 +1019,28 @@ func (sh *policyShard) applyQueuedLocal(k kv.Key, op *localOp) {
 			panic(fmt.Sprintf("core: queued local push of %d failed after transfer", k))
 		}
 		sh.stats.LocalWrites.Inc()
+		sh.endQueuedPush(k)
 	}
 	sh.rt.Pending().ClaimOffset(op.id, k, op.off)
 	sh.rt.Pending().FinishKeys(op.id, 1)
 }
 
+// endQueuedPush takes the "own push in flight" mark off k after a worker's
+// queued push was applied locally. The key is local now, so nothing vouches
+// for a serving-cache entry left over from its time elsewhere.
+func (sh *policyShard) endQueuedPush(k kv.Key) {
+	if sc := sh.nd.serving; sc != nil && sc.pushEnd(k, noRefresher) {
+		sh.stats.LeaseInvalidations.Inc()
+	}
+}
+
 // applyQueuedRemote executes a queued forwarded op and responds to its
-// origin. A queued pull's lease request (m.Lease) is intentionally not
-// honored: a queued push behind it in the same drain would overwrite the
-// granted value with no revoke in between — after the drain its ack would
-// trail the stale grant on the origin's stream, breaking read-your-writes.
-// The origin just retries the lease on its next miss.
+// origin, lease-less. The drain applies queued pushes without the coherence
+// pass — no lease exists yet on a key that is only just arriving — so a lease
+// granted to a queued pull (m.Lease) would go stale with the next queued push
+// and nothing chasing it; it is not honored, and the origin takes one on its
+// next miss. A queued push's ack vouches for nothing, so its origin discards
+// what it had cached from the previous owner.
 func (sh *policyShard) applyQueuedRemote(k kv.Key, m *msg.Op) {
 	nd := sh.nd
 	l := nd.sys.layout.Len(k)

@@ -67,26 +67,28 @@ func (h *handle) PushAsync(keys []kv.Key, vals []float32) *kv.Future {
 // shared-memory access for owned keys, the leased serving cache for
 // read-only pulls, the relocation queue for keys currently arriving at this
 // node, and the network (home-routed, or cache-direct when location caches
-// are on) for everything else. Pushes write-through-invalidate the node's
-// serving-cache entry first, preserving read-your-writes for the node's own
-// workers whatever path the update takes.
+// are on) for everything else. A push that leaves the fast path marks its key
+// "own push in flight" in the node's serving cache, which keeps the node's
+// workers from reading the pre-write entry until the push completes (see
+// serving.go, "Read-your-writes").
 func (h *handle) RouteKey(t msg.OpType, op *server.OpCtx, k kv.Key, dst, vals []float32) server.KeyRoute {
 	sh := h.nd.shardOf(k)
-	if t == msg.OpPush && h.nd.serving != nil && h.nd.serving.invalidate(k) {
-		sh.stats.LeaseInvalidations.Inc()
-	}
 	if h.tryFast(sh, t, k, dst, vals) {
 		h.trk.Observe(k)
 		return server.KeyRoute{Served: true}
 	}
-	if t == msg.OpPull && op.Lease() && h.nd.serving != nil {
-		if h.nd.serving.get(k, dst) {
-			h.trk.Observe(k)
-			sh.stats.ServingHits.Inc()
-			sh.stats.ReadValues.Add(int64(len(dst)))
-			return server.KeyRoute{Served: true}
+	if sc := h.nd.serving; sc != nil {
+		if t == msg.OpPush {
+			sc.pushBegin(k)
+		} else if op.Lease() {
+			if sc.get(k, dst) {
+				h.trk.Observe(k)
+				sh.stats.ServingHits.Inc()
+				sh.stats.ReadValues.Add(int64(len(dst)))
+				return server.KeyRoute{Served: true}
+			}
+			sh.stats.ServingMisses.Inc()
 		}
-		sh.stats.ServingMisses.Inc()
 	}
 	h.trk.ObserveRemote(k)
 	dest, enqueued := h.slowRoute(sh, t, op, k, dst, vals)
@@ -138,14 +140,13 @@ func (h *handle) tryFast(sh *policyShard, t msg.OpType, k kv.Key, dst, vals []fl
 			if !h.nd.store.Add(k, vals) {
 				return false
 			}
-			if h.nd.leased != nil && h.nd.leased[k].Load() != 0 {
-				// This owner's own worker wrote a leased key; withdraw the
-				// remote leases (the flag check keeps the unleased fast path
-				// free of the registry lock). A grant racing this write on a
-				// shard goroutine can slip past the flag check — that one
-				// holder's staleness is bounded by the TTL (see serving.go,
-				// "Correctness").
-				h.nd.revokeLeases(k)
+			if h.nd.isLeased(k) {
+				// This owner's own worker wrote a leased key: refresh the
+				// holders' copies. A grant racing this write on a shard
+				// goroutine can slip past the flag check — that one holder's
+				// staleness is bounded by the TTL (see serving.go, "Staleness
+				// bound").
+				h.nd.refreshLeases(k, h.nd.id)
 			}
 			sh.stats.LocalWrites.Inc()
 			return true
@@ -182,12 +183,16 @@ func (h *handle) slowRoute(sh *policyShard, t msg.OpType, op *server.OpCtx, k kv
 // MultiGet issues a batched read-only pull through the serving tier: keys
 // are served — in this order — from the local replica or owned store, from
 // the node's leased serving cache, or over the network with a lease request
-// attached, so the next MultiGet of the same keys hits the cache. Keys
-// served entirely without the network complete with zero pending-table
-// registration and zero allocation (the kv.CompletedFuture fast path of
-// DispatchOp). With the serving tier disabled (Config.Serving nil) MultiGet
-// is equivalent to PullAsync. The returned future completes when dst holds
-// every value.
+// attached, so the next MultiGet of the same keys hits the cache. A cached
+// key stays cached across writes: its owner overwrites the entry in place
+// with every write it applies, this node's own included, so a hot key that
+// is also written costs one miss per lease term, not one per write. A key
+// with one of this node's pushes still unacknowledged is read over the
+// network, behind that push. Keys served entirely without the network
+// complete with zero pending-table registration and zero allocation (the
+// kv.CompletedFuture fast path of DispatchOp). With the serving tier disabled
+// (Config.Serving nil) MultiGet is equivalent to PullAsync. The returned
+// future completes when dst holds every value.
 func (h *handle) MultiGet(keys []kv.Key, dst []float32) *kv.Future {
 	if want := kv.BufferLen(h.sys.layout, keys); len(dst) != want {
 		return kv.CompletedFuture(fmt.Errorf("core: multi-get buffer has %d values, want %d", len(dst), want))

@@ -9,8 +9,8 @@ import (
 	"lapse/internal/msg"
 )
 
-// Serving tier: lease-based client-side read caching (see DESIGN.md
-// "Serving tier").
+// Serving tier: lease-based client-side read caching with update-in-place
+// coherence (see DESIGN.md "Serving tier").
 //
 // A read-mostly serving workload pulls the same hot keys over and over from
 // every node. The relocation protocol cannot make such keys local everywhere
@@ -18,43 +18,61 @@ import (
 // are almost never written. The serving tier adds a third, read-only path:
 // when a MultiGet misses every local fast path, the remote pull asks the
 // key's owner for a *lease* (Op.Lease); the owner answers with the value and
-// a TTL (OpResp.LeaseTTL), and the origin installs the value in a node-local
-// serving cache. Until the lease expires or is revoked, MultiGets of the key
-// are shared-memory reads with zero pending-table registration.
+// a TTL (OpResp.LeaseTTL), records the holder, and the origin installs the
+// value in a node-local serving cache. Until the lease runs out MultiGets of
+// the key are shared-memory reads with zero pending-table registration.
+//
+// Coherence is update-on-write. A push that applies at the owner of a leased
+// key leaves the lease standing: the owner sends every live holder — the
+// writer's node included — one key-addressed LeaseRevoke carrying a latched
+// snapshot of the post-write value and the lease time that is left, ahead of
+// the push ack on the same (link, shard) FIFO. The holder overwrites its live
+// entry in place; it never creates an entry from such a message and never
+// keeps one longer than the message says, so a holder that stops reading
+// stops costing messages when its lease runs out. The value is read and the
+// messages are sent under the owner's registry lock (transport Sends queue
+// and never block), so the refreshes of concurrent writers — shard goroutines
+// and the owner's own workers — leave in value order and the last one to
+// land holds every write before it. The value-less form of the message (drop)
+// remains where the value leaves the owner: relocation transfer-out, and
+// promotion into replication, whose drops ride the sync cycle's
+// ReplicaRefresh broadcast (Revoke field). A refresh whose Vals do not match
+// the keys' layout lengths is treated as a drop: the wire is outside input.
 //
 // Correctness:
 //
-//   - Read-your-writes: every Push write-through-invalidates the pusher's own
-//     cache entry before the update is routed (handle.RouteKey), and the
-//     owner's revocation pass notifies every live holder *including the
-//     writer's node* — a grant can still be in flight to the writer (its own
-//     leased pull processed by the owner just before the push), and only a
-//     chasing revoke, delivered on the same (link, shard) FIFO stream before
-//     the push ack, stops that grant from re-installing the pre-write value.
-//     So a node never reads its own stale write from its cache (synchronous
-//     operations; asynchronous pipelining keeps the same caveats it has
-//     without the cache).
-//   - Cross-node invalidation: the owner tracks lease holders per key and
-//     revokes on writes, on relocation (transfer-out), and on promotion into
-//     replication. Write/relocation revokes travel as key-addressed
-//     LeaseRevoke messages — FIFO, per (link, shard), with the grant they
-//     chase — and promotion revokes piggyback on the replication sync cycle's
-//     ReplicaRefresh broadcast (Revoke field). One grant-side race is
-//     deliberately tolerated: a shard goroutine serving a remote leased pull
-//     can read the pre-write value and register the lease after a concurrent
-//     owner-local write saw leased[k]==0 and skipped revocation, so that one
-//     remote holder keeps the pre-write value until its lease expires.
-//     Revoke-on-write is therefore best-effort against owner-local writes;
-//     the staleness stays inside the TTL bound below.
-//   - Staleness bound: a served read lags a write by at most the lease TTL
-//     (plus one message latency for in-flight reads) — whether the revoke was
-//     lost with its message or never sent (the grant race above) — matching
-//     the eventual-consistency window replication already accepts.
+//   - Read-your-writes. A push that leaves the shared-memory fast path marks
+//     its key "own push in flight" in the node's serving cache (a per-key
+//     count, so it balances under pipelining and across co-located workers):
+//     while the count is above zero MultiGets of the key miss and travel
+//     behind the push. The mark is taken off where the push completes — the
+//     ack (OnOpResp) or a local relocation-queue drain; a push re-routed out
+//     of a drained queue stays marked until its ack. The owner's refresh lands
+//     before the ack, and the ack says so (OpResp.LeaseTTL nonzero), so the
+//     writer's next read is a hit that contains its write. An ack that does
+//     not vouch for the writer's copy — the lease had run out at the owner,
+//     the key was answered by a new owner, a replica or a queue drain — makes
+//     the writer discard its entry. So a node never reads a value older than
+//     its own acknowledged write from its cache, whatever path the push took.
+//   - Staleness bound. A served read lags another node's write by at most one
+//     message latency while the refresh travels, and by at most the lease TTL
+//     plus one latency when a refresh is lost or is never sent. The one case
+//     of the latter that is deliberately tolerated: a shard goroutine serving
+//     a leased pull reads the pre-write value, a concurrent write by the
+//     owner's own worker refreshes the holders registered so far, and the
+//     grant — registered and sent afterwards — installs the older value. That
+//     one holder keeps it until the next write or until its lease runs out.
+//     Remote writers cannot race a grant: both run on the key's shard
+//     goroutine.
+//   - Stale owners. An entry remembers which node granted it and takes
+//     refreshes from that node only: a refresh from a previous owner, delayed
+//     past the grant of the next one, must not put an older value back.
 type ServingConfig struct {
 	// TTL is the lease duration granted to caching clients. Longer TTLs mean
-	// higher hit rates and a larger worst-case staleness window for reads of
-	// keys whose revocation message was lost. 0 = DefaultLeaseTTL; capped at
-	// what the wire's microsecond field can carry (~71 minutes).
+	// fewer expiry misses, a longer time an idle holder keeps receiving
+	// refreshes, and a larger worst-case staleness window for reads of keys
+	// whose refresh was lost. 0 = DefaultLeaseTTL; capped at what the wire's
+	// microsecond field can carry (~71 minutes).
 	TTL time.Duration
 }
 
@@ -84,35 +102,51 @@ const servingStripes = 64
 // cacheEntry is one leased value in the serving cache.
 type cacheEntry struct {
 	expiry int64 // UnixNano deadline
+	owner  int32 // granting node; the only one whose refreshes apply
 	vals   []float32
 }
 
 // servingCache is a node's client-side serving cache: leased values of
 // remote hot keys, readable by every worker of the node. Reads, installs,
-// and invalidations synchronize per stripe; the hit path (get) does one lock
-// round trip, one map lookup, and one copy — no allocation.
+// refreshes and drops synchronize per stripe; the hit path (get) does one
+// lock round trip, one map lookup, and one copy — no allocation.
 type servingCache struct {
-	stripes [servingStripes]struct {
-		mu      sync.Mutex
-		entries map[kv.Key]*cacheEntry
-	}
+	stripes [servingStripes]servingStripe
+}
+
+type servingStripe struct {
+	mu      sync.Mutex
+	entries map[kv.Key]*cacheEntry
+	// pushing counts this node's own pushes in flight per key. It is kept
+	// apart from the entries because it must outlive them: a grant that
+	// installs an entry while a push is unacknowledged must not be readable
+	// either. Empty except while pushes are in flight, so the hit path pays
+	// a length check.
+	pushing map[kv.Key]int32
+}
+
+// stripe returns the lock stripe of k.
+func (c *servingCache) stripe(k kv.Key) *servingStripe {
+	return &c.stripes[uint64(k)&(servingStripes-1)]
 }
 
 func newServingCache() *servingCache {
 	c := &servingCache{}
 	for i := range c.stripes {
 		c.stripes[i].entries = make(map[kv.Key]*cacheEntry)
+		c.stripes[i].pushing = make(map[kv.Key]int32)
 	}
 	return c
 }
 
-// get copies the cached value of k into dst if a live lease covers it.
-// Expired entries are dropped on the way.
+// get copies the cached value of k into dst if a live lease covers it and
+// none of this node's pushes to k is in flight. Expired entries are dropped
+// on the way.
 func (c *servingCache) get(k kv.Key, dst []float32) bool {
-	st := &c.stripes[uint64(k)&(servingStripes-1)]
+	st := c.stripe(k)
 	st.mu.Lock()
 	e, ok := st.entries[k]
-	if !ok {
+	if !ok || (len(st.pushing) != 0 && st.pushing[k] != 0) {
 		st.mu.Unlock()
 		return false
 	}
@@ -126,12 +160,12 @@ func (c *servingCache) get(k kv.Key, dst []float32) bool {
 	return true
 }
 
-// install stores (or refreshes) the lease entry of k with value v, valid for
-// ttlMicros microseconds from now. v is copied: it aliases a decode scratch
-// at the call site.
-func (c *servingCache) install(k kv.Key, v []float32, ttlMicros uint32) {
+// install stores the lease entry of k with value v, granted by owner and
+// valid for ttlMicros microseconds from now. v is copied: it aliases a decode
+// scratch at the call site.
+func (c *servingCache) install(k kv.Key, v []float32, ttlMicros uint32, owner int32) {
 	expiry := time.Now().UnixNano() + int64(ttlMicros)*1000
-	st := &c.stripes[uint64(k)&(servingStripes-1)]
+	st := c.stripe(k)
 	st.mu.Lock()
 	e, ok := st.entries[k]
 	if !ok {
@@ -142,13 +176,35 @@ func (c *servingCache) install(k kv.Key, v []float32, ttlMicros uint32) {
 	}
 	e.vals = e.vals[:len(v)]
 	copy(e.vals, v)
-	e.expiry = expiry
+	e.expiry, e.owner = expiry, owner
 	st.mu.Unlock()
 }
 
-// invalidate drops the lease entry of k, reporting whether one existed.
-func (c *servingCache) invalidate(k kv.Key) bool {
-	st := &c.stripes[uint64(k)&(servingStripes-1)]
+// refresh overwrites the live entry of k in place with the post-write value
+// v its owner sent, and clamps the entry's life to the ttlMicros the owner
+// says are left. It never creates an entry and never extends one, and it
+// ignores a sender that is not the entry's grantor. Reports whether an entry
+// was overwritten.
+func (c *servingCache) refresh(k kv.Key, v []float32, ttlMicros uint32, owner int32) bool {
+	now := time.Now().UnixNano()
+	st := c.stripe(k)
+	st.mu.Lock()
+	e, ok := st.entries[k]
+	if !ok || e.owner != owner || e.expiry < now || len(e.vals) != len(v) {
+		st.mu.Unlock()
+		return false
+	}
+	copy(e.vals, v)
+	if left := now + int64(ttlMicros)*1000; left < e.expiry {
+		e.expiry = left
+	}
+	st.mu.Unlock()
+	return true
+}
+
+// drop discards the lease entry of k, reporting whether one existed.
+func (c *servingCache) drop(k kv.Key) bool {
+	st := c.stripe(k)
 	st.mu.Lock()
 	_, ok := st.entries[k]
 	if ok {
@@ -157,6 +213,41 @@ func (c *servingCache) invalidate(k kv.Key) bool {
 	st.mu.Unlock()
 	return ok
 }
+
+// pushBegin marks one more of this node's pushes to k as in flight: until
+// the matching pushEnd, get misses on k.
+func (c *servingCache) pushBegin(k kv.Key) {
+	st := c.stripe(k)
+	st.mu.Lock()
+	st.pushing[k]++
+	st.mu.Unlock()
+}
+
+// pushEnd takes one in-flight mark off k when a push completed. refresher is
+// the node that says it overwrote this node's entry with the post-write value
+// before completing the push (noRefresher: nobody does). An entry that node
+// did not grant is one nothing vouches for, and is discarded. Reports whether
+// an entry was discarded.
+func (c *servingCache) pushEnd(k kv.Key, refresher int32) bool {
+	st := c.stripe(k)
+	st.mu.Lock()
+	if n := st.pushing[k]; n > 1 {
+		st.pushing[k] = n - 1
+	} else {
+		delete(st.pushing, k)
+	}
+	e, ok := st.entries[k]
+	dropped := ok && e.owner != refresher
+	if dropped {
+		delete(st.entries, k)
+	}
+	st.mu.Unlock()
+	return dropped
+}
+
+// noRefresher is pushEnd's refresher when the push completed without anyone
+// refreshing this node's entry. No entry is granted by it.
+const noRefresher int32 = -1
 
 // leaseHold records the outstanding leases of one key at its owner: a bitmask
 // of holder nodes and the conservative deadline after which every one of them
@@ -168,14 +259,21 @@ type leaseHold struct {
 
 // leaseReg is the owner-side lease registry of one node: which nodes hold
 // live leases on which of its keys. Grants happen on shard goroutines
-// (handleOp), revocations on shard goroutines (remote writes, relocations)
-// and worker threads (a local write at the owner), so the registry is
-// mutex-guarded; the per-key leased flag array lets the worker write fast
-// path skip it entirely when no lease is outstanding.
+// (handleOp), coherence messages leave from shard goroutines (remote writes,
+// relocations) and worker threads (a local write at the owner), so the
+// registry is mutex-guarded; the per-key leased flag array lets the worker
+// write fast path skip it entirely when no lease is outstanding. The lock is
+// held across the sends of one key's coherence messages: that is what orders
+// concurrent writers' refreshes by value, and what lets every message be
+// built in the one struct and value scratch below (Send encodes
+// synchronously and never blocks).
 type leaseReg struct {
 	ttlMicros uint32
 	mu        sync.Mutex
 	holders   map[kv.Key]*leaseHold
+	out       msg.LeaseRevoke
+	key       [1]kv.Key
+	vals      []float32
 }
 
 func newLeaseReg(cfg *ServingConfig) *leaseReg {
@@ -184,19 +282,24 @@ func newLeaseReg(cfg *ServingConfig) *leaseReg {
 
 // grantLeases records origin as a lease holder of every key in keys and
 // returns the TTL (µs) to stamp on the response. Origins beyond the bitmask
-// width get no lease (0).
+// width get no lease (0). A record whose leases have all run out starts over
+// with origin as its only holder, so a node that stopped reading a key is
+// forgotten within one TTL even while others keep leasing it.
 func (nd *node) grantLeases(keys []kv.Key, origin int) uint32 {
 	if origin < 0 || origin >= 64 {
 		return 0
 	}
 	reg := nd.leases
-	expiry := time.Now().UnixNano() + int64(reg.ttlMicros)*1000
+	now := time.Now().UnixNano()
+	expiry := now + int64(reg.ttlMicros)*1000
 	reg.mu.Lock()
 	for _, k := range keys {
 		h, ok := reg.holders[k]
 		if !ok {
 			h = &leaseHold{}
 			reg.holders[k] = h
+		} else if h.expiry < now {
+			h.mask = 0
 		}
 		h.mask |= 1 << uint(origin)
 		if expiry > h.expiry {
@@ -209,31 +312,81 @@ func (nd *node) grantLeases(keys []kv.Key, origin int) uint32 {
 	return reg.ttlMicros
 }
 
-// revokeLeases withdraws every outstanding lease on k: the registry entry and
-// the fast-path flag are cleared, and each live holder is sent a LeaseRevoke
-// (key-addressed, so it stays FIFO with the grant response it chases on the
-// holder's (link, shard) stream). The holder set includes the node whose
-// write triggered the revocation: its write-through invalidation only covers
-// the entry already installed, while a grant from this owner may still be in
-// flight to it — carrying the pre-write value — and only a chasing revoke,
-// which lands before the push ack, preserves that node's read-your-writes.
-// Safe from shard goroutines and worker threads.
-func (nd *node) revokeLeases(k kv.Key) {
+// refreshLeases runs after a push was applied to k at this node, its owner:
+// every live holder is sent the post-write value and the lease time left
+// (LeaseRevoke, refresh form). The message is key-addressed, so on each
+// holder's (link, shard) stream it follows the grant it may be chasing and
+// precedes the ack of the push that caused it. The holder set includes the
+// writer's node: its entry is what the writer reads next. The leases stay in
+// force and are not extended. Returns the lease time (µs) left on writer's
+// copy if writer was among the holders refreshed, 0 otherwise — the caller's
+// ack passes it on (OpResp.LeaseTTL). Safe from shard goroutines and worker
+// threads.
+func (nd *node) refreshLeases(k kv.Key, writer int) uint32 {
 	reg := nd.leases
 	reg.mu.Lock()
+	defer reg.mu.Unlock()
 	h, ok := reg.holders[k]
-	var mask uint64
-	if ok {
-		if h.expiry >= time.Now().UnixNano() {
-			mask = h.mask
-		}
+	if !ok {
+		return 0 // dropped since the caller saw the flag
+	}
+	left := (h.expiry - time.Now().UnixNano()) / 1000
+	if left <= 0 {
 		delete(reg.holders, k)
+		nd.leased[k].Store(0)
+		return 0
 	}
+	// The value is read under the registry lock, after the caller's write:
+	// whichever writer sends later read later, so refreshes leave in value
+	// order.
+	reg.vals = kv.Grow(reg.vals[:0], nd.sys.layout.Len(k))
+	if !nd.store.Read(k, reg.vals) {
+		return 0 // a transfer-out took the key; its drop covers the holders
+	}
+	reg.sendHolders(nd, k, uint32(left), reg.vals, h.mask)
+	if uint(writer) < 64 && h.mask&(1<<uint(writer)) != 0 {
+		return uint32(left)
+	}
+	return 0
+}
+
+// isLeased reports whether a lease on k may be outstanding. It is the
+// lock-free check in front of every registry access on a write path: pushes
+// to keys nobody leases, and every push with the serving tier off, stay clear
+// of the registry lock. Small enough to inline into the worker fast path.
+func (nd *node) isLeased(k kv.Key) bool {
+	return nd.leased != nil && nd.leased[k].Load() != 0
+}
+
+// refreshAfterPush is refreshLeases behind the leased flag, for the shard
+// goroutine's push paths, whose ack carries the result.
+func (nd *node) refreshAfterPush(k kv.Key, writer int) uint32 {
+	if !nd.isLeased(k) {
+		return 0
+	}
+	return nd.refreshLeases(k, writer)
+}
+
+// dropLeases withdraws every outstanding lease on k because its value is
+// leaving this node: the registry entry and the fast-path flag are cleared
+// and each live holder is sent a value-less LeaseRevoke.
+func (nd *node) dropLeases(k kv.Key) {
+	reg := nd.leases
+	reg.mu.Lock()
+	defer reg.mu.Unlock()
+	h, ok := reg.holders[k]
+	delete(reg.holders, k)
 	nd.leased[k].Store(0)
-	reg.mu.Unlock()
-	if mask == 0 {
-		return
+	if ok && h.expiry >= time.Now().UnixNano() {
+		reg.sendHolders(nd, k, 0, nil, h.mask)
 	}
+}
+
+// sendHolders sends one coherence message about k to every node in mask. The
+// registry lock must be held: the message struct is the registry's.
+func (reg *leaseReg) sendHolders(nd *node, k kv.Key, ttlMicros uint32, vals []float32, mask uint64) {
+	reg.key[0] = k
+	reg.out = msg.LeaseRevoke{Origin: int32(nd.id), TTL: ttlMicros, Keys: reg.key[:], Vals: vals}
 	stats := nd.srv.Shard(0).Stats()
 	for dest := 0; mask != 0; dest++ {
 		if mask&(1<<uint(dest)) == 0 {
@@ -244,14 +397,14 @@ func (nd *node) revokeLeases(k kv.Key) {
 			continue // self-grants are never recorded; defensive
 		}
 		stats.LeaseRevokes.Inc()
-		nd.srv.Send(dest, &msg.LeaseRevoke{Origin: int32(nd.id), Keys: []kv.Key{k}})
+		nd.srv.Send(dest, &reg.out)
 	}
 }
 
-// queueRevoke routes a promotion's lease revocation through the replication
-// sync cycle: the key is entering replication, so the next ReplicaRefresh
-// broadcast — which every node receives — carries the revocation piggybacked
-// in its Revoke field, costing no extra message.
+// queueRevoke routes a promotion's lease drop through the replication sync
+// cycle: the key is entering replication, so the next ReplicaRefresh
+// broadcast — which every node receives — carries the drop piggybacked in its
+// Revoke field, costing no extra message.
 func (nd *node) queueRevoke(k kv.Key) {
 	reg := nd.leases
 	reg.mu.Lock()
@@ -265,15 +418,50 @@ func (nd *node) queueRevoke(k kv.Key) {
 	}
 }
 
-// servingInvalidate drops the local cache entries of keys after a revocation
-// arrived (direct LeaseRevoke or piggybacked on a ReplicaRefresh).
-func (nd *node) servingInvalidate(keys []kv.Key, c *metrics.Counter) {
+// applyLeaseRevoke handles an owner's coherence message at a holder: the
+// refresh form overwrites live entries in place, the drop form — and a
+// refresh whose values do not fit the keys, which the codec cannot rule out —
+// discards them.
+func (nd *node) applyLeaseRevoke(m *msg.LeaseRevoke, stats *metrics.ServerStats) {
+	if nd.serving == nil {
+		return
+	}
+	if len(m.Vals) == 0 || !nd.valsFit(m.Keys, len(m.Vals)) {
+		nd.servingDrop(m.Keys, stats)
+		return
+	}
+	src := 0
+	for _, k := range m.Keys {
+		l := nd.sys.layout.Len(k)
+		if nd.serving.refresh(k, m.Vals[src:src+l], m.TTL, m.Origin) {
+			stats.LeaseRefreshes.Inc()
+		}
+		src += l
+	}
+}
+
+// valsFit reports whether n values are exactly what keys hold under the
+// layout (and every key is one the layout knows).
+func (nd *node) valsFit(keys []kv.Key, n int) bool {
+	layout := nd.sys.layout
+	for _, k := range keys {
+		if k >= layout.NumKeys() {
+			return false
+		}
+		n -= layout.Len(k)
+	}
+	return n == 0
+}
+
+// servingDrop discards the local cache entries of keys after a drop arrived
+// (direct LeaseRevoke or piggybacked on a ReplicaRefresh).
+func (nd *node) servingDrop(keys []kv.Key, stats *metrics.ServerStats) {
 	if nd.serving == nil {
 		return
 	}
 	for _, k := range keys {
-		if nd.serving.invalidate(k) {
-			c.Inc()
+		if nd.serving.drop(k) {
+			stats.LeaseInvalidations.Inc()
 		}
 	}
 }

@@ -1,10 +1,14 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
+	"lapse/internal/cluster"
 	"lapse/internal/kv"
+	"lapse/internal/msg"
+	"lapse/internal/simnet"
 )
 
 // servingTestConfig enables the serving tier with a TTL long enough that any
@@ -83,9 +87,10 @@ func TestMultiGetAllHitZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestMultiGetReadYourWrites pins write-through invalidation: a worker's own
-// Push to a cached key must invalidate the local serving-cache entry before
-// the push dispatches, so the worker's next MultiGet sees its write.
+// TestMultiGetReadYourWrites pins read-your-writes across the worker's own
+// push to a key it has cached: the owner refreshes the entry ahead of the push
+// ack, so the worker's next MultiGet sees its write — and sees it in the
+// cache, without another remote read.
 func TestMultiGetReadYourWrites(t *testing.T) {
 	_, sys := newTestSystem(t, 2, 1, 8, 1, servingTestConfig())
 	h := sys.Handle(0).(servingKV)
@@ -97,21 +102,31 @@ func TestMultiGetReadYourWrites(t *testing.T) {
 	if err := h.Push(keys, []float32{5}); err != nil {
 		t.Fatal(err)
 	}
+	st := sys.Stats()[0]
+	if got := st.LeaseRefreshes.Load(); got != 1 {
+		t.Fatalf("lease refreshes = %d after the holder's own push, want 1", got)
+	}
+	remote := st.RemoteReads.Load()
 	if err := h.MultiGet(keys, buf).Wait(); err != nil {
 		t.Fatal(err)
 	}
 	if buf[0] != 5 {
 		t.Fatalf("MultiGet after own push = %v, want [5] (stale lease served)", buf)
 	}
-	if sys.Stats()[0].LeaseInvalidations.Load() == 0 {
-		t.Fatal("push invalidated no serving-cache entry")
+	if st.ServingHits.Load() != 1 || st.RemoteReads.Load() != remote {
+		t.Fatalf("MultiGet after own push was not a cache hit: hits %d, remote reads %d -> %d",
+			st.ServingHits.Load(), remote, st.RemoteReads.Load())
+	}
+	if got := st.LeaseInvalidations.Load(); got != 0 {
+		t.Fatalf("own push dropped %d entries, want 0 (update in place)", got)
 	}
 }
 
-// TestOwnerPushRevokesRemoteLease pins the home-side revocation channel: a
-// write at the key's owner must revoke the lease a remote node holds, so the
-// remote node's MultiGet re-reads within the test deadline — far inside the
-// 30s TTL, proving the freshness came from revocation, not expiry.
+// TestOwnerPushRevokesRemoteLease pins the owner-side coherence channel: a
+// write by the owner's own worker must reach the copy a remote node holds, so
+// the remote node's MultiGet returns it within the test deadline — far inside
+// the 30s TTL, proving the freshness came from the owner's message, not
+// expiry — and returns it from the cache, with no second remote read.
 func TestOwnerPushRevokesRemoteLease(t *testing.T) {
 	_, sys := newTestSystem(t, 2, 1, 8, 1, servingTestConfig())
 	h0, h1 := sys.Handle(0).(servingKV), sys.Handle(1)
@@ -120,6 +135,7 @@ func TestOwnerPushRevokesRemoteLease(t *testing.T) {
 	if err := h0.MultiGet(keys, buf).Wait(); err != nil {
 		t.Fatal(err)
 	}
+	remote := sys.Stats()[0].RemoteReads.Load()
 	if err := h1.Push(keys, []float32{7}); err != nil {
 		t.Fatal(err)
 	}
@@ -132,23 +148,26 @@ func TestOwnerPushRevokesRemoteLease(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("remote lease never revoked: MultiGet still returns %v", buf)
+			t.Fatalf("owner's write never reached the lease holder: MultiGet still returns %v", buf)
 		}
 		time.Sleep(time.Millisecond)
 	}
 	if sys.Stats()[1].LeaseRevokes.Load() == 0 {
-		t.Fatal("owner recorded no lease revocation")
+		t.Fatal("owner recorded no coherence message")
+	}
+	if got := sys.Stats()[0].RemoteReads.Load(); got != remote {
+		t.Fatalf("holder re-fetched the key (%d -> %d remote reads); the write must arrive in place", remote, got)
 	}
 }
 
 // TestPushByLeaseHolderChasesItsOwnGrant pins that the owner does NOT skip
-// the writing node when revoking: after node 0 — the only lease holder —
-// pushes the key it holds a lease on, the owner must still send exactly one
-// LeaseRevoke (to node 0). Write-through invalidation alone cannot cover a
-// grant that is still in flight to the writer when the push arrives; only a
-// revoke chasing that grant on the same FIFO stream, ahead of the push ack,
-// keeps the writer's read-your-writes intact. Skipping the writer here would
-// leave the revoke count at 0 and reopen that window.
+// the writing node: after node 0 — the only lease holder — pushes the key it
+// holds a lease on, the owner must still send exactly one LeaseRevoke (to node
+// 0). The writer's entry, or a grant still in flight to the writer when the
+// push arrives, holds the pre-write value; only a message chasing it on the
+// same FIFO stream, ahead of the push ack, keeps the writer's read-your-writes
+// intact. Skipping the writer here would leave the count at 0 and reopen that
+// window.
 func TestPushByLeaseHolderChasesItsOwnGrant(t *testing.T) {
 	_, sys := newTestSystem(t, 2, 1, 8, 1, servingTestConfig())
 	h := sys.Handle(0).(servingKV)
@@ -164,7 +183,7 @@ func TestPushByLeaseHolderChasesItsOwnGrant(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := sys.Stats()[1].LeaseRevokes.Load(); got != 1 {
-		t.Fatalf("owner sent %d revokes after the lease holder's own push, want 1 (the writer's node must be chased)", got)
+		t.Fatalf("owner sent %d coherence messages after the lease holder's own push, want 1 (the writer's node must be chased)", got)
 	}
 	if err := h.MultiGet(keys, buf).Wait(); err != nil {
 		t.Fatal(err)
@@ -213,5 +232,241 @@ func TestForwardedLeasePullStillGranted(t *testing.T) {
 	}
 	if got := sys.Stats()[0].ServingHits.Load(); got != 1 {
 		t.Fatalf("serving hits = %d, want 1 (forwarded grant never installed)", got)
+	}
+}
+
+// TestAsyncPushesKeepLeaseHolderInProgramOrder pins the "own push in flight"
+// mark against every way of re-arming the writer's entry too early. A worker
+// holding a lease pipelines two pushes and reads behind them without waiting,
+// while the owner's own worker writes the key in between. The first read is
+// issued once the owner's refresh for that foreign write has landed in the
+// worker's cache, with both acks outstanding; the second once the first ack
+// is in, with the second outstanding. A design that lets a refresh, or the
+// first of several acks, make the entry readable again serves a value without
+// the worker's own writes. Links are 20ms, so each of those moments is held
+// for about that long.
+func TestAsyncPushesKeepLeaseHolderInProgramOrder(t *testing.T) {
+	cl := cluster.New(cluster.Config{Nodes: 2, WorkersPerNode: 1,
+		Net: simnet.Config{Latency: 20 * time.Millisecond}})
+	sys := New(cl, kv.NewUniformLayout(8, 1), servingTestConfig())
+	t.Cleanup(func() {
+		cl.Close()
+		sys.Shutdown()
+	})
+	h0, h1 := sys.Handle(0).(servingKV), sys.Handle(1)
+	st := sys.Stats()[0]
+	keys := []kv.Key{6} // homed (and owned) at node 1
+	buf := make([]float32, 1)
+	if err := h0.MultiGet(keys, buf).Wait(); err != nil {
+		t.Fatal(err)
+	}
+	inFlight := func(f *kv.Future, what string) {
+		t.Helper()
+		if done, _ := f.TryWait(); done {
+			t.Skipf("%s was acknowledged before the read could be issued behind it (stalled host)", what)
+		}
+	}
+	p1 := h0.PushAsync(keys, []float32{1})
+	if err := h1.Push(keys, []float32{10}); err != nil { // its refresh leaves for node 0 at once
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); st.LeaseRefreshes.Load() == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("owner's refresh never reached the lease holder")
+		}
+		runtime.Gosched()
+	}
+	p2 := h0.PushAsync(keys, []float32{2})
+	inFlight(p1, "first push")
+	bufA, bufB := make([]float32, 1), make([]float32, 1)
+	mgA := h0.MultiGet(keys, bufA) // the foreign refresh is in, no ack is
+	if err := p1.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	inFlight(p2, "second push")
+	mgB := h0.MultiGet(keys, bufB) // the first ack is in, the second is not
+	for _, f := range []*kv.Future{p2, mgA, mgB} {
+		if err := f.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if bufA[0] != 13 || bufB[0] != 13 {
+		t.Fatalf("MultiGets pipelined behind two own pushes = %v and %v, want [13] (both own writes and the owner's)", bufA, bufB)
+	}
+	if got := st.ServingHits.Load(); got != 0 {
+		t.Fatalf("%d MultiGets behind unacknowledged pushes were served from the cache", got)
+	}
+	// Both acks are in: the entry is readable again and holds the full sum.
+	remote := st.RemoteReads.Load()
+	if err := h0.MultiGet(keys, buf).Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if buf[0] != 13 {
+		t.Fatalf("MultiGet after both acks = %v, want [13]", buf)
+	}
+	if st.ServingHits.Load() != 1 || st.RemoteReads.Load() != remote {
+		t.Fatalf("MultiGet after both acks was not a cache hit: hits %d, remote reads %d -> %d",
+			st.ServingHits.Load(), remote, st.RemoteReads.Load())
+	}
+}
+
+// TestLeasedPushAllocations gates the write side of the serving tier next to
+// the all-hit read gate: the owner's refresh is built in the registry's one
+// message struct and value scratch, and the writer's in-flight mark lives in
+// a map that is empty between pushes, so neither allocates per write.
+func TestLeasedPushAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("pushes travel in pooled buffers, and sync.Pool drops Puts at random under the race detector")
+	}
+	keys := []kv.Key{9} // homed at node 1
+	vals := []float32{1, 1}
+	buf := make([]float32, 2)
+	remotePush := func(cfg Config) float64 {
+		_, sys := newTestSystem(t, 2, 1, 16, 2, cfg)
+		h := sys.Handle(0).(servingKV)
+		if err := h.MultiGet(keys, buf).Wait(); err != nil { // takes the lease when serving is on
+			t.Fatal(err)
+		}
+		push := func() {
+			if err := h.Push(keys, vals); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 10; i++ {
+			push() // warm pools, scratch and the mark map
+		}
+		n := testing.AllocsPerRun(200, push)
+		if cfg.Serving != nil && sys.Stats()[0].LeaseRefreshes.Load() < 200 {
+			t.Fatalf("gated pushes were not refreshed in place: %d refreshes", sys.Stats()[0].LeaseRefreshes.Load())
+		}
+		return n
+	}
+	plain, leased := remotePush(Config{}), remotePush(servingTestConfig())
+	if leased > plain {
+		t.Errorf("remote push by a lease holder allocates %.1f times per op, %.1f with the serving tier off", leased, plain)
+	}
+
+	_, sys := newTestSystem(t, 2, 1, 16, 2, servingTestConfig())
+	h0, h1 := sys.Handle(0).(servingKV), sys.Handle(1)
+	if err := h0.MultiGet(keys, buf).Wait(); err != nil {
+		t.Fatal(err)
+	}
+	// An owner-local push returns without waiting for anyone, so the gated
+	// call also waits for the holder to apply the refresh: the decode scratch
+	// the message travels in goes back to its pool only then, and a loop that
+	// outruns the holder would measure the pool running dry instead.
+	applied := &sys.Stats()[0].LeaseRefreshes
+	push := func() {
+		want := applied.Load() + 1
+		if err := h1.Push(keys, vals); err != nil {
+			t.Fatal(err)
+		}
+		for spins := 0; applied.Load() < want; spins++ {
+			if spins > 1e8 {
+				t.Fatal("holder never applied the refresh")
+			}
+			runtime.Gosched()
+		}
+	}
+	push()
+	if n := testing.AllocsPerRun(200, push); n != 0 {
+		t.Errorf("owner-local push to a leased key allocates %.1f times per op, want 0", n)
+	}
+}
+
+// TestServingCacheRefreshRules pins what a refresh may and may not do to a
+// holder's cache: overwrite a live entry of the same grantor in place and
+// shorten its life — never create an entry, never extend one, never apply a
+// previous owner's value or one of the wrong length.
+func TestServingCacheRefreshRules(t *testing.T) {
+	const ttl = 30_000_000 // µs
+	c := newServingCache()
+	got := make([]float32, 2)
+	if c.refresh(3, []float32{1, 1}, ttl, 1) || c.get(3, got) {
+		t.Fatal("refresh created an entry")
+	}
+	c.install(3, []float32{1, 1}, ttl, 1)
+	if !c.refresh(3, []float32{2, 2}, ttl, 1) || !c.get(3, got) || got[0] != 2 {
+		t.Fatalf("refresh by the grantor did not overwrite in place: %v", got)
+	}
+	if c.refresh(3, []float32{9, 9}, ttl, 2) {
+		t.Fatal("refresh from a node that did not grant the lease was applied")
+	}
+	if c.refresh(3, []float32{9}, ttl, 1) {
+		t.Fatal("refresh of the wrong length was applied")
+	}
+	if c.get(3, got); got[0] != 2 {
+		t.Fatalf("rejected refreshes changed the entry: %v", got)
+	}
+	// The owner's remaining time wins when it is shorter; a longer one does
+	// not extend the lease.
+	st := &c.stripes[3&(servingStripes-1)]
+	before := st.entries[3].expiry
+	c.refresh(3, []float32{3, 3}, 2*ttl, 1)
+	if st.entries[3].expiry != before {
+		t.Fatal("refresh extended the lease")
+	}
+	c.refresh(3, []float32{3, 3}, 1, 1)
+	time.Sleep(time.Millisecond)
+	if c.get(3, got) {
+		t.Fatal("entry outlived the remaining lease time its owner announced")
+	}
+	c.install(3, []float32{4, 4}, 1, 1)
+	time.Sleep(time.Millisecond)
+	if c.refresh(3, []float32{5, 5}, ttl, 1) {
+		t.Fatal("refresh revived an expired entry")
+	}
+	// An own push's ack that does not vouch for the entry discards it; one
+	// that does keeps it, and the last mark coming off makes it readable.
+	c.install(3, []float32{6, 6}, ttl, 1)
+	c.pushBegin(3)
+	c.pushBegin(3)
+	if c.get(3, got) {
+		t.Fatal("entry readable with own pushes in flight")
+	}
+	if c.pushEnd(3, 1) || c.get(3, got) {
+		t.Fatal("first of two acks dropped the entry or made it readable")
+	}
+	if c.pushEnd(3, 1) || !c.get(3, got) {
+		t.Fatal("entry not readable after the last vouching ack")
+	}
+	c.pushBegin(3)
+	if !c.pushEnd(3, noRefresher) || c.get(3, got) {
+		t.Fatal("ack that vouches for nothing left the entry in place")
+	}
+	c.install(3, []float32{7, 7}, ttl, 1)
+	c.pushBegin(3)
+	if !c.pushEnd(3, 2) || c.get(3, got) {
+		t.Fatal("ack from a node that did not grant the entry left it in place")
+	}
+}
+
+// TestMalformedLeaseRefreshDropsEntry feeds a holder refreshes whose values
+// do not fit their keys — the codec accepts any lengths, and the wire is
+// outside input. The holder must discard the entries, not slice out of range.
+func TestMalformedLeaseRefreshDropsEntry(t *testing.T) {
+	cl, sys := newTestSystem(t, 2, 1, 8, 2, servingTestConfig())
+	h := sys.Handle(0).(servingKV)
+	keys := []kv.Key{6} // homed at node 1
+	buf := make([]float32, 2)
+	for i, bad := range []*msg.LeaseRevoke{
+		{Origin: 1, TTL: 1000, Keys: []kv.Key{6}, Vals: []float32{1}},       // short
+		{Origin: 1, TTL: 1000, Keys: []kv.Key{6}, Vals: []float32{1, 2, 3}}, // long
+		{Origin: 1, TTL: 1000, Keys: []kv.Key{6, 1 << 40}, Vals: []float32{1, 2, 3, 4}},
+	} {
+		if err := h.MultiGet(keys, buf).Wait(); err != nil { // (re)take the lease
+			t.Fatal(err)
+		}
+		cl.Net().Send(1, 0, bad)
+		want := int64(i + 1)
+		for deadline := time.Now().Add(5 * time.Second); sys.Stats()[0].LeaseInvalidations.Load() < want; {
+			if time.Now().After(deadline) {
+				t.Fatalf("malformed refresh %d did not drop the entry", i)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	if got := sys.Stats()[0].LeaseRefreshes.Load(); got != 0 {
+		t.Fatalf("%d malformed refreshes were applied", got)
 	}
 }

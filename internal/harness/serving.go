@@ -67,7 +67,7 @@ type ServingLoad struct {
 	// (0 = no drift).
 	DriftEvery int
 	// PushEvery issues an asynchronous single-key push after every Nth read
-	// request (0 = read-only), exercising the write-invalidate path.
+	// request (0 = read-only), exercising the write-refresh path.
 	PushEvery int
 	// TTL is the serving-cache lease TTL (0 = core.DefaultLeaseTTL);
 	// ServingMultiGet only.
@@ -349,7 +349,7 @@ func (l *servingLoop) read(i int) {
 }
 
 // push issues an asynchronous single-key write, sampled from the same
-// distribution, so leases on hot keys actually get invalidated.
+// distribution, so leased copies of hot keys actually get rewritten.
 func (l *servingLoop) push() {
 	l.pkey[0] = l.sample()
 	l.h.PushAsync(l.pkey, l.delta)

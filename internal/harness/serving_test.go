@@ -38,9 +38,10 @@ func TestRunServingModes(t *testing.T) {
 			if pt.Stats.LeaseGrants == 0 {
 				t.Fatalf("multiget mode recorded no lease grants: %+v", pt.Stats)
 			}
-			// The workload writes, so leases must actually get invalidated.
-			if pt.Stats.LeaseInvalidations == 0 {
-				t.Fatalf("multiget mode recorded no lease invalidations: %+v", pt.Stats)
+			// The workload writes, so leased copies must actually get
+			// refreshed in place (or, where the value moved, dropped).
+			if pt.Stats.LeaseRefreshes+pt.Stats.LeaseInvalidations == 0 {
+				t.Fatalf("multiget mode recorded no lease refreshes: %+v", pt.Stats)
 			}
 		case ServingPull:
 			if pt.Stats.ServingHits != 0 || pt.Stats.LeaseGrants != 0 {

@@ -195,12 +195,16 @@ type ServerStats struct {
 	// missing) the node's lease-based serving cache.
 	ServingHits   Counter
 	ServingMisses Counter
-	// LeaseGrants counts serving-cache leases this node granted as a home;
-	// LeaseRevokes counts revocations it sent (writes, relocations, and
-	// promotions of leased keys); LeaseInvalidations counts cache entries
-	// this node dropped (revocations received plus write-through drops).
+	// LeaseGrants counts serving-cache leases this node granted as an owner;
+	// LeaseRevokes counts the coherence messages it sent its holders, both
+	// forms: refreshes after writes, drops on relocations and promotions.
+	// At the holder, LeaseRefreshes counts cache entries overwritten in place
+	// by a refresh and LeaseInvalidations entries actually dropped (drops
+	// received, and the node's own pushes whose ack did not vouch for the
+	// entry).
 	LeaseGrants        Counter
 	LeaseRevokes       Counter
+	LeaseRefreshes     Counter
 	LeaseInvalidations Counter
 }
 
@@ -234,6 +238,7 @@ func (s *ServerStats) Reset() {
 	s.ServingMisses.Reset()
 	s.LeaseGrants.Reset()
 	s.LeaseRevokes.Reset()
+	s.LeaseRefreshes.Reset()
 	s.LeaseInvalidations.Reset()
 }
 
@@ -266,6 +271,7 @@ func Sum(nodes []*ServerStats) Totals {
 		t.ServingMisses += s.ServingMisses.Load()
 		t.LeaseGrants += s.LeaseGrants.Load()
 		t.LeaseRevokes += s.LeaseRevokes.Load()
+		t.LeaseRefreshes += s.LeaseRefreshes.Load()
 		t.LeaseInvalidations += s.LeaseInvalidations.Load()
 		t.RelocationTime.Merge(s.RelocationTime.Snapshot())
 		t.ServeLatency.Merge(s.ServeLatency.Snapshot())
@@ -301,6 +307,7 @@ type Totals struct {
 	ServingMisses             int64
 	LeaseGrants               int64
 	LeaseRevokes              int64
+	LeaseRefreshes            int64
 	LeaseInvalidations        int64
 	// RelocationTime, ServeLatency, and QueueWait are the cluster-merged
 	// histogram snapshots of the corresponding ServerStats aggregates.
@@ -343,6 +350,7 @@ func (t Totals) Since(base Totals) Totals {
 	d.ServingMisses -= base.ServingMisses
 	d.LeaseGrants -= base.LeaseGrants
 	d.LeaseRevokes -= base.LeaseRevokes
+	d.LeaseRefreshes -= base.LeaseRefreshes
 	d.LeaseInvalidations -= base.LeaseInvalidations
 	d.RelocationTime = t.RelocationTime.Sub(base.RelocationTime)
 	d.ServeLatency = t.ServeLatency.Sub(base.ServeLatency)

@@ -41,8 +41,11 @@ func seedMessages() []any {
 		&Manage{Kind: ManageUnreplicate, Origin: 0, Keys: nil, Vals: nil, Seqs: nil},
 		&Manage{Kind: ManageLocalize, Origin: 3, Keys: []kv.Key{12}},
 		&Manage{Kind: ManageSweep, Origin: 1, Epoch: 9, Keys: []kv.Key{2}},
+		// LeaseRevoke, drop form (no values) and refresh form.
 		&LeaseRevoke{Origin: 2, Keys: []kv.Key{5, 1 << 41}},
 		&LeaseRevoke{Origin: 0, Keys: nil},
+		&LeaseRevoke{Origin: 1, TTL: 150_000, Keys: []kv.Key{7}, Vals: []float32{1.5, -2}},
+		&LeaseRevoke{Origin: 3, TTL: 1, Keys: []kv.Key{7, 11}, Vals: []float32{0.25}},
 	}
 }
 

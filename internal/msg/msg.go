@@ -126,15 +126,19 @@ type Op struct {
 
 // OpResp answers an Op. For pulls, Vals carries the requested values in Keys
 // order. Responder is the node that held the keys; origins use it to update
-// their location caches. LeaseTTL is nonzero when the responder granted a
-// serving-cache lease on the response's keys: the origin may serve reads of
-// those keys from its local cache for LeaseTTL microseconds (or until the
-// home revokes the lease, whichever comes first).
+// their location caches. LeaseTTL is the serving tier's field. On a pull
+// response it is nonzero when the responder granted a serving-cache lease on
+// the response's keys: the origin may serve reads of those keys from its
+// local cache for LeaseTTL microseconds. On a push acknowledgement it is
+// nonzero when the responder refreshed the origin's leased copy of every
+// acknowledged key ahead of this ack (a LeaseRevoke carrying the post-write
+// value, FIFO before it); zero tells the origin that nothing vouches for what
+// it had cached under those keys.
 type OpResp struct {
 	Type      OpType
 	ID        uint64
 	Responder int32
-	LeaseTTL  uint32 // lease duration in microseconds; 0 = no lease granted
+	LeaseTTL  uint32 // lease time in microseconds; 0 = no lease granted / no copy refreshed
 	Keys      []kv.Key
 	Vals      []float32 // nil for push acknowledgements
 }
@@ -302,16 +306,23 @@ type Manage struct {
 	Seqs   []uint32
 }
 
-// LeaseRevoke tells a lease holder to drop its serving-cache entries for
-// Keys immediately: another node pushed to (or relocated) a key the holder
-// had leased, so the cached values may be stale. Origin is the revoking home
-// node. LeaseRevoke is key-addressed (routed by first key): a revocation
-// must stay FIFO, per (link, shard), with the OpResp grant it chases, so a
-// stale grant can never be installed after its revocation was processed.
-// Senders emit one message per key to keep revocations shard-pure.
+// LeaseRevoke is the owner's coherence message for the serving-cache leases
+// it granted on Keys. It has two forms. With Vals it is a refresh: a write
+// was applied at the owner, Vals is the post-write value (concatenated in
+// Keys order) and TTL the lease time left in microseconds; the holder
+// overwrites its live entry in place and never keeps it past TTL. With empty
+// Vals it is a drop: the value is leaving the owner (relocation), so the
+// holder discards its entries. Origin is the sending owner. LeaseRevoke is
+// key-addressed (routed by first key): it must stay FIFO, per (link, shard),
+// with the OpResp grant it chases and the push ack it precedes, so a holder
+// never installs a grant after the message that supersedes it and a writer
+// never sees its ack before its own write reached its cache. Senders emit
+// one message per key to keep it shard-pure.
 type LeaseRevoke struct {
 	Origin int32
+	TTL    uint32 // remaining lease in microseconds (refresh form only)
 	Keys   []kv.Key
+	Vals   []float32 // post-write values; empty = drop the entries
 }
 
 const (
@@ -350,7 +361,7 @@ func Size(m any) int {
 	case *Manage:
 		return headerBytes + 1 + 4 + 4 + 4 + 4 + 4 + len(t.Keys)*keyBytes + len(t.Vals)*valBytes + len(t.Seqs)*seqBytes
 	case *LeaseRevoke:
-		return headerBytes + 4 + 4 + len(t.Keys)*keyBytes
+		return headerBytes + 4 + 4 + 4 + 4 + len(t.Keys)*keyBytes + len(t.Vals)*valBytes
 	default:
 		panic(fmt.Sprintf("msg: Size on unknown message type %T", m))
 	}
@@ -447,7 +458,9 @@ func AppendTo(buf []byte, m any) []byte {
 	case *LeaseRevoke:
 		w.header(KindLeaseRevoke, sz)
 		w.u32(uint32(t.Origin))
+		w.u32(t.TTL)
 		w.keys(t.Keys)
+		w.vals(t.Vals)
 	default:
 		panic(fmt.Sprintf("msg: AppendTo on unknown message type %T", m))
 	}
@@ -654,7 +667,7 @@ func decodeMsg(buf []byte, s *Scratch) (any, int, error) {
 		} else {
 			t = new(LeaseRevoke)
 		}
-		*t = LeaseRevoke{Origin: int32(d.u32()), Keys: d.keys()}
+		*t = LeaseRevoke{Origin: int32(d.u32()), TTL: d.u32(), Keys: d.keys(), Vals: d.vals()}
 		m = t
 	default:
 		return nil, 0, fmt.Errorf("msg: unknown message kind %d", kind)

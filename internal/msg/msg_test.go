@@ -52,6 +52,8 @@ func TestRoundTripAllKinds(t *testing.T) {
 		&Manage{Kind: ManageDemoteAck, Origin: 3, Epoch: 9, Keys: []kv.Key{5},
 			Vals: []float32{0.5, 0.5, 1, 1}, Seqs: []uint32{0, 9}},
 		&Manage{Kind: ManageDemoteAck, Origin: 1, Keys: []kv.Key{4}},
+		&LeaseRevoke{Origin: 2, Keys: []kv.Key{5}},
+		&LeaseRevoke{Origin: 1, TTL: 200_000, Keys: []kv.Key{5, 9}, Vals: []float32{1, 2, 3, 4}},
 	}
 	for _, m := range msgs {
 		dec := roundTrip(t, m)
@@ -114,6 +116,11 @@ func normalize(m any) any {
 			c.Seqs = nil
 		}
 		return &c
+	case *LeaseRevoke:
+		c := *t
+		c.Keys = nilIfEmptyKeys(c.Keys)
+		c.Vals = nilIfEmptyVals(c.Vals)
+		return &c
 	default:
 		return m
 	}
@@ -156,6 +163,15 @@ func TestSizeAccountsForPayload(t *testing.T) {
 	withVals := Size(&Op{Type: OpPush, Keys: []kv.Key{1}, Vals: make([]float32, 10)})
 	if withVals-noVals != 10*4 {
 		t.Fatalf("val size delta = %d, want 40", withVals-noVals)
+	}
+	// LeaseRevoke: the drop form pays for its keys only, the refresh form for
+	// the values it carries on top.
+	drop := Size(&LeaseRevoke{Keys: []kv.Key{1}})
+	if d := Size(&LeaseRevoke{Keys: make([]kv.Key, 5)}) - drop; d != 4*8 {
+		t.Fatalf("LeaseRevoke key size delta = %d, want 32", d)
+	}
+	if d := Size(&LeaseRevoke{TTL: 9, Keys: []kv.Key{1}, Vals: make([]float32, 8)}) - drop; d != 8*4 {
+		t.Fatalf("LeaseRevoke refresh carries %d bytes over a drop, want 32", d)
 	}
 }
 
@@ -219,7 +235,7 @@ func TestQuickTransferRoundTrip(t *testing.T) {
 }
 
 func TestKindString(t *testing.T) {
-	for k := KindOp; k <= KindManage; k++ {
+	for k := KindOp; k <= KindLeaseRevoke; k++ {
 		if s := k.String(); s == "" || s[0] == 'K' {
 			t.Errorf("Kind(%d).String() = %q", k, s)
 		}

@@ -39,6 +39,7 @@ func TestShardOfDemuxRules(t *testing.T) {
 		{&Manage{Keys: []kv.Key{6}}, 2},
 		{&Manage{}, 0},
 		{&LeaseRevoke{Keys: []kv.Key{7}}, 3},
+		{&LeaseRevoke{TTL: 5, Keys: []kv.Key{6}, Vals: []float32{1}}, 2},
 		{&LeaseRevoke{}, 0},
 		// Zero-key and node-level messages pin to shard 0.
 		{&Op{}, 0},
@@ -68,6 +69,12 @@ func TestCheckShardPure(t *testing.T) {
 	}
 	if err := CheckShardPure(&LeaseRevoke{Keys: []kv.Key{2, 3}}, shards); err == nil {
 		t.Fatal("mixed-shard LeaseRevoke accepted")
+	}
+	if err := CheckShardPure(&LeaseRevoke{TTL: 5, Keys: []kv.Key{2, 3}, Vals: []float32{1, 2}}, shards); err == nil {
+		t.Fatal("mixed-shard LeaseRevoke refresh accepted")
+	}
+	if err := CheckShardPure(&LeaseRevoke{TTL: 5, Keys: []kv.Key{2, 6}, Vals: []float32{1, 2}}, shards); err != nil {
+		t.Fatalf("pure LeaseRevoke refresh rejected: %v", err)
 	}
 	// SspSync and node-level messages carry no purity requirement.
 	if err := CheckShardPure(&SspSync{Keys: []kv.Key{2, 3}}, shards); err != nil {

@@ -17,6 +17,7 @@ func testSource() Source {
 	st.LocalReads.Add(100)
 	st.RemoteReads.Add(7)
 	st.Relocations.Add(3)
+	st.LeaseRefreshes.Add(11)
 	st.RelocationTime.Observe(2 * time.Millisecond)
 	st.RelocationTime.Observe(4 * time.Millisecond)
 	st.AdaptManaged.Set(5)
@@ -91,6 +92,7 @@ func TestWriteMetricsExposition(t *testing.T) {
 	for _, want := range []string{
 		`lapse_local_reads_total{node="0"} 100`,
 		`lapse_relocations_total{node="0"} 3`,
+		`lapse_lease_refreshes_total{node="0"} 11`, // reflected from Totals, no wiring of its own
 		`lapse_relocation_time_seconds{node="0",quantile="0.5"}`,
 		`lapse_op_latency_seconds{node="0",op="pull",path="fast",quantile="0.99"}`,
 		`lapse_pull_latency_seconds{node="0",quantile="0.999"}`,

@@ -225,14 +225,22 @@ type Config struct {
 	PinShards bool
 	// Serving, when non-nil, enables the read-path serving tier for
 	// read-mostly workloads: Worker.MultiGet misses install TTL-leased
-	// values in a node-local serving cache, the keys' home nodes track and
-	// revoke the leases on writes, relocations, and promotions, and repeat
-	// MultiGets of leased keys are shared-memory reads that complete without
-	// a single allocation. Reads through the cache may lag another node's
-	// writes by up to the lease TTL; a worker always observes its own
-	// preceding synchronous writes (write-through invalidation, plus an
-	// owner-side revoke that chases any lease grant still in flight to the
-	// writer ahead of the push ack). &ServingConfig{} selects the default TTL. In
+	// values in a node-local serving cache, and repeat MultiGets of leased
+	// keys are shared-memory reads that complete without a single
+	// allocation. A write does not end a lease: the key's owner sends every
+	// node holding one the new value, the writer's node included, and the
+	// copies are overwritten in place — a hot key that is also written costs
+	// one miss per lease term, not one per write. Copies are dropped only
+	// when the value leaves its owner (relocation, promotion into
+	// replication). A read through the cache normally lags another node's
+	// write by one message latency, and by at most the lease TTL plus one
+	// latency if that message is lost or — in one tolerated race between a
+	// write by the owner's own worker and a lease being granted at that
+	// moment — never sent. A worker always observes its own preceding
+	// synchronous writes: while one of its node's pushes to a key is
+	// unacknowledged the key is read over the network behind it, and the
+	// owner's new value reaches the node's cache ahead of the
+	// acknowledgement. &ServingConfig{} selects the default TTL. In
 	// multi-process deployments, Serving must be identical in every process.
 	Serving *ServingConfig
 	// MetricsAddr, when non-empty, serves live metrics over HTTP on this
@@ -300,9 +308,10 @@ type AdaptiveConfig struct {
 // ServingConfig tunes the read-path serving tier (Config.Serving).
 type ServingConfig struct {
 	// TTL is the lease duration granted to caching nodes: longer leases mean
-	// higher cache-hit rates and a larger worst-case staleness window when a
-	// revocation message is lost (0 = 100ms; capped near 71 minutes by the
-	// wire format).
+	// fewer misses on expiry, a longer time a node that stopped reading a key
+	// keeps being sent its new values, and a larger worst-case staleness
+	// window when such a message is lost (0 = 100ms; capped near 71 minutes
+	// by the wire format).
 	TTL time.Duration
 }
 
@@ -484,14 +493,16 @@ type Stats struct {
 	AdaptRelocations int64
 	// ServingHits and ServingMisses count MultiGet keys served from (or
 	// missing) the lease-based serving cache (Config.Serving). LeaseGrants
-	// counts leases granted by home nodes, LeaseRevokes revocation messages
-	// sent (writes, relocations, and promotions of leased keys), and
-	// LeaseInvalidations cache entries dropped (revocations received plus
-	// write-through drops).
+	// counts leases granted by the keys' owners and LeaseRevokes the
+	// coherence messages the owners sent their lease holders: new values
+	// after writes, drops on relocations and promotions. At the holders,
+	// LeaseRefreshes counts cached copies overwritten in place by such a
+	// message and LeaseInvalidations copies actually dropped.
 	ServingHits        int64
 	ServingMisses      int64
 	LeaseGrants        int64
 	LeaseRevokes       int64
+	LeaseRefreshes     int64
 	LeaseInvalidations int64
 	// PullP50/P99/P999 and PushP50/P99/P999 are end-to-end operation-latency
 	// quantiles over every worker of this process, fast and slow paths
@@ -531,6 +542,7 @@ func (c *Cluster) Stats() Stats {
 		ServingMisses:       t.ServingMisses,
 		LeaseGrants:         t.LeaseGrants,
 		LeaseRevokes:        t.LeaseRevokes,
+		LeaseRefreshes:      t.LeaseRefreshes,
 		LeaseInvalidations:  t.LeaseInvalidations,
 	}
 }
@@ -627,11 +639,14 @@ func (w *Worker) LocalizeAsync(keys []Key) *Async {
 // keys are served from the local replica or owned store, from the node's
 // leased serving cache, or — for the residual misses only — over the network
 // with a lease request attached, so the next MultiGet of the same keys is a
-// shared-memory read. A MultiGet whose keys all hit local state completes
-// without allocating. With Config.Serving nil the call is equivalent to
-// Pull. Values served from the cache may lag remote writes by up to the
-// lease TTL (see Config.Serving); the worker's own preceding synchronous
-// writes are always visible.
+// shared-memory read, and stays one across writes: the key's owner overwrites
+// the cached copy in place with every write it applies. A MultiGet whose keys
+// all hit local state completes without allocating. With Config.Serving nil
+// the call is equivalent to Pull. Values served from the cache lag another
+// node's writes by a message latency, at worst by the lease TTL (see
+// Config.Serving); the worker's own preceding synchronous writes are always
+// visible, and a MultiGet issued behind an unacknowledged PushAsync of the
+// same key travels to the owner behind it.
 func (w *Worker) MultiGet(keys []Key, dst []float32) error {
 	return w.MultiGetAsync(keys, dst).Wait()
 }
