@@ -9,18 +9,33 @@ import (
 	"lapse"
 )
 
-// pullRemote runs one multi-key Pull from worker 0 (node 0) over keys homed
-// at nodes 1 and 2, and returns the number of remote network messages the
-// operation produced.
-func pullRemote(t *testing.T, disableBatching bool) int64 {
+// perKey issues op once over all of keys (one multi-key operation), or — the
+// unbatched reference — once per key, as single-key operations over the
+// key's slice of buf.
+func perKey(single bool, keys []lapse.Key, buf []float32, op func([]lapse.Key, []float32) error) error {
+	if !single {
+		return op(keys, buf)
+	}
+	l := len(buf) / len(keys)
+	for i := range keys {
+		if err := op(keys[i:i+1], buf[i*l:(i+1)*l]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// pullRemote pulls keys homed at nodes 1 and 2 from worker 0 (node 0), in one
+// multi-key Pull or key by key, and returns the number of remote network
+// messages that took.
+func pullRemote(t *testing.T, single bool) int64 {
 	t.Helper()
 	cl, err := lapse.NewCluster(lapse.Config{
-		Nodes:           3,
-		WorkersPerNode:  1,
-		Keys:            99, // range-partitioned: node 1 homes 33–65, node 2 homes 66–98
-		ValueLength:     2,
-		DisableBatching: disableBatching,
-		ServerShards:    1, // exact message counts assume one message per destination
+		Nodes:          3,
+		WorkersPerNode: 1,
+		Keys:           99, // range-partitioned: node 1 homes 33–65, node 2 homes 66–98
+		ValueLength:    2,
+		ServerShards:   1, // exact message counts assume one message per destination
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -31,8 +46,7 @@ func pullRemote(t *testing.T, disableBatching bool) int64 {
 		if w.ID() != 0 {
 			return nil
 		}
-		dst := make([]float32, 2*len(keys))
-		return w.Pull(keys, dst)
+		return perKey(single, keys, make([]float32, 2*len(keys)), w.Pull)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -51,7 +65,7 @@ func TestMultiKeyPullBatchesPerDestination(t *testing.T) {
 		t.Fatalf("batched multi-key pull used %d remote messages, want 4 (one per destination each way)", batched)
 	}
 	unbatched := pullRemote(t, true)
-	// Per-key messaging: 8 requests + 8 responses.
+	// The same keys as single-key pulls: 8 requests + 8 responses.
 	if unbatched != 16 {
 		t.Fatalf("unbatched multi-key pull used %d remote messages, want 16 (one per key each way)", unbatched)
 	}
@@ -61,17 +75,16 @@ func TestMultiKeyPullBatchesPerDestination(t *testing.T) {
 }
 
 // TestBatchedPushMatchesUnbatchedValues asserts batching changes message
-// counts only, never results: the same multi-key push workload converges to
-// identical parameter values with and without batching.
+// counts only, never results: the same push workload converges to identical
+// parameter values issued as multi-key operations and key by key.
 func TestBatchedPushMatchesUnbatchedValues(t *testing.T) {
-	run := func(disable bool) ([]float32, int64) {
+	run := func(single bool) ([]float32, int64) {
 		cl, err := lapse.NewCluster(lapse.Config{
-			Nodes:           2,
-			WorkersPerNode:  2,
-			Keys:            20,
-			ValueLength:     2,
-			DisableBatching: disable,
-			ServerShards:    1, // message-count comparison assumes one message per destination
+			Nodes:          2,
+			WorkersPerNode: 2,
+			Keys:           20,
+			ValueLength:    2,
+			ServerShards:   1, // message-count comparison assumes one message per destination
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -86,7 +99,7 @@ func TestBatchedPushMatchesUnbatchedValues(t *testing.T) {
 		}
 		err = cl.Run(func(w *lapse.Worker) error {
 			for iter := 0; iter < 3; iter++ {
-				if err := w.Push(keys, vals); err != nil {
+				if err := perKey(single, keys, vals, w.Push); err != nil {
 					return err
 				}
 			}
@@ -128,16 +141,15 @@ func TestBatchedPushMatchesUnbatchedValues(t *testing.T) {
 // multi-key Pull of those keys from node 2, which the home must forward to
 // the new owner. Both phases exercise batching paths that Pull/Push alone do
 // not: the localize request/transfer grouping and the server-side forward
-// grouping.
-func localizeThenForward(t *testing.T, disableBatching bool) (locMsgs, fwdMsgs int64) {
+// grouping. With single set, both phases run key by key.
+func localizeThenForward(t *testing.T, single bool) (locMsgs, fwdMsgs int64) {
 	t.Helper()
 	cl, err := lapse.NewCluster(lapse.Config{
-		Nodes:           3,
-		WorkersPerNode:  1,
-		Keys:            99, // range-partitioned: node 1 homes 33–65
-		ValueLength:     2,
-		DisableBatching: disableBatching,
-		ServerShards:    1, // exact message counts assume one message per destination
+		Nodes:          3,
+		WorkersPerNode: 1,
+		Keys:           99, // range-partitioned: node 1 homes 33–65
+		ValueLength:    2,
+		ServerShards:   1, // exact message counts assume one message per destination
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -147,15 +159,15 @@ func localizeThenForward(t *testing.T, disableBatching bool) (locMsgs, fwdMsgs i
 	var afterLocalize int64
 	err = cl.Run(func(w *lapse.Worker) error {
 		if w.Node() == 0 {
-			if err := w.Localize(keys); err != nil {
+			localize := func(ks []lapse.Key, _ []float32) error { return w.Localize(ks) }
+			if err := perKey(single, keys, make([]float32, len(keys)), localize); err != nil {
 				return err
 			}
 			afterLocalize = cl.Stats().NetworkMessages
 		}
 		w.Barrier()
 		if w.Node() == 2 {
-			dst := make([]float32, 2*len(keys))
-			return w.Pull(keys, dst)
+			return perKey(single, keys, make([]float32, 2*len(keys)), w.Pull)
 		}
 		return nil
 	})
@@ -179,7 +191,7 @@ func TestLocalizeAndForwardBatchPerDestination(t *testing.T) {
 		t.Fatalf("batched localize/forward used %d/%d remote messages, want 2/3", locB, fwdB)
 	}
 	locU, fwdU := localizeThenForward(t, true)
-	// Per-key: 4 localizes + 4 transfers; 4 pulls + 4 forwards + 4
+	// Key by key: 4 localizes + 4 transfers; 4 pulls + 4 forwards + 4
 	// responses.
 	if locU != 8 || fwdU != 12 {
 		t.Fatalf("unbatched localize/forward used %d/%d remote messages, want 8/12", locU, fwdU)

@@ -141,9 +141,9 @@ func BenchmarkAblation(b *testing.B) {
 }
 
 // BenchmarkBatching quantifies the per-destination batching of the unified
-// server runtime: the same multi-key pull/push workload with batching on and
-// off, on the paper's simulated testbed network, at server shard counts 1
-// and 4. The msgs/epoch metric shows the message-count reduction (and the
+// server runtime: the same pull/push workload issued as multi-key operations
+// and — the unbatched reference — key by key, on the paper's simulated
+// testbed network, at server shard counts 1 and 4. The msgs/epoch metric shows the message-count reduction (and the
 // per-shard message split at shards=4); wall-clock time shows the latency
 // effect — and, on multi-core hosts, the sharded runtime's server-side
 // speedup. The cluster is built once per sub-benchmark, outside the timed
@@ -156,23 +156,22 @@ func BenchmarkBatching(b *testing.B) {
 		opsPerWorker   = 50
 	)
 	for _, mode := range []struct {
-		name    string
-		disable bool
-		shards  int
+		name   string
+		single bool
+		shards int
 	}{
-		{"batched", false, 1},
-		{"batched-shards=4", false, 4},
-		{"unbatched", true, 1},
+		{"multi-key", false, 1},
+		{"multi-key-shards=4", false, 4},
+		{"single-key", true, 1},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			cl, err := lapse.NewCluster(lapse.Config{
-				Nodes:           nodes,
-				WorkersPerNode:  workers,
-				Keys:            4096,
-				ValueLength:     8,
-				Network:         lapse.DefaultNetwork(),
-				DisableBatching: mode.disable,
-				ServerShards:    mode.shards,
+				Nodes:          nodes,
+				WorkersPerNode: workers,
+				Keys:           4096,
+				ValueLength:    8,
+				Network:        lapse.DefaultNetwork(),
+				ServerShards:   mode.shards,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -190,10 +189,10 @@ func BenchmarkBatching(b *testing.B) {
 						for j := range keys {
 							keys[j] = lapse.Key((w.ID()*1021 + op*137 + j*31) % 4096)
 						}
-						if err := w.Pull(keys, buf); err != nil {
+						if err := benchOp(mode.single, keys, buf, w.PullAsync); err != nil {
 							return err
 						}
-						if err := w.Push(keys, buf); err != nil {
+						if err := benchOp(mode.single, keys, buf, w.PushAsync); err != nil {
 							return err
 						}
 					}
@@ -207,6 +206,25 @@ func BenchmarkBatching(b *testing.B) {
 			b.ReportMetric(float64(msgs), "msgs/epoch")
 		})
 	}
+}
+
+// benchOp issues op over keys and waits for it: as one multi-key operation,
+// or key by key with every single-key operation in flight at once.
+func benchOp(single bool, keys []lapse.Key, buf []float32, op func([]lapse.Key, []float32) *lapse.Async) error {
+	if !single {
+		return op(keys, buf).Wait()
+	}
+	l := len(buf) / len(keys)
+	inflight := make([]*lapse.Async, len(keys))
+	for i := range keys {
+		inflight[i] = op(keys[i:i+1], buf[i*l:(i+1)*l])
+	}
+	for _, a := range inflight {
+		if err := a.Wait(); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // reportSpeedups attaches the last series' scaling factor as a metric so

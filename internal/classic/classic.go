@@ -45,16 +45,6 @@ type Config struct {
 	// Partitioner assigns keys to server nodes. Defaults to range
 	// partitioning over the cluster's nodes.
 	Partitioner partition.Partitioner
-	// Latches is the size of each store's latch list (0 = default).
-	Latches int
-	// SparseStore selects the sparse map store instead of dense arrays.
-	SparseStore bool
-	// Unbatched disables per-destination message batching (measurement
-	// only).
-	Unbatched bool
-	// PinShards pins each server shard goroutine to one CPU core (see
-	// server.Config.PinShards).
-	PinShards bool
 }
 
 // System is a classic parameter server running on a cluster: one server
@@ -96,7 +86,7 @@ func New(cl *cluster.Cluster, layout kv.Layout, cfg Config) *System {
 		layout: layout,
 		cfg:    cfg,
 		part:   cfg.Partitioner,
-		g:      server.NewGroup(cl, layout, server.Config{Unbatched: cfg.Unbatched, PinShards: cfg.PinShards}),
+		g:      server.NewGroup(cl, layout),
 		nodes:  make([]*node, cl.Nodes()),
 	}
 	// Only nodes hosted by this process get shard stores; remote shards
@@ -105,13 +95,7 @@ func New(cl *cluster.Cluster, layout kv.Layout, cfg Config) *System {
 		if !cl.Local(n) {
 			continue
 		}
-		var st store.Store
-		if cfg.SparseStore {
-			st = store.NewSparse(layout, cfg.Latches)
-		} else {
-			st = store.NewDense(layout, cfg.Latches)
-		}
-		s.nodes[n] = &node{sys: s, srv: s.g.Node(n), store: st}
+		s.nodes[n] = &node{sys: s, srv: s.g.Node(n), store: store.NewDense(layout, 0)}
 	}
 	// Zero-initialize every locally served key at its server.
 	for k := kv.Key(0); k < layout.NumKeys(); k++ {

@@ -1,7 +1,9 @@
 package consistency
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"lapse/internal/classic"
@@ -31,9 +33,17 @@ const (
 	t1Nodes   = 2
 )
 
-// runCounterWorkload has every worker repeatedly increment a shared key and
+// t1Delta is what worker w adds per push: 16^w, so a value read decodes into
+// one count of pushes per worker (a hex digit each; 8 rounds never carry, and
+// the sums stay exact in float32 at 4 workers). A pull that saw another
+// worker's push in place of its worker's own preceding one then shows as the
+// read-your-writes violation it is, where equal deltas would hide it behind
+// "read >= own pushes".
+func t1Delta(worker int) float32 { return float32(int(1) << (4 * worker)) }
+
+// runCounterWorkload has every worker repeatedly add to a shared key and
 // read it, recording the history. The key is chosen to be remote for half the
-// workers; relocate, if non-nil, is called between rounds to stir DPA.
+// workers; relocate, if set, localizes keys between rounds to stir DPA.
 func runCounterWorkload(t *testing.T, cl *cluster.Cluster, handleOf func(worker int) kv.KV,
 	async bool, relocate bool) (*Recorder, History) {
 	t.Helper()
@@ -42,6 +52,7 @@ func runCounterWorkload(t *testing.T, cl *cluster.Cluster, handleOf func(worker 
 		h := handleOf(worker)
 		rng := rand.New(rand.NewSource(int64(worker)))
 		buf := make([]float32, 1)
+		delta := []float32{t1Delta(worker)}
 		for r := 0; r < t1Rounds; r++ {
 			k := kv.Key(rng.Intn(t1Keys))
 			if relocate && rng.Intn(2) == 0 {
@@ -51,11 +62,11 @@ func runCounterWorkload(t *testing.T, cl *cluster.Cluster, handleOf func(worker 
 				}
 			}
 			// Record in program (issue) order.
-			rec.Push(worker, k, 1)
+			rec.Push(worker, k, float64(delta[0]))
 			if async {
-				h.PushAsync([]kv.Key{k}, []float32{1})
+				h.PushAsync([]kv.Key{k}, delta)
 			} else {
-				if err := h.Push([]kv.Key{k}, []float32{1}); err != nil {
+				if err := h.Push([]kv.Key{k}, delta); err != nil {
 					t.Error(err)
 					return
 				}
@@ -73,8 +84,32 @@ func runCounterWorkload(t *testing.T, cl *cluster.Cluster, handleOf func(worker 
 	return rec, rec.History()
 }
 
+// dumpHistory renders a t1Delta history for a failure report.
+func dumpHistory(h History) string {
+	var b strings.Builder
+	for k := kv.Key(0); k < t1Keys; k++ {
+		for w, ops := range h.PerKey()[k].Workers {
+			fmt.Fprintf(&b, "key %d worker %d:", k, w)
+			for _, op := range ops {
+				if op.Type == Push {
+					fmt.Fprintf(&b, " +%d", w)
+				} else {
+					fmt.Fprintf(&b, " =%04x", int(op.Value))
+				}
+			}
+			b.WriteByte('\n')
+		}
+	}
+	return b.String()
+}
+
 func checkSequentialAndEventual(t *testing.T, h History, read func(k kv.Key) float64) {
 	t.Helper()
+	defer func() {
+		if t.Failed() {
+			t.Log("history, per key and worker in program order (+w: push by worker w; =abcd: pull that saw a, b, c, d pushes of workers 3, 2, 1, 0):\n" + dumpHistory(h))
+		}
+	}()
 	if err := CheckSequential(h); err != nil {
 		t.Errorf("sequential consistency violated: %v", err)
 	}
@@ -85,6 +120,19 @@ func checkSequentialAndEventual(t *testing.T, h History, read func(k kv.Key) flo
 	}
 	if err := CheckReadYourWrites(h); err != nil {
 		t.Errorf("read-your-writes violated: %v", err)
+	}
+	// Decoded: a worker's pull holds exactly as many of its own pushes as it
+	// issued before it — a sum that merely is large enough does not do.
+	for w, ops := range h.Workers {
+		own := make(map[kv.Key]int)
+		for i, op := range ops {
+			if op.Type == Push {
+				own[op.Key]++
+			} else if saw := int(op.Value) >> (4 * w) & 15; saw != own[op.Key] {
+				t.Errorf("read-your-writes violated: worker %d op %d: pull of key %d saw %d of its %d preceding pushes",
+					w, i, op.Key, saw, own[op.Key])
+			}
+		}
 	}
 	if err := CheckMonotonicReads(h); err != nil {
 		t.Errorf("monotonic reads violated: %v", err)

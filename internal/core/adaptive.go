@@ -299,42 +299,40 @@ func (sh *policyShard) execute(a adaptive.Action) {
 // beginReplicate starts promoting k into replication at its home node. If
 // the key currently lives elsewhere it is first recalled through the
 // ordinary relocation protocol (owner swap + RelocInstruct, with a queue
-// catching accesses that arrive meanwhile); the queue-empty hook in
-// drainQueue then finishes the promotion when the transfer lands. A key
-// already owned here finishes immediately.
+// catching accesses that arrive meanwhile); handleTransfer then finishes the
+// promotion when the value lands. A key already owned here finishes
+// immediately, behind a queue of its own that holds concurrent worker
+// accesses back while the value changes stores.
 func (sh *policyShard) beginReplicate(k kv.Key) {
 	nd := sh.nd
-	if _, busy := sh.transitioning[k]; busy || nd.state[k].Load() == stateReplicated {
+	if _, busy := sh.transitioning[k]; busy {
 		return
 	}
-	owner := int(nd.owner[k].Load())
-	if owner == nd.id {
-		if nd.state[k].Load() != stateOwned {
-			return // mid-arrival (a relocation to here is draining); retry later
-		}
-		sh.transitioning[k] = &transition{kind: transPromote}
-		sh.queueMu.Lock()
-		nd.state[k].Store(stateIncoming)
-		sh.queues[k] = &keyQueue{}
-		sh.queueMu.Unlock()
-		sh.finishReplicate(k)
-		return
+	here := int(nd.owner[k].Load()) == nd.id
+	from := stateNotHere
+	if here {
+		from = stateOwned
 	}
-	// Recall: make this node the owner, queue accesses, and instruct the
-	// current owner to transfer the key here.
 	sh.queueMu.Lock()
-	if nd.state[k].Load() != stateNotHere {
-		// A relocation toward this node is already in flight (a co-located
-		// worker's Localize owns the queue); retry on a later tick.
+	if nd.state[k].Load() != from {
+		// Replicated already, or a relocation toward this node is in flight
+		// or draining (a co-located worker's Localize owns the queue); retry
+		// on a later tick.
 		sh.queueMu.Unlock()
 		return
 	}
-	nd.state[k].Store(stateIncoming)
-	sh.queues[k] = &keyQueue{}
-	sh.queueMu.Unlock()
+	sh.openQueue(k)
 	sh.transitioning[k] = &transition{kind: transPromote}
-	prev := int(nd.owner[k].Swap(int32(nd.id)))
-	sh.rt.SendOrDispatch(prev, &msg.RelocInstruct{Dest: int32(nd.id), Keys: []kv.Key{k}})
+	if !here {
+		// Recall: make this node the owner and instruct the current one to
+		// transfer the key here.
+		prev := int(nd.owner[k].Swap(int32(nd.id)))
+		sh.rt.SendOrDispatch(prev, &msg.RelocInstruct{Dest: int32(nd.id), Keys: []kv.Key{k}})
+	}
+	sh.queueMu.Unlock()
+	if here {
+		sh.finishReplicate(k)
+	}
 }
 
 // finishReplicate completes a promotion once the key's value is in the home
@@ -343,38 +341,21 @@ func (sh *policyShard) beginReplicate(k kv.Key) {
 // flip the state to Replicated, and drop the queue. Afterwards every other
 // node receives the value in a ManageReplicate broadcast; Localizes deferred
 // during the transition are answered by that same broadcast (their origins
-// complete the pending localize when the replica is installed).
+// complete the pending localize when the replica is installed), home-side
+// waiters (a co-located worker's Localize raced the promotion) by the drain.
 func (sh *policyShard) finishReplicate(k kv.Key) {
 	nd := sh.nd
 	var v []float32
-	for {
-		sh.queueMu.Lock()
-		q := sh.queues[k]
-		if q == nil || len(q.entries) == 0 {
-			v = nd.store.Take(k)
-			if v == nil {
-				panic(fmt.Sprintf("core: promote of key %d at node %d: value missing", k, nd.id))
-			}
-			nd.rep.EnterHomeKey(k, v)
-			delete(sh.queues, k)
-			nd.state[k].Store(stateReplicated)
-			sh.queueMu.Unlock()
-			break
+	sh.drain(k, backStore, stateReplicated, func() {
+		if v = nd.store.Take(k); v == nil {
+			panic(fmt.Sprintf("core: promote of key %d at node %d: value missing", k, nd.id))
 		}
-		e := q.entries[0]
-		q.entries = q.entries[1:]
-		sh.queueMu.Unlock()
-		sh.stats.QueueWait.Observe(time.Since(e.at))
-		switch {
-		case e.local != nil:
-			sh.applyQueuedLocal(k, e.local)
-		case e.remote != nil:
-			sh.applyQueuedRemote(k, e.remote)
-		case e.instr != nil:
-			// handleLocalize defers every Localize for a transitioning key,
-			// so no instruct can be issued against the home mid-promotion.
-			panic(fmt.Sprintf("core: instruct queued during promotion of key %d", k))
-		}
+		nd.rep.EnterHomeKey(k, v)
+	})
+	if v == nil {
+		// handleLocalize defers every Localize for a transitioning key, so no
+		// instruct can be issued against the home mid-promotion.
+		panic(fmt.Sprintf("core: instruct queued during promotion of key %d", k))
 	}
 	if nd.isLeased(k) {
 		// The key enters replication with outstanding serving leases:
@@ -391,90 +372,31 @@ func (sh *policyShard) finishReplicate(k kv.Key) {
 		sh.rt.SendOrDispatch(dest, &msg.Manage{
 			Kind: msg.ManageReplicate, Origin: int32(nd.id), Keys: []kv.Key{k}, Vals: v})
 	}
-	// Home-side localize waiters (a co-located worker's Localize raced the
-	// promotion) complete here; remote waiters complete via the broadcast.
-	sh.rt.Pending().CompleteLocalizeKeys([]kv.Key{k}, sh.stats)
 }
 
 // enterReplica installs a replica of k at a non-home node (ManageReplicate).
 // If a relocation of k toward this node is in flight — the localize that
 // raced the promotion will never be answered by a transfer — its queue is
-// adopted: queued accesses drain into the replica and the localize waiters
-// complete. Duplicate installs (broadcast plus localize reply) are no-ops.
+// adopted: queued accesses drain into the replica, in order and ahead of the
+// Replicated fast path, and the localize waiters complete. An instruct cannot
+// be among them: one is only queued while this node is the key's registered
+// owner, and the promoting home recalled the key before broadcasting.
+// Duplicate installs (broadcast plus localize reply) are no-ops.
 func (sh *policyShard) enterReplica(k kv.Key, v []float32) {
 	nd := sh.nd
 	sh.queueMu.Lock()
-	if nd.state[k].Load() == stateReplicated {
-		sh.queueMu.Unlock()
+	q := sh.queues[k]
+	dup := nd.state[k].Load() == stateReplicated
+	sh.queueMu.Unlock()
+	if dup {
 		return
 	}
-	nd.rep.EnterKey(k, v)
-	q := sh.queues[k]
-	delete(sh.queues, k)
-	nd.state[k].Store(stateReplicated)
-	sh.queueMu.Unlock()
 	if q != nil {
 		sh.trace.Record(nd.id, sh.rt.Shard(), metrics.TraceQueueAdopt, k, -1, nd.id,
 			fmt.Sprintf("entries=%d", len(q.entries)))
-		for _, e := range q.entries {
-			sh.stats.QueueWait.Observe(time.Since(e.at))
-			switch {
-			case e.local != nil:
-				sh.applyQueuedLocalReplica(k, e.local)
-			case e.remote != nil:
-				sh.applyQueuedRemoteReplica(k, e.remote)
-			case e.instr != nil:
-				// An instruct is only queued while this node is the key's
-				// registered owner; the promoting home recalled the key and
-				// waited for the transfer before broadcasting, so the queue
-				// it adopts here can only hold operations.
-				panic(fmt.Sprintf("core: instruct queued at node %d when key %d became replicated", nd.id, k))
-			}
-		}
 	}
-	sh.rt.Pending().CompleteLocalizeKeys([]kv.Key{k}, sh.stats)
-}
-
-// applyQueuedLocalReplica completes a queued local worker op against the
-// fresh replica (the key became replicated while the op waited for a
-// relocation that was superseded).
-func (sh *policyShard) applyQueuedLocalReplica(k kv.Key, op *localOp) {
-	nd := sh.nd
-	switch op.t {
-	case msg.OpPull:
-		if !nd.rep.Pull(k, op.dst) {
-			panic(fmt.Sprintf("core: queued local pull of %d failed after replication", k))
-		}
-	case msg.OpPush:
-		if !nd.rep.Push(k, op.vals) {
-			panic(fmt.Sprintf("core: queued local push of %d failed after replication", k))
-		}
-		sh.endQueuedPush(k)
-	}
-	sh.rt.Pending().ClaimOffset(op.id, k, op.off)
-	sh.rt.Pending().FinishKeys(op.id, 1)
-}
-
-// applyQueuedRemoteReplica answers a queued forwarded op from the fresh
-// replica.
-func (sh *policyShard) applyQueuedRemoteReplica(k kv.Key, m *msg.Op) {
-	nd := sh.nd
-	l := nd.sys.layout.Len(k)
-	switch m.Type {
-	case msg.OpPull:
-		buf := make([]float32, l)
-		if !nd.rep.Pull(k, buf) {
-			panic(fmt.Sprintf("core: queued remote pull of %d failed after replication", k))
-		}
-		sh.rt.SendOrDispatch(int(m.Origin), &msg.OpResp{Type: msg.OpPull, ID: m.ID,
-			Responder: int32(nd.id), Keys: []kv.Key{k}, Vals: buf})
-	case msg.OpPush:
-		if !nd.rep.Push(k, m.Vals) {
-			panic(fmt.Sprintf("core: queued remote push of %d failed after replication", k))
-		}
-		sh.rt.SendOrDispatch(int(m.Origin), &msg.OpResp{Type: msg.OpPush, ID: m.ID,
-			Responder: int32(nd.id), Keys: []kv.Key{k}})
-	}
+	nd.rep.EnterKey(k, v)
+	sh.drain(k, backReplica, stateReplicated, nil)
 }
 
 // beginDemote starts returning a replicated key to plain ownership at its
@@ -503,7 +425,7 @@ func (sh *policyShard) beginDemote(k kv.Key) {
 
 // exitReplica handles ManageUnreplicate at a replica node: stop serving k
 // locally (worker accesses fail over to the network path the moment the
-// replication flag clears) and acknowledge with the unsynced delta segments.
+// replica entry goes) and acknowledge with the unsynced delta segments.
 // The ack travels the same (node, shard) link as operations for k, staying
 // FIFO with them.
 func (sh *policyShard) exitReplica(k kv.Key) {
@@ -549,36 +471,29 @@ func (sh *policyShard) finalizeDemote(k kv.Key) {
 	tr := sh.transitioning[k]
 	delete(sh.transitioning, k)
 	sh.stats.AdaptDemotions.Inc()
+	// Deferred requests replay in arrival order through the standard home-side
+	// step, chaining through the usual queued-instruct machinery when several
+	// origins competed.
 	for _, d := range tr.deferred {
-		sh.replayLocalize(k, d)
+		sh.handleLocalize(&msg.Localize{ID: d.id, Origin: d.origin, Keys: []kv.Key{k}})
 	}
-}
-
-// replayLocalize re-executes one deferred Localize after a demotion: the
-// standard home-side step — swap the owner, instruct the previous one.
-// Deferred requests replay in arrival order, chaining through the usual
-// queued-instruct machinery when several origins competed.
-func (sh *policyShard) replayLocalize(k kv.Key, d deferredLocalize) {
-	prev := int(sh.nd.owner[k].Swap(d.origin))
-	sh.rt.SendOrDispatch(prev, &msg.RelocInstruct{ID: d.id, Dest: d.origin, Keys: []kv.Key{k}})
 }
 
 // localizeHere starts relocating k to this node from the server side (a
 // ManageLocalize hint, or the home recalling a cold stray key): mark the key
-// incoming, open its queue, and send the ordinary Localize to the home. The
-// queue precedes the request on the wire, so accesses that arrive before
-// the transfer are caught exactly as in the worker-initiated protocol. No
-// pending-table waiter is registered — nothing blocks on the arrival.
+// incoming, open its queue, and send the ordinary Localize to the home before
+// the queue lock is released, so accesses that arrive before the transfer are
+// caught exactly as in the worker-initiated protocol. No pending-table waiter
+// is registered — nothing blocks on the arrival.
 func (sh *policyShard) localizeHere(k kv.Key) {
 	nd := sh.nd
 	sh.queueMu.Lock()
+	defer sh.queueMu.Unlock()
 	if nd.state[k].Load() != stateNotHere {
-		sh.queueMu.Unlock()
 		return // already here, arriving, or replicated
 	}
-	nd.state[k].Store(stateIncoming)
-	sh.queues[k] = &keyQueue{}
-	sh.queueMu.Unlock()
-	home := nd.sys.home.NodeOf(k)
-	sh.rt.SendOrDispatch(home, &msg.Localize{Origin: int32(nd.id), Keys: []kv.Key{k}})
+	sh.openQueue(k)
+	// At the home itself the request is acted on inline: handleLocalize and
+	// the instruct it sends take no queue lock.
+	sh.rt.SendOrDispatch(nd.sys.home.NodeOf(k), &msg.Localize{Origin: int32(nd.id), Keys: []kv.Key{k}})
 }

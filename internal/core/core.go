@@ -30,16 +30,22 @@
 // the same shard index on every node involved.
 //
 // Consistency (Section 3.4): synchronous operations are sequentially
-// consistent per key at every shard count. For asynchronous operations,
-// per-(link, shard) FIFO preserves a worker's program order through home
-// and owner only *within* a shard: with a single shard and location caches
-// off they are sequentially consistent exactly as the paper states; with
-// multiple shards, two async operations on keys of different shards travel
-// independent message loops and may apply out of program order, so the
-// guarantee weakens to sequential consistency per shard (and, as always,
-// per key) — eventual across shards. Location caches weaken async
-// operations to eventual consistency regardless of shard count. Run with
-// ServerShards = 1 to reproduce the paper's exact asynchronous guarantees.
+// consistent per key at every shard count. Asynchronous operations are too,
+// with location caches off and a single shard (Theorem 2): every access to a
+// key at a node passes one gate (below) that serves it, queues it behind a
+// relocation toward the node, or routes it onward, so a worker's accesses to
+// one key all travel the same FIFO path or wait in the same queue. The rule
+// that keeps this true under concurrency: a routing decision taken under the
+// key's queue lock is on the link before the lock is released (transport
+// Sends queue and never block), so no relocation request slips between the
+// decision and the send. internal/consistency's Table 1 suite checks the
+// guarantee on recorded histories, ordering_test.go pins the three
+// interleavings that used to break it. With multiple shards, two async
+// operations on keys of different shards travel independent message loops and
+// may apply out of program order, so the guarantee weakens to sequential
+// consistency per shard (and, as always, per key) — eventual across shards.
+// Location caches weaken async operations to eventual consistency regardless
+// of shard count.
 //
 // The message loops, pending-operation matching, future tracking, and
 // per-(destination, shard) batching live in the shared runtime of package
@@ -84,19 +90,6 @@ type Config struct {
 	// locations (Section 3.3). Off by default, as in the paper's reported
 	// runs.
 	LocationCaches bool
-	// HomePartitioner statically assigns home nodes to keys. Defaults to
-	// range partitioning.
-	HomePartitioner partition.Partitioner
-	// Latches is the size of each store's latch list (0 = default 1000).
-	Latches int
-	// SparseStore selects sparse map stores instead of dense arrays.
-	SparseStore bool
-	// Unbatched disables per-destination message batching (measurement
-	// only).
-	Unbatched bool
-	// PinShards pins each server shard goroutine to one CPU core (see
-	// server.Config.PinShards).
-	PinShards bool
 	// Replicate designates hot keys managed by eventually-consistent
 	// replication instead of relocation: every node holds a local replica,
 	// all reads and cumulative writes are shared-memory operations, and a
@@ -130,10 +123,12 @@ type Config struct {
 type System struct {
 	cl     *cluster.Cluster
 	layout kv.Layout
-	cfg    Config
-	home   partition.Partitioner
-	g      *server.Group
-	nodes  []*node
+	// home statically assigns every key its home node (range partitioning).
+	home partition.Partitioner
+	g    *server.Group
+	// nodes is indexed by node; only the nodes this process hosts (locals) have
+	// an entry: in a multi-process deployment the others' state lives with them.
+	nodes, locals []*node
 }
 
 // node holds the per-node policy state: the local parameter store, the
@@ -145,7 +140,7 @@ type node struct {
 	srv *server.Node
 	id  int
 
-	store store.Store
+	store *store.Dense
 	// state[k] is the locality state of key k at this node.
 	state []atomic.Uint32
 	// owner[k] is the current owner of key k; meaningful only when this
@@ -220,63 +215,44 @@ type keyQueue struct {
 	entries []queueEntry
 }
 
-// queueEntry is one queued access: a local worker operation, a forwarded
-// remote operation, or a relocation instruct that chains the key onward.
+// queueEntry is one queued access, or a relocation instruct that chains the
+// key onward (instr set).
 type queueEntry struct {
-	// Local worker op (localOp != nil), remote op (remote != nil), or
-	// instruct (instr != nil). Exactly one is set.
-	local  *localOp
-	remote *msg.Op
-	instr  *msg.RelocInstruct
+	// a is the access: a worker's (a.m nil; id and off name its part and its
+	// occurrence in the node's pending table, a.buf is a slice of the worker's
+	// buffer) or one key of a remote operation (a.m is a private single-key
+	// copy of it).
+	a     access
+	id    uint64
+	off   int32
+	instr *msg.RelocInstruct
 	// at is the enqueue time; the drain observes now-at into the shard's
 	// QueueWait histogram — the time an access spent blocked on a relocation.
 	at time.Time
-}
-
-// localOp is a single-key slice of a worker operation that had to be queued.
-type localOp struct {
-	t    msg.OpType
-	id   uint64 // pending-op ID at this node (the key's shard's part)
-	k    kv.Key
-	off  int32     // occurrence offset into the operation's buffer
-	dst  []float32 // pull destination (sub-slice of the worker's buffer)
-	vals []float32 // push update term
 }
 
 // New creates a Lapse instance on cl with all parameters zero-initialized at
 // their home nodes, and starts the per-shard server goroutines of every
 // local node.
 func New(cl *cluster.Cluster, layout kv.Layout, cfg Config) *System {
-	if cfg.HomePartitioner == nil {
-		cfg.HomePartitioner = partition.NewRange(layout.NumKeys(), cl.Nodes())
-	}
 	s := &System{
 		cl:     cl,
 		layout: layout,
-		cfg:    cfg,
-		home:   cfg.HomePartitioner,
-		g:      server.NewGroup(cl, layout, server.Config{Unbatched: cfg.Unbatched, PinShards: cfg.PinShards}),
+		home:   partition.NewRange(layout.NumKeys(), cl.Nodes()),
+		g:      server.NewGroup(cl, layout),
 		nodes:  make([]*node, cl.Nodes()),
 	}
 	nk := int(layout.NumKeys())
-	// Only nodes hosted by this process get stores and bookkeeping; in a
-	// multi-process deployment the remote nodes' state lives with them.
 	for n := 0; n < cl.Nodes(); n++ {
 		if !cl.Local(n) {
 			continue
-		}
-		var st store.Store
-		if cfg.SparseStore {
-			st = store.NewSparse(layout, cfg.Latches)
-		} else {
-			st = store.NewDense(layout, cfg.Latches)
 		}
 		srv := s.g.Node(n)
 		nd := &node{
 			sys:     s,
 			srv:     srv,
 			id:      n,
-			store:   st,
+			store:   store.NewDense(layout, 0),
 			state:   make([]atomic.Uint32, nk),
 			owner:   make([]atomic.Int32, nk),
 			sh:      make([]*policyShard, srv.Shards()),
@@ -337,38 +313,26 @@ func New(cl *cluster.Cluster, layout kv.Layout, cfg Config) *System {
 				}
 			}
 		}
+		// Initial allocation: every key lives at its home node; replicated
+		// keys live in the replication managers instead and are Replicated at
+		// every node. The owner table names the home for every key —
+		// including replicated ones, whose owner stays the home for as long
+		// as they are replicated — so demotion reopens correct routing with
+		// no table updates. Every process derives the same global picture
+		// from the shared partitioner but materializes only its local share.
+		for k := kv.Key(0); k < layout.NumKeys(); k++ {
+			h := s.home.NodeOf(k)
+			nd.owner[k].Store(int32(h))
+			switch {
+			case nd.rep != nil && nd.rep.Replicated(k):
+				nd.state[k].Store(stateReplicated)
+			case h == n:
+				nd.store.Set(k, make([]float32, layout.Len(k)))
+				nd.state[k].Store(stateOwned)
+			}
+		}
 		s.nodes[n] = nd
-	}
-	// Initial allocation: every key lives at its home node; replicated keys
-	// live in the replication managers instead and are marked Replicated at
-	// every local node. The owner table names the home for every key —
-	// including replicated ones, whose owner stays the home for as long as
-	// they are replicated — so demotion reopens correct routing with no
-	// table updates. Every process derives the same global picture from the
-	// shared partitioner but materializes only its local share.
-	replicated := make(map[kv.Key]bool, len(cfg.Replicate))
-	for _, k := range cfg.Replicate {
-		replicated[k] = true
-	}
-	for k := kv.Key(0); k < layout.NumKeys(); k++ {
-		h := s.home.NodeOf(k)
-		for _, nd := range s.nodes {
-			if nd != nil {
-				nd.owner[k].Store(int32(h))
-			}
-		}
-		if replicated[k] {
-			for _, nd := range s.nodes {
-				if nd != nil {
-					nd.state[k].Store(stateReplicated)
-				}
-			}
-			continue
-		}
-		if nd := s.nodes[h]; nd != nil {
-			nd.store.Set(k, make([]float32, layout.Len(k)))
-			nd.state[k].Store(stateOwned)
-		}
+		s.locals = append(s.locals, nd)
 	}
 	s.g.Start(func(n, shard int) server.Policy {
 		if s.nodes[n] == nil {
@@ -376,16 +340,14 @@ func New(cl *cluster.Cluster, layout kv.Layout, cfg Config) *System {
 		}
 		return s.nodes[n].sh[shard]
 	})
-	for _, nd := range s.nodes {
-		if nd != nil && nd.rep != nil {
+	for _, nd := range s.locals {
+		if nd.rep != nil {
 			nd.rep.Start()
 		}
 	}
 	if cfg.Adaptive != nil {
-		for _, nd := range s.nodes {
-			if nd != nil {
-				nd.startController(cfg.Adaptive.WithDefaults())
-			}
+		for _, nd := range s.locals {
+			nd.startController(cfg.Adaptive.WithDefaults())
 		}
 	}
 	return s
@@ -406,16 +368,6 @@ func (s *System) Stats() []*metrics.ServerStats { return s.g.Stats() }
 // Latencies returns the merged operation-latency snapshot of every worker of
 // this process's nodes.
 func (s *System) Latencies() metrics.LatencySnapshot { return s.g.Latencies() }
-
-// NodeStats returns the per-shard statistics of one node.
-func (s *System) NodeStats(n int) []*metrics.ServerStats { return s.g.NodeStats(n) }
-
-// ResetStats zeroes all per-shard statistics (e.g. after warm-up).
-func (s *System) ResetStats() {
-	for _, st := range s.g.Stats() {
-		st.Reset()
-	}
-}
 
 // HomeOf returns the home node of k.
 func (s *System) HomeOf(k kv.Key) int { return s.home.NodeOf(k) }
@@ -451,10 +403,8 @@ func (s *System) Init(fn func(k kv.Key, val []float32)) {
 		if s.replicated(k) {
 			// Replicated keys are seeded at every local replica (and the
 			// authoritative copy at the key's home).
-			for _, nd := range s.nodes {
-				if nd != nil {
-					nd.rep.InitKey(k, v)
-				}
+			for _, nd := range s.locals {
+				nd.rep.InitKey(k, v)
 			}
 			continue
 		}
@@ -470,12 +420,8 @@ func (s *System) Init(fn func(k kv.Key, val []float32)) {
 
 // replicated reports whether k is managed by replication.
 func (s *System) replicated(k kv.Key) bool {
-	for _, nd := range s.nodes {
-		if nd != nil {
-			return nd.rep != nil && nd.rep.Replicated(k)
-		}
-	}
-	return false
+	rep := s.locals[0].rep
+	return rep != nil && rep.Replicated(k)
 }
 
 // ReadParameter reads the current value of k from its owner's store,
@@ -505,13 +451,11 @@ func (s *System) ReadParameter(k kv.Key, dst []float32) {
 // for the server goroutines to exit; the cluster network must be closed
 // first (sync messages sent while closing are dropped by the transport).
 func (s *System) Shutdown() {
-	for _, nd := range s.nodes {
-		if nd != nil {
-			nd.stopController()
-		}
+	for _, nd := range s.locals {
+		nd.stopController()
 	}
-	for _, nd := range s.nodes {
-		if nd != nil && nd.rep != nil {
+	for _, nd := range s.locals {
+		if nd.rep != nil {
 			nd.rep.Stop()
 		}
 	}
@@ -523,8 +467,8 @@ func (s *System) Shutdown() {
 // value needs two rounds (deltas to the home, merged values back out) plus
 // message delivery.
 func (s *System) FlushReplicas() {
-	for _, nd := range s.nodes {
-		if nd != nil && nd.rep != nil {
+	for _, nd := range s.locals {
+		if nd.rep != nil {
 			nd.rep.Flush()
 		}
 	}
@@ -535,10 +479,8 @@ func (s *System) FlushReplicas() {
 // replication.Tracker).
 func (s *System) HotKeys(n int) []metrics.KeyFreq {
 	var trackers []*replication.Tracker
-	for _, nd := range s.nodes {
-		if nd != nil {
-			trackers = append(trackers, nd.tracker)
-		}
+	for _, nd := range s.locals {
+		trackers = append(trackers, nd.tracker)
 	}
 	return replication.MergeHot(n, trackers...)
 }
@@ -602,7 +544,7 @@ func (sh *policyShard) OnOpResp(m *msg.OpResp) {
 func (sh *policyShard) HandleMessage(src int, m any) {
 	switch t := m.(type) {
 	case *msg.Op:
-		sh.handleOp(t)
+		sh.handleOp(t, byState)
 	case *msg.Localize:
 		sh.handleLocalize(t)
 	case *msg.RelocInstruct:
@@ -632,17 +574,214 @@ func (sh *policyShard) HandleMessage(src int, m any) {
 	}
 }
 
-// handleOp processes a pull/push that arrived over the network. Keys are
-// handled individually because their states can diverge; answerable keys are
-// grouped into a single response, and keys that must travel onward are
-// batched into one forward message per destination node (staying within this
-// shard's key slice, so forwards remain shard-pure).
+// The per-key access gate: every access to a key at this node — one key of a
+// local worker's operation, one key of a remote msg.Op, a queued entry when
+// its queue drains — is served, queued or routed by the functions below and
+// nowhere else (see the package comment, "Consistency").
+
+// backing names what holds a key's value at this node.
+type backing uint8
+
+const (
+	byState     backing = iota // undecided: the key's locality state tells
+	backStore                  // the owned store (Owned; Incoming once the transfer is in)
+	backReplica                // the node-local replica (Replicated)
+	backGone                   // nothing: the key chained onward while its queue drained
+)
+
+// access is one single-key operation at the gate: one key of a local worker's
+// operation (op set) or of a remote msg.Op (m set).
+type access struct {
+	t   msg.OpType
+	k   kv.Key
+	buf []float32 // pull: where the value goes; push: the update term
+	op  *server.OpCtx
+	m   *msg.Op
+}
+
+// outcome is the gate's verdict on one access.
+type outcome struct {
+	// served names what the access was served from (0: not served here).
+	served backing
+	// ackTTL is, for a served push, the lease time (µs) left on the copy of
+	// the key the writer's node caches, if the owner just refreshed that copy
+	// (0 otherwise; see refreshLeases).
+	ackTTL uint32
+	// queued marks an access appended to the key's relocation queue.
+	queued bool
+	// dest is where an access neither served nor queued goes; viaCache marks
+	// a destination taken from the location cache.
+	dest     int
+	viaCache bool
+}
+
+// gate passes one access through. held is byState for an access arriving from
+// outside: a lock-free step serves it if the key's state says what from
+// (serve), then, under the shard's queue lock, the queue check and the
+// lock-free step once more (slow), then the destination (route). A drain,
+// whose key is still Incoming and whose queue is its own, names what it holds
+// instead: the backing its entries are served from, or backGone when the key
+// left mid-drain and the remaining entries can only follow it.
+func (sh *policyShard) gate(a *access, held backing) (o outcome) {
+	if held != backGone {
+		if o.served, o.ackTTL = sh.serve(held, a.t, a.k, a.buf, a.m); o.served == 0 && held != byState {
+			panic(fmt.Sprintf("core: queued access to key %d at node %d: value missing from its backing", a.k, sh.nd.id))
+		}
+	}
+	if o.served == 0 && held == byState {
+		sh.queueMu.Lock()
+		o = sh.slow(a)
+		sh.queueMu.Unlock()
+	}
+	if o.served == 0 && !o.queued {
+		o.dest, o.viaCache = sh.route(a.k, a.m == nil)
+	}
+	return o
+}
+
+// slow is the gate's step under queueMu: the access joins the key's queue if
+// one is open; otherwise the lock-free step runs again: the key may have
+// arrived — queue drained, state Owned — while the access waited for the
+// lock, and routing it away now would let the worker's next access overtake
+// it on the fast path. An access left undecided is routed by the caller.
+func (sh *policyShard) slow(a *access) outcome {
+	q := sh.queues[a.k]
+	if q == nil || (a.m != nil && sh.aheadOfRequest(a.k)) {
+		by, ackTTL := sh.serve(byState, a.t, a.k, a.buf, a.m)
+		return outcome{served: by, ackTTL: ackTTL}
+	}
+	e := queueEntry{at: time.Now()}
+	if a.m == nil {
+		// The pending part registers (op.ID) before the entry is published.
+		e.a, e.id, e.off = *a, a.op.ID(a.k), a.op.Off()
+		e.a.op = nil
+	} else {
+		// The entry outlives the handler, so it owns its update values:
+		// a.buf aliases the decoded message's recyclable scratch.
+		e.a.m = &msg.Op{Type: a.t, ID: a.m.ID, Origin: a.m.Origin, Hops: a.m.Hops, Lease: a.m.Lease, Keys: []kv.Key{a.k}}
+		if a.t == msg.OpPush {
+			e.a.m.Vals = append([]float32(nil), a.buf...)
+		}
+	}
+	q.entries = append(q.entries, e)
+	sh.stats.QueuedOps.Inc()
+	return outcome{queued: true}
+}
+
+// aheadOfRequest reports whether a remote access to k, whose queue is open,
+// belongs in front of it: this node is k's home and its owner table still
+// names another node, so the Localize that opened the queue — a local
+// worker's, on the loopback link — has not reached this shard goroutine yet.
+// The access is ahead of it on its FIFO stream and is forwarded to the owner
+// ahead of the instruct, as a home without a queue of its own would; queued,
+// it would be overtaken by what its worker has enqueued directly since.
+func (sh *policyShard) aheadOfRequest(k kv.Key) bool {
+	nd := sh.nd
+	return nd.sys.home.NodeOf(k) == nd.id && int(nd.owner[k].Load()) != nd.id
+}
+
+// route names the node an access to k that cannot be handled here goes to. A
+// local worker's access goes to the cached owner on a location-cache hit and to the
+// key's home otherwise — over the loopback link if that is this node, whose
+// shard goroutine forwards it. A remote access is forwarded to the registered
+// owner if this node is the key's home, and double-forwarded to the home
+// otherwise (stale cache, or the key left while the access was queued).
+func (sh *policyShard) route(k kv.Key, local bool) (dest int, viaCache bool) {
+	nd := sh.nd
+	home := nd.sys.home.NodeOf(k)
+	switch {
+	case local:
+		if nd.cache != nil {
+			if c := int(nd.cache[k].Load()); c >= 0 && c != nd.id {
+				sh.stats.CacheHits.Inc()
+				return c, true
+			}
+			sh.stats.CacheMisses.Inc()
+		}
+		return home, false
+	case home != nd.id:
+		sh.stats.DoubleForwards.Inc()
+		return home, false
+	}
+	dest = int(nd.owner[k].Load())
+	if dest == nd.id {
+		panic(fmt.Sprintf("core: key %d is registered at its home node %d but neither here nor arriving", k, nd.id))
+	}
+	sh.stats.Forwards.Inc()
+	return dest, false
+}
+
+// serve applies one access (its fields passed singly: the fast path builds no
+// access) to its key's value in b — the only place in this package where an
+// operation reads or updates a parameter — and returns the backing that
+// served it, 0 if the value is not (or no longer) there. Given
+// byState, the gate's lock-free step, it serves a key in Owned state from the
+// store and one in Replicated state from the replica, and no other: a key
+// whose relocation queue is still draining holds its value already, but
+// serving it would jump the queue and break the issuing worker's program
+// order, and the state leaves Incoming only when the drain is through. A push
+// to the owned store refreshes the copies lease holders cache, the writer's
+// own included, ahead of the push's ack on the same FIFO (link, shard)
+// stream. A grant racing a local worker's write on a shard goroutine can slip
+// past the leased flag; that one holder's staleness is bounded by the TTL
+// (serving.go, "Staleness bound").
+func (sh *policyShard) serve(b backing, t msg.OpType, k kv.Key, buf []float32, m *msg.Op) (by backing, ackTTL uint32) {
+	nd := sh.nd
+	if b == byState {
+		switch nd.state[k].Load() {
+		case stateOwned:
+			b = backStore
+		case stateReplicated:
+			b = backReplica
+		default:
+			return 0, 0 // NotHere, or Incoming: not yet
+		}
+	}
+	ok, local := false, m == nil
+	switch {
+	case b == backReplica && t == msg.OpPull:
+		ok = nd.rep.Pull(k, buf)
+	case b == backReplica:
+		ok = nd.rep.Push(k, buf)
+	case t == msg.OpPull:
+		if ok = nd.store.Read(k, buf); ok && local {
+			sh.stats.LocalReads.Inc()
+			sh.stats.ReadValues.Add(int64(len(buf)))
+		}
+	default:
+		if ok = nd.store.Add(k, buf); !ok {
+			break
+		}
+		if nd.isLeased(k) {
+			writer := nd.id
+			if !local {
+				writer = int(m.Origin)
+			}
+			ackTTL = nd.refreshLeases(k, writer)
+		}
+		if local {
+			sh.stats.LocalWrites.Inc()
+		}
+	}
+	if !ok {
+		return 0, 0
+	}
+	return b, ackTTL
+}
+
+// handleOp passes every key of a pull/push that arrived over the network
+// (held byState), or that waited in a relocation queue (held names what the
+// drain holds), through the gate. Keys are handled individually because their
+// states can diverge; served keys are grouped into a single response, and
+// keys that must travel onward are batched into one forward message per
+// destination node (staying within this shard's key slice, so forwards remain
+// shard-pure).
 //
 // The answer accumulators and the response struct are per-shard scratch:
 // handleOp runs only on the shard's server goroutine, and SendOrDispatch
 // consumes the response synchronously (encode on send, inline dispatch for
 // self), so the scratch is free again when handleOp returns.
-func (sh *policyShard) handleOp(m *msg.Op) {
+func (sh *policyShard) handleOp(m *msg.Op, held backing) {
 	nd := sh.nd
 	if m.Hops > maxHops {
 		panic(fmt.Sprintf("core: op %d exceeded %d hops (routing loop?)", m.ID, maxHops))
@@ -652,8 +791,10 @@ func (sh *policyShard) handleOp(m *msg.Op) {
 	// A lease is granted only when every answered key was served from the
 	// owned store: replica-served keys are refreshed by the sync cycle, not
 	// the lease protocol, so a mixed answer grants nothing (rare; the origin
-	// simply retries the lease on its next miss).
-	leaseOK := m.Lease && m.Type == msg.OpPull && nd.leases != nil && int(m.Origin) != nd.id
+	// simply retries the lease on its next miss). A drain answers lease-less
+	// too — the origin takes its lease on the next miss, from a key that has
+	// settled.
+	leaseOK := held == byState && m.Lease && m.Type == msg.OpPull && nd.leases != nil && int(m.Origin) != nd.id
 	// A push ack vouches for the origin's cached copies (OpResp.LeaseTTL)
 	// only if every acknowledged key's copy was refreshed ahead of it: the
 	// least lease time left over the keys, 0 as soon as one was not.
@@ -662,70 +803,33 @@ func (sh *policyShard) handleOp(m *msg.Op) {
 	src := 0
 	for _, k := range m.Keys {
 		l := nd.sys.layout.Len(k)
+		a := access{t: m.Type, k: k, m: m}
+		n := len(ansVals)
 		var upd []float32
 		if m.Type == msg.OpPush {
 			upd = m.Vals[src : src+l]
+			a.buf = upd
 			src += l
+		} else {
+			ansVals = kv.Grow(ansVals, l)
+			a.buf = ansVals[n:]
 		}
-		// Replicated keys are served from the local replica. Remote
-		// operations reach one while the origin has not (or not yet) a
-		// replica of its own: mid-promotion, mid-demotion, or after its
-		// local fast path lost a race against a transition. A rep failure
-		// means the key stopped being replicated here concurrently — fall
-		// through to the ownership paths below.
-		if nd.state[k].Load() == stateReplicated && nd.rep != nil {
-			switch m.Type {
-			case msg.OpPull:
-				n := len(ansVals)
-				ansVals = kv.Grow(ansVals, l)
-				if nd.rep.Pull(k, ansVals[n:n+l]) {
-					ansKeys = append(ansKeys, k)
-					leaseOK = false
-					continue
-				}
-				ansVals = ansVals[:n]
-			case msg.OpPush:
-				if nd.rep.Push(k, upd) {
-					ansKeys = append(ansKeys, k)
-					ackTTL = 0
-					continue
-				}
+		o := sh.gate(&a, held)
+		if o.served == 0 {
+			ansVals = ansVals[:n]
+			if !o.queued {
+				fwd = addForward(fwd, m, o.dest, k, upd)
 			}
+			continue
 		}
-		// The store may only be probed for keys in Owned state: during a
-		// queue drain the value is already present but queued operations
-		// (which arrived earlier) must be processed first, or program
-		// order of asynchronous operations would break.
-		if nd.state[k].Load() == stateOwned {
-			switch m.Type {
-			case msg.OpPull:
-				n := len(ansVals)
-				ansVals = kv.Grow(ansVals, l)
-				if nd.store.Read(k, ansVals[n:n+l]) {
-					ansKeys = append(ansKeys, k)
-					continue
-				}
-				ansVals = ansVals[:n] // lost the race against a transfer-out
-			case msg.OpPush:
-				if nd.store.Add(k, upd) {
-					ansKeys = append(ansKeys, k)
-					// Another node wrote: refresh the holders' copies before
-					// the ack leaves, the writer's own included — its entry,
-					// or a grant still in flight to it, holds the pre-write
-					// value, and the refresh reaches it ahead of the ack on
-					// the same FIFO (link, shard) stream.
-					ackTTL = min(ackTTL, nd.refreshAfterPush(k, int(m.Origin)))
-					continue
-				}
-			}
-		}
-		// Not owned here: queue if incoming, otherwise route onward.
-		fwd = sh.queueOrRoute(m, k, upd, fwd)
+		ansKeys = append(ansKeys, k)
+		leaseOK = leaseOK && o.served == backStore
+		ackTTL = min(ackTTL, o.ackTTL)
 	}
 	sh.ansKeys, sh.ansVals = ansKeys, ansVals // keep grown capacity
 	if len(ansKeys) > 0 {
 		resp := &sh.resp
-		*resp = msg.OpResp{Type: m.Type, ID: m.ID, Responder: int32(sh.rt.Node()), Keys: ansKeys, Vals: ansVals}
+		*resp = msg.OpResp{Type: m.Type, ID: m.ID, Responder: int32(nd.id), Keys: ansKeys, Vals: ansVals}
 		switch {
 		case m.Type == msg.OpPush:
 			resp.Vals, resp.LeaseTTL = nil, ackTTL
@@ -739,55 +843,11 @@ func (sh *policyShard) handleOp(m *msg.Op) {
 	}
 }
 
-// queueOrRoute handles one key of an operation that this node cannot answer:
-// it queues the key if a relocation to this node is in flight, forwards it to
-// the current owner if this node is the key's home, and double-forwards it to
-// the home node otherwise (stale cache or post-relocation rerouting).
-// Forwards accumulate in fwd, one message per destination.
-func (sh *policyShard) queueOrRoute(m *msg.Op, k kv.Key, upd []float32, fwd map[int]*msg.Op) map[int]*msg.Op {
-	nd := sh.nd
-	sh.queueMu.Lock()
-	if q, ok := sh.queues[k]; ok {
-		// The queued entry outlives this handler, so it must own its update
-		// values: upd aliases the decoded message's recyclable scratch.
-		sub := &msg.Op{Type: m.Type, ID: m.ID, Origin: m.Origin, Hops: m.Hops, Lease: m.Lease,
-			Keys: []kv.Key{k}, Vals: append([]float32(nil), upd...)}
-		q.entries = append(q.entries, queueEntry{remote: sub, at: time.Now()})
-		sh.queueMu.Unlock()
-		sh.stats.QueuedOps.Inc()
-		return fwd
-	}
-	sh.queueMu.Unlock()
-	if nd.sys.home.NodeOf(k) == sh.rt.Node() {
-		dest := int(nd.owner[k].Load())
-		if dest == sh.rt.Node() {
-			// The owner table says "here" but the store said no: the
-			// key is mid-arrival; the queue check above raced with the
-			// transfer. Retry through the queue path.
-			sub := &msg.Op{Type: m.Type, ID: m.ID, Origin: m.Origin, Hops: m.Hops + 1, Lease: m.Lease, Keys: []kv.Key{k}, Vals: upd}
-			sh.requeueRacedOp(sub, k)
-			return fwd
-		}
-		sh.stats.Forwards.Inc()
-		return sh.addForward(fwd, m, dest, k, upd)
-	}
-	// Not home, not owner: the sender used a stale location cache, or the
-	// key left while this op was queued. Route via the home node.
-	sh.stats.DoubleForwards.Inc()
-	return sh.addForward(fwd, m, nd.sys.home.NodeOf(k), k, upd)
-}
-
-// addForward appends key k (with its push update term, if any) to the
-// forward group headed to dest; with batching disabled it sends a single-key
-// message immediately, as the original per-key protocol did. The lease bit
-// travels with the forward, so a mid-relocation (or stale-cache-routed) pull
-// still comes back with a lease from wherever the key landed.
-func (sh *policyShard) addForward(fwd map[int]*msg.Op, m *msg.Op, dest int, k kv.Key, upd []float32) map[int]*msg.Op {
-	if !sh.rt.Batched() {
-		sub := &msg.Op{Type: m.Type, ID: m.ID, Origin: m.Origin, Hops: m.Hops + 1, Lease: m.Lease, Keys: []kv.Key{k}, Vals: upd}
-		sh.rt.SendOrDispatch(dest, sub)
-		return fwd
-	}
+// addForward appends key k (with its push update term, if any) to the forward
+// group headed to dest. The lease bit travels with the forward, so a
+// mid-relocation (or stale-cache-routed) pull still comes back with a lease
+// from wherever the key landed.
+func addForward(fwd map[int]*msg.Op, m *msg.Op, dest int, k kv.Key, upd []float32) map[int]*msg.Op {
 	if fwd == nil {
 		fwd = make(map[int]*msg.Op)
 	}
@@ -801,49 +861,13 @@ func (sh *policyShard) addForward(fwd map[int]*msg.Op, m *msg.Op, dest int, k kv
 	return fwd
 }
 
-// requeueRacedOp re-examines a key whose owner table points at this node but
-// whose value is not in the store yet (transfer arriving concurrently is
-// impossible since the shard goroutine processes its keys' messages
-// serially, but the state can be Incoming when the op raced with a local
-// relocation bookkeeping step). It queues if Incoming and otherwise retries
-// the store access.
-func (sh *policyShard) requeueRacedOp(m *msg.Op, k kv.Key) {
-	nd := sh.nd
-	sh.queueMu.Lock()
-	defer sh.queueMu.Unlock()
-	if q, ok := sh.queues[k]; ok {
-		// Queued past this handler: the entry must own its values (m.Vals
-		// may alias the incoming message's recyclable decode scratch).
-		m.Vals = append([]float32(nil), m.Vals...)
-		q.entries = append(q.entries, queueEntry{remote: m, at: time.Now()})
-		sh.stats.QueuedOps.Inc()
-		return
-	}
-	// Owned after all (worker marked it between our store probe and now).
-	l := nd.sys.layout.Len(k)
-	switch m.Type {
-	case msg.OpPull:
-		buf := make([]float32, l)
-		if !nd.store.Read(k, buf) {
-			panic(fmt.Sprintf("core: key %d claimed by owner table at node %d but absent", k, sh.rt.Node()))
-		}
-		resp := &msg.OpResp{Type: msg.OpPull, ID: m.ID, Responder: int32(sh.rt.Node()), Keys: []kv.Key{k}, Vals: buf}
-		if m.Lease && nd.leases != nil && int(m.Origin) != nd.id {
-			// Served from the owned store, same as handleOp's answer path:
-			// the lease request is honored here too.
-			resp.LeaseTTL = nd.grantLeases(resp.Keys, int(m.Origin))
-		}
-		sh.rt.SendOrDispatch(int(m.Origin), resp)
-	case msg.OpPush:
-		if !nd.store.Add(k, m.Vals) {
-			panic(fmt.Sprintf("core: key %d claimed by owner table at node %d but absent", k, sh.rt.Node()))
-		}
-		// As in handleOp: the holders' copies, the writer's included, are
-		// refreshed ahead of this push's ack.
-		resp := &msg.OpResp{Type: msg.OpPush, ID: m.ID, Responder: int32(sh.rt.Node()), Keys: []kv.Key{k},
-			LeaseTTL: nd.refreshAfterPush(k, int(m.Origin))}
-		sh.rt.SendOrDispatch(int(m.Origin), resp)
-	}
+// openQueue marks k Incoming and opens its relocation queue: from here on
+// every access to k at this node waits in the queue. The caller holds queueMu
+// and keeps it until the request whose answer fills the queue — a Localize, a
+// recall instruct — is sent.
+func (sh *policyShard) openQueue(k kv.Key) {
+	sh.nd.state[k].Store(stateIncoming)
+	sh.queues[k] = &keyQueue{}
 }
 
 // handleLocalize runs at the home node (message 1 of the relocation
@@ -909,9 +933,9 @@ func (sh *policyShard) handleInstruct(m *msg.RelocInstruct) {
 			continue
 		}
 		sh.queueMu.Unlock()
-		v := sh.takeOwned(k)
+		sh.nd.state[k].Store(stateNotHere)
 		moveKeys = append(moveKeys, k)
-		moveVals = append(moveVals, v...)
+		moveVals = append(moveVals, sh.takeOut(k)...)
 	}
 	if len(moveKeys) > 0 {
 		tr := &msg.RelocTransfer{ID: m.ID, Keys: moveKeys, Vals: moveVals}
@@ -919,11 +943,11 @@ func (sh *policyShard) handleInstruct(m *msg.RelocInstruct) {
 	}
 }
 
-// takeOwned removes an owned key from the local store, flipping the locality
-// state first so worker fast paths that lose the race fall through to the
-// remote path.
-func (sh *policyShard) takeOwned(k kv.Key) []float32 {
-	sh.nd.state[k].Store(stateNotHere)
+// takeOut removes k's value from the local store for a transfer. The caller
+// has closed the fast path first (state NotHere, or still Incoming in a
+// drain), so worker accesses that lose the race fall through to the gate's
+// slow step.
+func (sh *policyShard) takeOut(k kv.Key) []float32 {
 	v := sh.nd.store.Take(k)
 	if v == nil {
 		panic(fmt.Sprintf("core: instruct for key %d at node %d: not owned and not incoming", k, sh.rt.Node()))
@@ -945,40 +969,45 @@ func (sh *policyShard) handleTransfer(m *msg.RelocTransfer) {
 		l := sh.nd.sys.layout.Len(k)
 		sh.nd.store.Set(k, m.Vals[src:src+l])
 		src += l
-		sh.drainQueue(k)
+		sh.stats.Relocations.Inc()
+		sh.trace.Record(sh.rt.Node(), sh.rt.Shard(), metrics.TraceRelocFinish, k, -1, sh.rt.Node(), "")
+		sh.rt.Pending().CompleteLocalizeKeys([]kv.Key{k}, sh.stats)
+		if tr, busy := sh.transitioning[k]; busy && tr.kind == transPromote {
+			// This arrival is the home recalling the key to promote it into
+			// replication: the value goes on to the replication manager
+			// instead of opening the Owned fast path.
+			sh.finishReplicate(k)
+			continue
+		}
+		sh.drain(k, backStore, stateOwned, nil)
 	}
 }
 
-// drainQueue processes the queued entries of a freshly arrived key in order.
-// It completes the pending localize for the key, then applies queued
-// operations; if an instruct is encountered the key immediately moves on and
-// any remaining queued entries are re-routed through the home node.
-func (sh *policyShard) drainQueue(k kv.Key) {
+// drain serves the queued entries of k in arrival order from b, which holds
+// the key's value although its state is still Incoming, and then closes the
+// queue: under queueMu — so no access can slip between the last queued entry
+// and the first one that takes the fast path — onEmpty runs (a promotion
+// moves the value on there; nil otherwise), the queue goes, the key enters
+// state next, and localize waiters registered meanwhile are notified. A
+// queued instruct sends the value on to its next owner mid-drain
+// (localization conflict: the key did arrive, it just moves on at once); the
+// entries behind it, and those that keep joining the still-open queue, follow
+// it through the gate in the same order, and the key is left NotHere.
+func (sh *policyShard) drain(k kv.Key, b backing, next uint32, onEmpty func()) {
 	nd := sh.nd
-	sh.stats.Relocations.Inc()
-	sh.trace.Record(sh.rt.Node(), sh.rt.Shard(), metrics.TraceRelocFinish, k, -1, sh.rt.Node(), "")
-	sh.rt.Pending().CompleteLocalizeKeys([]kv.Key{k}, sh.stats)
-
 	for {
 		sh.queueMu.Lock()
-		q, ok := sh.queues[k]
-		if !ok || len(q.entries) == 0 {
-			if tr, busy := sh.transitioning[k]; busy && tr.kind == transPromote {
-				// This arrival is the home recalling the key to promote it
-				// into replication: hand the value to the replication
-				// manager instead of opening the Owned fast path.
-				sh.queueMu.Unlock()
-				sh.finishReplicate(k)
-				return
+		q := sh.queues[k]
+		if q == nil || len(q.entries) == 0 {
+			if b == backGone {
+				next = stateNotHere
+			} else if onEmpty != nil {
+				onEmpty()
 			}
-			// Queue empty: transition to Owned and stop. The
-			// transition happens under queueMu so worker slow paths
-			// cannot enqueue after the queue is deleted. Waiters
-			// registered during the drain are notified here.
 			delete(sh.queues, k)
-			nd.state[k].Store(stateOwned)
-			if nd.cache != nil {
-				nd.cache[k].Store(int32(sh.rt.Node()))
+			nd.state[k].Store(next)
+			if next == stateOwned && nd.cache != nil {
+				nd.cache[k].Store(int32(nd.id))
 			}
 			sh.rt.Pending().CompleteLocalizeKeys([]kv.Key{k}, sh.stats)
 			sh.queueMu.Unlock()
@@ -990,126 +1019,54 @@ func (sh *policyShard) drainQueue(k kv.Key) {
 		sh.stats.QueueWait.Observe(time.Since(e.at))
 
 		switch {
-		case e.local != nil:
-			sh.applyQueuedLocal(k, e.local)
-		case e.remote != nil:
-			sh.applyQueuedRemote(k, e.remote)
 		case e.instr != nil:
-			sh.chainRelocation(k, e.instr)
-			return
+			tr := &msg.RelocTransfer{ID: e.instr.ID, Keys: []kv.Key{k}, Vals: sh.takeOut(k)}
+			sh.rt.SendOrDispatch(int(e.instr.Dest), tr)
+			b = backGone
+		case e.a.m != nil:
+			sh.handleOp(e.a.m, b)
+		default:
+			sh.finishLocal(&e, b)
 		}
 	}
 }
 
-// applyQueuedLocal executes a queued local worker op against the store and
-// completes it through the pending table (no network involved). The
+// finishLocal passes a queued worker operation through the gate when its
+// queue drains. Served, it completes through the pending table; the
 // occurrence's offset entry is claimed first, so a duplicate occurrence's
-// response cannot be misdirected onto the region filled here.
-func (sh *policyShard) applyQueuedLocal(k kv.Key, op *localOp) {
+// response cannot be misdirected onto the region filled here. If the key
+// left, the operation goes where its worker would send it now, as a remote
+// operation of this node (a push keeps its in-flight mark until the ack).
+func (sh *policyShard) finishLocal(e *queueEntry, b backing) {
 	nd := sh.nd
-	switch op.t {
-	case msg.OpPull:
-		if !nd.store.Read(k, op.dst) {
-			panic(fmt.Sprintf("core: queued local pull of %d failed after transfer", k))
+	a := &e.a
+	o := sh.gate(a, b)
+	if o.served == 0 {
+		sh.countRemote(a.t, a.k)
+		m := &msg.Op{Type: a.t, ID: e.id, Origin: int32(nd.id), ViaCache: o.viaCache, Keys: []kv.Key{a.k}}
+		if a.t == msg.OpPush {
+			m.Vals = a.buf
 		}
-		sh.stats.LocalReads.Inc()
-		sh.stats.ReadValues.Add(int64(len(op.dst)))
-	case msg.OpPush:
-		if !nd.store.Add(k, op.vals) {
-			panic(fmt.Sprintf("core: queued local push of %d failed after transfer", k))
-		}
-		sh.stats.LocalWrites.Inc()
-		sh.endQueuedPush(k)
+		sh.rt.Send(o.dest, m)
+		return
 	}
-	sh.rt.Pending().ClaimOffset(op.id, k, op.off)
-	sh.rt.Pending().FinishKeys(op.id, 1)
-}
-
-// endQueuedPush takes the "own push in flight" mark off k after a worker's
-// queued push was applied locally. The key is local now, so nothing vouches
-// for a serving-cache entry left over from its time elsewhere.
-func (sh *policyShard) endQueuedPush(k kv.Key) {
-	if sc := sh.nd.serving; sc != nil && sc.pushEnd(k, noRefresher) {
+	if sc := nd.serving; sc != nil && a.t == msg.OpPush && sc.pushEnd(a.k, noRefresher) {
+		// The key is local now, so nothing vouches for a serving-cache entry
+		// left over from its time elsewhere.
 		sh.stats.LeaseInvalidations.Inc()
 	}
+	sh.rt.Pending().ClaimOffset(e.id, a.k, e.off)
+	sh.rt.Pending().FinishKeys(e.id, 1)
 }
 
-// applyQueuedRemote executes a queued forwarded op and responds to its
-// origin, lease-less. The drain applies queued pushes without the coherence
-// pass — no lease exists yet on a key that is only just arriving — so a lease
-// granted to a queued pull (m.Lease) would go stale with the next queued push
-// and nothing chasing it; it is not honored, and the origin takes one on its
-// next miss. A queued push's ack vouches for nothing, so its origin discards
-// what it had cached from the previous owner.
-func (sh *policyShard) applyQueuedRemote(k kv.Key, m *msg.Op) {
-	nd := sh.nd
-	l := nd.sys.layout.Len(k)
-	switch m.Type {
-	case msg.OpPull:
-		buf := make([]float32, l)
-		if !nd.store.Read(k, buf) {
-			panic(fmt.Sprintf("core: queued remote pull of %d failed after transfer", k))
-		}
-		resp := &msg.OpResp{Type: msg.OpPull, ID: m.ID, Responder: int32(sh.rt.Node()), Keys: []kv.Key{k}, Vals: buf}
-		sh.rt.SendOrDispatch(int(m.Origin), resp)
-	case msg.OpPush:
-		if !nd.store.Add(k, m.Vals) {
-			panic(fmt.Sprintf("core: queued remote push of %d failed after transfer", k))
-		}
-		resp := &msg.OpResp{Type: msg.OpPush, ID: m.ID, Responder: int32(sh.rt.Node()), Keys: []kv.Key{k}}
-		sh.rt.SendOrDispatch(int(m.Origin), resp)
-	}
-}
-
-// chainRelocation hands a just-arrived key over to the next owner (a localize
-// overtook the in-flight transfer). Entries that remain queued behind the
-// instruct are re-routed: local ops go back through the remote path, remote
-// ops double-forward via the home node.
-func (sh *policyShard) chainRelocation(k kv.Key, instr *msg.RelocInstruct) {
-	nd := sh.nd
-	v := nd.store.Take(k)
-	if v == nil {
-		panic(fmt.Sprintf("core: chained instruct for key %d at node %d: value missing", k, sh.rt.Node()))
-	}
-	// Collect the remainder of the queue, then release it. Localize
-	// waiters that registered during the drain are notified here: the key
-	// did arrive, it just moves on immediately (localization conflict).
-	sh.queueMu.Lock()
-	q := sh.queues[k]
-	rest := q.entries
-	delete(sh.queues, k)
-	nd.state[k].Store(stateNotHere)
-	sh.rt.Pending().CompleteLocalizeKeys([]kv.Key{k}, sh.stats)
-	sh.queueMu.Unlock()
-
-	tr := &msg.RelocTransfer{ID: instr.ID, Keys: []kv.Key{k}, Vals: v}
-	sh.rt.SendOrDispatch(int(instr.Dest), tr)
-
-	for _, e := range rest {
-		switch {
-		case e.local != nil:
-			sh.reissueLocal(k, e.local)
-		case e.remote != nil:
-			e.remote.Hops++
-			sh.stats.DoubleForwards.Inc()
-			sh.rt.SendOrDispatch(nd.sys.home.NodeOf(k), e.remote)
-		case e.instr != nil:
-			panic(fmt.Sprintf("core: two instructs queued for key %d at node %d", k, sh.rt.Node()))
-		}
-	}
-}
-
-// reissueLocal converts a queued local op whose key moved away into a remote
-// op routed through the home node.
-func (sh *policyShard) reissueLocal(k kv.Key, op *localOp) {
-	m := &msg.Op{Type: op.t, ID: op.id, Origin: int32(sh.rt.Node()), Keys: []kv.Key{k}, Vals: op.vals}
-	if op.t == msg.OpPull {
+// countRemote accounts one key of a worker operation that leaves this node.
+func (sh *policyShard) countRemote(t msg.OpType, k kv.Key) {
+	if t == msg.OpPull {
 		sh.stats.RemoteReads.Inc()
 		sh.stats.ReadValues.Add(int64(sh.nd.sys.layout.Len(k)))
 	} else {
 		sh.stats.RemoteWrites.Inc()
 	}
-	sh.rt.SendOrDispatch(sh.nd.sys.home.NodeOf(k), m)
 }
 
 var _ server.Policy = (*policyShard)(nil)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"lapse/internal/kv"
@@ -62,122 +63,65 @@ func (h *handle) PushAsync(keys []kv.Key, vals []float32) *kv.Future {
 	return f
 }
 
-// RouteKey implements server.Router: serve each key through the fastest
-// admissible path — the node-local replica for replicated hot keys,
-// shared-memory access for owned keys, the leased serving cache for
-// read-only pulls, the relocation queue for keys currently arriving at this
-// node, and the network (home-routed, or cache-direct when location caches
-// are on) for everything else. A push that leaves the fast path marks its key
-// "own push in flight" in the node's serving cache, which keeps the node's
-// workers from reading the pre-write entry until the push completes (see
-// serving.go, "Read-your-writes").
+// RouteKey implements server.Router with the gate's lock-free step: a key
+// this node holds — owned, or replicated — is served through shared memory,
+// and a read-only pull may be served from the leased serving cache. For
+// anything else it only proposes where the key's message would go; whether it
+// goes at all is decided in RouteLocked, under the key's queue lock, when
+// DispatchOp sends the group the proposal put it in.
 func (h *handle) RouteKey(t msg.OpType, op *server.OpCtx, k kv.Key, dst, vals []float32) server.KeyRoute {
 	sh := h.nd.shardOf(k)
-	if h.tryFast(sh, t, k, dst, vals) {
+	buf := dst
+	if t == msg.OpPush {
+		buf = vals
+	}
+	if by, _ := sh.serve(byState, t, k, buf, nil); by != 0 {
 		h.trk.Observe(k)
 		return server.KeyRoute{Served: true}
 	}
-	if sc := h.nd.serving; sc != nil {
-		if t == msg.OpPush {
-			sc.pushBegin(k)
-		} else if op.Lease() {
-			if sc.get(k, dst) {
-				h.trk.Observe(k)
-				sh.stats.ServingHits.Inc()
-				sh.stats.ReadValues.Add(int64(len(dst)))
-				return server.KeyRoute{Served: true}
-			}
-			sh.stats.ServingMisses.Inc()
+	if sc := h.nd.serving; sc != nil && op.Lease() {
+		if sc.get(k, dst) {
+			h.trk.Observe(k)
+			sh.stats.ServingHits.Inc()
+			sh.stats.ReadValues.Add(int64(len(dst)))
+			return server.KeyRoute{Served: true}
 		}
+		sh.stats.ServingMisses.Inc()
+	}
+	dest, viaCache := sh.route(k, true)
+	return server.KeyRoute{Dest: dest, ViaCache: viaCache}
+}
+
+// ShardLock implements server.SendGate: the queue lock of one shard's keys.
+func (h *handle) ShardLock(shard int) sync.Locker { return &h.nd.sh[shard].queueMu }
+
+// RouteLocked implements server.SendGate with the gate's step under the queue
+// lock, which DispatchOp holds until the key's message is on the link: the key
+// joins its relocation queue if one was opened since RouteKey looked, is
+// served after all if it arrived meanwhile, and keeps its place in the
+// outgoing group otherwise. A push that leaves the fast path marks its key
+// "own push in flight" in the node's serving cache, which keeps the node's
+// workers from reading the pre-write entry until the push completes (see
+// serving.go, "Read-your-writes").
+func (h *handle) RouteLocked(t msg.OpType, op *server.OpCtx, k kv.Key, dst, vals []float32) server.KeyRoute {
+	sh := h.nd.shardOf(k)
+	a := access{t: t, k: k, buf: dst, op: op}
+	if t == msg.OpPush {
+		a.buf = vals
+	}
+	o := sh.slow(&a)
+	if o.served != 0 {
+		h.trk.Observe(k)
+		return server.KeyRoute{Served: true}
 	}
 	h.trk.ObserveRemote(k)
-	dest, enqueued := h.slowRoute(sh, t, op, k, dst, vals)
-	if enqueued {
-		return server.KeyRoute{Enqueued: true}
+	if sc := h.nd.serving; sc != nil && t == msg.OpPush {
+		sc.pushBegin(k)
 	}
-	if t == msg.OpPull {
-		sh.stats.RemoteReads.Inc()
-		sh.stats.ReadValues.Add(int64(h.sys.layout.Len(k)))
-	} else {
-		sh.stats.RemoteWrites.Inc()
+	if !o.queued {
+		sh.countRemote(t, k)
 	}
-	return server.KeyRoute{Dest: dest.node, ViaCache: dest.viaCache}
-}
-
-// routeDest identifies a network destination for a key: the home node
-// (viaCache false) or a cached owner (viaCache true).
-type routeDest struct {
-	node     int
-	viaCache bool
-}
-
-// tryFast attempts the shared-memory fast path: keys in Replicated state are
-// served from the node-local replica, keys in Owned state from the local
-// store. Keys whose relocation queue is still draining must not be served
-// here — that would jump the queue and break the worker's program order —
-// which the Owned gate guarantees, because the state only flips to Owned
-// after the drain completes. Both paths re-validate and report false when
-// they lose a race against a transition (a transfer-out, or a demotion
-// clearing the replication flag); the caller falls back to the slow path,
-// where routing lands the operation wherever the key went.
-func (h *handle) tryFast(sh *policyShard, t msg.OpType, k kv.Key, dst, vals []float32) bool {
-	switch h.nd.state[k].Load() {
-	case stateReplicated:
-		if t == msg.OpPull {
-			return h.nd.rep.Pull(k, dst)
-		}
-		return h.nd.rep.Push(k, vals)
-	case stateOwned:
-		switch t {
-		case msg.OpPull:
-			if !h.nd.store.Read(k, dst) {
-				return false // lost the race against a transfer-out
-			}
-			sh.stats.LocalReads.Inc()
-			sh.stats.ReadValues.Add(int64(len(dst)))
-			return true
-		default:
-			if !h.nd.store.Add(k, vals) {
-				return false
-			}
-			if h.nd.isLeased(k) {
-				// This owner's own worker wrote a leased key: refresh the
-				// holders' copies. A grant racing this write on a shard
-				// goroutine can slip past the flag check — that one holder's
-				// staleness is bounded by the TTL (see serving.go, "Staleness
-				// bound").
-				h.nd.refreshLeases(k, h.nd.id)
-			}
-			sh.stats.LocalWrites.Inc()
-			return true
-		}
-	}
-	return false
-}
-
-// slowRoute handles a key that is not locally accessible: it appends the
-// operation to the key's relocation queue if the key is arriving at this node
-// (enqueued=true), and otherwise returns the network destination — the cached
-// owner on a location-cache hit, the home node otherwise. The pending part ID
-// is obtained through op.ID only on the queue path (registering the part
-// lazily), before the entry is published under the queue lock.
-func (h *handle) slowRoute(sh *policyShard, t msg.OpType, op *server.OpCtx, k kv.Key, dst, vals []float32) (routeDest, bool) {
-	sh.queueMu.Lock()
-	if q, ok := sh.queues[k]; ok {
-		q.entries = append(q.entries, queueEntry{local: &localOp{t: t, id: op.ID(k), k: k, off: op.Off(), dst: dst, vals: vals}, at: time.Now()})
-		sh.queueMu.Unlock()
-		sh.stats.QueuedOps.Inc()
-		return routeDest{}, true
-	}
-	sh.queueMu.Unlock()
-	if h.nd.cache != nil {
-		if c := h.nd.cache[k].Load(); c >= 0 && int(c) != h.NodeID() {
-			sh.stats.CacheHits.Inc()
-			return routeDest{node: int(c), viaCache: true}, false
-		}
-		sh.stats.CacheMisses.Inc()
-	}
-	return routeDest{node: h.sys.home.NodeOf(k)}, false
+	return server.KeyRoute{Enqueued: o.queued}
 }
 
 // MultiGet issues a batched read-only pull through the serving tier: keys
@@ -213,7 +157,7 @@ func (h *handle) PullIfLocal(keys []kv.Key, dst []float32) (bool, error) {
 	for _, k := range keys {
 		h.trk.Observe(k)
 		l := h.sys.layout.Len(k)
-		if !h.tryFast(h.nd.shardOf(k), msg.OpPull, k, dst[off:off+l], nil) {
+		if by, _ := h.nd.shardOf(k).serve(byState, msg.OpPull, k, dst[off:off+l], nil); by == 0 {
 			return false, nil
 		}
 		off += l
@@ -226,7 +170,8 @@ func (h *handle) PullIfLocal(keys []kv.Key, dst []float32) (bool, error) {
 // arrived (Section 3.2). Keys already relocating here (requested by a
 // co-located worker) are waited on without sending additional messages; keys
 // that do need a request are batched into one message per (home node, shard)
-// — relocation messages are shard-pure like operation messages. Arrival
+// — relocation messages are shard-pure like operation messages — which leaves
+// under the shard's queue lock, like every request that opens a queue. Arrival
 // tracking registers one pending part per shard under an aggregate that
 // completes when every shard's keys are in.
 func (h *handle) LocalizeAsync(keys []kv.Key) *kv.Future {
@@ -249,68 +194,43 @@ func (h *handle) LocalizeAsync(keys []kv.Key) *kv.Future {
 		return kv.CompletedFuture(nil)
 	}
 	a := server.NewAgg()
-	type sendGroup struct {
-		sh   *policyShard
-		id   uint64
-		home int
-		keys []kv.Key
-	}
-	var sends []sendGroup
 	registered := false
 	for sh, shKeys := range byShard {
 		pending := sh.rt.Pending()
-		var sendKeys, waitKeys []kv.Key
+		var waitKeys []kv.Key
+		var requests map[int][]kv.Key // home node -> keys to request from it
 		sh.queueMu.Lock()
 		for _, k := range shKeys {
 			switch nd.state[k].Load() {
 			case stateOwned, stateReplicated:
 				continue // already local (a promotion may have raced the filter)
-			case stateIncoming:
-				waitKeys = append(waitKeys, k)
-			default:
-				nd.state[k].Store(stateIncoming)
-				sh.queues[k] = &keyQueue{}
-				sendKeys = append(sendKeys, k)
+			case stateNotHere:
+				sh.openQueue(k)
+				if requests == nil {
+					requests = make(map[int][]kv.Key)
+				}
+				home := h.sys.home.NodeOf(k)
+				requests[home] = append(requests[home], k)
 			}
+			waitKeys = append(waitKeys, k)
 		}
-		total := len(sendKeys) + len(waitKeys)
-		if total == 0 {
-			sh.queueMu.Unlock()
-			continue
-		}
-		id := pending.RegisterLocalizePart(a, total)
-		registered = true
-		for _, k := range sendKeys {
-			pending.AddWaiter(k, id)
-		}
-		for _, k := range waitKeys {
-			pending.AddWaiter(k, id)
+		if len(waitKeys) > 0 {
+			id := pending.RegisterLocalizePart(a, len(waitKeys))
+			registered = true
+			for _, k := range waitKeys {
+				pending.AddWaiter(k, id)
+			}
+			if requests != nil {
+				a.Measure() // this localize sends network messages: time it
+			}
+			for home, keys := range requests {
+				nd.srv.Send(home, &msg.Localize{ID: id, Origin: int32(h.NodeID()), Keys: keys})
+			}
 		}
 		sh.queueMu.Unlock()
-
-		if len(sendKeys) > 0 {
-			a.Measure() // this localize sends network messages: time it
-			groups := make(map[int][]kv.Key)
-			for _, k := range sendKeys {
-				home := h.sys.home.NodeOf(k)
-				groups[home] = append(groups[home], k)
-			}
-			for home, gk := range groups {
-				sends = append(sends, sendGroup{sh: sh, id: id, home: home, keys: gk})
-			}
-		}
 	}
 	if !registered {
 		return kv.CompletedFuture(nil)
-	}
-	for _, sg := range sends {
-		if sg.sh.rt.Batched() {
-			nd.srv.Send(sg.home, &msg.Localize{ID: sg.id, Origin: int32(h.NodeID()), Keys: sg.keys})
-			continue
-		}
-		for _, k := range sg.keys {
-			nd.srv.Send(sg.home, &msg.Localize{ID: sg.id, Origin: int32(h.NodeID()), Keys: []kv.Key{k}})
-		}
 	}
 	a.Time(&h.Lat().Localize, start)
 	fut := a.Seal(nd.shardOf(keys[0]).stats)
@@ -319,6 +239,7 @@ func (h *handle) LocalizeAsync(keys []kv.Key) *kv.Future {
 }
 
 var (
-	_ kv.KV         = (*handle)(nil)
-	_ server.Router = (*handle)(nil)
+	_ kv.KV           = (*handle)(nil)
+	_ server.Router   = (*handle)(nil)
+	_ server.SendGate = (*handle)(nil)
 )

@@ -358,15 +358,6 @@ func (nd *node) isLeased(k kv.Key) bool {
 	return nd.leased != nil && nd.leased[k].Load() != 0
 }
 
-// refreshAfterPush is refreshLeases behind the leased flag, for the shard
-// goroutine's push paths, whose ack carries the result.
-func (nd *node) refreshAfterPush(k kv.Key, writer int) uint32 {
-	if !nd.isLeased(k) {
-		return 0
-	}
-	return nd.refreshLeases(k, writer)
-}
-
 // dropLeases withdraws every outstanding lease on k because its value is
 // leaving this node: the registry entry and the fast-path flag are cleared
 // and each live holder is sent a value-less LeaseRevoke.

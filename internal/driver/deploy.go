@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"time"
 
 	"lapse/internal/cluster"
 	"lapse/internal/metrics"
@@ -54,9 +53,6 @@ type TCPDeployment struct {
 	// (0 = default). Raise it for layouts where one batched envelope can
 	// exceed the default; shared-memory rings are sized to admit it.
 	MaxMessage int
-	// ReadBuffer overrides the TCP per-connection read slab size
-	// (0 = 64 KiB).
-	ReadBuffer int
 	// DisableSHM forces all traffic onto TCP sockets, even between
 	// co-located nodes.
 	DisableSHM bool
@@ -65,9 +61,6 @@ type TCPDeployment struct {
 	// default derives a per-deployment directory from Addrs under /dev/shm
 	// (or the system temp directory).
 	SHMDir string
-	// SHMBusyPoll tunes the ring consumers' spin window (0 = default 50µs,
-	// negative = disabled; see shm.Config.BusyPoll).
-	SHMBusyPoll time.Duration
 }
 
 // NewCluster builds and starts a cluster for d. The caller owns the cluster
@@ -94,7 +87,7 @@ func NewCluster(d Deployment) (*cluster.Cluster, error) {
 		local = []int{d.TCP.Node}
 	}
 	tcpNet, err := tcp.New(tcp.Config{Addrs: d.TCP.Addrs, Local: local, Shards: d.Shards,
-		MaxMessage: d.TCP.MaxMessage, ReadBuffer: d.TCP.ReadBuffer})
+		MaxMessage: d.TCP.MaxMessage})
 	if err != nil {
 		return nil, err
 	}
@@ -193,7 +186,6 @@ func shmFor(d Deployment, local []int, tcpNet *tcp.Network) transport.Network {
 		Local:      local,
 		Shards:     d.Shards,
 		MaxMessage: t.MaxMessage,
-		BusyPoll:   t.SHMBusyPoll,
 		UseRing:    useRing,
 		Fallback:   tcpNet,
 	})

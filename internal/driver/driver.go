@@ -69,9 +69,6 @@ type PS interface {
 type Options struct {
 	// Staleness is the SSP staleness bound (stale variants only).
 	Staleness int
-	// Unbatched disables per-destination message batching in the shared
-	// server runtime (measurement only; all variants).
-	Unbatched bool
 	// Replicate designates hot keys managed by eventually-consistent
 	// replication instead of relocation (Lapse variants only; ignored
 	// elsewhere).
@@ -82,9 +79,6 @@ type Options struct {
 	// variants only; see internal/adaptive). Replicate then seeds the
 	// initial replicated set.
 	Adaptive *adaptive.Config
-	// PinShards pins each server shard goroutine to one CPU core (all
-	// variants; see server.Config.PinShards).
-	PinShards bool
 	// Serving enables the read-path serving tier — lease-based client
 	// caching with MultiGet (Lapse variants only; see core.ServingConfig).
 	Serving *core.ServingConfig
@@ -94,21 +88,17 @@ type Options struct {
 func Build(kind Kind, cl *cluster.Cluster, layout kv.Layout, opt Options) PS {
 	switch kind {
 	case ClassicPS:
-		return classic.New(cl, layout, classic.Config{Unbatched: opt.Unbatched, PinShards: opt.PinShards})
+		return classic.New(cl, layout, classic.Config{})
 	case ClassicFast:
-		return classic.New(cl, layout, classic.Config{FastLocalAccess: true, Unbatched: opt.Unbatched, PinShards: opt.PinShards})
-	case Lapse:
-		return core.New(cl, layout, core.Config{Unbatched: opt.Unbatched, PinShards: opt.PinShards,
-			Replicate: opt.Replicate, ReplicaSyncEvery: opt.ReplicaSyncEvery, Adaptive: opt.Adaptive,
-			Serving: opt.Serving})
-	case LapseCached:
-		return core.New(cl, layout, core.Config{LocationCaches: true, Unbatched: opt.Unbatched, PinShards: opt.PinShards,
+		return classic.New(cl, layout, classic.Config{FastLocalAccess: true})
+	case Lapse, LapseCached:
+		return core.New(cl, layout, core.Config{LocationCaches: kind == LapseCached,
 			Replicate: opt.Replicate, ReplicaSyncEvery: opt.ReplicaSyncEvery, Adaptive: opt.Adaptive,
 			Serving: opt.Serving})
 	case SSPClient:
-		return ssp.New(cl, layout, ssp.Config{Staleness: opt.Staleness, Unbatched: opt.Unbatched, PinShards: opt.PinShards})
+		return ssp.New(cl, layout, ssp.Config{Staleness: opt.Staleness})
 	case SSPServer:
-		return ssp.New(cl, layout, ssp.Config{Staleness: opt.Staleness, ServerSync: true, Unbatched: opt.Unbatched, PinShards: opt.PinShards})
+		return ssp.New(cl, layout, ssp.Config{Staleness: opt.Staleness, ServerSync: true})
 	default:
 		panic(fmt.Sprintf("driver: unknown PS kind %q", kind))
 	}

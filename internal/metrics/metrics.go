@@ -5,7 +5,6 @@
 package metrics
 
 import (
-	"fmt"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -75,60 +74,6 @@ func (g *GaugeVec) Reset() {
 // reflect over Totals (the /metrics exposition, Since) that the field is a
 // level, not a running total: it is exported as a gauge and never windowed.
 type GaugeVal int64
-
-// Durations aggregates a stream of time.Durations (sum, count, min, max).
-type Durations struct {
-	mu    sync.Mutex
-	sum   time.Duration
-	count int64
-	min   time.Duration
-	max   time.Duration
-}
-
-// Observe records one duration.
-func (d *Durations) Observe(t time.Duration) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.sum += t
-	if d.count == 0 || t < d.min {
-		d.min = t
-	}
-	if t > d.max {
-		d.max = t
-	}
-	d.count++
-}
-
-// Snapshot returns the aggregate view.
-func (d *Durations) Snapshot() DurationStats {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	s := DurationStats{Sum: d.sum, Count: d.count, Min: d.min, Max: d.max}
-	if d.count > 0 {
-		s.Mean = time.Duration(int64(d.sum) / d.count)
-	}
-	return s
-}
-
-// Reset clears the aggregate.
-func (d *Durations) Reset() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.sum, d.count, d.min, d.max = 0, 0, 0, 0
-}
-
-// DurationStats is an immutable snapshot of a Durations aggregate.
-type DurationStats struct {
-	Sum   time.Duration
-	Count int64
-	Min   time.Duration
-	Max   time.Duration
-	Mean  time.Duration
-}
-
-func (s DurationStats) String() string {
-	return fmt.Sprintf("n=%d mean=%v min=%v max=%v", s.Count, s.Mean, s.Min, s.Max)
-}
 
 // ServerStats collects the per-node parameter-server instrumentation the
 // experiments report. All fields are safe for concurrent update.

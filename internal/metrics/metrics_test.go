@@ -29,38 +29,6 @@ func TestCounterConcurrent(t *testing.T) {
 	}
 }
 
-func TestDurations(t *testing.T) {
-	var d Durations
-	d.Observe(2 * time.Millisecond)
-	d.Observe(4 * time.Millisecond)
-	d.Observe(6 * time.Millisecond)
-	s := d.Snapshot()
-	if s.Count != 3 {
-		t.Fatalf("count = %d", s.Count)
-	}
-	if s.Mean != 4*time.Millisecond {
-		t.Fatalf("mean = %v", s.Mean)
-	}
-	if s.Min != 2*time.Millisecond || s.Max != 6*time.Millisecond {
-		t.Fatalf("min/max = %v/%v", s.Min, s.Max)
-	}
-	if s.String() == "" {
-		t.Fatal("empty String()")
-	}
-	d.Reset()
-	if d.Snapshot().Count != 0 {
-		t.Fatal("not reset")
-	}
-}
-
-func TestDurationsEmptySnapshot(t *testing.T) {
-	var d Durations
-	s := d.Snapshot()
-	if s.Count != 0 || s.Mean != 0 {
-		t.Fatalf("empty snapshot = %+v", s)
-	}
-}
-
 // near asserts got is within 5% of want (histogram buckets carry ~±3%
 // relative error).
 func near(t *testing.T, what string, got, want time.Duration) {

@@ -42,7 +42,6 @@ package replication
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"lapse/internal/kv"
@@ -111,13 +110,10 @@ type stripe struct {
 // lock may be held when taking homeMu, never the reverse.
 type Manager struct {
 	cfg Config
-	// flags[k] is 1 while k is replicated at this node. It replaces a static
-	// key-set map so the adaptive controller can add and remove keys at
-	// runtime: worker fast paths read it lock-free, and it only flips under
-	// k's stripe lock — set after the replica entry exists, cleared before
-	// the entry is removed — so a flag observed 1 under the stripe lock
-	// guarantees the entry.
-	flags   []atomic.Uint32
+	// replica holds the node-local view of every key replicated at this
+	// node, and a key is replicated here exactly while it has an entry: the
+	// adaptive controller adds and removes entries at runtime, under the
+	// key's stripe lock, so presence observed under that lock is stable.
 	replica *store.Sparse
 	stripes []stripe
 
@@ -174,7 +170,6 @@ func NewManager(cfg Config) *Manager {
 	}
 	m := &Manager{
 		cfg:     cfg,
-		flags:   make([]atomic.Uint32, cfg.Layout.NumKeys()),
 		replica: store.NewSparse(cfg.Layout, 0),
 		stripes: make([]stripe, cfg.Shards),
 		auth:    make(map[kv.Key][]float32),
@@ -192,7 +187,6 @@ func NewManager(cfg Config) *Manager {
 		if k >= cfg.Layout.NumKeys() {
 			panic(fmt.Sprintf("replication: key %d outside layout (%d keys)", k, cfg.Layout.NumKeys()))
 		}
-		m.flags[k].Store(1)
 		m.replica.Set(k, make([]float32, cfg.Layout.Len(k)))
 		if cfg.Home.NodeOf(k) == cfg.Node {
 			m.auth[k] = make([]float32, cfg.Layout.Len(k))
@@ -231,14 +225,10 @@ func (m *Manager) Stop() {
 }
 
 // Replicated reports whether k is currently managed by replication at this
-// node. Lock-free; under live transitions the answer can be stale by the time
-// the caller acts on it, which is why Pull and Push re-validate and report
-// failure instead of trusting a prior Replicated check.
-func (m *Manager) Replicated(k kv.Key) bool { return m.flags[k].Load() == 1 }
-
-// Keys returns the statically configured replicated key set (shared slice;
-// do not mutate). Keys entered at runtime are not included.
-func (m *Manager) Keys() []kv.Key { return m.cfg.Keys }
+// node. Under live transitions the answer can be stale by the time the caller
+// acts on it, which is why Pull and Push report failure themselves instead of
+// relying on a prior Replicated check.
+func (m *Manager) Replicated(k kv.Key) bool { return m.replica.Has(k) }
 
 // InitKey sets the starting value of a replicated key: the local replica
 // and, if this node is k's home, the authoritative value. Like System.Init,
@@ -263,11 +253,8 @@ func (m *Manager) InitKey(k kv.Key, val []float32) {
 // replicated here: the caller falls back to its non-replicated path. A true
 // return is an ordinary local replica read, never a network access.
 func (m *Manager) Pull(k kv.Key, dst []float32) bool {
-	if m.flags[k].Load() == 0 {
-		return false
-	}
 	if !m.replica.Read(k, dst) {
-		return false // demoted between the flag load and the read
+		return false
 	}
 	m.cfg.Stats.ReplicaHits.Inc()
 	m.cfg.Stats.ReadValues.Add(int64(len(dst)))
@@ -284,7 +271,7 @@ func (m *Manager) Push(k kv.Key, delta []float32) bool {
 	st := m.stripeOf(k)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if m.flags[k].Load() == 0 {
+	if !m.replica.Add(k, delta) {
 		return false
 	}
 	p, ok := st.pending[k]
@@ -294,9 +281,6 @@ func (m *Manager) Push(k kv.Key, delta []float32) bool {
 	}
 	for i, d := range delta {
 		p[i] += d
-	}
-	if !m.replica.Add(k, delta) {
-		panic(fmt.Sprintf("replication: replica of key %d missing at node %d", k, m.cfg.Node))
 	}
 	m.cfg.Stats.LocalWrites.Inc()
 	return true
@@ -309,11 +293,9 @@ func (m *Manager) EnterKey(k kv.Key, v []float32) {
 	st := m.stripeOf(k)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if m.flags[k].Load() == 1 {
-		return
+	if !m.replica.Has(k) {
+		m.replica.Set(k, v)
 	}
-	m.replica.Set(k, v)
-	m.flags[k].Store(1)
 }
 
 // EnterHomeKey starts replicating k at its home node, seeding both the
@@ -323,7 +305,7 @@ func (m *Manager) EnterHomeKey(k kv.Key, v []float32) {
 	st := m.stripeOf(k)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if m.flags[k].Load() == 1 {
+	if m.replica.Has(k) {
 		panic(fmt.Sprintf("replication: EnterHomeKey(%d): already replicated at node %d", k, m.cfg.Node))
 	}
 	m.homeMu.Lock()
@@ -339,7 +321,6 @@ func (m *Manager) EnterHomeKey(k kv.Key, v []float32) {
 	m.dirty[k] = true
 	m.homeMu.Unlock()
 	m.replica.Set(k, v)
-	m.flags[k].Store(1)
 }
 
 // DemoteLocal stops replicating k at this (non-home) node and returns the
@@ -354,10 +335,9 @@ func (m *Manager) DemoteLocal(k kv.Key) (vals []float32, seqs []uint32) {
 	st := m.stripeOf(k)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if m.flags[k].Load() == 0 {
+	if m.replica.Take(k) == nil {
 		return nil, nil
 	}
-	m.flags[k].Store(0)
 	if p, ok := st.pending[k]; ok {
 		vals = append(vals, p...)
 		seqs = append(seqs, 0)
@@ -368,7 +348,6 @@ func (m *Manager) DemoteLocal(k kv.Key) (vals []float32, seqs []uint32) {
 		seqs = append(seqs, e.seq)
 	}
 	delete(st.inflight, k)
-	m.replica.Take(k)
 	return vals, seqs
 }
 
@@ -413,10 +392,9 @@ func (m *Manager) FinalizeDemote(k kv.Key) []float32 {
 	st := m.stripeOf(k)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if m.flags[k].Load() == 0 {
+	if m.replica.Take(k) == nil {
 		panic(fmt.Sprintf("replication: FinalizeDemote(%d): not replicated at node %d", k, m.cfg.Node))
 	}
-	m.flags[k].Store(0)
 	m.homeMu.Lock()
 	v, ok := m.auth[k]
 	if !ok {
@@ -433,7 +411,6 @@ func (m *Manager) FinalizeDemote(k kv.Key) []float32 {
 	delete(m.dirty, k)
 	m.homeMu.Unlock()
 	delete(st.inflight, k) // own-homed keys never have in-flight deltas
-	m.replica.Take(k)
 	return v
 }
 
@@ -668,9 +645,9 @@ func (m *Manager) retireLocked(st *stripe, k kv.Key, ack uint32) {
 // read-your-writes across the install. The key's stripe lock must be held.
 // Keys no longer replicated here are dropped: a refresh (or a home-side
 // broadcast that copied its keys under homeMu) may land after a demotion
-// cleared the flag, and installing then would resurrect a removed entry.
+// removed the entry, and installing then would resurrect it.
 func (m *Manager) installLocked(st *stripe, k kv.Key, merged []float32) {
-	if m.flags[k].Load() == 0 {
+	if !m.replica.Has(k) {
 		return
 	}
 	v := make([]float32, len(merged))

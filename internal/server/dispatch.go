@@ -1,6 +1,7 @@
 package server
 
 import (
+	"sync"
 	"time"
 
 	"lapse/internal/kv"
@@ -35,23 +36,36 @@ type Router interface {
 	RouteKey(t msg.OpType, op *OpCtx, k kv.Key, dst, vals []float32) KeyRoute
 }
 
+// SendGate is an optional extension of Router for variants in which a Dest
+// verdict can be overtaken before the group it was batched into is sent: in
+// Lapse a co-located worker's Localize may open the key's relocation queue —
+// and put its request on the link — between RouteKey and the group send, and
+// the operation would then reach the key behind accesses its worker issues
+// later. For such a router a Dest verdict is a proposal. DispatchOp holds
+// ShardLock(shard) around every group send and offers each key of the group
+// to RouteLocked first: a Served or Enqueued verdict takes the key out of the
+// group, any other keeps it, and the keys kept are on the link before the
+// lock is released (transport Sends queue and never block).
+type SendGate interface {
+	ShardLock(shard int) sync.Locker
+	RouteLocked(t msg.OpType, op *OpCtx, k kv.Key, dst, vals []float32) KeyRoute
+}
+
 // OpCtx is the in-flight state of one DispatchOp call. Its pending-operation
 // parts register lazily: a shard's part (and the operation's aggregate) is
 // created only when the first of its keys actually needs the pending table —
 // an operation whose keys are all served through the fast path registers
 // nothing and completes without a single allocation.
 type OpCtx struct {
-	nd       *Node
-	t        msg.OpType
-	lease    bool // read-only dispatch requesting serving-cache leases
-	keys     []kv.Key
-	dst      []float32
-	offs     []int32  // per-occurrence offset into dst/vals
-	fastDone []bool   // occurrences already served via the fast path
-	counts   []int    // keys per shard
-	ids      []uint64 // registered part IDs per shard (0 = unregistered)
-	agg      *Agg
-	cur      int // occurrence index currently being routed
+	nd    *Node
+	t     msg.OpType
+	lease bool // read-only dispatch requesting serving-cache leases
+	keys  []kv.Key
+	dst   []float32
+	vals  []float32
+	ds    *dispatchScratch // per-occurrence offsets and per-shard counts, served counts and part IDs
+	agg   *Agg
+	cur   int // occurrence index currently being routed
 }
 
 // Lease reports whether this operation is a read-only dispatch
@@ -70,7 +84,7 @@ func (c *OpCtx) ID(k kv.Key) uint64 {
 // Off returns the offset of the occurrence currently being routed into the
 // operation's dst/vals buffer. Routers that queue a key record it so a
 // locally applied queue drain can claim its occurrence (Pending.ClaimOffset).
-func (c *OpCtx) Off() int32 { return c.offs[c.cur] }
+func (c *OpCtx) Off() int32 { return c.ds.offs[c.cur] }
 
 // ensure registers shard s's operation part on first use and returns its ID.
 // The part is registered for all of the shard's keys (fast-path keys are
@@ -80,8 +94,9 @@ func (c *OpCtx) Off() int32 { return c.offs[c.cur] }
 // and a stale entry for one would misdirect the response of a duplicate
 // occurrence of the same key.
 func (c *OpCtx) ensure(s int) uint64 {
-	if c.ids[s] != 0 {
-		return c.ids[s]
+	ds := c.ds
+	if ds.ids[s] != 0 {
+		return ds.ids[s]
 	}
 	if c.agg == nil {
 		c.agg = NewAgg()
@@ -89,26 +104,53 @@ func (c *OpCtx) ensure(s int) uint64 {
 	var entries []OpEntry
 	if c.t == msg.OpPull && c.dst != nil {
 		nShards := len(c.nd.shards)
-		entries = make([]OpEntry, 0, c.counts[s])
+		entries = make([]OpEntry, 0, ds.counts[s])
 		for i, k := range c.keys {
-			if !c.fastDone[i] && msg.ShardOfKey(k, nShards) == s {
-				entries = append(entries, OpEntry{Key: k, Off: c.offs[i]})
+			if !ds.fastDone[i] && msg.ShardOfKey(k, nShards) == s {
+				entries = append(entries, OpEntry{Key: k, Off: ds.offs[i]})
 			}
 		}
 	}
-	id := c.nd.shards[s].pending.RegisterOpPart(c.agg, c.counts[s], c.dst, entries)
-	c.ids[s] = id
-	return id
+	ds.ids[s] = c.nd.shards[s].pending.RegisterOpPart(c.agg, ds.counts[s], c.dst, entries)
+	return ds.ids[s]
+}
+
+// at makes occurrence i the one being routed and returns its slice of the
+// operation's buffers: the pull destination or the push update term.
+func (c *OpCtx) at(i int) (dst, vals []float32) {
+	c.cur = i
+	o := int(c.ds.offs[i])
+	l := c.nd.g.layout.Len(c.keys[i])
+	if c.t == msg.OpPull {
+		return c.dst[o : o+l], nil
+	}
+	return nil, c.vals[o : o+l]
+}
+
+// served accounts occurrence i, a key of shard s, as served through the fast
+// path; DispatchOp finishes a shard's served keys in bulk once every key is
+// routed. If the shard's part is already registered, the occurrence has an
+// offset entry: it is claimed, so a duplicate occurrence's response cannot be
+// misdirected onto the region the fast path just served.
+func (c *OpCtx) served(i, s int) {
+	ds := c.ds
+	ds.served[s]++
+	ds.fastDone[i] = true
+	if id := ds.ids[s]; id != 0 {
+		c.nd.shards[s].pending.ClaimOffset(id, c.keys[i], ds.offs[i])
+	}
 }
 
 // sendGroup accumulates the keys of one outgoing message: a destination
 // node, the server shard every key of the group belongs to, and the
-// cache-routing flag. The key/value backing arrays are scratch, reused
-// across operations.
+// cache-routing flag. Routing collects the key occurrences (idx); the
+// message's key and value lists are built from them when the group is sent.
+// The backing arrays are scratch, reused across operations.
 type sendGroup struct {
 	node     int
 	shard    int
 	viaCache bool
+	idx      []int32
 	keys     []kv.Key
 	vals     []float32
 }
@@ -126,8 +168,7 @@ type dispatchScratch struct {
 	ids      []uint64
 	groups   []sendGroup
 	op       msg.Op
-	kbuf     []kv.Key // single-key list for unbatched sends
-	lease    bool     // next DispatchOp is a read-only lease dispatch
+	lease    bool // next DispatchOp is a read-only lease dispatch
 }
 
 func (ds *dispatchScratch) reset(nShards, nKeys int) {
@@ -168,8 +209,7 @@ func (ds *dispatchScratch) group(node, shard int, viaCache bool) *sendGroup {
 	}
 	g := &ds.groups[len(ds.groups)-1]
 	g.node, g.shard, g.viaCache = node, shard, viaCache
-	g.keys = g.keys[:0]
-	g.vals = g.vals[:0]
+	g.idx = g.idx[:0]
 	return g
 }
 
@@ -177,10 +217,9 @@ func (ds *dispatchScratch) group(node, shard int, viaCache bool) *sendGroup {
 // worker thread: it routes each key through the variant's Router and sends
 // the keys that need the network batched into one msg.Op envelope per
 // (destination node, shard) — so every message is shard-pure and lands
-// directly in the serving shard's inbox — or one envelope per key when
-// batching is disabled. The returned future completes when every key has
-// been served, whether by the fast path, a queued entry, or a response
-// message.
+// directly in the serving shard's inbox. The returned future completes when
+// every key has been served, whether by the fast path, a queued entry, or a
+// response message.
 //
 // Pending-operation parts register lazily through the OpCtx: a shard's part
 // exists only if one of its keys was queued or sent, and it is always
@@ -219,13 +258,12 @@ func (h *Handle) DispatchOp(r Router, t msg.OpType, keys []kv.Key, dst, vals []f
 		ds.counts[msg.ShardOfKey(k, nShards)]++
 	}
 	ctx := &ds.ctx
-	*ctx = OpCtx{nd: nd, t: t, lease: ds.lease, keys: keys, dst: dst, offs: ds.offs, fastDone: ds.fastDone,
-		counts: ds.counts, ids: ds.ids}
+	*ctx = OpCtx{nd: nd, t: t, lease: ds.lease, keys: keys, dst: dst, vals: vals, ds: ds}
 
 	for i, k := range keys {
-		l := layout.Len(k)
-		o := int(ds.offs[i])
-		shard := msg.ShardOfKey(k, nShards)
+		// ctx.at(i), written out: it is beyond the inliner's budget, and this
+		// loop is the fast path.
+		o, l := int(ds.offs[i]), layout.Len(k)
 		var kdst, kvals []float32
 		if t == msg.OpPull {
 			kdst = dst[o : o+l]
@@ -240,44 +278,55 @@ func (h *Handle) DispatchOp(r Router, t msg.OpType, keys []kv.Key, dst, vals []f
 			// cost nanoseconds against a network-bound completion).
 			start = nowFunc()
 		}
-		switch {
-		case route.Served:
+		switch shard := msg.ShardOfKey(k, nShards); {
+		case route.Served: // ctx.served(i, shard), written out like ctx.at
 			ds.served[shard]++
 			ds.fastDone[i] = true
 			if ds.ids[shard] != 0 {
-				// The shard's part is already registered, so this
-				// occurrence has an offset entry; claim it so a duplicate
-				// occurrence's response cannot be misdirected onto the
-				// region the fast path just served.
 				nd.shards[shard].pending.ClaimOffset(ds.ids[shard], k, ds.offs[i])
 			}
 		case route.Enqueued:
 			// The router registered the part via op.ID; the queued entry
 			// completes the key through the pending table later.
-		case nd.g.cfg.Unbatched:
-			id := ctx.ensure(shard)
-			ds.kbuf = append(ds.kbuf[:0], k)
-			op := &ds.op
-			*op = msg.Op{Type: t, ID: id, Origin: int32(nd.node), ViaCache: route.ViaCache, Lease: ctx.lease, Keys: ds.kbuf, Vals: kvals}
-			nd.Send(route.Dest, op)
 		default:
 			g := ds.group(route.Dest, shard, route.ViaCache)
-			g.keys = append(g.keys, k)
-			if t == msg.OpPush {
-				g.vals = append(g.vals, kvals...)
-			}
+			g.idx = append(g.idx, int32(i))
 		}
+	}
+	var gate SendGate
+	if len(ds.groups) > 0 {
+		gate, _ = r.(SendGate)
 	}
 	for gi := range ds.groups {
 		g := &ds.groups[gi]
-		id := ctx.ensure(g.shard)
-		var gv []float32
-		if t == msg.OpPush {
-			gv = g.vals
+		var lock sync.Locker
+		if gate != nil {
+			lock = gate.ShardLock(g.shard)
+			lock.Lock()
 		}
-		op := &ds.op
-		*op = msg.Op{Type: t, ID: id, Origin: int32(nd.node), ViaCache: g.viaCache, Lease: ctx.lease, Keys: g.keys, Vals: gv}
-		nd.Send(g.node, op)
+		g.keys, g.vals = g.keys[:0], g.vals[:0]
+		for _, i := range g.idx {
+			k := keys[i]
+			kdst, kvals := ctx.at(int(i))
+			if gate != nil {
+				if route := gate.RouteLocked(t, ctx, k, kdst, kvals); route.Served {
+					ctx.served(int(i), g.shard)
+					continue
+				} else if route.Enqueued {
+					continue
+				}
+			}
+			g.keys = append(g.keys, k)
+			g.vals = append(g.vals, kvals...)
+		}
+		if len(g.keys) > 0 {
+			op := &ds.op
+			*op = msg.Op{Type: t, ID: ctx.ensure(g.shard), Origin: int32(nd.node), ViaCache: g.viaCache, Lease: ctx.lease, Keys: g.keys, Vals: g.vals}
+			nd.Send(g.node, op)
+		}
+		if lock != nil {
+			lock.Unlock()
+		}
 	}
 	for s := 0; s < nShards; s++ {
 		if ds.ids[s] != 0 && ds.served[s] > 0 {

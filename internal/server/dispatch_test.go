@@ -59,7 +59,7 @@ func newDispatchFixture(t *testing.T) (*cluster.Cluster, *Group, kv.UniformLayou
 	t.Helper()
 	layout := kv.NewUniformLayout(16, 2)
 	cl := cluster.New(cluster.Config{Nodes: 2, WorkersPerNode: 1})
-	g := NewGroup(cl, layout, Config{})
+	g := NewGroup(cl, layout)
 	g.Start(func(node, shard int) Policy {
 		p := &testPolicy{rt: g.Runtime(node, shard), layout: layout, params: make([]float32, layout.TotalLen())}
 		for k := kv.Key(0); k < layout.NumKeys(); k++ {

@@ -15,6 +15,12 @@ import (
 // not be shared between goroutines — which is exactly what lets the dispatch
 // scratch go lock-free.
 type Handle struct {
+	// A worker writes its handle on every operation (dispatch scratch, opSeq),
+	// and the handles of co-located workers are often allocated back to back
+	// in a size class that is no multiple of a cache line. The pads keep one
+	// worker's writes off the lines another's handle lives on: without them
+	// mf_blocking lost 15 % when the scratch shrank from 504 to 416 bytes.
+	_           [64]byte
 	nd          *Node
 	worker      int
 	outstanding []*kv.Future
@@ -25,6 +31,7 @@ type Handle struct {
 	// the sampling period cannot alias one kind out of the sample stream.
 	lat   *metrics.OpLat
 	opSeq [2]uint32
+	_     [64]byte
 }
 
 // NewHandle returns a handle for the given worker bound to nd's node. The

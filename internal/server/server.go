@@ -31,7 +31,6 @@
 package server
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -40,19 +39,6 @@ import (
 	"lapse/internal/metrics"
 	"lapse/internal/msg"
 )
-
-// Config parameterizes the shared runtime.
-type Config struct {
-	// Unbatched disables per-destination message batching: every key of a
-	// multi-key worker operation travels in its own message. Only used to
-	// quantify the batching win in tests and benchmarks.
-	Unbatched bool
-	// PinShards pins each shard's server goroutine to one CPU core (OS
-	// thread locked, affinity set to core (node*shards+shard) mod NumCPU),
-	// keeping a shard's cache-hot parameter slice on one core. Linux only;
-	// a no-op elsewhere.
-	PinShards bool
-}
 
 // Policy is the variant-specific part of a node's server shard: it handles
 // every wire message except msg.OpResp, which the runtime consumes itself.
@@ -71,7 +57,6 @@ type Policy interface {
 type Group struct {
 	cl     *cluster.Cluster
 	layout kv.Layout
-	cfg    Config
 	shards int
 	nodes  []*Node
 	wg     sync.WaitGroup
@@ -81,11 +66,10 @@ type Group struct {
 // Runtime per transport inbox shard. The runtimes are inert until Start
 // binds their policies and spawns the message loops, so variants can wire
 // their per-node state to the runtimes in between.
-func NewGroup(cl *cluster.Cluster, layout kv.Layout, cfg Config) *Group {
+func NewGroup(cl *cluster.Cluster, layout kv.Layout) *Group {
 	g := &Group{
 		cl:     cl,
 		layout: layout,
-		cfg:    cfg,
 		shards: cl.Net().Shards(),
 		nodes:  make([]*Node, cl.Nodes()),
 	}
@@ -115,7 +99,7 @@ func (g *Group) Runtime(n, s int) *Runtime { return g.nodes[n].shards[s] }
 
 // Stats returns the per-shard server statistics of every node, node-major:
 // entry n*Shards()+s belongs to shard s of node n. Aggregate with
-// metrics.Sum for cluster totals or NodeStats for one node's shards.
+// metrics.Sum for cluster totals.
 func (g *Group) Stats() []*metrics.ServerStats {
 	out := make([]*metrics.ServerStats, 0, len(g.nodes)*g.shards)
 	for _, nd := range g.nodes {
@@ -139,15 +123,6 @@ func (g *Group) Latencies() metrics.LatencySnapshot {
 			}
 		}
 		nd.latMu.Unlock()
-	}
-	return out
-}
-
-// NodeStats returns the per-shard statistics of node n.
-func (g *Group) NodeStats(n int) []*metrics.ServerStats {
-	out := make([]*metrics.ServerStats, g.shards)
-	for s, rt := range g.nodes[n].shards {
-		out[s] = rt.stats
 	}
 	return out
 }
@@ -220,9 +195,6 @@ func (nd *Node) ShardOf(k kv.Key) *Runtime {
 	return nd.shards[msg.ShardOfKey(k, len(nd.shards))]
 }
 
-// Batched reports whether per-destination message batching is enabled.
-func (nd *Node) Batched() bool { return !nd.g.cfg.Unbatched }
-
 // Send transmits m over the cluster transport with this node as source, even
 // when dest is this node (the loopback link models PS-Lite's IPC path). The
 // transport encodes m through the wire codec immediately, so the caller may
@@ -254,9 +226,6 @@ func (rt *Runtime) Pending() *Pending { return rt.pending }
 // Stats returns the shard's statistics counters.
 func (rt *Runtime) Stats() *metrics.ServerStats { return rt.stats }
 
-// Batched reports whether per-destination message batching is enabled.
-func (rt *Runtime) Batched() bool { return !rt.nd.g.cfg.Unbatched }
-
 // Send transmits m over the cluster transport (see Node.Send).
 func (rt *Runtime) Send(dest int, m any) { rt.nd.Send(dest, m) }
 
@@ -285,13 +254,6 @@ func (rt *Runtime) SendOrDispatch(dest int, m any) {
 // "Allocation-free message path"; msg.SetPoison catches violations).
 func (rt *Runtime) loop() {
 	defer rt.nd.g.wg.Done()
-	if rt.nd.g.cfg.PinShards {
-		// Keep this shard's work — and its slice of the parameter table —
-		// on one core for the lifetime of the loop.
-		runtime.LockOSThread()
-		defer runtime.UnlockOSThread()
-		pinToCore((rt.nd.node*rt.nd.g.shards + rt.shard) % runtime.NumCPU())
-	}
 	for env := range rt.nd.g.cl.Net().Inbox(rt.nd.node, rt.shard) {
 		rt.handle(env.Src, env.Msg)
 		env.Recycle()

@@ -56,14 +56,6 @@ type Config struct {
 	ServerSync bool
 	// Partitioner assigns keys to server shards (default: range).
 	Partitioner partition.Partitioner
-	// Latches is the store latch-list size (0 = default).
-	Latches int
-	// Unbatched disables per-destination message batching (measurement
-	// only).
-	Unbatched bool
-	// PinShards pins each server shard goroutine to one CPU core (see
-	// server.Config.PinShards).
-	PinShards bool
 }
 
 // System is a running stale PS.
@@ -133,7 +125,7 @@ func New(cl *cluster.Cluster, layout kv.Layout, cfg Config) *System {
 		layout:  layout,
 		cfg:     cfg,
 		part:    cfg.Partitioner,
-		g:       server.NewGroup(cl, layout, server.Config{Unbatched: cfg.Unbatched, PinShards: cfg.PinShards}),
+		g:       server.NewGroup(cl, layout),
 		nodes:   make([]*node, cl.Nodes()),
 		workers: cl.TotalWorkers(),
 	}
@@ -148,7 +140,7 @@ func New(cl *cluster.Cluster, layout kv.Layout, cfg Config) *System {
 			sys:          s,
 			srv:          srv,
 			sh:           make([]*policyShard, srv.Shards()),
-			shard:        store.NewDense(layout, cfg.Latches),
+			shard:        store.NewDense(layout, 0),
 			workerClocks: make([]int32, cl.TotalWorkers()),
 			subs:         make(map[int]map[kv.Key]struct{}),
 			replicas:     make(map[kv.Key]*replica),

@@ -384,9 +384,9 @@ func (r *ring) empty() bool {
 
 // waitData parks the consumer until the ring is non-empty, spinning for the
 // busy-poll window first. Spurious returns are fine; the caller re-peeks.
-func (r *ring) waitData(busyPoll time.Duration) {
-	if busyPoll > 0 {
-		deadline := time.Now().Add(busyPoll)
+func (r *ring) waitData(spin time.Duration) {
+	if spin > 0 {
+		deadline := time.Now().Add(spin)
 		for i := 0; ; i++ {
 			if !r.empty() {
 				return

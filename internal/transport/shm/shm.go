@@ -60,12 +60,6 @@ type Config struct {
 	// rounded up to a power of two; grown to admit MaxMessage). Every
 	// process must use the same value.
 	RingSize int
-	// BusyPoll is how long a consumer spins for the next frame after
-	// processing one before parking on the doorbell, keeping mid-burst latency
-	// in the sub-microsecond range (negative disables). The default is 50µs
-	// when a spare CPU exists and 0 on a single-CPU host, where spinning
-	// only steals the producer's time slice.
-	BusyPoll time.Duration
 	// InboxSize bounds each local node's total inbox capacity (default
 	// 1<<16), divided across its Shards channels like the tcp transport.
 	InboxSize int
@@ -88,9 +82,11 @@ type Config struct {
 	Fallback *tcp.Network
 }
 
-const (
-	defaultBusyPoll = 50 * time.Microsecond
-)
+// busyPoll is how long a consumer spins for the next frame after processing
+// one before parking on the doorbell, keeping mid-burst latency in the
+// sub-microsecond range — when a spare CPU exists: on a single-CPU host
+// spinning only steals the producer's time slice, and consumers park at once.
+const busyPoll = 50 * time.Microsecond
 
 type ringKey struct{ src, dst, shard int }
 type linkKey struct{ src, dst int }
@@ -99,6 +95,7 @@ type linkKey struct{ src, dst int }
 type Network struct {
 	cfg      Config
 	frameCap int
+	spin     time.Duration // busyPoll, or 0 on a single-CPU host
 	local    []bool
 	ringTo   []bool
 	inboxes  [][]chan transport.Envelope // [node][shard]; nil for non-local
@@ -156,13 +153,6 @@ func New(cfg Config) (*Network, error) {
 	if cfg.DrainTimeout <= 0 {
 		cfg.DrainTimeout = 2 * time.Second
 	}
-	if cfg.BusyPoll == 0 {
-		if runtime.GOMAXPROCS(0) > 1 {
-			cfg.BusyPoll = defaultBusyPoll
-		}
-	} else if cfg.BusyPoll < 0 {
-		cfg.BusyPoll = 0
-	}
 	if cfg.RingSize <= 0 {
 		cfg.RingSize = DefaultRingSize
 	}
@@ -192,6 +182,9 @@ func New(cfg Config) (*Network, error) {
 		links:    make(map[linkKey]*link),
 		done:     make(chan struct{}),
 		draining: make(chan struct{}),
+	}
+	if runtime.GOMAXPROCS(0) > 1 {
+		n.spin = busyPoll
 	}
 	if cfg.Local == nil {
 		for i := range n.local {
@@ -504,7 +497,7 @@ func (n *Network) consume(r *ring, src, dst, shard int) {
 			default:
 				if productive {
 					productive = false
-					r.waitData(n.cfg.BusyPoll)
+					r.waitData(n.spin)
 				} else {
 					r.waitData(0)
 				}

@@ -69,25 +69,20 @@ type Config struct {
 	// protecting against corrupt length prefixes: the length is validated
 	// before any buffer grows to hold the frame.
 	MaxMessage int
-	// ReadBuffer is the per-connection read slab size (default 64 KiB).
-	// One kernel read fills the slab with as many frames as are available,
-	// and the decode loop consumes them without further syscalls; the slab
-	// grows only for single frames larger than it (after MaxMessage
-	// validation).
-	ReadBuffer int
-	// FlushWindow lets a link writer that just grabbed a small batch wait
-	// this long for more frames before issuing the writev, trading a little
-	// latency for fewer, larger syscalls. The wait is adaptive: it engages
-	// only while the link's recent batch sizes show a coalescible stream,
-	// so sparse request/reply traffic (barriers) never pays it. 0 means the
-	// 20µs default; negative disables.
-	FlushWindow time.Duration
 }
 
 const (
-	defaultReadBuffer  = 64 << 10
-	minReadBuffer      = 4 << 10
-	defaultFlushWindow = 20 * time.Microsecond
+	// readBuffer is the per-connection read slab size. One kernel read fills
+	// the slab with as many frames as are available, and the decode loop
+	// consumes them without further syscalls; the slab grows only for single
+	// frames larger than it (after MaxMessage validation).
+	readBuffer = 64 << 10
+	// flushWindow lets a link writer that just grabbed a small batch wait
+	// this long for more frames before issuing the writev, trading a little
+	// latency for fewer, larger syscalls. The wait is adaptive: it engages
+	// only while the link's recent batch sizes show a coalescible stream,
+	// so sparse request/reply traffic (barriers) never pays it.
+	flushWindow = 20 * time.Microsecond
 	// flushBatchTarget is the batch size at which the writer stops waiting
 	// and writes; flushEngageEWMA is the recent-batch-size level above which
 	// the wait engages at all.
@@ -151,14 +146,6 @@ func New(cfg Config) (*Network, error) {
 	}
 	if cfg.Shards <= 0 {
 		cfg.Shards = 1
-	}
-	if cfg.ReadBuffer <= 0 {
-		cfg.ReadBuffer = defaultReadBuffer
-	} else if cfg.ReadBuffer < minReadBuffer {
-		cfg.ReadBuffer = minReadBuffer
-	}
-	if cfg.FlushWindow == 0 {
-		cfg.FlushWindow = defaultFlushWindow
 	}
 	n := &Network{
 		cfg:       cfg,
@@ -509,11 +496,10 @@ func (l *link) run() {
 		l.queue = nil
 		closed := l.closed
 		l.mu.Unlock()
-		if fw := l.n.cfg.FlushWindow; fw > 0 && !closed &&
-			len(batch) > 0 && len(batch) < flushBatchTarget && l.ewma > flushEngageEWMA {
+		if !closed && len(batch) > 0 && len(batch) < flushBatchTarget && l.ewma > flushEngageEWMA {
 			// The stream has been coalescing well but this batch is small:
 			// wait briefly for stragglers so they share one writev.
-			deadline := time.Now().Add(fw)
+			deadline := time.Now().Add(flushWindow)
 			for time.Now().Before(deadline) {
 				runtime.Gosched()
 				l.mu.Lock()
@@ -618,7 +604,7 @@ func (n *Network) readLoop(conn net.Conn) {
 		n.connMu.Unlock()
 		conn.Close()
 	}()
-	buf := make([]byte, n.cfg.ReadBuffer)
+	buf := make([]byte, readBuffer)
 	start, end := 0, 0
 	// fill ensures buf[start:end] holds at least need contiguous bytes,
 	// compacting or (for oversized frames, already length-validated) growing

@@ -37,10 +37,13 @@
 //		return w.Pull(keys, buf)
 //	})
 //
-// The cluster is simulated in-process: each node runs one server goroutine
-// and WorkersPerNode worker goroutines, and inter-node traffic crosses a
-// simulated network with configurable latency and bandwidth (zero values
-// mean instantaneous delivery). The parameter-server protocol — home-node
+// The cluster is simulated in-process by default: each node runs
+// Config.ServerShards server goroutines, each serving an interleaved slice of
+// the keys, and WorkersPerNode worker goroutines, and inter-node traffic
+// crosses a simulated network with configurable latency and bandwidth (zero
+// values mean instantaneous delivery); Config.TCP runs the same nodes over
+// real sockets and shared-memory rings, in one process or one per node. The
+// parameter-server protocol — home-node
 // location management, the three-message relocation protocol, operation
 // queuing during relocations, optional location caches — is the full
 // system described in the paper; see the internal packages for details and
@@ -99,8 +102,7 @@ type NetworkConfig struct {
 // shared-memory rings instead of loopback sockets — set DisableSHM to force
 // plain TCP, SHMDir to override the ring directory (co-located processes
 // must agree on it; defaults to a per-deployment directory derived from
-// Addrs). ReadBuffer overrides the TCP read slab size (0 = 64 KiB). In
-// multi-process mode (Node >= 0), Run executes the worker function only for
+// Addrs). In multi-process mode (Node >= 0), Run executes the worker function only for
 // this node's workers, the cluster barrier spans processes, and Init / Read
 // are limited to keys owned by this process's node — read converged values
 // through Worker.Pull instead. Watch Cluster.Err for link failures:
@@ -109,7 +111,6 @@ type TCPDeployment struct {
 	Addrs      []string
 	Node       int
 	MaxMessage int
-	ReadBuffer int
 	DisableSHM bool
 	SHMDir     string
 }
@@ -187,11 +188,6 @@ type Config struct {
 	// with caches on, asynchronous operations are only eventually
 	// consistent (Theorem 3 of the paper).
 	LocationCaches bool
-	// DisableBatching turns off per-destination message batching: every
-	// key of a multi-key operation travels in its own network message.
-	// Only useful to measure the batching win (see Stats); leave it off
-	// in real workloads.
-	DisableBatching bool
 	// Replicate designates hot keys managed by eventually-consistent
 	// replication instead of relocation: every node holds a local replica,
 	// so all reads and writes of these keys are shared-memory operations,
@@ -217,12 +213,6 @@ type Config struct {
 	// workloads. In multi-process deployments, Adaptive must be identical in
 	// every process.
 	Adaptive *AdaptiveConfig
-	// PinShards pins each server shard goroutine to one CPU core
-	// (sched_setaffinity; Linux only, no-op elsewhere), keeping a shard's
-	// slice of the parameter table cache-hot on one core. Worth enabling
-	// for server-bound workloads on dedicated machines; leave off on
-	// shared or oversubscribed hosts.
-	PinShards bool
 	// Serving, when non-nil, enables the read-path serving tier for
 	// read-mostly workloads: Worker.MultiGet misses install TTL-leased
 	// values in a node-local serving cache, and repeat MultiGets of leased
@@ -375,7 +365,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 			Addrs:      cfg.TCP.Addrs,
 			Node:       cfg.TCP.Node,
 			MaxMessage: cfg.TCP.MaxMessage,
-			ReadBuffer: cfg.TCP.ReadBuffer,
 			DisableSHM: cfg.TCP.DisableSHM,
 			SHMDir:     cfg.TCP.SHMDir,
 		}
@@ -392,8 +381,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	}
 	coreCfg := core.Config{
 		LocationCaches:   cfg.LocationCaches,
-		Unbatched:        cfg.DisableBatching,
-		PinShards:        cfg.PinShards,
 		Replicate:        cfg.Replicate,
 		ReplicaSyncEvery: cfg.ReplicaSyncEvery,
 	}
