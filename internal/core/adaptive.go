@@ -337,31 +337,25 @@ func (sh *policyShard) beginReplicate(k kv.Key) {
 
 // finishReplicate completes a promotion once the key's value is in the home
 // store: drain anything still queued into the store, then — atomically with
-// respect to worker enqueues — move the value into the replication manager,
-// flip the state to Replicated, and drop the queue. Afterwards every other
-// node receives the value in a ManageReplicate broadcast; Localizes deferred
-// during the transition are answered by that same broadcast (their origins
-// complete the pending localize when the replica is installed), home-side
-// waiters (a co-located worker's Localize raced the promotion) by the drain.
+// respect to worker enqueues — take the value out (which drops the leases
+// granted on it, like any departure), hand it to the replication manager, flip
+// the state to Replicated, and drop the queue. Afterwards every other node
+// receives the value in a ManageReplicate broadcast, which a lease holder gets
+// behind its drop: both are key-addressed. Localizes deferred during the
+// transition are answered by that same broadcast (their origins wake the
+// waiting localizes when the replica is installed), home-side waiters (a
+// co-located worker's Localize raced the promotion) by the drain.
 func (sh *policyShard) finishReplicate(k kv.Key) {
 	nd := sh.nd
 	var v []float32
 	sh.drain(k, backStore, stateReplicated, func() {
-		if v = nd.store.Take(k); v == nil {
-			panic(fmt.Sprintf("core: promote of key %d at node %d: value missing", k, nd.id))
-		}
+		v = sh.takeOut(k)
 		nd.rep.EnterHomeKey(k, v)
 	})
 	if v == nil {
 		// handleLocalize defers every Localize for a transitioning key, so no
 		// instruct can be issued against the home mid-promotion.
 		panic(fmt.Sprintf("core: instruct queued during promotion of key %d", k))
-	}
-	if nd.isLeased(k) {
-		// The key enters replication with outstanding serving leases:
-		// piggyback their drop on the sync cycle's next refresh broadcast,
-		// which reaches every node anyway.
-		nd.queueRevoke(k)
 	}
 	delete(sh.transitioning, k)
 	sh.stats.AdaptPromotions.Inc()
@@ -378,9 +372,10 @@ func (sh *policyShard) finishReplicate(k kv.Key) {
 // If a relocation of k toward this node is in flight — the localize that
 // raced the promotion will never be answered by a transfer — its queue is
 // adopted: queued accesses drain into the replica, in order and ahead of the
-// Replicated fast path, and the localize waiters complete. An instruct cannot
-// be among them: one is only queued while this node is the key's registered
-// owner, and the promoting home recalled the key before broadcasting.
+// Replicated fast path, and the queue's waiting localizes are woken. An
+// instruct cannot be among the entries: one is only queued while this node is
+// the key's registered owner, and the promoting home recalled the key before
+// broadcasting.
 // Duplicate installs (broadcast plus localize reply) are no-ops.
 func (sh *policyShard) enterReplica(k kv.Key, v []float32) {
 	nd := sh.nd
@@ -483,8 +478,8 @@ func (sh *policyShard) finalizeDemote(k kv.Key) {
 // ManageLocalize hint, or the home recalling a cold stray key): mark the key
 // incoming, open its queue, and send the ordinary Localize to the home before
 // the queue lock is released, so accesses that arrive before the transfer are
-// caught exactly as in the worker-initiated protocol. No pending-table waiter
-// is registered — nothing blocks on the arrival.
+// caught exactly as in the worker-initiated protocol. No waiter joins the
+// queue — nothing blocks on the arrival.
 func (sh *policyShard) localizeHere(k kv.Key) {
 	nd := sh.nd
 	sh.queueMu.Lock()

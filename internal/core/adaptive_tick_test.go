@@ -98,6 +98,8 @@ func TestReportGaugesAndSetAsideTrace(t *testing.T) {
 		}
 		return n, detail
 	}
+	// The handler sets the gauge first and records the trace event after it.
+	waitFor(t, "the set-aside record", func() bool { n, _ := setAside(); return n > 0 })
 	if n, detail := setAside(); n != 1 || !strings.Contains(detail, "evidence=5") {
 		t.Fatalf("%d set-aside records (%q), want one with evidence=5", n, detail)
 	}

@@ -209,10 +209,12 @@ type policyShard struct {
 	resp    msg.OpResp
 }
 
-// keyQueue buffers operations that arrived for a key while it is relocating
-// to this node (state Incoming). Entries drain in arrival order.
+// keyQueue is everything that waits for a key relocating to this node (state
+// Incoming): the operations that arrived meanwhile, drained in arrival order,
+// and the localizes to complete once the key is in (see wake).
 type keyQueue struct {
 	entries []queueEntry
+	waiters []*server.Agg
 }
 
 // queueEntry is one queued access, or a relocation instruct that chains the
@@ -556,12 +558,6 @@ func (sh *policyShard) HandleMessage(src int, m any) {
 		// successive sync rounds keep their per-link order.
 		sh.nd.rep.HandleSync(t)
 	case *msg.ReplicaRefresh:
-		// Piggybacked lease drops must apply before the refresh: a worker
-		// that observes the refreshed replica must not fall back to a stale
-		// cached lease afterwards.
-		if len(t.Revoke) > 0 {
-			sh.nd.servingDrop(t.Revoke, sh.stats)
-		}
 		sh.nd.rep.HandleRefresh(t)
 	case *msg.LeaseRevoke:
 		sh.nd.applyLeaseRevoke(t, sh.stats)
@@ -870,6 +866,21 @@ func (sh *policyShard) openQueue(k kv.Key) {
 	sh.queues[k] = &keyQueue{}
 }
 
+// wake completes the localizes waiting on k's queue: the key is known to be
+// here. It runs where a transfer comes in and where the queue closes — a
+// localize that finds the key Incoming in between joins the queue after the
+// first and is woken by the second — and for an instruct this node addressed
+// to itself. The caller holds queueMu, as LocalizeAsync does when it appends,
+// so no waiter is missed.
+func (sh *policyShard) wake(k kv.Key) {
+	if q := sh.queues[k]; q != nil {
+		for _, a := range q.waiters {
+			a.Finish(1)
+		}
+		q.waiters = nil
+	}
+}
+
 // handleLocalize runs at the home node (message 1 of the relocation
 // protocol): update the owner table immediately, then instruct each previous
 // owner to hand the keys over to the requester. Keys are grouped per previous
@@ -917,9 +928,13 @@ func (sh *policyShard) handleLocalize(m *msg.Localize) {
 func (sh *policyShard) handleInstruct(m *msg.RelocInstruct) {
 	if int(m.Dest) == sh.rt.Node() {
 		// Localize raced with a relocation that already made this node
-		// the owner; nothing to move. Confirm arrival to the pending
-		// localize directly.
-		sh.rt.Pending().CompleteLocalizeKeys(m.Keys, sh.stats)
+		// the owner; nothing to move. Confirm arrival to the waiting
+		// localizes directly.
+		sh.queueMu.Lock()
+		for _, k := range m.Keys {
+			sh.wake(k)
+		}
+		sh.queueMu.Unlock()
 		return
 	}
 	var moveKeys []kv.Key
@@ -943,18 +958,21 @@ func (sh *policyShard) handleInstruct(m *msg.RelocInstruct) {
 	}
 }
 
-// takeOut removes k's value from the local store for a transfer. The caller
-// has closed the fast path first (state NotHere, or still Incoming in a
-// drain), so worker accesses that lose the race fall through to the gate's
-// slow step.
+// takeOut removes k's value from the local store — the only way a value
+// leaves it: for a transfer to the key's next owner, or for the replication
+// manager when the key is promoted. The caller has closed the fast path first
+// (state NotHere, or still Incoming in a drain), so worker accesses that lose
+// the race fall through to the gate's slow step.
 func (sh *policyShard) takeOut(k kv.Key) []float32 {
 	v := sh.nd.store.Take(k)
 	if v == nil {
-		panic(fmt.Sprintf("core: instruct for key %d at node %d: not owned and not incoming", k, sh.rt.Node()))
+		panic(fmt.Sprintf("core: key %d leaves node %d, which neither owns it nor holds it in a drain", k, sh.rt.Node()))
 	}
 	if sh.nd.isLeased(k) {
-		// The key moves to a new owner who knows nothing of the leases this
-		// node granted; drop them before the transfer leaves.
+		// Whoever serves the key next knows nothing of the leases this node
+		// granted. The drops are key-addressed and leave here, ahead of the
+		// transfer or the ManageReplicate the caller sends next on the same
+		// (link, shard) streams.
 		sh.nd.dropLeases(k)
 	}
 	return v
@@ -971,7 +989,9 @@ func (sh *policyShard) handleTransfer(m *msg.RelocTransfer) {
 		src += l
 		sh.stats.Relocations.Inc()
 		sh.trace.Record(sh.rt.Node(), sh.rt.Shard(), metrics.TraceRelocFinish, k, -1, sh.rt.Node(), "")
-		sh.rt.Pending().CompleteLocalizeKeys([]kv.Key{k}, sh.stats)
+		sh.queueMu.Lock()
+		sh.wake(k)
+		sh.queueMu.Unlock()
 		if tr, busy := sh.transitioning[k]; busy && tr.kind == transPromote {
 			// This arrival is the home recalling the key to promote it into
 			// replication: the value goes on to the replication manager
@@ -987,12 +1007,13 @@ func (sh *policyShard) handleTransfer(m *msg.RelocTransfer) {
 // the key's value although its state is still Incoming, and then closes the
 // queue: under queueMu — so no access can slip between the last queued entry
 // and the first one that takes the fast path — onEmpty runs (a promotion
-// moves the value on there; nil otherwise), the queue goes, the key enters
-// state next, and localize waiters registered meanwhile are notified. A
-// queued instruct sends the value on to its next owner mid-drain
-// (localization conflict: the key did arrive, it just moves on at once); the
-// entries behind it, and those that keep joining the still-open queue, follow
-// it through the gate in the same order, and the key is left NotHere.
+// moves the value on there; nil otherwise), the localizes that joined the
+// queue since the transfer came in are woken, the queue goes, and the key
+// enters state next. A queued instruct sends the value on to its next owner
+// mid-drain (localization conflict: the key did arrive, it just moves on at
+// once); the entries behind it, and those that keep joining the still-open
+// queue, follow it through the gate in the same order, and the key is left
+// NotHere.
 func (sh *policyShard) drain(k kv.Key, b backing, next uint32, onEmpty func()) {
 	nd := sh.nd
 	for {
@@ -1004,12 +1025,12 @@ func (sh *policyShard) drain(k kv.Key, b backing, next uint32, onEmpty func()) {
 			} else if onEmpty != nil {
 				onEmpty()
 			}
+			sh.wake(k)
 			delete(sh.queues, k)
 			nd.state[k].Store(next)
 			if next == stateOwned && nd.cache != nil {
 				nd.cache[k].Store(int32(nd.id))
 			}
-			sh.rt.Pending().CompleteLocalizeKeys([]kv.Key{k}, sh.stats)
 			sh.queueMu.Unlock()
 			return
 		}

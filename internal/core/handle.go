@@ -167,21 +167,20 @@ func (h *handle) PullIfLocal(keys []kv.Key, dst []float32) (bool, error) {
 
 // LocalizeAsync implements kv.KV: it requests relocation of all non-local
 // keys to this node and returns a future that completes when every key has
-// arrived (Section 3.2). Keys already relocating here (requested by a
-// co-located worker) are waited on without sending additional messages; keys
-// that do need a request are batched into one message per (home node, shard)
-// — relocation messages are shard-pure like operation messages — which leaves
-// under the shard's queue lock, like every request that opens a queue. Arrival
-// tracking registers one pending part per shard under an aggregate that
-// completes when every shard's keys are in.
+// arrived (Section 3.2). The call joins, per key, the waiters of the key's
+// relocation queue under the shard's queue lock, so an arrival cannot be
+// missed. Keys already relocating here (requested by a co-located worker, or
+// recalled by this node as their home) are waited on without sending
+// additional messages; keys that do need a request are batched into one
+// message per (home node, shard) — relocation messages are shard-pure like
+// operation messages — which leaves under the same lock, like every request
+// that opens a queue.
 func (h *handle) LocalizeAsync(keys []kv.Key) *kv.Future {
 	if len(keys) == 0 {
 		return kv.CompletedFuture(nil)
 	}
 	start := time.Now()
 	nd := h.nd
-	// Group keys by shard first; each shard's classification and waiter
-	// registration happen under that shard's queue lock.
 	byShard := make(map[*policyShard][]kv.Key)
 	for _, k := range keys {
 		if nd.state[k].Load() == stateReplicated {
@@ -194,10 +193,8 @@ func (h *handle) LocalizeAsync(keys []kv.Key) *kv.Future {
 		return kv.CompletedFuture(nil)
 	}
 	a := server.NewAgg()
-	registered := false
+	waiting, timed := false, false
 	for sh, shKeys := range byShard {
-		pending := sh.rt.Pending()
-		var waitKeys []kv.Key
 		var requests map[int][]kv.Key // home node -> keys to request from it
 		sh.queueMu.Lock()
 		for _, k := range shKeys {
@@ -212,28 +209,27 @@ func (h *handle) LocalizeAsync(keys []kv.Key) *kv.Future {
 				home := h.sys.home.NodeOf(k)
 				requests[home] = append(requests[home], k)
 			}
-			waitKeys = append(waitKeys, k)
+			a.Add(1)
+			q := sh.queues[k]
+			q.waiters = append(q.waiters, a)
+			waiting = true
 		}
-		if len(waitKeys) > 0 {
-			id := pending.RegisterLocalizePart(a, len(waitKeys))
-			registered = true
-			for _, k := range waitKeys {
-				pending.AddWaiter(k, id)
-			}
-			if requests != nil {
-				a.Measure() // this localize sends network messages: time it
-			}
-			for home, keys := range requests {
-				nd.srv.Send(home, &msg.Localize{ID: id, Origin: int32(h.NodeID()), Keys: keys})
-			}
+		if requests != nil && !timed {
+			// This localize sends network messages: its completion is a
+			// relocation time.
+			a.Time(&sh.stats.RelocationTime, start)
+			timed = true
+		}
+		for home, keys := range requests {
+			nd.srv.Send(home, &msg.Localize{ID: nd.srv.NextID(), Origin: int32(h.NodeID()), Keys: keys})
 		}
 		sh.queueMu.Unlock()
 	}
-	if !registered {
+	if !waiting {
 		return kv.CompletedFuture(nil)
 	}
 	a.Time(&h.Lat().Localize, start)
-	fut := a.Seal(nd.shardOf(keys[0]).stats)
+	fut := a.Seal()
 	h.Track(fut)
 	return fut
 }

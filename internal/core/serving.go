@@ -34,9 +34,11 @@ import (
 // and never block), so the refreshes of concurrent writers — shard goroutines
 // and the owner's own workers — leave in value order and the last one to
 // land holds every write before it. The value-less form of the message (drop)
-// remains where the value leaves the owner: relocation transfer-out, and
-// promotion into replication, whose drops ride the sync cycle's
-// ReplicaRefresh broadcast (Revoke field). A refresh whose Vals do not match
+// remains where the value leaves the owner's store, in takeOut: a relocation's
+// transfer-out and a promotion into replication alike send it to the holders
+// directly, ahead of the RelocTransfer or ManageReplicate that follows on the
+// same (link, shard) stream — a holder drops its cached copy before the
+// replica that supersedes it is installed. A refresh whose Vals do not match
 // the keys' layout lengths is treated as a drop: the wire is outside input.
 //
 // Correctness:
@@ -392,23 +394,6 @@ func (reg *leaseReg) sendHolders(nd *node, k kv.Key, ttlMicros uint32, vals []fl
 	}
 }
 
-// queueRevoke routes a promotion's lease drop through the replication sync
-// cycle: the key is entering replication, so the next ReplicaRefresh
-// broadcast — which every node receives — carries the drop piggybacked in its
-// Revoke field, costing no extra message.
-func (nd *node) queueRevoke(k kv.Key) {
-	reg := nd.leases
-	reg.mu.Lock()
-	_, ok := reg.holders[k]
-	delete(reg.holders, k)
-	nd.leased[k].Store(0)
-	reg.mu.Unlock()
-	if ok {
-		nd.srv.Shard(0).Stats().LeaseRevokes.Inc()
-		nd.rep.QueueRevoke(k)
-	}
-}
-
 // applyLeaseRevoke handles an owner's coherence message at a holder: the
 // refresh form overwrites live entries in place, the drop form — and a
 // refresh whose values do not fit the keys, which the codec cannot rule out —
@@ -418,7 +403,11 @@ func (nd *node) applyLeaseRevoke(m *msg.LeaseRevoke, stats *metrics.ServerStats)
 		return
 	}
 	if len(m.Vals) == 0 || !nd.valsFit(m.Keys, len(m.Vals)) {
-		nd.servingDrop(m.Keys, stats)
+		for _, k := range m.Keys {
+			if nd.serving.drop(k) {
+				stats.LeaseInvalidations.Inc()
+			}
+		}
 		return
 	}
 	src := 0
@@ -442,17 +431,4 @@ func (nd *node) valsFit(keys []kv.Key, n int) bool {
 		n -= layout.Len(k)
 	}
 	return n == 0
-}
-
-// servingDrop discards the local cache entries of keys after a drop arrived
-// (direct LeaseRevoke or piggybacked on a ReplicaRefresh).
-func (nd *node) servingDrop(keys []kv.Key, stats *metrics.ServerStats) {
-	if nd.serving == nil {
-		return
-	}
-	for _, k := range keys {
-		if nd.serving.drop(k) {
-			stats.LeaseInvalidations.Inc()
-		}
-	}
 }

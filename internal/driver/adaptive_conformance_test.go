@@ -3,7 +3,6 @@ package driver
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -11,14 +10,11 @@ import (
 	"lapse/internal/adaptive"
 	"lapse/internal/cluster"
 	"lapse/internal/kv"
-	"lapse/internal/metrics"
-	"lapse/internal/transport"
-	"lapse/internal/transport/shm"
-	"lapse/internal/transport/tcp"
 )
 
-// Adaptive-management conformance: with the online controller enabled, the
-// cluster must converge to exactly the values a static configuration
+// Adaptive-management conformance (the "adaptive" and "adaptive+serving"
+// modes of the matrix in conformance_test.go): with the online controller
+// enabled, the cluster must converge to exactly the values a static configuration
 // produces — no update lost or duplicated across live promote/demote/relocate
 // transitions — on every transport and shard count, while the controller
 // demonstrably transitions keys (the workload is built so promotions and
@@ -64,200 +60,104 @@ func confAdaptiveOptions() Options {
 	}
 }
 
-// adaptiveTotals carries the exact cluster-wide push counts of the
-// goal-driven phases; shared across transport instances when the cluster
-// spans two of them.
-type adaptiveTotals struct {
-	hot, alt atomic.Int64
-}
-
 // adaptCounts sums the controller transition counters over one or more PS
 // instances (two when the cluster spans transport instances).
 func adaptCounts(pss []PS) (promotions, demotions, relocations int64) {
 	for _, ps := range pss {
-		t := metrics.Sum(ps.Stats())
-		promotions += t.AdaptPromotions
-		demotions += t.AdaptDemotions
-		relocations += t.AdaptRelocations
+		for _, st := range ps.Stats() {
+			promotions += st.AdaptPromotions.Load()
+			demotions += st.AdaptDemotions.Load()
+			relocations += st.AdaptRelocations.Load()
+		}
 	}
 	return
 }
 
-// pushUntil pushes ones into keys until done() reports true (checked every
-// few pushes) or the deadline passes, and returns the exact push count.
-func pushUntil(h kv.KV, keys []kv.Key, ones []float32, done func() bool) (int64, error) {
+// pushUntil pushes ones into keys — and, in a lease mode, reads them back
+// after every push, so the group is promoted and demoted with leases
+// outstanding — until done() reports true (checked every few pushes) or the
+// deadline passes, and returns the exact push count.
+func pushUntil(h kv.KV, read func([]kv.Key, []float32) error, keys []kv.Key, ones []float32, done func() bool) (int64, error) {
 	deadline := time.Now().Add(adDeadline)
+	dst := make([]float32, len(ones))
 	var n int64
 	for {
 		if err := h.Push(keys, ones); err != nil {
 			return n, err
 		}
 		n++
+		if read != nil {
+			if err := read(keys, dst); err != nil {
+				return n, err
+			}
+		}
 		if n%16 == 0 && (done() || time.Now().After(deadline)) {
 			return n, nil
 		}
 	}
 }
 
-// runAdaptiveWorkers is the shared worker body (see the file comment for the
-// phase structure). Worker 0 of each node verifies the exact converged values
-// through the regular read path before anyone stops serving.
-func runAdaptiveWorkers(cl *cluster.Cluster, ps PS, all []PS, errs []error, tot *adaptiveTotals) {
+// runAdaptiveWorkers is the worker body of the controller modes (see the file
+// comment for the phase structure). Worker 0 of each node verifies the exact
+// converged values through the mode's read path before anyone stops serving.
+func runAdaptiveWorkers(r *confRun, cl *cluster.Cluster, ps PS) {
 	cl.RunWorkers(func(_, worker int) {
 		h := ps.Handle(worker)
+		read := r.reader(h)
+		leaseRead := read
+		if !r.mode.leases {
+			leaseRead = nil
+		}
 		ones := make([]float32, len(adHotKeys)*confValLen)
 		for i := range ones {
 			ones[i] = 1
 		}
-		n, err := pushUntil(h, adHotKeys, ones, func() bool {
-			p, _, _ := adaptCounts(all)
+		n, err := pushUntil(h, leaseRead, adHotKeys, ones, func() bool {
+			p, _, _ := adaptCounts(r.all)
 			return p > 0
 		})
-		tot.hot.Add(n)
+		r.hot.Add(n)
 		if err != nil {
-			errs[worker] = fmt.Errorf("worker %d phase 1: %w", worker, err)
+			r.errs[worker] = fmt.Errorf("worker %d phase 1: %w", worker, err)
 			return
 		}
 		h.Barrier()
-		n, err = pushUntil(h, adAltKeys, ones, func() bool {
-			_, d, _ := adaptCounts(all)
+		n, err = pushUntil(h, leaseRead, adAltKeys, ones, func() bool {
+			_, d, _ := adaptCounts(r.all)
 			return d > 0
 		})
-		tot.alt.Add(n)
+		r.alt.Add(n)
 		if err != nil {
-			errs[worker] = fmt.Errorf("worker %d phase 2: %w", worker, err)
+			r.errs[worker] = fmt.Errorf("worker %d phase 2: %w", worker, err)
 			return
 		}
 		h.Barrier()
 		// Both totals are final once every worker passed the barrier.
 		if worker%confWorkers == 0 {
-			if err := awaitConvergedPulls(h, adHotKeys, float32(tot.hot.Load())); err != nil {
-				errs[worker] = fmt.Errorf("worker %d hot group: %w", worker, err)
+			if err := awaitConverged(read, adHotKeys, float32(r.hot.Load()), r.mode.wait); err != nil {
+				r.errs[worker] = fmt.Errorf("worker %d hot group: %w", worker, err)
 			}
-			if err := awaitConvergedPulls(h, adAltKeys, float32(tot.alt.Load())); err != nil {
-				errs[worker] = fmt.Errorf("worker %d alternate group: %w", worker, err)
+			if err := awaitConverged(read, adAltKeys, float32(r.alt.Load()), r.mode.wait); err != nil {
+				r.errs[worker] = fmt.Errorf("worker %d alternate group: %w", worker, err)
 			}
 		}
 		h.Barrier() // keep all nodes serving until the readers are done
 	})
 }
 
-// checkAdaptiveRun asserts the workload's postconditions: no worker error,
-// and the controller actually transitioned keys both ways during it.
-func checkAdaptiveRun(t *testing.T, errs []error, pss []PS) {
+// checkAdaptiveRun asserts the workload's postconditions: the controller
+// actually transitioned keys both ways during it, and the authoritative values
+// match a static run of the same push sequence exactly, whatever management
+// states the keys ended up in.
+func checkAdaptiveRun(t *testing.T, r *confRun, ps PS) {
 	t.Helper()
-	if err := errors.Join(errs...); err != nil {
-		t.Fatal(err)
-	}
-	p, d, r := adaptCounts(pss)
+	p, d, rel := adaptCounts(r.all)
 	if p == 0 || d == 0 {
-		t.Fatalf("controller transitions: promotions=%d demotions=%d relocations=%d, want both promotions and demotions > 0", p, d, r)
+		t.Fatalf("controller transitions: promotions=%d demotions=%d relocations=%d, want both promotions and demotions > 0", p, d, rel)
 	}
-}
-
-func TestAdaptiveConformanceConvergence(t *testing.T) {
-	for _, tr := range confTransports {
-		for _, shards := range confShards {
-			t.Run(fmt.Sprintf("%s/shards=%d", tr, shards), func(t *testing.T) {
-				cl := newConfCluster(t, tr, confWorkers, shards)
-				ps := Build(Lapse, cl, confLayout(), confAdaptiveOptions())
-				defer func() { cl.Close(); ps.Shutdown() }()
-
-				errs := make([]error, cl.TotalWorkers())
-				var tot adaptiveTotals
-				runAdaptiveWorkers(cl, ps, []PS{ps}, errs, &tot)
-				checkAdaptiveRun(t, errs, []PS{ps})
-
-				// The authoritative values match a static run of the same
-				// push sequence exactly, whatever management states the keys
-				// ended up in.
-				buf := make([]float32, confValLen)
-				check := func(keys []kv.Key, want float32) {
-					for _, k := range keys {
-						ps.ReadParameter(k, buf)
-						for i, v := range buf {
-							if v != want {
-								t.Fatalf("key %d value %d = %v, want %v", k, i, v, want)
-							}
-						}
-					}
-				}
-				check(adHotKeys, float32(tot.hot.Load()))
-				check(adAltKeys, float32(tot.alt.Load()))
-			})
-		}
-	}
-}
-
-// TestAdaptiveConformanceMultiProcess runs the same workload on two transport
-// instances hosting one node each — the cmd/lapse-node deployment minus the
-// process boundary — so reports, transition broadcasts, demote acks, and
-// relocation traffic all cross real sockets or shared-memory rings.
-func TestAdaptiveConformanceMultiProcess(t *testing.T) {
-	for _, tr := range []string{"tcp", "shm"} {
-		if tr == "shm" && !shm.Supported() {
-			continue
-		}
-		for _, shards := range confShards {
-			t.Run(fmt.Sprintf("%s/shards=%d", tr, shards), func(t *testing.T) {
-				var netA, netB transport.Network
-				switch tr {
-				case "tcp":
-					addrs := []string{"127.0.0.1:0", "127.0.0.1:0"}
-					mkNet := func(node int) *tcp.Network {
-						net, err := tcp.New(tcp.Config{Addrs: addrs, Local: []int{node}, Shards: shards,
-							DrainTimeout: 200 * time.Millisecond})
-						if err != nil {
-							t.Fatalf("tcp.New(node %d): %v", node, err)
-						}
-						return net
-					}
-					a, b := mkNet(0), mkNet(1)
-					a.SetAddr(1, b.Addr(1))
-					b.SetAddr(0, a.Addr(0))
-					netA, netB = a, b
-				case "shm":
-					dir := t.TempDir()
-					mkNet := func(node int) *shm.Network {
-						net, err := shm.New(shm.Config{Dir: dir, Nodes: confNodes, Local: []int{node},
-							Shards: shards, DrainTimeout: 200 * time.Millisecond})
-						if err != nil {
-							t.Fatalf("shm.New(node %d): %v", node, err)
-						}
-						return net
-					}
-					netA, netB = mkNet(0), mkNet(1)
-				}
-
-				mkCluster := func(net transport.Network) *cluster.Cluster {
-					return cluster.New(cluster.Config{Nodes: confNodes, WorkersPerNode: confWorkers, Transport: net})
-				}
-				clA, clB := mkCluster(netA), mkCluster(netB)
-				psA := Build(Lapse, clA, confLayout(), confAdaptiveOptions())
-				psB := Build(Lapse, clB, confLayout(), confAdaptiveOptions())
-				all := []PS{psA, psB}
-				errs := make([]error, confNodes*confWorkers)
-				var tot adaptiveTotals
-
-				var wg sync.WaitGroup
-				wg.Add(2)
-				go func() { defer wg.Done(); runAdaptiveWorkers(clA, psA, all, errs, &tot) }()
-				go func() { defer wg.Done(); runAdaptiveWorkers(clB, psB, all, errs, &tot) }()
-				wg.Wait()
-
-				clA.Close()
-				clB.Close()
-				psA.Shutdown()
-				psB.Shutdown()
-				checkAdaptiveRun(t, errs, all)
-				if err := netA.Err(); err != nil {
-					t.Fatalf("instance A transport error: %v", err)
-				}
-				if err := netB.Err(); err != nil {
-					t.Fatalf("instance B transport error: %v", err)
-				}
-			})
-		}
+	if ps != nil {
+		checkAuthoritative(t, ps, adHotKeys, float32(r.hot.Load()))
+		checkAuthoritative(t, ps, adAltKeys, float32(r.alt.Load()))
 	}
 }
 
@@ -274,7 +174,7 @@ func TestAdaptiveTransitionsUnderConcurrentPushes(t *testing.T) {
 	defer func() { cl.Close(); ps.Shutdown() }()
 
 	errs := make([]error, cl.TotalWorkers())
-	var tot adaptiveTotals
+	var tot struct{ hot, alt atomic.Int64 }
 	cl.RunWorkers(func(_, worker int) {
 		h := ps.Handle(worker)
 		ones := make([]float32, len(adHotKeys)*confValLen)
@@ -305,9 +205,9 @@ func TestAdaptiveTransitionsUnderConcurrentPushes(t *testing.T) {
 		}
 		h.Barrier()
 		if worker%confWorkers == 0 {
-			if err := awaitConvergedPulls(h, adHotKeys, float32(tot.hot.Load())); err != nil {
+			if err := awaitConverged(h.Pull, adHotKeys, float32(tot.hot.Load()), confWait); err != nil {
 				errs[worker] = fmt.Errorf("worker %d hot group: %w", worker, err)
-			} else if err := awaitConvergedPulls(h, adAltKeys, float32(tot.alt.Load())); err != nil {
+			} else if err := awaitConverged(h.Pull, adAltKeys, float32(tot.alt.Load()), confWait); err != nil {
 				errs[worker] = fmt.Errorf("worker %d alternate group: %w", worker, err)
 			}
 		}

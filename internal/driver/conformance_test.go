@@ -4,10 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"lapse/internal/cluster"
+	"lapse/internal/core"
 	"lapse/internal/kv"
 	"lapse/internal/simnet"
 	"lapse/internal/transport"
@@ -15,7 +17,7 @@ import (
 	"lapse/internal/transport/tcp"
 )
 
-// The conformance suite runs the same multi-worker workload against every
+// The conformance suite runs the same multi-worker workloads against every
 // parameter-server variant on every transport, at server shard counts 1 and
 // 4, and checks that all of them (a) converge to the same parameter values
 // through the unified server runtime and (b) honor the kv.KV contract,
@@ -24,6 +26,12 @@ import (
 // rings must be observationally identical here — all carry every message
 // through the msg codec — and sharding the runtime must never change
 // results, only spread the serving work.
+//
+// How keys are managed is one more axis of the same matrix (confModes):
+// relocation only, static replication of a hot set, the adaptive controller,
+// serving leases, and the controller with leases on. Every mode runs on every
+// transport and shard count, in one process and across two transport
+// instances, through confConvergence and confMultiProcess.
 
 const (
 	confNodes   = 2
@@ -47,14 +55,18 @@ func confName(transport string, kind Kind, shards int) string {
 	return fmt.Sprintf("%s/%s/shards=%d", transport, kind, shards)
 }
 
-// newConfCluster builds the conformance topology on the named transport with
-// the given per-node server shard count.
-func newConfCluster(t *testing.T, transport string, workersPerNode, shards int) *cluster.Cluster {
+// confNameLapse names a cell of a mode that runs on the Lapse variant only.
+func confNameLapse(transport string, _ Kind, shards int) string {
+	return fmt.Sprintf("%s/shards=%d", transport, shards)
+}
+
+// newConfNet builds the named transport hosting the whole conformance
+// topology, with the given per-node server shard count.
+func newConfNet(t *testing.T, tr string, shards int) transport.Network {
 	t.Helper()
-	switch transport {
+	switch tr {
 	case "simnet":
-		return cluster.New(cluster.Config{Nodes: confNodes, WorkersPerNode: workersPerNode,
-			Net: simnet.Config{Shards: shards}})
+		return simnet.New(simnet.Config{Nodes: confNodes, Shards: shards})
 	case "tcp":
 		addrs := make([]string, confNodes)
 		for i := range addrs {
@@ -64,7 +76,7 @@ func newConfCluster(t *testing.T, transport string, workersPerNode, shards int) 
 		if err != nil {
 			t.Fatalf("tcp.New: %v", err)
 		}
-		return cluster.New(cluster.Config{Nodes: confNodes, WorkersPerNode: workersPerNode, Transport: net})
+		return net
 	case "shm":
 		if !shm.Supported() {
 			t.Skip("shm transport not supported on this platform")
@@ -73,94 +85,370 @@ func newConfCluster(t *testing.T, transport string, workersPerNode, shards int) 
 		if err != nil {
 			t.Fatalf("shm.New: %v", err)
 		}
-		return cluster.New(cluster.Config{Nodes: confNodes, WorkersPerNode: workersPerNode, Transport: net})
+		return net
 	default:
-		t.Fatalf("unknown transport %q", transport)
+		t.Fatalf("unknown transport %q", tr)
 		return nil
 	}
 }
 
-func TestConformanceConvergence(t *testing.T) {
+// newConfCluster builds the conformance topology on the named transport.
+func newConfCluster(t *testing.T, tr string, workersPerNode, shards int) *cluster.Cluster {
+	t.Helper()
+	return cluster.New(cluster.Config{Nodes: confNodes, WorkersPerNode: workersPerNode, Transport: newConfNet(t, tr, shards)})
+}
+
+// newConfNetPair builds two instances of the named transport (tcp or shm)
+// hosting one node each — the multi-process deployment of cmd/lapse-node,
+// minus the process boundary.
+func newConfNetPair(t *testing.T, tr string, shards int) (a, b transport.Network) {
+	t.Helper()
+	switch tr {
+	case "tcp":
+		addrs := []string{"127.0.0.1:0", "127.0.0.1:0"}
+		mkNet := func(node int) *tcp.Network {
+			net, err := tcp.New(tcp.Config{Addrs: addrs, Local: []int{node}, Shards: shards,
+				DrainTimeout: 200 * time.Millisecond})
+			if err != nil {
+				t.Fatalf("tcp.New(node %d): %v", node, err)
+			}
+			return net
+		}
+		ta, tb := mkNet(0), mkNet(1)
+		ta.SetAddr(1, tb.Addr(1))
+		tb.SetAddr(0, ta.Addr(0))
+		return ta, tb
+	case "shm":
+		if !shm.Supported() {
+			t.Skip("shm transport not supported on this platform")
+		}
+		dir := t.TempDir()
+		mkNet := func(node int) *shm.Network {
+			net, err := shm.New(shm.Config{Dir: dir, Nodes: confNodes, Local: []int{node},
+				Shards: shards, DrainTimeout: 200 * time.Millisecond})
+			if err != nil {
+				t.Fatalf("shm.New(node %d): %v", node, err)
+			}
+			return net
+		}
+		return mkNet(0), mkNet(1)
+	default:
+		t.Fatalf("no multi-instance deployment on transport %q", tr)
+		return nil, nil
+	}
+}
+
+// confMode is one management mode of the conformance matrix.
+type confMode struct {
+	// kinds lists the variants the mode runs on: every one for plain
+	// relocation, the Lapse variants for anything beyond it.
+	kinds []Kind
+	opts  func() Options
+	// leases marks the modes that read through MultiGet. wait is how long a
+	// reader waits for the converged values: no time where reads are
+	// sequentially consistent, confWait where replicas or leases make them
+	// eventual.
+	leases bool
+	wait   time.Duration
+	// work runs the mode's workload on every worker of cl (one transport
+	// instance's share of the cluster) and returns when they are done; check
+	// asserts what must hold afterwards. ps is nil in check when the cluster
+	// spans two instances: authoritative values are then not all readable
+	// from one of them, and the workers have verified the converged values
+	// through the read path.
+	work  func(r *confRun, cl *cluster.Cluster, ps PS)
+	check func(t *testing.T, r *confRun, ps PS)
+	// mp lists the transports of the two-instance run. cell names a sub-test;
+	// mpCell, if set, one of the two-instance run.
+	mp           []string
+	cell, mpCell func(tr string, kind Kind, shards int) string
+}
+
+// confRun is the state of one cell's run, shared by its workers.
+type confRun struct {
+	mode *confMode
+	kind Kind
+	// all lists the PS instances of the cluster: two when it spans transport
+	// instances.
+	all  []PS
+	errs []error // per worker
+	// hot and alt are the exact cluster-wide push counts of the goal-driven
+	// adaptive phases.
+	hot, alt atomic.Int64
+}
+
+var bothInstances = []string{"tcp", "shm"}
+
+var confModes = map[string]*confMode{
+	"none": {kinds: Kinds(), opts: func() Options { return Options{Staleness: 1} },
+		work: runStaticWorkers, check: checkStaticRun, mp: bothInstances, cell: confName},
+	"replicate": {kinds: []Kind{Lapse, LapseCached},
+		opts: func() Options {
+			return Options{Replicate: confHotKeys, ReplicaSyncEvery: 200 * time.Microsecond}
+		},
+		wait: confWait, work: runStaticWorkers, check: checkStaticRun, mp: []string{"tcp"}, cell: confName,
+		mpCell: func(_ string, kind Kind, shards int) string { return fmt.Sprintf("%s/shards=%d", kind, shards) }},
+	"adaptive": {kinds: []Kind{Lapse}, opts: confAdaptiveOptions, wait: confWait,
+		work: runAdaptiveWorkers, check: checkAdaptiveRun, mp: bothInstances, cell: confNameLapse},
+	"serving": {kinds: []Kind{Lapse}, leases: true, wait: confWait,
+		opts: func() Options { return Options{Serving: confServing} },
+		work: runStaticWorkers, check: checkStaticRun, mp: bothInstances, cell: confNameLapse},
+	"adaptive+serving": {kinds: []Kind{Lapse}, leases: true, wait: confWait,
+		opts: func() Options { o := confAdaptiveOptions(); o.Serving = confServing; return o },
+		work: runAdaptiveWorkers, check: checkAdaptiveRun, mp: bothInstances, cell: confNameLapse},
+}
+
+// confHotKeys is the statically replicated set of the "replicate" mode:
+// interleaved with relocated keys, spanning both homes.
+var confHotKeys = func() []kv.Key {
+	hot := make([]kv.Key, 10)
+	for i := range hot {
+		hot[i] = kv.Key(i * 4)
+	}
+	return hot
+}()
+
+// confServing is the serving tier of the lease modes. The lease is short:
+// the one staleness the tier tolerates (a grant racing the owner's own
+// worker's write) lasts until the lease runs out, and the readers wait it out.
+var confServing = &core.ServingConfig{TTL: 20 * time.Millisecond}
+
+// reader returns the mode's read path on h: MultiGet where leases are on,
+// Pull elsewhere.
+func (r *confRun) reader(h kv.KV) func(keys []kv.Key, dst []float32) error {
+	if !r.mode.leases {
+		return h.Pull
+	}
+	return func(keys []kv.Key, dst []float32) error { return h.(multiGetter).MultiGet(keys, dst).Wait() }
+}
+
+// multiGetter is the lease-cached read path of the Lapse variants' handles.
+type multiGetter interface {
+	MultiGet(keys []kv.Key, dst []float32) *kv.Future
+}
+
+// awaitConverged reads keys until every value equals want, for at most wait
+// (0: the first read must show it).
+func awaitConverged(read func([]kv.Key, []float32) error, keys []kv.Key, want float32, wait time.Duration) error {
+	dst := make([]float32, confValLen*len(keys))
+	deadline := time.Now().Add(wait)
+	for {
+		if err := read(keys, dst); err != nil {
+			return err
+		}
+		converged := true
+		for _, v := range dst {
+			if v != want {
+				converged = false
+				break
+			}
+		}
+		if converged {
+			return nil
+		}
+		if !time.Now().Before(deadline) {
+			return fmt.Errorf("read %v, want %v everywhere", dst, want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// confWait is how long a reader of an eventually consistent mode waits for
+// the converged values (confMode.wait).
+const confWait = 10 * time.Second
+
+// confAllKeys returns every key of the conformance layout and a push of 1 to
+// every value.
+func confAllKeys() (keys []kv.Key, ones []float32) {
+	keys = make([]kv.Key, confKeys)
+	ones = make([]float32, confKeys*confValLen)
+	for i := range keys {
+		keys[i] = kv.Key(i)
+	}
+	for i := range ones {
+		ones[i] = 1
+	}
+	return keys, ones
+}
+
+// runStaticWorkers is the workload of the modes without a controller: every
+// worker pushes 1 to every value confIters times, advancing its clock
+// (flushes the stale PS's write-back cache; no-op elsewhere) and
+// synchronizing on the barrier each round; variants that can, localize a
+// slice of the keys after the first round, so operations span relocated,
+// replicated and (lease modes: each round ends with a read) leased keys, and
+// keys move with leases outstanding. One reader per node then observes the
+// exact converged values through the mode's read path, within the mode's
+// wait.
+func runStaticWorkers(r *confRun, cl *cluster.Cluster, ps PS) {
+	keys, ones := confAllKeys()
+	total := confNodes * confWorkers
+	cl.RunWorkers(func(_, worker int) {
+		h := ps.Handle(worker)
+		read := r.reader(h)
+		dst := make([]float32, len(ones))
+		for iter := 0; iter < confIters; iter++ {
+			if err := h.Push(keys, ones); err != nil {
+				r.errs[worker] = err
+				return
+			}
+			h.Clock()
+			h.Barrier()
+			if iter == 0 && SupportsLocalize(r.kind) {
+				if err := h.Localize(keys[worker*confKeys/total : (worker+1)*confKeys/total]); err != nil {
+					r.errs[worker] = fmt.Errorf("localize: %w", err)
+					return
+				}
+			}
+			if r.mode.leases {
+				if err := read(keys, dst); err != nil {
+					r.errs[worker] = err
+					return
+				}
+			}
+		}
+		if worker%confWorkers == 0 {
+			if err := awaitConverged(read, keys, float32(total*confIters), r.mode.wait); err != nil {
+				r.errs[worker] = fmt.Errorf("worker %d: %w", worker, err)
+			}
+		}
+		h.Barrier() // keep every node serving until the readers are done
+	})
+}
+
+// checkStaticRun: all variants and modes must agree on the authoritative
+// final values.
+func checkStaticRun(t *testing.T, r *confRun, ps PS) {
+	t.Helper()
+	if ps == nil {
+		return
+	}
+	keys, _ := confAllKeys()
+	checkAuthoritative(t, ps, keys, float32(confNodes*confWorkers*confIters))
+}
+
+// checkAuthoritative compares the authoritative value of every key with want.
+// The cluster is still up, and in the controller modes so is the controller:
+// ReadParameter is defined between transitions only and panics on a key it
+// catches with its value between two stores or two owners (about one run in
+// 500 did). Those states last microseconds, so such a read is tried again.
+func checkAuthoritative(t *testing.T, ps PS, keys []kv.Key, want float32) {
+	t.Helper()
+	buf := make([]float32, confValLen)
+	read := func(k kv.Key) (midTransition any) {
+		defer func() { midTransition = recover() }()
+		ps.ReadParameter(k, buf)
+		return nil
+	}
+	for _, k := range keys {
+		for try := 0; ; try++ {
+			if p := read(k); p == nil {
+				break
+			} else if try == 100 {
+				t.Fatalf("key %d never settled: %v", k, p)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		for i, v := range buf {
+			if v != want {
+				t.Fatalf("key %d value %d = %v, want %v", k, i, v, want)
+			}
+		}
+	}
+}
+
+// confConvergence runs one mode's workload on every transport × shard count ×
+// variant, all nodes in one transport instance.
+func confConvergence(t *testing.T, mode string) {
+	m := confModes[mode]
 	for _, tr := range confTransports {
 		for _, shards := range confShards {
-			for _, kind := range Kinds() {
-				t.Run(confName(tr, kind, shards), func(t *testing.T) {
+			for _, kind := range m.kinds {
+				t.Run(m.cell(tr, kind, shards), func(t *testing.T) {
 					cl := newConfCluster(t, tr, confWorkers, shards)
-					ps := Build(kind, cl, confLayout(), Options{Staleness: 1})
+					ps := Build(kind, cl, confLayout(), m.opts())
 					defer func() { cl.Close(); ps.Shutdown() }()
-
-					keys := make([]kv.Key, confKeys)
-					ones := make([]float32, confKeys*confValLen)
-					for i := range keys {
-						keys[i] = kv.Key(i)
-					}
-					for i := range ones {
-						ones[i] = 1
-					}
-
-					// Phase 1: every worker pushes 1 to every value confIters
-					// times, advancing its clock (flushes the stale PS's
-					// write-back cache; no-op elsewhere) and synchronizing on
-					// the barrier each round.
-					errs := make([]error, cl.TotalWorkers())
-					cl.RunWorkers(func(_, worker int) {
-						h := ps.Handle(worker)
-						for iter := 0; iter < confIters; iter++ {
-							if err := h.Push(keys, ones); err != nil {
-								errs[worker] = err
-								return
-							}
-							h.Clock()
-							h.Barrier()
-						}
-					})
-					if err := errors.Join(errs...); err != nil {
+					r := &confRun{mode: m, kind: kind, all: []PS{ps}, errs: make([]error, cl.TotalWorkers())}
+					m.work(r, cl, ps)
+					if err := errors.Join(r.errs...); err != nil {
 						t.Fatal(err)
 					}
+					m.check(t, r, ps)
+				})
+			}
+		}
+	}
+}
 
-					// All variants must agree on the authoritative final values.
-					want := float32(cl.TotalWorkers() * confIters)
-					buf := make([]float32, confValLen)
-					for _, k := range keys {
-						ps.ReadParameter(k, buf)
-						for i, v := range buf {
-							if v != want {
-								t.Fatalf("key %d value %d = %v, want %v", k, i, v, want)
-							}
-						}
+// confMultiProcess runs one mode's workload on two transport instances
+// hosting one node each, so its traffic crosses real sockets (or
+// shared-memory rings) in both directions and the barrier runs its
+// distributed coordinator protocol. The readers verify the converged values
+// before anyone tears down.
+func confMultiProcess(t *testing.T, mode string) {
+	m := confModes[mode]
+	cell := m.mpCell
+	if cell == nil {
+		cell = m.cell
+	}
+	for _, tr := range m.mp {
+		if tr == "shm" && !shm.Supported() {
+			continue
+		}
+		for _, shards := range confShards {
+			for _, kind := range m.kinds {
+				t.Run(cell(tr, kind, shards), func(t *testing.T) {
+					netA, netB := newConfNetPair(t, tr, shards)
+					mkCluster := func(net transport.Network) *cluster.Cluster {
+						return cluster.New(cluster.Config{Nodes: confNodes, WorkersPerNode: confWorkers, Transport: net})
 					}
+					clA, clB := mkCluster(netA), mkCluster(netB)
+					psA := Build(kind, clA, confLayout(), m.opts())
+					psB := Build(kind, clB, confLayout(), m.opts())
+					r := &confRun{mode: m, kind: kind, all: []PS{psA, psB}, errs: make([]error, confNodes*confWorkers)}
 
-					// Phase 2: a fresh handle pulls everything through the
-					// regular read path and must observe the converged state
-					// (the stale PS fetches at required clock 0, which every
-					// server serves immediately with current values).
-					cl.RunWorkers(func(_, worker int) {
-						if worker != 0 {
-							return
-						}
-						h := ps.Handle(worker)
-						dst := make([]float32, confKeys*confValLen)
-						if err := h.Pull(keys, dst); err != nil {
-							errs[worker] = err
-							return
-						}
-						for i, v := range dst {
-							if v != want {
-								t.Errorf("pulled value %d = %v, want %v", i, v, want)
-								return
-							}
-						}
-						if err := h.WaitAll(); err != nil {
-							errs[worker] = err
-						}
-					})
-					if err := errors.Join(errs...); err != nil {
+					var wg sync.WaitGroup
+					wg.Add(2)
+					go func() { defer wg.Done(); m.work(r, clA, psA) }()
+					go func() { defer wg.Done(); m.work(r, clB, psB) }()
+					wg.Wait()
+
+					clA.Close()
+					clB.Close()
+					psA.Shutdown()
+					psB.Shutdown()
+					if err := errors.Join(r.errs...); err != nil {
 						t.Fatal(err)
+					}
+					m.check(t, r, nil)
+					if err := netA.Err(); err != nil {
+						t.Fatalf("instance A transport error: %v", err)
+					}
+					if err := netB.Err(); err != nil {
+						t.Fatalf("instance B transport error: %v", err)
 					}
 				})
 			}
 		}
 	}
+}
+
+// One test per (mode, deployment shape); the names predate the shared matrix.
+func TestConformanceConvergence(t *testing.T)            { confConvergence(t, "none") }
+func TestConformanceMultiProcess(t *testing.T)           { confMultiProcess(t, "none") }
+func TestReplicationConformanceConvergence(t *testing.T) { confConvergence(t, "replicate") }
+func TestReplicationConformanceMultiProcess(t *testing.T) {
+	confMultiProcess(t, "replicate")
+}
+func TestAdaptiveConformanceConvergence(t *testing.T)  { confConvergence(t, "adaptive") }
+func TestAdaptiveConformanceMultiProcess(t *testing.T) { confMultiProcess(t, "adaptive") }
+func TestServingConformanceConvergence(t *testing.T)   { confConvergence(t, "serving") }
+func TestServingConformanceMultiProcess(t *testing.T)  { confMultiProcess(t, "serving") }
+func TestAdaptiveServingConformanceConvergence(t *testing.T) {
+	confConvergence(t, "adaptive+serving")
+}
+func TestAdaptiveServingConformanceMultiProcess(t *testing.T) {
+	confMultiProcess(t, "adaptive+serving")
 }
 
 func TestConformanceAsyncAndWaitAll(t *testing.T) {
@@ -279,133 +567,6 @@ func TestConformanceKVContract(t *testing.T) {
 					})
 				})
 			}
-		}
-	}
-}
-
-// TestConformanceMultiProcess runs every variant on two transport instances
-// hosting one node each — exactly the multi-process deployment of
-// cmd/lapse-node, minus the process boundary — so the representative
-// workload crosses real sockets (or shared-memory rings) in both directions
-// and the barrier runs its distributed coordinator protocol. Worker 0
-// (hosted by the first instance) verifies the converged values before anyone
-// tears down.
-func TestConformanceMultiProcess(t *testing.T) {
-	for _, tr := range []string{"tcp", "shm"} {
-		if tr == "shm" && !shm.Supported() {
-			continue
-		}
-		multiProcessConformance(t, tr)
-	}
-}
-
-func multiProcessConformance(t *testing.T, tr string) {
-	for _, shards := range confShards {
-		for _, kind := range Kinds() {
-			t.Run(fmt.Sprintf("%s/%s/shards=%d", tr, kind, shards), func(t *testing.T) {
-				var netA, netB transport.Network
-				switch tr {
-				case "tcp":
-					addrs := []string{"127.0.0.1:0", "127.0.0.1:0"}
-					mkNet := func(node int) *tcp.Network {
-						net, err := tcp.New(tcp.Config{Addrs: addrs, Local: []int{node}, Shards: shards,
-							DrainTimeout: 200 * time.Millisecond})
-						if err != nil {
-							t.Fatalf("tcp.New(node %d): %v", node, err)
-						}
-						return net
-					}
-					a, b := mkNet(0), mkNet(1)
-					a.SetAddr(1, b.Addr(1))
-					b.SetAddr(0, a.Addr(0))
-					netA, netB = a, b
-				case "shm":
-					dir := t.TempDir()
-					mkNet := func(node int) *shm.Network {
-						net, err := shm.New(shm.Config{Dir: dir, Nodes: confNodes, Local: []int{node},
-							Shards: shards, DrainTimeout: 200 * time.Millisecond})
-						if err != nil {
-							t.Fatalf("shm.New(node %d): %v", node, err)
-						}
-						return net
-					}
-					netA, netB = mkNet(0), mkNet(1)
-				}
-
-				mkCluster := func(net transport.Network) *cluster.Cluster {
-					return cluster.New(cluster.Config{Nodes: confNodes, WorkersPerNode: confWorkers, Transport: net})
-				}
-				clA, clB := mkCluster(netA), mkCluster(netB)
-				psA := Build(kind, clA, confLayout(), Options{Staleness: 1})
-				psB := Build(kind, clB, confLayout(), Options{Staleness: 1})
-
-				keys := make([]kv.Key, confKeys)
-				ones := make([]float32, confKeys*confValLen)
-				for i := range keys {
-					keys[i] = kv.Key(i)
-				}
-				for i := range ones {
-					ones[i] = 1
-				}
-				want := float32(confNodes * confWorkers * confIters)
-				errs := make([]error, confNodes*confWorkers)
-
-				workload := func(cl *cluster.Cluster, ps PS) {
-					cl.RunWorkers(func(_, worker int) {
-						h := ps.Handle(worker)
-						if SupportsLocalize(kind) {
-							total := cl.TotalWorkers()
-							lo, hi := worker*confKeys/total, (worker+1)*confKeys/total
-							if err := h.Localize(keys[lo:hi]); err != nil {
-								errs[worker] = fmt.Errorf("localize: %w", err)
-								return
-							}
-						}
-						for iter := 0; iter < confIters; iter++ {
-							if err := h.Push(keys, ones); err != nil {
-								errs[worker] = err
-								return
-							}
-							h.Clock()
-							h.Barrier()
-						}
-						if worker == 0 {
-							dst := make([]float32, confKeys*confValLen)
-							if err := h.Pull(keys, dst); err != nil {
-								errs[worker] = err
-							} else {
-								for i, v := range dst {
-									if v != want {
-										errs[worker] = fmt.Errorf("pulled value %d = %v, want %v", i, v, want)
-										break
-									}
-								}
-							}
-						}
-						// Keep every node serving until verification is done.
-						h.Barrier()
-					})
-				}
-				var wg sync.WaitGroup
-				wg.Add(2)
-				go func() { defer wg.Done(); workload(clA, psA) }()
-				go func() { defer wg.Done(); workload(clB, psB) }()
-				wg.Wait()
-
-				clA.Close()
-				clB.Close()
-				psA.Shutdown()
-				psB.Shutdown()
-				if err := errors.Join(errs...); err != nil {
-					t.Fatal(err)
-				}
-				if err := netA.Err(); err != nil {
-					t.Fatalf("instance A transport error: %v", err)
-				}
-				if err := netB.Err(); err != nil {
-					t.Fatalf("instance B transport error: %v", err)
-				}
-			})
 		}
 	}
 }

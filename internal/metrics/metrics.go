@@ -5,6 +5,7 @@
 package metrics
 
 import (
+	"reflect"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -37,6 +38,9 @@ func (g *Gauge) Set(n int64) { g.v.Store(n) }
 
 // Load returns the current value.
 func (g *Gauge) Load() int64 { return g.v.Load() }
+
+// Reset zeroes the gauge.
+func (g *Gauge) Reset() { g.v.Store(0) }
 
 // GaugeVec is a small vector of gauges indexed by a dense non-negative label
 // (a node ID). It grows on first Set of an index; unset slots read as -1 in
@@ -153,75 +157,42 @@ type ServerStats struct {
 	LeaseInvalidations Counter
 }
 
+// ServerStats and Totals are declared once each and paired by field name: a
+// Counter sums into an int64, a Histogram merges into a HistSnapshot, a Gauge
+// or GaugeVec — levels, which do not add up — is listed per shard. Reset, Sum
+// and Since walk the fields by reflection; all three run when a snapshot is
+// taken (a scrape, a measurement window's edge), never on an operation path.
+
 // Reset zeroes all counters and aggregates.
 func (s *ServerStats) Reset() {
-	s.LocalReads.Reset()
-	s.RemoteReads.Reset()
-	s.LocalWrites.Reset()
-	s.RemoteWrites.Reset()
-	s.ReadValues.Reset()
-	s.Relocations.Reset()
-	s.RelocationTime.Reset()
-	s.ServeLatency.Reset()
-	s.QueueWait.Reset()
-	s.QueuedOps.Reset()
-	s.Forwards.Reset()
-	s.DoubleForwards.Reset()
-	s.CacheHits.Reset()
-	s.CacheMisses.Reset()
-	s.SyncWaits.Reset()
-	s.ReplicaHits.Reset()
-	s.ReplicaSyncMessages.Reset()
-	s.ReplicaSyncTime.Reset()
-	s.AdaptPromotions.Reset()
-	s.AdaptDemotions.Reset()
-	s.AdaptRelocations.Reset()
-	s.AdaptManaged.Set(0)
-	s.AdaptReportEvidence.Reset()
-	s.AdaptReportAge.Reset()
-	s.ServingHits.Reset()
-	s.ServingMisses.Reset()
-	s.LeaseGrants.Reset()
-	s.LeaseRevokes.Reset()
-	s.LeaseRefreshes.Reset()
-	s.LeaseInvalidations.Reset()
+	v := reflect.ValueOf(s).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		v.Field(i).Addr().Interface().(interface{ Reset() }).Reset()
+	}
 }
 
 // Sum aggregates a set of per-node stats into cluster totals. Histogram
 // aggregates are merged bucket-wise into snapshots.
 func Sum(nodes []*ServerStats) Totals {
 	var t Totals
+	tv := reflect.ValueOf(&t).Elem()
 	for _, s := range nodes {
-		t.LocalReads += s.LocalReads.Load()
-		t.RemoteReads += s.RemoteReads.Load()
-		t.LocalWrites += s.LocalWrites.Load()
-		t.RemoteWrites += s.RemoteWrites.Load()
-		t.ReadValues += s.ReadValues.Load()
-		t.Relocations += s.Relocations.Load()
-		t.QueuedOps += s.QueuedOps.Load()
-		t.Forwards += s.Forwards.Load()
-		t.DoubleForwards += s.DoubleForwards.Load()
-		t.CacheHits += s.CacheHits.Load()
-		t.CacheMisses += s.CacheMisses.Load()
-		t.SyncWaits += s.SyncWaits.Load()
-		t.ReplicaHits += s.ReplicaHits.Load()
-		t.ReplicaSyncMessages += s.ReplicaSyncMessages.Load()
-		t.AdaptPromotions += s.AdaptPromotions.Load()
-		t.AdaptDemotions += s.AdaptDemotions.Load()
-		t.AdaptRelocations += s.AdaptRelocations.Load()
-		t.AdaptManaged = append(t.AdaptManaged, GaugeVal(s.AdaptManaged.Load()))
-		t.AdaptReportEvidence = append(t.AdaptReportEvidence, s.AdaptReportEvidence.Snapshot())
-		t.AdaptReportAge = append(t.AdaptReportAge, s.AdaptReportAge.Snapshot())
-		t.ServingHits += s.ServingHits.Load()
-		t.ServingMisses += s.ServingMisses.Load()
-		t.LeaseGrants += s.LeaseGrants.Load()
-		t.LeaseRevokes += s.LeaseRevokes.Load()
-		t.LeaseRefreshes += s.LeaseRefreshes.Load()
-		t.LeaseInvalidations += s.LeaseInvalidations.Load()
-		t.RelocationTime.Merge(s.RelocationTime.Snapshot())
-		t.ServeLatency.Merge(s.ServeLatency.Snapshot())
-		t.QueueWait.Merge(s.QueueWait.Snapshot())
-		t.ReplicaSyncTime.Merge(s.ReplicaSyncTime.Snapshot())
+		sv := reflect.ValueOf(s).Elem()
+		for i := 0; i < sv.NumField(); i++ {
+			dst := tv.FieldByName(sv.Type().Field(i).Name).Addr().Interface()
+			switch f := sv.Field(i).Addr().Interface().(type) {
+			case *Counter:
+				*dst.(*int64) += f.Load()
+			case *Histogram:
+				dst.(*HistSnapshot).Merge(f.Snapshot())
+			case *Gauge:
+				d := dst.(*[]GaugeVal)
+				*d = append(*d, GaugeVal(f.Load()))
+			case *GaugeVec:
+				d := dst.(*[][]GaugeVal)
+				*d = append(*d, f.Snapshot())
+			}
+		}
 	}
 	return t
 }
@@ -274,33 +245,15 @@ func (t Totals) TotalReads() int64 { return t.LocalReads + t.RemoteReads + t.Rep
 // ramp-up outliers. Gauges are levels and keep their current reading.
 func (t Totals) Since(base Totals) Totals {
 	d := t
-	d.LocalReads -= base.LocalReads
-	d.RemoteReads -= base.RemoteReads
-	d.LocalWrites -= base.LocalWrites
-	d.RemoteWrites -= base.RemoteWrites
-	d.ReadValues -= base.ReadValues
-	d.Relocations -= base.Relocations
-	d.QueuedOps -= base.QueuedOps
-	d.Forwards -= base.Forwards
-	d.DoubleForwards -= base.DoubleForwards
-	d.CacheHits -= base.CacheHits
-	d.CacheMisses -= base.CacheMisses
-	d.SyncWaits -= base.SyncWaits
-	d.ReplicaHits -= base.ReplicaHits
-	d.ReplicaSyncMessages -= base.ReplicaSyncMessages
-	d.AdaptPromotions -= base.AdaptPromotions
-	d.AdaptDemotions -= base.AdaptDemotions
-	d.AdaptRelocations -= base.AdaptRelocations
-	d.ServingHits -= base.ServingHits
-	d.ServingMisses -= base.ServingMisses
-	d.LeaseGrants -= base.LeaseGrants
-	d.LeaseRevokes -= base.LeaseRevokes
-	d.LeaseRefreshes -= base.LeaseRefreshes
-	d.LeaseInvalidations -= base.LeaseInvalidations
-	d.RelocationTime = t.RelocationTime.Sub(base.RelocationTime)
-	d.ServeLatency = t.ServeLatency.Sub(base.ServeLatency)
-	d.QueueWait = t.QueueWait.Sub(base.QueueWait)
-	d.ReplicaSyncTime = t.ReplicaSyncTime.Sub(base.ReplicaSyncTime)
+	dv, bv := reflect.ValueOf(&d).Elem(), reflect.ValueOf(&base).Elem()
+	for i := 0; i < dv.NumField(); i++ {
+		switch f := dv.Field(i).Addr().Interface().(type) {
+		case *int64:
+			*f -= bv.Field(i).Int()
+		case *HistSnapshot:
+			*f = f.Sub(*bv.Field(i).Addr().Interface().(*HistSnapshot))
+		}
+	}
 	return d
 }
 

@@ -33,8 +33,8 @@ func seedMessages() []any {
 		&ReplicaSync{Origin: 0, Seq: 0, Keys: nil, Vals: nil},
 		&ReplicaRefresh{Origin: 2, Ack: 9, Keys: []kv.Key{4}, Vals: []float32{42}},
 		&ReplicaRefresh{Origin: -1, Ack: 0, Keys: []kv.Key{}, Vals: []float32{}},
-		&ReplicaRefresh{Origin: 0, Ack: 1, Keys: []kv.Key{4}, Vals: []float32{7}, Revoke: []kv.Key{2, 1 << 50}},
-		&ReplicaRefresh{Origin: 1, Ack: 2, Revoke: []kv.Key{3}},
+		&ReplicaRefresh{Origin: 0, Ack: 1, Keys: []kv.Key{4, 1 << 50}, Vals: []float32{7, -0.5}},
+		&ReplicaRefresh{Origin: 1, Ack: 2, Keys: []kv.Key{3}},
 		&Manage{Kind: ManageReport, Origin: 1, Epoch: 3, Keys: []kv.Key{2, 6}, Vals: []float32{32, 16}},
 		&Manage{Kind: ManageDemoteAck, Origin: 2, Epoch: 5, Keys: []kv.Key{9},
 			Vals: []float32{1, 2}, Seqs: []uint32{0, 5}},

@@ -144,7 +144,11 @@ type OpResp struct {
 }
 
 // Localize asks the home node of Keys to relocate them to Origin (message 1
-// of the relocation protocol). ID identifies the pending localize at Origin.
+// of the relocation protocol). ID is a correlation number the home copies
+// into the instructs and the owners into the transfers, so the up to three
+// messages of one relocation can be told from another's in a message dump.
+// Nobody looks it up: an arrival wakes whoever waits on the key's relocation
+// queue at Origin, and requests a server issues itself leave it 0.
 type Localize struct {
 	ID     uint64
 	Origin int32
@@ -154,14 +158,14 @@ type Localize struct {
 // RelocInstruct tells the current owner to stop processing, remove Keys from
 // its store, and transfer them to Dest (message 2 of the protocol).
 type RelocInstruct struct {
-	ID   uint64 // pending-localize ID at Dest
+	ID   uint64 // the Localize's correlation number (0: a recall by the home)
 	Dest int32
 	Keys []kv.Key
 }
 
 // RelocTransfer hands the parameter values over to the new owner (message 3).
 type RelocTransfer struct {
-	ID   uint64 // pending-localize ID at the destination
+	ID   uint64 // the instruct's correlation number
 	Keys []kv.Key
 	Vals []float32
 }
@@ -219,17 +223,12 @@ type ReplicaSync struct {
 // ReplicaRefresh fans the merged authoritative values of replicated keys
 // from their home node (Origin) back out to one replica node (phase 2 of
 // the sync cycle). Ack is the highest ReplicaSync.Seq received from the
-// destination whose deltas are reflected in Vals. Revoke piggybacks
-// serving-cache lease revocations on the sync traffic: the destination must
-// drop any cached lease for these keys before the refresh is considered
-// applied (a key entering replication invalidates leases granted while it
-// was relocation-managed).
+// destination whose deltas are reflected in Vals.
 type ReplicaRefresh struct {
 	Origin int32
 	Ack    uint32
 	Keys   []kv.Key
 	Vals   []float32
-	Revoke []kv.Key
 }
 
 // ManageKind discriminates the adaptive-management control operations carried
@@ -357,7 +356,7 @@ func Size(m any) int {
 	case *ReplicaSync:
 		return headerBytes + 4 + 4 + 4 + 4 + len(t.Keys)*keyBytes + len(t.Vals)*valBytes
 	case *ReplicaRefresh:
-		return headerBytes + 4 + 4 + 4 + 4 + 4 + len(t.Keys)*keyBytes + len(t.Vals)*valBytes + len(t.Revoke)*keyBytes
+		return headerBytes + 4 + 4 + 4 + 4 + len(t.Keys)*keyBytes + len(t.Vals)*valBytes
 	case *Manage:
 		return headerBytes + 1 + 4 + 4 + 4 + 4 + 4 + len(t.Keys)*keyBytes + len(t.Vals)*valBytes + len(t.Seqs)*seqBytes
 	case *LeaseRevoke:
@@ -446,7 +445,6 @@ func AppendTo(buf []byte, m any) []byte {
 		w.u32(t.Ack)
 		w.keys(t.Keys)
 		w.vals(t.Vals)
-		w.keys(t.Revoke)
 	case *Manage:
 		w.header(KindManage, sz)
 		w.u8(byte(t.Kind))
@@ -647,8 +645,7 @@ func decodeMsg(buf []byte, s *Scratch) (any, int, error) {
 		} else {
 			t = new(ReplicaRefresh)
 		}
-		*t = ReplicaRefresh{Origin: int32(d.u32()), Ack: d.u32(), Keys: d.keys(), Vals: d.vals(),
-			Revoke: d.keys2()}
+		*t = ReplicaRefresh{Origin: int32(d.u32()), Ack: d.u32(), Keys: d.keys(), Vals: d.vals()}
 		m = t
 	case KindManage:
 		var t *Manage
@@ -734,25 +731,6 @@ func (d *decoder) u64() uint64 {
 // (overflow-safe on 32-bit ints). With a scratch attached, the list is
 // decoded into the scratch's reusable key arena.
 func (d *decoder) keys() []kv.Key {
-	var arena *[]kv.Key
-	if d.s != nil {
-		arena = &d.s.keys
-	}
-	return d.keyList(arena)
-}
-
-// keys2 reads a key list into the scratch's second key arena. Messages with
-// two independent key lists (ReplicaRefresh.Keys + .Revoke) need distinct
-// backing or the second decode would alias — and overwrite — the first.
-func (d *decoder) keys2() []kv.Key {
-	var arena *[]kv.Key
-	if d.s != nil {
-		arena = &d.s.keys2
-	}
-	return d.keyList(arena)
-}
-
-func (d *decoder) keyList(arena *[]kv.Key) []kv.Key {
 	n := int(d.u32())
 	if d.err != nil {
 		return nil
@@ -765,11 +743,11 @@ func (d *decoder) keyList(arena *[]kv.Key) []kv.Key {
 		return nil
 	}
 	var keys []kv.Key
-	if arena != nil {
-		if cap(*arena) < n {
-			*arena = make([]kv.Key, n)
+	if d.s != nil {
+		if cap(d.s.keys) < n {
+			d.s.keys = make([]kv.Key, n)
 		}
-		keys = (*arena)[:n]
+		keys = d.s.keys[:n]
 	} else {
 		keys = make([]kv.Key, n)
 	}

@@ -96,10 +96,9 @@ type Scratch struct {
 	manage      Manage
 	leaseRevoke LeaseRevoke
 
-	keys  []kv.Key
-	keys2 []kv.Key // second key list of a message (ReplicaRefresh.Revoke)
-	vals  []float32
-	seqs  []uint32
+	keys []kv.Key
+	vals []float32
+	seqs []uint32
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
@@ -126,10 +125,6 @@ func (s *Scratch) Release() {
 		keys := s.keys[:cap(s.keys)]
 		for i := range keys {
 			keys[i] = PoisonKey
-		}
-		keys2 := s.keys2[:cap(s.keys2)]
-		for i := range keys2 {
-			keys2[i] = PoisonKey
 		}
 		vals := s.vals[:cap(s.vals)]
 		for i := range vals {

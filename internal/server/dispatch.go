@@ -352,7 +352,7 @@ func (h *Handle) DispatchOp(r Router, t msg.OpType, keys []kv.Key, dst, vals []f
 		}
 		ctx.agg.Time(lat, start)
 	}
-	return ctx.agg.Seal(nil)
+	return ctx.agg.Seal()
 }
 
 // fastSampleEvery is the fast-path latency sampling period: all-fast-path

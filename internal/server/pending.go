@@ -11,27 +11,29 @@ import (
 	"lapse/internal/msg"
 )
 
-// nowFunc is stubbed in tests that exercise relocation timing.
+// nowFunc is stubbed in tests that exercise completion timing.
 var nowFunc = time.Now
 
-// Agg aggregates the per-shard parts of one worker operation into a single
-// future. A multi-key operation whose keys span several server shards
-// registers one pending slot per shard; each slot holds a reference to the
-// shared Agg and releases its keys as they complete. The Agg completes — at
-// most once — when every key of every part is done AND the registration
-// phase has been sealed, so a fast first shard cannot complete the future
-// while later shards are still registering.
+// Agg aggregates the parts of one worker operation into a single future. A
+// multi-key operation whose keys span several server shards registers one
+// pending slot per shard, and a localize one waiter per key on the key's
+// relocation queue (internal/core); each holds a reference to the shared Agg
+// and releases its keys as they complete. The Agg completes — at most once —
+// when every key of every part is done AND the registration phase has been
+// sealed, so a fast first shard cannot complete the future while later shards
+// are still registering.
 //
 // The reference count starts at 1 (the seal token); Seal releases it.
 type Agg struct {
 	fut       *kv.Future
 	remaining atomic.Int64
-	// Relocation-time measurement (localize aggregates only).
-	start   time.Time
-	measure atomic.Bool
-	// End-to-end latency recorder (optional, see Time).
-	lat      *metrics.Histogram
-	latStart time.Time
+	// timers are the elapsed-time recorders attached with Time: the
+	// operation's end-to-end latency and, for a localize that sent a request,
+	// the relocation time.
+	timers [2]struct {
+		h     *metrics.Histogram
+		start time.Time
+	}
 }
 
 // NewAgg returns an aggregate open for registration.
@@ -41,48 +43,34 @@ func NewAgg() *Agg {
 	return a
 }
 
-// Measure marks the aggregate for relocation-time measurement and captures
-// the start time: when the aggregate completes, the elapsed time is
-// observed on the completing shard's statistics. Used by the localize that
-// sent a network message; operation aggregates never pay the clock read.
-// Must be called from the registering goroutine, before the measured
-// messages are sent.
-func (a *Agg) Measure() {
-	if a.measure.Load() {
-		return
-	}
-	// The start write happens-before the Store(true); completers read
-	// start only after observing measure == true.
-	a.start = nowFunc()
-	a.measure.Store(true)
-}
-
-// Time attaches an end-to-end latency recorder: when the aggregate
-// completes, the elapsed time since start is observed on h. Like Measure, it
-// must be called from the registering goroutine before Seal — the seal
-// token's release orders the write for whichever goroutine completes the
-// aggregate (atomic operations on `remaining` are the synchronization).
+// Time attaches an elapsed-time recorder (at most two): when the aggregate
+// completes, the time since start is observed on h. It must be called from the
+// registering goroutine before Seal — the seal token's release orders the
+// write for whichever goroutine completes the aggregate (atomic operations on
+// `remaining` are the synchronization).
 func (a *Agg) Time(h *metrics.Histogram, start time.Time) {
-	a.lat, a.latStart = h, start
+	t := &a.timers[0]
+	if t.h != nil {
+		t = &a.timers[1]
+	}
+	t.h, t.start = h, start
 }
 
-// add accounts n more keys (or replies) to wait for.
-func (a *Agg) add(n int) { a.remaining.Add(int64(n)) }
+// Add accounts n more keys (or replies) to wait for. Like Time, it belongs to
+// the registration phase.
+func (a *Agg) Add(n int) { a.remaining.Add(int64(n)) }
 
-// finish accounts n completions and completes the future when none remain.
-// stats may be nil; it receives the relocation-time observation when the
-// aggregate measures.
-func (a *Agg) finish(n int, stats *metrics.ServerStats) {
+// Finish accounts n completions and completes the future when none remain.
+func (a *Agg) Finish(n int) {
 	if a.remaining.Add(int64(-n)) > 0 {
 		return
 	}
-	if a.measure.Load() || a.lat != nil {
+	if a.timers[0].h != nil {
 		now := nowFunc()
-		if a.measure.Load() && stats != nil {
-			stats.RelocationTime.Observe(now.Sub(a.start))
-		}
-		if a.lat != nil {
-			a.lat.Observe(now.Sub(a.latStart))
+		for _, t := range a.timers {
+			if t.h != nil {
+				t.h.Observe(now.Sub(t.start))
+			}
 		}
 	}
 	a.fut.Complete(nil)
@@ -90,33 +78,23 @@ func (a *Agg) finish(n int, stats *metrics.ServerStats) {
 
 // Seal ends the registration phase and returns the aggregate's future. If
 // every registered key already completed (or none were registered), the
-// future completes here. stats receives the relocation-time observation in
-// that case (nil is allowed).
-func (a *Agg) Seal(stats *metrics.ServerStats) *kv.Future {
-	a.finish(1, stats)
+// future completes here.
+func (a *Agg) Seal() *kv.Future {
+	a.Finish(1)
 	return a.fut
 }
 
-// Pending tracks the asynchronous operations of one server shard: its keys'
-// pulls/pushes awaiting responses (possibly split across several
-// responders), localizes awaiting key arrivals, and stale-PS fetches
-// awaiting sync replies. Operation IDs are allocated from a node-wide
-// counter, so an ID names exactly one slot in exactly one shard table — the
-// shard that all of the operation part's keys belong to, which is also the
-// shard whose inbox the matching responses arrive on.
-//
-// Localize waiting uses per-key waiter lists rather than transfer IDs: every
-// localize call registers as a waiter on each key it still needs, and key
-// arrival notifies all waiters. This naturally de-duplicates concurrent
-// localizes of the same key by co-located workers (only the first sends a
-// message; the rest piggy-back).
+// Pending matches the responses of one server shard to the operations that
+// wait for them: its keys' pulls and pushes (possibly split across several
+// responders) and, in the stale PS, replica fetches — an operation part
+// without a buffer, one reply counting as one key. Operation IDs are allocated
+// from a node-wide counter, so an ID names exactly one slot in exactly one
+// shard table — the shard that all of the operation part's keys belong to,
+// which is also the shard whose inbox the matching responses arrive on.
 type Pending struct {
-	mu      sync.Mutex
-	next    *atomic.Uint64 // shared across the node's shards
-	ops     map[uint64]*pendingOp
-	locs    map[uint64]*pendingLoc
-	waiters map[kv.Key][]uint64 // key -> localize IDs waiting for arrival
-	syncs   map[uint64]*pendingSync
+	mu   sync.Mutex
+	next *atomic.Uint64 // shared across the node's shards
+	ops  map[uint64]*pendingOp
 	// claims is CompleteResp's reusable claim list. CompleteResp only runs
 	// on the owning shard's goroutine (responses demux to the shard that
 	// registered the part), so the scratch needs no lock of its own.
@@ -185,38 +163,23 @@ func (op *pendingOp) advanceScan() {
 	}
 }
 
-type pendingLoc struct {
-	agg       *Agg
-	remaining int
-}
-
-type pendingSync struct {
-	agg       *Agg
-	remaining int // number of server replies expected
-}
-
 // NewPending returns an empty pending-operation table with its own ID
 // allocator (single-shard and test use; the runtime's tables share a
 // node-wide allocator).
 func NewPending() *Pending { return newPending(&atomic.Uint64{}) }
 
 func newPending(next *atomic.Uint64) *Pending {
-	return &Pending{
-		next:    next,
-		ops:     make(map[uint64]*pendingOp),
-		locs:    make(map[uint64]*pendingLoc),
-		waiters: make(map[kv.Key][]uint64),
-		syncs:   make(map[uint64]*pendingSync),
-	}
+	return &Pending{next: next, ops: make(map[uint64]*pendingOp)}
 }
 
 // RegisterOpPart allocates a slot for the part of a pull/push whose nKeys
 // keys belong to this shard, tied to the operation's aggregate. For pulls,
 // dst and entries describe where each key occurrence's response values land
 // (dst is shared read-only across parts; distinct occurrences fill distinct
-// sub-slices).
+// sub-slices). A part without a buffer only counts: the stale PS registers a
+// replica fetch that way, nKeys the replies it expects.
 func (p *Pending) RegisterOpPart(a *Agg, nKeys int, dst []float32, entries []OpEntry) uint64 {
-	a.add(nKeys)
+	a.Add(nKeys)
 	id := p.next.Add(1)
 	p.mu.Lock()
 	p.ops[id] = &pendingOp{agg: a, remaining: nKeys, dst: dst, entries: entries}
@@ -229,7 +192,7 @@ func (p *Pending) RegisterOpPart(a *Agg, nKeys int, dst []float32, entries []OpE
 func (p *Pending) RegisterOp(nKeys int, dst []float32, entries []OpEntry) (uint64, *kv.Future) {
 	a := NewAgg()
 	id := p.RegisterOpPart(a, nKeys, dst, entries)
-	return id, a.Seal(nil)
+	return id, a.Seal()
 }
 
 // CompleteResp applies a pull/push response, filling the destination buffer
@@ -298,105 +261,5 @@ func (p *Pending) FinishKeys(id uint64, n int) {
 		delete(p.ops, id)
 	}
 	p.mu.Unlock()
-	op.agg.finish(n, nil)
-}
-
-// RegisterLocalizePart allocates a localize slot expecting nKeys arrivals of
-// this shard's keys, tied to the localize's aggregate.
-func (p *Pending) RegisterLocalizePart(a *Agg, nKeys int) uint64 {
-	a.add(nKeys)
-	id := p.next.Add(1)
-	p.mu.Lock()
-	p.locs[id] = &pendingLoc{agg: a, remaining: nKeys}
-	p.mu.Unlock()
-	return id
-}
-
-// RegisterLocalize allocates a single-part localize slot expecting nKeys
-// arrivals. measure marks the slot whose relocation time should be recorded.
-func (p *Pending) RegisterLocalize(nKeys int, measure bool) (uint64, *kv.Future) {
-	a := NewAgg()
-	if measure {
-		a.Measure()
-	}
-	id := p.RegisterLocalizePart(a, nKeys)
-	return id, a.Seal(nil)
-}
-
-// AddWaiter registers localize id as waiting for key k. Must be called while
-// the caller holds the key in its incoming state (under the variant's queue
-// lock) so that arrival notifications cannot be missed.
-func (p *Pending) AddWaiter(k kv.Key, id uint64) {
-	p.mu.Lock()
-	p.waiters[k] = append(p.waiters[k], id)
-	p.mu.Unlock()
-}
-
-// CompleteLocalizeKeys notifies all localize waiters of the given keys that
-// the keys arrived (or already reside) at this node. Relocation times are
-// observed on stats when a measuring aggregate completes.
-func (p *Pending) CompleteLocalizeKeys(keys []kv.Key, stats *metrics.ServerStats) {
-	type done struct {
-		agg *Agg
-		n   int
-	}
-	var completed []done
-	p.mu.Lock()
-	for _, k := range keys {
-		ids := p.waiters[k]
-		if len(ids) == 0 {
-			continue
-		}
-		delete(p.waiters, k)
-		for _, id := range ids {
-			loc, ok := p.locs[id]
-			if !ok {
-				continue
-			}
-			loc.remaining--
-			if loc.remaining <= 0 {
-				delete(p.locs, id)
-			}
-			completed = append(completed, done{agg: loc.agg, n: 1})
-		}
-	}
-	p.mu.Unlock()
-	for _, d := range completed {
-		d.agg.finish(d.n, stats)
-	}
-}
-
-// RegisterSyncPart allocates a stale-PS fetch slot expecting nReplies sync
-// replies for this shard's keys, tied to the fetch's aggregate.
-func (p *Pending) RegisterSyncPart(a *Agg, nReplies int) uint64 {
-	a.add(nReplies)
-	id := p.next.Add(1)
-	p.mu.Lock()
-	p.syncs[id] = &pendingSync{agg: a, remaining: nReplies}
-	p.mu.Unlock()
-	return id
-}
-
-// RegisterSync allocates a single-part fetch slot expecting nReplies sync
-// replies (one per contacted server).
-func (p *Pending) RegisterSync(nReplies int) (uint64, *kv.Future) {
-	a := NewAgg()
-	id := p.RegisterSyncPart(a, nReplies)
-	return id, a.Seal(nil)
-}
-
-// CompleteSync accounts one sync reply for fetch id.
-func (p *Pending) CompleteSync(id uint64) {
-	p.mu.Lock()
-	s, ok := p.syncs[id]
-	if !ok {
-		p.mu.Unlock()
-		panic(fmt.Sprintf("server: reply for unknown sync %d", id))
-	}
-	s.remaining--
-	if s.remaining <= 0 {
-		delete(p.syncs, id)
-	}
-	p.mu.Unlock()
-	s.agg.finish(1, nil)
+	op.agg.Finish(n)
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"errors"
 	"testing"
+	"time"
 
 	"lapse/internal/kv"
 	"lapse/internal/metrics"
@@ -45,43 +46,54 @@ func TestPendingFinishKeysMixedWithResponses(t *testing.T) {
 	}
 }
 
-func TestPendingLocalizeWaiters(t *testing.T) {
-	p := NewPending()
-	st := &metrics.ServerStats{}
-	// Two localizes wait on overlapping keys; key arrival notifies both.
-	id1, fut1 := p.RegisterLocalize(2, true)
-	p.AddWaiter(7, id1)
-	p.AddWaiter(9, id1)
-	id2, fut2 := p.RegisterLocalize(1, false)
-	p.AddWaiter(9, id2)
-
-	p.CompleteLocalizeKeys([]kv.Key{9}, st)
-	if err := fut2.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if done, _ := fut1.TryWait(); done {
-		t.Fatal("localize 1 completed before key 7 arrived")
-	}
-	p.CompleteLocalizeKeys([]kv.Key{7}, st)
-	if err := fut1.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if st.RelocationTime.Snapshot().Count() != 1 {
-		t.Fatalf("relocation time observations = %d, want 1 (only the measuring slot)",
-			st.RelocationTime.Snapshot().Count())
-	}
-}
-
+// TestPendingSync: a stale-PS replica fetch is an operation part without a
+// buffer, each server's reply counting as one key.
 func TestPendingSync(t *testing.T) {
 	p := NewPending()
-	id, fut := p.RegisterSync(2)
-	p.CompleteSync(id)
+	id, fut := p.RegisterOp(2, nil, nil)
+	p.FinishKeys(id, 1)
 	if done, _ := fut.TryWait(); done {
 		t.Fatal("sync completed after one of two replies")
 	}
-	p.CompleteSync(id)
+	p.FinishKeys(id, 1)
 	if err := fut.Wait(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAggTimers: both recorders attached with Time observe the completion,
+// once, whoever completes the aggregate; an aggregate without one reads no
+// clock.
+func TestAggTimers(t *testing.T) {
+	defer func(f func() time.Time) { nowFunc = f }(nowFunc)
+	t0 := time.Unix(100, 0)
+	reads := 0
+	nowFunc = func() time.Time { reads++; return t0.Add(3 * time.Millisecond) }
+
+	var reloc, lat metrics.Histogram
+	a := NewAgg()
+	a.Add(2)
+	a.Time(&reloc, t0)
+	a.Time(&lat, t0.Add(time.Millisecond))
+	fut := a.Seal()
+	a.Finish(1)
+	if done, _ := fut.TryWait(); done || reads != 0 {
+		t.Fatalf("done=%v after one of two keys, %d clock reads", done, reads)
+	}
+	a.Finish(1)
+	if err := fut.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	// Bucketed sums: about 3 ms and 2 ms, each recorder from its own start.
+	if r, l := reloc.Snapshot(), lat.Snapshot(); r.Count() != 1 || l.Count() != 1 || r.Sum() <= l.Sum() || l.Sum() < time.Millisecond {
+		t.Fatalf("observed %d×%v and %d×%v, want 1×3ms and 1×2ms", r.Count(), r.Sum(), l.Count(), l.Sum())
+	}
+
+	b := NewAgg()
+	b.Add(1)
+	b.Finish(1)
+	if err := b.Seal().Wait(); err != nil || reads != 1 {
+		t.Fatalf("untimed aggregate: err=%v, %d clock reads, want 1 (the timed one's)", err, reads)
 	}
 }
 

@@ -5,8 +5,8 @@
 //
 //   - the per-shard server message loops that drain a node's sharded network
 //     inboxes and dispatch messages,
-//   - the pending-operation tables that match responses, key arrivals, and
-//     sync replies to the futures workers wait on,
+//   - the pending-operation tables that match responses to the futures
+//     workers wait on,
 //   - the per-worker future tracking behind WaitAll,
 //   - the worker-side operation dispatch with per-(destination, shard)
 //     message batching: all keys of one multi-key Pull/Push that route to
@@ -183,6 +183,10 @@ func (nd *Node) latFor(w int) *metrics.OpLat {
 
 // ID returns the node index.
 func (nd *Node) ID() int { return nd.node }
+
+// NextID allocates a number from the node's operation-ID sequence for a
+// request no pending table tracks (a Localize's correlation number).
+func (nd *Node) NextID() uint64 { return nd.nextID.Add(1) }
 
 // Shards returns the node's shard count.
 func (nd *Node) Shards() int { return len(nd.shards) }

@@ -99,16 +99,17 @@ func (h *handle) PullAsync(keys []kv.Key, dst []float32) *kv.Future {
 		h.addOwnWrites(keys, dst, dstOff)
 		return kv.CompletedFuture(nil)
 	}
-	// One fetch per contacted server, each registered as a pending part on
-	// the shard of the fetch's first key: the reply echoes the key list, so
-	// the transport demux delivers it back to exactly that shard.
+	// One fetch per contacted server, each registered as a pending part
+	// (bufferless: it counts the one reply) on the shard of the fetch's first
+	// key: the reply echoes the key list, so the transport demux delivers it
+	// back to exactly that shard.
 	a := server.NewAgg()
 	for srv, ks := range staleBy {
-		id := h.nd.srv.ShardOf(ks[0]).Pending().RegisterSyncPart(a, 1)
+		id := h.nd.srv.ShardOf(ks[0]).Pending().RegisterOpPart(a, 1, nil, nil)
 		m := &msg.SspSync{ID: id, Clock: required, Keys: ks}
 		h.nd.srv.Send(srv, m)
 	}
-	fut := a.Seal(nil)
+	fut := a.Seal()
 	// Completion fills replicas (via applyRefresh); read them afterwards.
 	out := kv.NewFuture()
 	go func() {

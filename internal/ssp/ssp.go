@@ -385,7 +385,7 @@ func (nd *node) handleSync(sh *policyShard, src int, m *msg.SspSync) {
 	// list, so it arrived on the shard whose pending table holds the fetch.
 	nd.applyRefresh(m)
 	if m.ID != 0 {
-		sh.rt.Pending().CompleteSync(m.ID)
+		sh.rt.Pending().FinishKeys(m.ID, 1)
 	}
 }
 

@@ -49,7 +49,7 @@ func pollMultiGet(w *lapse.Worker, keys []lapse.Key, want float32) error {
 // owner must reach a node holding a cached lease well within the test
 // deadline — far inside the 30s lease TTL, so the freshness can only come
 // from the coherence protocol (the LeaseRevoke message in its refresh or drop
-// form, or a drop piggybacked on replica traffic), never from expiry — and the
+// form), never from expiry — and the
 // writer reads its own write. The scenarios below add what update-in-place
 // must hold on top: concurrent writers' refreshes land in value order, an
 // idle holder stops costing messages when its lease runs out, and the copies
