@@ -6,9 +6,9 @@
 // With relocation only, every node constantly reads the same few hot keys
 // over the network. With those keys replicated, reads become node-local
 // replica hits and the only network traffic is the background sync cycle —
-// O(nodes) messages per sync interval, independent of the number of hot
-// keys. The program also shows Cluster.HotKeys, the sampling tracker that
-// identifies which keys are worth replicating.
+// O(nodes × server shards) messages per sync interval, independent of the
+// number of hot keys. The program also shows Cluster.HotKeys, the sampling
+// tracker that identifies which keys are worth replicating.
 package main
 
 import (

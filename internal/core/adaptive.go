@@ -233,6 +233,9 @@ func (sh *policyShard) handleManage(m *msg.Manage) {
 		}
 		sh.runClassifier(sh.classifier.Sweep(sh.nd.ctl.epoch.Load()))
 	case msg.ManageReplicate:
+		if sh.nd.rep == nil || !kv.Fits(sh.nd.sys.layout, m.Keys, len(m.Vals)) {
+			return // an install no home sends is dropped whole
+		}
 		src := 0
 		for _, k := range m.Keys {
 			l := sh.nd.sys.layout.Len(k)
@@ -338,18 +341,27 @@ func (sh *policyShard) beginReplicate(k kv.Key) {
 // finishReplicate completes a promotion once the key's value is in the home
 // store: drain anything still queued into the store, then — atomically with
 // respect to worker enqueues — take the value out (which drops the leases
-// granted on it, like any departure), hand it to the replication manager, flip
-// the state to Replicated, and drop the queue. Afterwards every other node
-// receives the value in a ManageReplicate broadcast, which a lease holder gets
-// behind its drop: both are key-addressed. Localizes deferred during the
-// transition are answered by that same broadcast (their origins wake the
-// waiting localizes when the replica is installed), home-side waiters (a
-// co-located worker's Localize raced the promotion) by the drain.
+// granted on it, like any departure), send every other node the value in a
+// ManageReplicate, hand it to the replication manager, flip the state to
+// Replicated, and drop the queue. All of it is key-addressed, so on each
+// (link, shard) stream a lease holder gets its drop before the install, and
+// every replica gets the install before any refresh of the key: refreshes
+// start from the replication manager's state, which does not exist before the
+// broadcast is sent. Localizes deferred during the transition are answered by
+// that same broadcast (their origins wake the waiting localizes when the
+// replica is installed), home-side waiters (a co-located worker's Localize
+// raced the promotion) by the drain.
 func (sh *policyShard) finishReplicate(k kv.Key) {
 	nd := sh.nd
 	var v []float32
 	sh.drain(k, backStore, stateReplicated, func() {
 		v = sh.takeOut(k)
+		install := &msg.Manage{Kind: msg.ManageReplicate, Origin: int32(nd.id), Keys: []kv.Key{k}, Vals: v}
+		for dest := 0; dest < nd.sys.cl.Nodes(); dest++ {
+			if dest != nd.id {
+				sh.rt.Send(dest, install)
+			}
+		}
 		nd.rep.EnterHomeKey(k, v)
 	})
 	if v == nil {
@@ -359,13 +371,6 @@ func (sh *policyShard) finishReplicate(k kv.Key) {
 	}
 	delete(sh.transitioning, k)
 	sh.stats.AdaptPromotions.Inc()
-	for dest := 0; dest < nd.sys.cl.Nodes(); dest++ {
-		if dest == nd.id {
-			continue
-		}
-		sh.rt.SendOrDispatch(dest, &msg.Manage{
-			Kind: msg.ManageReplicate, Origin: int32(nd.id), Keys: []kv.Key{k}, Vals: v})
-	}
 }
 
 // enterReplica installs a replica of k at a non-home node (ManageReplicate).
@@ -420,30 +425,30 @@ func (sh *policyShard) beginDemote(k kv.Key) {
 
 // exitReplica handles ManageUnreplicate at a replica node: stop serving k
 // locally (worker accesses fail over to the network path the moment the
-// replica entry goes) and acknowledge with the unsynced delta segments.
-// The ack travels the same (node, shard) link as operations for k, staying
-// FIFO with them.
+// replica entry goes) and acknowledge with the deltas no sync carried yet.
+// The ack travels the same (node, shard) stream as operations for k and as
+// the syncs that carried its other deltas, staying FIFO behind both.
 func (sh *policyShard) exitReplica(k kv.Key) {
 	nd := sh.nd
-	vals, seqs := nd.rep.DemoteLocal(k)
+	vals := nd.rep.DemoteLocal(k)
 	nd.state[k].Store(stateNotHere)
 	sh.rt.SendOrDispatch(nd.sys.home.NodeOf(k), &msg.Manage{
-		Kind: msg.ManageDemoteAck, Origin: int32(nd.id), Keys: []kv.Key{k}, Vals: vals, Seqs: seqs})
+		Kind: msg.ManageDemoteAck, Origin: int32(nd.id), Keys: []kv.Key{k}, Vals: vals})
 }
 
 // applyDemoteAck folds one replica's residual deltas at the home and, when
-// the last replica has answered, finalizes the demotion.
+// the last replica has answered, finalizes the demotion. An ack no replica
+// sends — not exactly one key, no demotion of it in flight here, deltas that
+// do not fit it — is dropped whole.
 func (sh *policyShard) applyDemoteAck(m *msg.Manage) {
-	nd := sh.nd
 	if len(m.Keys) != 1 {
-		panic(fmt.Sprintf("core: demote ack with %d keys", len(m.Keys)))
+		return
 	}
 	k := m.Keys[0]
 	tr := sh.transitioning[k]
-	if tr == nil || tr.kind != transDemote {
-		panic(fmt.Sprintf("core: demote ack for key %d without demote in flight at node %d", k, nd.id))
+	if tr == nil || tr.kind != transDemote || !sh.nd.rep.ApplyDemoteAck(k, m.Vals) {
+		return
 	}
-	nd.rep.ApplyDemoteAck(k, m.Origin, m.Vals, m.Seqs)
 	tr.acksLeft--
 	if tr.acksLeft == 0 {
 		sh.finalizeDemote(k)

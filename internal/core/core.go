@@ -152,7 +152,8 @@ type node struct {
 	// sh[s] is the policy of server shard s.
 	sh []*policyShard
 	// rep manages this node's replicated hot keys (nil when replication is
-	// not configured). Its wire messages are pinned to shard 0.
+	// not configured). Its wire messages are key-addressed: each shard
+	// handles the sync traffic of its own keys.
 	rep *replication.Manager
 	// tracker samples this node's key accesses for hot-key candidates.
 	// Per-node (like stats), so worker fast paths never contend on a
@@ -280,12 +281,11 @@ func New(cl *cluster.Cluster, layout kv.Layout, cfg Config) *System {
 			nd.rep = replication.NewManager(replication.Config{
 				Node:      n,
 				Nodes:     cl.Nodes(),
-				Shards:    srv.Shards(),
 				Layout:    layout,
 				Home:      s.home,
 				Keys:      cfg.Replicate,
 				SyncEvery: cfg.ReplicaSyncEvery,
-				Stats:     srv.Shard(0).Stats(),
+				Stats:     s.g.Stats()[n*len(nd.sh) : (n+1)*len(nd.sh)],
 				Send:      srv.Send,
 			})
 		}
@@ -554,11 +554,16 @@ func (sh *policyShard) HandleMessage(src int, m any) {
 	case *msg.RelocTransfer:
 		sh.handleTransfer(t)
 	case *msg.ReplicaSync:
-		// Replication wire traffic is pinned to shard 0 (msg.ShardOf), so
-		// successive sync rounds keep their per-link order.
-		sh.nd.rep.HandleSync(t)
+		// Key-addressed like Manage: a key's sync traffic shares its (link,
+		// shard) stream with the transitions that install and remove its
+		// replicas. A node without replication has nothing to sync.
+		if sh.nd.rep != nil {
+			sh.nd.rep.HandleSync(t)
+		}
 	case *msg.ReplicaRefresh:
-		sh.nd.rep.HandleRefresh(t)
+		if sh.nd.rep != nil {
+			sh.nd.rep.HandleRefresh(t)
+		}
 	case *msg.LeaseRevoke:
 		sh.nd.applyLeaseRevoke(t, sh.stats)
 	case *msg.Manage:
@@ -904,7 +909,9 @@ func (sh *policyShard) handleLocalize(m *msg.Localize) {
 		}
 		if nd.state[k].Load() == stateReplicated {
 			repKeys = append(repKeys, k)
-			repVals = append(repVals, nd.rep.AuthValue(k)...)
+			n := len(repVals)
+			repVals = kv.Grow(repVals, nd.sys.layout.Len(k))
+			nd.rep.ReadAuthoritative(k, repVals[n:])
 			continue
 		}
 		prev := int(nd.owner[k].Swap(m.Origin))

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -11,6 +12,7 @@ import (
 	"lapse/internal/consistency"
 	"lapse/internal/kv"
 	"lapse/internal/metrics"
+	"lapse/internal/msg"
 	"lapse/internal/simnet"
 )
 
@@ -125,15 +127,16 @@ func TestReplicatedKeysServeLocallyAndConverge(t *testing.T) {
 }
 
 // TestReplicaSyncRoundIsONodesMessages pins the batching property of the
-// sync cycle: one round moves every dirty key in O(nodes) network messages,
-// independent of the number of keys.
+// sync cycle: one round moves every dirty key in one network message per
+// (destination, dirty shard), independent of the number of keys.
 func TestReplicaSyncRoundIsONodesMessages(t *testing.T) {
-	const nodes, numKeys = 4, 512
+	const nodes, shards, numKeys = 4, 4, 512
 	hot := make([]kv.Key, numKeys)
 	for i := range hot {
 		hot[i] = kv.Key(i)
 	}
-	cl, sys := replicationCluster(nodes, 1, numKeys, 1, hot)
+	cl := cluster.New(cluster.Config{Nodes: nodes, WorkersPerNode: 1, Net: simnet.Config{Shards: shards}})
+	sys := New(cl, kv.NewUniformLayout(numKeys, 1), Config{Replicate: hot, ReplicaSyncEvery: time.Hour})
 	defer func() { cl.Close(); sys.Shutdown() }()
 
 	ones := make([]float32, numKeys)
@@ -145,18 +148,18 @@ func TestReplicaSyncRoundIsONodesMessages(t *testing.T) {
 			t.Error(err)
 		}
 	})
-	// All nodes now hold numKeys dirty keys. One flush sends each node's
-	// deltas (one ReplicaSync per home) and broadcasts its self-homed
-	// merges (one ReplicaRefresh per other node): at most 2·(nodes-1)
-	// messages per node, with 512 dirty keys.
+	// All nodes now hold numKeys dirty keys in every shard. One flush sends,
+	// per shard, each node's deltas (one ReplicaSync per home) and broadcasts
+	// its self-homed merges (one ReplicaRefresh per other node): at most
+	// 2·(nodes-1)·shards messages per node, with 512 dirty keys.
 	before := cl.Net().Stats().RemoteMessages
 	sys.FlushReplicas()
 	waitQuiesce(cl)
 	delta := cl.Net().Stats().RemoteMessages - before
-	if max := int64(nodes * 2 * (nodes - 1)); delta > max {
-		t.Fatalf("one sync round sent %d messages for %d dirty keys, want <= %d (O(nodes))", delta, numKeys, max)
+	if max := int64(nodes * shards * 2 * (nodes - 1)); delta > max {
+		t.Fatalf("one sync round sent %d messages for %d dirty keys, want <= %d (O(nodes × shards))", delta, numKeys, max)
 	}
-	// Convergence still completes (a few more O(nodes) rounds).
+	// Convergence still completes (a few more such rounds).
 	want := []float32{nodes}
 	for _, k := range []kv.Key{0, 255, 511} {
 		awaitReplicaConvergence(t, sys, k, want)
@@ -309,5 +312,73 @@ func TestHotKeyTrackerFindsSkew(t *testing.T) {
 	hot := sys.HotKeys(1)
 	if len(hot) != 1 || hot[0].Key != 7 {
 		t.Fatalf("HotKeys(1) = %v, want key 7", hot)
+	}
+}
+
+// TestMalformedReplicationInputIsDropped pushes every shape of replication
+// wire input no peer sends through the shard handlers of a key's home: each
+// is dropped whole — no panic, and no replica or authoritative value moves —
+// while a well-formed sync still merges.
+func TestMalformedReplicationInputIsDropped(t *testing.T) {
+	const shards = 2
+	// Keys 0..3 are homed at node 0 and 4..7 at node 1; odd keys are shard 1.
+	hot := []kv.Key{1, 3, 5}
+	cl := cluster.New(cluster.Config{Nodes: 2, WorkersPerNode: 1, Net: simnet.Config{Shards: shards}})
+	sys := New(cl, kv.NewUniformLayout(8, 2), Config{Replicate: hot, ReplicaSyncEvery: time.Hour})
+	defer func() { cl.Close(); sys.Shutdown() }()
+	sys.Init(func(k kv.Key, v []float32) { v[0], v[1] = float32(k), float32(k) })
+	nd := sys.nodes[0]
+	snapshot := func() (vals []float32) {
+		buf := make([]float32, 2)
+		for _, k := range hot {
+			nd.rep.ReadReplica(k, buf)
+			vals = append(vals, buf...)
+			if sys.HomeOf(k) == 0 {
+				nd.rep.ReadAuthoritative(k, buf)
+				vals = append(vals, buf...)
+			}
+		}
+		return append(vals, float32(nd.state[2].Load()))
+	}
+	before := snapshot()
+	two := []float32{1, 1}
+	for _, c := range []struct {
+		name string
+		m    any
+	}{
+		{"sync short", &msg.ReplicaSync{Origin: 1, Seq: 1, Keys: []kv.Key{1}, Vals: []float32{1}}},
+		{"sync long", &msg.ReplicaSync{Origin: 1, Seq: 1, Keys: []kv.Key{1}, Vals: []float32{1, 1, 1}}},
+		{"sync no values", &msg.ReplicaSync{Origin: 1, Seq: 1, Keys: []kv.Key{1}}},
+		{"sync key outside layout", &msg.ReplicaSync{Origin: 1, Seq: 1, Keys: []kv.Key{99}, Vals: two}},
+		{"sync key homed elsewhere", &msg.ReplicaSync{Origin: 1, Seq: 1, Keys: []kv.Key{5}, Vals: two}},
+		{"sync key not replicated", &msg.ReplicaSync{Origin: 1, Seq: 1, Keys: []kv.Key{2}, Vals: two}},
+		{"sync one foreign key", &msg.ReplicaSync{Origin: 1, Seq: 1, Keys: []kv.Key{1, 5}, Vals: []float32{1, 1, 1, 1}}},
+		{"sync mixed shards", &msg.ReplicaSync{Origin: 1, Seq: 1, Keys: []kv.Key{1, 2}, Vals: []float32{1, 1, 1, 1}}},
+		{"sync origin out of range", &msg.ReplicaSync{Origin: 7, Seq: 1, Keys: []kv.Key{1}, Vals: two}},
+		{"sync negative origin", &msg.ReplicaSync{Origin: -1, Seq: 1, Keys: []kv.Key{1}, Vals: two}},
+		{"sync no keys", &msg.ReplicaSync{Origin: 1, Seq: 1, Vals: two}},
+		{"refresh short", &msg.ReplicaRefresh{Origin: 1, Keys: []kv.Key{5}, Vals: []float32{1}}},
+		{"refresh key outside layout", &msg.ReplicaRefresh{Origin: 1, Keys: []kv.Key{99}, Vals: two}},
+		{"refresh mixed shards", &msg.ReplicaRefresh{Origin: 1, Keys: []kv.Key{5, 2}, Vals: []float32{1, 1, 1, 1}}},
+		{"refresh no keys", &msg.ReplicaRefresh{Origin: 1, Vals: two}},
+		{"ack two keys", &msg.Manage{Kind: msg.ManageDemoteAck, Origin: 1, Keys: []kv.Key{1, 3}, Vals: two}},
+		{"ack no keys", &msg.Manage{Kind: msg.ManageDemoteAck, Origin: 1}},
+		{"ack without demotion", &msg.Manage{Kind: msg.ManageDemoteAck, Origin: 1, Keys: []kv.Key{1}, Vals: two}},
+		{"ack key outside layout", &msg.Manage{Kind: msg.ManageDemoteAck, Origin: 1, Keys: []kv.Key{99}, Vals: two}},
+		{"install short", &msg.Manage{Kind: msg.ManageReplicate, Origin: 1, Keys: []kv.Key{2}, Vals: []float32{1}}},
+		{"install key outside layout", &msg.Manage{Kind: msg.ManageReplicate, Origin: 1, Keys: []kv.Key{99}, Vals: two}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			nd.sh[msg.ShardOf(c.m, shards)].HandleMessage(1, c.m)
+			if got := snapshot(); !slices.Equal(got, before) {
+				t.Fatalf("values moved: %v, want %v", got, before)
+			}
+		})
+	}
+	// The control: the same handlers merge a sync that fits.
+	nd.sh[1].HandleMessage(1, &msg.ReplicaSync{Origin: 1, Seq: 1, Keys: []kv.Key{1}, Vals: two})
+	buf := make([]float32, 2)
+	if nd.rep.ReadAuthoritative(1, buf); buf[0] != 2 {
+		t.Fatalf("well-formed sync left key 1 at %v, want 2", buf)
 	}
 }

@@ -402,7 +402,7 @@ func (nd *node) applyLeaseRevoke(m *msg.LeaseRevoke, stats *metrics.ServerStats)
 	if nd.serving == nil {
 		return
 	}
-	if len(m.Vals) == 0 || !nd.valsFit(m.Keys, len(m.Vals)) {
+	if len(m.Vals) == 0 || !kv.Fits(nd.sys.layout, m.Keys, len(m.Vals)) {
 		for _, k := range m.Keys {
 			if nd.serving.drop(k) {
 				stats.LeaseInvalidations.Inc()
@@ -418,17 +418,4 @@ func (nd *node) applyLeaseRevoke(m *msg.LeaseRevoke, stats *metrics.ServerStats)
 		}
 		src += l
 	}
-}
-
-// valsFit reports whether n values are exactly what keys hold under the
-// layout (and every key is one the layout knows).
-func (nd *node) valsFit(keys []kv.Key, n int) bool {
-	layout := nd.sys.layout
-	for _, k := range keys {
-		if k >= layout.NumKeys() {
-			return false
-		}
-		n -= layout.Len(k)
-	}
-	return n == 0
 }

@@ -23,7 +23,7 @@ import (
 // stealing them back); replication serves them from node-local replicas.
 // The workloads drive Lapse with either management technique so the benefit
 // is measurable: remote reads for the hot keys drop to ~zero, paid for by
-// O(nodes) sync messages per interval.
+// O(nodes × shards) sync messages per interval.
 
 // HotKeyMode selects how the workload's keys are managed.
 type HotKeyMode string

@@ -11,7 +11,7 @@ import (
 // of the replication subsystem: on a Zipf-skewed workload with the top-k
 // keys replicated, remote reads drop by at least 10× versus relocation-only
 // Lapse — the hot keys' reads become node-local replica hits. (The per-
-// sync-round O(nodes) message bound is pinned separately by
+// sync-round O(nodes × shards) message bound is pinned separately by
 // core.TestReplicaSyncRoundIsONodesMessages.)
 func TestZipfReplicationCutsHotKeyRemoteReads(t *testing.T) {
 	par := Parallelism{Nodes: 4, Workers: 2}

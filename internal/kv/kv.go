@@ -227,6 +227,19 @@ func BufferLen(layout Layout, keys []Key) int {
 	return n
 }
 
+// Fits reports whether n values are exactly what keys hold under layout, and
+// every key is one the layout knows: the check a handler makes before
+// slicing a wire message's values by key.
+func Fits(layout Layout, keys []Key, n int) bool {
+	for _, k := range keys {
+		if k >= layout.NumKeys() {
+			return false
+		}
+		n -= layout.Len(k)
+	}
+	return n == 0
+}
+
 // Grow extends s by n elements, reallocating (with capacity doubling) only
 // when capacity is short, and returns the extended slice. The new elements
 // are reservation space the caller must overwrite — the scratch-buffer

@@ -118,10 +118,10 @@ type ServerStats struct {
 	// node-local replica (shared-memory, no network).
 	ReplicaHits Counter
 	// ReplicaSyncMessages counts ReplicaSync/ReplicaRefresh messages sent
-	// by this node's background replica sync cycle.
+	// by the background replica sync cycle of this shard's keys.
 	ReplicaSyncMessages Counter
-	// ReplicaSyncTime records the duration of each replica sync round
-	// (pending-delta drain plus refresh broadcast assembly and dispatch).
+	// ReplicaSyncTime records the duration of each of this shard's replica
+	// sync rounds (pending-delta drain plus refresh assembly and dispatch).
 	ReplicaSyncTime Histogram
 	// AdaptPromotions, AdaptDemotions, and AdaptRelocations count the
 	// transitions the adaptive controller executed with this node as the

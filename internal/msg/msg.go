@@ -208,11 +208,11 @@ type Block struct {
 }
 
 // ReplicaSync carries the cumulative update deltas node Origin accumulated
-// for replicated keys homed at the destination (phase 1 of the hot-key
-// replication sync cycle). Vals holds the deltas concatenated in Keys order.
-// Seq numbers Origin's sync rounds; the home acknowledges the highest
-// applied Seq in ReplicaRefresh.Ack so Origin can retire its in-flight
-// deltas.
+// for replicated keys of one server shard homed at the destination (phase 1
+// of the hot-key replication sync cycle). Vals holds the deltas concatenated
+// in Keys order. Seq numbers the sync rounds of Origin's stripe for that
+// shard; the home acknowledges the highest applied Seq in ReplicaRefresh.Ack
+// so Origin can retire its in-flight deltas.
 type ReplicaSync struct {
 	Origin int32
 	Seq    uint32
@@ -220,10 +220,11 @@ type ReplicaSync struct {
 	Vals   []float32
 }
 
-// ReplicaRefresh fans the merged authoritative values of replicated keys
-// from their home node (Origin) back out to one replica node (phase 2 of
-// the sync cycle). Ack is the highest ReplicaSync.Seq received from the
-// destination whose deltas are reflected in Vals.
+// ReplicaRefresh fans the merged authoritative values of replicated keys of
+// one server shard from their home node (Origin) back out to one replica
+// node (phase 2 of the sync cycle). Ack is the highest ReplicaSync.Seq of
+// that shard received from the destination whose deltas are reflected in
+// Vals.
 type ReplicaRefresh struct {
 	Origin int32
 	Ack    uint32
@@ -250,10 +251,10 @@ const (
 	// ManageUnreplicate tells replicas to stop replicating Keys and return
 	// their residual deltas to the home node.
 	ManageUnreplicate
-	// ManageDemoteAck answers an Unreplicate for one key: the replica's
-	// unsynced delta segments (Vals, one value-length segment per entry of
-	// Seqs, where Seqs holds each segment's sync round — 0 for the pending,
-	// never-sent segment).
+	// ManageDemoteAck answers an Unreplicate for one key: Vals holds the
+	// replica's deltas that no ReplicaSync carried (empty: none). The deltas
+	// it did sync need no copy here — those syncs precede the ack on the
+	// key's stream.
 	ManageDemoteAck
 	// ManageLocalize asks the destination to relocate Keys to itself through
 	// the ordinary Localize protocol: the home's controller decided the
@@ -291,18 +292,18 @@ func (k ManageKind) String() string {
 // Manage is the adaptive-management control message: tracker reports flowing
 // to home nodes and the per-key replication enter/exit protocol driven by the
 // online controller. All operations are key-addressed — every key in one
-// message belongs to the same server shard — so transitions stay FIFO with
-// the operations of the keys they manage on each (link, shard) stream. Origin
-// is the sending node. Epoch is the sender's controller tick on a report or
-// sweep (unused otherwise; classifiers run on their own node's clock, so it
-// is informational); Seqs is used only by demote acknowledgements.
+// message belongs to the same server shard — so transitions stay FIFO on each
+// (link, shard) stream with the operations of the keys they manage and with
+// those keys' ReplicaSync and ReplicaRefresh traffic. Origin is the sending
+// node. Epoch is the sender's controller tick on a report or sweep (unused
+// otherwise; classifiers run on their own node's clock, so it is
+// informational).
 type Manage struct {
 	Kind   ManageKind
 	Origin int32
 	Epoch  uint32
 	Keys   []kv.Key
 	Vals   []float32
-	Seqs   []uint32
 }
 
 // LeaseRevoke is the owner's coherence message for the serving-cache leases
@@ -328,7 +329,6 @@ const (
 	headerBytes = 1 + 4 // kind + payload length prefix used by Encode
 	keyBytes    = 8
 	valBytes    = 4
-	seqBytes    = 4
 )
 
 // Size returns the encoded size in bytes of m. It is used by the simulated
@@ -358,7 +358,7 @@ func Size(m any) int {
 	case *ReplicaRefresh:
 		return headerBytes + 4 + 4 + 4 + 4 + len(t.Keys)*keyBytes + len(t.Vals)*valBytes
 	case *Manage:
-		return headerBytes + 1 + 4 + 4 + 4 + 4 + 4 + len(t.Keys)*keyBytes + len(t.Vals)*valBytes + len(t.Seqs)*seqBytes
+		return headerBytes + 1 + 4 + 4 + 4 + 4 + len(t.Keys)*keyBytes + len(t.Vals)*valBytes
 	case *LeaseRevoke:
 		return headerBytes + 4 + 4 + 4 + 4 + len(t.Keys)*keyBytes + len(t.Vals)*valBytes
 	default:
@@ -452,7 +452,6 @@ func AppendTo(buf []byte, m any) []byte {
 		w.u32(t.Epoch)
 		w.keys(t.Keys)
 		w.vals(t.Vals)
-		w.seqs(t.Seqs)
 	case *LeaseRevoke:
 		w.header(KindLeaseRevoke, sz)
 		w.u32(uint32(t.Origin))
@@ -512,15 +511,6 @@ func (w *writer) vals(vals []float32) {
 		binary.LittleEndian.PutUint32(b[i*valBytes:], math.Float32bits(v))
 	}
 	w.off += len(vals) * valBytes
-}
-
-func (w *writer) seqs(seqs []uint32) {
-	w.u32(uint32(len(seqs)))
-	b := w.b[w.off : w.off+len(seqs)*seqBytes]
-	for i, v := range seqs {
-		binary.LittleEndian.PutUint32(b[i*seqBytes:], v)
-	}
-	w.off += len(seqs) * seqBytes
 }
 
 // Decode parses one encoded message and returns it together with the number
@@ -655,7 +645,7 @@ func decodeMsg(buf []byte, s *Scratch) (any, int, error) {
 			t = new(Manage)
 		}
 		*t = Manage{Kind: ManageKind(d.u8()), Origin: int32(d.u32()), Epoch: d.u32(),
-			Keys: d.keys(), Vals: d.vals(), Seqs: d.seqs()}
+			Keys: d.keys(), Vals: d.vals()}
 		m = t
 	case KindLeaseRevoke:
 		var t *LeaseRevoke
@@ -789,38 +779,6 @@ func (d *decoder) vals() []float32 {
 	}
 	d.p = d.p[n*valBytes:]
 	return vals
-}
-
-// seqs reads a count-prefixed uint32 list; a zero count decodes to nil. Like
-// keys and vals, the count is validated overflow-safely before allocating,
-// and a scratch's seq arena is reused when present.
-func (d *decoder) seqs() []uint32 {
-	n := int(d.u32())
-	if d.err != nil {
-		return nil
-	}
-	if n < 0 || n > len(d.p)/seqBytes {
-		d.fail("seqs")
-		return nil
-	}
-	if n == 0 {
-		return nil
-	}
-	var seqs []uint32
-	if d.s != nil {
-		if cap(d.s.seqs) < n {
-			d.s.seqs = make([]uint32, n)
-		}
-		seqs = d.s.seqs[:n]
-	} else {
-		seqs = make([]uint32, n)
-	}
-	b := d.p[:n*seqBytes]
-	for i := range seqs {
-		seqs[i] = binary.LittleEndian.Uint32(b[i*seqBytes:])
-	}
-	d.p = d.p[n*seqBytes:]
-	return seqs
 }
 
 func boolByte(b bool) byte {

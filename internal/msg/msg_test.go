@@ -49,8 +49,7 @@ func TestRoundTripAllKinds(t *testing.T) {
 		&Manage{Kind: ManageReport, Origin: 1, Epoch: 7, Keys: []kv.Key{3, 11}, Vals: []float32{64, 16}},
 		&Manage{Kind: ManageReplicate, Origin: 0, Keys: []kv.Key{5}, Vals: []float32{1.5, -2}},
 		&Manage{Kind: ManageUnreplicate, Origin: 2, Keys: []kv.Key{5}},
-		&Manage{Kind: ManageDemoteAck, Origin: 3, Epoch: 9, Keys: []kv.Key{5},
-			Vals: []float32{0.5, 0.5, 1, 1}, Seqs: []uint32{0, 9}},
+		&Manage{Kind: ManageDemoteAck, Origin: 3, Epoch: 9, Keys: []kv.Key{5}, Vals: []float32{0.5, 0.5}},
 		&Manage{Kind: ManageDemoteAck, Origin: 1, Keys: []kv.Key{4}},
 		&LeaseRevoke{Origin: 2, Keys: []kv.Key{5}},
 		&LeaseRevoke{Origin: 1, TTL: 200_000, Keys: []kv.Key{5, 9}, Vals: []float32{1, 2, 3, 4}},
@@ -112,9 +111,6 @@ func normalize(m any) any {
 		c := *t
 		c.Keys = nilIfEmptyKeys(c.Keys)
 		c.Vals = nilIfEmptyVals(c.Vals)
-		if len(c.Seqs) == 0 {
-			c.Seqs = nil
-		}
 		return &c
 	case *LeaseRevoke:
 		c := *t

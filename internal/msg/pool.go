@@ -43,8 +43,6 @@ const (
 	poisonByte = 0xDB
 	// PoisonKey is the key value a poisoned scratch arena reads back as.
 	PoisonKey = kv.Key(0xDBDBDBDBDBDBDBDB)
-	// PoisonSeq is the uint32 a poisoned seq arena reads back as.
-	PoisonSeq = uint32(0xDBDBDBDB)
 )
 
 // PoisonVal is the float32 a poisoned buffer or value arena reads back as.
@@ -98,7 +96,6 @@ type Scratch struct {
 
 	keys []kv.Key
 	vals []float32
-	seqs []uint32
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
@@ -129,10 +126,6 @@ func (s *Scratch) Release() {
 		vals := s.vals[:cap(s.vals)]
 		for i := range vals {
 			vals[i] = PoisonVal
-		}
-		seqs := s.seqs[:cap(s.seqs)]
-		for i := range seqs {
-			seqs[i] = PoisonSeq
 		}
 		// Zero the structs too (keeping the arena slices out of them), so a
 		// retained struct pointer cannot quietly resurrect old field values.

@@ -17,16 +17,19 @@ import (
 // FIFO per (link, shard) — the ordering the per-key consistency arguments
 // need, because a key maps to exactly one shard.
 //
-// Key-addressed protocol messages (Op, OpResp, Localize, RelocInstruct,
-// RelocTransfer, Manage, LeaseRevoke) must be shard-pure: every key in one message belongs to the
-// same shard. Senders guarantee this by batching per (destination, shard);
-// the simulated network additionally asserts it. Messages that either carry
-// no keys or whose handlers do not assume shard ownership route as follows:
+// One key, one stream: every message that names a key travels on that key's
+// shard (Op, OpResp, Localize, RelocInstruct, RelocTransfer, Manage,
+// LeaseRevoke, ReplicaSync, ReplicaRefresh), so on each link all traffic
+// about a key — its operations, its relocation, its promotion and demotion,
+// its lease coherence and its replica sync — is delivered in send order, to
+// the one goroutine that owns the key. These kinds must be shard-pure: every
+// key in one message belongs to the same shard. Senders guarantee this by
+// batching per (destination, shard); the simulated network additionally
+// asserts it. The rest route as follows:
 //
-//   - SspClock, Barrier, Block, ReplicaSync, ReplicaRefresh: shard 0. The
-//     clock, barrier, and replication sync handlers keep node-level state
-//     and rely on per-link FIFO between successive messages, so they are
-//     pinned to one shard.
+//   - SspClock, Barrier, Block: shard 0. They name no key; the clock and
+//     barrier handlers keep node-level state and rely on per-link FIFO
+//     between successive messages, so they are pinned to one shard.
 //   - SspSync: by first key. Fetch requests and their replies carry the same
 //     key list, so both ends derive the same shard and the reply finds the
 //     pending slot registered under it; eager pushes are clock-tagged and
@@ -70,9 +73,14 @@ func ShardOf(m any, shards int) int {
 		// Revocations are key-addressed so they stay FIFO with the OpResp
 		// lease grant they chase on the holder's (link, shard) stream.
 		return shardOfKeys(t.Keys, shards)
+	case *ReplicaSync:
+		// Replica sync is key-addressed so it stays FIFO with the install
+		// and the demote acknowledgement of the keys it carries.
+		return shardOfKeys(t.Keys, shards)
+	case *ReplicaRefresh:
+		return shardOfKeys(t.Keys, shards)
 	default:
-		// SspClock, Barrier, Block, ReplicaSync, ReplicaRefresh, and any
-		// future node-level message.
+		// SspClock, Barrier, Block: they name no key.
 		return 0
 	}
 }
@@ -108,6 +116,10 @@ func CheckShardPure(m any, shards int) error {
 	case *Manage:
 		keys = t.Keys
 	case *LeaseRevoke:
+		keys = t.Keys
+	case *ReplicaSync:
+		keys = t.Keys
+	case *ReplicaRefresh:
 		keys = t.Keys
 	default:
 		return nil

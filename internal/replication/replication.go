@@ -15,16 +15,22 @@
 //
 //	replica --ReplicaSync(deltas)--> home --ReplicaRefresh(merged)--> replicas
 //
-// Each node accumulates its local pushes in per-key pending buffers,
-// striped by server shard (msg.ShardOfKey) so workers of a sharded runtime
-// pushing different hot keys do not contend on one mutex. Every sync
-// interval a round drains all stripes and sends the deltas to each key's
-// home node, merged into one ReplicaSync per destination — the per-shard
-// outputs are combined before dispatch, so a sync round still costs
-// O(nodes) messages regardless of shard count or how many keys are dirty.
-// Homes broadcast changed authoritative values back out, batched into one
-// ReplicaRefresh per node. Both message kinds are pinned to inbox shard 0
-// by the transport demux, preserving their per-link order.
+// One key, one stream: the manager is striped by server shard, and each
+// stripe holds all replication state of its shard's keys under one mutex —
+// pending and in-flight deltas, a sync-round counter and, for keys homed
+// here, the authoritative values, the dirty set and the rounds applied per
+// origin. Every sync interval each stripe sends one ReplicaSync per home it
+// holds deltas for and, as a home, one ReplicaRefresh per other node if its
+// keys changed: O(nodes × dirty shards) messages, however many keys are
+// dirty. Both kinds are key-addressed (msg.ShardOf), so they share each key's
+// (link, shard) FIFO stream with its operations and the Manage messages that
+// install and remove its replicas, and are handled on the key's shard
+// goroutine.
+//
+// Lock rule: a caller holding its shard's queueMu may take a stripe lock,
+// never the reverse, and messages are sent under either — transport sends
+// never block — so a message's place on its stream is fixed by the state
+// change that produced it.
 //
 // Consistency: replicated keys are eventually consistent. Reads always see
 // the node's own preceding writes (read-your-writes): a replica's local
@@ -41,6 +47,7 @@ package replication
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -63,9 +70,6 @@ type Config struct {
 	// Node is the node this manager serves; Nodes the cluster size.
 	Node  int
 	Nodes int
-	// Shards is the server runtime's shard count; the pending/in-flight
-	// delta buffers are striped by it (0 = 1).
-	Shards int
 	// Layout is the parameter layout (value lengths).
 	Layout kv.Layout
 	// Home assigns each replicated key's home node, which holds the
@@ -76,10 +80,13 @@ type Config struct {
 	Keys []kv.Key
 	// SyncEvery is the background sync interval (0 = DefaultSyncEvery).
 	SyncEvery time.Duration
-	// Stats receives the ReplicaHits / ReplicaSyncMessages counters.
-	Stats *metrics.ServerStats
+	// Stats holds the server runtime's statistics, one entry per shard; the
+	// manager has one stripe per entry, and each stripe counts its replica
+	// hits, local writes, sync messages and round times on its own.
+	Stats []*metrics.ServerStats
 	// Send transmits a wire message to another node (the server runtime's
-	// Send). It must be safe to call from the manager's sync goroutine.
+	// Send). It must be safe to call from any goroutine, must not block, and
+	// must encode m before it returns: the manager reuses messages.
 	Send func(dest int, m any)
 }
 
@@ -90,24 +97,27 @@ type inflightDelta struct {
 	delta []float32
 }
 
-// stripe is one shard's slice of the delta buffers. Push (worker threads),
-// the sync round (ticker goroutine), and refresh installs (server shard 0)
-// all synchronize per stripe, so hot keys of different shards never contend.
+// stripe is one shard's replication state. Push (worker threads), the sync
+// round (ticker goroutine), and the handlers of the shard's wire messages
+// (its server goroutine) all synchronize on mu.
 type stripe struct {
 	mu       sync.Mutex
+	stats    *metrics.ServerStats
 	pending  map[kv.Key][]float32       // local deltas not yet sent
 	inflight map[kv.Key][]inflightDelta // sent, not yet acked by a refresh
+	seq      uint32                     // sync rounds this stripe ran with deltas
+	// Home role, for the shard's keys homed at this node.
+	auth    map[kv.Key][]float32 // merged values
+	dirty   map[kv.Key]bool      // changed since the last refresh
+	applied []uint32             // per origin: highest sync round applied
 }
 
-// Manager is one node's replication state: the local replica store, the
-// striped pending and in-flight update buffers, and — for keys homed at this
-// node — the authoritative merged values. HandleSync and HandleRefresh run
-// on the node's shard-0 server goroutine; Pull/Push run on worker threads;
-// the sync ticker runs on its own goroutine. Per-key replica writes happen
-// only under the key's stripe lock, so refresh installs and pushes cannot
-// interleave (reads stay lock-free on the store's latches); the home-role
-// state (auth, dirty, applied) is guarded by homeMu. Lock order: a stripe
-// lock may be held when taking homeMu, never the reverse.
+// Manager is one node's replication state: the local replica store and one
+// stripe per server shard. Pull/Push run on worker threads, the sync rounds
+// on the ticker goroutine, and the message handlers on the shard goroutine
+// of their keys. Per-key replica writes happen only under the key's stripe
+// lock, so refresh installs and pushes cannot interleave (reads stay
+// lock-free on the store's latches).
 type Manager struct {
 	cfg Config
 	// replica holds the node-local view of every key replicated at this
@@ -117,38 +127,8 @@ type Manager struct {
 	replica *store.Sparse
 	stripes []stripe
 
-	// sendMu serializes whole sync rounds (build + send), so concurrent
-	// Flush calls (ticker + explicit) cannot interleave their messages and
-	// Seq stays monotonic per link. Messages are sent while holding sendMu
-	// but NOT any stripe lock or homeMu: the receiving server goroutines
-	// need those in HandleSync/HandleRefresh, so sending under them could
-	// deadlock two nodes against each other once transport inboxes fill
-	// up.
-	sendMu sync.Mutex
-	seq    uint32 // sync rounds sent by this node; written under sendMu
-
-	homeMu  sync.Mutex
-	auth    map[kv.Key][]float32 // home role: merged values
-	dirty   map[kv.Key]bool      // home role: changed since last broadcast
-	applied map[int32]uint32     // home role: highest seq applied per origin
-	// barrier[k][origin] is the highest sync round whose deltas for k were
-	// folded through origin's demote acknowledgement instead of the sync
-	// path. Sync messages are built before they are sent, so a round that
-	// was still unsent (or in flight) when origin demoted k can arrive
-	// *after* the acknowledgement already folded its delta; HandleSync skips
-	// such (key, origin) pairs to keep every delta counted exactly once. The
-	// watermark persists across re-promotions — origin's rounds only grow —
-	// and costs a few words per demoted (key, origin) pair.
-	barrier map[kv.Key]map[int32]uint32
-
 	stop chan struct{}
 	done chan struct{}
-}
-
-// outMsg is one message assembled under the locks and sent after release.
-type outMsg struct {
-	dest int
-	m    any
 }
 
 // NewManager builds the manager for one node. Keys may be empty when every
@@ -160,23 +140,22 @@ func NewManager(cfg Config) *Manager {
 	if cfg.SyncEvery <= 0 {
 		cfg.SyncEvery = DefaultSyncEvery
 	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = 1
-	}
 	m := &Manager{
 		cfg:     cfg,
 		replica: store.NewSparse(cfg.Layout, 0),
-		stripes: make([]stripe, cfg.Shards),
-		auth:    make(map[kv.Key][]float32),
-		dirty:   make(map[kv.Key]bool),
-		applied: make(map[int32]uint32),
-		barrier: make(map[kv.Key]map[int32]uint32),
+		stripes: make([]stripe, len(cfg.Stats)),
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}
-	for i := range m.stripes {
-		m.stripes[i].pending = make(map[kv.Key][]float32)
-		m.stripes[i].inflight = make(map[kv.Key][]inflightDelta)
+	for i, stats := range cfg.Stats {
+		m.stripes[i] = stripe{
+			stats:    stats,
+			pending:  make(map[kv.Key][]float32),
+			inflight: make(map[kv.Key][]inflightDelta),
+			auth:     make(map[kv.Key][]float32),
+			dirty:    make(map[kv.Key]bool),
+			applied:  make([]uint32, cfg.Nodes),
+		}
 	}
 	for _, k := range cfg.Keys {
 		if k >= cfg.Layout.NumKeys() {
@@ -184,7 +163,7 @@ func NewManager(cfg Config) *Manager {
 		}
 		m.replica.Set(k, make([]float32, cfg.Layout.Len(k)))
 		if cfg.Home.NodeOf(k) == cfg.Node {
-			m.auth[k] = make([]float32, cfg.Layout.Len(k))
+			m.stripeOf(k).auth[k] = make([]float32, cfg.Layout.Len(k))
 		}
 	}
 	return m
@@ -236,11 +215,9 @@ func (m *Manager) InitKey(k kv.Key, val []float32) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	m.replica.Set(k, val)
-	m.homeMu.Lock()
-	if a, ok := m.auth[k]; ok {
+	if a, ok := st.auth[k]; ok {
 		copy(a, val)
 	}
-	m.homeMu.Unlock()
 }
 
 // Pull reads the local replica of k into dst. It reports false — without
@@ -251,8 +228,9 @@ func (m *Manager) Pull(k kv.Key, dst []float32) bool {
 	if !m.replica.Read(k, dst) {
 		return false
 	}
-	m.cfg.Stats.ReplicaHits.Inc()
-	m.cfg.Stats.ReadValues.Add(int64(len(dst)))
+	stats := m.stripeOf(k).stats
+	stats.ReplicaHits.Inc()
+	stats.ReadValues.Add(int64(len(dst)))
 	return true
 }
 
@@ -277,7 +255,7 @@ func (m *Manager) Push(k kv.Key, delta []float32) bool {
 	for i, d := range delta {
 		p[i] += d
 	}
-	m.cfg.Stats.LocalWrites.Inc()
+	st.stats.LocalWrites.Inc()
 	return true
 }
 
@@ -295,7 +273,8 @@ func (m *Manager) EnterKey(k kv.Key, v []float32) {
 
 // EnterHomeKey starts replicating k at its home node, seeding both the
 // authoritative merged value and the local replica with v (the value taken
-// out of the relocation store).
+// out of the relocation store). The caller has already sent every other node
+// its ManageReplicate, so each refresh of k follows the install it refreshes.
 func (m *Manager) EnterHomeKey(k kv.Key, v []float32) {
 	st := m.stripeOf(k)
 	st.mu.Lock()
@@ -303,275 +282,192 @@ func (m *Manager) EnterHomeKey(k kv.Key, v []float32) {
 	if m.replica.Has(k) {
 		panic(fmt.Sprintf("replication: EnterHomeKey(%d): already replicated at node %d", k, m.cfg.Node))
 	}
-	m.homeMu.Lock()
-	a := make([]float32, len(v))
-	copy(a, v)
-	m.auth[k] = a
-	// Mark dirty so the next sync round re-broadcasts this value. A refresh
-	// from before an earlier demotion can still be in flight (refreshes and
-	// manage traffic ride different shard links, so there is no FIFO between
-	// them) and would otherwise install a stale merged value that never heals
-	// if the key goes quiet; the re-broadcast travels the same refresh link
-	// and supersedes it.
-	m.dirty[k] = true
-	m.homeMu.Unlock()
+	st.auth[k] = slices.Clone(v)
 	m.replica.Set(k, v)
 }
 
 // DemoteLocal stops replicating k at this (non-home) node and returns the
-// node's unsynced delta segments for the demote acknowledgement: vals holds
-// len(seqs) concatenated value-length segments, seqs the sync round each
-// segment was sent under — 0 for the pending, never-sent segment. The caller
-// sends them to the home, which folds exactly the segments the sync path has
-// not already applied (see ApplyDemoteAck). After DemoteLocal, worker pushes
-// fail over to the network path, so no delta can land in a buffer that was
-// already gathered.
-func (m *Manager) DemoteLocal(k kv.Key) (vals []float32, seqs []uint32) {
+// deltas no sync message has carried yet (nil: none), for the demote
+// acknowledgement. The in-flight deltas are dropped instead: every sync that
+// carried them was sent under this stripe lock, so it is on the key's stream
+// to the home ahead of the acknowledgement the caller sends next, and the
+// home folds it first. After DemoteLocal, worker pushes fail over to the
+// network path, so no delta can land in a buffer that was already gathered.
+func (m *Manager) DemoteLocal(k kv.Key) []float32 {
 	st := m.stripeOf(k)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if m.replica.Take(k) == nil {
-		return nil, nil
-	}
-	if p, ok := st.pending[k]; ok {
-		vals = append(vals, p...)
-		seqs = append(seqs, 0)
-		delete(st.pending, k)
-	}
-	for _, e := range st.inflight[k] {
-		vals = append(vals, e.delta...)
-		seqs = append(seqs, e.seq)
-	}
+	m.replica.Take(k)
+	p := st.pending[k]
+	delete(st.pending, k)
 	delete(st.inflight, k)
-	return vals, seqs
+	return p
 }
 
-// ApplyDemoteAck folds one origin's residual delta segments for a demoted
-// key into the authoritative value at the home node. The pending segment
-// (seq 0) is always folded — it never travelled in a sync message. A sent
-// segment is folded only if its round has not been applied through the sync
-// path yet; either way the round is recorded as a fold barrier so the sync
-// message, when (or if) it arrives, skips k. This is the exactly-once
-// argument for deltas crossing a demotion.
-func (m *Manager) ApplyDemoteAck(k kv.Key, origin int32, vals []float32, seqs []uint32) {
-	l := m.cfg.Layout.Len(k)
-	m.homeMu.Lock()
-	defer m.homeMu.Unlock()
-	src := 0
-	for _, s := range seqs {
-		seg := vals[src : src+l]
-		src += l
-		if s == 0 || seqAfter(s, m.applied[origin]) {
-			m.mergeHomeLocked(k, seg)
-		}
-		if s != 0 {
-			b := m.barrier[k]
-			if b == nil {
-				b = make(map[int32]uint32)
-				m.barrier[k] = b
-			}
-			if cur, ok := b[origin]; !ok || seqAfter(s, cur) {
-				b[origin] = s
-			}
-		}
+// ApplyDemoteAck folds one replica's never-synced deltas for a demoted key
+// (vals, empty for none) into the authoritative value at the home — their
+// only copy, arriving behind every sync that carried the replica's other
+// deltas for k, so each delta counts exactly once. It reports false, and
+// changes nothing, for an acknowledgement no replica sends: a key this node
+// is not replicating as its home, or deltas that do not fit it.
+func (m *Manager) ApplyDemoteAck(k kv.Key, vals []float32) bool {
+	st := m.stripeOf(k)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if _, ok := st.auth[k]; !ok || (len(vals) > 0 && len(vals) != m.cfg.Layout.Len(k)) {
+		return false
 	}
+	if len(vals) > 0 {
+		st.mergeLocked(k, vals)
+	}
+	return true
 }
 
 // FinalizeDemote ends k's replication at its home node after every replica
 // acknowledged: the home's own unsynced pending deltas are folded in, the
 // authoritative value is returned (ownership transfers to the caller, who
 // re-installs it in the relocation store), and all replication state for k
-// is dropped. The fold barriers persist: a sync round that was in flight
-// while the demote ran may arrive arbitrarily late.
+// is dropped.
 func (m *Manager) FinalizeDemote(k kv.Key) []float32 {
 	st := m.stripeOf(k)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if m.replica.Take(k) == nil {
-		panic(fmt.Sprintf("replication: FinalizeDemote(%d): not replicated at node %d", k, m.cfg.Node))
+	v, ok := st.auth[k]
+	if m.replica.Take(k) == nil || !ok {
+		panic(fmt.Sprintf("replication: FinalizeDemote(%d): not replicated with its home at node %d", k, m.cfg.Node))
 	}
-	m.homeMu.Lock()
-	v, ok := m.auth[k]
-	if !ok {
-		m.homeMu.Unlock()
-		panic(fmt.Sprintf("replication: FinalizeDemote(%d): node %d is not the home", k, m.cfg.Node))
+	for i, d := range st.pending[k] {
+		v[i] += d
 	}
-	if p, ok := st.pending[k]; ok {
-		for i, d := range p {
-			v[i] += d
-		}
-		delete(st.pending, k)
-	}
-	delete(m.auth, k)
-	delete(m.dirty, k)
-	m.homeMu.Unlock()
-	delete(st.inflight, k) // own-homed keys never have in-flight deltas
+	delete(st.pending, k)
+	delete(st.auth, k)
+	delete(st.dirty, k)
 	return v
 }
 
-// AuthValue returns a copy of the authoritative merged value of a key homed
-// at this node (for seeding new replicas during a promotion).
-func (m *Manager) AuthValue(k kv.Key) []float32 {
-	m.homeMu.Lock()
-	defer m.homeMu.Unlock()
-	a, ok := m.auth[k]
-	if !ok {
-		panic(fmt.Sprintf("replication: node %d is not home of key %d", m.cfg.Node, k))
-	}
-	v := make([]float32, len(a))
-	copy(v, a)
-	return v
-}
-
-// Flush runs one sync round immediately (in addition to the background
-// interval): it drains every stripe's pending deltas — merging the shard
-// outputs into one ReplicaSync per home node before dispatch, so the round
-// costs O(nodes) messages however many stripes contributed — and, in this
-// node's home role, broadcasts refreshed values for keys whose merged value
-// changed. Safe to call concurrently with everything else. Messages are
-// assembled under the stripe/home locks but sent after their release (see
-// sendMu).
+// Flush runs one sync round on every stripe immediately (in addition to the
+// background interval). Safe to call concurrently with everything else.
 func (m *Manager) Flush() {
-	start := time.Now()
-	m.sendMu.Lock()
-	defer m.sendMu.Unlock()
-	out := m.syncRound(nil)
-	out = m.broadcast(out)
-	for _, o := range out {
-		m.cfg.Send(o.dest, o.m)
-		m.cfg.Stats.ReplicaSyncMessages.Inc()
-	}
-	m.cfg.Stats.ReplicaSyncTime.Observe(time.Since(start))
-}
-
-// syncRound drains the pending buffers of all stripes: deltas for keys
-// homed here are folded into the authoritative value directly; the rest
-// move — atomically per stripe — into the in-flight buffer and are appended
-// to out as one ReplicaSync message per home node, merged across stripes.
-func (m *Manager) syncRound(out []outMsg) []outMsg {
-	// seq is only read and written under sendMu (held for the whole
-	// round), so the round's number can be chosen up front and committed
-	// only if the round actually drained anything.
-	seq := m.seq + 1
-	drained := false
-	var groups map[int]*msg.ReplicaSync
 	for i := range m.stripes {
-		st := &m.stripes[i]
-		st.mu.Lock()
-		for k, delta := range st.pending {
-			drained = true
-			home := m.cfg.Home.NodeOf(k)
-			if home == m.cfg.Node {
-				m.homeMu.Lock()
-				m.mergeHomeLocked(k, delta)
-				m.homeMu.Unlock()
-				continue
-			}
-			st.inflight[k] = append(st.inflight[k], inflightDelta{seq: seq, delta: delta})
-			if groups == nil {
-				groups = make(map[int]*msg.ReplicaSync)
-			}
-			g := groups[home]
-			if g == nil {
-				g = &msg.ReplicaSync{Origin: int32(m.cfg.Node), Seq: seq}
-				groups[home] = g
-			}
-			g.Keys = append(g.Keys, k)
-			g.Vals = append(g.Vals, delta...)
-		}
-		clear(st.pending)
-		st.mu.Unlock()
+		m.round(&m.stripes[i])
 	}
-	if drained {
-		m.seq = seq
-	}
-	for home, g := range groups {
-		out = append(out, outMsg{dest: home, m: g})
-	}
-	return out
 }
 
-// mergeHomeLocked folds one delta into the authoritative value of a key
-// homed at this node and marks it for the next refresh broadcast. homeMu
-// must be held.
-func (m *Manager) mergeHomeLocked(k kv.Key, delta []float32) {
-	a, ok := m.auth[k]
-	if !ok {
-		panic(fmt.Sprintf("replication: node %d is not home of key %d", m.cfg.Node, k))
+// round runs one stripe's sync round and sends its messages, all under the
+// stripe lock (see the package comment). Pending deltas of keys homed here
+// fold into the authoritative value directly; the rest move into the
+// in-flight buffer and leave as one ReplicaSync per home node. Then, as a
+// home, the stripe installs the merged values of its changed keys locally
+// and sends every other node one ReplicaRefresh with them.
+func (m *Manager) round(st *stripe) {
+	start := time.Now()
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if len(st.pending) > 0 {
+		st.seq++
 	}
+	var syncs map[int]*msg.ReplicaSync
+	for k, delta := range st.pending {
+		home := m.cfg.Home.NodeOf(k)
+		if home == m.cfg.Node {
+			st.mergeLocked(k, delta)
+			continue
+		}
+		st.inflight[k] = append(st.inflight[k], inflightDelta{seq: st.seq, delta: delta})
+		if syncs == nil {
+			syncs = make(map[int]*msg.ReplicaSync)
+		}
+		s := syncs[home]
+		if s == nil {
+			s = &msg.ReplicaSync{Origin: int32(m.cfg.Node), Seq: st.seq}
+			syncs[home] = s
+		}
+		s.Keys = append(s.Keys, k)
+		s.Vals = append(s.Vals, delta...)
+	}
+	clear(st.pending)
+	for home, s := range syncs {
+		m.send(st, home, s)
+	}
+	if len(st.dirty) > 0 {
+		// Installing locally needs no in-flight correction: this node's own
+		// deltas for its homed keys merge at sync time, never in flight.
+		r := &msg.ReplicaRefresh{Origin: int32(m.cfg.Node)}
+		for k := range st.dirty {
+			r.Keys = append(r.Keys, k)
+			r.Vals = append(r.Vals, st.auth[k]...)
+			m.installLocked(st, k, st.auth[k])
+		}
+		clear(st.dirty)
+		for dest := range m.cfg.Nodes {
+			if dest != m.cfg.Node {
+				r.Ack = st.applied[dest]
+				m.send(st, dest, r)
+			}
+		}
+	}
+	st.stats.ReplicaSyncTime.Observe(time.Since(start))
+}
+
+// send transmits one of st's sync-cycle messages and counts it on st's shard.
+func (m *Manager) send(st *stripe, dest int, out any) {
+	m.cfg.Send(dest, out)
+	st.stats.ReplicaSyncMessages.Inc()
+}
+
+// mergeLocked folds one delta into the authoritative value of a key homed at
+// this node, which the caller has checked holds one, and marks it for the
+// next refresh. The stripe lock must be held.
+func (st *stripe) mergeLocked(k kv.Key, delta []float32) {
+	a := st.auth[k]
 	for i, d := range delta {
 		a[i] += d
 	}
-	m.dirty[k] = true
+	st.dirty[k] = true
 }
 
-// broadcast fans the merged values of all dirty keys homed at this node out
-// to every other node (appending one ReplicaRefresh per destination to out)
-// and installs them into the local replica directly. The values are copied
-// into the message under homeMu, so sending after release cannot race with
-// further merges.
-func (m *Manager) broadcast(out []outMsg) []outMsg {
-	m.homeMu.Lock()
-	if len(m.dirty) == 0 {
-		m.homeMu.Unlock()
-		return out
+// stripeFor returns the one stripe a replication message's keys belong to,
+// or nil for a message no peer sends: no keys, a key outside the layout,
+// values that do not fit the keys, or keys of more than one shard. Such a
+// message is dropped whole, before it touches any state.
+func (m *Manager) stripeFor(keys []kv.Key, vals int) *stripe {
+	if len(keys) == 0 || !kv.Fits(m.cfg.Layout, keys, vals) {
+		return nil
 	}
-	keys := make([]kv.Key, 0, len(m.dirty))
-	var vals []float32
-	for k := range m.dirty {
-		keys = append(keys, k)
-		vals = append(vals, m.auth[k]...)
-	}
-	clear(m.dirty)
-	for dest := 0; dest < m.cfg.Nodes; dest++ {
-		if dest == m.cfg.Node {
-			continue
-		}
-		out = append(out, outMsg{dest: dest, m: &msg.ReplicaRefresh{
-			Origin: int32(m.cfg.Node),
-			Ack:    m.applied[int32(dest)],
-			Keys:   keys,
-			Vals:   vals,
-		}})
-	}
-	m.homeMu.Unlock()
-	// Install locally: this node's own deltas for its homed keys are merged
-	// at sync time (never in flight), so the replica view is simply the
-	// merged value plus any deltas pushed since.
-	src := 0
+	st := m.stripeOf(keys[0])
 	for _, k := range keys {
-		l := m.cfg.Layout.Len(k)
-		st := m.stripeOf(k)
-		st.mu.Lock()
-		m.installLocked(st, k, vals[src:src+l])
-		st.mu.Unlock()
-		src += l
+		if m.stripeOf(k) != st {
+			return nil
+		}
 	}
-	return out
+	return st
 }
 
-// HandleSync runs at the home node on the shard-0 server goroutine: fold the
-// deltas into the authoritative values, record the origin's sync round for
-// acknowledgment, and mark the keys for the next refresh broadcast. Keys at
-// or below the origin's demote fold barrier are skipped — their deltas were
-// already folded through the demote acknowledgement (DemoteLocal gathers
-// every in-flight round, so no sync for a demoted key can carry a round
-// above its barrier).
+// HandleSync runs at the home node on the shard goroutine of the message's
+// keys: fold the deltas into the authoritative values, record the origin's
+// sync round for acknowledgment, and mark the keys for the next refresh. A
+// sync naming an unknown origin or a key this node does not home as a
+// replicated key is dropped whole, like a malformed one (see stripeFor).
 func (m *Manager) HandleSync(t *msg.ReplicaSync) {
-	m.homeMu.Lock()
-	defer m.homeMu.Unlock()
+	st := m.stripeFor(t.Keys, len(t.Vals))
+	if st == nil || t.Origin < 0 || int(t.Origin) >= m.cfg.Nodes {
+		return
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	for _, k := range t.Keys {
+		if _, ok := st.auth[k]; !ok {
+			return
+		}
+	}
 	src := 0
 	for _, k := range t.Keys {
 		l := m.cfg.Layout.Len(k)
-		if w, ok := m.barrier[k][t.Origin]; ok && !seqAfter(t.Seq, w) {
-			src += l
-			continue
-		}
-		m.mergeHomeLocked(k, t.Vals[src:src+l])
+		st.mergeLocked(k, t.Vals[src:src+l])
 		src += l
 	}
-	if seqAfter(t.Seq, m.applied[t.Origin]) {
-		m.applied[t.Origin] = t.Seq
+	if seqAfter(t.Seq, st.applied[t.Origin]) {
+		st.applied[t.Origin] = t.Seq
 	}
 }
 
@@ -580,73 +476,62 @@ func (m *Manager) HandleSync(t *msg.ReplicaSync) {
 // 1 ms interval the counter wraps after ~50 days).
 func seqAfter(a, b uint32) bool { return int32(a-b) > 0 }
 
-// HandleRefresh runs at a replica node on the shard-0 server goroutine:
-// retire the in-flight deltas the home has acknowledged, then install each
-// merged value plus this node's still-unmerged deltas into the local
-// replica.
+// HandleRefresh runs at a replica node on the shard goroutine of the
+// message's keys: retire the in-flight deltas the home has acknowledged
+// (seq <= Ack: the refreshed value reflects them), then install each merged
+// value plus this node's still-unmerged deltas into the local replica. A
+// malformed refresh is dropped whole (see stripeFor).
 func (m *Manager) HandleRefresh(t *msg.ReplicaRefresh) {
+	st := m.stripeFor(t.Keys, len(t.Vals))
+	if st == nil {
+		return
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	acked := func(e inflightDelta) bool { return !seqAfter(e.seq, t.Ack) }
 	src := 0
 	for _, k := range t.Keys {
 		l := m.cfg.Layout.Len(k)
-		st := m.stripeOf(k)
-		st.mu.Lock()
-		m.retireLocked(st, k, t.Ack)
+		if fl, ok := st.inflight[k]; ok {
+			st.inflight[k] = slices.DeleteFunc(fl, acked)
+		}
 		m.installLocked(st, k, t.Vals[src:src+l])
-		st.mu.Unlock()
 		src += l
 	}
-}
-
-// retireLocked drops in-flight deltas of k that the home acknowledged
-// (seq <= ack): they are reflected in the refreshed value. The key's stripe
-// lock must be held.
-func (m *Manager) retireLocked(st *stripe, k kv.Key, ack uint32) {
-	fl := st.inflight[k]
-	keep := fl[:0]
-	for _, e := range fl {
-		if seqAfter(e.seq, ack) {
-			keep = append(keep, e)
-		}
-	}
-	if len(keep) == 0 {
-		delete(st.inflight, k)
-		return
-	}
-	st.inflight[k] = keep
 }
 
 // installLocked sets the local replica of k to merged plus every local delta
 // not yet reflected in merged (in-flight and pending), preserving
 // read-your-writes across the install. The key's stripe lock must be held.
-// Keys no longer replicated here are dropped: a refresh (or a home-side
-// broadcast that copied its keys under homeMu) may land after a demotion
-// removed the entry, and installing then would resurrect it.
+// Keys no longer replicated here are dropped: the home keeps refreshing a
+// key it is demoting until the last acknowledgement, behind the
+// ManageUnreplicate that removed the entry, and installing would resurrect
+// it.
 func (m *Manager) installLocked(st *stripe, k kv.Key, merged []float32) {
 	if !m.replica.Has(k) {
 		return
 	}
-	v := make([]float32, len(merged))
-	copy(v, merged)
+	v := slices.Clone(merged)
 	for _, e := range st.inflight[k] {
 		for i, d := range e.delta {
 			v[i] += d
 		}
 	}
-	if p, ok := st.pending[k]; ok {
-		for i, d := range p {
-			v[i] += d
-		}
+	for i, d := range st.pending[k] {
+		v[i] += d
 	}
 	m.replica.Set(k, v)
 }
 
-// ReadAuthoritative reads the merged value of a key homed at this node.
-// Only meaningful in quiescent states after the sync cycle converged
-// (deltas still pending or in flight elsewhere are not included).
+// ReadAuthoritative reads the merged value of a key homed at this node: the
+// value a promotion seeds new replicas with, and in quiescent states after
+// the sync cycle converged the key's value (deltas still pending or in
+// flight elsewhere are not included).
 func (m *Manager) ReadAuthoritative(k kv.Key, dst []float32) {
-	m.homeMu.Lock()
-	defer m.homeMu.Unlock()
-	a, ok := m.auth[k]
+	st := m.stripeOf(k)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	a, ok := st.auth[k]
 	if !ok {
 		panic(fmt.Sprintf("replication: node %d is not home of key %d", m.cfg.Node, k))
 	}

@@ -22,13 +22,29 @@ type fabricMsg struct {
 }
 
 func newTestFabric(nodes int, layout kv.Layout, keys []kv.Key) *testFabric {
+	return newShardedFabric(nodes, 1, layout, keys)
+}
+
+// newShardedFabric builds the fabric for a runtime of the given shard count.
+// Like a transport, it carries a decoded copy of every message, so senders
+// may reuse theirs once Send returns.
+func newShardedFabric(nodes, shards int, layout kv.Layout, keys []kv.Key) *testFabric {
 	f := &testFabric{}
 	home := partition.NewRange(layout.NumKeys(), nodes)
 	for n := 0; n < nodes; n++ {
+		stats := make([]*metrics.ServerStats, shards)
+		for s := range stats {
+			stats[s] = &metrics.ServerStats{}
+		}
 		f.managers = append(f.managers, NewManager(Config{
-			Node: n, Nodes: nodes, Layout: layout, Home: home, Keys: keys,
-			Stats: &metrics.ServerStats{},
-			Send:  func(dest int, m any) { f.queue = append(f.queue, fabricMsg{dest, m}) },
+			Node: n, Nodes: nodes, Layout: layout, Home: home, Keys: keys, Stats: stats,
+			Send: func(dest int, m any) {
+				c, _, err := msg.Decode(msg.Encode(m))
+				if err != nil {
+					panic(err)
+				}
+				f.queue = append(f.queue, fabricMsg{dest, c})
+			},
 		}))
 	}
 	return f
@@ -159,36 +175,56 @@ func TestRefreshPreservesUnmergedDeltas(t *testing.T) {
 	}
 }
 
+// TestSyncRoundIsONodesMessages pins the batching of a sync round: one
+// message per (destination, dirty shard), however many keys are dirty, and
+// every message shard-pure so it travels on its keys' stream.
 func TestSyncRoundIsONodesMessages(t *testing.T) {
-	const nodes, numKeys = 4, 256
+	const nodes, shards, numKeys = 4, 4, 256
 	layout := kv.NewUniformLayout(numKeys, 1)
 	keys := make([]kv.Key, numKeys)
 	for i := range keys {
 		keys[i] = kv.Key(i)
 	}
-	f := newTestFabric(nodes, layout, keys)
+	f := newShardedFabric(nodes, shards, layout, keys)
 	// Every node dirties every key.
 	for _, m := range f.managers {
 		for _, k := range keys {
 			m.Push(k, []float32{1})
 		}
 	}
+	pure := func() {
+		t.Helper()
+		for _, fm := range f.queue {
+			if err := msg.CheckShardPure(fm.m, shards); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	f.flushAll()
-	// Phase 1: each node sends at most nodes-1 syncs plus nodes-1
-	// refreshes (its self-homed keys are dirty) — O(nodes), not O(keys).
-	if max := nodes * 2 * (nodes - 1); len(f.queue) > max {
+	// Phase 1: each node's stripes send at most nodes-1 syncs plus nodes-1
+	// refreshes each (its self-homed keys are dirty) — O(nodes × shards),
+	// not O(keys).
+	if max := nodes * shards * 2 * (nodes - 1); len(f.queue) > max {
 		t.Fatalf("sync round sent %d messages for %d dirty keys, want <= %d", len(f.queue), numKeys, max)
 	}
+	pure()
 	f.deliverAll()
 	f.flushAll()
-	if max := nodes * (nodes - 1); len(f.queue) > max {
+	if max := nodes * shards * (nodes - 1); len(f.queue) > max {
 		t.Fatalf("refresh round sent %d messages, want <= %d", len(f.queue), max)
 	}
+	pure()
 	f.deliverAll()
 	for n, m := range f.managers {
 		for _, k := range keys {
 			if got := replicaOf(t, m, k, 1); got[0] != nodes {
 				t.Fatalf("node %d key %d = %v, want %d", n, k, got[0], nodes)
+			}
+		}
+		// Each stripe counted its own sends.
+		for s, st := range m.cfg.Stats {
+			if st.ReplicaSyncMessages.Load() == 0 {
+				t.Fatalf("node %d shard %d counted no sync messages", n, s)
 			}
 		}
 	}
@@ -255,10 +291,42 @@ func TestPullCountsReplicaHits(t *testing.T) {
 	dst := make([]float32, 3)
 	m.Pull(0, dst)
 	m.Pull(0, dst)
-	if got := m.cfg.Stats.ReplicaHits.Load(); got != 2 {
+	if got := m.cfg.Stats[0].ReplicaHits.Load(); got != 2 {
 		t.Fatalf("ReplicaHits = %d, want 2", got)
 	}
-	if got := m.cfg.Stats.ReadValues.Load(); got != 6 {
+	if got := m.cfg.Stats[0].ReadValues.Load(); got != 6 {
 		t.Fatalf("ReadValues = %d, want 6", got)
+	}
+}
+
+// TestDemoteAckFoldsPendingOnce walks a demotion through the manager: the
+// replica's acknowledgement carries only what no sync carried, the sync that
+// carried the rest folds first, and an acknowledgement no replica sends is
+// refused without touching the authoritative value.
+func TestDemoteAckFoldsPendingOnce(t *testing.T) {
+	layout := kv.NewUniformLayout(4, 1)
+	k := kv.Key(0) // homed at node 0
+	f := newTestFabric(2, layout, []kv.Key{k})
+	home, rep := f.managers[0], f.managers[1]
+	rep.Push(k, []float32{5})
+	rep.Flush() // 5 is in flight
+	rep.Push(k, []float32{2})
+	if got := rep.DemoteLocal(k); len(got) != 1 || got[0] != 2 {
+		t.Fatalf("DemoteLocal = %v, want the pending 2 only", got)
+	}
+	f.deliverAll() // the sync, ahead of the acknowledgement on its stream
+	for _, bad := range [][]float32{{1, 1}, {1, 1, 1}} {
+		if home.ApplyDemoteAck(k, bad) {
+			t.Fatalf("ApplyDemoteAck accepted %d values for a one-value key", len(bad))
+		}
+	}
+	if home.ApplyDemoteAck(1, []float32{1}) || home.ApplyDemoteAck(99, nil) {
+		t.Fatal("ApplyDemoteAck accepted a key the node does not home as a replicated key")
+	}
+	if !home.ApplyDemoteAck(k, []float32{2}) {
+		t.Fatal("ApplyDemoteAck refused the pending deltas")
+	}
+	if got := home.FinalizeDemote(k); got[0] != 7 {
+		t.Fatalf("demoted value = %v, want 7", got[0])
 	}
 }
