@@ -128,7 +128,7 @@ func runChildNode(specJSON string) int {
 		cl.Close()
 		return 1
 	}
-	opt := driver.Options{ReplicaSyncEvery: cfg.SyncEvery}
+	var opt driver.Options
 	if mode == harness.HotKeyReplication {
 		opt.Replicate = cfg.HotKeys()
 	}

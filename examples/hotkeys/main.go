@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
-	"time"
 
 	"lapse"
 )
@@ -56,13 +55,12 @@ func main() {
 // replication, and returns the stats plus the tracker's hot-key candidates.
 func runWorkload(replicate []lapse.Key) (lapse.Stats, []lapse.HotKey) {
 	cl, err := lapse.NewCluster(lapse.Config{
-		Nodes:            nodes,
-		WorkersPerNode:   workers,
-		Keys:             numKeys,
-		ValueLength:      valueLength,
-		Network:          lapse.DefaultNetwork(),
-		Replicate:        replicate,
-		ReplicaSyncEvery: time.Millisecond,
+		Nodes:          nodes,
+		WorkersPerNode: workers,
+		Keys:           numKeys,
+		ValueLength:    valueLength,
+		Network:        lapse.DefaultNetwork(),
+		Replicate:      replicate,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -20,13 +20,13 @@
 // memory while a remote node is capped by the round-trip time, a gap of
 // several orders of magnitude. Each origin's counts are read relative to
 // that origin's own waiting — the accesses it currently makes over the slow
-// path. A key accounting for a meaningful share (InterestShare) of an
-// origin's waiting, on enough observations (HotCount), marks the origin as
+// path. A key accounting for a meaningful share (interestShare) of an
+// origin's waiting, on enough observations (hotCount), marks the origin as
 // interested; two interested origins mean replicate, a single one that
 // holds the key's demand alone means relocate to it. Because every key made
 // local leaves the waiting, the keys that remain stand out the more the
 // fewer they are: a skewed tail keeps being worked off — as deep as its keys
-// still gather HotCount observations in a window — while a uniform workload,
+// still gather hotCount observations in a window — while a uniform workload,
 // every key the same small part of the waiting, never starts.
 //
 // The machinery splits in two. A lightweight per-node ticker (internal/core's
@@ -38,14 +38,14 @@
 // force until its origin replaces it; origins that fall silent age out at
 // the tracker, which then retracts.
 //
-// Hysteresis keeps decisions stable. Winning a key takes HotCount recorded
-// observations and InterestShare; keeping it takes any recent sign of use
+// Hysteresis keeps decisions stable. Winning a key takes hotCount recorded
+// observations and interestShare; keeping it takes any recent sign of use
 // above a share four times smaller (ColdCount, ColdShare). A key is cold
 // only on evidence of absence — a window too short to have shown it, or a
 // report cut short above the cold share, proves nothing, and neither
 // demotes a key nor takes it away from its owner. A key that just
-// transitioned is immune for MinDwellTicks epochs, and a replicated key is
-// demoted only after staying cold for ColdStreakEpochs consecutive epochs.
+// transitioned is immune for minDwellTicks epochs, and a replicated key is
+// demoted only after staying cold for coldStreakEpochs consecutive epochs.
 // The window's decay supplies the rest: counts halve at a close and never
 // reset, so a key hot in alternating phases never reads cold, and a flipping
 // hot set settles into one transition per key instead of one per flip (the
@@ -60,117 +60,77 @@ import (
 	"lapse/internal/kv"
 )
 
-// Defaults for Config fields left zero.
+// The controller's thresholds. They are constants: one set of values is meant
+// to work across workloads and network latencies, so there is nothing to
+// tune.
 const (
-	// DefaultTick is the classifier's clock and the pace at which windows
-	// are looked at, not the length of a window: how much evidence a
+	// Tick is the controller period: every Tick, each node rolls its tracker
+	// window and, if it changed, reports it to the home nodes. It is the
+	// unit of minDwellTicks and coldStreakEpochs, and the pace at which
+	// windows are looked at, not the length of a window: how much evidence a
 	// decision rests on is fixed by replication.WindowObservations, so a
 	// shorter tick reacts sooner without judging on less.
-	DefaultTick = 5 * time.Millisecond
-	// DefaultHotCount is the evidence floor of a promotion. With sixteen
+	Tick = 5 * time.Millisecond
+	// hotCount is the evidence floor of a promotion, in recorded
+	// observations: an origin is interested in a key only if at least
+	// hotCount of the observations in its window are of that key. A window
+	// holding fewer observations than that in total supports no judgement
+	// and its report is set aside. A sampled fast-path observation counts
+	// once here, although it stands for several accesses. With sixteen
 	// observations behind a key at the interest share, a key of a uniform
 	// workload over a thousand remote keys — a fifth of that share, three
 	// expected observations — does not reach the floor by chance.
-	DefaultHotCount       = 16
-	DefaultColdCount      = 4
-	DefaultDominanceShare = 0.75
-	// DefaultInterestShare admits a key once it accounts for half a percent
-	// of what an origin waits for. Under Zipf(1.3) over 2048 keys that is
-	// the top twenty keys at first and, as they leave the waiting, the next
-	// hundred or so; a uniform workload (every remote key ~0.1 % of the
-	// waiting) is left untouched.
-	DefaultInterestShare = 0.005
-	DefaultMinDwellTicks = 2
-	DefaultReportTopK    = 128
-	// DefaultColdStreakEpochs keeps a replicated key through a short run of
-	// cold readings: it is demoted when its traffic has moved on, not when
-	// one window's samples happened to miss it.
-	DefaultColdStreakEpochs = 8
-)
-
-// Config holds the controller knobs. One set of values is meant to work
-// across workloads and network latencies — the benchmark gate compares a
-// single default configuration against every static one, on an instantaneous
-// network and at 300 µs one way.
-type Config struct {
-	// Tick is the controller period: every Tick, each node rolls its
-	// tracker window and, if it changed, reports it to the home nodes. It
-	// is also the unit of MinDwellTicks and ColdStreakEpochs.
-	Tick time.Duration
-	// HotCount is the evidence floor of a promotion, in recorded
-	// observations: an origin is interested in a key only if at least
-	// HotCount of the observations in its window are of that key. A window
-	// holding fewer observations than that in total supports no judgement
-	// and its report is set aside. A sampled fast-path observation counts
-	// once here, although it stands for several accesses.
-	HotCount int64
+	hotCount = 16
 	// ColdCount is the floor below which an origin stops keeping a managed
-	// key warm, in estimated accesses, strictly below HotCount so a key
+	// key warm, in estimated accesses, strictly below hotCount so a key
 	// hovering between them changes nothing (hysteresis). The ratio of the
 	// two also separates the share thresholds (see ColdShare).
-	ColdCount int64
-	// DominanceShare splits keys with one interested origin into
+	ColdCount = 4
+	// dominanceShare splits keys with one interested origin into
 	// locality-skewed (the origin holds at least this part of the key's
 	// shares summed over all origins: relocate to it) and hot in several
 	// places (it does not: replicate).
-	DominanceShare float64
-	// InterestShare is the part of an origin's waiting — the accesses it
+	dominanceShare = 0.75
+	// interestShare is the part of an origin's waiting — the accesses it
 	// currently makes over the slow path — that a key must account for to
 	// interest the origin (see Share). A key with two or more interested
 	// origins is replicated however different the origins' access rates
 	// are: a remote origin capped by round-trip latency and the home on the
-	// in-memory fast path are each judged against their own window.
-	InterestShare float64
-	// MinDwellTicks is the minimum number of epochs between transitions of
+	// in-memory fast path are each judged against their own window. Half a
+	// percent admits, under Zipf(1.3) over 2048 keys, the top twenty keys at
+	// first and, as they leave the waiting, the next hundred or so; a
+	// uniform workload (every remote key ~0.1 % of the waiting) is left
+	// untouched.
+	interestShare = 0.005
+	// ColdShare is the share of an origin's window below which the origin
+	// stops keeping a managed key warm: interestShare scaled by
+	// ColdCount/hotCount, so the two evidence floors and the two share
+	// thresholds are separated alike. Origins need not report keys below it.
+	ColdShare = interestShare * ColdCount / hotCount
+	// matureEvidence is the window evidence at which a key exactly at
+	// interestShare carries hotCount observations: only from there on can a
+	// key's absence from the window say the origin has no demand for it.
+	// At 3,200 it stays below replication.WindowObservations, so a window
+	// reaches it before it first closes.
+	matureEvidence = hotCount / interestShare
+	// minDwellTicks is the minimum number of epochs between transitions of
 	// one key.
-	MinDwellTicks uint32
-	// ColdStreakEpochs is how many consecutive epochs a replicated key must
+	minDwellTicks = 2
+	// coldStreakEpochs is how many consecutive epochs a replicated key must
 	// read cold — no origin holding it above ColdCount and ColdShare, and
-	// none whose report could be hiding it — before it is demoted.
-	ColdStreakEpochs uint32
+	// none whose report could be hiding it — before it is demoted: it goes
+	// when its traffic has moved on, not when one window's samples happened
+	// to miss it.
+	coldStreakEpochs = 8
 	// ReportTopK bounds each node's report to its K hottest keys. A report
 	// cut short says so (Report.Floor); keys missing from it are unknown,
 	// not cold.
-	ReportTopK int
-}
+	ReportTopK = 128
+)
 
-// WithDefaults returns c with zero fields replaced by the defaults.
-func (c Config) WithDefaults() Config {
-	if c.Tick <= 0 {
-		c.Tick = DefaultTick
-	}
-	if c.HotCount <= 0 {
-		c.HotCount = DefaultHotCount
-	}
-	if c.ColdCount <= 0 {
-		c.ColdCount = DefaultColdCount
-	}
-	if c.DominanceShare <= 0 {
-		c.DominanceShare = DefaultDominanceShare
-	}
-	if c.InterestShare <= 0 {
-		c.InterestShare = DefaultInterestShare
-	}
-	if c.MinDwellTicks == 0 {
-		c.MinDwellTicks = DefaultMinDwellTicks
-	}
-	if c.ColdStreakEpochs == 0 {
-		c.ColdStreakEpochs = DefaultColdStreakEpochs
-	}
-	if c.ReportTopK <= 0 {
-		c.ReportTopK = DefaultReportTopK
-	}
-	return c
-}
-
-// ColdShare is the share of an origin's window below which the origin stops
-// keeping a managed key warm: InterestShare scaled by ColdCount/HotCount, so
-// the two evidence floors and the two share thresholds are separated alike.
-// Origins need not report keys below it. Call on a config with defaults
-// applied.
-func (c Config) ColdShare() float64 {
-	return c.InterestShare * float64(c.ColdCount) / float64(c.HotCount)
-}
+// Config switches the controller on: a non-nil *Config in the system
+// configuration enables it. It has nothing to tune (see the constants above).
+type Config struct{}
 
 // View is the classifier's window into the live per-key management state of
 // the home node it runs on. All callbacks are invoked on the server shard
@@ -218,7 +178,7 @@ type Action struct {
 // every Seen entry count the recorded observations behind those estimates.
 // Waiting covers the keys the origin currently reaches over the slow path:
 // the traffic it waits for. A key's share (see Share) is the part of that
-// waiting it accounts for; the promotion floor (HotCount) applies to Seen,
+// waiting it accounts for; the promotion floor (hotCount) applies to Seen,
 // so a key is judged on the same number of observations whichever path its
 // accesses took and however long they took to arrive.
 type Report struct {
@@ -266,13 +226,7 @@ type report struct {
 // they are made and a key's dwell clock starts exactly when its transition
 // is issued.
 type Classifier struct {
-	cfg       Config
-	view      View
-	coldShare float64 // cfg.ColdShare()
-	// matureEvidence is the window evidence at which a key exactly at
-	// InterestShare carries HotCount observations: only from there on can a
-	// key's absence from the window say the origin has no demand for it.
-	matureEvidence float32
+	view View
 	// reports holds the newest report per origin (nil until the origin's
 	// first), replaced wholesale on arrival. A report stays in force until
 	// its origin sends the next one: origins report when their window
@@ -295,19 +249,15 @@ type Classifier struct {
 	acts []Action
 }
 
-// NewClassifier builds a classifier over view with cfg's thresholds
-// (defaults applied).
-func NewClassifier(cfg Config, view View) *Classifier {
-	cfg = cfg.WithDefaults()
+// NewClassifier builds a classifier over view. The Config has nothing to set:
+// the thresholds are the package constants.
+func NewClassifier(_ Config, view View) *Classifier {
 	return &Classifier{
-		cfg:            cfg,
-		view:           view,
-		coldShare:      cfg.ColdShare(),
-		matureEvidence: float32(float64(cfg.HotCount) / cfg.InterestShare),
-		managed:        make(map[kv.Key]struct{}),
-		lastChange:     make(map[kv.Key]uint32),
-		coldSince:      make(map[kv.Key]uint32),
-		seen:           make(map[kv.Key]struct{}),
+		view:       view,
+		managed:    make(map[kv.Key]struct{}),
+		lastChange: make(map[kv.Key]uint32),
+		coldSince:  make(map[kv.Key]uint32),
+		seen:       make(map[kv.Key]struct{}),
 	}
 }
 
@@ -319,9 +269,9 @@ func (c *Classifier) Manage(k kv.Key) { c.managed[k] = struct{}{} }
 func (c *Classifier) Managed() int { return len(c.managed) }
 
 // Sufficient reports whether a window holding evidence recorded
-// observations can be judged at all: below HotCount no key in it can reach
+// observations can be judged at all: below hotCount no key in it can reach
 // the promotion floor, and the report is set aside.
-func (c *Classifier) Sufficient(evidence float32) bool { return evidence >= float32(c.cfg.HotCount) }
+func Sufficient(evidence float32) bool { return evidence >= hotCount }
 
 // Ingest stores a report whose window consists of exactly the listed keys,
 // every access of them a recorded observation (see IngestReport).
@@ -354,9 +304,9 @@ func (c *Classifier) IngestReport(origin int, epoch uint32, rep Report) []Action
 	// An emptied window is a retraction; otherwise the window must be mature
 	// and the report reach down to the cold floors (with a rounding margin:
 	// the origin computed its floor from the same two numbers).
-	coldFloor := max(float64(c.cfg.ColdCount), c.coldShare*float64(rep.Waiting))
+	coldFloor := max(ColdCount, ColdShare*float64(rep.Waiting))
 	r.provesAbsence = rep.Evidence == 0 ||
-		rep.Evidence >= c.matureEvidence && float64(rep.Floor) <= coldFloor*1.001
+		rep.Evidence >= matureEvidence && float64(rep.Floor) <= coldFloor*1.001
 	clear(r.keys)
 	for i, k := range rep.Keys {
 		if rep.Counts[i] > 0 {
@@ -386,7 +336,7 @@ func (c *Classifier) classify() []Action {
 	clear(c.seen)
 	keys := c.keys[:0]
 	for _, r := range c.reports {
-		if r == nil || !c.Sufficient(r.evidence) {
+		if r == nil || !Sufficient(r.evidence) {
 			continue
 		}
 		for k := range r.keys {
@@ -421,10 +371,9 @@ func (c *Classifier) decide(k kv.Key) (Action, bool) {
 	if c.view.Busy(k) {
 		return Action{}, false
 	}
-	if last, ok := c.lastChange[k]; ok && c.now-last < c.cfg.MinDwellTicks {
+	if last, ok := c.lastChange[k]; ok && c.now-last < minDwellTicks {
 		return Action{}, false
 	}
-	hot, cold := float32(c.cfg.HotCount), float32(c.cfg.ColdCount)
 	// shares sums the key's share over the origins, lead is the interested
 	// origin holding the largest one. Shares, not counts, are compared across
 	// origins: every window holds the same evidence, so raw counts say how
@@ -439,7 +388,7 @@ func (c *Classifier) decide(k kv.Key) (Action, bool) {
 		if !reported && !r.provesAbsence {
 			unsure = true // the origin may hold demand its report cannot show
 		}
-		if !c.Sufficient(r.evidence) {
+		if !Sufficient(r.evidence) {
 			continue // too little evidence to judge: set aside
 		}
 		share := Share(t.n, r.waiting)
@@ -450,7 +399,7 @@ func (c *Classifier) decide(k kv.Key) (Action, bool) {
 		// amount of evidence whether the origin issues a thousand accesses
 		// per tick or ten: a latency-capped remote is judged like the
 		// fast-path home.
-		if t.seen >= hot && share >= c.cfg.InterestShare {
+		if t.seen >= hotCount && share >= interestShare {
 			interested++
 			if share > leadShare {
 				lead, leadShare = origin, share
@@ -460,7 +409,7 @@ func (c *Classifier) decide(k kv.Key) (Action, bool) {
 		// will do. The floor is on the access estimate, which one sampled
 		// fast-path observation of a replicated key clears for a window or
 		// two, not on recorded observations.
-		if t.n >= cold && share >= c.coldShare {
+		if t.n >= ColdCount && share >= ColdShare {
 			warm = true
 		}
 	}
@@ -477,7 +426,7 @@ func (c *Classifier) decide(k kv.Key) (Action, bool) {
 			c.coldSince[k] = c.now
 			return Action{}, false
 		}
-		if c.now-since < c.cfg.ColdStreakEpochs {
+		if c.now-since < coldStreakEpochs {
 			return Action{}, false
 		}
 		delete(c.coldSince, k)
@@ -491,7 +440,7 @@ func (c *Classifier) decide(k kv.Key) (Action, bool) {
 		c.managed[k] = struct{}{}
 		return Action{Kind: ActReplicate, Key: k,
 			Detail: fmt.Sprintf("interested=%d shares=%.4f", interested, shares)}, true
-	case interested == 1 && (leadShare < c.cfg.DominanceShare*shares ||
+	case interested == 1 && (leadShare < dominanceShare*shares ||
 		owner != lead && (unsure || owner >= len(c.reports) || c.reports[owner] == nil)):
 		// One origin is interested but others hold a real part of the key's
 		// demand, or may: a key missing from an immature window, or from a

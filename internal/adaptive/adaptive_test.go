@@ -58,12 +58,9 @@ func (f *fakeState) apply(t *testing.T, acts []Action) {
 	}
 }
 
-var testCfg = Config{HotCount: 32, ColdCount: 8, DominanceShare: 0.75, InterestShare: 0.02,
-	MinDwellTicks: 2, ColdStreakEpochs: 2, ReportTopK: 128}
-
 func TestClassifierReplicatesHotEverywhereKey(t *testing.T) {
 	st := newFakeState(0)
-	c := NewClassifier(testCfg, st.view())
+	c := NewClassifier(Config{}, st.view())
 	acts := c.Ingest(0, 1, []kv.Key{5}, []float32{50})
 	if len(acts) != 0 {
 		t.Fatalf("one-origin report below dominance issued %v", acts)
@@ -83,17 +80,18 @@ func window(total float32, keys []kv.Key, counts []float32) Report {
 
 func TestClassifierRelocatesDominantKey(t *testing.T) {
 	st := newFakeState(0)
-	c := NewClassifier(testCfg, st.view())
-	// Key 9 is half a percent of the home's waiting and five percent of
-	// node 1's: only node 1 is interested and it holds 10/11 of the demand.
-	c.IngestReport(0, 1, window(2000, []kv.Key{9}, []float32{10}))
-	acts := c.IngestReport(1, 1, window(2000, []kv.Key{9}, []float32{100}))
+	c := NewClassifier(Config{}, st.view())
+	// Key 9 is a quarter percent of the home's waiting and two and a half
+	// percent of node 1's: only node 1 is interested and it holds 10/11 of
+	// the demand.
+	c.IngestReport(0, 1, window(4000, []kv.Key{9}, []float32{10}))
+	acts := c.IngestReport(1, 1, window(4000, []kv.Key{9}, []float32{100}))
 	if len(acts) != 1 || acts[0].Kind != ActRelocate || acts[0].Key != 9 || acts[0].Dest != 1 {
 		t.Fatalf("dominant key: got %v, want relocate(9 -> 1)", acts)
 	}
 	st.apply(t, acts)
 	// Once owned by the dominant node, re-reports change nothing.
-	if acts := c.IngestReport(1, 4, window(2000, []kv.Key{9}, []float32{100})); len(acts) != 0 {
+	if acts := c.IngestReport(1, 4, window(4000, []kv.Key{9}, []float32{100})); len(acts) != 0 {
 		t.Fatalf("settled dominant key re-decided: %v", acts)
 	}
 }
@@ -108,11 +106,11 @@ func TestClassifierImmatureWindowProvesNoAbsence(t *testing.T) {
 	for _, tc := range []struct {
 		homeWindow float32
 		want       ActionKind
-	}{{2000, ActRelocate}, {400, ActReplicate}} {
+	}{{4000, ActRelocate}, {400, ActReplicate}} {
 		st := newFakeState(0)
-		c := NewClassifier(testCfg, st.view())
+		c := NewClassifier(Config{}, st.view())
 		c.IngestReport(0, 1, window(tc.homeWindow, nil, nil))
-		acts := c.IngestReport(1, 1, window(2000, []kv.Key{9}, []float32{100}))
+		acts := c.IngestReport(1, 1, window(4000, []kv.Key{9}, []float32{100}))
 		if len(acts) != 1 || acts[0].Kind != tc.want || acts[0].Key != 9 {
 			t.Fatalf("home window of %v observations without the key: got %v, want kind %v", tc.homeWindow, acts, tc.want)
 		}
@@ -120,22 +118,22 @@ func TestClassifierImmatureWindowProvesNoAbsence(t *testing.T) {
 }
 
 // TestClassifierSetsAsideInsufficientEvidence: a window holding fewer
-// observations than HotCount supports no judgement — whatever shares its
+// observations than hotCount supports no judgement — whatever shares its
 // handful of accesses suggest — and counts for nothing.
 func TestClassifierSetsAsideInsufficientEvidence(t *testing.T) {
 	st := newFakeState(0)
-	c := NewClassifier(testCfg, st.view())
-	c.IngestReport(0, 1, window(2000, []kv.Key{5}, []float32{100}))
-	if c.Sufficient(20) {
-		t.Fatal("20 observations judged sufficient under HotCount 32")
+	c := NewClassifier(Config{}, st.view())
+	c.IngestReport(0, 1, window(4000, []kv.Key{5}, []float32{100}))
+	if Sufficient(10) {
+		t.Fatal("10 observations judged sufficient under hotCount 16")
 	}
-	if acts := c.IngestReport(1, 1, window(20, []kv.Key{5}, []float32{20})); len(acts) != 0 {
-		t.Fatalf("report with 20 observations was acted on: %v", acts)
+	if acts := c.IngestReport(1, 1, window(10, []kv.Key{5}, []float32{10})); len(acts) != 0 {
+		t.Fatalf("report with 10 observations was acted on: %v", acts)
 	}
 	// The same share on enough evidence counts.
-	acts := c.IngestReport(1, 2, window(40, []kv.Key{5}, []float32{40}))
+	acts := c.IngestReport(1, 2, window(20, []kv.Key{5}, []float32{20}))
 	if len(acts) != 1 || acts[0].Kind != ActReplicate {
-		t.Fatalf("report with 40 observations: got %v, want replicate(5)", acts)
+		t.Fatalf("report with 20 observations: got %v, want replicate(5)", acts)
 	}
 }
 
@@ -147,7 +145,7 @@ func TestClassifierSetsAsideInsufficientEvidence(t *testing.T) {
 // its entire (capped) volume on it.
 func TestClassifierReplicatesDespiteRateSkewedCounts(t *testing.T) {
 	st := newFakeState(0)
-	c := NewClassifier(testCfg, st.view())
+	c := NewClassifier(Config{}, st.view())
 	c.Ingest(0, 1, []kv.Key{5}, []float32{500000})     // home fast path
 	acts := c.Ingest(1, 1, []kv.Key{5}, []float32{40}) // latency-capped remote
 	if len(acts) != 1 || acts[0].Kind != ActReplicate || acts[0].Key != 5 {
@@ -159,7 +157,7 @@ func TestClassifierDemotesColdReplicatedKeyAndRelocatesColdStray(t *testing.T) {
 	st := newFakeState(0)
 	st.repl[3] = true
 	st.owner[7] = 2 // relocated away earlier; now cold
-	c := NewClassifier(testCfg, st.view())
+	c := NewClassifier(Config{}, st.view())
 	c.Manage(3)
 	c.Manage(7)
 	// An epoch with no counts at all for either key: the stray relocates
@@ -169,8 +167,8 @@ func TestClassifierDemotesColdReplicatedKeyAndRelocatesColdStray(t *testing.T) {
 		t.Fatalf("cold stray key: got %v, want relocate(7 -> 0) only", acts)
 	}
 	st.apply(t, acts)
-	// Still cold ColdStreakEpochs later: now the replicated key demotes.
-	acts = c.Ingest(1, 3, nil, nil)
+	// Still cold coldStreakEpochs later: now the replicated key demotes.
+	acts = c.Ingest(1, 1+coldStreakEpochs, nil, nil)
 	if len(acts) != 1 || acts[0].Kind != ActDemote || acts[0].Key != 3 {
 		t.Fatalf("cold replicated key after sustained streak: got %v, want demote(3)", acts)
 	}
@@ -182,9 +180,9 @@ func TestClassifierDemotesColdReplicatedKeyAndRelocatesColdStray(t *testing.T) {
 // carries the key (the origin's window moved on, or aged out) retracts it.
 func TestClassifierReportStaysInForceUntilReplaced(t *testing.T) {
 	st := newFakeState(0)
-	c := NewClassifier(testCfg, st.view())
-	st.apply(t, c.IngestReport(0, 1, window(2000, []kv.Key{5}, []float32{60})))
-	st.apply(t, c.IngestReport(1, 1, window(2000, []kv.Key{5}, []float32{60})))
+	c := NewClassifier(Config{}, st.view())
+	st.apply(t, c.IngestReport(0, 1, window(4000, []kv.Key{5}, []float32{60})))
+	st.apply(t, c.IngestReport(1, 1, window(4000, []kv.Key{5}, []float32{60})))
 	if !st.repl[5] {
 		t.Fatal("key 5 not replicated after two interested reports")
 	}
@@ -194,12 +192,12 @@ func TestClassifierReportStaysInForceUntilReplaced(t *testing.T) {
 		}
 	}
 	// Both windows move on to other keys.
-	st.apply(t, c.IngestReport(0, 100, window(2000, nil, nil)))
-	st.apply(t, c.IngestReport(1, 100, window(2000, nil, nil)))
+	st.apply(t, c.IngestReport(0, 100, window(4000, nil, nil)))
+	st.apply(t, c.IngestReport(1, 100, window(4000, nil, nil)))
 	if !st.repl[5] {
 		t.Fatal("key 5 demoted on its first cold epoch, before the streak completed")
 	}
-	st.apply(t, c.Sweep(100+testCfg.ColdStreakEpochs))
+	st.apply(t, c.Sweep(100+coldStreakEpochs))
 	if st.repl[5] {
 		t.Fatal("key 5 still replicated after every origin retracted it")
 	}
@@ -210,7 +208,7 @@ func TestClassifierReportStaysInForceUntilReplaced(t *testing.T) {
 func TestClassifierColdNeedsMatureWindows(t *testing.T) {
 	st := newFakeState(0)
 	st.repl[5] = true
-	c := NewClassifier(testCfg, st.view())
+	c := NewClassifier(Config{}, st.view())
 	c.Manage(5)
 	c.IngestReport(1, 1, window(400, nil, nil))
 	for e := uint32(2); e < 20; e++ {
@@ -218,8 +216,8 @@ func TestClassifierColdNeedsMatureWindows(t *testing.T) {
 			t.Fatalf("epoch %d: demoted on an immature window: %v", e, acts)
 		}
 	}
-	c.IngestReport(1, 20, window(2000, nil, nil))
-	acts := c.Sweep(20 + testCfg.ColdStreakEpochs)
+	c.IngestReport(1, 20, window(4000, nil, nil))
+	acts := c.Sweep(20 + coldStreakEpochs)
 	if len(acts) != 1 || acts[0].Kind != ActDemote {
 		t.Fatalf("mature window without the key: got %v, want demote(5)", acts)
 	}
@@ -234,7 +232,7 @@ func TestClassifierColdNeedsMatureWindows(t *testing.T) {
 // thresholds plus the dwell gate absorb the wobble.
 func TestClassifierOscillationBound(t *testing.T) {
 	st := newFakeState(0)
-	c := NewClassifier(testCfg, st.view())
+	c := NewClassifier(Config{}, st.view())
 	transitions := 0
 	counts := [2]float32{} // decayed per-origin estimate of key 5
 	for tick := uint32(1); tick <= 40; tick++ {
@@ -263,24 +261,6 @@ func TestClassifierOscillationBound(t *testing.T) {
 	}
 }
 
-func TestConfigWithDefaults(t *testing.T) {
-	c := Config{}.WithDefaults()
-	if c.Tick != DefaultTick || c.HotCount != DefaultHotCount || c.ColdCount != DefaultColdCount ||
-		c.DominanceShare != DefaultDominanceShare || c.InterestShare != DefaultInterestShare ||
-		c.MinDwellTicks != DefaultMinDwellTicks || c.ColdStreakEpochs != DefaultColdStreakEpochs ||
-		c.ReportTopK != DefaultReportTopK {
-		t.Fatalf("defaults not applied: %+v", c)
-	}
-	if c.ColdCount >= c.HotCount {
-		t.Fatalf("default thresholds are not separated: cold %d >= hot %d", c.ColdCount, c.HotCount)
-	}
-	full := Config{Tick: 1, HotCount: 2, ColdCount: 1, DominanceShare: 0.5, InterestShare: 0.1,
-		MinDwellTicks: 9, ColdStreakEpochs: 5, ReportTopK: 3}
-	if got := full.WithDefaults(); got != full {
-		t.Fatalf("explicit config overwritten: %+v", got)
-	}
-}
-
 // TestClassifierSweepDemotesIdleReplicatedKey pins the idle-demotion edge
 // Sweep closes: when traffic stops entirely, the origins' windows age out,
 // their last reports retract every key — and then no report arrives ever
@@ -290,7 +270,7 @@ func TestConfigWithDefaults(t *testing.T) {
 func TestClassifierSweepDemotesIdleReplicatedKey(t *testing.T) {
 	st := newFakeState(0)
 	st.repl[3] = true
-	c := NewClassifier(testCfg, st.view())
+	c := NewClassifier(Config{}, st.view())
 	c.Manage(3)
 	// Steady state: a warm report keeps the replicated key in place.
 	if acts := c.Ingest(1, 1, []kv.Key{3}, []float32{100}); len(acts) != 0 {
@@ -304,14 +284,14 @@ func TestClassifierSweepDemotesIdleReplicatedKey(t *testing.T) {
 	if acts := c.Sweep(4); len(acts) != 0 {
 		t.Fatalf("sweep demoted before the streak completed: %v", acts)
 	}
-	// ColdStreakEpochs later the key demotes — from sweeps alone.
-	acts := c.Sweep(3 + testCfg.ColdStreakEpochs)
+	// coldStreakEpochs later the key demotes — from sweeps alone.
+	acts := c.Sweep(3 + coldStreakEpochs)
 	if len(acts) != 1 || acts[0].Kind != ActDemote || acts[0].Key != 3 {
 		t.Fatalf("idle replicated key after sweeps: got %v, want demote(3)", acts)
 	}
 	st.apply(t, acts)
 	// Sweeps against a settled state stay quiet.
-	if acts := c.Sweep(10); len(acts) != 0 {
+	if acts := c.Sweep(4 + coldStreakEpochs); len(acts) != 0 {
 		t.Fatalf("post-demotion sweep issued %v", acts)
 	}
 }
@@ -325,9 +305,8 @@ func TestClassifierSweepDemotesIdleReplicatedKey(t *testing.T) {
 // key came under management.
 func replay(t *testing.T, next func() kv.Key, perTick, recorded int, home Report) map[kv.Key]int {
 	t.Helper()
-	cfg := Config{}.WithDefaults()
 	st := newFakeState(0)
-	c := NewClassifier(cfg, st.view())
+	c := NewClassifier(Config{}, st.view())
 	st.apply(t, c.IngestReport(0, 0, home))
 	tr := replication.NewTracker(0)
 	h := tr.Handle()
@@ -344,7 +323,7 @@ func replay(t *testing.T, next func() kv.Key, perTick, recorded int, home Report
 		}
 		var acts []Action
 		changed := tr.Roll()
-		top, sum := tr.Window(cfg.ReportTopK, float32(cfg.ColdCount), cfg.ColdShare())
+		top, sum := tr.Window(ReportTopK, ColdCount, ColdShare)
 		if changed {
 			keys, counts, seen = keys[:0], counts[:0], seen[:0]
 			for _, f := range top {

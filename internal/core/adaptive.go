@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -57,6 +58,7 @@ type reportGroup struct{ home, shard int }
 // message may be refilled as soon as Send returns).
 type reporter struct {
 	stop, done chan struct{}
+	stopOnce   sync.Once
 	// epoch is the node's controller clock. The ticker advances it; the
 	// node's classifiers read it when a report or sweep arrives, so every
 	// dwell and cold streak at a home runs on that home's own clock.
@@ -102,7 +104,7 @@ func reportOf(m *msg.Manage) (rep adaptive.Report, ok bool) {
 // tracker's evidence window and, if the window changed, sends each (home
 // node, shard) group of keys one ManageReport. Reports use the node Send
 // path like any other message, including self-delivery for keys homed here.
-func (nd *node) startController(cfg adaptive.Config) {
+func (nd *node) startController() {
 	r := &nd.ctl
 	r.stop = make(chan struct{})
 	r.done = make(chan struct{})
@@ -110,25 +112,26 @@ func (nd *node) startController(cfg adaptive.Config) {
 	r.reported = make([]bool, len(nd.sh))
 	go func() {
 		defer close(r.done)
-		t := time.NewTicker(cfg.Tick)
+		t := time.NewTicker(adaptive.Tick)
 		defer t.Stop()
 		for {
 			select {
 			case <-r.stop:
 				return
 			case <-t.C:
-				nd.reportTick(cfg)
+				nd.reportTick()
 			}
 		}
 	}()
 }
 
-// stopController halts the report ticker (no-op if it never started).
+// stopController halts the report ticker (no-op if it never started or was
+// stopped already).
 func (nd *node) stopController() {
 	if nd.ctl.stop == nil {
 		return
 	}
-	close(nd.ctl.stop)
+	nd.ctl.stopOnce.Do(func() { close(nd.ctl.stop) })
 	<-nd.ctl.done
 }
 
@@ -141,12 +144,12 @@ func (nd *node) stopController() {
 // one retraction — its last report's first key with a zero count, which
 // routes the message to the right shard. A tick on an idle node with no
 // managed keys sends, and allocates, nothing.
-func (nd *node) reportTick(cfg adaptive.Config) {
+func (nd *node) reportTick() {
 	r := &nd.ctl
 	epoch := r.epoch.Add(1)
 	clear(r.reported)
 	if nd.tracker.Roll() {
-		top, sum := nd.tracker.Window(cfg.ReportTopK, float32(cfg.ColdCount), cfg.ColdShare())
+		top, sum := nd.tracker.Window(adaptive.ReportTopK, adaptive.ColdCount, adaptive.ColdShare)
 		for _, g := range r.groups {
 			g.reset(sum)
 		}
@@ -204,12 +207,15 @@ func (nd *node) reportTick(cfg adaptive.Config) {
 const setAsideTraceEvery = 200
 
 // handleManage dispatches one adaptive-management message on the shard
-// goroutine owning its keys.
+// goroutine owning its keys. Manage input is checked, not trusted: a message
+// no node sends — an unknown kind, keys that are not this shard's or not
+// homed where its kind needs them, a sender that is not the node its kind
+// comes from — is dropped whole, before it touches any state.
 func (sh *policyShard) handleManage(m *msg.Manage) {
 	switch m.Kind {
 	case msg.ManageReport:
-		if sh.classifier == nil {
-			return // adaptive management disabled; stray report
+		if sh.classifier == nil || !sh.homedAt(m.Keys, sh.nd.id) {
+			return // adaptive management disabled, or a stray report
 		}
 		rep, ok := reportOf(m)
 		now, o := sh.nd.ctl.epoch.Load(), int(m.Origin)
@@ -221,19 +227,19 @@ func (sh *policyShard) handleManage(m *msg.Manage) {
 		// o's latest report carried and how long ago it arrived.
 		sh.stats.AdaptReportEvidence.Set(o, int64(rep.Evidence))
 		sh.reportAt[o].Store(now + 1)
-		if rep.Evidence > 0 && !sh.classifier.Sufficient(rep.Evidence) && now-sh.setAsideAt[o] >= setAsideTraceEvery {
+		if rep.Evidence > 0 && !adaptive.Sufficient(rep.Evidence) && now-sh.setAsideAt[o] >= setAsideTraceEvery {
 			sh.setAsideAt[o] = now
 			sh.trace.Record(sh.nd.id, sh.rt.Shard(), metrics.TraceReportSetAside, m.Keys[0], o, sh.nd.id,
 				fmt.Sprintf("evidence=%.1f keys=%d", rep.Evidence, len(m.Keys)))
 		}
 		sh.runClassifier(sh.classifier.IngestReport(o, now, rep))
 	case msg.ManageSweep:
-		if sh.classifier == nil {
-			return // adaptive management disabled; stray sweep
+		if sh.classifier == nil || int(m.Origin) != sh.nd.id {
+			return // adaptive management disabled, or a stray sweep
 		}
 		sh.runClassifier(sh.classifier.Sweep(sh.nd.ctl.epoch.Load()))
 	case msg.ManageReplicate:
-		if sh.nd.rep == nil || !kv.Fits(sh.nd.sys.layout, m.Keys, len(m.Vals)) {
+		if sh.nd.rep == nil || !sh.fromHome(m) || !kv.Fits(sh.nd.sys.layout, m.Keys, len(m.Vals)) {
 			return // an install no home sends is dropped whole
 		}
 		src := 0
@@ -243,18 +249,41 @@ func (sh *policyShard) handleManage(m *msg.Manage) {
 			src += l
 		}
 	case msg.ManageUnreplicate:
+		if sh.nd.rep == nil || !sh.fromHome(m) {
+			return
+		}
 		for _, k := range m.Keys {
 			sh.exitReplica(k)
 		}
 	case msg.ManageDemoteAck:
 		sh.applyDemoteAck(m)
 	case msg.ManageLocalize:
+		if !sh.fromHome(m) {
+			return
+		}
 		for _, k := range m.Keys {
 			sh.localizeHere(k)
 		}
-	default:
-		panic(fmt.Sprintf("core: unknown manage kind %v at node %d", m.Kind, sh.rt.Node()))
 	}
+}
+
+// homedAt reports whether keys is a non-empty list of keys of the layout that
+// belong to this shard and are homed at node home.
+func (sh *policyShard) homedAt(keys []kv.Key, home int) bool {
+	nd := sh.nd
+	for _, k := range keys {
+		if k >= nd.sys.layout.NumKeys() || msg.ShardOfKey(k, len(nd.sh)) != sh.rt.Shard() || nd.sys.home.NodeOf(k) != home {
+			return false
+		}
+	}
+	return len(keys) > 0
+}
+
+// fromHome reports whether m comes from the home of its keys, and that home is
+// another node: installs, unreplicates and localize hints are sent by the
+// keys' home to the other nodes.
+func (sh *policyShard) fromHome(m *msg.Manage) bool {
+	return int(m.Origin) != sh.nd.id && sh.homedAt(m.Keys, int(m.Origin))
 }
 
 // runClassifier traces and executes one batch of classifier decisions (from
@@ -427,9 +456,13 @@ func (sh *policyShard) beginDemote(k kv.Key) {
 // locally (worker accesses fail over to the network path the moment the
 // replica entry goes) and acknowledge with the deltas no sync carried yet.
 // The ack travels the same (node, shard) stream as operations for k and as
-// the syncs that carried its other deltas, staying FIFO behind both.
+// the syncs that carried its other deltas, staying FIFO behind both. A key
+// that is not Replicated here has no replica to give up and is left alone.
 func (sh *policyShard) exitReplica(k kv.Key) {
 	nd := sh.nd
+	if nd.state[k].Load() != stateReplicated {
+		return
+	}
 	vals := nd.rep.DemoteLocal(k)
 	nd.state[k].Store(stateNotHere)
 	sh.rt.SendOrDispatch(nd.sys.home.NodeOf(k), &msg.Manage{
@@ -438,10 +471,10 @@ func (sh *policyShard) exitReplica(k kv.Key) {
 
 // applyDemoteAck folds one replica's residual deltas at the home and, when
 // the last replica has answered, finalizes the demotion. An ack no replica
-// sends — not exactly one key, no demotion of it in flight here, deltas that
-// do not fit it — is dropped whole.
+// sends — not exactly one key, an origin that is no other node, no demotion
+// of the key in flight here, deltas that do not fit it — is dropped whole.
 func (sh *policyShard) applyDemoteAck(m *msg.Manage) {
-	if len(m.Keys) != 1 {
+	if o := int(m.Origin); len(m.Keys) != 1 || o < 0 || o >= sh.nd.sys.cl.Nodes() || o == sh.nd.id {
 		return
 	}
 	k := m.Keys[0]

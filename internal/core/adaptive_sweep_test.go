@@ -14,16 +14,10 @@ import (
 // the key, and then no reports flow at all: without the idle sweep the
 // classifier's epoch clock would freeze with them and the replica survive
 // forever; the ManageSweep must keep the clock moving and demote the key
-// within the deadline.
+// within the deadline. At the controller's thresholds the idle windows take a
+// few seconds to age out, and the cold streak after that 40 ms.
 func TestAdaptiveIdleSweepDemotes(t *testing.T) {
-	_, sys := newTestSystem(t, 2, 1, 8, 1, Config{Adaptive: &adaptive.Config{
-		Tick:          2 * time.Millisecond,
-		HotCount:      16,
-		ColdCount:     4,
-		MinDwellTicks: 1,
-		// A short streak keeps the idle phase quick; the proof is the same.
-		ColdStreakEpochs: 3,
-	}})
+	_, sys := newTestSystem(t, 2, 1, 8, 1, Config{Adaptive: &adaptive.Config{}})
 	h0, h1 := sys.Handle(0), sys.Handle(1)
 	keys := []kv.Key{2} // homed at node 0
 	buf := make([]float32, 1)

@@ -11,13 +11,15 @@ import (
 	"lapse/internal/msg"
 )
 
-// manualTicks builds a two-node adaptive system whose controller ticker
-// never fires on its own, so tests drive reportTick by hand.
-func manualTicks(t *testing.T) (*System, adaptive.Config) {
+// manualTicks builds a two-node adaptive system and stops its controller
+// tickers, so tests drive reportTick by hand.
+func manualTicks(t *testing.T) *System {
 	t.Helper()
-	cfg := adaptive.Config{Tick: time.Hour}
-	_, sys := newTestSystem(t, 2, 1, 64, 1, Config{Adaptive: &cfg})
-	return sys, cfg.WithDefaults()
+	_, sys := newTestSystem(t, 2, 1, 64, 1, Config{Adaptive: &adaptive.Config{}})
+	for _, nd := range sys.locals {
+		nd.stopController()
+	}
+	return sys
 }
 
 // waitFor polls cond until it holds (messages sent by a tick are handled on
@@ -39,9 +41,9 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // buffer now and then (a few more under the race detector), far from the
 // maps, sorted slices and messages a tick used to build afresh.
 func TestControllerTickAllocations(t *testing.T) {
-	sys, cfg := manualTicks(t)
+	sys := manualTicks(t)
 	nd := sys.nodes[1]
-	if n := testing.AllocsPerRun(100, func() { nd.reportTick(cfg) }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { nd.reportTick() }); n != 0 {
 		t.Errorf("idle tick: %v allocs, want 0", n)
 	}
 
@@ -55,8 +57,8 @@ func TestControllerTickAllocations(t *testing.T) {
 	}
 	for i := 0; i < 4; i++ {
 		observe()
-		nd.reportTick(cfg)
-		sys.nodes[0].reportTick(cfg)
+		nd.reportTick()
+		sys.nodes[0].reportTick()
 	}
 	waitFor(t, "promotions", func() bool { return sys.Stats()[0].AdaptPromotions.Load() == 8 })
 	if got := sys.Stats()[0].AdaptManaged.Load(); got != 8 {
@@ -64,8 +66,8 @@ func TestControllerTickAllocations(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(50, func() {
 		observe()
-		nd.reportTick(cfg)           // a changed window: one report to node 0
-		sys.nodes[0].reportTick(cfg) // nothing to report: one sweep
+		nd.reportTick()           // a changed window: one report to node 0
+		sys.nodes[0].reportTick() // nothing to report: one sweep
 	}); n > 12 {
 		t.Errorf("reporting and sweeping ticks: %v allocs, want at most the message path's dozen", n)
 	}
@@ -76,13 +78,13 @@ func TestControllerTickAllocations(t *testing.T) {
 // and the report's age — and a report set aside for insufficient evidence
 // leaves a (rate-limited) record in the control-plane trace.
 func TestReportGaugesAndSetAsideTrace(t *testing.T) {
-	sys, cfg := manualTicks(t)
+	sys := manualTicks(t)
 	nd, home := sys.nodes[1], sys.Stats()[0]
 	h := nd.tracker.Handle()
 	for i := 0; i < 5; i++ { // fewer observations than HotCount
 		h.ObserveRemote(kv.Key(3))
 	}
-	nd.reportTick(cfg)
+	nd.reportTick()
 	waitFor(t, "the report", func() bool { return len(home.AdaptReportEvidence.Snapshot()) == 2 })
 	if ev := home.AdaptReportEvidence.Snapshot(); ev[0] != -1 || ev[1] != 5 {
 		t.Fatalf("evidence gauges = %v, want [-1 5]: node 0 never reported, node 1 on 5 observations", ev)
@@ -106,13 +108,13 @@ func TestReportGaugesAndSetAsideTrace(t *testing.T) {
 	// Still insufficient a tick later: rate-limited, no second record. The
 	// home's ticker ages the report it holds.
 	h.ObserveRemote(kv.Key(3))
-	nd.reportTick(cfg)
+	nd.reportTick()
 	waitFor(t, "the second report", func() bool { return home.AdaptReportEvidence.Snapshot()[1] == 6 })
 	if n, _ := setAside(); n != 1 {
 		t.Fatalf("%d set-aside records after two insufficient reports within the rate limit, want 1", n)
 	}
 	for i := 0; i < 3; i++ {
-		sys.nodes[0].reportTick(cfg)
+		sys.nodes[0].reportTick()
 	}
 	if age := home.AdaptReportAge.Snapshot(); age[1] != 3 {
 		t.Fatalf("report age gauges = %v, want node 1's report 3 epochs old", age)

@@ -1,0 +1,194 @@
+package core
+
+import (
+	"fmt"
+	"strings"
+	"sync"
+	"testing"
+
+	"lapse/internal/adaptive"
+	"lapse/internal/cluster"
+	"lapse/internal/kv"
+	"lapse/internal/msg"
+	"lapse/internal/simnet"
+	"lapse/internal/transport"
+)
+
+// The control events of TestControlTable, in column order: the classifier's
+// three decisions as the home executes them, and the two control messages a
+// home receives from another node.
+const (
+	evReplicate = iota // adaptive.ActReplicate
+	evDemote           // adaptive.ActDemote
+	evRelocate         // adaptive.ActRelocate to node 2
+	evLocalize         // a Localize from node 2
+	evDemoteAck        // a ManageDemoteAck from node 2
+)
+
+// ctlCell is what the home does with one control event: the messages it
+// sends, in order (kind→destination), the key's state at the home after it,
+// and whether a management transition of the key is in flight after it.
+type ctlCell struct {
+	sends    string
+	state    uint32
+	inFlight bool
+}
+
+// controlTable is the control plane at a key's home as a table: what each
+// control event does given where the key stands. The last three rows are
+// reached the way the system reaches them, through cells above: replicated is
+// owned here after ActReplicate, promoting is registered elsewhere after
+// ActReplicate, demoting is replicated after ActDemote.
+var controlTable = []struct {
+	row   string
+	cells [5]ctlCell
+}{
+	{"owned here", [5]ctlCell{
+		evReplicate: {"Manage/replicate→0, Manage/replicate→2", stateReplicated, false},
+		evDemote:    {"", stateOwned, false},
+		evRelocate:  {"Manage/localize-hint→2", stateOwned, false},
+		evLocalize:  {"RelocTransfer→2", stateNotHere, false},
+		evDemoteAck: {"", stateOwned, false},
+	}},
+	{"registered elsewhere", [5]ctlCell{
+		evReplicate: {"RelocInstruct→2", stateIncoming, true},
+		evDemote:    {"", stateNotHere, false},
+		evRelocate:  {"Manage/localize-hint→2", stateNotHere, false},
+		evLocalize:  {"RelocInstruct→2", stateNotHere, false},
+		evDemoteAck: {"", stateNotHere, false},
+	}},
+	{"incoming by a home worker's localize", [5]ctlCell{
+		evReplicate: {"", stateIncoming, false},
+		evDemote:    {"", stateIncoming, false},
+		evRelocate:  {"Manage/localize-hint→2", stateIncoming, false},
+		evLocalize:  {"", stateIncoming, false}, // the instruct waits in the queue
+		evDemoteAck: {"", stateIncoming, false},
+	}},
+	{"replicated", [5]ctlCell{
+		evReplicate: {"", stateReplicated, false},
+		evDemote:    {"Manage/unreplicate→0, Manage/unreplicate→2", stateReplicated, true},
+		evRelocate:  {"Manage/localize-hint→2", stateReplicated, false},
+		evLocalize:  {"Manage/replicate→2", stateReplicated, false},
+		evDemoteAck: {"", stateReplicated, false},
+	}},
+	{"promoting", [5]ctlCell{
+		evReplicate: {"", stateIncoming, true},
+		evDemote:    {"", stateIncoming, true},
+		evRelocate:  {"Manage/localize-hint→2", stateIncoming, true},
+		evLocalize:  {"", stateIncoming, true}, // deferred until the promotion ends
+		evDemoteAck: {"", stateIncoming, true},
+	}},
+	{"demoting", [5]ctlCell{
+		evReplicate: {"", stateReplicated, true},
+		evDemote:    {"", stateReplicated, true},
+		evRelocate:  {"Manage/localize-hint→2", stateReplicated, true},
+		evLocalize:  {"", stateReplicated, true}, // deferred until the demotion ends
+		evDemoteAck: {"", stateReplicated, true}, // node 0's is still outstanding
+	}},
+}
+
+// homeSends is a transport that records, and drops, every message node 1 —
+// the home of the fixture's keys — sends, so a cell sees exactly what its
+// event sends and nothing comes back to the home while the test drives its
+// shard by hand.
+type homeSends struct {
+	transport.Network
+	mu  sync.Mutex
+	log []string
+}
+
+func (n *homeSends) Send(src, dst int, m any) {
+	if src != 1 {
+		n.Network.Send(src, dst, m)
+		return
+	}
+	what := strings.TrimPrefix(fmt.Sprintf("%T", m), "*msg.")
+	if t, ok := m.(*msg.Manage); ok {
+		what += "/" + t.Kind.String()
+	}
+	n.mu.Lock()
+	n.log = append(n.log, fmt.Sprintf("%s→%d", what, dst))
+	n.mu.Unlock()
+}
+
+// since returns the sends recorded after the first i.
+func (n *homeSends) since(i int) string {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return strings.Join(n.log[i:], ", ")
+}
+
+// count returns the number of sends recorded so far.
+func (n *homeSends) count() int {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return len(n.log)
+}
+
+// TestControlTable rigs a fresh key into each row's state at its home node 1,
+// fires the column's event on the home's shard, and compares what the home
+// sent and where the key stands with the cell.
+func TestControlTable(t *testing.T) {
+	net := &homeSends{Network: simnet.New(simnet.Config{Nodes: 3})}
+	cl := cluster.New(cluster.Config{Nodes: 3, WorkersPerNode: 1, Transport: net})
+	// One replicated key gives every node a replication manager.
+	sys := New(cl, kv.NewUniformLayout(300, 1), Config{Replicate: []kv.Key{299}})
+	t.Cleanup(func() { cl.Close(); sys.Shutdown() })
+	stopSync(sys)
+	f := &gateFixture{t: t, sys: sys, next: 100} // node 1 homes 100..199
+	fire := func(sh *policyShard, ev int, k kv.Key) {
+		switch ev {
+		case evReplicate:
+			sh.execute(adaptive.Action{Kind: adaptive.ActReplicate, Key: k})
+		case evDemote:
+			sh.execute(adaptive.Action{Kind: adaptive.ActDemote, Key: k})
+		case evRelocate:
+			sh.execute(adaptive.Action{Kind: adaptive.ActRelocate, Key: k, Dest: 2})
+		case evLocalize:
+			sh.HandleMessage(2, &msg.Localize{ID: 1, Origin: 2, Keys: []kv.Key{k}})
+		case evDemoteAck:
+			sh.HandleMessage(2, &msg.Manage{Kind: msg.ManageDemoteAck, Origin: 2, Keys: []kv.Key{k}})
+		}
+	}
+	var rig func(row string) (*policyShard, kv.Key)
+	rig = func(row string) (*policyShard, kv.Key) {
+		var (
+			sh *policyShard
+			k  kv.Key
+		)
+		switch row {
+		case "owned here":
+			return f.rig(1, stateOwned, false)
+		case "registered elsewhere":
+			return f.rig(1, stateNotHere, false)
+		case "incoming by a home worker's localize":
+			return f.rig(1, stateIncoming, true)
+		case "replicated":
+			sh, k = rig("owned here")
+			fire(sh, evReplicate, k)
+		case "promoting":
+			sh, k = rig("registered elsewhere")
+			fire(sh, evReplicate, k)
+		case "demoting":
+			sh, k = rig("replicated")
+			fire(sh, evDemote, k)
+		}
+		return sh, k
+	}
+	events := [...]string{"ActReplicate", "ActDemote", "ActRelocate→2", "Localize from 2", "DemoteAck from 2"}
+	for _, r := range controlTable {
+		for ev, want := range r.cells {
+			t.Run(r.row+"/"+events[ev], func(t *testing.T) {
+				f.t = t
+				sh, k := rig(r.row)
+				from := net.count()
+				fire(sh, ev, k)
+				_, inFlight := sh.transitioning[k]
+				got := ctlCell{net.since(from), sh.nd.state[k].Load(), inFlight}
+				if got != want {
+					t.Fatalf("got %+v, want %+v", got, want)
+				}
+			})
+		}
+	}
+}

@@ -97,9 +97,6 @@ type Config struct {
 	// internal/replication). Localize is a no-op for replicated keys. Must
 	// be identical on every node of a multi-process deployment.
 	Replicate []kv.Key
-	// ReplicaSyncEvery is the replication sync interval
-	// (0 = replication.DefaultSyncEvery).
-	ReplicaSyncEvery time.Duration
 	// Adaptive enables the online per-key management controller: each node
 	// periodically reports its hottest keys to their home nodes, which
 	// promote hot-everywhere keys into replication, relocate locality-skewed
@@ -279,18 +276,16 @@ func New(cl *cluster.Cluster, layout kv.Layout, cfg Config) *System {
 		}
 		if len(cfg.Replicate) > 0 || cfg.Adaptive != nil {
 			nd.rep = replication.NewManager(replication.Config{
-				Node:      n,
-				Nodes:     cl.Nodes(),
-				Layout:    layout,
-				Home:      s.home,
-				Keys:      cfg.Replicate,
-				SyncEvery: cfg.ReplicaSyncEvery,
-				Stats:     s.g.Stats()[n*len(nd.sh) : (n+1)*len(nd.sh)],
-				Send:      srv.Send,
+				Node:   n,
+				Nodes:  cl.Nodes(),
+				Layout: layout,
+				Home:   s.home,
+				Keys:   cfg.Replicate,
+				Stats:  s.g.Stats()[n*len(nd.sh) : (n+1)*len(nd.sh)],
+				Send:   srv.Send,
 			})
 		}
 		if cfg.Adaptive != nil {
-			acfg := cfg.Adaptive.WithDefaults()
 			for _, shp := range nd.sh {
 				shp := shp
 				shp.reportAt = make([]atomic.Uint32, cl.Nodes())
@@ -299,7 +294,7 @@ func New(cl *cluster.Cluster, layout kv.Layout, cfg Config) *System {
 				for o := range shp.setAsideAt {
 					shp.setAsideAt[o] -= setAsideTraceEvery
 				}
-				shp.classifier = adaptive.NewClassifier(acfg, adaptive.View{
+				shp.classifier = adaptive.NewClassifier(*cfg.Adaptive, adaptive.View{
 					Node:       n,
 					Owner:      func(k kv.Key) int { return int(nd.owner[k].Load()) },
 					Replicated: func(k kv.Key) bool { return nd.state[k].Load() == stateReplicated },
@@ -349,7 +344,7 @@ func New(cl *cluster.Cluster, layout kv.Layout, cfg Config) *System {
 	}
 	if cfg.Adaptive != nil {
 		for _, nd := range s.locals {
-			nd.startController(cfg.Adaptive.WithDefaults())
+			nd.startController()
 		}
 	}
 	return s

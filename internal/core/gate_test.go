@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"lapse/internal/kv"
 	"lapse/internal/msg"
@@ -58,8 +57,10 @@ type gateFixture struct {
 
 func newGateFixture(t *testing.T) *gateFixture {
 	// One replicated key gives every node a replication manager; its sync
-	// cycle stays out of the way of the replicas the test installs by hand.
-	_, sys := newTestSystem(t, 3, 1, 300, 1, Config{Replicate: []kv.Key{299}, ReplicaSyncEvery: time.Hour})
+	// cycle is stopped, out of the way of the replicas the test installs by
+	// hand.
+	_, sys := newTestSystem(t, 3, 1, 300, 1, Config{Replicate: []kv.Key{299}})
+	stopSync(sys)
 	return &gateFixture{t: t, sys: sys, next: 100} // node 1 homes 100..199
 }
 

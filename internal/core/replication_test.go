@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"lapse/internal/adaptive"
 	"lapse/internal/cluster"
 	"lapse/internal/consistency"
 	"lapse/internal/kv"
@@ -17,15 +18,23 @@ import (
 )
 
 // replicationCluster builds a zero-latency cluster with the given keys
-// replicated and a long background interval, so tests drive sync rounds
+// replicated and the background sync stopped, so tests drive sync rounds
 // deterministically through FlushReplicas.
 func replicationCluster(nodes, workers int, numKeys kv.Key, valLen int, replicate []kv.Key) (*cluster.Cluster, *System) {
 	cl := cluster.New(cluster.Config{Nodes: nodes, WorkersPerNode: workers, Net: simnet.Config{}})
-	sys := New(cl, kv.NewUniformLayout(numKeys, valLen), Config{
-		Replicate:        replicate,
-		ReplicaSyncEvery: time.Hour, // tests flush explicitly
-	})
+	sys := New(cl, kv.NewUniformLayout(numKeys, valLen), Config{Replicate: replicate})
+	stopSync(sys)
 	return cl, sys
+}
+
+// stopSync stops the background sync ticker of every local node; Shutdown
+// stopping it again is a no-op.
+func stopSync(sys *System) {
+	for _, nd := range sys.locals {
+		if nd.rep != nil {
+			nd.rep.Stop()
+		}
+	}
 }
 
 // awaitReplicaConvergence flushes sync rounds until every local node's
@@ -136,8 +145,9 @@ func TestReplicaSyncRoundIsONodesMessages(t *testing.T) {
 		hot[i] = kv.Key(i)
 	}
 	cl := cluster.New(cluster.Config{Nodes: nodes, WorkersPerNode: 1, Net: simnet.Config{Shards: shards}})
-	sys := New(cl, kv.NewUniformLayout(numKeys, 1), Config{Replicate: hot, ReplicaSyncEvery: time.Hour})
+	sys := New(cl, kv.NewUniformLayout(numKeys, 1), Config{Replicate: hot})
 	defer func() { cl.Close(); sys.Shutdown() }()
+	stopSync(sys)
 
 	ones := make([]float32, numKeys)
 	for i := range ones {
@@ -255,10 +265,7 @@ func TestReplicationEventualConsistencyChecker(t *testing.T) {
 	const nodes, workers = 3, 2
 	hot := []kv.Key{2}
 	cl := cluster.New(cluster.Config{Nodes: nodes, WorkersPerNode: workers, Net: simnet.Config{}})
-	sys := New(cl, kv.NewUniformLayout(4, 1), Config{
-		Replicate:        hot,
-		ReplicaSyncEvery: 100 * time.Microsecond,
-	})
+	sys := New(cl, kv.NewUniformLayout(4, 1), Config{Replicate: hot})
 	defer func() { cl.Close(); sys.Shutdown() }()
 
 	rec := consistency.NewRecorder(cl.TotalWorkers())
@@ -316,17 +323,27 @@ func TestHotKeyTrackerFindsSkew(t *testing.T) {
 }
 
 // TestMalformedReplicationInputIsDropped pushes every shape of replication
-// wire input no peer sends through the shard handlers of a key's home: each
-// is dropped whole — no panic, and no replica or authoritative value moves —
-// while a well-formed sync still merges.
+// and management wire input no peer sends through the shard handlers of node
+// 0, which homes keys 0..3: each is dropped whole — no panic, and no replica
+// or authoritative value, locality state or owner entry moves — while a
+// well-formed sync still merges. The controller is on, its tickers and the
+// sync cycle stopped, so only the table's messages reach the handlers.
 func TestMalformedReplicationInputIsDropped(t *testing.T) {
 	const shards = 2
 	// Keys 0..3 are homed at node 0 and 4..7 at node 1; odd keys are shard 1.
 	hot := []kv.Key{1, 3, 5}
 	cl := cluster.New(cluster.Config{Nodes: 2, WorkersPerNode: 1, Net: simnet.Config{Shards: shards}})
-	sys := New(cl, kv.NewUniformLayout(8, 2), Config{Replicate: hot, ReplicaSyncEvery: time.Hour})
+	sys := New(cl, kv.NewUniformLayout(8, 2), Config{Replicate: hot, Adaptive: &adaptive.Config{}})
 	defer func() { cl.Close(); sys.Shutdown() }()
+	for _, nd := range sys.locals {
+		nd.stopController()
+	}
+	stopSync(sys)
 	sys.Init(func(k kv.Key, v []float32) { v[0], v[1] = float32(k), float32(k) })
+	// Key 6, homed at node 1, lives at node 0.
+	if err := sys.Handle(0).Localize([]kv.Key{6}); err != nil {
+		t.Fatal(err)
+	}
 	nd := sys.nodes[0]
 	snapshot := func() (vals []float32) {
 		buf := make([]float32, 2)
@@ -338,14 +355,37 @@ func TestMalformedReplicationInputIsDropped(t *testing.T) {
 				vals = append(vals, buf...)
 			}
 		}
-		return append(vals, float32(nd.state[2].Load()))
+		for k := range nd.state {
+			vals = append(vals, float32(nd.state[k].Load()), float32(nd.owner[k].Load()))
+		}
+		return vals
 	}
 	before := snapshot()
 	two := []float32{1, 1}
-	for _, c := range []struct {
+	// report is a report from origin of the given keys, every one of them
+	// thirty of its hundred waited-for accesses on twenty observations:
+	// enough evidence and share to interest the origin.
+	report := func(origin int32, keys ...kv.Key) *msg.Manage {
+		vals := []float32{100, 40, 2}
+		for range keys {
+			vals = append(vals, 30)
+		}
+		for range keys {
+			vals = append(vals, 20)
+		}
+		return &msg.Manage{Kind: msg.ManageReport, Origin: origin, Keys: keys, Vals: vals}
+	}
+	drop := func(t *testing.T, m any) {
+		nd.sh[msg.ShardOf(m, shards)].HandleMessage(1, m)
+		if got := snapshot(); !slices.Equal(got, before) {
+			t.Fatalf("values moved: %v, want %v", got, before)
+		}
+	}
+	type row struct {
 		name string
 		m    any
-	}{
+	}
+	for _, c := range []row{
 		{"sync short", &msg.ReplicaSync{Origin: 1, Seq: 1, Keys: []kv.Key{1}, Vals: []float32{1}}},
 		{"sync long", &msg.ReplicaSync{Origin: 1, Seq: 1, Keys: []kv.Key{1}, Vals: []float32{1, 1, 1}}},
 		{"sync no values", &msg.ReplicaSync{Origin: 1, Seq: 1, Keys: []kv.Key{1}}},
@@ -367,18 +407,43 @@ func TestMalformedReplicationInputIsDropped(t *testing.T) {
 		{"ack key outside layout", &msg.Manage{Kind: msg.ManageDemoteAck, Origin: 1, Keys: []kv.Key{99}, Vals: two}},
 		{"install short", &msg.Manage{Kind: msg.ManageReplicate, Origin: 1, Keys: []kv.Key{2}, Vals: []float32{1}}},
 		{"install key outside layout", &msg.Manage{Kind: msg.ManageReplicate, Origin: 1, Keys: []kv.Key{99}, Vals: two}},
+		{"unknown manage kind", &msg.Manage{Kind: 200, Origin: 1, Keys: []kv.Key{1}}},
+		{"report no keys", &msg.Manage{Kind: msg.ManageReport, Origin: 1, Vals: []float32{100, 5, 2}}},
+		{"report key outside layout", report(1, 99)},
+		{"report key homed elsewhere", report(0, 4)},
+		{"report mixed shards", report(1, 1, 2)},
+		{"unreplicate key outside layout", &msg.Manage{Kind: msg.ManageUnreplicate, Origin: 1, Keys: []kv.Key{99}}},
+		{"unreplicate key owned here", &msg.Manage{Kind: msg.ManageUnreplicate, Origin: 1, Keys: []kv.Key{6}}},
+		{"unreplicate from its own home", &msg.Manage{Kind: msg.ManageUnreplicate, Origin: 0, Keys: []kv.Key{2}}},
+		{"localize key outside layout", &msg.Manage{Kind: msg.ManageLocalize, Origin: 1, Keys: []kv.Key{99}}},
 	} {
-		t.Run(c.name, func(t *testing.T) {
-			nd.sh[msg.ShardOf(c.m, shards)].HandleMessage(1, c.m)
-			if got := snapshot(); !slices.Equal(got, before) {
-				t.Fatalf("values moved: %v, want %v", got, before)
-			}
-		})
+		t.Run(c.name, func(t *testing.T) { drop(t, c.m) })
 	}
+	// A demotion of key 1 is in flight at node 0, node 1's acknowledgement
+	// outstanding: an acknowledgement no replica sends must not count.
+	nd.shardOf(1).transitioning[1] = &transition{kind: transDemote, acksLeft: 1}
+	for _, c := range []row{
+		{"ack origin out of range", &msg.Manage{Kind: msg.ManageDemoteAck, Origin: 7, Keys: []kv.Key{1}, Vals: two}},
+		{"ack from the home itself", &msg.Manage{Kind: msg.ManageDemoteAck, Origin: 0, Keys: []kv.Key{1}, Vals: two}},
+	} {
+		t.Run(c.name, func(t *testing.T) { drop(t, c.m) })
+	}
+	delete(nd.shardOf(1).transitioning, 1)
 	// The control: the same handlers merge a sync that fits.
 	nd.sh[1].HandleMessage(1, &msg.ReplicaSync{Origin: 1, Seq: 1, Keys: []kv.Key{1}, Vals: two})
 	buf := make([]float32, 2)
 	if nd.rep.ReadAuthoritative(1, buf); buf[0] != 2 {
 		t.Fatalf("well-formed sync left key 1 at %v, want 2", buf)
+	}
+}
+
+// TestUnreplicateWithoutReplicationIsDropped: a node running no replication
+// has no replica to give up, and an Unreplicate reaching it is dropped.
+func TestUnreplicateWithoutReplicationIsDropped(t *testing.T) {
+	_, sys := newTestSystem(t, 2, 1, 8, 1, Config{})
+	nd := sys.nodes[0]
+	nd.shardOf(6).HandleMessage(1, &msg.Manage{Kind: msg.ManageUnreplicate, Origin: 1, Keys: []kv.Key{6}})
+	if s := nd.state[6].Load(); s != stateNotHere {
+		t.Fatalf("key 6 at node 0 in state %d, want NotHere", s)
 	}
 }

@@ -26,9 +26,11 @@ type waiterFixture struct {
 func newWaiterFixture(t *testing.T) *waiterFixture {
 	cl := cluster.New(cluster.Config{Nodes: 3, WorkersPerNode: 2,
 		Net: simnet.Config{Latency: 10 * time.Millisecond, LoopbackLatency: 20 * time.Microsecond}})
-	// One replicated key gives every node a replication manager (promotions).
-	sys := New(cl, kv.NewUniformLayout(300, 1), Config{Replicate: []kv.Key{299}, ReplicaSyncEvery: time.Hour})
+	// One replicated key gives every node a replication manager (promotions);
+	// its sync cycle is stopped, as in the gate fixture.
+	sys := New(cl, kv.NewUniformLayout(300, 1), Config{Replicate: []kv.Key{299}})
 	t.Cleanup(func() { cl.Close(); sys.Shutdown() })
+	stopSync(sys)
 	return &waiterFixture{t: t, cl: cl, sys: sys, next: 100}
 }
 

@@ -46,18 +46,7 @@ var (
 const adDeadline = 15 * time.Second
 
 func confAdaptiveOptions() Options {
-	return Options{
-		ReplicaSyncEvery: 200 * time.Microsecond,
-		Adaptive: &adaptive.Config{
-			// The defaults, but for the dwell: sixteen recorded observations
-			// of a key promote it, however many ticks the race detector's
-			// slowdown spreads them over.
-			Tick:          5 * time.Millisecond,
-			HotCount:      16,
-			ColdCount:     4,
-			MinDwellTicks: 1,
-		},
-	}
+	return Options{Adaptive: &adaptive.Config{}}
 }
 
 // adaptCounts sums the controller transition counters over one or more PS

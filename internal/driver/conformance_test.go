@@ -184,7 +184,7 @@ var confModes = map[string]*confMode{
 		work: runStaticWorkers, check: checkStaticRun, mp: bothInstances, cell: confName},
 	"replicate": {kinds: []Kind{Lapse, LapseCached},
 		opts: func() Options {
-			return Options{Replicate: confHotKeys, ReplicaSyncEvery: 200 * time.Microsecond}
+			return Options{Replicate: confHotKeys}
 		},
 		wait: confWait, work: runStaticWorkers, check: checkStaticRun, mp: []string{"tcp"}, cell: confName,
 		mpCell: func(_ string, kind Kind, shards int) string { return fmt.Sprintf("%s/shards=%d", kind, shards) }},

@@ -5,7 +5,6 @@ package driver
 
 import (
 	"fmt"
-	"time"
 
 	"lapse/internal/adaptive"
 	"lapse/internal/classic"
@@ -73,8 +72,6 @@ type Options struct {
 	// replication instead of relocation (Lapse variants only; ignored
 	// elsewhere).
 	Replicate []kv.Key
-	// ReplicaSyncEvery is the replica sync interval (0 = default).
-	ReplicaSyncEvery time.Duration
 	// Adaptive enables the online per-key management controller (Lapse
 	// variants only; see internal/adaptive). Replicate then seeds the
 	// initial replicated set.
@@ -93,7 +90,7 @@ func Build(kind Kind, cl *cluster.Cluster, layout kv.Layout, opt Options) PS {
 		return classic.New(cl, layout, classic.Config{FastLocalAccess: true})
 	case Lapse, LapseCached:
 		return core.New(cl, layout, core.Config{LocationCaches: kind == LapseCached,
-			Replicate: opt.Replicate, ReplicaSyncEvery: opt.ReplicaSyncEvery, Adaptive: opt.Adaptive,
+			Replicate: opt.Replicate, Adaptive: opt.Adaptive,
 			Serving: opt.Serving})
 	case SSPClient:
 		return ssp.New(cl, layout, ssp.Config{Staleness: opt.Staleness})

@@ -74,14 +74,11 @@ func TestPromotionDropsLeasesAheadOfReplica(t *testing.T) {
 		t.Run(tr, func(t *testing.T) {
 			net := &sendLog{Network: newConfNet(t, tr, shards), k: k}
 			cl := cluster.New(cluster.Config{Nodes: confNodes, WorkersPerNode: 1, Transport: net})
+			// The lease outlives the test, and the one transition is the
+			// promotion of the leased key.
 			ps := Build(Lapse, cl, confLayout(), Options{
-				ReplicaSyncEvery: 200 * time.Microsecond,
-				// The lease outlives the test; the controller never relocates (no
-				// origin can hold twice a key's demand) and never demotes, so
-				// the one transition is the promotion of the leased key.
-				Serving: &core.ServingConfig{TTL: time.Minute},
-				Adaptive: &adaptive.Config{Tick: 5 * time.Millisecond, HotCount: 16, ColdCount: 4,
-					MinDwellTicks: 1, DominanceShare: 2, ColdStreakEpochs: 1 << 30},
+				Serving:  &core.ServingConfig{TTL: time.Minute},
+				Adaptive: &adaptive.Config{},
 			})
 			defer func() { cl.Close(); ps.Shutdown() }()
 			node := func(n int) metrics.Totals { return metrics.Sum(ps.Stats()[n*shards : (n+1)*shards]) }
@@ -106,6 +103,7 @@ func TestPromotionDropsLeasesAheadOfReplica(t *testing.T) {
 			// Reads from both nodes — nothing is written — until the controller
 			// has promoted k and the holder reads its replica. The first such
 			// read must find the cached copy gone already.
+			awaitHomeReport(t, ps, home, k, shards)
 			for deadline := time.Now().Add(adDeadline); node(1).ReplicaHits == 0; {
 				if time.Now().After(deadline) {
 					t.Fatalf("no replica read at the holder: promotions=%d, sends %v", node(0).AdaptPromotions, net.sent())
@@ -223,12 +221,29 @@ func isManage(m any, kind msg.ManageKind, k kv.Key) bool {
 	return ok && t.Kind == kind && slices.Contains(t.Keys, k)
 }
 
-// promotionOptions runs the controller fast, on a 200 µs sync interval; it
-// never relocates (no origin can hold twice a key's demand), and demotes a
-// replicated key after coldStreak cold epochs.
-func promotionOptions(coldStreak uint32) Options {
-	return Options{ReplicaSyncEvery: 200 * time.Microsecond, Adaptive: &adaptive.Config{Tick: 2 * time.Millisecond,
-		HotCount: 16, ColdCount: 4, MinDwellTicks: 1, DominanceShare: 2, ColdStreakEpochs: coldStreak}}
+// awaitHomeReport reads k at its home node 0 until the classifier of k's
+// shard holds a report of the home's own that carries enough evidence to be
+// judged. From then on the home counts as interested in k, so a second node
+// that reads it makes two interested nodes and k is promoted. Without it the
+// other node's interest could arrive first, alone: it would hold all of k's
+// judged demand, and k would be relocated to it instead.
+func awaitHomeReport(t *testing.T, ps PS, home kv.KV, k kv.Key, shards int) {
+	t.Helper()
+	keys, val := []kv.Key{k}, make([]float32, confValLen)
+	gauge := &ps.Stats()[msg.ShardOfKey(k, shards)].AdaptReportEvidence
+	for deadline := time.Now().Add(adDeadline); ; time.Sleep(time.Millisecond) {
+		if ev := gauge.Snapshot(); len(ev) > 0 && adaptive.Sufficient(float32(ev[0])) {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the home's report on k never arrived: evidence gauges %v", gauge.Snapshot())
+		}
+		for range 64 {
+			if err := home.Pull(keys, val); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 }
 
 // TestPromotionInstallPrecedesRefresh holds the home's stream of k's shard to
@@ -246,7 +261,7 @@ func TestPromotionInstallPrecedesRefresh(t *testing.T) {
 	net := newHoldStream(newConfNet(t, "simnet", shards), 0, 1,
 		func(m any) bool { return isManage(m, msg.ManageReplicate, k) }, nil)
 	cl := cluster.New(cluster.Config{Nodes: confNodes, WorkersPerNode: 1, Transport: net})
-	ps := Build(Lapse, cl, confLayout(), promotionOptions(1<<30))
+	ps := Build(Lapse, cl, confLayout(), Options{Adaptive: &adaptive.Config{}})
 	defer func() { cl.Close(); ps.Shutdown() }()
 	node := func(n int) metrics.Totals { return metrics.Sum(ps.Stats()[n*shards : (n+1)*shards]) }
 	home, replica := ps.Handle(0), ps.Handle(1)
@@ -254,6 +269,7 @@ func TestPromotionInstallPrecedesRefresh(t *testing.T) {
 
 	// Both nodes read k until the home promotes it. Node 1 reads on its own
 	// goroutine: its reads wait out the hold once it starts.
+	awaitHomeReport(t, ps, home, k, shards)
 	stop, done := make(chan struct{}), make(chan error, 1)
 	stopReads := sync.OnceValue(func() error { close(stop); return <-done })
 	defer func() { net.open(); stopReads() }() // a held read needs the hold to end
@@ -310,6 +326,10 @@ func TestPromotionInstallPrecedesRefresh(t *testing.T) {
 // home folds them through the sync or through node 1's demote
 // acknowledgement: the final value is the exact push sum. Reports pass the
 // hold, so the home still sees node 1's interest in k fade.
+//
+// k goes cold on evidence, not on silence: an idle window that drops k with
+// a little evidence left says nothing about k, and it sends no later
+// report.
 func TestDemotionCountsHeldSyncOnce(t *testing.T) {
 	const (
 		shards = 4
@@ -324,15 +344,15 @@ func TestDemotionCountsHeldSyncOnce(t *testing.T) {
 		func(m any) bool { return isManage(m, msg.ManageReport, k) })
 	net := &sendLog{Network: hold, k: k}
 	cl := cluster.New(cluster.Config{Nodes: confNodes, WorkersPerNode: 1, Transport: net})
-	ps := Build(Lapse, cl, confLayout(), promotionOptions(3))
+	ps := Build(Lapse, cl, confLayout(), Options{Adaptive: &adaptive.Config{}})
 	defer func() { cl.Close(); ps.Shutdown() }()
 	defer hold.open() // before the cluster closes: nothing may stay held
 	node := func(n int) metrics.Totals { return metrics.Sum(ps.Stats()[n*shards : (n+1)*shards]) }
 	h := []kv.KV{ps.Handle(0), ps.Handle(1)}
 	keys, ones := []kv.Key{k}, []float32{1, 1}
-	var pushes atomic.Int64
-	// burst pushes k n times from both nodes at once.
-	burst := func(n int) error {
+	var pushes atomic.Int64 // of k
+	// burst pushes key n times from both nodes at once.
+	burst := func(key kv.Key, n int) error {
 		errs := make([]error, len(h))
 		var wg sync.WaitGroup
 		for i := range h {
@@ -340,10 +360,12 @@ func TestDemotionCountsHeldSyncOnce(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for range n {
-					if errs[i] = h[i].Push(keys, ones); errs[i] != nil {
+					if errs[i] = h[i].Push([]kv.Key{key}, ones); errs[i] != nil {
 						return
 					}
-					pushes.Add(1)
+					if key == k {
+						pushes.Add(1)
+					}
 				}
 			}()
 		}
@@ -360,26 +382,34 @@ func TestDemotionCountsHeldSyncOnce(t *testing.T) {
 	}
 
 	// Promote k and let node 1 write its replica.
+	awaitHomeReport(t, ps, h[0], k, shards)
 	for deadline := time.Now().Add(adDeadline); node(0).AdaptPromotions == 0 || node(1).LocalWrites == 0; {
 		if time.Now().After(deadline) {
 			t.Fatal("k was never promoted")
 		}
-		if err := burst(16); err != nil {
+		if err := burst(k, 16); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Hold node 1's next sync of k, fed by pushes from both nodes.
 	holding.Store(true)
-	if err := burst(100); err != nil {
+	if err := burst(k, 100); err != nil {
 		t.Fatal(err)
 	}
 	await("hold", func() bool { return chanClosed(hold.armed) })
-	// Traffic stops and k goes cold. Once the home has told node 1 to drop
-	// its replica, both nodes push again — racing node 1's exit and the
+	// Traffic moves to key 2, homed at node 0 on another shard (node 1's
+	// pushes of it pass the hold), until both nodes' windows are full of it
+	// and prove k absent: k goes cold. Once the home has told node 1 to drop
+	// its replica, both nodes push k again — racing node 1's exit and the
 	// home's finalize — and the hold ends while they do.
-	await("demotion start", func() bool { return slices.Contains(net.sent(), "unreplicate→1") })
+	await("demotion start", func() bool {
+		if err := burst(2, 2048); err != nil {
+			t.Fatal(err)
+		}
+		return slices.Contains(net.sent(), "unreplicate→1")
+	})
 	time.AfterFunc(10*time.Millisecond, hold.open)
-	if err := burst(50); err != nil {
+	if err := burst(k, 50); err != nil {
 		t.Fatal(err)
 	}
 	await("demotion", func() bool { return node(0).AdaptDemotions > 0 })

@@ -66,8 +66,6 @@ type HotKeyConfig struct {
 	PushEvery int
 	// Seed seeds the per-worker RNGs.
 	Seed int64
-	// SyncEvery is the replica sync interval (0 = default).
-	SyncEvery time.Duration
 	// Warmup drives the workload unmeasured for this long before the
 	// measured window opens, so location caches, relocation queues, and the
 	// adaptive controller reach steady state first. The measured windows of
@@ -182,7 +180,7 @@ func buildHotKeys(par Parallelism, cfg HotKeyConfig, mode HotKeyMode) (cl *clust
 	net.Nodes = par.Nodes
 	net.Shards = par.Shards
 	cl = cluster.New(cluster.Config{Nodes: par.Nodes, WorkersPerNode: par.Workers, Net: net})
-	opt := driver.Options{ReplicaSyncEvery: cfg.SyncEvery}
+	var opt driver.Options
 	if mode == HotKeyReplication {
 		opt.Replicate = cfg.HotKeys()
 	}

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"testing"
-	"time"
 
 	"lapse/internal/metrics"
 )
@@ -18,7 +17,6 @@ func TestZipfReplicationCutsHotKeyRemoteReads(t *testing.T) {
 	cfg := HotKeyConfig{
 		Keys: 2048, ValLen: 8, OpsPerWorker: 400,
 		ZipfS: 2.0, HotK: 32, PushEvery: 2, Seed: 11,
-		SyncEvery: time.Millisecond,
 	}
 	base := RunHotKeys(par, cfg, HotKeyRelocation)
 	repl := RunHotKeys(par, cfg, HotKeyReplication)
@@ -57,7 +55,6 @@ func TestLocalizeThrashReplicationWins(t *testing.T) {
 	cfg := HotKeyConfig{
 		Keys: 256, ValLen: 8, OpsPerWorker: 200,
 		ZipfS: 2.0, HotK: 16, PushEvery: 2, Seed: 7,
-		SyncEvery: time.Millisecond,
 	}
 	thrash := RunHotKeys(par, cfg, HotKeyLocalize)
 	repl := RunHotKeys(par, cfg, HotKeyReplication)

@@ -58,8 +58,7 @@ import (
 	"lapse/internal/store"
 )
 
-// DefaultSyncEvery is the background sync interval used when the
-// configuration leaves SyncEvery zero.
+// DefaultSyncEvery is the background sync interval.
 const DefaultSyncEvery = time.Millisecond
 
 // Config parameterizes one node's replication manager. Every node of a
@@ -78,8 +77,6 @@ type Config struct {
 	Home partition.Partitioner
 	// Keys is the set of replicated keys.
 	Keys []kv.Key
-	// SyncEvery is the background sync interval (0 = DefaultSyncEvery).
-	SyncEvery time.Duration
 	// Stats holds the server runtime's statistics, one entry per shard; the
 	// manager has one stripe per entry, and each stripe counts its replica
 	// hits, local writes, sync messages and round times on its own.
@@ -127,8 +124,9 @@ type Manager struct {
 	replica *store.Sparse
 	stripes []stripe
 
-	stop chan struct{}
-	done chan struct{}
+	stop     chan struct{}
+	stopOnce sync.Once
+	done     chan struct{}
 }
 
 // NewManager builds the manager for one node. Keys may be empty when every
@@ -137,9 +135,6 @@ type Manager struct {
 // matching the relocation protocol's zero initialization; use InitKey to set
 // starting values.
 func NewManager(cfg Config) *Manager {
-	if cfg.SyncEvery <= 0 {
-		cfg.SyncEvery = DefaultSyncEvery
-	}
 	m := &Manager{
 		cfg:     cfg,
 		replica: store.NewSparse(cfg.Layout, 0),
@@ -178,7 +173,7 @@ func (m *Manager) stripeOf(k kv.Key) *stripe {
 func (m *Manager) Start() {
 	go func() {
 		defer close(m.done)
-		t := time.NewTicker(m.cfg.SyncEvery)
+		t := time.NewTicker(DefaultSyncEvery)
 		defer t.Stop()
 		for {
 			select {
@@ -192,9 +187,9 @@ func (m *Manager) Start() {
 }
 
 // Stop halts the background sync goroutine and waits for it to exit. It
-// must be called exactly once, after Start.
+// must be called after Start; calling it again is a no-op.
 func (m *Manager) Stop() {
-	close(m.stop)
+	m.stopOnce.Do(func() { close(m.stop) })
 	<-m.done
 }
 

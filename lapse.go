@@ -196,22 +196,19 @@ type Config struct {
 	// negative samples, frequent KGE entities), where relocation would
 	// thrash; see examples/hotkeys and Cluster.HotKeys for picking them.
 	// Replicated keys are only eventually consistent: a node observes
-	// remote pushes after up to two sync intervals plus network latency
-	// (its own pushes are always visible immediately). Localize is a no-op
-	// for replicated keys. In multi-process deployments, Replicate must be
+	// remote pushes after up to two sync intervals (1ms each) plus network
+	// latency (its own pushes are always visible immediately). Localize is a
+	// no-op for replicated keys. In multi-process deployments, Replicate must be
 	// identical in every process.
 	Replicate []Key
-	// ReplicaSyncEvery is the replica sync interval (0 = 1ms).
-	ReplicaSyncEvery time.Duration
 	// Adaptive, when non-nil, enables adaptive per-key parameter management:
 	// an online controller that chooses each key's management technique at
 	// runtime — replication for keys hot at every node, relocation to the
 	// dominant accessor for locality-skewed keys, plain home placement for
 	// cold keys — instead of requiring a static Replicate list. Keys listed
 	// in Replicate seed the replicated set and may be demoted once they go
-	// cold. &AdaptiveConfig{} selects defaults that are meant to work across
-	// workloads. In multi-process deployments, Adaptive must be identical in
-	// every process.
+	// cold. There is nothing to tune: &AdaptiveConfig{} switches it on. In
+	// multi-process deployments, Adaptive must be identical in every process.
 	Adaptive *AdaptiveConfig
 	// Serving, when non-nil, enables the read-path serving tier for
 	// read-mostly workloads: Worker.MultiGet misses install TTL-leased
@@ -243,57 +240,26 @@ type Config struct {
 	MetricsAddr string
 }
 
-// AdaptiveConfig tunes the adaptive management controller (Config.Adaptive).
-// Zero fields take documented defaults; one default set is meant to hold
-// across workloads and network latencies, so most programs should leave all
-// fields zero.
+// AdaptiveConfig switches on the adaptive management controller
+// (Config.Adaptive). It has nothing to tune: one set of thresholds is meant
+// to hold across workloads and network latencies, and the controller runs on
+// it unchanged.
 //
 // The controller judges every node on a window of its most recent recorded
 // accesses — a fixed amount of evidence (a few thousand observations), not a
 // span of time, so a worker that waits on the network for every access is
 // judged as precisely as one that runs from memory, only later. Accesses
-// that wait for the network are all recorded; local ones are sampled.
-type AdaptiveConfig struct {
-	// Tick is the controller period: every Tick each node looks at its
-	// window and, if it changed, reports it to the keys' home nodes. It
-	// paces decisions and is the unit of MinDwellTicks and ColdStreakEpochs;
-	// it does not set how much evidence a decision rests on (0 = 5ms).
-	Tick time.Duration
-	// HotCount is the evidence floor of a promotion: a node counts as
-	// interested in a key only on at least this many recorded observations
-	// of the key in its window, and a window holding fewer observations
-	// than this in total is not judged at all (0 = 16).
-	HotCount int64
-	// ColdCount is the floor, in estimated accesses per window, below which
-	// a node stops keeping a replicated or relocated key warm; strictly
-	// below HotCount so a key hovering between the two changes nothing
-	// (hysteresis). The share below which a key counts as cold is
-	// InterestShare·ColdCount/HotCount (0 = 4).
-	ColdCount int64
-	// DominanceShare splits keys only one node is interested in: if that
-	// node holds at least this part of the key's demand (its share summed
-	// over all nodes) the key is relocated to it, otherwise it is
-	// replicated (0 = 0.75).
-	DominanceShare float64
-	// InterestShare is the part of a node's waiting — the accesses it
-	// currently makes over the network — that a key must account for to
-	// interest the node; a key with two or more interested nodes is
-	// replicated. Shares are relative to each node's own window, so the
-	// home node's in-memory access rate and a remote node's latency-capped
-	// one are never compared. As keys become local they leave the waiting
-	// and the next-hottest stand out: a skewed tail is worked off key by
-	// key, a uniform workload is left alone (0 = 0.005).
-	InterestShare float64
-	// MinDwellTicks is the minimum number of controller epochs between two
-	// transitions of the same key (0 = 2).
-	MinDwellTicks uint32
-	// ColdStreakEpochs is how many consecutive controller epochs a
-	// replicated key must read cold at every node — on windows long enough
-	// to have shown it — before it is demoted (0 = 8).
-	ColdStreakEpochs uint32
-	// ReportTopK bounds each node's report to its K hottest keys (0 = 128).
-	ReportTopK int
-}
+// that wait for the network are all recorded; local ones are sampled. A node
+// is interested in a key that accounts for half a percent of what it waits
+// for, on at least sixteen observations. A key two nodes are interested in
+// is replicated; one for which a single node holds at least three quarters
+// of the demand is relocated to it. As keys become local they leave the
+// waiting and the next-hottest stand out: a skewed tail is worked off key by
+// key, a uniform workload is left alone. A key that transitioned stays put
+// for two controller epochs (5ms each), and a replicated key is demoted only
+// after eight consecutive epochs cold at every node, on windows long enough
+// to have shown it.
+type AdaptiveConfig struct{}
 
 // ServingConfig tunes the read-path serving tier (Config.Serving).
 type ServingConfig struct {
@@ -380,21 +346,11 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		}
 	}
 	coreCfg := core.Config{
-		LocationCaches:   cfg.LocationCaches,
-		Replicate:        cfg.Replicate,
-		ReplicaSyncEvery: cfg.ReplicaSyncEvery,
+		LocationCaches: cfg.LocationCaches,
+		Replicate:      cfg.Replicate,
 	}
-	if a := cfg.Adaptive; a != nil {
-		coreCfg.Adaptive = &adaptive.Config{
-			Tick:             a.Tick,
-			HotCount:         a.HotCount,
-			ColdCount:        a.ColdCount,
-			DominanceShare:   a.DominanceShare,
-			InterestShare:    a.InterestShare,
-			MinDwellTicks:    a.MinDwellTicks,
-			ColdStreakEpochs: a.ColdStreakEpochs,
-			ReportTopK:       a.ReportTopK,
-		}
+	if cfg.Adaptive != nil {
+		coreCfg.Adaptive = &adaptive.Config{}
 	}
 	if s := cfg.Serving; s != nil {
 		coreCfg.Serving = &core.ServingConfig{TTL: s.TTL}
@@ -553,7 +509,7 @@ func (c *Cluster) HotKeys(n int) []HotKey {
 }
 
 // SyncReplicas triggers one replica sync round immediately, in addition to
-// the background ReplicaSyncEvery interval. Replicas converge after the
+// the background one every millisecond. Replicas converge after the
 // deltas reach their home nodes and the merged values fan back out — i.e.
 // eventually; poll reads (or call this again) rather than assuming
 // completion on return.

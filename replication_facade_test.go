@@ -16,8 +16,7 @@ func TestReplicateFacade(t *testing.T) {
 	hot := []lapse.Key{0, 1, 2, 3}
 	cl, err := lapse.NewCluster(lapse.Config{
 		Nodes: 2, WorkersPerNode: 2, Keys: 16, ValueLength: 2,
-		Replicate:        hot,
-		ReplicaSyncEvery: 200 * time.Microsecond,
+		Replicate: hot,
 	})
 	if err != nil {
 		t.Fatal(err)
