@@ -1,14 +1,16 @@
-// Command hotkeys demonstrates the hot-key replication subsystem: a
-// Zipf-skewed workload (the shape of word2vec negative sampling or frequent
-// knowledge-graph entities) runs once on relocation-only Lapse and once
-// with the hottest keys replicated via Config.Replicate.
+// Command hotkeys demonstrates hot-key replication: a Zipf-skewed workload
+// (the shape of word2vec negative sampling or frequent knowledge-graph
+// entities) runs three times — on relocation-only Lapse, under the adaptive
+// controller (Config.Adaptive), which picks the keys to replicate online from
+// the accesses it observes, and with the Zipf head replicated statically
+// (Config.Replicate), the way an application replicates a hot set it knows
+// from its data.
 //
 // With relocation only, every node constantly reads the same few hot keys
 // over the network. With those keys replicated, reads become node-local
 // replica hits and the only network traffic is the background sync cycle —
 // O(nodes × server shards) messages per sync interval, independent of the
-// number of hot keys. The program also shows Cluster.HotKeys, the sampling
-// tracker that identifies which keys are worth replicating.
+// number of hot keys.
 package main
 
 import (
@@ -26,42 +28,36 @@ const (
 	valueLength  = 8
 	opsPerWorker = 2000
 	zipfSkew     = 1.5
-	topK         = 32
+	// zipfHead is the static hot set: the workload draws key i as the
+	// (i+1)-th hottest, so keys 0..zipfHead-1 are its head.
+	zipfHead = 32
 )
 
 func main() {
-	// Pass 1: relocation-only, to measure the skew and find the hot keys.
-	baseline, hot := runWorkload(nil)
-	fmt.Printf("relocation-only: remote reads %d, network messages %d\n",
+	baseline := runWorkload(lapse.Config{})
+	fmt.Printf("relocation-only:      remote reads %d, network messages %d\n",
 		baseline.RemoteReads, baseline.NetworkMessages)
-	fmt.Printf("hottest keys (sampled): %v\n", hot[:min(8, len(hot))])
 
-	// Pass 2: same workload with the observed hot set replicated.
-	keys := make([]lapse.Key, len(hot))
-	for i, h := range hot {
-		keys[i] = h.Key
+	adaptive := runWorkload(lapse.Config{Adaptive: &lapse.AdaptiveConfig{}})
+	fmt.Printf("adaptive controller:  remote reads %d, replica hits %d, promotions %d\n",
+		adaptive.RemoteReads, adaptive.ReplicaHits, adaptive.AdaptPromotions)
+
+	head := make([]lapse.Key, zipfHead)
+	for i := range head {
+		head[i] = lapse.Key(i)
 	}
-	replicated, _ := runWorkload(keys)
-	fmt.Printf("replicated top-%d:  remote reads %d, replica hits %d, sync messages %d\n",
-		topK, replicated.RemoteReads, replicated.ReplicaHits, replicated.ReplicaSyncMessages)
-	if replicated.RemoteReads > 0 {
-		fmt.Printf("remote-read reduction: %dx\n", baseline.RemoteReads/replicated.RemoteReads)
-	} else {
-		fmt.Println("remote-read reduction: all hot-key reads became local")
-	}
+	static := runWorkload(lapse.Config{Replicate: head})
+	fmt.Printf("replicated head %d:   remote reads %d, replica hits %d, sync messages %d\n",
+		zipfHead, static.RemoteReads, static.ReplicaHits, static.ReplicaSyncMessages)
 }
 
-// runWorkload runs the Zipf workload, optionally with replicate managed by
-// replication, and returns the stats plus the tracker's hot-key candidates.
-func runWorkload(replicate []lapse.Key) (lapse.Stats, []lapse.HotKey) {
-	cl, err := lapse.NewCluster(lapse.Config{
-		Nodes:          nodes,
-		WorkersPerNode: workers,
-		Keys:           numKeys,
-		ValueLength:    valueLength,
-		Network:        lapse.DefaultNetwork(),
-		Replicate:      replicate,
-	})
+// runWorkload runs the Zipf workload on a cluster with cfg's management
+// settings and returns its stats.
+func runWorkload(cfg lapse.Config) lapse.Stats {
+	cfg.Nodes, cfg.WorkersPerNode = nodes, workers
+	cfg.Keys, cfg.ValueLength = numKeys, valueLength
+	cfg.Network = lapse.DefaultNetwork()
+	cl, err := lapse.NewCluster(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -69,7 +65,6 @@ func runWorkload(replicate []lapse.Key) (lapse.Stats, []lapse.HotKey) {
 
 	err = cl.Run(func(w *lapse.Worker) error {
 		rng := rand.New(rand.NewSource(int64(w.ID()) + 42))
-		// Key i is the (i+1)-th hottest: the hot set is the lowest keys.
 		zipf := rand.NewZipf(rng, zipfSkew, 1, numKeys-1)
 		buf := make([]float32, valueLength)
 		delta := make([]float32, valueLength)
@@ -92,5 +87,5 @@ func runWorkload(replicate []lapse.Key) (lapse.Stats, []lapse.HotKey) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	return cl.Stats(), cl.HotKeys(topK)
+	return cl.Stats()
 }

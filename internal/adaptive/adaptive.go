@@ -273,6 +273,17 @@ func (c *Classifier) Managed() int { return len(c.managed) }
 // the promotion floor, and the report is set aside.
 func Sufficient(evidence float32) bool { return evidence >= hotCount }
 
+// ProvesAbsence reports whether a window with these sums shows that a key
+// missing from its report is cold at the origin: the window is empty — its
+// keys all aged out — or it is mature and the report reaches down to the cold
+// floors (with a rounding margin: the origin computed its floor from the same
+// two numbers). The reporter owes a classifier a new retraction until one
+// does.
+func ProvesAbsence(waiting, evidence, floor float32) bool {
+	coldFloor := max(ColdCount, ColdShare*float64(waiting))
+	return evidence == 0 || evidence >= matureEvidence && float64(floor) <= coldFloor*1.001
+}
+
 // Ingest stores a report whose window consists of exactly the listed keys,
 // every access of them a recorded observation (see IngestReport).
 func (c *Classifier) Ingest(origin int, epoch uint32, keys []kv.Key, counts []float32) []Action {
@@ -301,12 +312,7 @@ func (c *Classifier) IngestReport(origin int, epoch uint32, rep Report) []Action
 		c.reports[origin] = r
 	}
 	r.waiting, r.evidence = rep.Waiting, rep.Evidence
-	// An emptied window is a retraction; otherwise the window must be mature
-	// and the report reach down to the cold floors (with a rounding margin:
-	// the origin computed its floor from the same two numbers).
-	coldFloor := max(ColdCount, ColdShare*float64(rep.Waiting))
-	r.provesAbsence = rep.Evidence == 0 ||
-		rep.Evidence >= matureEvidence && float64(rep.Floor) <= coldFloor*1.001
+	r.provesAbsence = ProvesAbsence(rep.Waiting, rep.Evidence, rep.Floor)
 	clear(r.keys)
 	for i, k := range rep.Keys {
 		if rep.Counts[i] > 0 {

@@ -35,7 +35,10 @@ const (
 // transition is the home-side state of one in-flight management transition.
 type transition struct {
 	kind int
-	// acksLeft counts outstanding ManageDemoteAck replies (demote only).
+	// acked marks the replicas whose ManageDemoteAck arrived and acksLeft
+	// counts those still outstanding (demote only): each replica is counted
+	// once, so a duplicate ack cannot end the demotion ahead of another's.
+	acked    []bool
 	acksLeft int
 	// deferred holds Localize requests that arrived mid-transition, replayed
 	// (demote) or answered by the replicate broadcast (promote) at the end.
@@ -64,8 +67,9 @@ type reporter struct {
 	// dwell and cold streak at a home runs on that home's own clock.
 	epoch atomic.Uint32
 	// groups holds one reusable report per classifier this node ever
-	// reported to; live marks those whose last report carried keys, which
-	// are owed a retraction once the node has none left for them.
+	// reported to; live marks those whose last report carried keys, owed
+	// those not yet sent a retraction that proves the keys absent (see
+	// reportTick).
 	groups map[reportGroup]*groupReport
 	sweep  msg.Manage
 	// reported[s] marks the local shards sent a report this tick: the report
@@ -77,8 +81,8 @@ type groupReport struct {
 	m msg.Manage
 	// seen collects the keys' recorded observations, appended to m.Vals
 	// behind their access estimates once the group is complete.
-	seen []float32
-	live bool
+	seen       []float32
+	live, owed bool
 }
 
 // reset empties the report and writes the window's sums at the head of its
@@ -140,16 +144,21 @@ func (nd *node) stopController() {
 // managed key warm at its home (the classifier's cold floors; colder keys
 // read as absent there anyway), with the window's totals. A report stays in
 // force at the classifier until the next one replaces it, so an unchanged
-// window sends nothing and a classifier this node has no keys left for gets
-// one retraction — its last report's first key with a zero count, which
-// routes the message to the right shard. A tick on an idle node with no
-// managed keys sends, and allocates, nothing.
+// window sends nothing. A classifier this node has no keys left for gets a
+// retraction — its last report's first key with a zero count, which routes
+// the message to the right shard. If that window cannot prove the keys absent
+// (adaptive.ProvesAbsence), the classifier reads every key there as unsure,
+// so it gets a second retraction once a window can: an idle one halves until
+// it is empty, an active one matures. Retractions in between would tell it
+// nothing new and are not sent. A tick on an idle node with no managed keys
+// sends, and allocates, nothing.
 func (nd *node) reportTick() {
 	r := &nd.ctl
 	epoch := r.epoch.Add(1)
 	clear(r.reported)
 	if nd.tracker.Roll() {
 		top, sum := nd.tracker.Window(adaptive.ReportTopK, adaptive.ColdCount, adaptive.ColdShare)
+		proves := adaptive.ProvesAbsence(sum.Waiting, sum.Evidence, sum.Floor)
 		for _, g := range r.groups {
 			g.reset(sum)
 		}
@@ -167,13 +176,13 @@ func (nd *node) reportTick() {
 		}
 		for id, g := range r.groups {
 			retract := len(g.m.Keys) == 0
-			if retract && !g.live {
+			if retract && !g.live && !(g.owed && proves) {
 				continue
 			}
 			if retract { // the previous report's first key, now at zero
 				g.m.Keys, g.m.Vals, g.seen = g.m.Keys[:1], append(g.m.Vals, 0), append(g.seen, 0)
 			}
-			g.live = !retract
+			g.live, g.owed = !retract, !retract || !proves
 			g.m.Epoch = epoch
 			g.m.Vals = append(g.m.Vals, g.seen...)
 			nd.srv.Send(id.home, &g.m)
@@ -438,7 +447,7 @@ func (sh *policyShard) beginDemote(k kv.Key) {
 		return
 	}
 	n := nd.sys.cl.Nodes()
-	sh.transitioning[k] = &transition{kind: transDemote, acksLeft: n - 1}
+	sh.transitioning[k] = &transition{kind: transDemote, acked: make([]bool, n), acksLeft: n - 1}
 	if n == 1 {
 		sh.finalizeDemote(k)
 		return
@@ -472,16 +481,18 @@ func (sh *policyShard) exitReplica(k kv.Key) {
 // applyDemoteAck folds one replica's residual deltas at the home and, when
 // the last replica has answered, finalizes the demotion. An ack no replica
 // sends — not exactly one key, an origin that is no other node, no demotion
-// of the key in flight here, deltas that do not fit it — is dropped whole.
+// of the key in flight here, deltas that do not fit it — is dropped whole, and
+// so is a second ack from a replica already counted.
 func (sh *policyShard) applyDemoteAck(m *msg.Manage) {
 	if o := int(m.Origin); len(m.Keys) != 1 || o < 0 || o >= sh.nd.sys.cl.Nodes() || o == sh.nd.id {
 		return
 	}
 	k := m.Keys[0]
 	tr := sh.transitioning[k]
-	if tr == nil || tr.kind != transDemote || !sh.nd.rep.ApplyDemoteAck(k, m.Vals) {
+	if tr == nil || tr.kind != transDemote || tr.acked[m.Origin] || !sh.nd.rep.ApplyDemoteAck(k, m.Vals) {
 		return
 	}
+	tr.acked[m.Origin] = true
 	tr.acksLeft--
 	if tr.acksLeft == 0 {
 		sh.finalizeDemote(k)

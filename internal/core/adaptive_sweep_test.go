@@ -1,11 +1,16 @@
 package core
 
 import (
+	"sync"
 	"testing"
 	"time"
 
 	"lapse/internal/adaptive"
+	"lapse/internal/cluster"
 	"lapse/internal/kv"
+	"lapse/internal/msg"
+	"lapse/internal/simnet"
+	"lapse/internal/transport"
 )
 
 // TestAdaptiveIdleSweepDemotes drives a key hot from every node until the
@@ -43,5 +48,97 @@ func TestAdaptiveIdleSweepDemotes(t *testing.T) {
 			t.Fatalf("replicated key never demoted after traffic stopped: stats %+v", sys.Stats()[0])
 		}
 		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// heldSends holds every message any node sends until the test delivers it
+// with pump, on the test goroutine: with the tickers and the sync cycle
+// stopped too, the control plane runs one schedule, the same every time.
+type heldSends struct {
+	transport.Network
+	mu   sync.Mutex
+	held []heldMsg
+}
+
+type heldMsg struct {
+	src, dst int
+	m        any
+}
+
+// Send keeps a decoded copy, as a transport would: senders reuse their
+// messages once Send returns.
+func (n *heldSends) Send(src, dst int, m any) {
+	c, _, err := msg.Decode(msg.Encode(m))
+	if err != nil {
+		panic(err)
+	}
+	n.mu.Lock()
+	n.held = append(n.held, heldMsg{src, dst, c})
+	n.mu.Unlock()
+}
+
+// pump delivers the held messages, and the ones their handlers send, in send
+// order.
+func (n *heldSends) pump(sys *System) {
+	for {
+		n.mu.Lock()
+		if len(n.held) == 0 {
+			n.mu.Unlock()
+			return
+		}
+		h := n.held[0]
+		n.held = n.held[1:]
+		n.mu.Unlock()
+		nd := sys.nodes[h.dst]
+		nd.sh[msg.ShardOf(h.m, len(nd.sh))].HandleMessage(h.src, h.m)
+	}
+}
+
+// TestImmatureRetractionIsRepeated: node 1 waits on key 3, homed at node 0,
+// until the controller replicates it, and on key 40, its own; then it stops.
+// Its idle window halves every WindowMaxAge (64) ticks. At the fifth close
+// key 3 falls below the cold floors (64 → 2) while key 40 keeps the window
+// judgeable (512 → 16 observations): node 0 gets a retraction on a window of
+// 18 observations, far from the 3,200 that let a missing key count as absent.
+// The classifier cannot tell it from a report that merely failed to show the
+// key, so the key stays unsure at its home. The reporter owes node 0 a
+// retraction that proves absence and sends it when the window empties, at the
+// sixteenth close, once key 40's 512 have halved below the residue floor
+// (tick 1,024); eight cold epochs later, at tick 1,032, the key is demoted. A
+// reporter that retracts once leaves it replicated for good.
+func TestImmatureRetractionIsRepeated(t *testing.T) {
+	net := &heldSends{Network: simnet.New(simnet.Config{Nodes: 2})}
+	cl := cluster.New(cluster.Config{Nodes: 2, WorkersPerNode: 1, Transport: net})
+	sys := New(cl, kv.NewUniformLayout(64, 1), Config{Adaptive: &adaptive.Config{}})
+	t.Cleanup(func() { cl.Close(); sys.Shutdown() })
+	for _, nd := range sys.locals {
+		nd.stopController()
+	}
+	stopSync(sys)
+	nd0, nd1 := sys.nodes[0], sys.nodes[1]
+	const k = kv.Key(3)
+	h := nd1.tracker.Handle()
+	for i := 0; i < 64; i++ {
+		h.ObserveRemote(k)
+	}
+	for i := 0; i < 512; i++ {
+		h.ObserveRemote(40) // homed at node 1: reported there, not to node 0
+	}
+	nd1.reportTick()
+	net.pump(sys)
+	if nd0.state[k].Load() != stateReplicated || nd1.state[k].Load() != stateReplicated {
+		t.Fatalf("key %d not replicated after node 1's report", k)
+	}
+	tick := 0
+	for ; nd0.state[k].Load() == stateReplicated; tick++ {
+		if tick == 2000 {
+			t.Fatalf("key %d still replicated after 2,000 idle ticks", k)
+		}
+		nd1.reportTick()
+		nd0.reportTick()
+		net.pump(sys)
+	}
+	if tick > 1032 {
+		t.Fatalf("key %d demoted at idle tick %d, want by 1,032", k, tick)
 	}
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -9,6 +11,7 @@ import (
 	"lapse/internal/kv"
 	"lapse/internal/metrics"
 	"lapse/internal/msg"
+	"lapse/internal/replication"
 )
 
 // manualTicks builds a two-node adaptive system and stops its controller
@@ -137,5 +140,56 @@ func TestReportOfRejectsMalformedVals(t *testing.T) {
 		if _, ok := reportOf(&msg.Manage{Kind: msg.ManageReport, Keys: good.Keys, Vals: vals}); ok {
 			t.Errorf("reportOf accepted %d values for 2 keys", len(vals))
 		}
+	}
+}
+
+// TestFinishedHandlesLeaveNoTrackerBuffers runs 50 handle phases of node 1's
+// worker, each pulling 500 keys homed at node 0, and checks that no finished
+// phase leaves evidence behind. Without the controller the node has no
+// tracker and the handles observe nothing. With it, two idle ticks merge the
+// handles' slow-path buffers and then take them off the merge list, so every
+// finished handle can be collected.
+func TestFinishedHandlesLeaveNoTrackerBuffers(t *testing.T) {
+	keys := make([]kv.Key, 500)
+	for i := range keys {
+		keys[i] = kv.Key(i)
+	}
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{{"static", Config{}}, {"adaptive", Config{Adaptive: &adaptive.Config{}}}} {
+		t.Run(c.name, func(t *testing.T) {
+			_, sys := newTestSystem(t, 2, 1, 1024, 1, c.cfg)
+			nd := sys.nodes[1]
+			nd.stopController() // a no-op without the controller
+			var tracked int
+			var collected atomic.Int32
+			buf := make([]float32, len(keys))
+			for phase := 0; phase < 50; phase++ {
+				h := sys.Handle(1).(*handle)
+				if err := h.Pull(keys, buf); err != nil {
+					t.Fatal(err)
+				}
+				if h.trk != nil {
+					tracked++
+					runtime.SetFinalizer(h.trk, func(*replication.Handle) { collected.Add(1) })
+				}
+			}
+			if c.cfg.Adaptive == nil {
+				if nd.tracker != nil || tracked != 0 {
+					t.Fatalf("node 1 runs no controller, but has a tracker that %d of its 50 handles fed", tracked)
+				}
+				return
+			}
+			if tracked != 50 {
+				t.Fatalf("%d of 50 handles feed node 1's tracker", tracked)
+			}
+			nd.reportTick()
+			nd.reportTick()
+			waitFor(t, "the finished handles to be collected", func() bool {
+				runtime.GC()
+				return int(collected.Load()) == tracked
+			})
+		})
 	}
 }

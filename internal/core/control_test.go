@@ -35,10 +35,11 @@ type ctlCell struct {
 }
 
 // controlTable is the control plane at a key's home as a table: what each
-// control event does given where the key stands. The last three rows are
+// control event does given where the key stands. The last four rows are
 // reached the way the system reaches them, through cells above: replicated is
 // owned here after ActReplicate, promoting is registered elsewhere after
-// ActReplicate, demoting is replicated after ActDemote.
+// ActReplicate, demoting is replicated after ActDemote, and demoting with node
+// 2's ack in is demoting after DemoteAck from 2.
 var controlTable = []struct {
 	row   string
 	cells [5]ctlCell
@@ -85,7 +86,18 @@ var controlTable = []struct {
 		evLocalize:  {"", stateReplicated, true}, // deferred until the demotion ends
 		evDemoteAck: {"", stateReplicated, true}, // node 0's is still outstanding
 	}},
+	{ackedRow, [5]ctlCell{
+		evReplicate: {"", stateReplicated, true},
+		evDemote:    {"", stateReplicated, true},
+		evRelocate:  {"Manage/localize-hint→2", stateReplicated, true},
+		evLocalize:  {"", stateReplicated, true},
+		evDemoteAck: {"", stateReplicated, true}, // a duplicate: node 0's is still the one outstanding
+	}},
 }
+
+// ackedRow is the demotion with node 2's acknowledgement, and its delta of 1,
+// folded once already.
+const ackedRow = "demoting, node 2 already acked"
 
 // homeSends is a transport that records, and drops, every message node 1 —
 // the home of the fixture's keys — sends, so a cell sees exactly what its
@@ -127,7 +139,10 @@ func (n *homeSends) count() int {
 
 // TestControlTable rigs a fresh key into each row's state at its home node 1,
 // fires the column's event on the home's shard, and compares what the home
-// sent and where the key stands with the cell.
+// sent and where the key stands with the cell. Where node 2's ack was folded
+// before the event, the authoritative value holds its delta exactly once: a
+// duplicate ack counted again would also have ended the demotion, with node
+// 0's ack still outstanding.
 func TestControlTable(t *testing.T) {
 	net := &homeSends{Network: simnet.New(simnet.Config{Nodes: 3})}
 	cl := cluster.New(cluster.Config{Nodes: 3, WorkersPerNode: 1, Transport: net})
@@ -146,8 +161,8 @@ func TestControlTable(t *testing.T) {
 			sh.execute(adaptive.Action{Kind: adaptive.ActRelocate, Key: k, Dest: 2})
 		case evLocalize:
 			sh.HandleMessage(2, &msg.Localize{ID: 1, Origin: 2, Keys: []kv.Key{k}})
-		case evDemoteAck:
-			sh.HandleMessage(2, &msg.Manage{Kind: msg.ManageDemoteAck, Origin: 2, Keys: []kv.Key{k}})
+		case evDemoteAck: // node 2's residual delta: 1
+			sh.HandleMessage(2, &msg.Manage{Kind: msg.ManageDemoteAck, Origin: 2, Keys: []kv.Key{k}, Vals: []float32{1}})
 		}
 	}
 	var rig func(row string) (*policyShard, kv.Key)
@@ -172,6 +187,9 @@ func TestControlTable(t *testing.T) {
 		case "demoting":
 			sh, k = rig("replicated")
 			fire(sh, evDemote, k)
+		case ackedRow:
+			sh, k = rig("demoting")
+			fire(sh, evDemoteAck, k)
 		}
 		return sh, k
 	}
@@ -187,6 +205,12 @@ func TestControlTable(t *testing.T) {
 				got := ctlCell{net.since(from), sh.nd.state[k].Load(), inFlight}
 				if got != want {
 					t.Fatalf("got %+v, want %+v", got, want)
+				}
+				if r.row == ackedRow {
+					v := make([]float32, 1)
+					if sh.nd.rep.ReadAuthoritative(k, v); v[0] != 5+1 {
+						t.Fatalf("authoritative value %v, want 6: 5 at the promotion plus node 2's delta once", v[0])
+					}
 				}
 			})
 		}

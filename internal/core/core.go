@@ -152,9 +152,9 @@ type node struct {
 	// not configured). Its wire messages are key-addressed: each shard
 	// handles the sync traffic of its own keys.
 	rep *replication.Manager
-	// tracker samples this node's key accesses for hot-key candidates.
-	// Per-node (like stats), so worker fast paths never contend on a
-	// process-wide counter.
+	// tracker samples this node's key accesses as the adaptive controller's
+	// evidence (nil without the controller). Per-node (like stats), so worker
+	// fast paths never contend on a process-wide counter.
 	tracker *replication.Tracker
 	// ctl is the adaptive controller's report ticker (idle when adaptive
 	// management is off).
@@ -249,14 +249,13 @@ func New(cl *cluster.Cluster, layout kv.Layout, cfg Config) *System {
 		}
 		srv := s.g.Node(n)
 		nd := &node{
-			sys:     s,
-			srv:     srv,
-			id:      n,
-			store:   store.NewDense(layout, 0),
-			state:   make([]atomic.Uint32, nk),
-			owner:   make([]atomic.Int32, nk),
-			sh:      make([]*policyShard, srv.Shards()),
-			tracker: replication.NewTracker(0),
+			sys:   s,
+			srv:   srv,
+			id:    n,
+			store: store.NewDense(layout, 0),
+			state: make([]atomic.Uint32, nk),
+			owner: make([]atomic.Int32, nk),
+			sh:    make([]*policyShard, srv.Shards()),
 		}
 		for sh := range nd.sh {
 			rt := srv.Shard(sh)
@@ -280,12 +279,12 @@ func New(cl *cluster.Cluster, layout kv.Layout, cfg Config) *System {
 				Nodes:  cl.Nodes(),
 				Layout: layout,
 				Home:   s.home,
-				Keys:   cfg.Replicate,
 				Stats:  s.g.Stats()[n*len(nd.sh) : (n+1)*len(nd.sh)],
 				Send:   srv.Send,
 			})
 		}
 		if cfg.Adaptive != nil {
+			nd.tracker = replication.NewTracker(0)
 			for _, shp := range nd.sh {
 				shp := shp
 				shp.reportAt = make([]atomic.Uint32, cl.Nodes())
@@ -301,12 +300,23 @@ func New(cl *cluster.Cluster, layout kv.Layout, cfg Config) *System {
 					Busy:       func(k kv.Key) bool { _, ok := shp.transitioning[k]; return ok },
 				})
 			}
-			// Seed the statically replicated keys homed here into the
-			// classifiers' managed sets, so the controller can demote them
-			// once they go cold like any key it promoted itself.
-			for _, k := range cfg.Replicate {
-				if s.home.NodeOf(k) == n {
-					nd.shardOf(k).classifier.Manage(k)
+		}
+		// The static hot set enters replication as a promotion leaves a key,
+		// at zero like every other key: the authoritative value at its home, a
+		// replica elsewhere. Under the controller its home's classifier
+		// manages it, to demote it once cold like any key it promoted.
+		for _, k := range cfg.Replicate {
+			if k >= layout.NumKeys() {
+				panic(fmt.Sprintf("core: replicated key %d outside layout (%d keys)", k, layout.NumKeys()))
+			}
+			zero := make([]float32, layout.Len(k))
+			switch {
+			case s.home.NodeOf(k) != n:
+				nd.rep.EnterKey(k, zero)
+			case !nd.rep.Replicated(k): // a key listed twice is in already
+				nd.rep.EnterHomeKey(k, zero)
+				if c := nd.shardOf(k).classifier; c != nil {
+					c.Manage(k)
 				}
 			}
 		}
@@ -469,17 +479,6 @@ func (s *System) FlushReplicas() {
 			nd.rep.Flush()
 		}
 	}
-}
-
-// HotKeys returns the n hottest keys by sampled access frequency across all
-// local nodes, hottest first — the candidates worth replicating (see
-// replication.Tracker).
-func (s *System) HotKeys(n int) []metrics.KeyFreq {
-	var trackers []*replication.Tracker
-	for _, nd := range s.locals {
-		trackers = append(trackers, nd.tracker)
-	}
-	return replication.MergeHot(n, trackers...)
 }
 
 // ReadReplica reads node's current replica view of a replicated key (tests

@@ -22,9 +22,10 @@ type handle struct {
 	sys *System
 	nd  *node
 	// trk is this worker's private handle onto the node's access tracker:
-	// always-on tracking without a shared counter on the fast path (sampled)
-	// and without losing any of the few accesses a round-trip-bound worker
-	// issues on the slow path (unsampled).
+	// sampled on the fast path, without a shared counter, and unsampled on
+	// the slow path, where a round-trip-bound worker issues few accesses. Nil
+	// (its calls no-ops) without the controller; the field stays, because
+	// shrinking this struct put two workers' handles on shared cache lines.
 	trk *replication.Handle
 }
 

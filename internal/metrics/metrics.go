@@ -10,8 +10,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"lapse/internal/kv"
 )
 
 // Counter is an atomic event counter.
@@ -262,11 +260,3 @@ func (t Totals) RelocationCalls() int64 { return t.RelocationTime.Count() }
 
 // MeanRelocationTime returns the mean per-localize relocation time.
 func (t Totals) MeanRelocationTime() time.Duration { return t.RelocationTime.Mean() }
-
-// KeyFreq is one hot-key candidate reported by an access-frequency sampler
-// (see replication.Tracker): an estimated access count for one key. Counts
-// are extrapolated from the sampling rate, so they are approximate.
-type KeyFreq struct {
-	Key   kv.Key
-	Count int64
-}

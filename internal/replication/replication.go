@@ -62,9 +62,8 @@ import (
 const DefaultSyncEvery = time.Millisecond
 
 // Config parameterizes one node's replication manager. Every node of a
-// cluster must be configured with the same Keys, Home partitioner, and
-// Layout (like the relocation home partitioner, they are shared static
-// state).
+// cluster must be configured with the same Home partitioner and Layout (like
+// the relocation home partitioner, they are shared static state).
 type Config struct {
 	// Node is the node this manager serves; Nodes the cluster size.
 	Node  int
@@ -75,8 +74,6 @@ type Config struct {
 	// authoritative merged value. Usually the same partitioner as the
 	// relocation protocol's.
 	Home partition.Partitioner
-	// Keys is the set of replicated keys.
-	Keys []kv.Key
 	// Stats holds the server runtime's statistics, one entry per shard; the
 	// manager has one stripe per entry, and each stripe counts its replica
 	// hits, local writes, sync messages and round times on its own.
@@ -129,11 +126,9 @@ type Manager struct {
 	done     chan struct{}
 }
 
-// NewManager builds the manager for one node. Keys may be empty when every
-// replicated key will be entered at runtime (the adaptive controller's mode).
-// Replicas (and, at each key's home, the authoritative values) start at zero,
-// matching the relocation protocol's zero initialization; use InitKey to set
-// starting values.
+// NewManager builds the manager for one node, replicating no key yet: keys
+// enter with EnterHomeKey at their home and EnterKey everywhere else, at
+// construction for a static hot set as on a live promotion.
 func NewManager(cfg Config) *Manager {
 	m := &Manager{
 		cfg:     cfg,
@@ -150,15 +145,6 @@ func NewManager(cfg Config) *Manager {
 			auth:     make(map[kv.Key][]float32),
 			dirty:    make(map[kv.Key]bool),
 			applied:  make([]uint32, cfg.Nodes),
-		}
-	}
-	for _, k := range cfg.Keys {
-		if k >= cfg.Layout.NumKeys() {
-			panic(fmt.Sprintf("replication: key %d outside layout (%d keys)", k, cfg.Layout.NumKeys()))
-		}
-		m.replica.Set(k, make([]float32, cfg.Layout.Len(k)))
-		if cfg.Home.NodeOf(k) == cfg.Node {
-			m.stripeOf(k).auth[k] = make([]float32, cfg.Layout.Len(k))
 		}
 	}
 	return m
@@ -269,7 +255,9 @@ func (m *Manager) EnterKey(k kv.Key, v []float32) {
 // EnterHomeKey starts replicating k at its home node, seeding both the
 // authoritative merged value and the local replica with v (the value taken
 // out of the relocation store). The caller has already sent every other node
-// its ManageReplicate, so each refresh of k follows the install it refreshes.
+// its ManageReplicate — or, for a static hot set, every node enters its keys
+// before the system starts — so each refresh of k follows the install it
+// refreshes.
 func (m *Manager) EnterHomeKey(k kv.Key, v []float32) {
 	st := m.stripeOf(k)
 	st.mu.Lock()

@@ -25,9 +25,11 @@ func newTestFabric(nodes int, layout kv.Layout, keys []kv.Key) *testFabric {
 	return newShardedFabric(nodes, 1, layout, keys)
 }
 
-// newShardedFabric builds the fabric for a runtime of the given shard count.
-// Like a transport, it carries a decoded copy of every message, so senders
-// may reuse theirs once Send returns.
+// newShardedFabric builds the fabric for a runtime of the given shard count,
+// with keys entered at zero the way a promotion enters them: EnterHomeKey at
+// each key's home, EnterKey everywhere else. Like a transport, it carries a
+// decoded copy of every message, so senders may reuse theirs once Send
+// returns.
 func newShardedFabric(nodes, shards int, layout kv.Layout, keys []kv.Key) *testFabric {
 	f := &testFabric{}
 	home := partition.NewRange(layout.NumKeys(), nodes)
@@ -36,8 +38,8 @@ func newShardedFabric(nodes, shards int, layout kv.Layout, keys []kv.Key) *testF
 		for s := range stats {
 			stats[s] = &metrics.ServerStats{}
 		}
-		f.managers = append(f.managers, NewManager(Config{
-			Node: n, Nodes: nodes, Layout: layout, Home: home, Keys: keys, Stats: stats,
+		m := NewManager(Config{
+			Node: n, Nodes: nodes, Layout: layout, Home: home, Stats: stats,
 			Send: func(dest int, m any) {
 				c, _, err := msg.Decode(msg.Encode(m))
 				if err != nil {
@@ -45,7 +47,15 @@ func newShardedFabric(nodes, shards int, layout kv.Layout, keys []kv.Key) *testF
 				}
 				f.queue = append(f.queue, fabricMsg{dest, c})
 			},
-		}))
+		})
+		for _, k := range keys {
+			if zero := make([]float32, layout.Len(k)); home.NodeOf(k) == n {
+				m.EnterHomeKey(k, zero)
+			} else {
+				m.EnterKey(k, zero)
+			}
+		}
+		f.managers = append(f.managers, m)
 	}
 	return f
 }

@@ -4,10 +4,8 @@ import (
 	"cmp"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"lapse/internal/kv"
-	"lapse/internal/metrics"
 )
 
 // DefaultSampleEvery is the default sampling rate of a Tracker: one in every
@@ -35,20 +33,19 @@ const (
 	residueFloor = 1.0 / 64
 )
 
-// Tracker is an access-frequency counter that surfaces hot-key candidates —
-// the keys worth managing by replication instead of relocation. Worker
-// threads observe every key access through a per-worker Handle. Fast-path
-// accesses are sampled: only every Nth takes the lock and adds N to the
-// key's count, so the overhead on the operation fast path is one private
+// Tracker is the access-frequency evidence of the adaptive controller
+// (internal/adaptive), one per node, and exists only while the controller
+// runs. Worker threads observe every key access through a per-worker Handle.
+// Fast-path accesses are sampled: only every Nth takes the lock and adds N to
+// the key's count, so the overhead on the operation fast path is one private
 // increment. Slow-path accesses — each already costs a network round trip —
-// are counted unsampled in the handle's private buffer and merged when the
-// tracker is read. Counts estimate total accesses either way.
+// are counted unsampled in the handle's private buffer and merged by Roll.
+// Counts estimate total accesses either way.
 //
 // Roll turns the counters into an exponentially decayed window clocked by
 // evidence (see WindowObservations); without Roll they are all-time totals.
 type Tracker struct {
 	every uint64
-	n     atomic.Uint64
 	mu    sync.Mutex
 	count map[kv.Key]tally
 	// evidence is the recorded observations the whole window holds, waiting
@@ -104,23 +101,6 @@ func NewTracker(every int) *Tracker {
 	return &Tracker{every: uint64(every), count: make(map[kv.Key]tally)}
 }
 
-// Observe records one access of k, subject to sampling. The sampling counter
-// is a single process-shared atomic; worker threads that observe on every
-// access should use a per-worker Handle instead, which samples without any
-// shared write.
-func (t *Tracker) Observe(k kv.Key) {
-	if t.n.Add(1)%t.every != 0 {
-		return
-	}
-	t.record(k)
-}
-
-func (t *Tracker) record(k kv.Key) {
-	t.mu.Lock()
-	t.observeLocked(k, float64(t.every), 1, false)
-	t.mu.Unlock()
-}
-
 // observeLocked adds seen recorded observations standing for n accesses of k
 // over the given path to the open window. t.mu must be held.
 func (t *Tracker) observeLocked(k kv.Key, n, seen float64, slow bool) {
@@ -156,28 +136,35 @@ type remoteCounts struct {
 }
 
 // Handle is a per-worker view of a Tracker: it samples with a plain private
-// counter instead of the tracker's shared atomic, so always-on tracking adds
-// no cross-core write to the operation fast path. A Handle must only be used
-// by the single worker thread it was created for.
+// counter, so tracking adds no cross-core write to the operation fast path. A
+// Handle must only be used by the single worker thread it was created for. A
+// nil Handle — a nil Tracker's — observes nothing: a node without the
+// controller gathers no evidence.
 type Handle struct {
 	t      *Tracker
 	n      uint64
 	remote remoteCounts
 }
 
-// Handle returns a new per-worker handle. The handle records its very first
-// fast-path observation and every Nth after: its private counter restarts
-// at zero on every handle (one per worker per Run phase), so a pure stride
-// would make phases shorter than the sampling interval invisible to the
-// tracker. The first-sample extrapolation error is bounded by one stride
-// per handle lifetime.
+// Handle returns a new per-worker handle, nil for a nil tracker. The handle
+// records its very first fast-path observation and every Nth after: its
+// private counter restarts at zero on every handle (one per worker per Run
+// phase), so a pure stride would make phases shorter than the sampling
+// interval invisible to the tracker. The first-sample extrapolation error is
+// bounded by one stride per handle lifetime.
 func (t *Tracker) Handle() *Handle {
+	if t == nil {
+		return nil
+	}
 	return &Handle{t: t, n: t.every - 1}
 }
 
 // Observe records one fast-path access of k, subject to the tracker's
 // sampling rate.
 func (h *Handle) Observe(k kv.Key) {
+	if h == nil {
+		return
+	}
 	h.n++
 	if h.n%h.t.every != 0 {
 		return
@@ -185,11 +172,22 @@ func (h *Handle) Observe(k kv.Key) {
 	h.t.record(k)
 }
 
+// record adds one sampled fast-path observation of k, standing for `every`
+// accesses. Out of line, so Observe stays small enough to inline.
+func (t *Tracker) record(k kv.Key) {
+	t.mu.Lock()
+	t.observeLocked(k, float64(t.every), 1, false)
+	t.mu.Unlock()
+}
+
 // ObserveRemote records one slow-path access of k — one that is about to
 // wait for the network or a relocation — unsampled. A worker limited by
 // round trips issues few accesses per unit of time, so each of them is kept;
 // the cost is an uncontended lock and a map increment next to a round trip.
 func (h *Handle) ObserveRemote(k kv.Key) {
+	if h == nil {
+		return
+	}
 	r := &h.remote
 	r.mu.Lock()
 	if r.count == nil {
@@ -206,9 +204,15 @@ func (h *Handle) ObserveRemote(k kv.Key) {
 	}
 }
 
-// mergeRemoteLocked folds the handles' private slow-path buffers into the
-// shared counts. t.mu must be held.
-func (t *Tracker) mergeRemoteLocked() {
+// Roll advances the tracker's window by one controller tick: it merges the
+// slow-path buffers (taking those that stayed empty since the previous Roll
+// off the merge list) and, if the open window has gathered
+// WindowObservations (or nothing at all for WindowMaxAge Rolls), closes it
+// by halving every count. It reports whether the window changed since the
+// previous Roll — an idle tracker between closes does not.
+func (t *Tracker) Roll() bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	keep := t.remote[:0]
 	for _, r := range t.remote {
 		r.mu.Lock()
@@ -226,17 +230,6 @@ func (t *Tracker) mergeRemoteLocked() {
 	}
 	clear(t.remote[len(keep):])
 	t.remote = keep
-}
-
-// Roll advances the tracker's window by one controller tick: it merges the
-// slow-path buffers and, if the open window has gathered
-// WindowObservations (or nothing at all for WindowMaxAge Rolls), closes it
-// by halving every count. It reports whether the window changed since the
-// previous Roll — an idle tracker between closes does not.
-func (t *Tracker) Roll() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.mergeRemoteLocked()
 	changed := t.fresh != t.rolled
 	if changed {
 		t.idle = 0
@@ -293,54 +286,4 @@ func (t *Tracker) Window(topK int, minCount float32, minShare float64) ([]KeyCou
 		top = top[:topK]
 	}
 	return top, WindowSum{Waiting: float32(t.waiting), Evidence: float32(t.evidence), Floor: float32(floor)}
-}
-
-// Hot returns the n most frequently observed keys, hottest first, with
-// counts estimating total accesses. Fewer entries are returned when fewer
-// keys were observed.
-func (t *Tracker) Hot(n int) []metrics.KeyFreq { return MergeHot(n, t) }
-
-// MergeHot merges the observations of several trackers (e.g. one per node,
-// so worker fast paths never contend across nodes) and returns the n
-// hottest keys overall, hottest first.
-func MergeHot(n int, trackers ...*Tracker) []metrics.KeyFreq {
-	merged := make(map[kv.Key]float64)
-	for _, t := range trackers {
-		t.mu.Lock()
-		t.mergeRemoteLocked()
-		for k, c := range t.count {
-			merged[k] += c.n
-		}
-		t.mu.Unlock()
-	}
-	out := make([]metrics.KeyFreq, 0, len(merged))
-	for k, c := range merged {
-		out = append(out, metrics.KeyFreq{Key: k, Count: int64(c + 0.5)})
-	}
-	slices.SortFunc(out, func(a, b metrics.KeyFreq) int {
-		if a.Count != b.Count {
-			return cmp.Compare(b.Count, a.Count)
-		}
-		return cmp.Compare(a.Key, b.Key)
-	})
-	if n < 0 {
-		n = 0
-	}
-	if n < len(out) {
-		out = out[:n]
-	}
-	return out
-}
-
-// Reset clears all observations (e.g. after a warm-up epoch).
-func (t *Tracker) Reset() {
-	t.mu.Lock()
-	for _, r := range t.remote {
-		r.mu.Lock()
-		clear(r.count)
-		r.mu.Unlock()
-	}
-	clear(t.count)
-	t.evidence, t.waiting, t.fresh, t.rolled, t.idle = 0, 0, 0, 0, 0
-	t.mu.Unlock()
 }

@@ -1,60 +1,82 @@
 package replication
 
 import (
+	"cmp"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
 	"lapse/internal/kv"
 )
 
+// hot returns the tracker's n hottest keys, hottest first.
+func hot(tr *Tracker, n int) []KeyCount {
+	top, _ := tr.Window(n, 0, 0)
+	slices.SortFunc(top, func(a, b KeyCount) int { return cmp.Compare(b.Count, a.Count) })
+	return top
+}
+
 func TestTrackerRanksHotKeys(t *testing.T) {
 	tr := NewTracker(1) // sample every access for determinism
+	h := tr.Handle()
 	for i := 0; i < 100; i++ {
-		tr.Observe(kv.Key(7))
+		h.Observe(kv.Key(7))
 	}
 	for i := 0; i < 50; i++ {
-		tr.Observe(kv.Key(3))
+		h.Observe(kv.Key(3))
 	}
-	tr.Observe(kv.Key(9))
-	hot := tr.Hot(2)
-	if len(hot) != 2 || hot[0].Key != 7 || hot[1].Key != 3 {
-		t.Fatalf("Hot(2) = %v, want keys 7 then 3", hot)
+	h.Observe(kv.Key(9))
+	top := hot(tr, 2)
+	if len(top) != 2 || top[0].Key != 7 || top[1].Key != 3 {
+		t.Fatalf("hottest 2 = %v, want keys 7 then 3", top)
 	}
-	if hot[0].Count != 100 || hot[1].Count != 50 {
-		t.Fatalf("Hot(2) counts = %v, want 100 and 50", hot)
-	}
-	tr.Reset()
-	if got := tr.Hot(10); len(got) != 0 {
-		t.Fatalf("Hot after Reset = %v, want empty", got)
+	if top[0].Count != 100 || top[1].Count != 50 {
+		t.Fatalf("hottest 2 counts = %v, want 100 and 50", top)
 	}
 }
 
+// TestTrackerSamplingExtrapolates: a sampled observation stands for a whole
+// stride of accesses, so a handle's estimate is exact on whole strides. A
+// handle records its first access, so phases shorter than the stride stay
+// visible, each over-counted by less than one stride.
 func TestTrackerSamplingExtrapolates(t *testing.T) {
 	tr := NewTracker(4)
+	h := tr.Handle()
 	for i := 0; i < 400; i++ {
-		tr.Observe(kv.Key(1))
+		h.Observe(kv.Key(1))
 	}
-	hot := tr.Hot(1)
-	if len(hot) != 1 || hot[0].Key != 1 {
-		t.Fatalf("Hot(1) = %v, want key 1", hot)
+	for phase := 0; phase < 10; phase++ {
+		tr.Handle().Observe(kv.Key(2)) // one access per handle
 	}
-	// 400 accesses sampled 1-in-4 and extrapolated back: exactly 400.
-	if hot[0].Count != 400 {
-		t.Fatalf("extrapolated count = %d, want 400", hot[0].Count)
+	top := hot(tr, 1)
+	if len(top) != 1 || top[0].Key != 1 || top[0].Count != 400 || top[0].Seen != 100 {
+		t.Fatalf("hottest = %v, want key 1: 400 accesses on 100 observations", top)
+	}
+	if top := hot(tr, 2); len(top) != 2 || top[1].Key != 2 || top[1].Count != 40 {
+		t.Fatalf("hottest 2 = %v, want key 2 second: 10 one-access phases, 4 each", top)
 	}
 }
 
+// TestTrackerHandleSamples: a handle samples on its private counter, and a
+// nil tracker — a node without the adaptive controller — hands out nil
+// handles that observe nothing.
 func TestTrackerHandleSamples(t *testing.T) {
 	tr := NewTracker(4)
 	h := tr.Handle()
 	for i := 0; i < 400; i++ {
 		h.Observe(kv.Key(2))
 	}
-	hot := tr.Hot(1)
-	if len(hot) != 1 || hot[0].Key != 2 || hot[0].Count != 400 {
-		t.Fatalf("Hot(1) via handle = %v, want key 2 count 400", hot)
+	if top := hot(tr, 1); len(top) != 1 || top[0].Key != 2 || top[0].Count != 400 {
+		t.Fatalf("hottest via handle = %v, want key 2 count 400", top)
 	}
+	var none *Tracker
+	nh := none.Handle()
+	if nh != nil {
+		t.Fatalf("nil tracker handed out handle %p", nh)
+	}
+	nh.Observe(kv.Key(2))
+	nh.ObserveRemote(kv.Key(2))
 }
 
 // closeWindow rolls a tracker that was just observed, and is idle from here
@@ -67,26 +89,21 @@ func closeWindow(tr *Tracker) {
 
 func TestTrackerWindowAgesOutFormerlyHotKeys(t *testing.T) {
 	tr := NewTracker(1)
+	h := tr.Handle()
 	for i := 0; i < 64; i++ {
-		tr.Observe(kv.Key(7)) // hot in the first phase
+		h.Observe(kv.Key(7)) // hot in the first phase
 	}
-	// The workload phase changes: key 7 goes cold, key 3 heats up.
+	// The workload phase changes: key 7 goes cold, key 3 heats up. 64 halves
+	// below the residue floor within 16 windows, so key 7 must be gone
+	// entirely.
 	for window := 0; window < 16; window++ {
 		closeWindow(tr)
 		for i := 0; i < 64; i++ {
-			tr.Observe(kv.Key(3))
+			h.Observe(kv.Key(3))
 		}
 	}
-	hot := tr.Hot(2)
-	if len(hot) == 0 || hot[0].Key != 3 {
-		t.Fatalf("Hot(2) after phase change = %v, want key 3 first", hot)
-	}
-	// 64 halves below the residue floor within 16 windows, so key 7 must be
-	// gone entirely.
-	for _, f := range hot {
-		if f.Key == 7 {
-			t.Fatalf("formerly hot key 7 still reported after 16 windows: %v", hot)
-		}
+	if top := hot(tr, 2); len(top) != 1 || top[0].Key != 3 {
+		t.Fatalf("window after phase change = %v, want key 3 alone", top)
 	}
 }
 
@@ -96,9 +113,10 @@ func TestTrackerWindowAgesOutFormerlyHotKeys(t *testing.T) {
 // key slower than one sample per window invisible however long it ran.
 func TestTrackerKeepsSubUnitResidue(t *testing.T) {
 	tr := NewTracker(1)
+	h := tr.Handle()
 	const windows = 20
 	for w := 0; w < windows; w++ {
-		tr.Observe(kv.Key(5))
+		h.Observe(kv.Key(5))
 		closeWindow(tr)
 	}
 	top, sum := tr.Window(8, 0, 0)
@@ -143,8 +161,9 @@ func TestTrackerWindowClosesOnEvidence(t *testing.T) {
 	// A burst beyond a whole window in one Roll still closes only once: the
 	// window never shrinks below one tick of traffic.
 	burst := NewTracker(1)
+	bh := burst.Handle()
 	for i := 0; i < 3*WindowObservations; i++ {
-		burst.Observe(kv.Key(i % 9))
+		bh.Observe(kv.Key(i % 9))
 	}
 	burst.Roll()
 	if got := total(burst); got != 3*WindowObservations/2 {
@@ -199,14 +218,11 @@ func TestTrackerSlowPathUnsampled(t *testing.T) {
 	if got, sum := window(1, 0, 0); len(got) != 1 || got[1].Count != 160 || sum.Floor != 40 {
 		t.Fatalf("Window(topK 1) = %v floor %v, want key 1 only, floor 40 (the hottest key cut)", got, sum.Floor)
 	}
-	if hot := tr.Hot(3); len(hot) != 3 || hot[2].Key != 2 || hot[2].Count != 5 {
-		t.Fatalf("Hot(3) = %v, want the slow-path key counted 5", hot)
-	}
 	// Key 3 becomes local (replicated, say): with its first fast-path
-	// observation its whole count leaves the waiting.
-	tr.Observe(kv.Key(3)) // every 16th through the tracker's shared counter
-	for i := 0; i < 15; i++ {
-		tr.Observe(kv.Key(3))
+	// observation its whole count leaves the waiting. The handle's counter
+	// stands at 160 + 15, so the first of these 16 is the one sampled.
+	for i := 0; i < 16; i++ {
+		h.Observe(kv.Key(3))
 	}
 	tr.Roll()
 	if got, sum := window(8, 0, 0); got[3].Count != 56 || got[3].Seen != 41 || sum.Waiting != 5 {
@@ -262,22 +278,9 @@ func TestTrackerHandlesConcurrentWithRoll(t *testing.T) {
 	}
 }
 
-// BenchmarkTrackerObserveParallel measures the always-on tracking cost with
-// all worker threads bumping the tracker's single shared atomic counter.
-func BenchmarkTrackerObserveParallel(b *testing.B) {
-	tr := NewTracker(0)
-	b.RunParallel(func(pb *testing.PB) {
-		k := kv.Key(0)
-		for pb.Next() {
-			tr.Observe(k)
-			k = (k + 1) % 1024
-		}
-	})
-}
-
-// BenchmarkTrackerHandleObserveParallel is the striped counterpart: each
-// worker samples through its private Handle counter, contending only on the
-// rare recorded sample.
+// BenchmarkTrackerHandleObserveParallel measures the tracking cost on the
+// fast path: each worker samples through its private Handle counter,
+// contending only on the rare recorded sample.
 func BenchmarkTrackerHandleObserveParallel(b *testing.B) {
 	tr := NewTracker(0)
 	var mu sync.Mutex

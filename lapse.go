@@ -14,10 +14,11 @@
 //
 // For hot keys that every node reads constantly (word2vec negative samples,
 // frequent knowledge-graph entities) relocation thrashes; such keys can
-// instead be managed by eventually-consistent replication via
-// Config.Replicate: every node then holds a local replica and a background
-// sync cycle merges updates. See examples/hotkeys for a complete program
-// and Cluster.HotKeys for identifying candidates.
+// instead be managed by eventually-consistent replication: every node then
+// holds a local replica and a background sync cycle merges updates.
+// Config.Adaptive picks those keys online, from the accesses it observes;
+// Config.Replicate takes a hot set the application already knows from its
+// data (word2vec's unigram table, a Zipf head). See examples/hotkeys for both.
 //
 // # Quick start
 //
@@ -194,7 +195,8 @@ type Config struct {
 	// and a background sync cycle merges the cumulative updates across
 	// nodes. Right for keys every node accesses constantly (word2vec
 	// negative samples, frequent KGE entities), where relocation would
-	// thrash; see examples/hotkeys and Cluster.HotKeys for picking them.
+	// thrash, when the application knows them from its data (a unigram
+	// table, a Zipf head); Adaptive picks them online instead.
 	// Replicated keys are only eventually consistent: a node observes
 	// remote pushes after up to two sync intervals (1ms each) plus network
 	// latency (its own pushes are always visible immediately). Localize is a
@@ -488,24 +490,6 @@ func (c *Cluster) Stats() Stats {
 		LeaseRefreshes:      t.LeaseRefreshes,
 		LeaseInvalidations:  t.LeaseInvalidations,
 	}
-}
-
-// HotKey is one hot-key candidate: a key and its estimated access count.
-type HotKey struct {
-	Key   Key
-	Count int64
-}
-
-// HotKeys returns the n most frequently accessed keys, hottest first, from
-// the built-in sampling access tracker — the candidates worth listing in
-// Config.Replicate on the next run. Counts are extrapolated estimates.
-func (c *Cluster) HotKeys(n int) []HotKey {
-	freq := c.sys.HotKeys(n)
-	out := make([]HotKey, len(freq))
-	for i, f := range freq {
-		out[i] = HotKey{Key: f.Key, Count: f.Count}
-	}
-	return out
 }
 
 // SyncReplicas triggers one replica sync round immediately, in addition to

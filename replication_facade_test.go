@@ -78,12 +78,6 @@ func TestReplicateFacade(t *testing.T) {
 	if st := cl.Stats(); st.ReplicaSyncMessages == 0 {
 		t.Fatal("ReplicaSyncMessages = 0 after convergence")
 	}
-
-	// The access tracker saw the hot keys.
-	hotSeen := cl.HotKeys(len(hot))
-	if len(hotSeen) == 0 {
-		t.Fatal("HotKeys returned nothing after a hot-key workload")
-	}
 }
 
 func TestReplicateRejectsOutOfRangeKey(t *testing.T) {
