@@ -365,6 +365,13 @@ func (nd *node) shardOf(k kv.Key) *policyShard {
 	return nd.sh[msg.ShardOfKey(k, len(nd.sh))]
 }
 
+// holds reports, lock-free, whether key k is local at this node: owned, or
+// replicated.
+func (nd *node) holds(k kv.Key) bool {
+	s := nd.state[k].Load()
+	return s == stateOwned || s == stateReplicated
+}
+
 // Layout returns the parameter layout.
 func (s *System) Layout() kv.Layout { return s.layout }
 

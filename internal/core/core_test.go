@@ -131,6 +131,28 @@ func TestLocalizeAlreadyLocalIsNoop(t *testing.T) {
 	}
 }
 
+// TestLocalizeOwnedKeysAllocatesNothing gates the lock-free pre-scan: a
+// Localize whose keys this node already owns — homed here, or relocated here
+// — returns the shared completed future without building a request.
+func TestLocalizeOwnedKeysAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not those of a plain build under the race detector")
+	}
+	_, sys := newTestSystem(t, 2, 1, 8, 1, Config{})
+	h := sys.Handle(0)
+	keys := []kv.Key{0, 2, 6} // 0 and 2 homed at node 0, 6 at node 1
+	if err := h.Localize(keys[2:]); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if err := h.Localize(keys); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("localize of owned keys allocates %.1f times per call, want 0", n)
+	}
+}
+
 func TestLocalizeManyKeysGrouped(t *testing.T) {
 	// Localizing a whole block must group messages: 3 messages per
 	// (home, owner) pair, not per key.

@@ -175,24 +175,25 @@ func (h *handle) PullIfLocal(keys []kv.Key, dst []float32) (bool, error) {
 // additional messages; keys that do need a request are batched into one
 // message per (home node, shard) — relocation messages are shard-pure like
 // operation messages — which leaves under the same lock, like every request
-// that opens a queue.
+// that opens a queue. A call whose keys are all held here already — owned, or
+// replicated — returns after a lock-free scan, without allocating.
 func (h *handle) LocalizeAsync(keys []kv.Key) *kv.Future {
-	if len(keys) == 0 {
-		return kv.CompletedFuture(nil)
-	}
-	start := time.Now()
 	nd := h.nd
-	byShard := make(map[*policyShard][]kv.Key)
+	var byShard map[*policyShard][]kv.Key // keys not held here
 	for _, k := range keys {
-		if nd.state[k].Load() == stateReplicated {
-			continue // replicated keys are local at every node already
+		if nd.holds(k) {
+			continue
+		}
+		if byShard == nil {
+			byShard = make(map[*policyShard][]kv.Key)
 		}
 		sh := nd.shardOf(k)
 		byShard[sh] = append(byShard[sh], k)
 	}
-	if len(byShard) == 0 {
+	if byShard == nil {
 		return kv.CompletedFuture(nil)
 	}
+	start := time.Now()
 	a := server.NewAgg()
 	waiting, timed := false, false
 	for sh, shKeys := range byShard {
@@ -201,7 +202,7 @@ func (h *handle) LocalizeAsync(keys []kv.Key) *kv.Future {
 		for _, k := range shKeys {
 			switch nd.state[k].Load() {
 			case stateOwned, stateReplicated:
-				continue // already local (a promotion may have raced the filter)
+				continue // arrived since the filter (a relocation or a promotion)
 			case stateNotHere:
 				sh.openQueue(k)
 				if requests == nil {

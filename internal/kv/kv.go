@@ -38,11 +38,14 @@ type KV interface {
 	// returned future completes.
 	PullAsync(keys []Key, dst []float32) *Future
 	// PushAsync is Push without waiting for the server acknowledgement.
+	// vals must stay unmodified until the returned future completes: a push
+	// that waits behind a relocation is queued with the caller's slice.
 	PushAsync(keys []Key, vals []float32) *Future
 	// Localize requests relocation of keys to the caller's node and waits
 	// until the keys are local (Lapse only).
 	Localize(keys []Key) error
-	// LocalizeAsync requests relocation without waiting.
+	// LocalizeAsync requests relocation without waiting. It keeps no
+	// reference to keys, which the caller may reuse once it returns.
 	LocalizeAsync(keys []Key) *Future
 	// PullIfLocal retrieves values only if every key is currently allocated
 	// at the caller's node; it returns false without network communication

@@ -1,15 +1,19 @@
 // Package w2v implements distributed skip-gram Word2Vec training with
 // negative sampling, the third task of the paper's evaluation (Figure 8).
 //
-// The latency-hiding approach follows Appendix A: when a worker reads a new
-// sentence it pre-localizes the input and output vectors of all the
-// sentence's words; negative samples are pre-sampled in batches, localized
-// ahead of use, and — to hide the latency of localization conflicts — a
-// negative sample that is not locally available (because another worker
-// localized it concurrently) is skipped and replaced by the next one, using
-// the PullIfLocal primitive. This changes the sampling distribution of
-// negatives (frequent words are more often remote), which is why the paper
-// measures error over time rather than per-epoch equivalence.
+// The latency-hiding approach follows Appendix A: a worker localizes the input
+// and output vectors of its sentences' words ahead of use. It keeps an
+// asynchronous localize in flight for each of its next `lookahead` sentences,
+// so their relocations overlap with training the current one, and localizes
+// a sentence's vectors synchronously just before training it: usually every
+// vector has arrived and the call returns at once, and a vector another worker
+// has taken since is fetched back first. Negative samples are pre-sampled in
+// batches, localized ahead of use, and — to hide the latency of localization
+// conflicts — a negative sample that is not locally available (because
+// another worker localized it concurrently) is skipped and replaced by the
+// next one, using the PullIfLocal primitive. This changes the sampling
+// distribution of negatives (frequent words are more often remote), which is
+// why the paper measures error over time rather than per-epoch equivalence.
 //
 // Error metric substitution (DESIGN.md §5): the paper evaluates a 19 544-
 // question analogy task; this reproduction measures the average logistic loss
@@ -22,6 +26,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"time"
 
 	"lapse/internal/cluster"
@@ -190,6 +195,24 @@ func (p *negPool) take(buf []float32) (int32, bool) {
 	return w, false
 }
 
+// lookahead is how many sentences ahead of the one it trains a latency-hiding
+// worker localizes asynchronously, picked by a sweep over {1, 2, 4, 8, 16} on
+// the benchmark's w2v_hiding workload (DESIGN.md, "Word-vector latency
+// hiding").
+const lookahead = 16
+
+// sentenceKeys writes the input and output keys of sent's words, each once,
+// to dst[:0].
+func (c Config) sentenceKeys(dst []kv.Key, sent []int32) []kv.Key {
+	dst = dst[:0]
+	for i, w := range sent {
+		if !slices.Contains(sent[:i], w) {
+			dst = append(dst, kv.Key(w), c.outKey(w))
+		}
+	}
+	return dst
+}
+
 // runWorkerEpoch trains on this worker's share of sentences.
 func runWorkerEpoch(cl *cluster.Cluster, ps driver.PS, cfg Config, useLH bool,
 	corpus *data.Corpus, epoch, worker int) error {
@@ -206,21 +229,30 @@ func runWorkerEpoch(cl *cluster.Cluster, ps driver.PS, cfg Config, useLH bool,
 	dOut := make([]float32, cfg.Dim)
 	negBuf := make([]float32, cfg.Dim)
 
-	for s := worker; s < len(corpus.Sentences); s += P {
+	// ring[i%len(ring)] holds the keys of this worker's i-th sentence from its
+	// prefetch until it is trained: lookahead sentences in flight plus the one
+	// in training. The prefetch futures are the handle's to track, so WaitAll
+	// below covers them.
+	var ring [lookahead + 1][]kv.Key
+	prefetch := func(i int) {
+		if s := worker + i*P; s < len(corpus.Sentences) {
+			slot := &ring[i%len(ring)]
+			*slot = cfg.sentenceKeys(*slot, corpus.Sentences[s])
+			h.LocalizeAsync(*slot)
+		}
+	}
+	if useLH {
+		for i := 0; i < lookahead; i++ {
+			prefetch(i)
+		}
+	}
+	for i, s := 0, worker; s < len(corpus.Sentences); i, s = i+1, s+P {
 		sent := corpus.Sentences[s]
 		if useLH {
-			// Pre-localize all of this sentence's vectors.
-			keys := make([]kv.Key, 0, 2*len(sent))
-			seen := map[kv.Key]bool{}
-			for _, w := range sent {
-				for _, k := range []kv.Key{kv.Key(w), cfg.outKey(w)} {
-					if !seen[k] {
-						seen[k] = true
-						keys = append(keys, k)
-					}
-				}
-			}
-			if err := h.Localize(keys); err != nil {
+			prefetch(i + lookahead)
+			// The vectors another worker took since the prefetch come back
+			// before the sentence trains.
+			if err := h.Localize(ring[i%len(ring)]); err != nil {
 				return err
 			}
 		}
@@ -260,6 +292,7 @@ func trainPair(h kv.KV, cfg Config, center, context int32, negs *negPool, rng *r
 		return err
 	}
 	sgdPair(cfg, in, out, 1, dIn, dOut)
+	// PushAsync may keep vals until it completes, and dOut is reused: copy.
 	h.PushAsync([]kv.Key{cfg.outKey(context)}, append([]float32(nil), dOut...))
 	// Negative examples.
 	for n := 0; n < cfg.Negatives; n++ {

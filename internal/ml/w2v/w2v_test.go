@@ -1,11 +1,15 @@
 package w2v
 
 import (
+	"slices"
 	"testing"
+	"time"
 
 	"lapse/internal/cluster"
 	"lapse/internal/data"
 	"lapse/internal/driver"
+	"lapse/internal/kv"
+	"lapse/internal/simnet"
 )
 
 func tinyConfig() Config {
@@ -106,6 +110,154 @@ func TestNegPoolSkipsConflictedSamples(t *testing.T) {
 		if !local {
 			t.Fatal("single-node negative sample reported non-local")
 		}
+	}
+}
+
+// localizeCall is one Localize (sync) or LocalizeAsync call of a worker.
+type localizeCall struct {
+	sync bool
+	keys []kv.Key
+	wait time.Duration // how long a Localize blocked
+}
+
+// recordingPS hands out handles that log every localize call per worker.
+type recordingPS struct {
+	driver.PS
+	logs [][]localizeCall // by worker; each worker appends only to its own
+}
+
+func (p *recordingPS) Handle(worker int) kv.KV {
+	return &recordingKV{KV: p.PS.Handle(worker), log: &p.logs[worker]}
+}
+
+type recordingKV struct {
+	kv.KV
+	log *[]localizeCall
+}
+
+func (r *recordingKV) Localize(keys []kv.Key) error {
+	start := time.Now()
+	err := r.KV.Localize(keys)
+	*r.log = append(*r.log, localizeCall{sync: true, keys: slices.Clone(keys), wait: time.Since(start)})
+	return err
+}
+
+func (r *recordingKV) LocalizeAsync(keys []kv.Key) *kv.Future {
+	*r.log = append(*r.log, localizeCall{keys: slices.Clone(keys)})
+	return r.KV.LocalizeAsync(keys)
+}
+
+// recordLocalizes trains cfg with latency hiding on or off on a Lapse
+// instance over cl and returns each worker's localize calls in call order.
+func recordLocalizes(t *testing.T, cl *cluster.Cluster, cfg Config, useLH bool, c *data.Corpus) [][]localizeCall {
+	t.Helper()
+	ps := driver.Build(driver.Lapse, cl, cfg.Layout(), driver.Options{})
+	defer func() { cl.Close(); ps.Shutdown() }()
+	rec := &recordingPS{PS: ps, logs: make([][]localizeCall, cl.TotalWorkers())}
+	if _, err := RunOnCorpus(cl, rec, driver.Lapse, cfg, useLH, c); err != nil {
+		t.Fatal(err)
+	}
+	return rec.logs
+}
+
+// TestSentencePrefetchOrder pins the lookahead pipeline on one node, where
+// every call order is deterministic: each of a worker's sentences reaches
+// LocalizeAsync exactly once, in order, before its synchronous Localize; no
+// prefetch runs more than lookahead sentences ahead of the one in training or
+// past the worker's share; without latency hiding nothing is localized.
+func TestSentencePrefetchOrder(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.Epochs = 1
+	corpus := data.SyntheticCorpus(cfg.Vocab, cfg.Sentences, cfg.SentenceLen, cfg.Seed)
+	const workers = 2
+	// sentenceSet is a sentence's keys, each once, in ascending order.
+	sentenceSet := func(sent []int32) []kv.Key {
+		var keys []kv.Key
+		for _, w := range sent {
+			keys = append(keys, kv.Key(w), cfg.outKey(w))
+		}
+		slices.Sort(keys)
+		return slices.Compact(keys)
+	}
+	sorted := func(keys []kv.Key) []kv.Key { return slices.Sorted(slices.Values(keys)) }
+
+	logs := recordLocalizes(t, cluster.New(cluster.Config{Nodes: 1, WorkersPerNode: workers}), cfg, true, corpus)
+	for w, log := range logs {
+		var share [][]kv.Key
+		for s := w; s < len(corpus.Sentences); s += workers {
+			share = append(share, sentenceSet(corpus.Sentences[s]))
+		}
+		prefetched, trained := 0, 0
+		for _, c := range log {
+			switch {
+			case c.sync:
+				if trained == prefetched {
+					t.Fatalf("worker %d: sentence %d localized before its prefetch", w, trained)
+				}
+				if !slices.Equal(sorted(c.keys), share[trained]) {
+					t.Fatalf("worker %d: Localize %d names %v, want sentence %d's %v", w, trained, c.keys, trained, share[trained])
+				}
+				trained++
+			case !slices.ContainsFunc(c.keys, func(k kv.Key) bool { return k < cfg.outKey(0) }):
+				// A negative-sample batch: output vectors only.
+			default:
+				if prefetched == len(share) {
+					t.Fatalf("worker %d: prefetch past its %d sentences: %v", w, len(share), c.keys)
+				}
+				if !slices.Equal(sorted(c.keys), share[prefetched]) {
+					t.Fatalf("worker %d: prefetch %d names %v, want sentence %d's %v", w, prefetched, c.keys, prefetched, share[prefetched])
+				}
+				if prefetched-trained > lookahead {
+					t.Fatalf("worker %d: sentence %d prefetched while training sentence %d, lookahead %d", w, prefetched, trained, lookahead)
+				}
+				prefetched++
+			}
+		}
+		if trained != len(share) || prefetched != len(share) {
+			t.Fatalf("worker %d: %d sentences prefetched and %d localized, want %d each", w, prefetched, trained, len(share))
+		}
+	}
+
+	logs = recordLocalizes(t, cluster.New(cluster.Config{Nodes: 1, WorkersPerNode: workers}), cfg, false, corpus)
+	for w, log := range logs {
+		if len(log) != 0 {
+			t.Fatalf("worker %d without latency hiding made %d localize calls", w, len(log))
+		}
+	}
+}
+
+// TestPrefetchHidesSentenceLocalizes checks what the lookahead is for, on the
+// paper's simulated links (300 µs, 20 µs loopback): most sentences find their
+// vectors already relocated, so at most half the synchronous Localize calls
+// wait a one-way latency or longer. Localizing each sentence only when it is
+// trained waits that long in about nine calls out of ten.
+func TestPrefetchHidesSentenceLocalizes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector slows the trainer enough that prefetches no longer lead")
+	}
+	cfg := tinyConfig()
+	corpus := data.SyntheticCorpus(cfg.Vocab, cfg.Sentences, cfg.SentenceLen, cfg.Seed)
+	const latency = 300 * time.Microsecond
+	cl := cluster.New(cluster.Config{Nodes: 2, WorkersPerNode: 1,
+		Net: simnet.Config{Latency: latency, LoopbackLatency: 20 * time.Microsecond}})
+	var calls, slow int
+	for _, log := range recordLocalizes(t, cl, cfg, true, corpus) {
+		for _, c := range log {
+			if c.sync {
+				calls++
+				if c.wait >= latency {
+					slow++
+				}
+			}
+		}
+	}
+	if calls == 0 {
+		t.Fatal("no sentence was localized")
+	}
+	share := float64(slow) / float64(calls)
+	t.Logf("%d of %d sentence Localize calls (%.0f %%) waited >= %v", slow, calls, 100*share, latency)
+	if share > 0.5 {
+		t.Fatal("want at most half of them")
 	}
 }
 

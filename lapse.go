@@ -549,7 +549,9 @@ func (w *Worker) PullAsync(keys []Key, dst []float32) *Async {
 	return &Async{f: w.kv.PullAsync(keys, dst)}
 }
 
-// PushAsync is Push without waiting.
+// PushAsync is Push without waiting. vals must stay unmodified until the
+// returned handle's Wait reports completion: a push that waits behind a
+// relocation is queued with the caller's slice.
 func (w *Worker) PushAsync(keys []Key, vals []float32) *Async {
 	return &Async{f: w.kv.PushAsync(keys, vals)}
 }
