@@ -2,16 +2,16 @@
 // negative sampling, the third task of the paper's evaluation (Figure 8).
 //
 // The latency-hiding approach follows Appendix A: a worker localizes the input
-// and output vectors of its sentences' words ahead of use. It keeps an
-// asynchronous localize in flight for each of its next `lookahead` sentences,
-// so their relocations overlap with training the current one, and localizes
-// a sentence's vectors synchronously just before training it: usually every
-// vector has arrived and the call returns at once, and a vector another worker
-// has taken since is fetched back first. Negative samples are pre-sampled in
-// batches, localized ahead of use, and — to hide the latency of localization
-// conflicts — a negative sample that is not locally available (because
-// another worker localized it concurrently) is skipped and replaced by the
-// next one, using the PullIfLocal primitive. This changes the sampling
+// and output vectors of its sentences' words ahead of use. Before each
+// sentence it localizes its next `lookahead` sentences asynchronously, so
+// their relocations overlap with training the current one and a vector
+// another worker took in the meantime is asked back well before it is needed;
+// then it localizes the sentence's own vectors synchronously: usually every
+// vector is here and the call returns at once. Negative samples are
+// pre-sampled in batches, localized ahead of use, and — to hide the latency of
+// localization conflicts — a negative sample that is not locally available
+// (because another worker localized it concurrently) is skipped and replaced
+// by the next one, using the PullIfLocal primitive. This changes the sampling
 // distribution of negatives (frequent words are more often remote), which is
 // why the paper measures error over time rather than per-epoch equivalence.
 //
@@ -196,7 +196,7 @@ func (p *negPool) take(buf []float32) (int32, bool) {
 }
 
 // lookahead is how many sentences ahead of the one it trains a latency-hiding
-// worker localizes asynchronously, picked by a sweep over {1, 2, 4, 8, 16} on
+// worker localizes asynchronously, picked by sweeps over {1, 2, 4, 8, 16} on
 // the benchmark's w2v_hiding workload (DESIGN.md, "Word-vector latency
 // hiding").
 const lookahead = 16
@@ -229,29 +229,36 @@ func runWorkerEpoch(cl *cluster.Cluster, ps driver.PS, cfg Config, useLH bool,
 	dOut := make([]float32, cfg.Dim)
 	negBuf := make([]float32, cfg.Dim)
 
-	// ring[i%len(ring)] holds the keys of this worker's i-th sentence from its
-	// prefetch until it is trained: lookahead sentences in flight plus the one
-	// in training. The prefetch futures are the handle's to track, so WaitAll
-	// below covers them.
+	// ring[j%len(ring)] holds the keys of this worker's j-th sentence from the
+	// step it enters the window until it is trained: lookahead sentences in the
+	// window plus the one in training. The futures are the handle's to track,
+	// so WaitAll below covers them.
 	var ring [lookahead + 1][]kv.Key
-	prefetch := func(i int) {
-		if s := worker + i*P; s < len(corpus.Sentences) {
-			slot := &ring[i%len(ring)]
-			*slot = cfg.sentenceKeys(*slot, corpus.Sentences[s])
+	last := -1 // the last sentence whose keys are in the ring
+	// request localizes this worker's sentences lo..hi asynchronously.
+	request := func(lo, hi int) {
+		for j := lo; j <= hi && worker+j*P < len(corpus.Sentences); j++ {
+			slot := &ring[j%len(ring)]
+			if j > last {
+				*slot = cfg.sentenceKeys(*slot, corpus.Sentences[worker+j*P])
+				last = j
+			}
 			h.LocalizeAsync(*slot)
 		}
 	}
 	if useLH {
-		for i := 0; i < lookahead; i++ {
-			prefetch(i)
-		}
+		request(0, lookahead-1)
 	}
 	for i, s := 0, worker; s < len(corpus.Sentences); i, s = i+1, s+P {
 		sent := corpus.Sentences[s]
 		if useLH {
-			prefetch(i + lookahead)
-			// The vectors another worker took since the prefetch come back
-			// before the sentence trains.
+			// Every step requests the whole window again. For a sentence
+			// whose vectors are all here that is a lock-free scan; a vector
+			// the other worker took since is asked back several sentences
+			// before it is needed. Left to the synchronous Localize, such a
+			// vector is fetched back just as the other worker needs it, and
+			// the waits echo between the workers.
+			request(i+1, i+lookahead)
 			if err := h.Localize(ring[i%len(ring)]); err != nil {
 				return err
 			}

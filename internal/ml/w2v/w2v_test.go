@@ -161,10 +161,11 @@ func recordLocalizes(t *testing.T, cl *cluster.Cluster, cfg Config, useLH bool, 
 }
 
 // TestSentencePrefetchOrder pins the lookahead pipeline on one node, where
-// every call order is deterministic: each of a worker's sentences reaches
-// LocalizeAsync exactly once, in order, before its synchronous Localize; no
-// prefetch runs more than lookahead sentences ahead of the one in training or
-// past the worker's share; without latency hiding nothing is localized.
+// every call order is deterministic: a worker's sentences enter the window in
+// order, at most lookahead ahead of the one in training and never past the
+// worker's share; each reaches LocalizeAsync when it enters and again on every
+// later step until its synchronous Localize, and on no step after; without
+// latency hiding nothing is localized.
 func TestSentencePrefetchOrder(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Epochs = 1
@@ -187,34 +188,48 @@ func TestSentencePrefetchOrder(t *testing.T) {
 		for s := w; s < len(corpus.Sentences); s += workers {
 			share = append(share, sentenceSet(corpus.Sentences[s]))
 		}
+		// Sentences [trained, prefetched) have entered the window and not been
+		// trained; requests[j] counts the LocalizeAsync calls naming sentence j.
 		prefetched, trained := 0, 0
+		requests := make([]int, len(share))
 		for _, c := range log {
+			keys := sorted(c.keys)
 			switch {
 			case c.sync:
 				if trained == prefetched {
 					t.Fatalf("worker %d: sentence %d localized before its prefetch", w, trained)
 				}
-				if !slices.Equal(sorted(c.keys), share[trained]) {
+				if !slices.Equal(keys, share[trained]) {
 					t.Fatalf("worker %d: Localize %d names %v, want sentence %d's %v", w, trained, c.keys, trained, share[trained])
 				}
 				trained++
 			case !slices.ContainsFunc(c.keys, func(k kv.Key) bool { return k < cfg.outKey(0) }):
 				// A negative-sample batch: output vectors only.
-			default:
-				if prefetched == len(share) {
-					t.Fatalf("worker %d: prefetch past its %d sentences: %v", w, len(share), c.keys)
-				}
-				if !slices.Equal(sorted(c.keys), share[prefetched]) {
-					t.Fatalf("worker %d: prefetch %d names %v, want sentence %d's %v", w, prefetched, c.keys, prefetched, share[prefetched])
-				}
+			case prefetched < len(share) && slices.Equal(keys, share[prefetched]):
 				if prefetched-trained > lookahead {
 					t.Fatalf("worker %d: sentence %d prefetched while training sentence %d, lookahead %d", w, prefetched, trained, lookahead)
 				}
+				requests[prefetched]++
 				prefetched++
+			default:
+				// A repeat request: of a sentence ahead of the one about to train.
+				lo := min(trained+1, prefetched)
+				j := slices.IndexFunc(share[lo:prefetched], func(s []kv.Key) bool { return slices.Equal(keys, s) })
+				if j < 0 {
+					t.Fatalf("worker %d: LocalizeAsync %v names no sentence in the window [%d, %d) nor the next one, of %d", w, c.keys, lo, prefetched, len(share))
+				}
+				requests[lo+j]++
 			}
 		}
 		if trained != len(share) || prefetched != len(share) {
 			t.Fatalf("worker %d: %d sentences prefetched and %d localized, want %d each", w, prefetched, trained, len(share))
+		}
+		// Sentence j enters the window after the barrier (j < lookahead) or on
+		// step j-lookahead, and is requested on every step up to j-1.
+		for j, n := range requests {
+			if want := min(j+1, lookahead); n != want {
+				t.Fatalf("worker %d: sentence %d requested %d times, want %d", w, j, n, want)
+			}
 		}
 	}
 
