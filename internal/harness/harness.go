@@ -114,32 +114,44 @@ func Render(title string, series []Series) string {
 
 func round(d time.Duration) time.Duration { return d.Round(time.Millisecond) }
 
-// newCluster builds a cluster with the experiment network profile.
-func newCluster(par Parallelism) *cluster.Cluster {
-	return cluster.New(cluster.Config{
-		Nodes:          par.Nodes,
-		WorkersPerNode: par.Workers,
-		Net:            NetProfile(par.Nodes),
-	})
+// series measures one line of a figure: cell at every parallelism in pars.
+func series(label string, pars []Parallelism, cell func(Parallelism) Point) Series {
+	s := Series{Label: label}
+	for _, par := range pars {
+		s.Points = append(s.Points, cell(par))
+	}
+	return s
 }
 
-// withPS runs fn on a fresh cluster+PS (default network profile).
-func withPS(kind driver.Kind, par Parallelism, layout kv.Layout, staleness int,
-	fn func(cl *cluster.Cluster, ps driver.PS)) {
-	withPSNet(kind, par, layout, staleness, NetProfile(par.Nodes), fn)
+// newCluster builds a cluster of par's shape over net.
+func newCluster(par Parallelism, net simnet.Config) *cluster.Cluster {
+	return cluster.New(cluster.Config{Nodes: par.Nodes, WorkersPerNode: par.Workers, Net: net})
 }
 
-// withPSNet is withPS with an explicit network configuration.
-func withPSNet(kind driver.Kind, par Parallelism, layout kv.Layout, staleness int,
-	net simnet.Config, fn func(cl *cluster.Cluster, ps driver.PS)) {
-	cl := cluster.New(cluster.Config{Nodes: par.Nodes, WorkersPerNode: par.Workers, Net: net})
-	ps := driver.Build(kind, cl, layout, driver.Options{Staleness: staleness})
+// runCell runs train on a fresh cluster over net and a fresh PS of kind
+// (staleness 1 for the stale PS) and returns one Point per epoch, each with
+// the run's server-counter totals. train returns each epoch's time and loss.
+func runCell(kind driver.Kind, par Parallelism, net simnet.Config, layout kv.Layout,
+	train func(cl *cluster.Cluster, ps driver.PS) ([]time.Duration, []float64, error)) []Point {
+	cl := newCluster(par, net)
+	ps := driver.Build(kind, cl, layout, driver.Options{Staleness: 1})
 	defer func() {
 		cl.Close()
 		ps.Shutdown()
 	}()
-	fn(cl, ps)
+	times, losses, err := train(cl, ps)
+	if err != nil {
+		panic(fmt.Sprintf("harness: %s %s: %v", kind, par, err))
+	}
+	stats := metrics.Sum(ps.Stats())
+	pts := make([]Point, len(times))
+	for e := range pts {
+		pts[e] = Point{Par: par, EpochTime: times[e], Loss: losses[e], Stats: stats}
+	}
+	return pts
 }
+
+func last(pts []Point) Point { return pts[len(pts)-1] }
 
 // --- Matrix factorization ------------------------------------------------
 
@@ -165,21 +177,20 @@ func MFScaledConfig(variant string) mf.Config {
 
 // RunMFCell measures one epoch of DSGD for one system at one parallelism.
 func RunMFCell(kind driver.Kind, par Parallelism, cfg mf.Config, m *data.Matrix) Point {
-	var pt Point
-	withPS(kind, par, cfg.Layout(), 1, func(cl *cluster.Cluster, ps driver.PS) {
+	return last(runMF(kind, par, cfg, m))
+}
+
+// runMF trains cfg on m and returns every epoch.
+func runMF(kind driver.Kind, par Parallelism, cfg mf.Config, m *data.Matrix) []Point {
+	return runCell(kind, par, NetProfile(par.Nodes), cfg.Layout(), func(cl *cluster.Cluster, ps driver.PS) ([]time.Duration, []float64, error) {
 		res, err := mf.RunOnMatrix(cl, ps, kind, cfg, m)
-		if err != nil {
-			panic(fmt.Sprintf("harness: MF %s %s: %v", kind, par, err))
-		}
-		pt = Point{Par: par, EpochTime: res.EpochTimes[len(res.EpochTimes)-1],
-			Loss: res.Losses[len(res.Losses)-1], Stats: metrics.Sum(ps.Stats())}
+		return res.EpochTimes, res.Losses, err
 	})
-	return pt
 }
 
 // RunMFLowLevelCell measures the specialized low-level implementation.
 func RunMFLowLevelCell(par Parallelism, cfg mf.Config, m *data.Matrix) Point {
-	cl := newCluster(par)
+	cl := newCluster(par, NetProfile(par.Nodes))
 	defer cl.Close()
 	// The low-level implementation models the same per-point computation.
 	ll := mf.NewLowLevel(cl, cfg)
@@ -203,11 +214,7 @@ func Figure6(variant string, pars []Parallelism) []Series {
 	}
 	out := make([]Series, 0, len(systems))
 	for _, sys := range systems {
-		s := Series{Label: sys.label}
-		for _, par := range pars {
-			s.Points = append(s.Points, RunMFCell(sys.kind, par, cfg, m))
-		}
-		out = append(out, s)
+		out = append(out, series(sys.label, pars, func(par Parallelism) Point { return RunMFCell(sys.kind, par, cfg, m) }))
 	}
 	return out
 }
@@ -219,13 +226,8 @@ func Figure9(variant string, pars []Parallelism) []Series {
 	cfg := MFScaledConfig(variant)
 	m := data.SyntheticMatrix(cfg.Rows, cfg.Cols, cfg.NNZ, cfg.TrueRank, 0.05, cfg.Seed)
 
-	var out []Series
 	// Stale PS, client sync.
-	s := Series{Label: "ssp-client"}
-	for _, par := range pars {
-		s.Points = append(s.Points, RunMFCell(driver.SSPClient, par, cfg, m))
-	}
-	out = append(out, s)
+	client := series("ssp-client", pars, func(par Parallelism) Point { return RunMFCell(driver.SSPClient, par, cfg, m) })
 	// Stale PS, server sync: epoch 1 is the warm-up (subscriptions being
 	// learned), epoch 2 the steady state.
 	warm := Series{Label: "ssp-srv-warm"}
@@ -233,32 +235,13 @@ func Figure9(variant string, pars []Parallelism) []Series {
 	cfg2 := cfg
 	cfg2.Epochs = 2
 	for _, par := range pars {
-		var w, st Point
-		withPS(driver.SSPServer, par, cfg2.Layout(), 1, func(cl *cluster.Cluster, ps driver.PS) {
-			res, err := mf.RunOnMatrix(cl, ps, driver.SSPServer, cfg2, m)
-			if err != nil {
-				panic(err)
-			}
-			w = Point{Par: par, EpochTime: res.EpochTimes[0], Loss: res.Losses[0]}
-			st = Point{Par: par, EpochTime: res.EpochTimes[1], Loss: res.Losses[1]}
-		})
-		warm.Points = append(warm.Points, w)
-		steady.Points = append(steady.Points, st)
+		pts := runMF(driver.SSPServer, par, cfg2, m)
+		warm.Points = append(warm.Points, pts[0])
+		steady.Points = append(steady.Points, pts[1])
 	}
-	out = append(out, warm, steady)
-	// Lapse.
-	s = Series{Label: "lapse"}
-	for _, par := range pars {
-		s.Points = append(s.Points, RunMFCell(driver.Lapse, par, cfg, m))
-	}
-	out = append(out, s)
-	// Low-level specialized implementation.
-	s = Series{Label: "low-level"}
-	for _, par := range pars {
-		s.Points = append(s.Points, RunMFLowLevelCell(par, cfg, m))
-	}
-	out = append(out, s)
-	return out
+	return []Series{client, warm, steady,
+		series("lapse", pars, func(par Parallelism) Point { return RunMFCell(driver.Lapse, par, cfg, m) }),
+		series("low-level", pars, func(par Parallelism) Point { return RunMFLowLevelCell(par, cfg, m) })}
 }
 
 // --- Knowledge graph embeddings -------------------------------------------
@@ -276,7 +259,9 @@ const (
 // KGEScaledConfig returns the harness-scale stand-in for a paper task.
 // ComplEx-Small accesses the PS frequently with little computation per
 // access (high communication-to-computation ratio); ComplEx-Large and
-// RESCAL-Large compute much more per data point.
+// RESCAL-Large compute much more per data point. All three hide latency at
+// the kge trainer's one window depth, picked on their Figure 7 cells
+// (DESIGN.md, "Latency hiding in the trainers").
 func KGEScaledConfig(task KGETask) kge.Config {
 	base := kge.Config{
 		Entities: 3000, Relations: 20, Triples: 12000,
@@ -291,12 +276,10 @@ func KGEScaledConfig(task KGETask) kge.Config {
 		base.Model = kge.ComplEx
 		base.Dim = 64
 		base.PointCost = 400 * time.Microsecond
-		base.Lookahead = 3
 	case RescalLarge:
 		base.Model = kge.RESCAL
 		base.Dim = 16 // relation embeddings d² = 256, 16× entity size
 		base.PointCost = 400 * time.Microsecond
-		base.Lookahead = 3
 	default:
 		panic(fmt.Sprintf("harness: unknown KGE task %q", task))
 	}
@@ -338,51 +321,35 @@ func KGENetProfile(task KGETask, nodes int) simnet.Config {
 
 // RunKGECell measures one KGE epoch.
 func RunKGECell(v KGEVariant, task KGETask, par Parallelism, cfg kge.Config, kg *data.KG) Point {
-	var pt Point
-	withPSNet(v.Kind, par, cfg.Layout(), 1, KGENetProfile(task, par.Nodes), func(cl *cluster.Cluster, ps driver.PS) {
+	return last(runCell(v.Kind, par, KGENetProfile(task, par.Nodes), cfg.Layout(), func(cl *cluster.Cluster, ps driver.PS) ([]time.Duration, []float64, error) {
 		res, err := kge.RunOnKG(cl, ps, v.Kind, cfg, v.Mode, kg)
-		if err != nil {
-			panic(fmt.Sprintf("harness: KGE %s %s: %v", v.Label, par, err))
-		}
-		pt = Point{Par: par, EpochTime: res.EpochTimes[len(res.EpochTimes)-1],
-			Loss: res.Losses[len(res.Losses)-1], Stats: metrics.Sum(ps.Stats())}
-	})
-	return pt
+		return res.EpochTimes, res.Losses, err
+	}))
 }
 
 // Figure7 reproduces one subfigure of Figure 7 (all four system variants on
 // one task).
 func Figure7(task KGETask, pars []Parallelism) []Series {
-	cfg := KGEScaledConfig(task)
-	kg := data.SyntheticKG(cfg.Entities, cfg.Relations, cfg.Triples, cfg.Seed)
-	out := make([]Series, 0, 4)
-	for _, v := range Figure7Variants() {
-		s := Series{Label: v.Label}
-		for _, par := range pars {
-			s.Points = append(s.Points, RunKGECell(v, task, par, cfg, kg))
-		}
-		out = append(out, s)
-	}
-	return out
+	return kgeFigure(task, Figure7Variants(), pars)
 }
 
 // Figure1 reproduces Figure 1: the RESCAL task with the classic PS, the
 // classic PS with fast local access, and Lapse.
 func Figure1(pars []Parallelism) []Series {
-	cfg := KGEScaledConfig(RescalLarge)
-	kg := data.SyntheticKG(cfg.Entities, cfg.Relations, cfg.Triples, cfg.Seed)
-	variants := []KGEVariant{
+	return kgeFigure(RescalLarge, []KGEVariant{
 		{"classic", driver.ClassicPS, kge.ModePlain},
 		{"classic+fla", driver.ClassicFast, kge.ModePlain},
 		{"lapse", driver.Lapse, kge.ModeFull},
-	}
+	}, pars)
+}
+
+// kgeFigure measures each of variants on task, one Series each.
+func kgeFigure(task KGETask, variants []KGEVariant, pars []Parallelism) []Series {
+	cfg := KGEScaledConfig(task)
+	kg := data.SyntheticKG(cfg.Entities, cfg.Relations, cfg.Triples, cfg.Seed)
 	out := make([]Series, 0, len(variants))
 	for _, v := range variants {
-		s := Series{Label: v.Label}
-		for _, par := range pars {
-			s.Points = append(s.Points, RunKGECell(v, RescalLarge, par, cfg, kg))
-		}
-		out = append(out, s)
+		out = append(out, series(v.Label, pars, func(par Parallelism) Point { return RunKGECell(v, task, par, cfg, kg) }))
 	}
 	return out
 }
@@ -402,20 +369,12 @@ func W2VScaledConfig() w2v.Config {
 }
 
 // RunW2VCell measures one Word2Vec run (possibly multiple epochs) and returns
-// per-epoch errors and cumulative times.
-func RunW2VCell(kind driver.Kind, useLH bool, par Parallelism, cfg w2v.Config, c *data.Corpus) (Point, *w2v.Result) {
-	var pt Point
-	var out *w2v.Result
-	withPS(kind, par, cfg.Layout(), 1, func(cl *cluster.Cluster, ps driver.PS) {
+// one Point per epoch, with the held-out error as its loss.
+func RunW2VCell(kind driver.Kind, useLH bool, par Parallelism, cfg w2v.Config, c *data.Corpus) []Point {
+	return runCell(kind, par, NetProfile(par.Nodes), cfg.Layout(), func(cl *cluster.Cluster, ps driver.PS) ([]time.Duration, []float64, error) {
 		res, err := w2v.RunOnCorpus(cl, ps, kind, cfg, useLH, c)
-		if err != nil {
-			panic(fmt.Sprintf("harness: W2V %s %s: %v", kind, par, err))
-		}
-		out = res
-		pt = Point{Par: par, EpochTime: res.EpochTimes[len(res.EpochTimes)-1],
-			Loss: res.Errors[len(res.Errors)-1], Stats: metrics.Sum(ps.Stats())}
+		return res.EpochTimes, res.Errors, err
 	})
-	return pt, out
 }
 
 // Figure8 reproduces Figure 8a (epoch runtime) and returns, per system and
@@ -451,21 +410,20 @@ func Figure8(pars []Parallelism, epochs int) Figure8Result {
 	}
 	out := Figure8Result{Trajectories: map[string][]TrajectoryPoint{}}
 	for _, sys := range systems {
-		s := Series{Label: sys.label}
-		for _, par := range pars {
-			pt, res := RunW2VCell(sys.kind, sys.lh, par, cfg, corpus)
+		out.EpochTime = append(out.EpochTime, series(sys.label, pars, func(par Parallelism) Point {
+			pts := RunW2VCell(sys.kind, sys.lh, par, cfg, corpus)
 			// Report the mean epoch time in the runtime series.
 			var total time.Duration
-			traj := make([]TrajectoryPoint, 0, len(res.EpochTimes))
-			for e := range res.EpochTimes {
-				total += res.EpochTimes[e]
-				traj = append(traj, TrajectoryPoint{Epoch: e + 1, Runtime: total, Error: res.Errors[e]})
+			traj := make([]TrajectoryPoint, 0, len(pts))
+			for e, p := range pts {
+				total += p.EpochTime
+				traj = append(traj, TrajectoryPoint{Epoch: e + 1, Runtime: total, Error: p.Loss})
 			}
-			pt.EpochTime = total / time.Duration(len(res.EpochTimes))
-			s.Points = append(s.Points, pt)
 			out.Trajectories[fmt.Sprintf("%s/%s", sys.label, par)] = traj
-		}
-		out.EpochTime = append(out.EpochTime, s)
+			pt := last(pts)
+			pt.EpochTime = total / time.Duration(len(pts))
+			return pt
+		}))
 	}
 	return out
 }

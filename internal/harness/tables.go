@@ -41,7 +41,7 @@ func Table4() []Table4Row {
 	{
 		cfg := W2VScaledConfig()
 		corpus := data.SyntheticCorpus(cfg.Vocab, cfg.Sentences, cfg.SentenceLen, cfg.Seed)
-		pt, _ := RunW2VCell(driver.Lapse, true, par, cfg, corpus)
+		pt := last(RunW2VCell(driver.Lapse, true, par, cfg, corpus))
 		rows = append(rows, table4Row("Word2Vec", pt))
 	}
 	return rows

@@ -14,20 +14,22 @@
 //     localized at (or, without DPA, simply served from) the node that uses
 //     it.
 //   - Latency hiding for entity parameters: while computing data point t,
-//     each worker pre-localizes the entity embeddings (subject, object, and
-//     pre-sampled negatives) of data point t+1, so the transfer overlaps the
-//     computation.
+//     each worker keeps localizing the entity embeddings (subject, object,
+//     and pre-sampled negatives) of data points t+1 … t+windowDepth
+//     asynchronously, so the transfers overlap the computation.
 package kge
 
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"lapse/internal/cluster"
 	"lapse/internal/data"
 	"lapse/internal/driver"
 	"lapse/internal/kv"
+	"lapse/internal/ml"
 )
 
 // Model selects the embedding model.
@@ -72,17 +74,6 @@ type Config struct {
 	// and gradients of the positive triple plus negatives), simulated via
 	// cluster.Compute. Zero disables compute modeling (unit tests).
 	PointCost time.Duration
-	// Lookahead is how many data points ahead entity parameters are
-	// pre-localized (Appendix A: the paper uses 1 and reports similar
-	// speed-ups for 2 and 3). Values < 1 mean 1.
-	Lookahead int
-}
-
-func (c Config) lookahead() int {
-	if c.Lookahead < 1 {
-		return 1
-	}
-	return c.Lookahead
 }
 
 // SmallConfig mirrors ComplEx-Small (dim 100/100) at laptop scale: a
@@ -164,10 +155,11 @@ func Run(cl *cluster.Cluster, ps driver.PS, kind driver.Kind, cfg Config, mode M
 	return RunOnKG(cl, ps, kind, cfg, mode, kg)
 }
 
-// RunOnKG is Run with a caller-provided knowledge graph.
+// RunOnKG is Run with a caller-provided knowledge graph. The result is never
+// nil: on an error it holds the epochs completed before it.
 func RunOnKG(cl *cluster.Cluster, ps driver.PS, kind driver.Kind, cfg Config, mode Mode, kg *data.KG) (*Result, error) {
 	if mode != ModePlain && !driver.SupportsLocalize(kind) {
-		return nil, fmt.Errorf("kge: mode %d requires a PS with localize support, got %q", mode, kind)
+		return &Result{}, fmt.Errorf("kge: mode %d requires a PS with localize support, got %q", mode, kind)
 	}
 	parts, _ := kg.PartitionByRelation(cl.Nodes())
 	ps.Init(cfg.InitEmbeddings())
@@ -175,27 +167,12 @@ func RunOnKG(cl *cluster.Cluster, ps driver.PS, kind driver.Kind, cfg Config, mo
 	res := &Result{}
 	losses := make([]float64, cl.TotalWorkers())
 	counts := make([]int, cl.TotalWorkers())
-	errs := make(chan error, cl.TotalWorkers())
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		start := time.Now()
-		cl.RunWorkers(func(node, worker int) {
-			loss, n, err := runWorkerEpoch(cl, ps, cfg, mode, parts[node], epoch, node, worker)
-			if err != nil {
-				select {
-				case errs <- err:
-				default:
-				}
-				return
-			}
-			losses[worker] = loss
-			counts[worker] = n
-		})
-		select {
-		case err := <-errs:
-			return nil, err
-		default:
-		}
-		res.EpochTimes = append(res.EpochTimes, time.Since(start))
+	var err error
+	res.EpochTimes, err = ml.RunEpochs(cl, cfg.Epochs, func(epoch, node, worker int) error {
+		var err error
+		losses[worker], counts[worker], err = runWorkerEpoch(cl, ps, cfg, mode, parts[node], epoch, node, worker)
+		return err
+	}, func() {
 		var sum float64
 		var n int
 		for w := range losses {
@@ -206,46 +183,40 @@ func RunOnKG(cl *cluster.Cluster, ps driver.PS, kind driver.Kind, cfg Config, mo
 			sum /= float64(n)
 		}
 		res.Losses = append(res.Losses, sum)
-	}
-	return res, nil
+	})
+	return res, err
 }
 
-// sample is one training step's key set: the positive triple's parameters
-// plus pre-drawn negative entities.
-type sample struct {
-	triple  data.Triple
-	negSubj []int32
-	negObj  []int32
-	entKeys []kv.Key // s, o, negSubj..., negObj...
-}
+// windowDepth is how many data points ahead of the one it trains a ModeFull
+// worker localizes their entity parameters asynchronously, the winner of a
+// sweep over {1, 2, 3, 4, 8} on Figure 7's Lapse 2×2 cells (DESIGN.md,
+// "Latency hiding in the trainers").
+const windowDepth = 3
 
-// intner abstracts the random source (satisfied by *rand.Rand).
-type intner interface{ Intn(n int) int }
-
-func makeSample(cfg Config, t data.Triple, rng intner) sample {
-	s := sample{triple: t}
-	s.negSubj = make([]int32, cfg.Negatives)
-	s.negObj = make([]int32, cfg.Negatives)
-	for i := range s.negSubj {
-		s.negSubj[i] = int32(rng.Intn(cfg.Entities))
-		s.negObj[i] = int32(rng.Intn(cfg.Entities))
-	}
-	s.entKeys = make([]kv.Key, 0, 2+2*cfg.Negatives)
-	seen := map[kv.Key]bool{}
-	add := func(e int32) {
-		k := kv.Key(e)
-		if !seen[k] {
-			seen[k] = true
-			s.entKeys = append(s.entKeys, k)
+// drawSamples returns the entities of triples' data points, 2+2·Negatives per
+// point and in triples' order: the subject, the object, then Negatives pairs
+// of a negative subject and a negative object drawn from rng.
+func (c Config) drawSamples(triples []data.Triple, rng *rand.Rand) []int32 {
+	ents := make([]int32, 0, (2+2*c.Negatives)*len(triples))
+	for _, t := range triples {
+		ents = append(ents, t.S, t.O)
+		for i := 0; i < c.Negatives; i++ {
+			ents = append(ents, int32(rng.Intn(c.Entities)), int32(rng.Intn(c.Entities)))
 		}
 	}
-	add(t.S)
-	add(t.O)
-	for i := range s.negSubj {
-		add(s.negSubj[i])
-		add(s.negObj[i])
+	return ents
+}
+
+// entityKeys writes the keys of a data point's entities, each once, to
+// dst[:0].
+func entityKeys(dst []kv.Key, ents []int32) []kv.Key {
+	dst = dst[:0]
+	for i, e := range ents {
+		if !slices.Contains(ents[:i], e) {
+			dst = append(dst, kv.Key(e))
+		}
 	}
-	return s
+	return dst
 }
 
 // runWorkerEpoch processes this worker's share of its node's triples.
@@ -258,12 +229,9 @@ func runWorkerEpoch(cl *cluster.Cluster, ps driver.PS, cfg Config, mode Mode,
 
 	// Data clustering: localize the relation parameters this node uses.
 	if mode != ModePlain && epoch == 0 && local == 0 {
-		seen := map[kv.Key]bool{}
-		keys := []kv.Key{}
+		var keys []kv.Key
 		for _, t := range nodeTriples {
-			k := cfg.relKey(t.R)
-			if !seen[k] {
-				seen[k] = true
+			if k := cfg.relKey(t.R); !slices.Contains(keys, k) {
 				keys = append(keys, k)
 			}
 		}
@@ -281,29 +249,19 @@ func runWorkerEpoch(cl *cluster.Cluster, ps driver.PS, cfg Config, mode Mode,
 
 	model := newScorer(cfg)
 	var lossSum float64
-	// Latency hiding: keep a window of cfg.Lookahead pre-generated samples
-	// whose entity parameters are being pre-localized while earlier points
-	// compute (Appendix A).
-	la := cfg.lookahead()
-	window := make([]sample, 0, la+1)
-	prepare := func(idx int) {
-		if idx >= len(mine) {
-			return
-		}
-		s := makeSample(cfg, mine[idx], rng)
-		if mode == ModeFull {
-			h.LocalizeAsync(s.entKeys)
-		}
-		window = append(window, s)
+	size := 2 + 2*cfg.Negatives
+	ents := cfg.drawSamples(mine, rng)
+	// Latency hiding: ModeFull keeps the entity parameters of the next
+	// windowDepth points in relocation while this one computes (Appendix A).
+	depth := 0
+	if mode == ModeFull {
+		depth = windowDepth
 	}
-	for i := 0; i < la && i < len(mine); i++ {
-		prepare(i)
-	}
-	for i := range mine {
-		cur := window[0]
-		window = window[:copy(window, window[1:])]
-		prepare(i + la)
-		loss, err := model.step(h, cfg, cur)
+	win := ml.NewWindow(h, depth, len(mine), func(dst []kv.Key, j int) []kv.Key {
+		return entityKeys(dst, ents[j*size:(j+1)*size])
+	})
+	for i, t := range mine {
+		loss, err := model.step(h, cfg, t.R, ents[i*size:(i+1)*size], win.Step(i))
 		if err != nil {
 			return 0, 0, err
 		}

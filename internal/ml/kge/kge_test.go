@@ -1,6 +1,7 @@
 package kge
 
 import (
+	"slices"
 	"testing"
 
 	"lapse/internal/cluster"
@@ -190,23 +191,147 @@ func fill(n int, base float32) []float32 {
 }
 
 func TestSampleDedupesKeys(t *testing.T) {
-	cfg := tinyConfig(ComplEx)
-	cfg.Negatives = 3
-	tr := data.Triple{S: 5, O: 5, R: 1} // duplicate entity
-	rng := newDetRand()
-	s := makeSample(cfg, tr, rng)
-	seen := map[kv.Key]bool{}
-	for _, k := range s.entKeys {
-		if seen[k] {
-			t.Fatalf("duplicate key %d in sample", k)
-		}
-		seen[k] = true
+	// Subject and object coincide, and the negatives repeat them.
+	keys := entityKeys(nil, []int32{5, 5, 7, 5, 9, 7})
+	if want := []kv.Key{5, 7, 9}; !slices.Equal(keys, want) {
+		t.Fatalf("keys %v, want %v", keys, want)
 	}
 }
 
-func newDetRand() *randSource { return &randSource{} }
+// TestLossesIndependentOfLocality checks that the PAL techniques move
+// parameters, not what trains: on one worker every access is local, so every
+// mode must give bit-identical per-epoch losses.
+func TestLossesIndependentOfLocality(t *testing.T) {
+	for _, model := range []Model{ComplEx, RESCAL} {
+		cfg := tinyConfig(model)
+		kg := data.SyntheticKG(cfg.Entities, cfg.Relations, cfg.Triples, cfg.Seed)
+		want := runKGE(t, driver.Lapse, 1, 1, cfg, ModePlain, kg).Losses
+		for _, mode := range []Mode{ModeDataClustering, ModeFull} {
+			if got := runKGE(t, driver.Lapse, 1, 1, cfg, mode, kg).Losses; !slices.Equal(got, want) {
+				t.Fatalf("%s mode %d: losses %v, mode %d %v", model, mode, got, ModePlain, want)
+			}
+		}
+	}
+}
 
-// randSource is a minimal deterministic stand-in for *rand.Rand in tests.
-type randSource struct{ n int }
+// kvCall is one Pull, Localize or LocalizeAsync call of a worker.
+type kvCall struct {
+	op   string // "pull", "localize" or "async"
+	keys []kv.Key
+}
 
-func (r *randSource) Intn(n int) int { r.n++; return r.n % n }
+// recordingPS hands out handles that log those calls per worker.
+type recordingPS struct {
+	driver.PS
+	logs [][]kvCall // by worker; each worker appends only to its own
+}
+
+func (p *recordingPS) Handle(worker int) kv.KV {
+	return &recordingKV{KV: p.PS.Handle(worker), log: &p.logs[worker]}
+}
+
+type recordingKV struct {
+	kv.KV
+	log *[]kvCall
+}
+
+func (r *recordingKV) record(op string, keys []kv.Key) {
+	*r.log = append(*r.log, kvCall{op: op, keys: slices.Clone(keys)})
+}
+
+func (r *recordingKV) Pull(keys []kv.Key, dst []float32) error {
+	r.record("pull", keys)
+	return r.KV.Pull(keys, dst)
+}
+
+func (r *recordingKV) Localize(keys []kv.Key) error {
+	r.record("localize", keys)
+	return r.KV.Localize(keys)
+}
+
+func (r *recordingKV) LocalizeAsync(keys []kv.Key) *kv.Future {
+	r.record("async", keys)
+	return r.KV.LocalizeAsync(keys)
+}
+
+// TestSamplePrefetchOrder pins the prefetch window on one node, where each
+// worker's call order is deterministic. Under ModeFull a worker's data points
+// enter the window in order, at most windowDepth ahead of the one in training
+// and never past the worker's share; each reaches LocalizeAsync when it enters
+// and again on every later step until it trains, and on no step after. The
+// other modes localize no entity key.
+func TestSamplePrefetchOrder(t *testing.T) {
+	cfg := tinyConfig(ComplEx)
+	cfg.Epochs = 1
+	kg := data.SyntheticKG(cfg.Entities, cfg.Relations, cfg.Triples, cfg.Seed)
+	isEntity := func(k kv.Key) bool { return k < kv.Key(cfg.Entities) }
+	sorted := func(keys []kv.Key) []kv.Key { return slices.Sorted(slices.Values(keys)) }
+	for _, mode := range []Mode{ModePlain, ModeDataClustering, ModeFull} {
+		cl := cluster.New(cluster.Config{Nodes: 1, WorkersPerNode: 2})
+		ps := driver.Build(driver.Lapse, cl, cfg.Layout(), driver.Options{})
+		rec := &recordingPS{PS: ps, logs: make([][]kvCall, cl.TotalWorkers())}
+		_, err := RunOnKG(cl, rec, driver.Lapse, cfg, mode, kg)
+		cl.Close()
+		ps.Shutdown()
+		if err != nil {
+			t.Fatalf("mode %d: %v", mode, err)
+		}
+		for w, log := range rec.logs {
+			// Each Pull trains one point: its entity keys, then its relation.
+			var points [][]kv.Key
+			for _, c := range log {
+				if c.op == "pull" {
+					points = append(points, sorted(c.keys[:len(c.keys)-1]))
+				}
+			}
+			if len(points) == 0 {
+				t.Fatalf("mode %d worker %d trained no point", mode, w)
+			}
+			// Points [trained, entered) are in the window and not trained;
+			// requests[j] counts the LocalizeAsync calls naming point j.
+			entered, trained := 0, 0
+			requests := make([]int, len(points))
+			for _, c := range log {
+				keys := sorted(c.keys)
+				switch {
+				case c.op == "pull":
+					if mode == ModeFull && trained == entered {
+						t.Fatalf("worker %d: point %d trained before it entered the window", w, trained)
+					}
+					trained++
+				case !slices.ContainsFunc(keys, isEntity):
+					// Data clustering's localize of the node's relations.
+				case mode != ModeFull || c.op == "localize":
+					t.Fatalf("mode %d worker %d: %s of entity keys %v", mode, w, c.op, c.keys)
+				case entered < len(points) && slices.Equal(keys, points[entered]):
+					if entered-trained > windowDepth {
+						t.Fatalf("worker %d: point %d entered while point %d trained, depth %d", w, entered, trained, windowDepth)
+					}
+					requests[entered]++
+					entered++
+				default:
+					// A repeat request: of a point ahead of the one about to train.
+					lo := min(trained+1, entered)
+					j := slices.IndexFunc(points[lo:entered], func(p []kv.Key) bool { return slices.Equal(keys, p) })
+					if j < 0 {
+						t.Fatalf("worker %d: LocalizeAsync %v names no point in the window [%d, %d) of %d", w, c.keys, lo, entered, len(points))
+					}
+					requests[lo+j]++
+				}
+			}
+			if mode != ModeFull {
+				continue
+			}
+			if entered != len(points) {
+				t.Fatalf("worker %d: %d points entered the window, %d trained", w, entered, len(points))
+			}
+			// Point j enters the window before step 0 (j < windowDepth) or on
+			// step j-windowDepth, and is requested on every step up to j-1.
+			for j, n := range requests {
+				if want := min(j+1, windowDepth); n != want {
+					t.Fatalf("worker %d: point %d requested %d times, want %d", w, j, n, want)
+				}
+			}
+		}
+	}
+}

@@ -3,6 +3,7 @@ package kge
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"lapse/internal/kv"
 )
@@ -26,13 +27,14 @@ func newScorer(cfg Config) *scorer {
 	}
 }
 
-// step pulls the parameters of one sample, computes the logistic loss and
+// step pulls the parameters of one data point, computes the logistic loss and
 // gradients for the positive triple and its negatives, and pushes AdaGrad
-// deltas. It returns the summed loss of the sample's triples.
-func (sc *scorer) step(h kv.KV, cfg Config, s sample) (float64, error) {
-	keys := make([]kv.Key, 0, len(s.entKeys)+1)
-	keys = append(keys, s.entKeys...)
-	keys = append(keys, cfg.relKey(s.triple.R))
+// deltas. ents are the point's entities as drawSamples lays them out, entKeys
+// their keys, each once, and r its relation. It returns the summed loss of the
+// point's triples.
+func (sc *scorer) step(h kv.KV, cfg Config, r int32, ents []int32, entKeys []kv.Key) (float64, error) {
+	rel := cfg.relKey(r)
+	keys := append(slices.Clip(entKeys), rel) // a copy: entKeys is the window's
 	need := kv.BufferLen(sc.lay, keys)
 	if cap(sc.pullBuf) < need {
 		sc.pullBuf = make([]float32, need)
@@ -66,17 +68,17 @@ func (sc *scorer) step(h kv.KV, cfg Config, s sample) (float64, error) {
 		}
 	}
 
-	rel := cfg.relKey(s.triple.R)
 	var loss float64
 	score := func(sub, obj int32, label float32) {
 		sk, ok := kv.Key(sub), kv.Key(obj)
 		f := sc.scoreAndGrad(cfg, embOf[sk], embOf[rel], embOf[ok], sc.grads[sk], sc.grads[rel], sc.grads[ok], label)
 		loss += logisticLoss(f, label)
 	}
-	score(s.triple.S, s.triple.O, 1)
-	for i := range s.negSubj {
-		score(s.negSubj[i], s.triple.O, -1)
-		score(s.triple.S, s.negObj[i], -1)
+	s, o := ents[0], ents[1]
+	score(s, o, 1)
+	for i := 2; i < len(ents); i += 2 {
+		score(ents[i], o, -1)
+		score(s, ents[i+1], -1)
 	}
 
 	// AdaGrad deltas: dacc = g², demb = -lr·g/√(acc+g²).

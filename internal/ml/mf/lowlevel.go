@@ -3,11 +3,11 @@ package mf
 import (
 	"math"
 	"math/rand"
-	"time"
 
 	"lapse/internal/cluster"
 	"lapse/internal/data"
 	"lapse/internal/kv"
+	"lapse/internal/ml"
 	"lapse/internal/msg"
 )
 
@@ -88,14 +88,11 @@ func (ll *LowLevel) Run(m *data.Matrix) *Result {
 	}
 
 	res := &Result{}
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		start := time.Now()
-		ll.cl.RunWorkers(func(node, worker int) {
-			ll.workerEpoch(grid, mailboxes, epoch, node, worker)
-		})
-		res.EpochTimes = append(res.EpochTimes, time.Since(start))
-		res.Losses = append(res.Losses, ll.evalRMSE(m))
-	}
+	// workerEpoch has no failure to report, so RunEpochs returns no error.
+	res.EpochTimes, _ = ml.RunEpochs(ll.cl, cfg.Epochs, func(epoch, node, worker int) error {
+		ll.workerEpoch(grid, mailboxes, epoch, node, worker)
+		return nil
+	}, func() { res.Losses = append(res.Losses, ll.evalRMSE(m)) })
 	return res
 }
 

@@ -24,6 +24,7 @@ import (
 	"lapse/internal/data"
 	"lapse/internal/driver"
 	"lapse/internal/kv"
+	"lapse/internal/ml"
 )
 
 // Config parameterizes a factorization run.
@@ -95,6 +96,7 @@ func Run(cl *cluster.Cluster, ps driver.PS, kind driver.Kind, cfg Config) (*Resu
 }
 
 // RunOnMatrix is Run with a caller-provided matrix (shared across variants).
+// On an error the result holds the epochs completed before it.
 func RunOnMatrix(cl *cluster.Cluster, ps driver.PS, kind driver.Kind, cfg Config, m *data.Matrix) (*Result, error) {
 	P := cl.TotalWorkers()
 	grid := m.BlockGrid(P)
@@ -104,26 +106,11 @@ func RunOnMatrix(cl *cluster.Cluster, ps driver.PS, kind driver.Kind, cfg Config
 	useClock := kind == driver.SSPClient || kind == driver.SSPServer
 
 	res := &Result{}
-	errs := make(chan error, P)
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		start := time.Now()
-		cl.RunWorkers(func(node, worker int) {
-			if err := runWorkerEpoch(cl, ps, kind, cfg, grid, P, epoch, worker, useDPA, useClock); err != nil {
-				select {
-				case errs <- err:
-				default:
-				}
-			}
-		})
-		select {
-		case err := <-errs:
-			return nil, err
-		default:
-		}
-		res.EpochTimes = append(res.EpochTimes, time.Since(start))
-		res.Losses = append(res.Losses, EvalRMSE(ps, cfg, m))
-	}
-	return res, nil
+	var err error
+	res.EpochTimes, err = ml.RunEpochs(cl, cfg.Epochs, func(epoch, _, worker int) error {
+		return runWorkerEpoch(cl, ps, kind, cfg, grid, P, epoch, worker, useDPA, useClock)
+	}, func() { res.Losses = append(res.Losses, EvalRMSE(ps, cfg, m)) })
+	return res, err
 }
 
 // runWorkerEpoch executes one DSGD epoch for one worker: P subepochs, in

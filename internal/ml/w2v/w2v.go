@@ -3,7 +3,7 @@
 //
 // The latency-hiding approach follows Appendix A: a worker localizes the input
 // and output vectors of its sentences' words ahead of use. Before each
-// sentence it localizes its next `lookahead` sentences asynchronously, so
+// sentence it localizes its next windowDepth sentences asynchronously, so
 // their relocations overlap with training the current one and a vector
 // another worker took in the meantime is asked back well before it is needed;
 // then it localizes the sentence's own vectors synchronously: usually every
@@ -33,6 +33,7 @@ import (
 	"lapse/internal/data"
 	"lapse/internal/driver"
 	"lapse/internal/kv"
+	"lapse/internal/ml"
 )
 
 // Config parameterizes a Word2Vec run.
@@ -110,35 +111,21 @@ func Run(cl *cluster.Cluster, ps driver.PS, kind driver.Kind, cfg Config, useLH 
 	return RunOnCorpus(cl, ps, kind, cfg, useLH, corpus)
 }
 
-// RunOnCorpus is Run with a caller-provided corpus.
+// RunOnCorpus is Run with a caller-provided corpus. The result is never nil:
+// on an error it holds the epochs completed before it.
 func RunOnCorpus(cl *cluster.Cluster, ps driver.PS, kind driver.Kind, cfg Config, useLH bool, corpus *data.Corpus) (*Result, error) {
 	if useLH && !driver.SupportsLocalize(kind) {
-		return nil, fmt.Errorf("w2v: latency hiding requires a Lapse variant, got %q", kind)
+		return &Result{}, fmt.Errorf("w2v: latency hiding requires a Lapse variant, got %q", kind)
 	}
 	ps.Init(cfg.InitVectors())
 	eval := newEvalSet(cfg, corpus)
 
 	res := &Result{}
-	errs := make(chan error, cl.TotalWorkers())
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		start := time.Now()
-		cl.RunWorkers(func(node, worker int) {
-			if err := runWorkerEpoch(cl, ps, cfg, useLH, corpus, epoch, worker); err != nil {
-				select {
-				case errs <- err:
-				default:
-				}
-			}
-		})
-		select {
-		case err := <-errs:
-			return nil, err
-		default:
-		}
-		res.EpochTimes = append(res.EpochTimes, time.Since(start))
-		res.Errors = append(res.Errors, eval.errorOf(ps))
-	}
-	return res, nil
+	var err error
+	res.EpochTimes, err = ml.RunEpochs(cl, cfg.Epochs, func(epoch, _, worker int) error {
+		return runWorkerEpoch(cl, ps, cfg, useLH, corpus, epoch, worker)
+	}, func() { res.Errors = append(res.Errors, eval.errorOf(ps)) })
+	return res, err
 }
 
 // negPool manages the pre-sampled, pre-localized negative-sample batch.
@@ -146,6 +133,7 @@ type negPool struct {
 	cfg     Config
 	sampler *data.UnigramSampler
 	pool    []int32
+	keys    []kv.Key // pool's output keys; LocalizeAsync keeps no reference
 	next    int
 	h       kv.KV
 	useLH   bool
@@ -158,17 +146,16 @@ func newNegPool(cfg Config, sampler *data.UnigramSampler, h kv.KV, useLH bool) *
 }
 
 func (p *negPool) refill() {
-	p.pool = p.pool[:0]
-	keys := make([]kv.Key, 0, p.cfg.NegPool)
+	p.pool, p.keys = p.pool[:0], p.keys[:0]
 	for i := 0; i < p.cfg.NegPool; i++ {
 		w := p.sampler.Sample()
 		p.pool = append(p.pool, w)
-		keys = append(keys, p.cfg.outKey(w))
+		p.keys = append(p.keys, p.cfg.outKey(w))
 	}
 	p.next = 0
 	if p.useLH {
 		// Localize the whole batch ahead of use.
-		p.h.LocalizeAsync(keys)
+		p.h.LocalizeAsync(p.keys)
 	}
 }
 
@@ -195,11 +182,11 @@ func (p *negPool) take(buf []float32) (int32, bool) {
 	return w, false
 }
 
-// lookahead is how many sentences ahead of the one it trains a latency-hiding
-// worker localizes asynchronously, picked by sweeps over {1, 2, 4, 8, 16} on
-// the benchmark's w2v_hiding workload (DESIGN.md, "Word-vector latency
-// hiding").
-const lookahead = 16
+// windowDepth is how many sentences ahead of the one it trains a
+// latency-hiding worker localizes asynchronously, picked by sweeps over
+// {1, 2, 4, 8, 16} on the benchmark's w2v_hiding workload (DESIGN.md, "Latency
+// hiding in the trainers").
+const windowDepth = 16
 
 // sentenceKeys writes the input and output keys of sent's words, each once,
 // to dst[:0].
@@ -229,40 +216,22 @@ func runWorkerEpoch(cl *cluster.Cluster, ps driver.PS, cfg Config, useLH bool,
 	dOut := make([]float32, cfg.Dim)
 	negBuf := make([]float32, cfg.Dim)
 
-	// ring[j%len(ring)] holds the keys of this worker's j-th sentence from the
-	// step it enters the window until it is trained: lookahead sentences in the
-	// window plus the one in training. The futures are the handle's to track,
-	// so WaitAll below covers them.
-	var ring [lookahead + 1][]kv.Key
-	last := -1 // the last sentence whose keys are in the ring
-	// request localizes this worker's sentences lo..hi asynchronously.
-	request := func(lo, hi int) {
-		for j := lo; j <= hi && worker+j*P < len(corpus.Sentences); j++ {
-			slot := &ring[j%len(ring)]
-			if j > last {
-				*slot = cfg.sentenceKeys(*slot, corpus.Sentences[worker+j*P])
-				last = j
-			}
-			h.LocalizeAsync(*slot)
-		}
-	}
+	depth := 0
 	if useLH {
-		request(0, lookahead-1)
+		depth = windowDepth
 	}
-	for i, s := 0, worker; s < len(corpus.Sentences); i, s = i+1, s+P {
-		sent := corpus.Sentences[s]
+	n := (len(corpus.Sentences) - worker + P - 1) / P // this worker's sentences
+	win := ml.NewWindow(h, depth, n, func(dst []kv.Key, j int) []kv.Key {
+		return cfg.sentenceKeys(dst, corpus.Sentences[worker+j*P])
+	})
+	for i := 0; i < n; i++ {
+		keys := win.Step(i)
 		if useLH {
-			// Every step requests the whole window again. For a sentence
-			// whose vectors are all here that is a lock-free scan; a vector
-			// the other worker took since is asked back several sentences
-			// before it is needed. Left to the synchronous Localize, such a
-			// vector is fetched back just as the other worker needs it, and
-			// the waits echo between the workers.
-			request(i+1, i+lookahead)
-			if err := h.Localize(ring[i%len(ring)]); err != nil {
+			if err := h.Localize(keys); err != nil {
 				return err
 			}
 		}
+		sent := corpus.Sentences[worker+i*P]
 		for i, center := range sent {
 			for j := i - cfg.Window; j <= i+cfg.Window; j++ {
 				if j < 0 || j >= len(sent) || j == i {

@@ -89,6 +89,19 @@ func TestMostAccessesLocalWithLatencyHiding(t *testing.T) {
 	}
 }
 
+// TestLossesIndependentOfLocality checks that latency hiding moves vectors,
+// not what trains: on one worker every vector is local, so the held-out
+// errors with and without it must be bit-identical.
+func TestLossesIndependentOfLocality(t *testing.T) {
+	cfg := tinyConfig()
+	corpus := data.SyntheticCorpus(cfg.Vocab, cfg.Sentences, cfg.SentenceLen, cfg.Seed)
+	with := runW2V(t, driver.Lapse, 1, 1, cfg, true, corpus).Errors
+	without := runW2V(t, driver.Lapse, 1, 1, cfg, false, corpus).Errors
+	if !slices.Equal(with, without) {
+		t.Fatalf("errors with latency hiding %v, without %v", with, without)
+	}
+}
+
 func TestNegPoolSkipsConflictedSamples(t *testing.T) {
 	// On a single node everything is local, so take() must always report
 	// local with latency hiding on.
@@ -160,9 +173,9 @@ func recordLocalizes(t *testing.T, cl *cluster.Cluster, cfg Config, useLH bool, 
 	return rec.logs
 }
 
-// TestSentencePrefetchOrder pins the lookahead pipeline on one node, where
+// TestSentencePrefetchOrder pins the prefetch window on one node, where
 // every call order is deterministic: a worker's sentences enter the window in
-// order, at most lookahead ahead of the one in training and never past the
+// order, at most windowDepth ahead of the one in training and never past the
 // worker's share; each reaches LocalizeAsync when it enters and again on every
 // later step until its synchronous Localize, and on no step after; without
 // latency hiding nothing is localized.
@@ -206,8 +219,8 @@ func TestSentencePrefetchOrder(t *testing.T) {
 			case !slices.ContainsFunc(c.keys, func(k kv.Key) bool { return k < cfg.outKey(0) }):
 				// A negative-sample batch: output vectors only.
 			case prefetched < len(share) && slices.Equal(keys, share[prefetched]):
-				if prefetched-trained > lookahead {
-					t.Fatalf("worker %d: sentence %d prefetched while training sentence %d, lookahead %d", w, prefetched, trained, lookahead)
+				if prefetched-trained > windowDepth {
+					t.Fatalf("worker %d: sentence %d prefetched while training sentence %d, depth %d", w, prefetched, trained, windowDepth)
 				}
 				requests[prefetched]++
 				prefetched++
@@ -224,10 +237,10 @@ func TestSentencePrefetchOrder(t *testing.T) {
 		if trained != len(share) || prefetched != len(share) {
 			t.Fatalf("worker %d: %d sentences prefetched and %d localized, want %d each", w, prefetched, trained, len(share))
 		}
-		// Sentence j enters the window after the barrier (j < lookahead) or on
-		// step j-lookahead, and is requested on every step up to j-1.
+		// Sentence j enters the window after the barrier (j < windowDepth) or on
+		// step j-windowDepth, and is requested on every step up to j-1.
 		for j, n := range requests {
-			if want := min(j+1, lookahead); n != want {
+			if want := min(j+1, windowDepth); n != want {
 				t.Fatalf("worker %d: sentence %d requested %d times, want %d", w, j, n, want)
 			}
 		}
@@ -241,7 +254,7 @@ func TestSentencePrefetchOrder(t *testing.T) {
 	}
 }
 
-// TestPrefetchHidesSentenceLocalizes checks what the lookahead is for, on the
+// TestPrefetchHidesSentenceLocalizes checks what the window is for, on the
 // paper's simulated links (300 µs, 20 µs loopback): most sentences find their
 // vectors already relocated, so at most half the synchronous Localize calls
 // wait a one-way latency or longer. Localizing each sentence only when it is
