@@ -38,7 +38,7 @@ func main() {
 	fmt.Printf("relocation-only:      remote reads %d, network messages %d\n",
 		baseline.RemoteReads, baseline.NetworkMessages)
 
-	adaptive := runWorkload(lapse.Config{Adaptive: &lapse.AdaptiveConfig{}})
+	adaptive := runWorkload(lapse.Config{Adaptive: true})
 	fmt.Printf("adaptive controller:  remote reads %d, replica hits %d, promotions %d\n",
 		adaptive.RemoteReads, adaptive.ReplicaHits, adaptive.AdaptPromotions)
 

@@ -29,14 +29,15 @@
 // still gather hotCount observations in a window — while a uniform workload,
 // every key the same small part of the waiting, never starts.
 //
-// The machinery splits in two. A lightweight per-node ticker (internal/core's
-// controller goroutine) rolls the node's tracker every Tick and, when the
-// window changed, sends each home node a report of the keys it homes. The
-// Classifier lives at the home — one instance per server shard, so every
-// decision executes on the shard goroutine that owns the key — and turns the
-// latest report of every node into transition decisions. A report stays in
-// force until its origin replaces it; origins that fall silent age out at
-// the tracker, which then retracts.
+// The machinery splits in two. A lightweight per-node reporter (run every
+// Tick by internal/core's per-node background loop) rolls the node's tracker
+// and, when the window changed, sends each home node a report of the keys it
+// homes. The Classifier lives at the home — one instance per server shard, so
+// every decision executes on the shard goroutine that owns the key — and
+// turns the latest report of every node into transition decisions. A report
+// stays in force until its origin replaces it; origins that fall silent age
+// out at the tracker, which then retracts. A classifier demotes only keys it
+// promoted itself: a statically replicated key is pinned.
 //
 // Hysteresis keeps decisions stable. Winning a key takes hotCount recorded
 // observations and interestShare; keeping it takes any recent sign of use
@@ -128,8 +129,9 @@ const (
 	ReportTopK = 128
 )
 
-// Config switches the controller on: a non-nil *Config in the system
-// configuration enables it. It has nothing to tune (see the constants above).
+// Config switches the controller on where a deployment is described by
+// options (a non-nil *Config). It has nothing to tune (see the constants
+// above).
 type Config struct{}
 
 // View is the classifier's window into the live per-key management state of
@@ -233,9 +235,10 @@ type Classifier struct {
 	// changed, which a latency-capped origin's does far less often than a
 	// fast-path one's.
 	reports []*report
-	// managed tracks keys this classifier has placed under active management
-	// (plus statically replicated seeds), so keys that dropped out of every
-	// report are still revisited for demotion.
+	// managed tracks keys this classifier has placed under active management,
+	// so keys that dropped out of every report are still revisited for
+	// demotion. A replicated key outside it was replicated statically and is
+	// never demoted.
 	managed map[kv.Key]struct{}
 	// lastChange is the epoch a key last transitioned, for the dwell gate.
 	lastChange map[kv.Key]uint32
@@ -260,10 +263,6 @@ func NewClassifier(_ Config, view View) *Classifier {
 		seen:       make(map[kv.Key]struct{}),
 	}
 }
-
-// Manage seeds a key into the managed set (a statically replicated key the
-// controller may demote once it goes cold).
-func (c *Classifier) Manage(k kv.Key) { c.managed[k] = struct{}{} }
 
 // Managed returns the size of the managed set.
 func (c *Classifier) Managed() int { return len(c.managed) }
@@ -422,8 +421,9 @@ func (c *Classifier) decide(k kv.Key) (Action, bool) {
 	owner := c.view.Owner(k)
 	if c.view.Replicated(k) {
 		// A key is cold only on evidence of absence: no reporting origin holds
-		// it above the cold floors and none could be hiding it.
-		if warm || unsure {
+		// it above the cold floors and none could be hiding it. A key this
+		// classifier did not promote is pinned.
+		if _, promoted := c.managed[k]; warm || unsure || !promoted {
 			delete(c.coldSince, k)
 			return Action{}, false
 		}

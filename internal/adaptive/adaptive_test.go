@@ -155,22 +155,52 @@ func TestClassifierReplicatesDespiteRateSkewedCounts(t *testing.T) {
 
 func TestClassifierDemotesColdReplicatedKeyAndRelocatesColdStray(t *testing.T) {
 	st := newFakeState(0)
-	st.repl[3] = true
-	st.owner[7] = 2 // relocated away earlier; now cold
 	c := NewClassifier(Config{}, st.view())
-	c.Manage(3)
-	c.Manage(7)
+	// Node 1 wants key 3 before the home reported: replicated. Then the home
+	// reports a mature window, and node 2 alone wants key 7: relocated there.
+	st.apply(t, c.IngestReport(1, 1, window(4000, []kv.Key{3}, []float32{100})))
+	st.apply(t, c.IngestReport(0, 1, window(4000, nil, nil)))
+	st.apply(t, c.IngestReport(2, 1, window(4000, []kv.Key{7}, []float32{100})))
+	if !st.repl[3] || st.owner[7] != 2 {
+		t.Fatalf("setup: key 3 replicated %t, key 7 at node %d; want replicated, at node 2", st.repl[3], st.owner[7])
+	}
 	// An epoch with no counts at all for either key: the stray relocates
 	// home at once, while the replicated key only starts its cold streak.
-	acts := c.Ingest(1, 1, nil, nil)
+	var acts []Action
+	for o := range 3 {
+		acts = append(acts, c.Ingest(o, 3, nil, nil)...)
+	}
 	if len(acts) != 1 || acts[0].Kind != ActRelocate || acts[0].Key != 7 || acts[0].Dest != 0 {
 		t.Fatalf("cold stray key: got %v, want relocate(7 -> 0) only", acts)
 	}
 	st.apply(t, acts)
 	// Still cold coldStreakEpochs later: now the replicated key demotes.
-	acts = c.Ingest(1, 1+coldStreakEpochs, nil, nil)
+	acts = c.Sweep(3 + coldStreakEpochs)
 	if len(acts) != 1 || acts[0].Kind != ActDemote || acts[0].Key != 3 {
 		t.Fatalf("cold replicated key after sustained streak: got %v, want demote(3)", acts)
+	}
+}
+
+// TestClassifierNeverDemotesStaticKey: a key the view reports replicated but
+// that this classifier never promoted — a Config.Replicate key — is pinned.
+// It stays through any number of cold epochs, while a key the classifier
+// promoted in the same run is demoted.
+func TestClassifierNeverDemotesStaticKey(t *testing.T) {
+	st := newFakeState(0)
+	st.repl[3] = true
+	c := NewClassifier(Config{}, st.view())
+	acts := c.Ingest(1, 1, []kv.Key{3, 5}, []float32{100, 100})
+	if len(acts) != 1 || acts[0].Kind != ActReplicate || acts[0].Key != 5 {
+		t.Fatalf("got %v, want replicate(5) only", acts)
+	}
+	st.apply(t, acts)
+	st.apply(t, c.Ingest(1, 3, nil, nil))
+	for e := uint32(4); e < 100*coldStreakEpochs; e++ {
+		st.apply(t, c.Sweep(e))
+	}
+	if !st.repl[3] || st.repl[5] {
+		t.Fatalf("after %d cold epochs: static key 3 replicated %t, promoted key 5 replicated %t; want true, false",
+			100*coldStreakEpochs, st.repl[3], st.repl[5])
 	}
 }
 
@@ -207,9 +237,11 @@ func TestClassifierReportStaysInForceUntilReplaced(t *testing.T) {
 // window too short to show it is not cold yet.
 func TestClassifierColdNeedsMatureWindows(t *testing.T) {
 	st := newFakeState(0)
-	st.repl[5] = true
 	c := NewClassifier(Config{}, st.view())
-	c.Manage(5)
+	st.apply(t, c.IngestReport(1, 1, window(4000, []kv.Key{5}, []float32{100})))
+	if !st.repl[5] {
+		t.Fatal("setup: key 5 not promoted")
+	}
 	c.IngestReport(1, 1, window(400, nil, nil))
 	for e := uint32(2); e < 20; e++ {
 		if acts := c.Sweep(e); len(acts) != 0 {
@@ -269,11 +301,13 @@ func TestClassifierOscillationBound(t *testing.T) {
 // forever. Sweeps must run the cold streak and demote.
 func TestClassifierSweepDemotesIdleReplicatedKey(t *testing.T) {
 	st := newFakeState(0)
-	st.repl[3] = true
 	c := NewClassifier(Config{}, st.view())
-	c.Manage(3)
+	st.apply(t, c.Ingest(1, 1, []kv.Key{3}, []float32{100}))
+	if !st.repl[3] {
+		t.Fatal("setup: key 3 not promoted")
+	}
 	// Steady state: a warm report keeps the replicated key in place.
-	if acts := c.Ingest(1, 1, []kv.Key{3}, []float32{100}); len(acts) != 0 {
+	if acts := c.Ingest(1, 2, []kv.Key{3}, []float32{100}); len(acts) != 0 {
 		t.Fatalf("warm replicated key re-decided: %v", acts)
 	}
 	// All traffic stops: the origin's aged-out window retracts the key and

@@ -2,9 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"lapse/internal/adaptive"
 	"lapse/internal/kv"
@@ -14,7 +12,7 @@ import (
 )
 
 // This file wires the adaptive controller (internal/adaptive) into the
-// relocation and replication machinery: the per-node report ticker, the
+// relocation and replication machinery: the per-node report tick, the
 // msg.Manage handlers, and the live per-key transitions between the three
 // management states (home/relocated ownership ↔ replication).
 //
@@ -23,8 +21,8 @@ import (
 // there — which serializes every step of a transition against the key's
 // operation stream and against competing transitions. A key with an entry in
 // policyShard.transitioning is mid-transition: the classifier skips it (the
-// Busy view) and arriving Localizes are deferred until the transition
-// settles.
+// Busy view). Both transitions hold the key at the home in its relocation
+// queue, as an arrival does, and end in the same drain.
 
 // transition kinds.
 const (
@@ -40,15 +38,6 @@ type transition struct {
 	// once, so a duplicate ack cannot end the demotion ahead of another's.
 	acked    []bool
 	acksLeft int
-	// deferred holds Localize requests that arrived mid-transition, replayed
-	// (demote) or answered by the replicate broadcast (promote) at the end.
-	deferred []deferredLocalize
-}
-
-// deferredLocalize is one Localize for one key held back by a transition.
-type deferredLocalize struct {
-	origin int32
-	id     uint64
 }
 
 // reportGroup addresses one classifier: Manage messages are key-addressed, so
@@ -56,12 +45,10 @@ type deferredLocalize struct {
 // shard-pure.
 type reportGroup struct{ home, shard int }
 
-// reporter is the controller ticker's state: the node's epoch clock and the
+// reporter is the report tick's state: the node's epoch clock and the
 // messages it reuses from tick to tick (the transport encodes on Send, so a
 // message may be refilled as soon as Send returns).
 type reporter struct {
-	stop, done chan struct{}
-	stopOnce   sync.Once
 	// epoch is the node's controller clock. The ticker advances it; the
 	// node's classifiers read it when a report or sweep arrives, so every
 	// dwell and cold streak at a home runs on that home's own clock.
@@ -104,54 +91,21 @@ func reportOf(m *msg.Manage) (rep adaptive.Report, ok bool) {
 		Keys: m.Keys, Counts: m.Vals[3 : 3+n], Seen: m.Vals[3+n:]}, true
 }
 
-// startController spawns the node's report ticker: every tick it rolls the
-// tracker's evidence window and, if the window changed, sends each (home
-// node, shard) group of keys one ManageReport. Reports use the node Send
-// path like any other message, including self-delivery for keys homed here.
-func (nd *node) startController() {
-	r := &nd.ctl
-	r.stop = make(chan struct{})
-	r.done = make(chan struct{})
-	r.groups = make(map[reportGroup]*groupReport)
-	r.reported = make([]bool, len(nd.sh))
-	go func() {
-		defer close(r.done)
-		t := time.NewTicker(adaptive.Tick)
-		defer t.Stop()
-		for {
-			select {
-			case <-r.stop:
-				return
-			case <-t.C:
-				nd.reportTick()
-			}
-		}
-	}()
-}
-
-// stopController halts the report ticker (no-op if it never started or was
-// stopped already).
-func (nd *node) stopController() {
-	if nd.ctl.stop == nil {
-		return
-	}
-	nd.ctl.stopOnce.Do(func() { close(nd.ctl.stop) })
-	<-nd.ctl.done
-}
-
-// reportTick advances the node's epoch and, when the tracker's window
-// changed since the last tick, reports it: every key that could keep a
-// managed key warm at its home (the classifier's cold floors; colder keys
-// read as absent there anyway), with the window's totals. A report stays in
-// force at the classifier until the next one replaces it, so an unchanged
-// window sends nothing. A classifier this node has no keys left for gets a
-// retraction — its last report's first key with a zero count, which routes
-// the message to the right shard. If that window cannot prove the keys absent
-// (adaptive.ProvesAbsence), the classifier reads every key there as unsure,
-// so it gets a second retraction once a window can: an idle one halves until
-// it is empty, an active one matures. Retractions in between would tell it
-// nothing new and are not sent. A tick on an idle node with no managed keys
-// sends, and allocates, nothing.
+// reportTick runs every adaptive.Tick on the node's background loop. It
+// advances the node's epoch and, when the tracker's window changed since the
+// last tick, sends each (home node, shard) group of keys one ManageReport
+// (through the node Send path, self-delivered for keys homed here): every key
+// that could keep a managed key warm at its home (the classifier's cold
+// floors; colder keys read as absent there anyway), with the window's totals.
+// A report stays in force at the classifier until the next one replaces it,
+// so an unchanged window sends nothing. A classifier this node has no keys
+// left for gets a retraction — its last report's first key with a zero count,
+// which routes the message to the right shard. If that window cannot prove
+// the keys absent (adaptive.ProvesAbsence), the classifier reads every key
+// there as unsure, so it gets a second retraction once a window can: an idle
+// one halves until it is empty, an active one matures. Retractions in between
+// would tell it nothing new and are not sent. A tick on an idle node with no
+// managed keys sends, and allocates, nothing.
 func (nd *node) reportTick() {
 	r := &nd.ctl
 	epoch := r.epoch.Add(1)
@@ -183,7 +137,6 @@ func (nd *node) reportTick() {
 				g.m.Keys, g.m.Vals, g.seen = g.m.Keys[:1], append(g.m.Vals, 0), append(g.seen, 0)
 			}
 			g.live, g.owed = !retract, !retract || !proves
-			g.m.Epoch = epoch
 			g.m.Vals = append(g.m.Vals, g.seen...)
 			nd.srv.Send(id.home, &g.m)
 			if id.home == nd.id {
@@ -205,7 +158,7 @@ func (nd *node) reportTick() {
 		if r.reported[s] || !sh.managing.Load() {
 			continue
 		}
-		r.sweep = msg.Manage{Kind: msg.ManageSweep, Origin: int32(nd.id), Epoch: epoch, Keys: append(r.sweep.Keys[:0], kv.Key(s))}
+		r.sweep = msg.Manage{Kind: msg.ManageSweep, Origin: int32(nd.id), Keys: append(r.sweep.Keys[:0], kv.Key(s))}
 		nd.srv.Send(nd.id, &r.sweep)
 	}
 }
@@ -385,10 +338,10 @@ func (sh *policyShard) beginReplicate(k kv.Key) {
 // (link, shard) stream a lease holder gets its drop before the install, and
 // every replica gets the install before any refresh of the key: refreshes
 // start from the replication manager's state, which does not exist before the
-// broadcast is sent. Localizes deferred during the transition are answered by
-// that same broadcast (their origins wake the waiting localizes when the
-// replica is installed), home-side waiters (a co-located worker's Localize
-// raced the promotion) by the drain.
+// broadcast is sent. A Localize that reaches the home meanwhile is dropped
+// (handleLocalize): the broadcast answers it, its origin waking the waiting
+// localizes when the replica is installed; home-side waiters (a co-located
+// worker's Localize raced the promotion) are woken by the drain.
 func (sh *policyShard) finishReplicate(k kv.Key) {
 	nd := sh.nd
 	var v []float32
@@ -403,7 +356,7 @@ func (sh *policyShard) finishReplicate(k kv.Key) {
 		nd.rep.EnterHomeKey(k, v)
 	})
 	if v == nil {
-		// handleLocalize defers every Localize for a transitioning key, so no
+		// handleLocalize drops every Localize for a key being promoted, so no
 		// instruct can be issued against the home mid-promotion.
 		panic(fmt.Sprintf("core: instruct queued during promotion of key %d", k))
 	}
@@ -412,35 +365,31 @@ func (sh *policyShard) finishReplicate(k kv.Key) {
 }
 
 // enterReplica installs a replica of k at a non-home node (ManageReplicate).
-// If a relocation of k toward this node is in flight — the localize that
-// raced the promotion will never be answered by a transfer — its queue is
-// adopted: queued accesses drain into the replica, in order and ahead of the
-// Replicated fast path, and the queue's waiting localizes are woken. An
-// instruct cannot be among the entries: one is only queued while this node is
-// the key's registered owner, and the promoting home recalled the key before
+// If a relocation of k toward this node is in flight — the home drops its
+// Localize, so no transfer will answer it — its queue is adopted: queued
+// accesses drain into the replica, in order and ahead of the Replicated fast
+// path, and the queue's waiting localizes are woken. An instruct cannot be
+// among the entries: one is only queued while this node is the key's
+// registered owner, and the promoting home recalled the key before
 // broadcasting.
-// Duplicate installs (broadcast plus localize reply) are no-ops.
 func (sh *policyShard) enterReplica(k kv.Key, v []float32) {
 	nd := sh.nd
 	sh.queueMu.Lock()
-	q := sh.queues[k]
-	dup := nd.state[k].Load() == stateReplicated
-	sh.queueMu.Unlock()
-	if dup {
-		return
-	}
-	if q != nil {
+	if q := sh.queues[k]; q != nil {
 		sh.trace.Record(nd.id, sh.rt.Shard(), metrics.TraceQueueAdopt, k, -1, nd.id,
 			fmt.Sprintf("entries=%d", len(q.entries)))
 	}
+	sh.queueMu.Unlock()
 	nd.rep.EnterKey(k, v)
 	sh.drain(k, backReplica, stateReplicated, nil)
 }
 
 // beginDemote starts returning a replicated key to plain ownership at its
 // home: every other node is told to drop its replica and send back the
-// deltas the sync cycle has not delivered yet. The key stays replicated
-// (and servable) at the home until the last acknowledgement arrives.
+// deltas the sync cycle has not delivered yet. Until the last acknowledgement
+// arrives, the key waits at the home in its relocation queue (state Incoming),
+// as a key arriving there would: its accesses queue, and a Localize leaves
+// its instruct there.
 func (sh *policyShard) beginDemote(k kv.Key) {
 	nd := sh.nd
 	if _, busy := sh.transitioning[k]; busy || nd.state[k].Load() != stateReplicated {
@@ -448,16 +397,17 @@ func (sh *policyShard) beginDemote(k kv.Key) {
 	}
 	n := nd.sys.cl.Nodes()
 	sh.transitioning[k] = &transition{kind: transDemote, acked: make([]bool, n), acksLeft: n - 1}
+	unreplicate := &msg.Manage{Kind: msg.ManageUnreplicate, Origin: int32(nd.id), Keys: []kv.Key{k}}
+	sh.queueMu.Lock()
+	sh.openQueue(k)
+	for dest := 0; dest < n; dest++ {
+		if dest != nd.id {
+			sh.rt.Send(dest, unreplicate)
+		}
+	}
+	sh.queueMu.Unlock()
 	if n == 1 {
 		sh.finalizeDemote(k)
-		return
-	}
-	for dest := 0; dest < n; dest++ {
-		if dest == nd.id {
-			continue
-		}
-		sh.rt.SendOrDispatch(dest, &msg.Manage{
-			Kind: msg.ManageUnreplicate, Origin: int32(nd.id), Keys: []kv.Key{k}})
 	}
 }
 
@@ -500,27 +450,17 @@ func (sh *policyShard) applyDemoteAck(m *msg.Manage) {
 }
 
 // finalizeDemote completes a demotion at the home: fold the home's own
-// residual deltas, move the authoritative value back into the relocation
-// store, reopen the Owned fast path, and replay Localizes deferred during
-// the transition through the normal relocation protocol. The owner table
-// still names the home (it has since the promotion), so routing is already
-// correct the instant the state flips.
+// residual deltas, put the authoritative value back into the relocation store
+// and drain the key's queue into it, as an arrival does. The owner table
+// still names the home (it has since the promotion) unless a Localize handled
+// meanwhile moved it on; that Localize's instruct, in the queue, then sends
+// the value to its origin.
 func (sh *policyShard) finalizeDemote(k kv.Key) {
 	nd := sh.nd
-	v := nd.rep.FinalizeDemote(k)
-	sh.queueMu.Lock()
-	nd.store.Set(k, v)
-	nd.state[k].Store(stateOwned)
-	sh.queueMu.Unlock()
-	tr := sh.transitioning[k]
+	nd.store.Set(k, nd.rep.FinalizeDemote(k))
 	delete(sh.transitioning, k)
 	sh.stats.AdaptDemotions.Inc()
-	// Deferred requests replay in arrival order through the standard home-side
-	// step, chaining through the usual queued-instruct machinery when several
-	// origins competed.
-	for _, d := range tr.deferred {
-		sh.handleLocalize(&msg.Localize{ID: d.id, Origin: d.origin, Keys: []kv.Key{k}})
-	}
+	sh.drain(k, backStore, stateOwned, nil)
 }
 
 // localizeHere starts relocating k to this node from the server side (a

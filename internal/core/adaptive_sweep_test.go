@@ -22,7 +22,7 @@ import (
 // within the deadline. At the controller's thresholds the idle windows take a
 // few seconds to age out, and the cold streak after that 40 ms.
 func TestAdaptiveIdleSweepDemotes(t *testing.T) {
-	_, sys := newTestSystem(t, 2, 1, 8, 1, Config{Adaptive: &adaptive.Config{}})
+	_, sys := newTestSystem(t, 2, 1, 8, 1, Config{Adaptive: true})
 	h0, h1 := sys.Handle(0), sys.Handle(1)
 	keys := []kv.Key{2} // homed at node 0
 	buf := make([]float32, 1)
@@ -52,12 +52,14 @@ func TestAdaptiveIdleSweepDemotes(t *testing.T) {
 }
 
 // heldSends holds every message any node sends until the test delivers it
-// with pump, on the test goroutine: with the tickers and the sync cycle
-// stopped too, the control plane runs one schedule, the same every time.
+// with pump, on the test goroutine: with the nodes' background loops stopped
+// too, the control plane runs one schedule, the same every time.
 type heldSends struct {
 	transport.Network
 	mu   sync.Mutex
 	held []heldMsg
+	// delivered lists what pump delivered, in order.
+	delivered []heldMsg
 }
 
 type heldMsg struct {
@@ -88,6 +90,7 @@ func (n *heldSends) pump(sys *System) {
 		}
 		h := n.held[0]
 		n.held = n.held[1:]
+		n.delivered = append(n.delivered, h)
 		n.mu.Unlock()
 		nd := sys.nodes[h.dst]
 		nd.sh[msg.ShardOf(h.m, len(nd.sh))].HandleMessage(h.src, h.m)
@@ -109,12 +112,9 @@ func (n *heldSends) pump(sys *System) {
 func TestImmatureRetractionIsRepeated(t *testing.T) {
 	net := &heldSends{Network: simnet.New(simnet.Config{Nodes: 2})}
 	cl := cluster.New(cluster.Config{Nodes: 2, WorkersPerNode: 1, Transport: net})
-	sys := New(cl, kv.NewUniformLayout(64, 1), Config{Adaptive: &adaptive.Config{}})
+	sys := New(cl, kv.NewUniformLayout(64, 1), Config{Adaptive: true})
 	t.Cleanup(func() { cl.Close(); sys.Shutdown() })
-	for _, nd := range sys.locals {
-		nd.stopController()
-	}
-	stopSync(sys)
+	sys.stopLoops()
 	nd0, nd1 := sys.nodes[0], sys.nodes[1]
 	const k = kv.Key(3)
 	h := nd1.tracker.Handle()
@@ -140,5 +140,83 @@ func TestImmatureRetractionIsRepeated(t *testing.T) {
 	}
 	if tick > 1032 {
 		t.Fatalf("key %d demoted at idle tick %d, want by 1,032", k, tick)
+	}
+}
+
+// TestStaticReplicationIsPinned: key 3, homed at node 0, is in
+// Config.Replicate, and the controller promotes key 5, also homed there, when
+// node 1 waits on it. Then node 1 stops, and the ticks run by hand until the
+// controller demotes key 5, and a hundred more, far beyond the eight-epoch
+// cold streak. Key 3 is still replicated on both nodes: no classifier
+// promoted it, so none demotes it.
+func TestStaticReplicationIsPinned(t *testing.T) {
+	const static, promoted = kv.Key(3), kv.Key(5)
+	net := &heldSends{Network: simnet.New(simnet.Config{Nodes: 2})}
+	cl := cluster.New(cluster.Config{Nodes: 2, WorkersPerNode: 1, Transport: net})
+	sys := New(cl, kv.NewUniformLayout(64, 1), Config{Replicate: []kv.Key{static}, Adaptive: true})
+	t.Cleanup(func() { cl.Close(); sys.Shutdown() })
+	sys.stopLoops()
+	nd0, nd1 := sys.nodes[0], sys.nodes[1]
+	h := nd1.tracker.Handle()
+	for i := 0; i < 64; i++ {
+		h.ObserveRemote(promoted)
+	}
+	for i := 0; i < 512; i++ {
+		h.ObserveRemote(40) // homed at node 1, as in TestImmatureRetractionIsRepeated
+	}
+	tick := func() {
+		nd1.reportTick()
+		nd0.reportTick()
+		net.pump(sys)
+	}
+	tick()
+	if nd0.state[promoted].Load() != stateReplicated {
+		t.Fatalf("key %d not promoted after node 1's report", promoted)
+	}
+	for n := 0; nd0.state[promoted].Load() == stateReplicated; n++ {
+		if n == 2000 {
+			t.Fatalf("key %d still replicated after 2,000 idle ticks", promoted)
+		}
+		tick()
+	}
+	for range 100 {
+		tick()
+	}
+	for _, nd := range sys.nodes {
+		if s := nd.state[static].Load(); s != stateReplicated {
+			t.Fatalf("static key %d in state %d at node %d after the idle ticks, want Replicated", static, s, nd.id)
+		}
+	}
+}
+
+// TestLocalizeAfterPromotionGetsOneInstall: node 1 localizes key 3, homed at
+// node 0, and the home promotes the key before node 1's Localize reaches it.
+// The home drops the Localize. Node 1 receives one ManageReplicate for the
+// key, the promotion's broadcast, which installs the replica into node 1's
+// queue and completes the Localize.
+func TestLocalizeAfterPromotionGetsOneInstall(t *testing.T) {
+	const k = kv.Key(3)
+	net := &heldSends{Network: simnet.New(simnet.Config{Nodes: 2})}
+	cl := cluster.New(cluster.Config{Nodes: 2, WorkersPerNode: 1, Transport: net})
+	sys := New(cl, kv.NewUniformLayout(64, 1), Config{Adaptive: true})
+	t.Cleanup(func() { cl.Close(); sys.Shutdown() })
+	sys.stopLoops()
+	fut := sys.Handle(1).LocalizeAsync([]kv.Key{k}) // held on its way to node 0
+	sys.nodes[0].shardOf(k).execute(adaptive.Action{Kind: adaptive.ActReplicate, Key: k})
+	net.pump(sys)
+	installs := 0
+	for _, d := range net.delivered {
+		if m, ok := d.m.(*msg.Manage); ok && m.Kind == msg.ManageReplicate && d.dst == 1 && m.Keys[0] == k {
+			installs++
+		}
+	}
+	if installs != 1 {
+		t.Fatalf("node 1 received %d installs of key %d, want 1", installs, k)
+	}
+	if done, err := fut.TryWait(); !done || err != nil {
+		t.Fatalf("node 1's localize: done %t, err %v; want completed", done, err)
+	}
+	if s := sys.nodes[1].state[k].Load(); s != stateReplicated {
+		t.Fatalf("key %d in state %d at node 1, want Replicated", k, s)
 	}
 }

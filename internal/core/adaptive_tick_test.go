@@ -7,21 +7,18 @@ import (
 	"testing"
 	"time"
 
-	"lapse/internal/adaptive"
 	"lapse/internal/kv"
 	"lapse/internal/metrics"
 	"lapse/internal/msg"
 	"lapse/internal/replication"
 )
 
-// manualTicks builds a two-node adaptive system and stops its controller
-// tickers, so tests drive reportTick by hand.
+// manualTicks builds a two-node adaptive system and stops its background
+// loops, so tests drive reportTick by hand.
 func manualTicks(t *testing.T) *System {
 	t.Helper()
-	_, sys := newTestSystem(t, 2, 1, 64, 1, Config{Adaptive: &adaptive.Config{}})
-	for _, nd := range sys.locals {
-		nd.stopController()
-	}
+	_, sys := newTestSystem(t, 2, 1, 64, 1, Config{Adaptive: true})
+	sys.stopLoops()
 	return sys
 }
 
@@ -157,11 +154,11 @@ func TestFinishedHandlesLeaveNoTrackerBuffers(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		cfg  Config
-	}{{"static", Config{}}, {"adaptive", Config{Adaptive: &adaptive.Config{}}}} {
+	}{{"static", Config{}}, {"adaptive", Config{Adaptive: true}}} {
 		t.Run(c.name, func(t *testing.T) {
 			_, sys := newTestSystem(t, 2, 1, 1024, 1, c.cfg)
 			nd := sys.nodes[1]
-			nd.stopController() // a no-op without the controller
+			sys.stopLoops() // a no-op without the controller
 			var tracked int
 			var collected atomic.Int32
 			buf := make([]float32, len(keys))
@@ -175,7 +172,7 @@ func TestFinishedHandlesLeaveNoTrackerBuffers(t *testing.T) {
 					runtime.SetFinalizer(h.trk, func(*replication.Handle) { collected.Add(1) })
 				}
 			}
-			if c.cfg.Adaptive == nil {
+			if !c.cfg.Adaptive {
 				if nd.tracker != nil || tracked != 0 {
 					t.Fatalf("node 1 runs no controller, but has a tracker that %d of its 50 handles fed", tracked)
 				}

@@ -39,7 +39,8 @@ type ctlCell struct {
 // reached the way the system reaches them, through cells above: replicated is
 // owned here after ActReplicate, promoting is registered elsewhere after
 // ActReplicate, demoting is replicated after ActDemote, and demoting with node
-// 2's ack in is demoting after DemoteAck from 2.
+// 2's ack in is demoting after DemoteAck from 2. A demotion holds the key in
+// its queue at the home, Incoming, as an arrival does.
 var controlTable = []struct {
 	row   string
 	cells [5]ctlCell
@@ -67,31 +68,31 @@ var controlTable = []struct {
 	}},
 	{"replicated", [5]ctlCell{
 		evReplicate: {"", stateReplicated, false},
-		evDemote:    {"Manage/unreplicate→0, Manage/unreplicate→2", stateReplicated, true},
+		evDemote:    {"Manage/unreplicate→0, Manage/unreplicate→2", stateIncoming, true},
 		evRelocate:  {"Manage/localize-hint→2", stateReplicated, false},
-		evLocalize:  {"Manage/replicate→2", stateReplicated, false},
+		evLocalize:  {"", stateReplicated, false}, // node 2's install answers it
 		evDemoteAck: {"", stateReplicated, false},
 	}},
 	{"promoting", [5]ctlCell{
 		evReplicate: {"", stateIncoming, true},
 		evDemote:    {"", stateIncoming, true},
 		evRelocate:  {"Manage/localize-hint→2", stateIncoming, true},
-		evLocalize:  {"", stateIncoming, true}, // deferred until the promotion ends
+		evLocalize:  {"", stateIncoming, true}, // the promotion's install answers it
 		evDemoteAck: {"", stateIncoming, true},
 	}},
 	{"demoting", [5]ctlCell{
-		evReplicate: {"", stateReplicated, true},
-		evDemote:    {"", stateReplicated, true},
-		evRelocate:  {"Manage/localize-hint→2", stateReplicated, true},
-		evLocalize:  {"", stateReplicated, true}, // deferred until the demotion ends
-		evDemoteAck: {"", stateReplicated, true}, // node 0's is still outstanding
+		evReplicate: {"", stateIncoming, true},
+		evDemote:    {"", stateIncoming, true},
+		evRelocate:  {"Manage/localize-hint→2", stateIncoming, true},
+		evLocalize:  {"", stateIncoming, true}, // the instruct waits in the queue
+		evDemoteAck: {"", stateIncoming, true}, // node 0's is still outstanding
 	}},
 	{ackedRow, [5]ctlCell{
-		evReplicate: {"", stateReplicated, true},
-		evDemote:    {"", stateReplicated, true},
-		evRelocate:  {"Manage/localize-hint→2", stateReplicated, true},
-		evLocalize:  {"", stateReplicated, true},
-		evDemoteAck: {"", stateReplicated, true}, // a duplicate: node 0's is still the one outstanding
+		evReplicate: {"", stateIncoming, true},
+		evDemote:    {"", stateIncoming, true},
+		evRelocate:  {"Manage/localize-hint→2", stateIncoming, true},
+		evLocalize:  {"", stateIncoming, true},
+		evDemoteAck: {"", stateIncoming, true}, // a duplicate: node 0's is still the one outstanding
 	}},
 }
 
@@ -102,11 +103,12 @@ const ackedRow = "demoting, node 2 already acked"
 // homeSends is a transport that records, and drops, every message node 1 —
 // the home of the fixture's keys — sends, so a cell sees exactly what its
 // event sends and nothing comes back to the home while the test drives its
-// shard by hand.
+// shard by hand. last is the latest of those messages.
 type homeSends struct {
 	transport.Network
-	mu  sync.Mutex
-	log []string
+	mu   sync.Mutex
+	log  []string
+	last any
 }
 
 func (n *homeSends) Send(src, dst int, m any) {
@@ -120,6 +122,7 @@ func (n *homeSends) Send(src, dst int, m any) {
 	}
 	n.mu.Lock()
 	n.log = append(n.log, fmt.Sprintf("%s→%d", what, dst))
+	n.last = m
 	n.mu.Unlock()
 }
 
@@ -149,7 +152,7 @@ func TestControlTable(t *testing.T) {
 	// One replicated key gives every node a replication manager.
 	sys := New(cl, kv.NewUniformLayout(300, 1), Config{Replicate: []kv.Key{299}})
 	t.Cleanup(func() { cl.Close(); sys.Shutdown() })
-	stopSync(sys)
+	sys.stopLoops()
 	f := &gateFixture{t: t, sys: sys, next: 100} // node 1 homes 100..199
 	fire := func(sh *policyShard, ev int, k kv.Key) {
 		switch ev {
@@ -215,4 +218,28 @@ func TestControlTable(t *testing.T) {
 			})
 		}
 	}
+	// A Localize from node 2 mid-demotion is handled at once and leaves its
+	// instruct in the home's queue. Node 0's ack, the last, ends the
+	// demotion: the drain sends node 2 the value with each ack's delta folded
+	// exactly once.
+	t.Run(ackedRow+"/Localize from 2, then DemoteAck from 0", func(t *testing.T) {
+		f.t = t
+		sh, k := rig(ackedRow)
+		fire(sh, evLocalize, k)
+		from := net.count()
+		sh.HandleMessage(0, &msg.Manage{Kind: msg.ManageDemoteAck, Origin: 0, Keys: []kv.Key{k}, Vals: []float32{2}})
+		_, inFlight := sh.transitioning[k]
+		if got, want := (ctlCell{net.since(from), sh.nd.state[k].Load(), inFlight}), (ctlCell{"RelocTransfer→2", stateNotHere, false}); got != want {
+			t.Fatalf("got %+v, want %+v", got, want)
+		}
+		net.mu.Lock()
+		tr := net.last.(*msg.RelocTransfer)
+		net.mu.Unlock()
+		if len(tr.Vals) != 1 || tr.Vals[0] != 5+1+2 {
+			t.Fatalf("transfer carries %v, want 8: 5 at the promotion plus node 2's 1 and node 0's 2, once each", tr.Vals)
+		}
+		if o := sh.nd.owner[k].Load(); o != 2 {
+			t.Fatalf("owner %d, want 2", o)
+		}
+	})
 }

@@ -94,18 +94,18 @@ type Config struct {
 	// replication instead of relocation: every node holds a local replica,
 	// all reads and cumulative writes are shared-memory operations, and a
 	// background sync cycle merges updates via each key's home node (see
-	// internal/replication). Localize is a no-op for replicated keys. Must
-	// be identical on every node of a multi-process deployment.
+	// internal/replication). Localize is a no-op for replicated keys, and
+	// the controller (Adaptive) never demotes them. Must be identical on
+	// every node of a multi-process deployment.
 	Replicate []kv.Key
 	// Adaptive enables the online per-key management controller: each node
 	// periodically reports its hottest keys to their home nodes, which
 	// promote hot-everywhere keys into replication, relocate locality-skewed
-	// keys to their dominant accessor, and demote keys that went cold —
-	// live, with explicit transition protocols (see internal/adaptive and
-	// adaptive.go). Replicate keys become the initial replicated set, which
-	// the controller may demote like any other. Must be identical on every
-	// node of a multi-process deployment.
-	Adaptive *adaptive.Config
+	// keys to their dominant accessor, and demote the keys they promoted once
+	// these went cold — live, with explicit transition protocols (see
+	// internal/adaptive and adaptive.go). Must be identical on every node of
+	// a multi-process deployment.
+	Adaptive bool
 	// Serving enables the read-path serving tier: MultiGet misses install
 	// TTL-leased values in a node-local serving cache, owners track the
 	// holders and overwrite their copies in place on every write (dropping
@@ -126,6 +126,11 @@ type System struct {
 	// nodes is indexed by node; only the nodes this process hosts (locals) have
 	// an entry: in a multi-process deployment the others' state lives with them.
 	nodes, locals []*node
+	// stop ends the local nodes' background loops, loops counts them (see
+	// stopLoops).
+	stop     chan struct{}
+	stopOnce sync.Once
+	loops    sync.WaitGroup
 }
 
 // node holds the per-node policy state: the local parameter store, the
@@ -156,7 +161,7 @@ type node struct {
 	// evidence (nil without the controller). Per-node (like stats), so worker
 	// fast paths never contend on a process-wide counter.
 	tracker *replication.Tracker
-	// ctl is the adaptive controller's report ticker (idle when adaptive
+	// ctl is the adaptive controller's reporter state (unused when adaptive
 	// management is off).
 	ctl reporter
 	// serving is the node's client-side lease cache, leases the owner-side
@@ -241,6 +246,7 @@ func New(cl *cluster.Cluster, layout kv.Layout, cfg Config) *System {
 		home:   partition.NewRange(layout.NumKeys(), cl.Nodes()),
 		g:      server.NewGroup(cl, layout),
 		nodes:  make([]*node, cl.Nodes()),
+		stop:   make(chan struct{}),
 	}
 	nk := int(layout.NumKeys())
 	for n := 0; n < cl.Nodes(); n++ {
@@ -273,7 +279,7 @@ func New(cl *cluster.Cluster, layout kv.Layout, cfg Config) *System {
 			nd.leases = newLeaseReg(cfg.Serving)
 			nd.leased = make([]atomic.Uint32, nk)
 		}
-		if len(cfg.Replicate) > 0 || cfg.Adaptive != nil {
+		if len(cfg.Replicate) > 0 || cfg.Adaptive {
 			nd.rep = replication.NewManager(replication.Config{
 				Node:   n,
 				Nodes:  cl.Nodes(),
@@ -283,8 +289,9 @@ func New(cl *cluster.Cluster, layout kv.Layout, cfg Config) *System {
 				Send:   srv.Send,
 			})
 		}
-		if cfg.Adaptive != nil {
+		if cfg.Adaptive {
 			nd.tracker = replication.NewTracker(0)
+			nd.ctl = reporter{groups: make(map[reportGroup]*groupReport), reported: make([]bool, len(nd.sh))}
 			for _, shp := range nd.sh {
 				shp := shp
 				shp.reportAt = make([]atomic.Uint32, cl.Nodes())
@@ -293,7 +300,7 @@ func New(cl *cluster.Cluster, layout kv.Layout, cfg Config) *System {
 				for o := range shp.setAsideAt {
 					shp.setAsideAt[o] -= setAsideTraceEvery
 				}
-				shp.classifier = adaptive.NewClassifier(*cfg.Adaptive, adaptive.View{
+				shp.classifier = adaptive.NewClassifier(adaptive.Config{}, adaptive.View{
 					Node:       n,
 					Owner:      func(k kv.Key) int { return int(nd.owner[k].Load()) },
 					Replicated: func(k kv.Key) bool { return nd.state[k].Load() == stateReplicated },
@@ -303,8 +310,7 @@ func New(cl *cluster.Cluster, layout kv.Layout, cfg Config) *System {
 		}
 		// The static hot set enters replication as a promotion leaves a key,
 		// at zero like every other key: the authoritative value at its home, a
-		// replica elsewhere. Under the controller its home's classifier
-		// manages it, to demote it once cold like any key it promoted.
+		// replica elsewhere. No classifier promoted it, so none demotes it.
 		for _, k := range cfg.Replicate {
 			if k >= layout.NumKeys() {
 				panic(fmt.Sprintf("core: replicated key %d outside layout (%d keys)", k, layout.NumKeys()))
@@ -315,9 +321,6 @@ func New(cl *cluster.Cluster, layout kv.Layout, cfg Config) *System {
 				nd.rep.EnterKey(k, zero)
 			case !nd.rep.Replicated(k): // a key listed twice is in already
 				nd.rep.EnterHomeKey(k, zero)
-				if c := nd.shardOf(k).classifier; c != nil {
-					c.Manage(k)
-				}
 			}
 		}
 		// Initial allocation: every key lives at its home node; replicated
@@ -349,15 +352,36 @@ func New(cl *cluster.Cluster, layout kv.Layout, cfg Config) *System {
 	})
 	for _, nd := range s.locals {
 		if nd.rep != nil {
-			nd.rep.Start()
-		}
-	}
-	if cfg.Adaptive != nil {
-		for _, nd := range s.locals {
-			nd.startController()
+			s.loops.Add(1)
+			go nd.loop()
 		}
 	}
 	return s
+}
+
+// loop is the node's one background goroutine: a replica sync round every
+// replication.DefaultSyncEvery and, under the controller, a report tick every
+// adaptive.Tick, until stopLoops.
+func (nd *node) loop() {
+	defer nd.sys.loops.Done()
+	flush := time.NewTicker(replication.DefaultSyncEvery)
+	defer flush.Stop()
+	var report <-chan time.Time // nil without the controller: never fires
+	if nd.tracker != nil {
+		t := time.NewTicker(adaptive.Tick)
+		defer t.Stop()
+		report = t.C
+	}
+	for {
+		select {
+		case <-nd.sys.stop:
+			return
+		case <-flush.C:
+			nd.rep.Flush()
+		case <-report:
+			nd.reportTick()
+		}
+	}
 }
 
 // shardOf returns the policy shard owning key k at this node.
@@ -461,19 +485,19 @@ func (s *System) ReadParameter(k kv.Key, dst []float32) {
 	}
 }
 
-// Shutdown stops the adaptive controllers and replica sync cycles and waits
-// for the server goroutines to exit; the cluster network must be closed
-// first (sync messages sent while closing are dropped by the transport).
+// Shutdown stops the nodes' background loops and waits for the server
+// goroutines to exit; the cluster network must be closed first (sync messages
+// sent while closing are dropped by the transport).
 func (s *System) Shutdown() {
-	for _, nd := range s.locals {
-		nd.stopController()
-	}
-	for _, nd := range s.locals {
-		if nd.rep != nil {
-			nd.rep.Stop()
-		}
-	}
+	s.stopLoops()
 	s.g.Wait()
+}
+
+// stopLoops ends every local node's background loop and waits for it to exit.
+// Calling it again is a no-op.
+func (s *System) stopLoops() {
+	s.stopOnce.Do(func() { close(s.stop) })
+	s.loops.Wait()
 }
 
 // FlushReplicas runs one replica sync round on every node hosted by this
@@ -890,38 +914,26 @@ func (sh *policyShard) wake(k kv.Key) {
 // handleLocalize runs at the home node (message 1 of the relocation
 // protocol): update the owner table immediately, then instruct each previous
 // owner to hand the keys over to the requester. Keys are grouped per previous
-// owner (message grouping, Section 3.7). Two adaptive-management cases divert
-// keys from that path: a key with a transition in flight defers the request
-// until the transition settles, and a replicated key is answered with a
-// ManageReplicate carrying the authoritative value — the key is local
-// everywhere already, the origin just has not observed it yet.
+// owner (message grouping, Section 3.7). A key that is replicated, or being
+// promoted, is skipped: the origin sent the Localize before the promotion's
+// ManageReplicate broadcast reached it, so the broadcast finds the origin's
+// queue open, installs the replica into it and wakes its localizes
+// (enterReplica).
+// A key being demoted is handled like any other: its queue is open at the
+// home, and the instruct waits there until the demotion ends.
 func (sh *policyShard) handleLocalize(m *msg.Localize) {
 	nd := sh.nd
 	groups := make(map[int][]kv.Key)
-	var repKeys []kv.Key
-	var repVals []float32
 	for _, k := range m.Keys {
 		if nd.sys.home.NodeOf(k) != sh.rt.Node() {
 			panic(fmt.Sprintf("core: localize for key %d reached non-home node %d", k, sh.rt.Node()))
 		}
-		if tr, ok := sh.transitioning[k]; ok {
-			tr.deferred = append(tr.deferred, deferredLocalize{origin: m.Origin, id: m.ID})
-			continue
-		}
-		if nd.state[k].Load() == stateReplicated {
-			repKeys = append(repKeys, k)
-			n := len(repVals)
-			repVals = kv.Grow(repVals, nd.sys.layout.Len(k))
-			nd.rep.ReadAuthoritative(k, repVals[n:])
+		if tr := sh.transitioning[k]; nd.state[k].Load() == stateReplicated || tr != nil && tr.kind == transPromote {
 			continue
 		}
 		prev := int(nd.owner[k].Swap(m.Origin))
 		groups[prev] = append(groups[prev], k)
 		sh.trace.Record(sh.rt.Node(), sh.rt.Shard(), metrics.TraceRelocStart, k, prev, int(m.Origin), "")
-	}
-	if len(repKeys) > 0 {
-		sh.rt.SendOrDispatch(int(m.Origin), &msg.Manage{
-			Kind: msg.ManageReplicate, Origin: int32(sh.rt.Node()), Keys: repKeys, Vals: repVals})
 	}
 	for prev, keys := range groups {
 		instr := &msg.RelocInstruct{ID: m.ID, Dest: m.Origin, Keys: keys}

@@ -60,7 +60,7 @@ func newGateFixture(t *testing.T) *gateFixture {
 	// cycle is stopped, out of the way of the replicas the test installs by
 	// hand.
 	_, sys := newTestSystem(t, 3, 1, 300, 1, Config{Replicate: []kv.Key{299}})
-	stopSync(sys)
+	sys.stopLoops()
 	return &gateFixture{t: t, sys: sys, next: 100} // node 1 homes 100..199
 }
 

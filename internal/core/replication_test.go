@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"lapse/internal/adaptive"
 	"lapse/internal/cluster"
 	"lapse/internal/consistency"
 	"lapse/internal/kv"
@@ -23,18 +22,8 @@ import (
 func replicationCluster(nodes, workers int, numKeys kv.Key, valLen int, replicate []kv.Key) (*cluster.Cluster, *System) {
 	cl := cluster.New(cluster.Config{Nodes: nodes, WorkersPerNode: workers, Net: simnet.Config{}})
 	sys := New(cl, kv.NewUniformLayout(numKeys, valLen), Config{Replicate: replicate})
-	stopSync(sys)
+	sys.stopLoops()
 	return cl, sys
-}
-
-// stopSync stops the background sync ticker of every local node; Shutdown
-// stopping it again is a no-op.
-func stopSync(sys *System) {
-	for _, nd := range sys.locals {
-		if nd.rep != nil {
-			nd.rep.Stop()
-		}
-	}
 }
 
 // awaitReplicaConvergence flushes sync rounds until every local node's
@@ -147,7 +136,7 @@ func TestReplicaSyncRoundIsONodesMessages(t *testing.T) {
 	cl := cluster.New(cluster.Config{Nodes: nodes, WorkersPerNode: 1, Net: simnet.Config{Shards: shards}})
 	sys := New(cl, kv.NewUniformLayout(numKeys, 1), Config{Replicate: hot})
 	defer func() { cl.Close(); sys.Shutdown() }()
-	stopSync(sys)
+	sys.stopLoops()
 
 	ones := make([]float32, numKeys)
 	for i := range ones {
@@ -301,19 +290,16 @@ func TestReplicationEventualConsistencyChecker(t *testing.T) {
 // and management wire input no peer sends through the shard handlers of node
 // 0, which homes keys 0..3: each is dropped whole — no panic, and no replica
 // or authoritative value, locality state or owner entry moves — while a
-// well-formed sync still merges. The controller is on, its tickers and the
-// sync cycle stopped, so only the table's messages reach the handlers.
+// well-formed sync still merges. The controller is on, the nodes' background
+// loops stopped, so only the table's messages reach the handlers.
 func TestMalformedReplicationInputIsDropped(t *testing.T) {
 	const shards = 2
 	// Keys 0..3 are homed at node 0 and 4..7 at node 1; odd keys are shard 1.
 	hot := []kv.Key{1, 3, 5}
 	cl := cluster.New(cluster.Config{Nodes: 2, WorkersPerNode: 1, Net: simnet.Config{Shards: shards}})
-	sys := New(cl, kv.NewUniformLayout(8, 2), Config{Replicate: hot, Adaptive: &adaptive.Config{}})
+	sys := New(cl, kv.NewUniformLayout(8, 2), Config{Replicate: hot, Adaptive: true})
 	defer func() { cl.Close(); sys.Shutdown() }()
-	for _, nd := range sys.locals {
-		nd.stopController()
-	}
-	stopSync(sys)
+	sys.stopLoops()
 	sys.Init(func(k kv.Key, v []float32) { v[0], v[1] = float32(k), float32(k) })
 	// Key 6, homed at node 1, lives at node 0.
 	if err := sys.Handle(0).Localize([]kv.Key{6}); err != nil {

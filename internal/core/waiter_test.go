@@ -30,7 +30,7 @@ func newWaiterFixture(t *testing.T) *waiterFixture {
 	// its sync cycle is stopped, as in the gate fixture.
 	sys := New(cl, kv.NewUniformLayout(300, 1), Config{Replicate: []kv.Key{299}})
 	t.Cleanup(func() { cl.Close(); sys.Shutdown() })
-	stopSync(sys)
+	sys.stopLoops()
 	return &waiterFixture{t: t, cl: cl, sys: sys, next: 100}
 }
 

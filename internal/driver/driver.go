@@ -72,9 +72,9 @@ type Options struct {
 	// replication instead of relocation (Lapse variants only; ignored
 	// elsewhere).
 	Replicate []kv.Key
-	// Adaptive enables the online per-key management controller (Lapse
-	// variants only; see internal/adaptive). Replicate then seeds the
-	// initial replicated set.
+	// Adaptive, when non-nil, enables the online per-key management
+	// controller (Lapse variants only; see internal/adaptive). It never
+	// demotes a Replicate key.
 	Adaptive *adaptive.Config
 	// Serving enables the read-path serving tier — lease-based client
 	// caching with MultiGet (Lapse variants only; see core.ServingConfig).
@@ -90,7 +90,7 @@ func Build(kind Kind, cl *cluster.Cluster, layout kv.Layout, opt Options) PS {
 		return classic.New(cl, layout, classic.Config{FastLocalAccess: true})
 	case Lapse, LapseCached:
 		return core.New(cl, layout, core.Config{LocationCaches: kind == LapseCached,
-			Replicate: opt.Replicate, Adaptive: opt.Adaptive,
+			Replicate: opt.Replicate, Adaptive: opt.Adaptive != nil,
 			Serving: opt.Serving})
 	case SSPClient:
 		return ssp.New(cl, layout, ssp.Config{Staleness: opt.Staleness})

@@ -35,11 +35,11 @@ func seedMessages() []any {
 		&ReplicaRefresh{Origin: -1, Ack: 0, Keys: []kv.Key{}, Vals: []float32{}},
 		&ReplicaRefresh{Origin: 0, Ack: 1, Keys: []kv.Key{4, 1 << 50}, Vals: []float32{7, -0.5}},
 		&ReplicaRefresh{Origin: 1, Ack: 2, Keys: []kv.Key{3}},
-		&Manage{Kind: ManageReport, Origin: 1, Epoch: 3, Keys: []kv.Key{2, 6}, Vals: []float32{32, 16}},
-		&Manage{Kind: ManageDemoteAck, Origin: 2, Epoch: 5, Keys: []kv.Key{9}, Vals: []float32{1, 2}},
+		&Manage{Kind: ManageReport, Origin: 1, Keys: []kv.Key{2, 6}, Vals: []float32{32, 16}},
+		&Manage{Kind: ManageDemoteAck, Origin: 2, Keys: []kv.Key{9}, Vals: []float32{1, 2}},
 		&Manage{Kind: ManageUnreplicate, Origin: 0, Keys: nil, Vals: nil},
 		&Manage{Kind: ManageLocalize, Origin: 3, Keys: []kv.Key{12}},
-		&Manage{Kind: ManageSweep, Origin: 1, Epoch: 9, Keys: []kv.Key{2}},
+		&Manage{Kind: ManageSweep, Origin: 1, Keys: []kv.Key{2}},
 		// LeaseRevoke, drop form (no values) and refresh form.
 		&LeaseRevoke{Origin: 2, Keys: []kv.Key{5, 1 << 41}},
 		&LeaseRevoke{Origin: 0, Keys: nil},

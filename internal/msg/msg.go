@@ -239,7 +239,7 @@ type ManageKind uint8
 // Manage operations.
 const (
 	// ManageReport carries one node's tracker window for keys homed at the
-	// destination, stamped with the reporting node's controller Epoch. Vals
+	// destination. Vals
 	// holds 3+2·len(Keys) numbers: the window's waiting (slow-path access
 	// estimate), evidence (recorded observations) and report floor, then
 	// every key's access estimate, then every key's recorded observations
@@ -266,7 +266,7 @@ const (
 	// classifier advances its epoch without ingesting a report, so replicated
 	// keys whose home stopped receiving reports entirely still go cold and
 	// get demoted. Keys carries a single shard-selector key (see the adaptive
-	// controller); Epoch is the controller tick.
+	// controller).
 	ManageSweep
 )
 
@@ -295,13 +295,10 @@ func (k ManageKind) String() string {
 // message belongs to the same server shard — so transitions stay FIFO on each
 // (link, shard) stream with the operations of the keys they manage and with
 // those keys' ReplicaSync and ReplicaRefresh traffic. Origin is the sending
-// node. Epoch is the sender's controller tick on a report or sweep (unused
-// otherwise; classifiers run on their own node's clock, so it is
-// informational).
+// node. A Manage carries no clock: classifiers run on their own node's.
 type Manage struct {
 	Kind   ManageKind
 	Origin int32
-	Epoch  uint32
 	Keys   []kv.Key
 	Vals   []float32
 }
@@ -358,7 +355,7 @@ func Size(m any) int {
 	case *ReplicaRefresh:
 		return headerBytes + 4 + 4 + 4 + 4 + len(t.Keys)*keyBytes + len(t.Vals)*valBytes
 	case *Manage:
-		return headerBytes + 1 + 4 + 4 + 4 + 4 + len(t.Keys)*keyBytes + len(t.Vals)*valBytes
+		return headerBytes + 1 + 4 + 4 + 4 + len(t.Keys)*keyBytes + len(t.Vals)*valBytes
 	case *LeaseRevoke:
 		return headerBytes + 4 + 4 + 4 + 4 + len(t.Keys)*keyBytes + len(t.Vals)*valBytes
 	default:
@@ -449,7 +446,6 @@ func AppendTo(buf []byte, m any) []byte {
 		w.header(KindManage, sz)
 		w.u8(byte(t.Kind))
 		w.u32(uint32(t.Origin))
-		w.u32(t.Epoch)
 		w.keys(t.Keys)
 		w.vals(t.Vals)
 	case *LeaseRevoke:
@@ -644,8 +640,7 @@ func decodeMsg(buf []byte, s *Scratch) (any, int, error) {
 		} else {
 			t = new(Manage)
 		}
-		*t = Manage{Kind: ManageKind(d.u8()), Origin: int32(d.u32()), Epoch: d.u32(),
-			Keys: d.keys(), Vals: d.vals()}
+		*t = Manage{Kind: ManageKind(d.u8()), Origin: int32(d.u32()), Keys: d.keys(), Vals: d.vals()}
 		m = t
 	case KindLeaseRevoke:
 		var t *LeaseRevoke

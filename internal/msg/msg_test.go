@@ -46,10 +46,10 @@ func TestRoundTripAllKinds(t *testing.T) {
 		&ReplicaSync{Origin: 0, Seq: 0},
 		&ReplicaRefresh{Origin: 3, Ack: 12, Keys: []kv.Key{9}, Vals: []float32{1, 2}},
 		&ReplicaRefresh{Origin: 0, Ack: 0},
-		&Manage{Kind: ManageReport, Origin: 1, Epoch: 7, Keys: []kv.Key{3, 11}, Vals: []float32{64, 16}},
+		&Manage{Kind: ManageReport, Origin: 1, Keys: []kv.Key{3, 11}, Vals: []float32{64, 16}},
 		&Manage{Kind: ManageReplicate, Origin: 0, Keys: []kv.Key{5}, Vals: []float32{1.5, -2}},
 		&Manage{Kind: ManageUnreplicate, Origin: 2, Keys: []kv.Key{5}},
-		&Manage{Kind: ManageDemoteAck, Origin: 3, Epoch: 9, Keys: []kv.Key{5}, Vals: []float32{0.5, 0.5}},
+		&Manage{Kind: ManageDemoteAck, Origin: 3, Keys: []kv.Key{5}, Vals: []float32{0.5, 0.5}},
 		&Manage{Kind: ManageDemoteAck, Origin: 1, Keys: []kv.Key{4}},
 		&LeaseRevoke{Origin: 2, Keys: []kv.Key{5}},
 		&LeaseRevoke{Origin: 1, TTL: 200_000, Keys: []kv.Key{5, 9}, Vals: []float32{1, 2, 3, 4}},

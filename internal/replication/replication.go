@@ -10,8 +10,8 @@
 //
 // Every node holds a full local replica of each replicated key, so reads
 // and cumulative writes are shared-memory operations (the server.Router
-// Served path — no network on any access). Updates propagate through a
-// background sync cycle with two wire messages:
+// Served path — no network on any access). Updates propagate through a sync
+// cycle with two wire messages:
 //
 //	replica --ReplicaSync(deltas)--> home --ReplicaRefresh(merged)--> replicas
 //
@@ -26,6 +26,10 @@
 // (link, shard) FIFO stream with its operations and the Manage messages that
 // install and remove its replicas, and are handled on the key's shard
 // goroutine.
+//
+// The manager owns no goroutine: a round runs when Flush is called, which the
+// node's owner (internal/core's per-node background loop) does every
+// DefaultSyncEvery.
 //
 // Lock rule: a caller holding its shard's queueMu may take a stripe lock,
 // never the reverse, and messages are sent under either — transport sends
@@ -58,7 +62,7 @@ import (
 	"lapse/internal/store"
 )
 
-// DefaultSyncEvery is the background sync interval.
+// DefaultSyncEvery is the sync interval: how often a node runs Flush.
 const DefaultSyncEvery = time.Millisecond
 
 // Config parameterizes one node's replication manager. Every node of a
@@ -92,7 +96,7 @@ type inflightDelta struct {
 }
 
 // stripe is one shard's replication state. Push (worker threads), the sync
-// round (ticker goroutine), and the handlers of the shard's wire messages
+// round (Flush's caller), and the handlers of the shard's wire messages
 // (its server goroutine) all synchronize on mu.
 type stripe struct {
 	mu       sync.Mutex
@@ -108,7 +112,7 @@ type stripe struct {
 
 // Manager is one node's replication state: the local replica store and one
 // stripe per server shard. Pull/Push run on worker threads, the sync rounds
-// on the ticker goroutine, and the message handlers on the shard goroutine
+// on Flush's caller, and the message handlers on the shard goroutine
 // of their keys. Per-key replica writes happen only under the key's stripe
 // lock, so refresh installs and pushes cannot interleave (reads stay
 // lock-free on the store's latches).
@@ -120,10 +124,6 @@ type Manager struct {
 	// key's stripe lock, so presence observed under that lock is stable.
 	replica *store.Sparse
 	stripes []stripe
-
-	stop     chan struct{}
-	stopOnce sync.Once
-	done     chan struct{}
 }
 
 // NewManager builds the manager for one node, replicating no key yet: keys
@@ -134,8 +134,6 @@ func NewManager(cfg Config) *Manager {
 		cfg:     cfg,
 		replica: store.NewSparse(cfg.Layout, 0),
 		stripes: make([]stripe, len(cfg.Stats)),
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
 	}
 	for i, stats := range cfg.Stats {
 		m.stripes[i] = stripe{
@@ -153,30 +151,6 @@ func NewManager(cfg Config) *Manager {
 // stripeOf returns the stripe owning key k.
 func (m *Manager) stripeOf(k kv.Key) *stripe {
 	return &m.stripes[msg.ShardOfKey(k, len(m.stripes))]
-}
-
-// Start spawns the background sync goroutine. Call Stop to halt it.
-func (m *Manager) Start() {
-	go func() {
-		defer close(m.done)
-		t := time.NewTicker(DefaultSyncEvery)
-		defer t.Stop()
-		for {
-			select {
-			case <-m.stop:
-				return
-			case <-t.C:
-				m.Flush()
-			}
-		}
-	}()
-}
-
-// Stop halts the background sync goroutine and waits for it to exit. It
-// must be called after Start; calling it again is a no-op.
-func (m *Manager) Stop() {
-	m.stopOnce.Do(func() { close(m.stop) })
-	<-m.done
 }
 
 // Replicated reports whether k is currently managed by replication at this
@@ -241,8 +215,8 @@ func (m *Manager) Push(k kv.Key, delta []float32) bool {
 }
 
 // EnterKey starts replicating k at this (non-home) node with the home's
-// current value v. Idempotent: a key already replicated keeps its local view
-// (a duplicate enter must not clobber deltas pushed since the first).
+// current value v. Idempotent, for a key listed twice in a static hot set: a
+// key already replicated keeps its local view.
 func (m *Manager) EnterKey(k kv.Key, v []float32) {
 	st := m.stripeOf(k)
 	st.mu.Lock()
@@ -328,8 +302,8 @@ func (m *Manager) FinalizeDemote(k kv.Key) []float32 {
 	return v
 }
 
-// Flush runs one sync round on every stripe immediately (in addition to the
-// background interval). Safe to call concurrently with everything else.
+// Flush runs one sync round on every stripe. Safe to call concurrently with
+// everything else.
 func (m *Manager) Flush() {
 	for i := range m.stripes {
 		m.round(&m.stripes[i])

@@ -58,7 +58,6 @@ import (
 	"sync"
 	"time"
 
-	"lapse/internal/adaptive"
 	"lapse/internal/cluster"
 	"lapse/internal/core"
 	"lapse/internal/driver"
@@ -200,18 +199,35 @@ type Config struct {
 	// Replicated keys are only eventually consistent: a node observes
 	// remote pushes after up to two sync intervals (1ms each) plus network
 	// latency (its own pushes are always visible immediately). Localize is a
-	// no-op for replicated keys. In multi-process deployments, Replicate must be
-	// identical in every process.
+	// no-op for replicated keys. Replicate keys stay replicated for the
+	// cluster's lifetime, Adaptive or not. In multi-process deployments,
+	// Replicate must be identical in every process.
 	Replicate []Key
-	// Adaptive, when non-nil, enables adaptive per-key parameter management:
-	// an online controller that chooses each key's management technique at
-	// runtime — replication for keys hot at every node, relocation to the
-	// dominant accessor for locality-skewed keys, plain home placement for
-	// cold keys — instead of requiring a static Replicate list. Keys listed
-	// in Replicate seed the replicated set and may be demoted once they go
-	// cold. There is nothing to tune: &AdaptiveConfig{} switches it on. In
-	// multi-process deployments, Adaptive must be identical in every process.
-	Adaptive *AdaptiveConfig
+	// Adaptive enables adaptive per-key parameter management: an online
+	// controller that chooses each key's management technique at runtime —
+	// replication for keys hot at every node, relocation to the dominant
+	// accessor for locality-skewed keys, plain home placement for cold keys —
+	// instead of requiring a static Replicate list. It demotes only the keys
+	// it promoted; Replicate keys are pinned.
+	//
+	// There is nothing to tune: one set of thresholds is meant to hold across
+	// workloads and network latencies. The controller judges every node on a
+	// window of its most recent recorded accesses — a fixed amount of evidence
+	// (a few thousand observations), not a span of time, so a worker that
+	// waits on the network for every access is judged as precisely as one
+	// that runs from memory, only later. Accesses that wait for the network
+	// are all recorded; local ones are sampled. A node is interested in a key
+	// that accounts for half a percent of what it waits for, on at least
+	// sixteen observations. A key two nodes are interested in is replicated;
+	// one for which a single node holds at least three quarters of the demand
+	// is relocated to it. As keys become local they leave the waiting and the
+	// next-hottest stand out: a skewed tail is worked off key by key, a
+	// uniform workload is left alone. A key that transitioned stays put for
+	// two controller epochs (5ms each), and a promoted key is demoted only
+	// after eight consecutive epochs cold at every node, on windows long
+	// enough to have shown it. In multi-process deployments, Adaptive must be
+	// identical in every process.
+	Adaptive bool
 	// Serving, when non-nil, enables the read-path serving tier for
 	// read-mostly workloads: Worker.MultiGet misses install TTL-leased
 	// values in a node-local serving cache, and repeat MultiGets of leased
@@ -241,27 +257,6 @@ type Config struct {
 	// until Close and uses only the standard library.
 	MetricsAddr string
 }
-
-// AdaptiveConfig switches on the adaptive management controller
-// (Config.Adaptive). It has nothing to tune: one set of thresholds is meant
-// to hold across workloads and network latencies, and the controller runs on
-// it unchanged.
-//
-// The controller judges every node on a window of its most recent recorded
-// accesses — a fixed amount of evidence (a few thousand observations), not a
-// span of time, so a worker that waits on the network for every access is
-// judged as precisely as one that runs from memory, only later. Accesses
-// that wait for the network are all recorded; local ones are sampled. A node
-// is interested in a key that accounts for half a percent of what it waits
-// for, on at least sixteen observations. A key two nodes are interested in
-// is replicated; one for which a single node holds at least three quarters
-// of the demand is relocated to it. As keys become local they leave the
-// waiting and the next-hottest stand out: a skewed tail is worked off key by
-// key, a uniform workload is left alone. A key that transitioned stays put
-// for two controller epochs (5ms each), and a replicated key is demoted only
-// after eight consecutive epochs cold at every node, on windows long enough
-// to have shown it.
-type AdaptiveConfig struct{}
 
 // ServingConfig tunes the read-path serving tier (Config.Serving).
 type ServingConfig struct {
@@ -350,9 +345,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	coreCfg := core.Config{
 		LocationCaches: cfg.LocationCaches,
 		Replicate:      cfg.Replicate,
-	}
-	if cfg.Adaptive != nil {
-		coreCfg.Adaptive = &adaptive.Config{}
+		Adaptive:       cfg.Adaptive,
 	}
 	if s := cfg.Serving; s != nil {
 		coreCfg.Serving = &core.ServingConfig{TTL: s.TTL}

@@ -86,7 +86,7 @@ func TestServingLeaseInvalidationAcrossTransports(t *testing.T) {
 			})
 			t.Run("promotion-drops", func(t *testing.T) {
 				servingPromotionDrops(t, newCluster(t, 2, lapse.Config{Keys: 8,
-					Adaptive: &lapse.AdaptiveConfig{}}))
+					Adaptive: true}))
 			})
 		})
 	}
