@@ -6,7 +6,7 @@
 //
 // reproduces the entire evaluation. Under -short (or -bench with
 // testing.Short), the parallelism sweep is reduced to keep runs fast.
-// EXPERIMENTS.md records representative outputs next to the paper's numbers.
+// `go run ./cmd/lapse-sim <experiment> -short` renders one experiment alone.
 package lapse_test
 
 import (

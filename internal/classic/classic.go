@@ -42,9 +42,6 @@ type Config struct {
 	// FastLocalAccess enables shared-memory access to node-local
 	// parameters instead of the loopback message path.
 	FastLocalAccess bool
-	// Partitioner assigns keys to server nodes. Defaults to range
-	// partitioning over the cluster's nodes.
-	Partitioner partition.Partitioner
 }
 
 // System is a classic parameter server running on a cluster: one server
@@ -53,7 +50,7 @@ type System struct {
 	cl     *cluster.Cluster
 	layout kv.Layout
 	cfg    Config
-	part   partition.Partitioner
+	part   partition.Range
 	g      *server.Group
 	nodes  []*node
 }
@@ -78,14 +75,11 @@ type policyShard struct {
 // New creates a classic PS on cl and starts one server goroutine per node.
 // All parameters are zero-initialized at their assigned server.
 func New(cl *cluster.Cluster, layout kv.Layout, cfg Config) *System {
-	if cfg.Partitioner == nil {
-		cfg.Partitioner = partition.NewRange(layout.NumKeys(), cl.Nodes())
-	}
 	s := &System{
 		cl:     cl,
 		layout: layout,
 		cfg:    cfg,
-		part:   cfg.Partitioner,
+		part:   partition.NewRange(layout.NumKeys(), cl.Nodes()),
 		g:      server.NewGroup(cl, layout),
 		nodes:  make([]*node, cl.Nodes()),
 	}

@@ -7,7 +7,6 @@ import (
 
 	"lapse/internal/cluster"
 	"lapse/internal/kv"
-	"lapse/internal/partition"
 )
 
 // newTestSystem builds a classic PS on a zero-latency cluster.
@@ -26,16 +25,12 @@ func variants() map[string]Config {
 	return map[string]Config{
 		"pslite":    {},
 		"fastlocal": {FastLocalAccess: true},
-		"hashpart":  {Partitioner: nil}, // replaced below
 	}
 }
 
 func TestPushThenPullSingleKey(t *testing.T) {
 	for name, cfg := range variants() {
 		t.Run(name, func(t *testing.T) {
-			if name == "hashpart" {
-				cfg.Partitioner = partition.NewHash(2)
-			}
 			_, sys := newTestSystem(t, 2, 2, 16, 3, cfg)
 			h := sys.Handle(0)
 			if err := h.Push([]kv.Key{5}, []float32{1, 2, 3}); err != nil {
@@ -127,9 +122,6 @@ func TestAsyncProgramOrderSameKey(t *testing.T) {
 func TestConcurrentWorkersNoLostUpdates(t *testing.T) {
 	for name, cfg := range variants() {
 		t.Run(name, func(t *testing.T) {
-			if name == "hashpart" {
-				cfg.Partitioner = partition.NewHash(4)
-			}
 			cl, sys := newTestSystem(t, 4, 2, 32, 2, cfg)
 			const pushes = 200
 			cl.RunWorkers(func(node, worker int) {

@@ -121,7 +121,7 @@ type System struct {
 	cl     *cluster.Cluster
 	layout kv.Layout
 	// home statically assigns every key its home node (range partitioning).
-	home partition.Partitioner
+	home partition.Range
 	g    *server.Group
 	// nodes is indexed by node; only the nodes this process hosts (locals) have
 	// an entry: in a multi-process deployment the others' state lives with them.

@@ -29,21 +29,13 @@ import (
 	"lapse/internal/simnet"
 )
 
-// Parallelism is one x-axis point of the scaling figures: nodes × workers,
-// optionally with a per-node server shard count (0 = 1 shard, the paper's
-// single-server-thread layout).
+// Parallelism is one x-axis point of the scaling figures: nodes × workers.
 type Parallelism struct {
 	Nodes   int
 	Workers int
-	Shards  int
 }
 
-func (p Parallelism) String() string {
-	if p.Shards > 1 {
-		return fmt.Sprintf("%dx%ds%d", p.Nodes, p.Workers, p.Shards)
-	}
-	return fmt.Sprintf("%dx%d", p.Nodes, p.Workers)
-}
+func (p Parallelism) String() string { return fmt.Sprintf("%dx%d", p.Nodes, p.Workers) }
 
 // PaperParallelism returns the paper's 1×4 … 8×4 sweep.
 func PaperParallelism() []Parallelism {

@@ -145,7 +145,4 @@ func TestParallelismString(t *testing.T) {
 	if (Parallelism{Nodes: 8, Workers: 4}).String() != "8x4" {
 		t.Fatal("bad Parallelism string")
 	}
-	if (Parallelism{Nodes: 8, Workers: 4, Shards: 4}).String() != "8x4s4" {
-		t.Fatal("bad sharded Parallelism string")
-	}
 }

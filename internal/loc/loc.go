@@ -41,7 +41,7 @@ type Strategy interface {
 // Static is the classic PS strategy: a fixed partitioning, no relocation.
 type Static struct {
 	nodes int
-	part  partition.Partitioner
+	part  partition.Range
 }
 
 // NewStatic returns the static-partitioning strategy over keys and nodes.
@@ -188,7 +188,7 @@ func (b *BroadcastRelocations) OwnerOf(k kv.Key) int { return b.tables[0][k] }
 // home lookup.
 type HomeNode struct {
 	nodes  int
-	home   partition.Partitioner
+	home   partition.Range
 	owner  []int
 	caches [][]int // caches[n][k] = cached owner (-1 unknown); nil if disabled
 }

@@ -277,17 +277,6 @@ func (s *LatencySnapshot) Merge(o LatencySnapshot) {
 	s.Localize.Merge(o.Localize)
 }
 
-// Sub windows the snapshot: observations recorded after base.
-func (s LatencySnapshot) Sub(base LatencySnapshot) LatencySnapshot {
-	return LatencySnapshot{
-		PullFast: s.PullFast.Sub(base.PullFast),
-		PushFast: s.PushFast.Sub(base.PushFast),
-		PullSlow: s.PullSlow.Sub(base.PullSlow),
-		PushSlow: s.PushSlow.Sub(base.PushSlow),
-		Localize: s.Localize.Sub(base.Localize),
-	}
-}
-
 // Pull returns the merged fast+slow pull distribution — the end-to-end pull
 // latency an application worker sees, the p50/p99/p999 bench columns.
 func (s LatencySnapshot) Pull() HistSnapshot {

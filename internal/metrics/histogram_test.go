@@ -210,8 +210,7 @@ func TestLatencySnapshotMergeSub(t *testing.T) {
 	if a.PullFast.Counts[10] != 5 || a.PushSlow.Counts[20] != 2 {
 		t.Fatal("merge lost counts")
 	}
-	d := a.Sub(b)
-	if d.PullFast.Counts[10] != 4 || d.PushSlow.Counts[20] != 0 {
+	if d := a.PullFast.Sub(b.PullFast); d.Counts[10] != 4 {
 		t.Fatal("sub wrong")
 	}
 	if p := a.Pull(); p.Count() != 5 {

@@ -10,15 +10,6 @@ import (
 	"lapse/internal/kv"
 )
 
-// Partitioner maps keys to nodes.
-type Partitioner interface {
-	// NodeOf returns the node responsible for k (its server in a classic
-	// PS, its home node in Lapse).
-	NodeOf(k kv.Key) int
-	// Nodes returns the number of nodes.
-	Nodes() int
-}
-
 // Range partitions the key space [0, NumKeys) into Nodes contiguous ranges of
 // (almost) equal cardinality, as PS-Lite does by default.
 type Range struct {
@@ -34,7 +25,8 @@ func NewRange(numKeys kv.Key, nodes int) Range {
 	return Range{nodes: nodes, numKeys: numKeys}
 }
 
-// NodeOf implements Partitioner.
+// NodeOf returns the node responsible for k (its server in a classic PS, its
+// home node in Lapse).
 func (r Range) NodeOf(k kv.Key) int {
 	if k >= r.numKeys {
 		panic(fmt.Sprintf("partition: key %d out of range (%d keys)", k, r.numKeys))
@@ -50,9 +42,6 @@ func (r Range) NodeOf(k kv.Key) int {
 	return int(rem + (uint64(k)-cut)/per)
 }
 
-// Nodes implements Partitioner.
-func (r Range) Nodes() int { return r.nodes }
-
 // RangeOf returns the key interval [lo, hi) assigned to node.
 func (r Range) RangeOf(node int) (lo, hi kv.Key) {
 	per := uint64(r.numKeys) / uint64(r.nodes)
@@ -66,39 +55,3 @@ func (r Range) RangeOf(node int) (lo, hi kv.Key) {
 	lo = kv.Key(rem*(per+1) + (n-rem)*per)
 	return lo, lo + kv.Key(per)
 }
-
-// Hash partitions keys by multiplicative hashing, spreading adjacent keys
-// across nodes. The paper notes that manually assigning random keys improved
-// classic-PS performance for most tasks; hash partitioning achieves the same
-// effect without renaming keys.
-type Hash struct {
-	nodes int
-}
-
-// NewHash returns a hash partitioner over nodes nodes.
-func NewHash(nodes int) Hash {
-	if nodes <= 0 {
-		panic(fmt.Sprintf("partition: invalid node count %d", nodes))
-	}
-	return Hash{nodes: nodes}
-}
-
-// NodeOf implements Partitioner.
-func (h Hash) NodeOf(k kv.Key) int {
-	x := uint64(k)
-	// SplitMix64 finalizer: well-distributed for sequential keys.
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return int(x % uint64(h.nodes))
-}
-
-// Nodes implements Partitioner.
-func (h Hash) Nodes() int { return h.nodes }
-
-var (
-	_ Partitioner = Range{}
-	_ Partitioner = Hash{}
-)

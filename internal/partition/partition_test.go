@@ -78,50 +78,3 @@ func TestRangeOutOfBoundsPanics(t *testing.T) {
 	}()
 	p.NodeOf(10)
 }
-
-func TestHashInRangeAndBalanced(t *testing.T) {
-	const keys = 100000
-	for _, nodes := range []int{1, 2, 4, 8} {
-		p := NewHash(nodes)
-		counts := make([]int, nodes)
-		for k := kv.Key(0); k < keys; k++ {
-			n := p.NodeOf(k)
-			if n < 0 || n >= nodes {
-				t.Fatalf("NodeOf(%d) = %d with %d nodes", k, n, nodes)
-			}
-			counts[n]++
-		}
-		want := keys / nodes
-		for n, c := range counts {
-			if c < want*9/10 || c > want*11/10 {
-				t.Fatalf("nodes=%d: node %d has %d keys, want ~%d", nodes, n, c, want)
-			}
-		}
-	}
-}
-
-func TestHashDeterministic(t *testing.T) {
-	p := NewHash(4)
-	for k := kv.Key(0); k < 1000; k++ {
-		if p.NodeOf(k) != p.NodeOf(k) {
-			t.Fatal("hash partitioner not deterministic")
-		}
-	}
-}
-
-func TestHashSpreadsAdjacentKeys(t *testing.T) {
-	// Unlike range partitioning, adjacent keys should often land on
-	// different nodes: that is the point of using it for skewed access.
-	p := NewHash(8)
-	same := 0
-	const n = 10000
-	for k := kv.Key(0); k < n-1; k++ {
-		if p.NodeOf(k) == p.NodeOf(k+1) {
-			same++
-		}
-	}
-	// Expected fraction 1/8; allow generous slack.
-	if same > n/4 {
-		t.Fatalf("adjacent keys collide too often: %d/%d", same, n)
-	}
-}

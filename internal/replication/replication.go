@@ -75,9 +75,8 @@ type Config struct {
 	// Layout is the parameter layout (value lengths).
 	Layout kv.Layout
 	// Home assigns each replicated key's home node, which holds the
-	// authoritative merged value. Usually the same partitioner as the
-	// relocation protocol's.
-	Home partition.Partitioner
+	// authoritative merged value: the relocation protocol's partitioning.
+	Home partition.Range
 	// Stats holds the server runtime's statistics, one entry per shard; the
 	// manager has one stripe per entry, and each stripe counts its replica
 	// hits, local writes, sync messages and round times on its own.

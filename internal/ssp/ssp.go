@@ -54,8 +54,6 @@ type Config struct {
 	Staleness int
 	// ServerSync selects server-based synchronization (SSPPush).
 	ServerSync bool
-	// Partitioner assigns keys to server shards (default: range).
-	Partitioner partition.Partitioner
 }
 
 // System is a running stale PS.
@@ -63,7 +61,7 @@ type System struct {
 	cl      *cluster.Cluster
 	layout  kv.Layout
 	cfg     Config
-	part    partition.Partitioner
+	part    partition.Range
 	g       *server.Group
 	nodes   []*node
 	workers int
@@ -114,9 +112,6 @@ type waitingSync struct {
 // New creates a stale PS on cl with zero-initialized parameters and starts
 // the per-node message loops.
 func New(cl *cluster.Cluster, layout kv.Layout, cfg Config) *System {
-	if cfg.Partitioner == nil {
-		cfg.Partitioner = partition.NewRange(layout.NumKeys(), cl.Nodes())
-	}
 	if cfg.Staleness < 0 {
 		panic(fmt.Sprintf("ssp: negative staleness %d", cfg.Staleness))
 	}
@@ -124,7 +119,7 @@ func New(cl *cluster.Cluster, layout kv.Layout, cfg Config) *System {
 		cl:      cl,
 		layout:  layout,
 		cfg:     cfg,
-		part:    cfg.Partitioner,
+		part:    partition.NewRange(layout.NumKeys(), cl.Nodes()),
 		g:       server.NewGroup(cl, layout),
 		nodes:   make([]*node, cl.Nodes()),
 		workers: cl.TotalWorkers(),
