@@ -7,12 +7,15 @@
 // dialed lazily by the sender. A connection starts with a 12-byte handshake
 // [magic][src][dst] (little endian uint32s) and then carries a stream of
 // messages encoded with the internal/msg codec, whose [kind][payloadLen]
-// header makes every frame self-delimiting. A single writer goroutine per
-// link preserves send order and coalesces queued frames into one buffered
-// write (per-link write buffering); a single reader goroutine per accepted
-// connection preserves arrival order into the destination inbox. Together
-// with TCP's in-order delivery this gives the per-link FIFO guarantee the
-// consistency proofs assume.
+// header makes every frame self-delimiting. A link has two modes. While its
+// writer goroutine is idle, Send writes the frame itself with one
+// non-blocking write; whatever the socket does not take at once is queued,
+// and the writer goroutine, which then owns the socket until the queue is
+// empty again, writes all frames queued so far with one writev. So Send never
+// blocks on the peer, and a stream of frames still goes out in batches. A
+// single reader goroutine per accepted connection preserves arrival order
+// into the destination inbox. Together with TCP's in-order delivery this
+// gives the per-link FIFO guarantee the consistency proofs assume.
 //
 // A Network instance hosts the nodes listed in Config.Local (all nodes when
 // nil, which runs a whole cluster over loopback sockets in one process).
@@ -26,7 +29,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -77,21 +79,6 @@ const (
 	// consumes them without further syscalls; the slab grows only for single
 	// frames larger than it (after MaxMessage validation).
 	readBuffer = 64 << 10
-	// flushWindow lets a link writer that just grabbed a small batch wait
-	// this long for more frames before issuing the writev, trading a little
-	// latency for fewer, larger syscalls. The wait is adaptive: it engages
-	// only while the link's recent batch sizes show a coalescible stream,
-	// so sparse request/reply traffic (barriers) never pays it. Measured (PR
-	// 23, counters in a scratch copy, 10 s runs): 3.7 % and 4.8 % of 1.3 M
-	// write batches take the wait on kv_remote_tcp, none of 40,002 on
-	// BenchmarkPingPong; the other five BENCHMARK workloads send nothing over
-	// tcp.
-	flushWindow = 20 * time.Microsecond
-	// flushBatchTarget is the batch size at which the writer stops waiting
-	// and writes; flushEngageEWMA is the recent-batch-size level above which
-	// the wait engages at all.
-	flushBatchTarget = 16
-	flushEngageEWMA  = 1.5
 )
 
 // Network is a TCP-backed cluster transport.
@@ -246,10 +233,10 @@ func (n *Network) fail(err error) {
 	n.errMu.Unlock()
 }
 
-// Send encodes m through the msg codec and queues it on the (src, dst) link.
-// src must be local. Sends after Close — or on a link whose connection
-// failed — are dropped and counted in Dropped, mirroring writes on a closing
-// TCP connection.
+// Send encodes m through the msg codec and hands it to the (src, dst) link,
+// which writes it inline or queues it; it never waits on the peer. src must
+// be local. Sends after Close — or on a link whose connection failed — are
+// dropped and counted in Dropped, mirroring writes on a closing connection.
 func (n *Network) Send(src, dst int, m any) {
 	if !n.Local(src) {
 		panic(fmt.Sprintf("tcp: Send from non-local node %d", src))
@@ -262,7 +249,7 @@ func (n *Network) Send(src, dst int, m any) {
 	n.sendFrame(src, dst, bp)
 }
 
-// SendEncoded queues an already-encoded frame — a pooled msg buffer whose
+// SendEncoded sends an already-encoded frame — a pooled msg buffer whose
 // ownership transfers to the transport — on the (src, dst) link. The shm
 // transport uses it to fall back to TCP without re-encoding. It applies the
 // same validation, drop accounting, and traffic counting as Send.
@@ -413,10 +400,13 @@ func (n *Network) getLink(src, dst int) *link {
 	return l
 }
 
-// link is the sending half of one directed node pair: a queue drained by a
-// single writer goroutine over one TCP connection. Queued frames are pooled
-// encode buffers (msg.GetBuf); whoever removes a frame from the queue owns
-// returning it with msg.PutBuf after the coalesced write (or on discard).
+// link is the sending half of one directed node pair over one TCP
+// connection. Its two producer modes never overlap: while the writer
+// goroutine is parked with an empty queue (direct), senders write inline
+// under mu; otherwise they queue, and only the writer writes until it finds
+// the queue empty. Queued frames are pooled encode buffers (msg.GetBuf);
+// whoever removes a frame from the queue owns returning it with msg.PutBuf
+// after the write (or on discard).
 type link struct {
 	n        *Network
 	src, dst int
@@ -424,26 +414,46 @@ type link struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	queue  []*[]byte
-	conn   net.Conn // set by the writer once dialed
+	spare  []*[]byte                 // the writer's previous batch, reused as the next queue
+	off    int                       // bytes of queue[0] already written inline
+	conn   net.Conn                  // set by the writer once dialed
+	write  func([]byte) (int, error) // inline write; nil: never direct
+	direct bool                      // writer parked: senders write inline
 	closed bool
 	dead   bool // connection failed; enqueues are dropped
-
-	// ewma tracks recent batch sizes (writer goroutine only); the adaptive
-	// flush window engages only while it shows a coalescible stream.
-	ewma float64
 }
 
-// enqueue appends one encoded frame; it reports false when the link no
-// longer accepts traffic (closed or failed) — the caller then still owns the
-// buffer.
+// enqueue hands one encoded frame to the link: written inline in direct
+// mode, queued otherwise. It reports false when the link no longer accepts
+// traffic (closed, failed, or the inline write failed) — the caller then
+// still owns the buffer.
 func (l *link) enqueue(frame *[]byte) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed || l.dead {
 		return false
 	}
+	// Wake the writer after the inline write, so it does not wake into a
+	// held mutex.
+	defer l.cond.Signal()
+	if l.direct {
+		// One inline write per wakeup of the writer: it re-arms direct mode
+		// when it finds the queue empty, and frames sent before then share
+		// its next writev.
+		l.direct = false
+		k, err := l.write(*frame)
+		if err != nil {
+			l.n.fail(fmt.Errorf("tcp: link %d->%d: %w", l.src, l.dst, err))
+			l.dead = true
+			return false
+		}
+		if k == len(*frame) {
+			msg.PutBuf(frame)
+			return true
+		}
+		l.off = k
+	}
 	l.queue = append(l.queue, frame)
-	l.cond.Signal()
 	return true
 }
 
@@ -476,9 +486,10 @@ func (l *link) die(err error) {
 }
 
 // run is the link's writer goroutine: dial (with retries, so peers may start
-// later), handshake, then drain the queue in batches — every wakeup writes
-// all frames queued so far and flushes once, which coalesces bursts into few
-// syscalls while keeping the stream strictly FIFO.
+// later), handshake, then park in direct mode while the queue is empty and
+// drain it in batches otherwise — every wakeup writes all frames queued so
+// far with one writev, which coalesces bursts into few syscalls while keeping
+// the stream strictly FIFO.
 func (l *link) run() {
 	defer l.n.writeWg.Done()
 	conn, err := l.dial()
@@ -489,6 +500,7 @@ func (l *link) run() {
 	defer conn.Close()
 	l.mu.Lock()
 	l.conn = conn
+	l.write = rawWriter(conn)
 	if l.closed {
 		// Close ran while we were dialing; apply the bounded-flush
 		// deadline it could not set then.
@@ -506,47 +518,40 @@ func (l *link) run() {
 	if l.n.Local(l.dst) {
 		l.n.selfDialed.Add(1)
 	}
-	var pending net.Buffers
+	// pending keeps its capacity across batches; WriteTo consumes the copy
+	// in iov from the front, so writing pending itself would shrink it.
+	var pending, iov net.Buffers
+	l.mu.Lock()
 	for {
-		l.mu.Lock()
-		for len(l.queue) == 0 && !l.closed {
+		for len(l.queue) == 0 && !l.closed && !l.dead {
+			l.direct = l.write != nil
 			l.cond.Wait()
 		}
-		batch := l.queue
-		l.queue = nil
-		closed := l.closed
-		l.mu.Unlock()
-		if !closed && len(batch) > 0 && len(batch) < flushBatchTarget && l.ewma > flushEngageEWMA {
-			// The stream has been coalescing well but this batch is small:
-			// wait briefly for stragglers so they share one writev.
-			deadline := time.Now().Add(flushWindow)
-			for time.Now().Before(deadline) {
-				runtime.Gosched()
-				l.mu.Lock()
-				if len(l.queue) > 0 {
-					batch = append(batch, l.queue...)
-					l.queue = nil
-				}
-				closed = l.closed
-				l.mu.Unlock()
-				if len(batch) >= flushBatchTarget || closed {
-					break
-				}
-			}
+		l.direct = false
+		if l.dead {
+			// An inline write failed and dropped its frame.
+			l.mu.Unlock()
+			return
 		}
-		l.ewma = 0.8*l.ewma + 0.2*float64(len(batch))
+		batch, off, closed := l.queue, l.off, l.closed
+		l.queue, l.off = l.spare, 0
+		l.mu.Unlock()
 		if len(batch) > 0 {
-			pending = pending[:0]
 			for _, frame := range batch {
 				pending = append(pending, *frame)
 			}
-			_, err := pending.WriteTo(conn)
-			// The kernel owns copies of the written bytes now (WriteTo
-			// consumes the Buffers view, not the frames), so the pooled
+			pending[0] = pending[0][off:]
+			iov = pending
+			_, err := iov.WriteTo(conn)
+			// The kernel owns copies of the written bytes now, so the pooled
 			// encode buffers go back either way.
 			for _, frame := range batch {
 				msg.PutBuf(frame)
 			}
+			// Reused slices must not pin buffers the pool has let go.
+			clear(batch)
+			clear(pending)
+			pending = pending[:0]
 			if err != nil {
 				l.die(err)
 				return
@@ -555,6 +560,8 @@ func (l *link) run() {
 		if closed {
 			return
 		}
+		l.mu.Lock()
+		l.spare = batch[:0]
 	}
 }
 

@@ -1,6 +1,8 @@
 package tcp
 
 import (
+	"io"
+	stdnet "net"
 	"sync"
 	"testing"
 	"time"
@@ -184,5 +186,151 @@ func TestDialRetriesUntilPeerAppears(t *testing.T) {
 	}
 	if err := netA.Err(); err != nil {
 		t.Fatalf("link recorded error despite successful retry: %v", err)
+	}
+}
+
+// parked waits up to d for the link's writer to park in direct mode, so that
+// the next Send writes inline, and reports whether it did.
+func parked(l *link, d time.Duration) bool {
+	for deadline := time.Now().Add(d); time.Now().Before(deadline); time.Sleep(10 * time.Microsecond) {
+		l.mu.Lock()
+		direct := l.direct
+		l.mu.Unlock()
+		if direct {
+			return true
+		}
+	}
+	return false
+}
+
+// TestSendNeverBlocksOnStalledPeer fills the socket of a link whose peer has
+// stopped reading: its inbox is full and nobody drains it. Every Send must
+// still return at once, queueing what the socket does not take, and once the
+// peer reads again every frame arrives exactly once and in order. The sends
+// are paced so that the link's writer parks between them while the socket
+// has room, so the frame that fills the socket is written inline, in part.
+func TestSendNeverBlocksOnStalledPeer(t *testing.T) {
+	net, err := New(Config{Addrs: []string{"127.0.0.1:0", "127.0.0.1:0"}, InboxSize: 4})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer net.Close()
+	const frames = 2000 // 31 MiB, several times what the sockets buffer
+	vals := make([]float32, 4096)
+	l := net.getLink(0, 1)
+	slowest := make(chan time.Duration, 1)
+	go func() {
+		var worst time.Duration
+		pace := true
+		for i := 0; i < frames; i++ {
+			vals[0] = float32(i)
+			if pace {
+				// Once the writer stays busy, the socket is full.
+				pace = parked(l, 10*time.Millisecond)
+			}
+			start := time.Now()
+			net.Send(0, 1, &msg.RelocTransfer{ID: uint64(i), Keys: []kv.Key{1}, Vals: vals})
+			worst = max(worst, time.Since(start))
+		}
+		slowest <- worst
+	}()
+	select {
+	case worst := <-slowest:
+		// A Send that waited for the peer would wait forever here; the
+		// bound only allows for a loaded machine.
+		if worst > 250*time.Millisecond {
+			t.Fatalf("slowest Send took %v against a stalled peer", worst)
+		}
+	case <-time.After(10 * time.Second):
+		// Unblock the sender so Close can finish before reporting.
+		go func() {
+			for env := range net.Inbox(1, 0) {
+				env.Recycle()
+			}
+		}()
+		t.Fatal("Send blocked on a peer that stopped reading")
+	}
+	for i := 0; i < frames; i++ {
+		env := <-net.Inbox(1, 0)
+		got := env.Msg.(*msg.RelocTransfer)
+		if got.ID != uint64(i) || len(got.Vals) != len(vals) || got.Vals[0] != float32(i) {
+			t.Fatalf("frame %d: got ID %d with %d values starting %v", i, got.ID, len(got.Vals), got.Vals[0])
+		}
+		env.Recycle()
+	}
+	if err := net.Err(); err != nil {
+		t.Fatalf("transport error: %v", err)
+	}
+	if d := net.Dropped(); d != 0 {
+		t.Fatalf("Dropped = %d, want 0", d)
+	}
+}
+
+// TestQueuedBatchesDoNotAllocate holds a link's writer behind a socket its
+// peer reads only frame by frame, so every frame sent queues and leaves in
+// one of the writer's batches. The batches reuse their slices: sending and
+// writing a queued frame allocates nothing.
+func TestQueuedBatchesDoNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops buffers at random under the race detector")
+	}
+	peer, err := stdnet.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
+	net, err := New(Config{Addrs: []string{"127.0.0.1:0", peer.Addr().String()}, Local: []int{0}, DrainTimeout: 100 * time.Millisecond})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer net.Close()
+	m := &msg.RelocTransfer{Keys: []kv.Key{1}, Vals: make([]float32, 4096)}
+	net.Send(0, 1, m)
+	conn, err := peer.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	buf := make([]byte, handshakeBytes+msg.Size(m))
+	if _, err := io.ReadFull(conn, buf); err != nil {
+		t.Fatal(err)
+	}
+	buf = buf[handshakeBytes:]
+	// Fixed socket buffers (no autotuning) hold less than the backlog built
+	// below, so frames stay queued however much the peer reads per run.
+	l := net.getLink(0, 1)
+	l.mu.Lock()
+	out := l.conn.(*stdnet.TCPConn)
+	l.mu.Unlock()
+	if err := out.SetWriteBuffer(64 << 10); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.(*stdnet.TCPConn).SetReadBuffer(64 << 10); err != nil {
+		t.Fatal(err)
+	}
+	queued := func() int {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		return len(l.queue)
+	}
+	for sent := 0; queued() < 64; sent++ {
+		if sent == 10000 {
+			t.Fatal("frames never queued behind the stalled socket")
+		}
+		net.Send(0, 1, m)
+	}
+	const perRun = 16
+	allocs := testing.AllocsPerRun(50, func() {
+		for i := 0; i < perRun; i++ {
+			net.Send(0, 1, m)
+		}
+		for i := 0; i < perRun; i++ {
+			if _, err := io.ReadFull(conn, buf); err != nil {
+				panic(err)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("%v allocations per %d queued frames, want 0", allocs, perRun)
 	}
 }
