@@ -62,7 +62,7 @@ type System struct {
 type node struct {
 	sys   *System
 	srv   *server.Node
-	store store.Store
+	store *store.Dense
 }
 
 // policyShard is one shard's view of the node policy: all messages it

@@ -201,7 +201,7 @@ func (sh *policyShard) handleManage(m *msg.Manage) {
 		}
 		sh.runClassifier(sh.classifier.Sweep(sh.nd.ctl.epoch.Load()))
 	case msg.ManageReplicate:
-		if sh.nd.rep == nil || !sh.fromHome(m) || !kv.Fits(sh.nd.sys.layout, m.Keys, len(m.Vals)) {
+		if !sh.nd.sys.replicate || !sh.fromHome(m) || !kv.Fits(sh.nd.sys.layout, m.Keys, len(m.Vals)) {
 			return // an install no home sends is dropped whole
 		}
 		src := 0
@@ -211,7 +211,7 @@ func (sh *policyShard) handleManage(m *msg.Manage) {
 			src += l
 		}
 	case msg.ManageUnreplicate:
-		if sh.nd.rep == nil || !sh.fromHome(m) {
+		if !sh.nd.sys.replicate || !sh.fromHome(m) {
 			return
 		}
 		for _, k := range m.Keys {

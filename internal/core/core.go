@@ -120,6 +120,9 @@ type Config struct {
 type System struct {
 	cl     *cluster.Cluster
 	layout kv.Layout
+	// replicate is set when keys may be replicated: a static hot set, or the
+	// controller.
+	replicate bool
 	// home statically assigns every key its home node (range partitioning).
 	home partition.Range
 	g    *server.Group
@@ -153,9 +156,10 @@ type node struct {
 	cache []atomic.Int32
 	// sh[s] is the policy of server shard s.
 	sh []*policyShard
-	// rep manages this node's replicated hot keys (nil when replication is
-	// not configured). Its wire messages are key-addressed: each shard
-	// handles the sync traffic of its own keys.
+	// rep holds this node's copies of remote keys — replicas of hot keys and
+	// leased copies — and runs the replica sync cycle (nil when neither
+	// replication nor the serving tier is configured). Its wire messages are
+	// key-addressed: each shard handles the traffic of its own keys.
 	rep *replication.Manager
 	// tracker samples this node's key accesses as the adaptive controller's
 	// evidence (nil without the controller). Per-node (like stats), so worker
@@ -164,13 +168,11 @@ type node struct {
 	// ctl is the adaptive controller's reporter state (unused when adaptive
 	// management is off).
 	ctl reporter
-	// serving is the node's client-side lease cache, leases the owner-side
-	// lease registry, and leased[k] a lock-free flag the worker write fast
-	// path checks before touching the registry. All nil/empty when the
+	// leases is the owner-side lease registry, and leased[k] a lock-free flag
+	// the worker write fast path checks before touching it. Both nil when the
 	// serving tier is disabled.
-	serving *servingCache
-	leases  *leaseReg
-	leased  []atomic.Uint32
+	leases *leaseReg
+	leased []atomic.Uint32
 }
 
 // policyShard is one server shard's policy state: the relocation queues of
@@ -241,12 +243,13 @@ type queueEntry struct {
 // local node.
 func New(cl *cluster.Cluster, layout kv.Layout, cfg Config) *System {
 	s := &System{
-		cl:     cl,
-		layout: layout,
-		home:   partition.NewRange(layout.NumKeys(), cl.Nodes()),
-		g:      server.NewGroup(cl, layout),
-		nodes:  make([]*node, cl.Nodes()),
-		stop:   make(chan struct{}),
+		cl:        cl,
+		layout:    layout,
+		replicate: len(cfg.Replicate) > 0 || cfg.Adaptive,
+		home:      partition.NewRange(layout.NumKeys(), cl.Nodes()),
+		g:         server.NewGroup(cl, layout),
+		nodes:     make([]*node, cl.Nodes()),
+		stop:      make(chan struct{}),
 	}
 	nk := int(layout.NumKeys())
 	for n := 0; n < cl.Nodes(); n++ {
@@ -275,11 +278,10 @@ func New(cl *cluster.Cluster, layout kv.Layout, cfg Config) *System {
 			}
 		}
 		if cfg.Serving != nil {
-			nd.serving = newServingCache()
 			nd.leases = newLeaseReg(cfg.Serving)
 			nd.leased = make([]atomic.Uint32, nk)
 		}
-		if len(cfg.Replicate) > 0 || cfg.Adaptive {
+		if s.replicate || cfg.Serving != nil {
 			nd.rep = replication.NewManager(replication.Config{
 				Node:   n,
 				Nodes:  cl.Nodes(),
@@ -315,13 +317,16 @@ func New(cl *cluster.Cluster, layout kv.Layout, cfg Config) *System {
 			if k >= layout.NumKeys() {
 				panic(fmt.Sprintf("core: replicated key %d outside layout (%d keys)", k, layout.NumKeys()))
 			}
-			zero := make([]float32, layout.Len(k))
-			switch {
-			case s.home.NodeOf(k) != n:
-				nd.rep.EnterKey(k, zero)
-			case !nd.rep.Replicated(k): // a key listed twice is in already
-				nd.rep.EnterHomeKey(k, zero)
+			if nd.state[k].Load() == stateReplicated {
+				continue // listed twice
 			}
+			zero := make([]float32, layout.Len(k))
+			if s.home.NodeOf(k) == n {
+				nd.rep.EnterHomeKey(k, zero)
+			} else {
+				nd.rep.EnterKey(k, zero)
+			}
+			nd.state[k].Store(stateReplicated)
 		}
 		// Initial allocation: every key lives at its home node; replicated
 		// keys live in the replication managers instead and are Replicated at
@@ -333,10 +338,7 @@ func New(cl *cluster.Cluster, layout kv.Layout, cfg Config) *System {
 		for k := kv.Key(0); k < layout.NumKeys(); k++ {
 			h := s.home.NodeOf(k)
 			nd.owner[k].Store(int32(h))
-			switch {
-			case nd.rep != nil && nd.rep.Replicated(k):
-				nd.state[k].Store(stateReplicated)
-			case h == n:
+			if h == n && nd.state[k].Load() != stateReplicated {
 				nd.store.Set(k, make([]float32, layout.Len(k)))
 				nd.state[k].Store(stateOwned)
 			}
@@ -351,7 +353,7 @@ func New(cl *cluster.Cluster, layout kv.Layout, cfg Config) *System {
 		return s.nodes[n].sh[shard]
 	})
 	for _, nd := range s.locals {
-		if nd.rep != nil {
+		if s.replicate {
 			s.loops.Add(1)
 			go nd.loop()
 		}
@@ -458,8 +460,7 @@ func (s *System) Init(fn func(k kv.Key, val []float32)) {
 
 // replicated reports whether k is managed by replication.
 func (s *System) replicated(k kv.Key) bool {
-	rep := s.locals[0].rep
-	return rep != nil && rep.Replicated(k)
+	return s.locals[0].state[k].Load() == stateReplicated
 }
 
 // ReadParameter reads the current value of k from its owner's store,
@@ -530,12 +531,12 @@ func (s *System) Handle(worker int) kv.KV {
 }
 
 // OnOpResp implements server.Policy: refresh the location cache with the
-// responder's identity and bring the serving cache up to date, both before
+// responder's identity and bring the leased copies up to date, both before
 // the runtime completes the pending operation — the worker the completion
-// unblocks must find the cache as the response left it. A pull response that
-// grants a lease installs the values; a push ack takes the keys' "own push in
-// flight" marks off, keeping an entry only if the responder granted it and
-// says it refreshed it ahead of the ack (see serving.go,
+// unblocks must find the copies as the response left them. A pull response
+// that grants a lease installs the values; a push ack takes the keys' "own
+// push in flight" marks off, keeping a leased copy only if the responder
+// granted it and says it refreshed it ahead of the ack (see serving.go,
 // "Read-your-writes"). The response's keys all belong to this shard.
 func (sh *policyShard) OnOpResp(m *msg.OpResp) {
 	if sh.nd.cache != nil {
@@ -543,25 +544,22 @@ func (sh *policyShard) OnOpResp(m *msg.OpResp) {
 			sh.nd.cache[k].Store(m.Responder)
 		}
 	}
-	sc := sh.nd.serving
-	if sc == nil {
+	if sh.nd.leases == nil {
 		return
 	}
 	if m.Type == msg.OpPush {
-		refresher := noRefresher
+		refresher := replication.NoRefresher
 		if m.LeaseTTL > 0 {
 			refresher = m.Responder
 		}
 		for _, k := range m.Keys {
-			if sc.pushEnd(k, refresher) {
-				sh.stats.LeaseInvalidations.Inc()
-			}
+			sh.nd.rep.PushEnd(k, refresher)
 		}
 	} else if m.LeaseTTL > 0 {
 		src := 0
 		for _, k := range m.Keys {
 			l := sh.nd.sys.layout.Len(k)
-			sc.install(k, m.Vals[src:src+l], m.LeaseTTL, m.Responder)
+			sh.nd.rep.Lease(k, m.Vals[src:src+l], m.LeaseTTL, m.Responder)
 			src += l
 		}
 	}
@@ -581,7 +579,7 @@ func (sh *policyShard) HandleMessage(src int, m any) {
 	case *msg.ReplicaSync:
 		// Key-addressed like Manage: a key's sync traffic shares its (link,
 		// shard) stream with the transitions that install and remove its
-		// replicas. A node without replication has nothing to sync.
+		// replicas. A node without copies has nothing to sync or refresh.
 		if sh.nd.rep != nil {
 			sh.nd.rep.HandleSync(t)
 		}
@@ -589,8 +587,6 @@ func (sh *policyShard) HandleMessage(src int, m any) {
 		if sh.nd.rep != nil {
 			sh.nd.rep.HandleRefresh(t)
 		}
-	case *msg.LeaseRevoke:
-		sh.nd.applyLeaseRevoke(t, sh.stats)
 	case *msg.Manage:
 		// Key-addressed like operations, so transitions stay FIFO with the
 		// accesses of the keys they manage on each (link, shard) stream.
@@ -1091,10 +1087,10 @@ func (sh *policyShard) finishLocal(e *queueEntry, b backing) {
 		sh.rt.Send(o.dest, m)
 		return
 	}
-	if sc := nd.serving; sc != nil && a.t == msg.OpPush && sc.pushEnd(a.k, noRefresher) {
-		// The key is local now, so nothing vouches for a serving-cache entry
-		// left over from its time elsewhere.
-		sh.stats.LeaseInvalidations.Inc()
+	if nd.leases != nil && a.t == msg.OpPush {
+		// The key is local now, so nothing vouches for a leased copy left
+		// over from its time elsewhere.
+		nd.rep.PushEnd(a.k, replication.NoRefresher)
 	}
 	sh.rt.Pending().ClaimOffset(e.id, a.k, e.off)
 	sh.rt.Pending().FinishKeys(e.id, 1)

@@ -80,8 +80,8 @@ func (h *handle) RouteKey(t msg.OpType, op *server.OpCtx, k kv.Key, dst, vals []
 		h.trk.Observe(k)
 		return server.KeyRoute{Served: true}
 	}
-	if sc := h.nd.serving; sc != nil && op.Lease() {
-		if sc.get(k, dst) {
+	if h.nd.leases != nil && op.Lease() {
+		if h.nd.rep.ReadLease(k, dst) {
 			h.trk.Observe(k)
 			sh.stats.ServingHits.Inc()
 			sh.stats.ReadValues.Add(int64(len(dst)))
@@ -101,7 +101,7 @@ func (h *handle) ShardLock(shard int) sync.Locker { return &h.nd.sh[shard].queue
 // joins its relocation queue if one was opened since RouteKey looked, is
 // served after all if it arrived meanwhile, and keeps its place in the
 // outgoing group otherwise. A push that leaves the fast path marks its key
-// "own push in flight" in the node's serving cache, which keeps the node's
+// "own push in flight" in the node's table of copies, which keeps the node's
 // workers from reading the pre-write entry until the push completes (see
 // serving.go, "Read-your-writes").
 func (h *handle) RouteLocked(t msg.OpType, op *server.OpCtx, k kv.Key, dst, vals []float32) server.KeyRoute {
@@ -116,8 +116,8 @@ func (h *handle) RouteLocked(t msg.OpType, op *server.OpCtx, k kv.Key, dst, vals
 		return server.KeyRoute{Served: true}
 	}
 	h.trk.ObserveRemote(k)
-	if sc := h.nd.serving; sc != nil && t == msg.OpPush {
-		sc.pushBegin(k)
+	if h.nd.leases != nil && t == msg.OpPush {
+		h.nd.rep.PushBegin(k)
 	}
 	if !o.queued {
 		sh.countRemote(t, k)

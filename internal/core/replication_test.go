@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -301,11 +302,16 @@ func TestMalformedReplicationInputIsDropped(t *testing.T) {
 	defer func() { cl.Close(); sys.Shutdown() }()
 	sys.stopLoops()
 	sys.Init(func(k kv.Key, v []float32) { v[0], v[1] = float32(k), float32(k) })
-	// Key 6, homed at node 1, lives at node 0.
+	// Key 6, homed at node 1, lives at node 0. The Localize completes when
+	// the transfer lands, a moment before the drain opens the Owned fast
+	// path; the snapshot below is taken after that.
 	if err := sys.Handle(0).Localize([]kv.Key{6}); err != nil {
 		t.Fatal(err)
 	}
 	nd := sys.nodes[0]
+	for nd.state[6].Load() != stateOwned {
+		runtime.Gosched()
+	}
 	snapshot := func() (vals []float32) {
 		buf := make([]float32, 2)
 		for _, k := range hot {
@@ -362,6 +368,7 @@ func TestMalformedReplicationInputIsDropped(t *testing.T) {
 		{"refresh key outside layout", &msg.ReplicaRefresh{Origin: 1, Keys: []kv.Key{99}, Vals: two}},
 		{"refresh mixed shards", &msg.ReplicaRefresh{Origin: 1, Keys: []kv.Key{5, 2}, Vals: []float32{1, 1, 1, 1}}},
 		{"refresh no keys", &msg.ReplicaRefresh{Origin: 1, Vals: two}},
+		{"refresh from a node not the key's home", &msg.ReplicaRefresh{Origin: 0, Keys: []kv.Key{5}, Vals: two}},
 		{"ack two keys", &msg.Manage{Kind: msg.ManageDemoteAck, Origin: 1, Keys: []kv.Key{1, 3}, Vals: two}},
 		{"ack no keys", &msg.Manage{Kind: msg.ManageDemoteAck, Origin: 1}},
 		{"ack without demotion", &msg.Manage{Kind: msg.ManageDemoteAck, Origin: 1, Keys: []kv.Key{1}, Vals: two}},

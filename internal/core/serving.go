@@ -5,12 +5,14 @@ import (
 	"time"
 
 	"lapse/internal/kv"
-	"lapse/internal/metrics"
 	"lapse/internal/msg"
 )
 
 // Serving tier: lease-based client-side read caching with update-in-place
-// coherence (see DESIGN.md "Serving tier").
+// coherence (see DESIGN.md "Serving tier"). This file is the owner's side;
+// a holder keeps its leased copies in the node's table of copies
+// (internal/replication), beside its replicas, and applies the owner's
+// messages there.
 //
 // A read-mostly serving workload pulls the same hot keys over and over from
 // every node. The relocation protocol cannot make such keys local everywhere
@@ -19,32 +21,33 @@ import (
 // when a MultiGet misses every local fast path, the remote pull asks the
 // key's owner for a *lease* (Op.Lease); the owner answers with the value and
 // a TTL (OpResp.LeaseTTL), records the holder, and the origin installs the
-// value in a node-local serving cache. Until the lease runs out MultiGets of
-// the key are shared-memory reads with zero pending-table registration.
+// value as a leased copy. Until the lease runs out MultiGets of the key are
+// shared-memory reads with zero pending-table registration.
 //
 // Coherence is update-on-write. A push that applies at the owner of a leased
 // key leaves the lease standing: the owner sends every live holder — the
-// writer's node included — one key-addressed LeaseRevoke carrying a latched
-// snapshot of the post-write value and the lease time that is left, ahead of
-// the push ack on the same (link, shard) FIFO. The holder overwrites its live
-// entry in place; it never creates an entry from such a message and never
-// keeps one longer than the message says, so a holder that stops reading
-// stops costing messages when its lease runs out. The value is read and the
-// messages are sent under the owner's registry lock (transport Sends queue
-// and never block), so the refreshes of concurrent writers — shard goroutines
-// and the owner's own workers — leave in value order and the last one to
-// land holds every write before it. The value-less form of the message (drop)
-// remains where the value leaves the owner's store, in takeOut: a relocation's
-// transfer-out and a promotion into replication alike send it to the holders
-// directly, ahead of the RelocTransfer or ManageReplicate that follows on the
-// same (link, shard) stream — a holder drops its cached copy before the
-// replica that supersedes it is installed. A refresh whose Vals do not match
-// the keys' layout lengths is treated as a drop: the wire is outside input.
+// writer's node included — one key-addressed ReplicaRefresh carrying a
+// latched snapshot of the post-write value and, in Ack, the lease time that
+// is left, ahead of the push ack on the same (link, shard) FIFO. The holder
+// overwrites its live copy in place; it never creates a copy from such a
+// message and never keeps one longer than the message says, so a holder that
+// stops reading stops costing messages when its lease runs out. The value is
+// read and the messages are sent under the owner's registry lock (transport
+// Sends queue and never block), so the refreshes of concurrent writers —
+// shard goroutines and the owner's own workers — leave in value order and the
+// last one to land holds every write before it. The value-less form of the
+// message (drop) remains where the value leaves the owner's store, in
+// takeOut: a relocation's transfer-out and a promotion into replication alike
+// send it to the holders directly, ahead of the RelocTransfer or
+// ManageReplicate that follows on the same (link, shard) stream — a holder
+// drops its leased copy before the replica that supersedes it is installed.
+// A refresh whose Vals do not match the keys' layout lengths is treated as a
+// drop: the wire is outside input.
 //
 // Correctness:
 //
 //   - Read-your-writes. A push that leaves the shared-memory fast path marks
-//     its key "own push in flight" in the node's serving cache (a per-key
+//     its key "own push in flight" in the node's table of copies (a per-key
 //     count, so it balances under pipelining and across co-located workers):
 //     while the count is above zero MultiGets of the key miss and travel
 //     behind the push. The mark is taken off where the push completes — the
@@ -54,8 +57,9 @@ import (
 //     writer's next read is a hit that contains its write. An ack that does
 //     not vouch for the writer's copy — the lease had run out at the owner,
 //     the key was answered by a new owner, a replica or a queue drain — makes
-//     the writer discard its entry. So a node never reads a value older than
-//     its own acknowledged write from its cache, whatever path the push took.
+//     the writer discard its leased copy (a replica took the write itself and
+//     stays). So a node never reads a value older than its own acknowledged
+//     write from a lease, whatever path the push took.
 //   - Staleness bound. A served read lags another node's write by at most one
 //     message latency while the refresh travels, and by at most the lease TTL
 //     plus one latency when a refresh is lost or is never sent. The one case
@@ -66,7 +70,7 @@ import (
 //     one holder keeps it until the next write or until its lease runs out.
 //     Remote writers cannot race a grant: both run on the key's shard
 //     goroutine.
-//   - Stale owners. An entry remembers which node granted it and takes
+//   - Stale owners. A copy remembers which node granted it and takes
 //     refreshes from that node only: a refresh from a previous owner, delayed
 //     past the grant of the next one, must not put an older value back.
 type ServingConfig struct {
@@ -97,160 +101,6 @@ func (c *ServingConfig) ttlMicros() uint32 {
 	return uint32(ttl / time.Microsecond)
 }
 
-// servingStripes is the lock striping of the serving cache. Power of two;
-// spreads concurrent workers of one node across locks.
-const servingStripes = 64
-
-// cacheEntry is one leased value in the serving cache.
-type cacheEntry struct {
-	expiry int64 // UnixNano deadline
-	owner  int32 // granting node; the only one whose refreshes apply
-	vals   []float32
-}
-
-// servingCache is a node's client-side serving cache: leased values of
-// remote hot keys, readable by every worker of the node. Reads, installs,
-// refreshes and drops synchronize per stripe; the hit path (get) does one
-// lock round trip, one map lookup, and one copy — no allocation.
-type servingCache struct {
-	stripes [servingStripes]servingStripe
-}
-
-type servingStripe struct {
-	mu      sync.Mutex
-	entries map[kv.Key]*cacheEntry
-	// pushing counts this node's own pushes in flight per key. It is kept
-	// apart from the entries because it must outlive them: a grant that
-	// installs an entry while a push is unacknowledged must not be readable
-	// either. Empty except while pushes are in flight, so the hit path pays
-	// a length check.
-	pushing map[kv.Key]int32
-}
-
-// stripe returns the lock stripe of k.
-func (c *servingCache) stripe(k kv.Key) *servingStripe {
-	return &c.stripes[uint64(k)&(servingStripes-1)]
-}
-
-func newServingCache() *servingCache {
-	c := &servingCache{}
-	for i := range c.stripes {
-		c.stripes[i].entries = make(map[kv.Key]*cacheEntry)
-		c.stripes[i].pushing = make(map[kv.Key]int32)
-	}
-	return c
-}
-
-// get copies the cached value of k into dst if a live lease covers it and
-// none of this node's pushes to k is in flight. Expired entries are dropped
-// on the way.
-func (c *servingCache) get(k kv.Key, dst []float32) bool {
-	st := c.stripe(k)
-	st.mu.Lock()
-	e, ok := st.entries[k]
-	if !ok || (len(st.pushing) != 0 && st.pushing[k] != 0) {
-		st.mu.Unlock()
-		return false
-	}
-	if e.expiry < time.Now().UnixNano() {
-		delete(st.entries, k)
-		st.mu.Unlock()
-		return false
-	}
-	copy(dst, e.vals)
-	st.mu.Unlock()
-	return true
-}
-
-// install stores the lease entry of k with value v, granted by owner and
-// valid for ttlMicros microseconds from now. v is copied: it aliases a decode
-// scratch at the call site.
-func (c *servingCache) install(k kv.Key, v []float32, ttlMicros uint32, owner int32) {
-	expiry := time.Now().UnixNano() + int64(ttlMicros)*1000
-	st := c.stripe(k)
-	st.mu.Lock()
-	e, ok := st.entries[k]
-	if !ok {
-		e = &cacheEntry{vals: make([]float32, len(v))}
-		st.entries[k] = e
-	} else if cap(e.vals) < len(v) {
-		e.vals = make([]float32, len(v))
-	}
-	e.vals = e.vals[:len(v)]
-	copy(e.vals, v)
-	e.expiry, e.owner = expiry, owner
-	st.mu.Unlock()
-}
-
-// refresh overwrites the live entry of k in place with the post-write value
-// v its owner sent, and clamps the entry's life to the ttlMicros the owner
-// says are left. It never creates an entry and never extends one, and it
-// ignores a sender that is not the entry's grantor. Reports whether an entry
-// was overwritten.
-func (c *servingCache) refresh(k kv.Key, v []float32, ttlMicros uint32, owner int32) bool {
-	now := time.Now().UnixNano()
-	st := c.stripe(k)
-	st.mu.Lock()
-	e, ok := st.entries[k]
-	if !ok || e.owner != owner || e.expiry < now || len(e.vals) != len(v) {
-		st.mu.Unlock()
-		return false
-	}
-	copy(e.vals, v)
-	if left := now + int64(ttlMicros)*1000; left < e.expiry {
-		e.expiry = left
-	}
-	st.mu.Unlock()
-	return true
-}
-
-// drop discards the lease entry of k, reporting whether one existed.
-func (c *servingCache) drop(k kv.Key) bool {
-	st := c.stripe(k)
-	st.mu.Lock()
-	_, ok := st.entries[k]
-	if ok {
-		delete(st.entries, k)
-	}
-	st.mu.Unlock()
-	return ok
-}
-
-// pushBegin marks one more of this node's pushes to k as in flight: until
-// the matching pushEnd, get misses on k.
-func (c *servingCache) pushBegin(k kv.Key) {
-	st := c.stripe(k)
-	st.mu.Lock()
-	st.pushing[k]++
-	st.mu.Unlock()
-}
-
-// pushEnd takes one in-flight mark off k when a push completed. refresher is
-// the node that says it overwrote this node's entry with the post-write value
-// before completing the push (noRefresher: nobody does). An entry that node
-// did not grant is one nothing vouches for, and is discarded. Reports whether
-// an entry was discarded.
-func (c *servingCache) pushEnd(k kv.Key, refresher int32) bool {
-	st := c.stripe(k)
-	st.mu.Lock()
-	if n := st.pushing[k]; n > 1 {
-		st.pushing[k] = n - 1
-	} else {
-		delete(st.pushing, k)
-	}
-	e, ok := st.entries[k]
-	dropped := ok && e.owner != refresher
-	if dropped {
-		delete(st.entries, k)
-	}
-	st.mu.Unlock()
-	return dropped
-}
-
-// noRefresher is pushEnd's refresher when the push completed without anyone
-// refreshing this node's entry. No entry is granted by it.
-const noRefresher int32 = -1
-
 // leaseHold records the outstanding leases of one key at its owner: a bitmask
 // of holder nodes and the conservative deadline after which every one of them
 // has expired on its own.
@@ -273,7 +123,7 @@ type leaseReg struct {
 	ttlMicros uint32
 	mu        sync.Mutex
 	holders   map[kv.Key]*leaseHold
-	out       msg.LeaseRevoke
+	out       msg.ReplicaRefresh
 	key       [1]kv.Key
 	vals      []float32
 }
@@ -316,7 +166,7 @@ func (nd *node) grantLeases(keys []kv.Key, origin int) uint32 {
 
 // refreshLeases runs after a push was applied to k at this node, its owner:
 // every live holder is sent the post-write value and the lease time left
-// (LeaseRevoke, refresh form). The message is key-addressed, so on each
+// (ReplicaRefresh, refresh form). The message is key-addressed, so on each
 // holder's (link, shard) stream it follows the grant it may be chasing and
 // precedes the ack of the push that caused it. The holder set includes the
 // writer's node: its entry is what the writer reads next. The leases stay in
@@ -362,7 +212,7 @@ func (nd *node) isLeased(k kv.Key) bool {
 
 // dropLeases withdraws every outstanding lease on k because its value is
 // leaving this node: the registry entry and the fast-path flag are cleared
-// and each live holder is sent a value-less LeaseRevoke.
+// and each live holder is sent a value-less ReplicaRefresh (drop form).
 func (nd *node) dropLeases(k kv.Key) {
 	reg := nd.leases
 	reg.mu.Lock()
@@ -379,7 +229,7 @@ func (nd *node) dropLeases(k kv.Key) {
 // registry lock must be held: the message struct is the registry's.
 func (reg *leaseReg) sendHolders(nd *node, k kv.Key, ttlMicros uint32, vals []float32, mask uint64) {
 	reg.key[0] = k
-	reg.out = msg.LeaseRevoke{Origin: int32(nd.id), TTL: ttlMicros, Keys: reg.key[:], Vals: vals}
+	reg.out = msg.ReplicaRefresh{Origin: int32(nd.id), Ack: ttlMicros, Keys: reg.key[:], Vals: vals}
 	stats := nd.srv.Shard(0).Stats()
 	for dest := 0; mask != 0; dest++ {
 		if mask&(1<<uint(dest)) == 0 {
@@ -391,31 +241,5 @@ func (reg *leaseReg) sendHolders(nd *node, k kv.Key, ttlMicros uint32, vals []fl
 		}
 		stats.LeaseRevokes.Inc()
 		nd.srv.Send(dest, &reg.out)
-	}
-}
-
-// applyLeaseRevoke handles an owner's coherence message at a holder: the
-// refresh form overwrites live entries in place, the drop form — and a
-// refresh whose values do not fit the keys, which the codec cannot rule out —
-// discards them.
-func (nd *node) applyLeaseRevoke(m *msg.LeaseRevoke, stats *metrics.ServerStats) {
-	if nd.serving == nil {
-		return
-	}
-	if len(m.Vals) == 0 || !kv.Fits(nd.sys.layout, m.Keys, len(m.Vals)) {
-		for _, k := range m.Keys {
-			if nd.serving.drop(k) {
-				stats.LeaseInvalidations.Inc()
-			}
-		}
-		return
-	}
-	src := 0
-	for _, k := range m.Keys {
-		l := nd.sys.layout.Len(k)
-		if nd.serving.refresh(k, m.Vals[src:src+l], m.TTL, m.Origin) {
-			stats.LeaseRefreshes.Inc()
-		}
-		src += l
 	}
 }

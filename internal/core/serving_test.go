@@ -7,7 +7,10 @@ import (
 
 	"lapse/internal/cluster"
 	"lapse/internal/kv"
+	"lapse/internal/metrics"
 	"lapse/internal/msg"
+	"lapse/internal/partition"
+	"lapse/internal/replication"
 	"lapse/internal/simnet"
 )
 
@@ -162,8 +165,8 @@ func TestOwnerPushRevokesRemoteLease(t *testing.T) {
 
 // TestPushByLeaseHolderChasesItsOwnGrant pins that the owner does NOT skip
 // the writing node: after node 0 — the only lease holder — pushes the key it
-// holds a lease on, the owner must still send exactly one LeaseRevoke (to node
-// 0). The writer's entry, or a grant still in flight to the writer when the
+// holds a lease on, the owner must still send exactly one lease refresh (to
+// node 0). The writer's entry, or a grant still in flight to the writer when the
 // push arrives, holds the pre-write value; only a message chasing it on the
 // same FIFO stream, ahead of the push ack, keeps the writer's read-your-writes
 // intact. Skipping the writer here would leave the count at 0 and reopen that
@@ -374,70 +377,142 @@ func TestLeasedPushAllocations(t *testing.T) {
 	}
 }
 
+// newCopyTable returns node 0's table of copies in a three-node cluster of
+// eight two-value keys, where keys 3–5 are homed at node 1, and its one
+// shard's statistics.
+func newCopyTable() (*replication.Manager, *metrics.ServerStats) {
+	stats := &metrics.ServerStats{}
+	m := replication.NewManager(replication.Config{Node: 0, Nodes: 3, Layout: kv.NewUniformLayout(8, 2),
+		Home: partition.NewRange(8, 3), Stats: []*metrics.ServerStats{stats}, Send: func(int, any) {}})
+	return m, stats
+}
+
 // TestServingCacheRefreshRules pins what a refresh may and may not do to a
-// holder's cache: overwrite a live entry of the same grantor in place and
-// shorten its life — never create an entry, never extend one, never apply a
-// previous owner's value or one of the wrong length.
+// holder's leased copy: overwrite a live copy of the same grantor in place
+// and shorten its life — never create a copy, never extend one, never apply
+// a previous owner's value or one of the wrong length — and what this node's
+// own pushes do to it.
 func TestServingCacheRefreshRules(t *testing.T) {
 	const ttl = 30_000_000 // µs
-	c := newServingCache()
+	m, stats := newCopyTable()
 	got := make([]float32, 2)
-	if c.refresh(3, []float32{1, 1}, ttl, 1) || c.get(3, got) {
-		t.Fatal("refresh created an entry")
+	refresh := func(ttl uint32, from int32, vals ...float32) {
+		m.HandleRefresh(&msg.ReplicaRefresh{Origin: from, Ack: ttl, Keys: []kv.Key{3}, Vals: vals})
 	}
-	c.install(3, []float32{1, 1}, ttl, 1)
-	if !c.refresh(3, []float32{2, 2}, ttl, 1) || !c.get(3, got) || got[0] != 2 {
+	if refresh(ttl, 1, 1, 1); m.ReadLease(3, got) {
+		t.Fatal("refresh created a copy")
+	}
+	m.Lease(3, []float32{1, 1}, ttl, 1)
+	if refresh(ttl, 1, 2, 2); !m.ReadLease(3, got) || got[0] != 2 {
 		t.Fatalf("refresh by the grantor did not overwrite in place: %v", got)
 	}
-	if c.refresh(3, []float32{9, 9}, ttl, 2) {
-		t.Fatal("refresh from a node that did not grant the lease was applied")
+	if refresh(ttl, 2, 9, 9); !m.ReadLease(3, got) || got[0] != 2 {
+		t.Fatalf("refresh from a node that did not grant the lease was applied: %v", got)
 	}
-	if c.refresh(3, []float32{9}, ttl, 1) {
-		t.Fatal("refresh of the wrong length was applied")
-	}
-	if c.get(3, got); got[0] != 2 {
-		t.Fatalf("rejected refreshes changed the entry: %v", got)
+	if refresh(ttl, 1, 9); m.ReadLease(3, got) {
+		t.Fatal("refresh of the wrong length left the copy readable")
 	}
 	// The owner's remaining time wins when it is shorter; a longer one does
 	// not extend the lease.
-	st := &c.stripes[3&(servingStripes-1)]
-	before := st.entries[3].expiry
-	c.refresh(3, []float32{3, 3}, 2*ttl, 1)
-	if st.entries[3].expiry != before {
+	m.Lease(3, []float32{3, 3}, 20_000, 1)
+	refresh(2*ttl, 1, 3, 3)
+	time.Sleep(25 * time.Millisecond)
+	if m.ReadLease(3, got) {
 		t.Fatal("refresh extended the lease")
 	}
-	c.refresh(3, []float32{3, 3}, 1, 1)
+	m.Lease(3, []float32{3, 3}, ttl, 1)
+	refresh(1, 1, 3, 3)
 	time.Sleep(time.Millisecond)
-	if c.get(3, got) {
-		t.Fatal("entry outlived the remaining lease time its owner announced")
+	if m.ReadLease(3, got) {
+		t.Fatal("copy outlived the remaining lease time its owner announced")
 	}
-	c.install(3, []float32{4, 4}, 1, 1)
+	m.Lease(3, []float32{4, 4}, 1, 1)
 	time.Sleep(time.Millisecond)
-	if c.refresh(3, []float32{5, 5}, ttl, 1) {
-		t.Fatal("refresh revived an expired entry")
+	if refresh(ttl, 1, 5, 5); m.ReadLease(3, got) {
+		t.Fatal("refresh revived an expired copy")
 	}
-	// An own push's ack that does not vouch for the entry discards it; one
+	// An own push's ack that does not vouch for the copy discards it; one
 	// that does keeps it, and the last mark coming off makes it readable.
-	c.install(3, []float32{6, 6}, ttl, 1)
-	c.pushBegin(3)
-	c.pushBegin(3)
-	if c.get(3, got) {
-		t.Fatal("entry readable with own pushes in flight")
+	m.Lease(3, []float32{6, 6}, ttl, 1)
+	m.PushBegin(3)
+	m.PushBegin(3)
+	if m.ReadLease(3, got) {
+		t.Fatal("copy readable with own pushes in flight")
 	}
-	if c.pushEnd(3, 1) || c.get(3, got) {
-		t.Fatal("first of two acks dropped the entry or made it readable")
+	if m.PushEnd(3, 1); m.ReadLease(3, got) {
+		t.Fatal("first of two acks made the copy readable")
 	}
-	if c.pushEnd(3, 1) || !c.get(3, got) {
-		t.Fatal("entry not readable after the last vouching ack")
+	if m.PushEnd(3, 1); !m.ReadLease(3, got) || got[0] != 6 {
+		t.Fatal("copy not readable after the last vouching ack")
 	}
-	c.pushBegin(3)
-	if !c.pushEnd(3, noRefresher) || c.get(3, got) {
-		t.Fatal("ack that vouches for nothing left the entry in place")
+	m.PushBegin(3)
+	if m.PushEnd(3, replication.NoRefresher); m.ReadLease(3, got) {
+		t.Fatal("ack that vouches for nothing left the copy in place")
 	}
-	c.install(3, []float32{7, 7}, ttl, 1)
-	c.pushBegin(3)
-	if !c.pushEnd(3, 2) || c.get(3, got) {
-		t.Fatal("ack from a node that did not grant the entry left it in place")
+	m.Lease(3, []float32{7, 7}, ttl, 1)
+	m.PushBegin(3)
+	if m.PushEnd(3, 2); m.ReadLease(3, got) {
+		t.Fatal("ack from a node that did not grant the copy left it in place")
+	}
+	// The wrong-length refresh and the two unvouched acks.
+	if n := stats.LeaseInvalidations.Load(); n != 3 {
+		t.Fatalf("%d copies dropped, want 3", n)
+	}
+}
+
+// TestCopyKindRules pins what sharing one table means for a replica, the copy
+// that never expires: lease traffic about its key leaves it alone, and it
+// replaces a lease it meets.
+func TestCopyKindRules(t *testing.T) {
+	const ttl = 30_000_000 // µs
+	m, stats := newCopyTable()
+	got := make([]float32, 2)
+	// (a) A push queued while a relocation was in flight, drained into the
+	// replica that adopted the queue: its completion vouches for nothing,
+	// and the replica, which took the write itself, stays.
+	m.EnterKey(3, []float32{1, 1})
+	m.PushBegin(3)
+	if !m.Push(3, []float32{1, 1}) {
+		t.Fatal("replica refused a push")
+	}
+	m.PushEnd(3, replication.NoRefresher)
+	if !m.Pull(3, got) || got[0] != 2 {
+		t.Fatalf("an ack that vouches for nothing dropped the replica: %v", got)
+	}
+	// (b) A replica entering over a live lease replaces it.
+	m.Lease(4, []float32{5, 5}, ttl, 1)
+	m.EnterKey(4, []float32{1, 1})
+	if m.ReadLease(4, got) {
+		t.Fatal("the lease a replica replaced is still served")
+	}
+	if !m.Pull(4, got) || got[0] != 1 || !m.Push(4, []float32{1, 1}) {
+		t.Fatalf("EnterKey kept the lease as if it were a replica: %v", got)
+	}
+	// (c) A late grant never overwrites a replica.
+	if m.Lease(3, []float32{9, 9}, ttl, 1); m.ReadLease(3, got) || !m.Pull(3, got) || got[0] != 2 {
+		t.Fatalf("a late grant replaced the replica: %v", got)
+	}
+	// (d) A refresh from the home installs into the replica, keeping its
+	// unmerged delta, but never clamps or ends it: an Ack of 1 is a sync
+	// round here, not a microsecond left.
+	m.HandleRefresh(&msg.ReplicaRefresh{Origin: 1, Ack: 1, Keys: []kv.Key{3}, Vals: []float32{4, 4}})
+	time.Sleep(time.Millisecond)
+	if !m.Pull(3, got) || got[0] != 5 {
+		t.Fatalf("replica after a refresh = %v, want 4 plus its unsent 1", got)
+	}
+	// The drop form, a malformed refresh and one from a node that is not
+	// the key's home leave it alone.
+	for _, r := range []*msg.ReplicaRefresh{
+		{Origin: 1, Keys: []kv.Key{3}},
+		{Origin: 1, Ack: ttl, Keys: []kv.Key{3}, Vals: []float32{8}},
+		{Origin: 2, Ack: 1, Keys: []kv.Key{3}, Vals: []float32{8, 8}},
+	} {
+		if m.HandleRefresh(r); !m.Pull(3, got) || got[0] != 5 {
+			t.Fatalf("refresh %+v changed the replica: %v", r, got)
+		}
+	}
+	if n := stats.LeaseInvalidations.Load() + stats.LeaseRefreshes.Load(); n != 0 {
+		t.Fatalf("replicas counted %d lease refreshes or invalidations, want 0", n)
 	}
 }
 
@@ -449,10 +524,10 @@ func TestMalformedLeaseRefreshDropsEntry(t *testing.T) {
 	h := sys.Handle(0).(servingKV)
 	keys := []kv.Key{6} // homed at node 1
 	buf := make([]float32, 2)
-	for i, bad := range []*msg.LeaseRevoke{
-		{Origin: 1, TTL: 1000, Keys: []kv.Key{6}, Vals: []float32{1}},       // short
-		{Origin: 1, TTL: 1000, Keys: []kv.Key{6}, Vals: []float32{1, 2, 3}}, // long
-		{Origin: 1, TTL: 1000, Keys: []kv.Key{6, 1 << 40}, Vals: []float32{1, 2, 3, 4}},
+	for i, bad := range []*msg.ReplicaRefresh{
+		{Origin: 1, Ack: 1000, Keys: []kv.Key{6}, Vals: []float32{1}},       // short
+		{Origin: 1, Ack: 1000, Keys: []kv.Key{6}, Vals: []float32{1, 2, 3}}, // long
+		{Origin: 1, Ack: 1000, Keys: []kv.Key{6, 1 << 40}, Vals: []float32{1, 2, 3, 4}},
 	} {
 		if err := h.MultiGet(keys, buf).Wait(); err != nil { // (re)take the lease
 			t.Fatal(err)

@@ -19,7 +19,7 @@ import (
 )
 
 // sendLog is a transport that notes, in send order, the messages a promotion
-// or demotion sends a node about key k: the value-less LeaseRevoke that drops
+// or demotion sends a node about key k: the value-less ReplicaRefresh that drops
 // its cached copy, the ManageReplicate that installs its replica and the
 // ManageUnreplicate that removes it. All are key-addressed, so on each (link,
 // shard) stream the order they are sent in is the order the node handles them
@@ -34,7 +34,7 @@ type sendLog struct {
 func (n *sendLog) Send(src, dst int, m any) {
 	what := ""
 	switch t := m.(type) {
-	case *msg.LeaseRevoke:
+	case *msg.ReplicaRefresh:
 		if len(t.Vals) == 0 && slices.Contains(t.Keys, n.k) {
 			what = "drop"
 		}

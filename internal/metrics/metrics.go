@@ -116,7 +116,8 @@ type ServerStats struct {
 	// node-local replica (shared-memory, no network).
 	ReplicaHits Counter
 	// ReplicaSyncMessages counts ReplicaSync/ReplicaRefresh messages sent
-	// by the background replica sync cycle of this shard's keys.
+	// by the background replica sync cycle of this shard's keys (a lease
+	// owner's ReplicaRefresh counts as a LeaseRevoke instead).
 	ReplicaSyncMessages Counter
 	// ReplicaSyncTime records the duration of each of this shard's replica
 	// sync rounds (pending-delta drain plus refresh assembly and dispatch).
@@ -143,8 +144,9 @@ type ServerStats struct {
 	ServingHits   Counter
 	ServingMisses Counter
 	// LeaseGrants counts serving-cache leases this node granted as an owner;
-	// LeaseRevokes counts the coherence messages it sent its holders, both
-	// forms: refreshes after writes, drops on relocations and promotions.
+	// LeaseRevokes counts the lease coherence messages (ReplicaRefresh) it
+	// sent its holders, both forms: refreshes after writes, drops on
+	// relocations and promotions.
 	// At the holder, LeaseRefreshes counts cache entries overwritten in place
 	// by a refresh and LeaseInvalidations entries actually dropped (drops
 	// received, and the node's own pushes whose ack did not vouch for the

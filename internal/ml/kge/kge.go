@@ -76,27 +76,6 @@ type Config struct {
 	PointCost time.Duration
 }
 
-// SmallConfig mirrors ComplEx-Small (dim 100/100) at laptop scale: a
-// frequently accessing, communication-heavy task.
-func SmallConfig() Config {
-	return Config{Model: ComplEx, Entities: 2000, Relations: 20, Triples: 8000,
-		Dim: 8, Negatives: 2, LR: 0.1, Epochs: 1, Seed: 1}
-}
-
-// LargeConfig mirrors ComplEx-Large (dim 4000/4000): fewer key accesses per
-// second, much larger values.
-func LargeConfig() Config {
-	return Config{Model: ComplEx, Entities: 2000, Relations: 20, Triples: 8000,
-		Dim: 64, Negatives: 2, LR: 0.1, Epochs: 1, Seed: 1}
-}
-
-// RescalConfig mirrors RESCAL-Large (dim 100/10000): relation embeddings are
-// quadratically larger than entity embeddings.
-func RescalConfig() Config {
-	return Config{Model: RESCAL, Entities: 2000, Relations: 20, Triples: 8000,
-		Dim: 8, Negatives: 2, LR: 0.1, Epochs: 1, Seed: 1}
-}
-
 // entLen and relLen return the per-key value lengths (embedding plus AdaGrad
 // accumulator, hence the ×2).
 func (c Config) entLen() int {

@@ -47,16 +47,6 @@ type Config struct {
 	PointCost time.Duration
 }
 
-// DefaultConfig returns a laptop-scale configuration with the paper's shape
-// (rank-100 factorization of a large synthetic matrix, scaled down).
-func DefaultConfig() Config {
-	return Config{
-		Rows: 2000, Cols: 2000, NNZ: 40000, TrueRank: 8,
-		Rank: 16, LR: 0.05, Reg: 0.01, Epochs: 1, Seed: 1,
-		EvalSample: 4000,
-	}
-}
-
 // Layout returns the parameter layout: one key per row factor and one per
 // column factor, each of length Rank.
 func (c Config) Layout() kv.Layout {

@@ -60,18 +60,6 @@ type Config struct {
 	PairCost time.Duration
 }
 
-// DefaultConfig returns a laptop-scale configuration with the paper's shape
-// (Zipf-skewed vocabulary, windowed skip-grams, pre-sampled negatives).
-func DefaultConfig() Config {
-	return Config{
-		Vocab: 2000, Sentences: 600, SentenceLen: 12,
-		Dim: 16, Window: 3, Negatives: 3,
-		NegPool: 400, RefillAt: 390,
-		LR: 0.05, Epochs: 1, Seed: 1,
-		EvalExamples: 500,
-	}
-}
-
 // Layout returns the parameter layout: input vectors on keys [0, Vocab),
 // output vectors on [Vocab, 2·Vocab), each of length Dim.
 func (c Config) Layout() kv.Layout {

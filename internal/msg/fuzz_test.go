@@ -40,11 +40,12 @@ func seedMessages() []any {
 		&Manage{Kind: ManageUnreplicate, Origin: 0, Keys: nil, Vals: nil},
 		&Manage{Kind: ManageLocalize, Origin: 3, Keys: []kv.Key{12}},
 		&Manage{Kind: ManageSweep, Origin: 1, Keys: []kv.Key{2}},
-		// LeaseRevoke, drop form (no values) and refresh form.
-		&LeaseRevoke{Origin: 2, Keys: []kv.Key{5, 1 << 41}},
-		&LeaseRevoke{Origin: 0, Keys: nil},
-		&LeaseRevoke{Origin: 1, TTL: 150_000, Keys: []kv.Key{7}, Vals: []float32{1.5, -2}},
-		&LeaseRevoke{Origin: 3, TTL: 1, Keys: []kv.Key{7, 11}, Vals: []float32{0.25}},
+		// A lease owner's ReplicaRefresh, drop form (no values) and refresh
+		// form (Ack is the lease time left).
+		&ReplicaRefresh{Origin: 2, Keys: []kv.Key{5, 1 << 41}},
+		&ReplicaRefresh{Origin: 0, Keys: nil},
+		&ReplicaRefresh{Origin: 1, Ack: 150_000, Keys: []kv.Key{7}, Vals: []float32{1.5, -2}},
+		&ReplicaRefresh{Origin: 3, Ack: 1, Keys: []kv.Key{7, 11}, Vals: []float32{0.25}},
 	}
 }
 

@@ -37,7 +37,8 @@ type Kind uint8
 // Message kinds. The Op* kinds are client operations that may be forwarded
 // between nodes; the Reloc* kinds implement the relocation protocol of
 // Section 3.2; the Ssp* kinds implement the stale (Petuum-style) protocol;
-// the Replica* kinds implement the hot-key replication sync cycle.
+// the Replica* kinds implement the hot-key replication sync cycle, and
+// ReplicaRefresh also carries the serving tier's lease coherence.
 const (
 	KindInvalid Kind = iota
 	KindOp           // pull/push request (possibly forwarded)
@@ -52,7 +53,6 @@ const (
 	KindReplicaSync
 	KindReplicaRefresh
 	KindManage
-	KindLeaseRevoke
 )
 
 func (k Kind) String() string {
@@ -81,8 +81,6 @@ func (k Kind) String() string {
 		return "ReplicaRefresh"
 	case KindManage:
 		return "Manage"
-	case KindLeaseRevoke:
-		return "LeaseRevoke"
 	default:
 		return fmt.Sprintf("Kind(%d)", uint8(k))
 	}
@@ -131,8 +129,8 @@ type Op struct {
 // the response's keys: the origin may serve reads of those keys from its
 // local cache for LeaseTTL microseconds. On a push acknowledgement it is
 // nonzero when the responder refreshed the origin's leased copy of every
-// acknowledged key ahead of this ack (a LeaseRevoke carrying the post-write
-// value, FIFO before it); zero tells the origin that nothing vouches for what
+// acknowledged key ahead of this ack (a ReplicaRefresh carrying the
+// post-write value, FIFO before it); zero tells the origin that nothing vouches for what
 // it had cached under those keys.
 type OpResp struct {
 	Type      OpType
@@ -220,11 +218,24 @@ type ReplicaSync struct {
 	Vals   []float32
 }
 
-// ReplicaRefresh fans the merged authoritative values of replicated keys of
-// one server shard from their home node (Origin) back out to one replica
-// node (phase 2 of the sync cycle). Ack is the highest ReplicaSync.Seq of
-// that shard received from the destination whose deltas are reflected in
-// Vals.
+// ReplicaRefresh brings a node's copies of remote keys up to date from the
+// node that made them, Origin: the home of a replica or the owner that
+// granted a serving-cache lease. A holder applies it only to the copies
+// Origin made.
+//
+// For replicas it is phase 2 of the sync cycle: the home fans the merged
+// authoritative values of one shard's keys out to one replica node, and Ack
+// is the highest ReplicaSync.Seq of that shard received from the destination
+// whose deltas are reflected in Vals.
+//
+// For leases it is the owner's coherence message, in one of two forms. With
+// Vals it is a refresh: a write was applied at the owner, Vals is the
+// post-write value and Ack the lease time left in microseconds; the holder
+// overwrites its live copy in place and never keeps it past Ack. With empty
+// Vals it is a drop: the value is leaving the owner (relocation, promotion),
+// so the holder discards its leased copies; replicas never take the drop
+// form. The owner sends one message per key, ahead of the push ack or the
+// transfer that follows it on the key's (link, shard) stream.
 type ReplicaRefresh struct {
 	Origin int32
 	Ack    uint32
@@ -303,25 +314,6 @@ type Manage struct {
 	Vals   []float32
 }
 
-// LeaseRevoke is the owner's coherence message for the serving-cache leases
-// it granted on Keys. It has two forms. With Vals it is a refresh: a write
-// was applied at the owner, Vals is the post-write value (concatenated in
-// Keys order) and TTL the lease time left in microseconds; the holder
-// overwrites its live entry in place and never keeps it past TTL. With empty
-// Vals it is a drop: the value is leaving the owner (relocation), so the
-// holder discards its entries. Origin is the sending owner. LeaseRevoke is
-// key-addressed (routed by first key): it must stay FIFO, per (link, shard),
-// with the OpResp grant it chases and the push ack it precedes, so a holder
-// never installs a grant after the message that supersedes it and a writer
-// never sees its ack before its own write reached its cache. Senders emit
-// one message per key to keep it shard-pure.
-type LeaseRevoke struct {
-	Origin int32
-	TTL    uint32 // remaining lease in microseconds (refresh form only)
-	Keys   []kv.Key
-	Vals   []float32 // post-write values; empty = drop the entries
-}
-
 const (
 	headerBytes = 1 + 4 // kind + payload length prefix used by Encode
 	keyBytes    = 8
@@ -356,8 +348,6 @@ func Size(m any) int {
 		return headerBytes + 4 + 4 + 4 + 4 + len(t.Keys)*keyBytes + len(t.Vals)*valBytes
 	case *Manage:
 		return headerBytes + 1 + 4 + 4 + 4 + len(t.Keys)*keyBytes + len(t.Vals)*valBytes
-	case *LeaseRevoke:
-		return headerBytes + 4 + 4 + 4 + 4 + len(t.Keys)*keyBytes + len(t.Vals)*valBytes
 	default:
 		panic(fmt.Sprintf("msg: Size on unknown message type %T", m))
 	}
@@ -446,12 +436,6 @@ func AppendTo(buf []byte, m any) []byte {
 		w.header(KindManage, sz)
 		w.u8(byte(t.Kind))
 		w.u32(uint32(t.Origin))
-		w.keys(t.Keys)
-		w.vals(t.Vals)
-	case *LeaseRevoke:
-		w.header(KindLeaseRevoke, sz)
-		w.u32(uint32(t.Origin))
-		w.u32(t.TTL)
 		w.keys(t.Keys)
 		w.vals(t.Vals)
 	default:
@@ -641,15 +625,6 @@ func decodeMsg(buf []byte, s *Scratch) (any, int, error) {
 			t = new(Manage)
 		}
 		*t = Manage{Kind: ManageKind(d.u8()), Origin: int32(d.u32()), Keys: d.keys(), Vals: d.vals()}
-		m = t
-	case KindLeaseRevoke:
-		var t *LeaseRevoke
-		if s != nil {
-			t = &s.leaseRevoke
-		} else {
-			t = new(LeaseRevoke)
-		}
-		*t = LeaseRevoke{Origin: int32(d.u32()), TTL: d.u32(), Keys: d.keys(), Vals: d.vals()}
 		m = t
 	default:
 		return nil, 0, fmt.Errorf("msg: unknown message kind %d", kind)

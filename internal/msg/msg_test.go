@@ -51,8 +51,9 @@ func TestRoundTripAllKinds(t *testing.T) {
 		&Manage{Kind: ManageUnreplicate, Origin: 2, Keys: []kv.Key{5}},
 		&Manage{Kind: ManageDemoteAck, Origin: 3, Keys: []kv.Key{5}, Vals: []float32{0.5, 0.5}},
 		&Manage{Kind: ManageDemoteAck, Origin: 1, Keys: []kv.Key{4}},
-		&LeaseRevoke{Origin: 2, Keys: []kv.Key{5}},
-		&LeaseRevoke{Origin: 1, TTL: 200_000, Keys: []kv.Key{5, 9}, Vals: []float32{1, 2, 3, 4}},
+		// A lease owner's refresh in its drop form and its refresh form.
+		&ReplicaRefresh{Origin: 2, Keys: []kv.Key{5}},
+		&ReplicaRefresh{Origin: 1, Ack: 200_000, Keys: []kv.Key{5, 9}, Vals: []float32{1, 2, 3, 4}},
 	}
 	for _, m := range msgs {
 		dec := roundTrip(t, m)
@@ -112,11 +113,6 @@ func normalize(m any) any {
 		c.Keys = nilIfEmptyKeys(c.Keys)
 		c.Vals = nilIfEmptyVals(c.Vals)
 		return &c
-	case *LeaseRevoke:
-		c := *t
-		c.Keys = nilIfEmptyKeys(c.Keys)
-		c.Vals = nilIfEmptyVals(c.Vals)
-		return &c
 	default:
 		return m
 	}
@@ -160,14 +156,19 @@ func TestSizeAccountsForPayload(t *testing.T) {
 	if withVals-noVals != 10*4 {
 		t.Fatalf("val size delta = %d, want 40", withVals-noVals)
 	}
-	// LeaseRevoke: the drop form pays for its keys only, the refresh form for
-	// the values it carries on top.
-	drop := Size(&LeaseRevoke{Keys: []kv.Key{1}})
-	if d := Size(&LeaseRevoke{Keys: make([]kv.Key, 5)}) - drop; d != 4*8 {
-		t.Fatalf("LeaseRevoke key size delta = %d, want 32", d)
+	// A lease owner's ReplicaRefresh: the drop form pays for its keys only,
+	// the refresh form for the values it carries on top. One key costs what
+	// a lease coherence message always cost: a 5-byte header, Origin, the
+	// 4-byte Ack (the lease time left), two length prefixes and the key.
+	drop := Size(&ReplicaRefresh{Keys: []kv.Key{1}})
+	if drop != 29 {
+		t.Fatalf("one-key drop is %d bytes, want 29", drop)
 	}
-	if d := Size(&LeaseRevoke{TTL: 9, Keys: []kv.Key{1}, Vals: make([]float32, 8)}) - drop; d != 8*4 {
-		t.Fatalf("LeaseRevoke refresh carries %d bytes over a drop, want 32", d)
+	if d := Size(&ReplicaRefresh{Keys: make([]kv.Key, 5)}) - drop; d != 4*8 {
+		t.Fatalf("drop key size delta = %d, want 32", d)
+	}
+	if d := Size(&ReplicaRefresh{Ack: 9, Keys: []kv.Key{1}, Vals: make([]float32, 8)}) - drop; d != 8*4 {
+		t.Fatalf("refresh carries %d bytes over a drop, want 32", d)
 	}
 }
 
@@ -231,7 +232,7 @@ func TestQuickTransferRoundTrip(t *testing.T) {
 }
 
 func TestKindString(t *testing.T) {
-	for k := KindOp; k <= KindLeaseRevoke; k++ {
+	for k := KindOp; k <= KindManage; k++ {
 		if s := k.String(); s == "" || s[0] == 'K' {
 			t.Errorf("Kind(%d).String() = %q", k, s)
 		}

@@ -80,19 +80,18 @@ func PutBuf(bp *[]byte) {
 // and slices are views into the arena; they remain valid until Release. A
 // Scratch serves one decoded message at a time.
 type Scratch struct {
-	op          Op
-	opResp      OpResp
-	localize    Localize
-	instruct    RelocInstruct
-	transfer    RelocTransfer
-	sspClock    SspClock
-	sspSync     SspSync
-	barrier     Barrier
-	block       Block
-	repSync     ReplicaSync
-	repRefresh  ReplicaRefresh
-	manage      Manage
-	leaseRevoke LeaseRevoke
+	op         Op
+	opResp     OpResp
+	localize   Localize
+	instruct   RelocInstruct
+	transfer   RelocTransfer
+	sspClock   SspClock
+	sspSync    SspSync
+	barrier    Barrier
+	block      Block
+	repSync    ReplicaSync
+	repRefresh ReplicaRefresh
+	manage     Manage
 
 	keys []kv.Key
 	vals []float32
@@ -141,7 +140,6 @@ func (s *Scratch) Release() {
 		s.repSync = ReplicaSync{}
 		s.repRefresh = ReplicaRefresh{}
 		s.manage = Manage{}
-		s.leaseRevoke = LeaseRevoke{}
 	}
 	scratchPool.Put(s)
 }

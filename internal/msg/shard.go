@@ -19,7 +19,7 @@ import (
 //
 // One key, one stream: every message that names a key travels on that key's
 // shard (Op, OpResp, Localize, RelocInstruct, RelocTransfer, Manage,
-// LeaseRevoke, ReplicaSync, ReplicaRefresh), so on each link all traffic
+// ReplicaSync, ReplicaRefresh), so on each link all traffic
 // about a key — its operations, its relocation, its promotion and demotion,
 // its lease coherence and its replica sync — is delivered in send order, to
 // the one goroutine that owns the key. These kinds must be shard-pure: every
@@ -69,15 +69,13 @@ func ShardOf(m any, shards int) int {
 		// Adaptive-management transitions are key-addressed so they stay
 		// FIFO with the operations of the keys they manage.
 		return shardOfKeys(t.Keys, shards)
-	case *LeaseRevoke:
-		// Revocations are key-addressed so they stay FIFO with the OpResp
-		// lease grant they chase on the holder's (link, shard) stream.
-		return shardOfKeys(t.Keys, shards)
 	case *ReplicaSync:
 		// Replica sync is key-addressed so it stays FIFO with the install
 		// and the demote acknowledgement of the keys it carries.
 		return shardOfKeys(t.Keys, shards)
 	case *ReplicaRefresh:
+		// A lease refresh or drop stays FIFO with the OpResp grant it
+		// chases on the holder's (link, shard) stream.
 		return shardOfKeys(t.Keys, shards)
 	default:
 		// SspClock, Barrier, Block: they name no key.
@@ -114,8 +112,6 @@ func CheckShardPure(m any, shards int) error {
 	case *RelocTransfer:
 		keys = t.Keys
 	case *Manage:
-		keys = t.Keys
-	case *LeaseRevoke:
 		keys = t.Keys
 	case *ReplicaSync:
 		keys = t.Keys

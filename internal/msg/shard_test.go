@@ -38,9 +38,9 @@ func TestShardOfDemuxRules(t *testing.T) {
 		{&SspSync{Keys: []kv.Key{3, 6}}, 3}, // by first key; need not be pure
 		{&Manage{Keys: []kv.Key{6}}, 2},
 		{&Manage{}, 0},
-		{&LeaseRevoke{Keys: []kv.Key{7}}, 3},
-		{&LeaseRevoke{TTL: 5, Keys: []kv.Key{6}, Vals: []float32{1}}, 2},
-		{&LeaseRevoke{}, 0},
+		{&ReplicaRefresh{Origin: 1, Keys: []kv.Key{7}}, 3},
+		{&ReplicaRefresh{Origin: 1, Ack: 5, Keys: []kv.Key{6}, Vals: []float32{1}}, 2},
+		{&ReplicaRefresh{}, 0},
 		{&ReplicaSync{Origin: 1, Seq: 4, Keys: []kv.Key{6, 10}}, 2},
 		{&ReplicaRefresh{Origin: 0, Ack: 4, Keys: []kv.Key{7}}, 3},
 		// Zero-key and node-level messages pin to shard 0.
@@ -68,14 +68,11 @@ func TestCheckShardPure(t *testing.T) {
 	if err := CheckShardPure(&Manage{Keys: []kv.Key{2, 3}}, shards); err == nil {
 		t.Fatal("mixed-shard Manage accepted")
 	}
-	if err := CheckShardPure(&LeaseRevoke{Keys: []kv.Key{2, 3}}, shards); err == nil {
-		t.Fatal("mixed-shard LeaseRevoke accepted")
+	if err := CheckShardPure(&ReplicaRefresh{Keys: []kv.Key{2, 3}}, shards); err == nil {
+		t.Fatal("mixed-shard ReplicaRefresh drop accepted")
 	}
-	if err := CheckShardPure(&LeaseRevoke{TTL: 5, Keys: []kv.Key{2, 3}, Vals: []float32{1, 2}}, shards); err == nil {
-		t.Fatal("mixed-shard LeaseRevoke refresh accepted")
-	}
-	if err := CheckShardPure(&LeaseRevoke{TTL: 5, Keys: []kv.Key{2, 6}, Vals: []float32{1, 2}}, shards); err != nil {
-		t.Fatalf("pure LeaseRevoke refresh rejected: %v", err)
+	if err := CheckShardPure(&ReplicaRefresh{Ack: 5, Keys: []kv.Key{2, 3}, Vals: []float32{1, 2}}, shards); err == nil {
+		t.Fatal("mixed-shard ReplicaRefresh accepted")
 	}
 	if err := CheckShardPure(&ReplicaSync{Keys: []kv.Key{2, 3}, Vals: []float32{1, 2}}, shards); err == nil {
 		t.Fatal("mixed-shard ReplicaSync accepted")
@@ -108,7 +105,6 @@ func TestShardOfWalksEveryKind(t *testing.T) {
 		KindRelocTransfer:  func(keys []kv.Key) any { return &RelocTransfer{Keys: keys} },
 		KindSspSync:        func(keys []kv.Key) any { return &SspSync{Keys: keys} },
 		KindManage:         func(keys []kv.Key) any { return &Manage{Keys: keys} },
-		KindLeaseRevoke:    func(keys []kv.Key) any { return &LeaseRevoke{Keys: keys} },
 		KindReplicaSync:    func(keys []kv.Key) any { return &ReplicaSync{Keys: keys} },
 		KindReplicaRefresh: func(keys []kv.Key) any { return &ReplicaRefresh{Keys: keys} },
 		KindSspClock:       func([]kv.Key) any { return &SspClock{} },
@@ -116,7 +112,7 @@ func TestShardOfWalksEveryKind(t *testing.T) {
 		KindBlock:          func([]kv.Key) any { return &Block{} },
 	}
 	keyless := map[Kind]bool{KindSspClock: true, KindBarrier: true, KindBlock: true}
-	for kind := KindOp; kind <= KindLeaseRevoke; kind++ {
+	for kind := KindOp; kind <= KindManage; kind++ {
 		mk, ok := build[kind]
 		if !ok {
 			t.Fatalf("%v: no demux rule checked", kind)

@@ -1,12 +1,19 @@
-// Package replication manages designated hot keys by eventually-consistent
-// replication, the second parameter-management technique next to the
-// relocation protocol of internal/core. The paper (Sections 2 and 7)
-// observes that skewed workloads have keys every node reads constantly —
-// word2vec negative samples, frequent KGE entities — for which relocation
-// thrashes: the key bounces between nodes and every bounce costs three
-// messages plus queued accesses. For such keys, replication is the right
-// technique; combining both per key is the paper's stated future-work
-// direction.
+// Package replication keeps a node's copies of remote keys: the replicas of
+// designated hot keys, the second parameter-management technique next to the
+// relocation protocol of internal/core, and the leased copies of the serving
+// tier (internal/core's serving.go). The paper (Sections 2 and 7) observes
+// that skewed workloads have keys every node reads constantly — word2vec
+// negative samples, frequent KGE entities — for which relocation thrashes:
+// the key bounces between nodes and every bounce costs three messages plus
+// queued accesses. For such keys, replication is the right technique;
+// combining both per key is the paper's stated future-work direction.
+//
+// One table holds every copy. An entry is a key's value, the node it came
+// from — the home of a replica, the owner that granted a lease — and an
+// expiry: none for a replica, which takes this node's writes and buffers
+// them for the sync cycle; the lease's end for a leased copy, which takes no
+// writes. Either is brought up to date by a ReplicaRefresh from the node it
+// came from, applied by one handler (HandleRefresh).
 //
 // Every node holds a full local replica of each replicated key, so reads
 // and cumulative writes are shared-memory operations (the server.Router
@@ -15,26 +22,27 @@
 //
 //	replica --ReplicaSync(deltas)--> home --ReplicaRefresh(merged)--> replicas
 //
-// One key, one stream: the manager is striped by server shard, and each
-// stripe holds all replication state of its shard's keys under one mutex —
-// pending and in-flight deltas, a sync-round counter and, for keys homed
-// here, the authoritative values, the dirty set and the rounds applied per
-// origin. Every sync interval each stripe sends one ReplicaSync per home it
-// holds deltas for and, as a home, one ReplicaRefresh per other node if its
-// keys changed: O(nodes × dirty shards) messages, however many keys are
-// dirty. Both kinds are key-addressed (msg.ShardOf), so they share each key's
-// (link, shard) FIFO stream with its operations and the Manage messages that
-// install and remove its replicas, and are handled on the key's shard
-// goroutine.
+// One key, one stream: the manager is striped by server shard. Each stripe
+// holds its shard's sync state under one mutex — a sync-round counter, the
+// replicas with unsent deltas and, for keys homed here, the authoritative
+// values, the dirty set and the rounds applied per origin — and its shard's
+// copies under key-striped locks, so a copy read takes one of those and
+// nothing else. Every sync interval each stripe sends one ReplicaSync per
+// home it holds deltas for and, as a home, one ReplicaRefresh per other node
+// if its keys changed: O(nodes × dirty shards) messages, however many keys
+// are dirty. Both kinds are key-addressed (msg.ShardOf), so they share each
+// key's (link, shard) FIFO stream with its operations and the Manage
+// messages that install and remove its replicas, and are handled on the
+// key's shard goroutine.
 //
 // The manager owns no goroutine: a round runs when Flush is called, which the
 // node's owner (internal/core's per-node background loop) does every
 // DefaultSyncEvery.
 //
-// Lock rule: a caller holding its shard's queueMu may take a stripe lock,
-// never the reverse, and messages are sent under either — transport sends
-// never block — so a message's place on its stream is fixed by the state
-// change that produced it.
+// Lock rule: a caller holding its shard's queueMu may take a stripe lock, and
+// a stripe lock's holder a copy lock, never the reverse. Messages are sent
+// under the stripe lock — transport sends never block — so a message's place
+// on its stream is fixed by the state change that produced it.
 //
 // Consistency: replicated keys are eventually consistent. Reads always see
 // the node's own preceding writes (read-your-writes): a replica's local
@@ -43,7 +51,7 @@
 // sent to the home but are not yet reflected in a refresh stay in the
 // replica's view until a refresh acknowledges them (ReplicaSync.Seq /
 // ReplicaRefresh.Ack). The pending→in-flight hand-off happens atomically
-// under the key's stripe lock, so a concurrent refresh install can never
+// under the key's copy lock, so a concurrent refresh install can never
 // observe a delta in neither buffer. Once pushes stop, every replica
 // converges to the sum of all pushes within two sync intervals plus message
 // latency; the checker in internal/consistency verifies this.
@@ -59,7 +67,6 @@ import (
 	"lapse/internal/metrics"
 	"lapse/internal/msg"
 	"lapse/internal/partition"
-	"lapse/internal/store"
 )
 
 // DefaultSyncEvery is the sync interval: how often a node runs Flush.
@@ -79,13 +86,18 @@ type Config struct {
 	Home partition.Range
 	// Stats holds the server runtime's statistics, one entry per shard; the
 	// manager has one stripe per entry, and each stripe counts its replica
-	// hits, local writes, sync messages and round times on its own.
+	// hits, local writes, sync messages, round times and lease refreshes and
+	// invalidations on its own.
 	Stats []*metrics.ServerStats
 	// Send transmits a wire message to another node (the server runtime's
 	// Send). It must be safe to call from any goroutine, must not block, and
 	// must encode m before it returns: the manager reuses messages.
 	Send func(dest int, m any)
 }
+
+// NoRefresher is PushEnd's refresher when the push completed without anyone
+// refreshing this node's copy. No lease is granted by it.
+const NoRefresher int32 = -1
 
 // inflightDelta is one sync round's worth of sent-but-unacknowledged deltas
 // for a single key.
@@ -94,54 +106,79 @@ type inflightDelta struct {
 	delta []float32
 }
 
-// stripe is one shard's replication state. Push (worker threads), the sync
-// round (Flush's caller), and the handlers of the shard's wire messages
-// (its server goroutine) all synchronize on mu.
+// entry is one node-local copy of a remote key's value.
+type entry struct {
+	vals []float32
+	// from is the node the copy came from, the only one whose refreshes
+	// apply: the home of a replica, the owner that granted a lease.
+	from int32
+	// expiry is a lease's UnixNano deadline; 0 marks a replica, which never
+	// expires.
+	expiry int64
+	// A replica's local deltas: not yet sent, and sent but not yet acked by
+	// a refresh. A lease has none.
+	pending  []float32
+	inflight []inflightDelta
+}
+
+// copyLockBits sets the number of key-striped copy locks per stripe, which
+// spread the workers reading one shard's copies over locks.
+const copyLockBits = 6
+
+// copies is one copy lock's share of the table.
+type copies struct {
+	mu      sync.Mutex
+	entries map[kv.Key]*entry
+	// pushing counts this node's own pushes in flight per key. It is kept
+	// apart from the entries because it must outlive them: a grant that
+	// installs a lease while a push is unacknowledged must not be readable
+	// either. Empty except while pushes are in flight, so a lease read pays
+	// a length check.
+	pushing map[kv.Key]int32
+}
+
+// stripe is one shard's share of the manager. Push (worker threads), the
+// sync round (Flush's caller), the handlers of the shard's sync messages (its
+// server goroutine) and replicas entering and leaving synchronize on mu; a
+// copy is read and refreshed under its copy lock alone.
 type stripe struct {
-	mu       sync.Mutex
-	stats    *metrics.ServerStats
-	pending  map[kv.Key][]float32       // local deltas not yet sent
-	inflight map[kv.Key][]inflightDelta // sent, not yet acked by a refresh
-	seq      uint32                     // sync rounds this stripe ran with deltas
+	mu     sync.Mutex
+	stats  *metrics.ServerStats
+	seq    uint32   // sync rounds this stripe ran with deltas
+	unsent []kv.Key // replicas given pending deltas since the last round
 	// Home role, for the shard's keys homed at this node.
 	auth    map[kv.Key][]float32 // merged values
 	dirty   map[kv.Key]bool      // changed since the last refresh
 	applied []uint32             // per origin: highest sync round applied
+	copies  [1 << copyLockBits]copies
 }
 
-// Manager is one node's replication state: the local replica store and one
-// stripe per server shard. Pull/Push run on worker threads, the sync rounds
-// on Flush's caller, and the message handlers on the shard goroutine
-// of their keys. Per-key replica writes happen only under the key's stripe
-// lock, so refresh installs and pushes cannot interleave (reads stay
-// lock-free on the store's latches).
+// Manager is one node's table of copies and its replication state, one
+// stripe per server shard. Pull, Push and the lease calls run on worker
+// threads and shard goroutines, the sync rounds on Flush's caller, and the
+// message handlers on the shard goroutine of their keys. A key is replicated
+// here exactly while it has a replica entry: the adaptive controller adds and
+// removes them at runtime under the key's stripe lock, so presence observed
+// under that lock is stable.
 type Manager struct {
-	cfg Config
-	// replica holds the node-local view of every key replicated at this
-	// node, and a key is replicated here exactly while it has an entry: the
-	// adaptive controller adds and removes entries at runtime, under the
-	// key's stripe lock, so presence observed under that lock is stable.
-	replica *store.Sparse
+	cfg     Config
 	stripes []stripe
 }
 
-// NewManager builds the manager for one node, replicating no key yet: keys
-// enter with EnterHomeKey at their home and EnterKey everywhere else, at
-// construction for a static hot set as on a live promotion.
+// NewManager builds the manager for one node, holding no copy yet: keys
+// enter replication with EnterHomeKey at their home and EnterKey everywhere
+// else, at construction for a static hot set as on a live promotion, and a
+// granted lease enters with Lease.
 func NewManager(cfg Config) *Manager {
-	m := &Manager{
-		cfg:     cfg,
-		replica: store.NewSparse(cfg.Layout, 0),
-		stripes: make([]stripe, len(cfg.Stats)),
-	}
+	m := &Manager{cfg: cfg, stripes: make([]stripe, len(cfg.Stats))}
 	for i, stats := range cfg.Stats {
-		m.stripes[i] = stripe{
-			stats:    stats,
-			pending:  make(map[kv.Key][]float32),
-			inflight: make(map[kv.Key][]inflightDelta),
-			auth:     make(map[kv.Key][]float32),
-			dirty:    make(map[kv.Key]bool),
-			applied:  make([]uint32, cfg.Nodes),
+		st := &m.stripes[i]
+		st.stats = stats
+		st.auth = make(map[kv.Key][]float32)
+		st.dirty = make(map[kv.Key]bool)
+		st.applied = make([]uint32, cfg.Nodes)
+		for j := range st.copies {
+			st.copies[j] = copies{entries: make(map[kv.Key]*entry), pushing: make(map[kv.Key]int32)}
 		}
 	}
 	return m
@@ -152,23 +189,62 @@ func (m *Manager) stripeOf(k kv.Key) *stripe {
 	return &m.stripes[msg.ShardOfKey(k, len(m.stripes))]
 }
 
-// Replicated reports whether k is currently managed by replication at this
-// node. Under live transitions the answer can be stale by the time the caller
-// acts on it, which is why Pull and Push report failure themselves instead of
-// relying on a prior Replicated check.
-func (m *Manager) Replicated(k kv.Key) bool { return m.replica.Has(k) }
+// copiesOf returns the copy lock of k, by Fibonacci hashing (as
+// internal/store picks latches).
+func (st *stripe) copiesOf(k kv.Key) *copies {
+	return &st.copies[(uint64(k)*0x9E3779B97F4A7C15)>>(64-copyLockBits)]
+}
+
+// replica returns k's copy if it is a replica, nil otherwise. The caller
+// holds c.mu.
+func (c *copies) replica(k kv.Key) *entry {
+	if e := c.entries[k]; e != nil && e.expiry == 0 {
+		return e
+	}
+	return nil
+}
+
+// remove takes k's copy out of the table and returns it, the one way a copy
+// goes. The caller holds c.mu.
+func (c *copies) remove(k kv.Key) *entry {
+	e := c.entries[k]
+	delete(c.entries, k)
+	return e
+}
+
+// install sets the copy to merged plus every local delta not yet reflected
+// in merged (in-flight and pending), in place, preserving read-your-writes
+// across the install. The caller holds the copy's lock.
+func (e *entry) install(merged []float32) {
+	copy(e.vals, merged)
+	for _, f := range e.inflight {
+		add(e.vals, f.delta)
+	}
+	add(e.vals, e.pending)
+}
+
+// add adds delta to v element-wise.
+func add(v, delta []float32) {
+	for i, d := range delta {
+		v[i] += d
+	}
+}
 
 // InitKey sets the starting value of a replicated key: the local replica
 // and, if this node is k's home, the authoritative value. Like System.Init,
 // it must not run concurrently with workers or the sync cycle.
 func (m *Manager) InitKey(k kv.Key, val []float32) {
-	if !m.Replicated(k) {
-		panic(fmt.Sprintf("replication: InitKey(%d): key is not replicated", k))
-	}
 	st := m.stripeOf(k)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	m.replica.Set(k, val)
+	c := st.copiesOf(k)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e := c.replica(k)
+	if e == nil {
+		panic(fmt.Sprintf("replication: InitKey(%d): key is not replicated", k))
+	}
+	copy(e.vals, val)
 	if a, ok := st.auth[k]; ok {
 		copy(a, val)
 	}
@@ -179,50 +255,54 @@ func (m *Manager) InitKey(k kv.Key, val []float32) {
 // replicated here: the caller falls back to its non-replicated path. A true
 // return is an ordinary local replica read, never a network access.
 func (m *Manager) Pull(k kv.Key, dst []float32) bool {
-	if !m.replica.Read(k, dst) {
+	st := m.stripeOf(k)
+	c := st.copiesOf(k)
+	c.mu.Lock()
+	e := c.replica(k)
+	if e != nil {
+		copy(dst, e.vals)
+	}
+	c.mu.Unlock()
+	if e == nil {
 		return false
 	}
-	stats := m.stripeOf(k).stats
-	stats.ReplicaHits.Inc()
-	stats.ReadValues.Add(int64(len(dst)))
+	st.stats.ReplicaHits.Inc()
+	st.stats.ReadValues.Add(int64(len(dst)))
 	return true
 }
 
 // Push applies a cumulative update to the local replica and accumulates it
-// in the key's stripe's pending buffer for the next sync round. It reports
-// false when k is not (or no longer) replicated here; the delta was not
-// applied anywhere and the caller must route it through its non-replicated
-// path, so the update is counted exactly once however the push races with a
+// in the replica's pending deltas for the next sync round. It reports false
+// when k is not (or no longer) replicated here; the delta was not applied
+// anywhere and the caller must route it through its non-replicated path, so
+// the update is counted exactly once however the push races with a
 // demotion.
 func (m *Manager) Push(k kv.Key, delta []float32) bool {
 	st := m.stripeOf(k)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if !m.replica.Add(k, delta) {
+	c := st.copiesOf(k)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e := c.replica(k)
+	if e == nil {
 		return false
 	}
-	p, ok := st.pending[k]
-	if !ok {
-		p = make([]float32, m.cfg.Layout.Len(k))
-		st.pending[k] = p
+	add(e.vals, delta)
+	if e.pending == nil {
+		e.pending = make([]float32, len(delta))
+		st.unsent = append(st.unsent, k)
 	}
-	for i, d := range delta {
-		p[i] += d
-	}
+	add(e.pending, delta)
 	st.stats.LocalWrites.Inc()
 	return true
 }
 
 // EnterKey starts replicating k at this (non-home) node with the home's
-// current value v. Idempotent, for a key listed twice in a static hot set: a
-// key already replicated keeps its local view.
+// current value v, in place of a leased copy. Idempotent: a key already
+// replicated keeps its local view and the deltas it has not synced.
 func (m *Manager) EnterKey(k kv.Key, v []float32) {
-	st := m.stripeOf(k)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if !m.replica.Has(k) {
-		m.replica.Set(k, v)
-	}
+	m.enter(k, v, m.cfg.Home.NodeOf(k))
 }
 
 // EnterHomeKey starts replicating k at its home node, seeding both the
@@ -232,14 +312,29 @@ func (m *Manager) EnterKey(k kv.Key, v []float32) {
 // before the system starts — so each refresh of k follows the install it
 // refreshes.
 func (m *Manager) EnterHomeKey(k kv.Key, v []float32) {
+	if !m.enter(k, v, m.cfg.Node) {
+		panic(fmt.Sprintf("replication: EnterHomeKey(%d): already replicated at node %d", k, m.cfg.Node))
+	}
+}
+
+// enter installs a replica of k from home with value v, unless k is
+// replicated here already, and reports whether it did. At the home it also
+// seeds the authoritative value.
+func (m *Manager) enter(k kv.Key, v []float32, home int) bool {
 	st := m.stripeOf(k)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if m.replica.Has(k) {
-		panic(fmt.Sprintf("replication: EnterHomeKey(%d): already replicated at node %d", k, m.cfg.Node))
+	c := st.copiesOf(k)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.replica(k) != nil {
+		return false
 	}
-	st.auth[k] = slices.Clone(v)
-	m.replica.Set(k, v)
+	if home == m.cfg.Node {
+		st.auth[k] = slices.Clone(v)
+	}
+	c.entries[k] = &entry{vals: slices.Clone(v), from: int32(home)}
+	return true
 }
 
 // DemoteLocal stops replicating k at this (non-home) node and returns the
@@ -253,11 +348,13 @@ func (m *Manager) DemoteLocal(k kv.Key) []float32 {
 	st := m.stripeOf(k)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	m.replica.Take(k)
-	p := st.pending[k]
-	delete(st.pending, k)
-	delete(st.inflight, k)
-	return p
+	c := st.copiesOf(k)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.replica(k) == nil {
+		return nil
+	}
+	return c.remove(k).pending
 }
 
 // ApplyDemoteAck folds one replica's never-synced deltas for a demoted key
@@ -288,14 +385,14 @@ func (m *Manager) FinalizeDemote(k kv.Key) []float32 {
 	st := m.stripeOf(k)
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	c := st.copiesOf(k)
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	v, ok := st.auth[k]
-	if m.replica.Take(k) == nil || !ok {
+	if c.replica(k) == nil || !ok {
 		panic(fmt.Sprintf("replication: FinalizeDemote(%d): not replicated with its home at node %d", k, m.cfg.Node))
 	}
-	for i, d := range st.pending[k] {
-		v[i] += d
-	}
-	delete(st.pending, k)
+	add(v, c.remove(k).pending)
 	delete(st.auth, k)
 	delete(st.dirty, k)
 	return v
@@ -319,29 +416,41 @@ func (m *Manager) round(st *stripe) {
 	start := time.Now()
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if len(st.pending) > 0 {
+	if len(st.unsent) > 0 {
 		st.seq++
 	}
 	var syncs map[int]*msg.ReplicaSync
-	for k, delta := range st.pending {
+	for _, k := range st.unsent {
 		home := m.cfg.Home.NodeOf(k)
-		if home == m.cfg.Node {
+		c := st.copiesOf(k)
+		c.mu.Lock()
+		e := c.replica(k)
+		var delta []float32
+		if e != nil { // nil: demoted since its push
+			delta, e.pending = e.pending, nil
+			if home != m.cfg.Node {
+				e.inflight = append(e.inflight, inflightDelta{seq: st.seq, delta: delta})
+			}
+		}
+		c.mu.Unlock()
+		switch {
+		case delta == nil:
+		case home == m.cfg.Node:
 			st.mergeLocked(k, delta)
-			continue
+		default:
+			if syncs == nil {
+				syncs = make(map[int]*msg.ReplicaSync)
+			}
+			s := syncs[home]
+			if s == nil {
+				s = &msg.ReplicaSync{Origin: int32(m.cfg.Node), Seq: st.seq}
+				syncs[home] = s
+			}
+			s.Keys = append(s.Keys, k)
+			s.Vals = append(s.Vals, delta...)
 		}
-		st.inflight[k] = append(st.inflight[k], inflightDelta{seq: st.seq, delta: delta})
-		if syncs == nil {
-			syncs = make(map[int]*msg.ReplicaSync)
-		}
-		s := syncs[home]
-		if s == nil {
-			s = &msg.ReplicaSync{Origin: int32(m.cfg.Node), Seq: st.seq}
-			syncs[home] = s
-		}
-		s.Keys = append(s.Keys, k)
-		s.Vals = append(s.Vals, delta...)
 	}
-	clear(st.pending)
+	st.unsent = st.unsent[:0]
 	for home, s := range syncs {
 		m.send(st, home, s)
 	}
@@ -352,7 +461,10 @@ func (m *Manager) round(st *stripe) {
 		for k := range st.dirty {
 			r.Keys = append(r.Keys, k)
 			r.Vals = append(r.Vals, st.auth[k]...)
-			m.installLocked(st, k, st.auth[k])
+			c := st.copiesOf(k)
+			c.mu.Lock()
+			c.replica(k).install(st.auth[k])
+			c.mu.Unlock()
 		}
 		clear(st.dirty)
 		for dest := range m.cfg.Nodes {
@@ -375,10 +487,7 @@ func (m *Manager) send(st *stripe, dest int, out any) {
 // this node, which the caller has checked holds one, and marks it for the
 // next refresh. The stripe lock must be held.
 func (st *stripe) mergeLocked(k kv.Key, delta []float32) {
-	a := st.auth[k]
-	for i, d := range delta {
-		a[i] += d
-	}
+	add(st.auth[k], delta)
 	st.dirty[k] = true
 }
 
@@ -432,51 +541,111 @@ func (m *Manager) HandleSync(t *msg.ReplicaSync) {
 // 1 ms interval the counter wraps after ~50 days).
 func seqAfter(a, b uint32) bool { return int32(a-b) > 0 }
 
-// HandleRefresh runs at a replica node on the shard goroutine of the
-// message's keys: retire the in-flight deltas the home has acknowledged
-// (seq <= Ack: the refreshed value reflects them), then install each merged
-// value plus this node's still-unmerged deltas into the local replica. A
-// malformed refresh is dropped whole (see stripeFor).
+// HandleRefresh applies a ReplicaRefresh at a holder, on the shard goroutine
+// of the message's keys, to each key's live copy that came from the
+// message's Origin; a key with none is skipped. The drop form (no Vals), and
+// a message whose values do not fit its keys (see stripeFor; the wire is
+// outside input), discards leased copies and leaves replicas alone.
+// Otherwise each copy first retires the in-flight deltas the refresh
+// acknowledges (seq <= Ack: the value reflects them; a lease has none), then
+// takes the value plus this node's still-unmerged deltas in place, and a
+// leased copy's life is clamped to the Ack microseconds its owner says are
+// left — a refresh never extends a lease, and never ends a replica.
 func (m *Manager) HandleRefresh(t *msg.ReplicaRefresh) {
-	st := m.stripeFor(t.Keys, len(t.Vals))
-	if st == nil {
-		return
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	acked := func(e inflightDelta) bool { return !seqAfter(e.seq, t.Ack) }
+	drop := len(t.Vals) == 0 || m.stripeFor(t.Keys, len(t.Vals)) == nil
+	acked := func(f inflightDelta) bool { return !seqAfter(f.seq, t.Ack) }
+	now := time.Now().UnixNano()
 	src := 0
 	for _, k := range t.Keys {
-		l := m.cfg.Layout.Len(k)
-		if fl, ok := st.inflight[k]; ok {
-			st.inflight[k] = slices.DeleteFunc(fl, acked)
+		st := m.stripeOf(k)
+		c := st.copiesOf(k)
+		c.mu.Lock()
+		e := c.entries[k]
+		switch {
+		case e == nil || e.from != t.Origin || e.expiry != 0 && e.expiry < now:
+		case drop && e.expiry != 0:
+			c.remove(k)
+			st.stats.LeaseInvalidations.Inc()
+		case !drop:
+			e.inflight = slices.DeleteFunc(e.inflight, acked)
+			e.install(t.Vals[src : src+len(e.vals)])
+			if e.expiry != 0 {
+				e.expiry = min(e.expiry, now+int64(t.Ack)*1000)
+				st.stats.LeaseRefreshes.Inc()
+			}
 		}
-		m.installLocked(st, k, t.Vals[src:src+l])
-		src += l
+		c.mu.Unlock()
+		if !drop {
+			src += m.cfg.Layout.Len(k)
+		}
 	}
 }
 
-// installLocked sets the local replica of k to merged plus every local delta
-// not yet reflected in merged (in-flight and pending), preserving
-// read-your-writes across the install. The key's stripe lock must be held.
-// Keys no longer replicated here are dropped: the home keeps refreshing a
-// key it is demoting until the last acknowledgement, behind the
-// ManageUnreplicate that removed the entry, and installing would resurrect
-// it.
-func (m *Manager) installLocked(st *stripe, k kv.Key, merged []float32) {
-	if !m.replica.Has(k) {
-		return
+// Lease installs the copy of k that owner from granted for ttlMicros
+// microseconds from now, with value v (copied: it aliases a decode scratch at
+// the call site). A grant never takes a replica's place: a late one, issued
+// before the key's promotion, is ignored.
+func (m *Manager) Lease(k kv.Key, v []float32, ttlMicros uint32, from int32) {
+	expiry := time.Now().UnixNano() + int64(ttlMicros)*1000
+	c := m.stripeOf(k).copiesOf(k)
+	c.mu.Lock()
+	switch e := c.entries[k]; {
+	case e == nil:
+		c.entries[k] = &entry{vals: slices.Clone(v), from: from, expiry: expiry}
+	case e.expiry != 0:
+		copy(e.vals, v)
+		e.from, e.expiry = from, expiry
 	}
-	v := slices.Clone(merged)
-	for _, e := range st.inflight[k] {
-		for i, d := range e.delta {
-			v[i] += d
-		}
+	c.mu.Unlock()
+}
+
+// ReadLease copies k's leased value into dst if a live lease covers it and
+// none of this node's pushes to k is in flight. An expired lease is dropped
+// on the way.
+func (m *Manager) ReadLease(k kv.Key, dst []float32) bool {
+	c := m.stripeOf(k).copiesOf(k)
+	c.mu.Lock()
+	e := c.entries[k]
+	ok := e != nil && e.expiry != 0 && (len(c.pushing) == 0 || c.pushing[k] == 0)
+	if ok && e.expiry < time.Now().UnixNano() {
+		c.remove(k)
+		ok = false
 	}
-	for i, d := range st.pending[k] {
-		v[i] += d
+	if ok {
+		copy(dst, e.vals)
 	}
-	m.replica.Set(k, v)
+	c.mu.Unlock()
+	return ok
+}
+
+// PushBegin marks one more of this node's pushes to k as in flight: until
+// the matching PushEnd, ReadLease misses on k.
+func (m *Manager) PushBegin(k kv.Key) {
+	c := m.stripeOf(k).copiesOf(k)
+	c.mu.Lock()
+	c.pushing[k]++
+	c.mu.Unlock()
+}
+
+// PushEnd takes one in-flight mark off k when a push completed. refresher is
+// the node that says it overwrote this node's copy with the post-write value
+// before completing the push (NoRefresher: nobody does). A leased copy that
+// node did not grant is one nothing vouches for, and is discarded; a replica
+// took the write itself and stays.
+func (m *Manager) PushEnd(k kv.Key, refresher int32) {
+	st := m.stripeOf(k)
+	c := st.copiesOf(k)
+	c.mu.Lock()
+	if n := c.pushing[k]; n > 1 {
+		c.pushing[k] = n - 1
+	} else {
+		delete(c.pushing, k)
+	}
+	if e := c.entries[k]; e != nil && e.expiry != 0 && e.from != refresher {
+		c.remove(k)
+		st.stats.LeaseInvalidations.Inc()
+	}
+	c.mu.Unlock()
 }
 
 // ReadAuthoritative reads the merged value of a key homed at this node: the
@@ -497,7 +666,12 @@ func (m *Manager) ReadAuthoritative(k kv.Key, dst []float32) {
 // ReadReplica reads this node's current replica view of k without touching
 // the access counters (for tests and convergence checks).
 func (m *Manager) ReadReplica(k kv.Key, dst []float32) {
-	if !m.replica.Read(k, dst) {
+	c := m.stripeOf(k).copiesOf(k)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e := c.replica(k)
+	if e == nil {
 		panic(fmt.Sprintf("replication: replica of key %d missing at node %d", k, m.cfg.Node))
 	}
+	copy(dst, e.vals)
 }

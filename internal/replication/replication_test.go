@@ -1,6 +1,7 @@
 package replication
 
 import (
+	"sync"
 	"testing"
 
 	"lapse/internal/kv"
@@ -338,5 +339,63 @@ func TestDemoteAckFoldsPendingOnce(t *testing.T) {
 	}
 	if got := home.FinalizeDemote(k); got[0] != 7 {
 		t.Fatalf("demoted value = %v, want 7", got[0])
+	}
+}
+
+// TestCopiesUnderConcurrentUse drives the table from several goroutines at
+// once, as a node does: workers push to and read replicas, read a leased
+// copy and mark their own pushes to it, while another goroutine runs sync
+// rounds, delivers the refreshes and renews the lease. The replicas still
+// converge to every push.
+func TestCopiesUnderConcurrentUse(t *testing.T) {
+	const workers, pushes = 2, 300
+	layout := kv.NewUniformLayout(8, 2)
+	keys := []kv.Key{0, 5} // homed at nodes 0 and 1, shards 0 and 1
+	f := newShardedFabric(2, 2, layout, keys)
+	leased := kv.Key(3) // homed at node 0, leased at node 1
+	var wg sync.WaitGroup
+	for _, m := range f.managers {
+		for range workers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				dst := make([]float32, 2)
+				for range pushes {
+					for _, k := range keys {
+						m.Push(k, []float32{1, 1})
+						m.Pull(k, dst)
+					}
+					m.PushBegin(leased)
+					m.ReadLease(leased, dst)
+					m.PushEnd(leased, 0)
+				}
+			}()
+		}
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	holder := f.managers[1]
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		holder.Lease(leased, []float32{1, 1}, 1_000_000, 0)
+		holder.HandleRefresh(&msg.ReplicaRefresh{Origin: 0, Ack: 1_000_000, Keys: []kv.Key{leased}, Vals: []float32{2, 2}})
+		f.flushAll()
+		f.deliverAll()
+	}
+	for range 2 {
+		f.flushAll()
+		f.deliverAll()
+	}
+	want := float32(len(f.managers) * workers * pushes)
+	for n, m := range f.managers {
+		for _, k := range keys {
+			if got := replicaOf(t, m, k, 2); got[0] != want || got[1] != want {
+				t.Fatalf("node %d replica of key %d = %v, want %v", n, k, got, want)
+			}
+		}
 	}
 }

@@ -79,7 +79,7 @@ type node struct {
 	sh  []*policyShard
 
 	// Server-side state.
-	shard        store.Store
+	shard        *store.Dense
 	clockMu      sync.Mutex
 	workerClocks []int32
 	globalClock  int32

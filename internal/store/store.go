@@ -1,8 +1,9 @@
-// Package store provides the local parameter stores used by all
-// parameter-server variants: a dense array store for contiguous key spaces
-// and a sparse map store. Both guarantee per-key atomic reads and writes via
-// a striped list of latches (locks held only for the duration of one
-// operation), exactly as Section 3.7 of the paper describes.
+// Package store provides the local parameter store used by all
+// parameter-server variants: a dense array over the whole key space that
+// guarantees per-key atomic reads and writes via a striped list of latches
+// (locks held only for the duration of one operation), exactly as Section
+// 3.7 of the paper describes. Node-local copies of remote keys (leases and
+// replicas) live in internal/replication's copy table instead.
 package store
 
 import (
@@ -16,32 +17,6 @@ import (
 // DefaultLatches is the default number of latches in a store's latch list.
 // The paper reports that 1000 worked well in its experiments.
 const DefaultLatches = 1000
-
-// Store is a node-local parameter store. Implementations are safe for
-// concurrent use by worker threads and the server thread.
-type Store interface {
-	// Read copies the current value of k into dst and reports whether the
-	// key is present. dst must have length Len(k). If the key is absent,
-	// dst is untouched and Read returns false.
-	Read(k kv.Key, dst []float32) bool
-	// Add atomically adds delta to the value of k and reports whether the
-	// key is present. Absent keys are not created.
-	Add(k kv.Key, delta []float32) bool
-	// Set inserts or replaces the value of k.
-	Set(k kv.Key, vals []float32)
-	// Take removes k from the store and returns its value, or nil if the
-	// key is absent. Used by the relocation protocol ("remove the parameter
-	// from its local storage and transfer it").
-	Take(k kv.Key) []float32
-	// Has reports whether k is present.
-	Has(k kv.Key) bool
-	// Len returns the value length of k under the store's layout.
-	Len(k kv.Key) int
-	// Layout returns the store's key layout.
-	Layout() kv.Layout
-	// Keys returns the number of present keys.
-	Keys() int
-}
 
 // latchList is a fixed pool of mutexes with a one-to-many mapping from
 // latches to keys. Keys map to latches by Fibonacci-multiply hashing rather
@@ -79,16 +54,15 @@ func (l *latchList) lock(k kv.Key) *sync.Mutex {
 	return m
 }
 
-// Dense is a Store backed by one contiguous float32 array covering the whole
-// key space of its layout, plus a presence bitmap. It is the store variant
-// the paper uses for all experiments ("using dense storage").
+// Dense is a node-local parameter store backed by one contiguous float32
+// array covering the whole key space of its layout, plus a presence bitmap
+// (the paper: "using dense storage"). It is safe for concurrent use by worker
+// threads and the server thread.
 type Dense struct {
 	layout  kv.Layout
 	vals    []float32
 	present []bool
-	nKeys   int64
 	latches *latchList
-	mu      sync.Mutex // guards nKeys and present transitions
 }
 
 // NewDense returns an empty dense store for layout with nLatches latches
@@ -102,13 +76,9 @@ func NewDense(layout kv.Layout, nLatches int) *Dense {
 	}
 }
 
-// Layout implements Store.
-func (d *Dense) Layout() kv.Layout { return d.layout }
-
-// Len implements Store.
-func (d *Dense) Len(k kv.Key) int { return d.layout.Len(k) }
-
-// Read implements Store.
+// Read copies the current value of k into dst and reports whether the key is
+// present. dst must have k's layout length. If the key is absent, dst is
+// untouched and Read returns false.
 func (d *Dense) Read(k kv.Key, dst []float32) bool {
 	l := d.latches.lock(k)
 	defer l.Unlock()
@@ -120,7 +90,8 @@ func (d *Dense) Read(k kv.Key, dst []float32) bool {
 	return true
 }
 
-// Add implements Store.
+// Add atomically adds delta to the value of k and reports whether the key is
+// present. Absent keys are not created.
 func (d *Dense) Add(k kv.Key, delta []float32) bool {
 	l := d.latches.lock(k)
 	defer l.Unlock()
@@ -138,7 +109,7 @@ func (d *Dense) Add(k kv.Key, delta []float32) bool {
 	return true
 }
 
-// Set implements Store.
+// Set inserts or replaces the value of k.
 func (d *Dense) Set(k kv.Key, vals []float32) {
 	l := d.latches.lock(k)
 	defer l.Unlock()
@@ -148,17 +119,12 @@ func (d *Dense) Set(k kv.Key, vals []float32) {
 		panic(fmt.Sprintf("store: Set length mismatch for key %d: %d != %d", k, len(vals), len(v)))
 	}
 	copy(v, vals)
-	if !d.present[k] {
-		d.mu.Lock()
-		if !d.present[k] {
-			d.present[k] = true
-			d.nKeys++
-		}
-		d.mu.Unlock()
-	}
+	d.present[k] = true
 }
 
-// Take implements Store.
+// Take removes k from the store and returns its value, or nil if the key is
+// absent. Used by the relocation protocol ("remove the parameter from its
+// local storage and transfer it").
 func (d *Dense) Take(k kv.Key) []float32 {
 	l := d.latches.lock(k)
 	defer l.Unlock()
@@ -172,138 +138,6 @@ func (d *Dense) Take(k kv.Key) []float32 {
 	for i := range v {
 		v[i] = 0
 	}
-	d.mu.Lock()
 	d.present[k] = false
-	d.nKeys--
-	d.mu.Unlock()
 	return out
 }
-
-// Has implements Store.
-func (d *Dense) Has(k kv.Key) bool {
-	l := d.latches.lock(k)
-	defer l.Unlock()
-	return d.present[k]
-}
-
-// Keys implements Store.
-func (d *Dense) Keys() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return int(d.nKeys)
-}
-
-// Sparse is a Store backed by a map, suitable for non-contiguous key spaces
-// or when a node holds a small subset of the keys.
-type Sparse struct {
-	layout  kv.Layout
-	mu      sync.RWMutex // guards the map structure
-	vals    map[kv.Key][]float32
-	latches *latchList
-}
-
-// NewSparse returns an empty sparse store for layout with nLatches latches.
-func NewSparse(layout kv.Layout, nLatches int) *Sparse {
-	return &Sparse{
-		layout:  layout,
-		vals:    make(map[kv.Key][]float32),
-		latches: newLatchList(nLatches),
-	}
-}
-
-// Layout implements Store.
-func (s *Sparse) Layout() kv.Layout { return s.layout }
-
-// Len implements Store.
-func (s *Sparse) Len(k kv.Key) int { return s.layout.Len(k) }
-
-// Read implements Store.
-func (s *Sparse) Read(k kv.Key, dst []float32) bool {
-	l := s.latches.lock(k)
-	defer l.Unlock()
-	s.mu.RLock()
-	v, ok := s.vals[k]
-	s.mu.RUnlock()
-	if !ok {
-		return false
-	}
-	copy(dst, v)
-	return true
-}
-
-// Add implements Store.
-func (s *Sparse) Add(k kv.Key, delta []float32) bool {
-	l := s.latches.lock(k)
-	defer l.Unlock()
-	s.mu.RLock()
-	v, ok := s.vals[k]
-	s.mu.RUnlock()
-	if !ok {
-		return false
-	}
-	if len(delta) != len(v) {
-		panic(fmt.Sprintf("store: Add length mismatch for key %d: %d != %d", k, len(delta), len(v)))
-	}
-	for i, x := range delta {
-		v[i] += x
-	}
-	return true
-}
-
-// Set implements Store.
-func (s *Sparse) Set(k kv.Key, vals []float32) {
-	l := s.latches.lock(k)
-	defer l.Unlock()
-	want := s.layout.Len(k)
-	if len(vals) != want {
-		panic(fmt.Sprintf("store: Set length mismatch for key %d: %d != %d", k, len(vals), want))
-	}
-	s.mu.RLock()
-	v, ok := s.vals[k]
-	s.mu.RUnlock()
-	if ok {
-		copy(v, vals)
-		return
-	}
-	v = make([]float32, want)
-	copy(v, vals)
-	s.mu.Lock()
-	s.vals[k] = v
-	s.mu.Unlock()
-}
-
-// Take implements Store.
-func (s *Sparse) Take(k kv.Key) []float32 {
-	l := s.latches.lock(k)
-	defer l.Unlock()
-	s.mu.Lock()
-	v, ok := s.vals[k]
-	if ok {
-		delete(s.vals, k)
-	}
-	s.mu.Unlock()
-	if !ok {
-		return nil
-	}
-	return v
-}
-
-// Has implements Store.
-func (s *Sparse) Has(k kv.Key) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	_, ok := s.vals[k]
-	return ok
-}
-
-// Keys implements Store.
-func (s *Sparse) Keys() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.vals)
-}
-
-var (
-	_ Store = (*Dense)(nil)
-	_ Store = (*Sparse)(nil)
-)

@@ -48,13 +48,12 @@ func pollMultiGet(w *lapse.Worker, keys []lapse.Key, want float32) error {
 // cross-node consistency contract on every transport. A write at a key's
 // owner must reach a node holding a cached lease well within the test
 // deadline — far inside the 30s lease TTL, so the freshness can only come
-// from the coherence protocol (the LeaseRevoke message in its refresh or drop
-// form), never from expiry — and the
-// writer reads its own write. The scenarios below add what update-in-place
-// must hold on top: concurrent writers' refreshes land in value order, an
-// idle holder stops costing messages when its lease runs out, and the copies
-// are still dropped when the value leaves its owner. Runs under -race in CI
-// for all three transports.
+// from the coherence protocol (the owner's ReplicaRefresh in its refresh or
+// drop form), never from expiry — and the writer reads its own write. The
+// scenarios below add what update-in-place must hold on top: concurrent
+// writers' refreshes land in value order, an idle holder stops costing
+// messages when its lease runs out, and the copies are still dropped when the
+// value leaves its owner. Runs under -race in CI for all three transports.
 func TestServingLeaseInvalidationAcrossTransports(t *testing.T) {
 	for name := range servingDeployments(2) {
 		t.Run(name, func(t *testing.T) {
