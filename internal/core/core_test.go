@@ -153,6 +153,31 @@ func TestLocalizeOwnedKeysAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestRemotePullAllocations pins what a remote single-key Pull allocates
+// across the whole process over a zero-latency network: worker, both
+// servers' goroutines and the transport. The operation's aggregate embeds its
+// future, so the part costs the aggregate, its channel, the pending-table
+// slot and the pull's offset table; the message path itself is pooled.
+func TestRemotePullAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not those of a plain build under the race detector")
+	}
+	_, sys := newTestSystem(t, 2, 1, 8, 2, Config{})
+	h := sys.Handle(0)
+	keys := []kv.Key{6} // homed at node 1
+	dst := make([]float32, 2)
+	pull := func() {
+		if err := h.Pull(keys, dst); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pull()
+	// 5 when the aggregate pointed to a future of its own.
+	if n := testing.AllocsPerRun(200, pull); n > 4 {
+		t.Errorf("remote single-key pull allocates %.1f times, want at most 4", n)
+	}
+}
+
 func TestLocalizeManyKeysGrouped(t *testing.T) {
 	// Localizing a whole block must group messages: 3 messages per
 	// (home, owner) pair, not per key.

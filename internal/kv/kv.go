@@ -12,6 +12,7 @@ package kv
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 )
 
 // Key identifies a single parameter (a fixed-length vector of float32).
@@ -39,7 +40,8 @@ type KV interface {
 	PullAsync(keys []Key, dst []float32) *Future
 	// PushAsync is Push without waiting for the server acknowledgement.
 	// vals must stay unmodified until the returned future completes: a push
-	// that waits behind a relocation is queued with the caller's slice.
+	// that waits behind a relocation is queued with the caller's slice. It
+	// keeps no reference to keys, which the caller may reuse once it returns.
 	PushAsync(keys []Key, vals []float32) *Future
 	// Localize requests relocation of keys to the caller's node and waits
 	// until the keys are local (Lapse only).
@@ -65,13 +67,33 @@ type KV interface {
 }
 
 // Future tracks one asynchronous operation. A future completes exactly once.
+//
+// Completion is published twice: Complete stores the error, then sets an
+// atomic flag, then closes the channel. Wait and TryWait load the flag first,
+// so a future that is already complete — the shared CompletedFuture(nil) of
+// every all-local operation, above all — costs them one atomic load and takes
+// no lock: workers checking completed futures share nothing but a read-only
+// line. Only a Wait that finds the flag unset blocks on the channel, which
+// also stays for Done, so select loops keep working.
+//
+// A Future may be embedded by value in a longer-lived struct (server.Agg
+// does, saving an allocation per operation); such a future must be prepared
+// with Init before use and must not be copied afterwards.
 type Future struct {
-	done chan struct{}
-	err  error
+	done  chan struct{}
+	fired atomic.Bool // set by Complete after err, before done closes
+	err   error
 }
 
 // NewFuture returns an incomplete future.
-func NewFuture() *Future { return &Future{done: make(chan struct{})} }
+func NewFuture() *Future {
+	f := new(Future)
+	f.Init()
+	return f
+}
+
+// Init prepares an embedded zero Future as an incomplete future.
+func (f *Future) Init() { f.done = make(chan struct{}) }
 
 // completedNil is the shared already-successful future. A completed future
 // is immutable (Complete may not be called again), so every error-free
@@ -97,23 +119,26 @@ func CompletedFuture(err error) *Future {
 // most once.
 func (f *Future) Complete(err error) {
 	f.err = err
+	f.fired.Store(true)
 	close(f.done)
 }
 
 // Wait blocks until the operation completes and returns its error.
 func (f *Future) Wait() error {
-	<-f.done
+	if !f.fired.Load() {
+		<-f.done
+	}
 	return f.err
 }
 
-// TryWait reports whether the operation has completed, without blocking.
+// TryWait reports whether the operation has completed, without blocking. The
+// flag is set before the channel closes, so an unset flag is the whole answer:
+// a Complete racing with the load may be reported on the next call.
 func (f *Future) TryWait() (bool, error) {
-	select {
-	case <-f.done:
-		return true, f.err
-	default:
+	if !f.fired.Load() {
 		return false, nil
 	}
+	return true, f.err
 }
 
 // Done exposes the completion channel for select loops.

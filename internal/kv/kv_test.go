@@ -2,8 +2,10 @@ package kv
 
 import (
 	"errors"
+	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestUniformLayout(t *testing.T) {
@@ -138,12 +140,84 @@ func TestFutureCompleteAndWait(t *testing.T) {
 	}
 }
 
+// TestCompletedFuture also pins that every error-free CompletedFuture is one
+// shared instance, which keeps all-local operations allocation-free, while
+// one completed with an error is its own.
 func TestCompletedFuture(t *testing.T) {
 	if err := CompletedFuture(nil).Wait(); err != nil {
 		t.Fatalf("CompletedFuture(nil).Wait() = %v", err)
 	}
+	if done, err := CompletedFuture(nil).TryWait(); !done || err != nil {
+		t.Fatalf("CompletedFuture(nil).TryWait() = (%v, %v), want (true, <nil>)", done, err)
+	}
+	if CompletedFuture(nil) != CompletedFuture(nil) {
+		t.Fatal("CompletedFuture(nil) returned two instances")
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = CompletedFuture(nil).Wait() }); n != 0 {
+		t.Errorf("CompletedFuture(nil).Wait() allocates %.1f times, want 0", n)
+	}
 	errX := errors.New("x")
 	if err := CompletedFuture(errX).Wait(); err != errX {
 		t.Fatalf("CompletedFuture(err).Wait() = %v, want %v", err, errX)
+	}
+	if CompletedFuture(errX) == CompletedFuture(errX) {
+		t.Fatal("CompletedFuture(err) returned a shared instance")
+	}
+}
+
+// TestFutureCompletionReachesEveryWaiter completes a future while 16
+// goroutines poll it, half blocking in Wait and half spinning on TryWait:
+// each must see the error Complete stored. Under the race detector it checks
+// that the flag publishes the error on every schedule.
+func TestFutureCompletionReachesEveryWaiter(t *testing.T) {
+	f := NewFuture()
+	errX := errors.New("x")
+	var started, finished sync.WaitGroup
+	for i := 0; i < 16; i++ {
+		started.Add(1)
+		finished.Add(1)
+		go func() {
+			defer finished.Done()
+			started.Done()
+			var err error
+			if i%2 == 0 {
+				err = f.Wait()
+			} else {
+				for {
+					var done bool
+					if done, err = f.TryWait(); done {
+						break
+					}
+				}
+			}
+			if err != errX {
+				t.Errorf("waiter %d saw %v, want %v", i, err, errX)
+			}
+		}()
+	}
+	started.Wait()
+	f.Complete(errX)
+	finished.Wait()
+}
+
+// TestFutureDoneCloses: the channel Done returns stays open until Complete
+// and is closed after it, for select loops.
+func TestFutureDoneCloses(t *testing.T) {
+	f := NewFuture()
+	select {
+	case <-f.Done():
+		t.Fatal("Done closed before Complete")
+	default:
+	}
+	go f.Complete(nil)
+	select {
+	case <-f.Done():
+	case <-time.After(10 * time.Second):
+		t.Fatal("Done still open 10 s after Complete")
+	}
+	select {
+	case <-CompletedFuture(errors.New("x")).Done():
+	default:
+		t.Fatal("Done of a future completed with an error is open")
 	}
 }

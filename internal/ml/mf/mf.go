@@ -124,6 +124,9 @@ func runWorkerEpoch(cl *cluster.Cluster, ps driver.PS, kind driver.Kind, cfg Con
 	}
 	h.Barrier()
 
+	// One key pair serves every entry: Pull is synchronous and PushAsync
+	// keeps no reference to keys, so the training loop allocates nothing.
+	keys := make([]kv.Key, 2)
 	buf := make([]float32, 2*cfg.Rank)
 	delta := make([]float32, 2*cfg.Rank)
 	for s := 0; s < P; s++ {
@@ -132,11 +135,11 @@ func runWorkerEpoch(cl *cluster.Cluster, ps driver.PS, kind driver.Kind, cfg Con
 			// Parameter blocking: localize the column block for this
 			// subepoch; all accesses below are then local.
 			lo, hi := data.BlockRange(cfg.Cols, P, colBlock)
-			keys := make([]kv.Key, 0, hi-lo)
+			block := make([]kv.Key, 0, hi-lo)
 			for j := lo; j < hi; j++ {
-				keys = append(keys, cfg.colKey(j))
+				block = append(block, cfg.colKey(j))
 			}
-			if err := h.Localize(keys); err != nil {
+			if err := h.Localize(block); err != nil {
 				return fmt.Errorf("mf: localize column block: %w", err)
 			}
 		}
@@ -144,7 +147,7 @@ func runWorkerEpoch(cl *cluster.Cluster, ps driver.PS, kind driver.Kind, cfg Con
 		order := rng.Perm(len(entries))
 		for _, idx := range order {
 			e := entries[idx]
-			keys := []kv.Key{kv.Key(e.I), cfg.colKey(e.J)}
+			keys[0], keys[1] = kv.Key(e.I), cfg.colKey(e.J)
 			if err := h.Pull(keys, buf); err != nil {
 				return fmt.Errorf("mf: pull: %w", err)
 			}

@@ -97,6 +97,41 @@ func TestLapseMFAllAccessesLocal(t *testing.T) {
 	}
 }
 
+// TestLapseMFStepAllocatesNothing: with parameter blocking every access is a
+// shared-memory fast-path operation, and the training step issues them from
+// buffers it reuses, so after a warm-up epoch an epoch allocates only per
+// subepoch — the column block's relocation, about three objects per key
+// (queue, waiter, the taken value), plus the permutation and the barrier. The
+// matrix has many entries per column so that this stays well under the
+// bound; one allocation per entry would run the garbage collector mid-epoch.
+func TestLapseMFStepAllocatesNothing(t *testing.T) {
+	cfg := Config{Rows: 4000, Cols: 30, NNZ: 100_000, TrueRank: 8, Rank: 16, LR: 0.05, Reg: 0.01, Seed: 3}
+	m := data.SyntheticMatrix(cfg.Rows, cfg.Cols, cfg.NNZ, cfg.TrueRank, 0.05, cfg.Seed)
+	cl := cluster.New(cluster.Config{Nodes: 2, WorkersPerNode: 1})
+	ps := driver.Build(driver.Lapse, cl, cfg.Layout(), driver.Options{})
+	defer func() { cl.Close(); ps.Shutdown() }()
+	P := cl.TotalWorkers()
+	grid := m.BlockGrid(P)
+	ps.Init(cfg.InitFactors())
+	epoch := 0
+	// AllocsPerRun's first call, not counted, is the warm-up epoch 0: it
+	// localizes the row blocks and grows every handle's scratch.
+	perEpoch := testing.AllocsPerRun(2, func() {
+		cl.RunWorkers(func(_, worker int) {
+			if err := runWorkerEpoch(cl, ps, driver.Lapse, cfg, grid, P, epoch, worker, true, false); err != nil {
+				t.Error(err)
+			}
+		})
+		epoch++
+	})
+	if perEntry := perEpoch / float64(len(m.Entries)); perEntry >= 0.01 {
+		t.Errorf("an MF epoch allocates %.0f times for %d entries (%.4f per entry), want < 0.01 per entry",
+			perEpoch, len(m.Entries), perEntry)
+	} else {
+		t.Logf("an MF epoch allocates %.0f times for %d entries", perEpoch, len(m.Entries))
+	}
+}
+
 func TestLowLevelConverges(t *testing.T) {
 	cfg := tinyConfig()
 	m := data.SyntheticMatrix(cfg.Rows, cfg.Cols, cfg.NNZ, cfg.TrueRank, 0.05, cfg.Seed)

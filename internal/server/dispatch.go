@@ -158,7 +158,9 @@ type sendGroup struct {
 // dispatchScratch is the per-handle reusable state of DispatchOp. Handles
 // are bound to one worker thread, so none of this needs locking; steady
 // state dispatch reuses every slice and sends through one reusable message
-// struct (transports encode synchronously and retain nothing).
+// struct (transports encode synchronously and retain nothing). The buffers
+// every operation writes — offs, fastDone, counts, served and ids — come
+// from ownLines, so no other worker's data shares their cache lines.
 type dispatchScratch struct {
 	ctx      OpCtx
 	offs     []int32
@@ -173,16 +175,16 @@ type dispatchScratch struct {
 
 func (ds *dispatchScratch) reset(nShards, nKeys int) {
 	if cap(ds.offs) < nKeys {
-		ds.offs = make([]int32, nKeys)
-		ds.fastDone = make([]bool, nKeys)
+		ds.offs = ownLines[int32](nKeys)
+		ds.fastDone = ownLines[bool](nKeys)
 	}
 	ds.offs = ds.offs[:nKeys]
 	ds.fastDone = ds.fastDone[:nKeys]
 	clear(ds.fastDone)
 	if len(ds.counts) != nShards {
-		ds.counts = make([]int, nShards)
-		ds.served = make([]int, nShards)
-		ds.ids = make([]uint64, nShards)
+		ds.counts = ownLines[int](nShards)
+		ds.served = ownLines[int](nShards)
+		ds.ids = ownLines[uint64](nShards)
 	} else {
 		clear(ds.counts)
 		clear(ds.served)

@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"unsafe"
 
 	"lapse/internal/kv"
 	"lapse/internal/metrics"
@@ -20,6 +21,7 @@ type Handle struct {
 	// in a size class that is no multiple of a cache line. The pads keep one
 	// worker's writes off the lines another's handle lives on: without them
 	// mf_blocking lost 15 % when the scratch shrank from 504 to 416 bytes.
+	// The buffers the handle points to are kept apart by ownLines.
 	_           [64]byte
 	nd          *Node
 	worker      int
@@ -77,10 +79,14 @@ func (h *Handle) WaitAll() error {
 // Track registers an asynchronous operation with WaitAll. Already-completed
 // futures are skipped, and the tracking list is compacted once it grows
 // large so long-running fully-asynchronous workers don't accumulate it
-// unboundedly.
+// unboundedly. The list grows through ownLines, like the dispatch scratch.
 func (h *Handle) Track(f *kv.Future) {
 	if done, _ := f.TryWait(); done {
 		return
+	}
+	if len(h.outstanding) == cap(h.outstanding) {
+		grown := ownLines[*kv.Future](2*len(h.outstanding) + 1)
+		h.outstanding = grown[:copy(grown, h.outstanding)]
 	}
 	h.outstanding = append(h.outstanding, f)
 	if len(h.outstanding) > 4096 {
@@ -92,4 +98,21 @@ func (h *Handle) Track(f *kv.Future) {
 		}
 		h.outstanding = kept
 	}
+}
+
+// cacheLine is the line size the per-worker buffers are rounded up to.
+const cacheLine = 64
+
+// ownLines returns a slice of length n whose backing array fills whole cache
+// lines, at least one: its capacity is rounded up to a multiple of 64 bytes.
+// Every Go size class from 512 bytes up, and every smaller one the rounding
+// can select, is a multiple of 64, and objects sit at multiples of their size
+// class from a page boundary, so no other object shares the array's lines.
+// A plain make of a few bytes is served from the allocator's 16-byte tiny
+// blocks instead, which pack the buffers of workers created one after the
+// other side by side — and every operation of each then writes the other's
+// line. T's size must divide 64.
+func ownLines[T any](n int) []T {
+	per := cacheLine / int(unsafe.Sizeof(*new(T)))
+	return make([]T, n, max(1, (n+per-1)/per)*per)
 }

@@ -23,9 +23,11 @@ var nowFunc = time.Now
 // sealed, so a fast first shard cannot complete the future while later shards
 // are still registering.
 //
-// The reference count starts at 1 (the seal token); Seal releases it.
+// The reference count starts at 1 (the seal token); Seal releases it. The
+// future is embedded, which saves every operation that leaves the fast path
+// an allocation; whoever holds the future keeps the whole aggregate alive.
 type Agg struct {
-	fut       *kv.Future
+	fut       kv.Future
 	remaining atomic.Int64
 	// timers are the elapsed-time recorders attached with Time: the
 	// operation's end-to-end latency and, for a localize that sent a request,
@@ -38,7 +40,8 @@ type Agg struct {
 
 // NewAgg returns an aggregate open for registration.
 func NewAgg() *Agg {
-	a := &Agg{fut: kv.NewFuture()}
+	a := new(Agg)
+	a.fut.Init()
 	a.remaining.Store(1)
 	return a
 }
@@ -81,7 +84,7 @@ func (a *Agg) Finish(n int) {
 // future completes here.
 func (a *Agg) Seal() *kv.Future {
 	a.Finish(1)
-	return a.fut
+	return &a.fut
 }
 
 // Pending matches the responses of one server shard to the operations that
