@@ -38,9 +38,6 @@ type Config struct {
 	// this process's share of the nodes). The cluster takes ownership and
 	// closes it in Close.
 	Transport transport.Network
-	// TraceCap overrides the control-plane trace ring's capacity
-	// (0 = metrics.DefaultTraceCap).
-	TraceCap int
 }
 
 // Cluster is a running cluster: a transport plus topology metadata.
@@ -64,11 +61,7 @@ func New(cfg Config) *Cluster {
 	} else if net.Nodes() != cfg.Nodes {
 		panic(fmt.Sprintf("cluster: transport has %d nodes, topology %d", net.Nodes(), cfg.Nodes))
 	}
-	tc := cfg.TraceCap
-	if tc <= 0 {
-		tc = metrics.DefaultTraceCap
-	}
-	c := &Cluster{cfg: cfg, net: net, trace: metrics.NewTraceRing(tc)}
+	c := &Cluster{cfg: cfg, net: net, trace: metrics.NewTraceRing(metrics.DefaultTraceCap)}
 	allLocal := true
 	for n := 0; n < cfg.Nodes; n++ {
 		if net.Local(n) {

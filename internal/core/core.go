@@ -631,10 +631,8 @@ type outcome struct {
 	ackTTL uint32
 	// queued marks an access appended to the key's relocation queue.
 	queued bool
-	// dest is where an access neither served nor queued goes; viaCache marks
-	// a destination taken from the location cache.
-	dest     int
-	viaCache bool
+	// dest is where an access neither served nor queued goes.
+	dest int
 }
 
 // gate passes one access through. held is byState for an access arriving from
@@ -656,7 +654,7 @@ func (sh *policyShard) gate(a *access, held backing) (o outcome) {
 		sh.queueMu.Unlock()
 	}
 	if o.served == 0 && !o.queued {
-		o.dest, o.viaCache = sh.route(a.k, a.m == nil)
+		o.dest = sh.route(a.k, a.m == nil)
 	}
 	return o
 }
@@ -708,7 +706,7 @@ func (sh *policyShard) aheadOfRequest(k kv.Key) bool {
 // shard goroutine forwards it. A remote access is forwarded to the registered
 // owner if this node is the key's home, and double-forwarded to the home
 // otherwise (stale cache, or the key left while the access was queued).
-func (sh *policyShard) route(k kv.Key, local bool) (dest int, viaCache bool) {
+func (sh *policyShard) route(k kv.Key, local bool) int {
 	nd := sh.nd
 	home := nd.sys.home.NodeOf(k)
 	switch {
@@ -716,21 +714,21 @@ func (sh *policyShard) route(k kv.Key, local bool) (dest int, viaCache bool) {
 		if nd.cache != nil {
 			if c := int(nd.cache[k].Load()); c >= 0 && c != nd.id {
 				sh.stats.CacheHits.Inc()
-				return c, true
+				return c
 			}
 			sh.stats.CacheMisses.Inc()
 		}
-		return home, false
+		return home
 	case home != nd.id:
 		sh.stats.DoubleForwards.Inc()
-		return home, false
+		return home
 	}
-	dest = int(nd.owner[k].Load())
+	dest := int(nd.owner[k].Load())
 	if dest == nd.id {
 		panic(fmt.Sprintf("core: key %d is registered at its home node %d but neither here nor arriving", k, nd.id))
 	}
 	sh.stats.Forwards.Inc()
-	return dest, false
+	return dest
 }
 
 // serve applies one access (its fields passed singly: the fast path builds no
@@ -1080,7 +1078,7 @@ func (sh *policyShard) finishLocal(e *queueEntry, b backing) {
 	o := sh.gate(a, b)
 	if o.served == 0 {
 		sh.countRemote(a.t, a.k)
-		m := &msg.Op{Type: a.t, ID: e.id, Origin: int32(nd.id), ViaCache: o.viaCache, Keys: []kv.Key{a.k}}
+		m := &msg.Op{Type: a.t, ID: e.id, Origin: int32(nd.id), Keys: []kv.Key{a.k}}
 		if a.t == msg.OpPush {
 			m.Vals = a.buf
 		}

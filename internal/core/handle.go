@@ -89,8 +89,7 @@ func (h *handle) RouteKey(t msg.OpType, op *server.OpCtx, k kv.Key, dst, vals []
 		}
 		sh.stats.ServingMisses.Inc()
 	}
-	dest, viaCache := sh.route(k, true)
-	return server.KeyRoute{Dest: dest, ViaCache: viaCache}
+	return server.KeyRoute{Dest: sh.route(k, true)}
 }
 
 // ShardLock implements server.SendGate: the queue lock of one shard's keys.

@@ -11,7 +11,7 @@ import (
 // seedMessages covers every wire Kind, including nil-vs-empty slice shapes.
 func seedMessages() []any {
 	return []any{
-		&Op{Type: OpPull, ID: 1, Origin: 2, Hops: 3, ViaCache: true, Keys: []kv.Key{7, 1 << 40}},
+		&Op{Type: OpPull, ID: 1, Origin: 2, Hops: 3, Keys: []kv.Key{7, 1 << 40}},
 		&Op{Type: OpPush, ID: 2, Keys: []kv.Key{5}, Vals: []float32{1.5, -2}},
 		&Op{Type: OpPush, ID: 3, Keys: []kv.Key{}, Vals: []float32{}},
 		&Op{Type: OpPull, ID: 12, Origin: 1, Lease: true, Keys: []kv.Key{13}},

@@ -106,14 +106,12 @@ func (t OpType) String() string {
 // node whose worker issued the operation and ID the pending-operation slot at
 // that node, so that the final owner can respond directly to the origin.
 // Hops counts forwarding steps (for double-forward accounting and loop
-// detection); ViaCache marks requests sent via a location cache entry, which
-// the receiver uses for stale-cache handling.
+// detection).
 type Op struct {
-	Type     OpType
-	ID       uint64
-	Origin   int32
-	Hops     uint8
-	ViaCache bool
+	Type   OpType
+	ID     uint64
+	Origin int32
+	Hops   uint8
 	// Lease marks a read-only pull whose origin wants a serving-cache lease
 	// on the requested keys: the home grants one (OpResp.LeaseTTL) when the
 	// keys are owned and not replicated. Ignored for pushes.
@@ -325,7 +323,7 @@ const (
 func Size(m any) int {
 	switch t := m.(type) {
 	case *Op:
-		return headerBytes + 1 + 8 + 4 + 1 + 1 + 1 + 4 + 4 + len(t.Keys)*keyBytes + len(t.Vals)*valBytes
+		return headerBytes + 1 + 8 + 4 + 1 + 1 + 4 + 4 + len(t.Keys)*keyBytes + len(t.Vals)*valBytes
 	case *OpResp:
 		return headerBytes + 1 + 8 + 4 + 4 + 4 + 4 + len(t.Keys)*keyBytes + len(t.Vals)*valBytes
 	case *Localize:
@@ -373,7 +371,6 @@ func AppendTo(buf []byte, m any) []byte {
 		w.u64(t.ID)
 		w.u32(uint32(t.Origin))
 		w.u8(t.Hops)
-		w.u8(boolByte(t.ViaCache))
 		w.u8(boolByte(t.Lease))
 		w.keys(t.Keys)
 		w.vals(t.Vals)
@@ -524,7 +521,7 @@ func decodeMsg(buf []byte, s *Scratch) (any, int, error) {
 			t = new(Op)
 		}
 		*t = Op{Type: OpType(d.u8()), ID: d.u64(), Origin: int32(d.u32()),
-			Hops: d.u8(), ViaCache: d.bool(), Lease: d.bool(), Keys: d.keys(), Vals: d.vals()}
+			Hops: d.u8(), Lease: d.bool(), Keys: d.keys(), Vals: d.vals()}
 		m = t
 	case KindOpResp:
 		var t *OpResp

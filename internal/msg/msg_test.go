@@ -26,7 +26,7 @@ func roundTrip(t *testing.T, m any) any {
 
 func TestRoundTripAllKinds(t *testing.T) {
 	msgs := []any{
-		&Op{Type: OpPull, ID: 42, Origin: 3, Hops: 2, ViaCache: true,
+		&Op{Type: OpPull, ID: 42, Origin: 3, Hops: 2,
 			Keys: []kv.Key{1, 99, 1 << 40}},
 		&Op{Type: OpPush, ID: 7, Origin: 0,
 			Keys: []kv.Key{5}, Vals: []float32{1.5, -2.25, 3}},
@@ -173,8 +173,8 @@ func TestSizeAccountsForPayload(t *testing.T) {
 }
 
 func TestQuickOpRoundTrip(t *testing.T) {
-	f := func(id uint64, origin int32, hops uint8, via bool, keys []uint64, vals []float32) bool {
-		m := &Op{Type: OpPush, ID: id, Origin: origin, Hops: hops, ViaCache: via}
+	f := func(id uint64, origin int32, hops uint8, lease bool, keys []uint64, vals []float32) bool {
+		m := &Op{Type: OpPush, ID: id, Origin: origin, Hops: hops, Lease: lease}
 		for _, k := range keys {
 			m.Keys = append(m.Keys, kv.Key(k))
 		}
@@ -184,7 +184,7 @@ func TestQuickOpRoundTrip(t *testing.T) {
 			return false
 		}
 		got, ok := dec.(*Op)
-		if !ok || got.ID != id || got.Origin != origin || got.Hops != hops || got.ViaCache != via {
+		if !ok || got.ID != id || got.Origin != origin || got.Hops != hops || got.Lease != lease {
 			return false
 		}
 		if len(got.Keys) != len(m.Keys) || len(got.Vals) != len(m.Vals) {

@@ -21,9 +21,6 @@ type KeyRoute struct {
 	// Dest is the node the key's request must be sent to (when neither
 	// Served nor Enqueued).
 	Dest int
-	// ViaCache marks requests routed via a location-cache entry, which the
-	// receiver uses for stale-cache handling.
-	ViaCache bool
 }
 
 // Router is the variant's per-key routing policy for worker operations: it
@@ -142,17 +139,16 @@ func (c *OpCtx) served(i, s int) {
 }
 
 // sendGroup accumulates the keys of one outgoing message: a destination
-// node, the server shard every key of the group belongs to, and the
-// cache-routing flag. Routing collects the key occurrences (idx); the
-// message's key and value lists are built from them when the group is sent.
-// The backing arrays are scratch, reused across operations.
+// node and the server shard every key of the group belongs to. Routing
+// collects the key occurrences (idx); the message's key and value lists are
+// built from them when the group is sent. The backing arrays are scratch,
+// reused across operations.
 type sendGroup struct {
-	node     int
-	shard    int
-	viaCache bool
-	idx      []int32
-	keys     []kv.Key
-	vals     []float32
+	node  int
+	shard int
+	idx   []int32
+	keys  []kv.Key
+	vals  []float32
 }
 
 // dispatchScratch is the per-handle reusable state of DispatchOp. Handles
@@ -193,14 +189,14 @@ func (ds *dispatchScratch) reset(nShards, nKeys int) {
 	ds.groups = ds.groups[:0]
 }
 
-// group returns the accumulator for (node, shard, viaCache), reusing a
+// group returns the accumulator for (node, shard), reusing a
 // retired group's backing arrays when possible. The number of live groups is
 // the number of distinct destinations of one operation — small — so a linear
 // scan beats a map.
-func (ds *dispatchScratch) group(node, shard int, viaCache bool) *sendGroup {
+func (ds *dispatchScratch) group(node, shard int) *sendGroup {
 	for i := range ds.groups {
 		g := &ds.groups[i]
-		if g.node == node && g.shard == shard && g.viaCache == viaCache {
+		if g.node == node && g.shard == shard {
 			return g
 		}
 	}
@@ -210,7 +206,7 @@ func (ds *dispatchScratch) group(node, shard int, viaCache bool) *sendGroup {
 		ds.groups = append(ds.groups, sendGroup{})
 	}
 	g := &ds.groups[len(ds.groups)-1]
-	g.node, g.shard, g.viaCache = node, shard, viaCache
+	g.node, g.shard = node, shard
 	g.idx = g.idx[:0]
 	return g
 }
@@ -291,7 +287,7 @@ func (h *Handle) DispatchOp(r Router, t msg.OpType, keys []kv.Key, dst, vals []f
 			// The router registered the part via op.ID; the queued entry
 			// completes the key through the pending table later.
 		default:
-			g := ds.group(route.Dest, shard, route.ViaCache)
+			g := ds.group(route.Dest, shard)
 			g.idx = append(g.idx, int32(i))
 		}
 	}
@@ -323,7 +319,7 @@ func (h *Handle) DispatchOp(r Router, t msg.OpType, keys []kv.Key, dst, vals []f
 		}
 		if len(g.keys) > 0 {
 			op := &ds.op
-			*op = msg.Op{Type: t, ID: ctx.ensure(g.shard), Origin: int32(nd.node), ViaCache: g.viaCache, Lease: ctx.lease, Keys: g.keys, Vals: g.vals}
+			*op = msg.Op{Type: t, ID: ctx.ensure(g.shard), Origin: int32(nd.node), Lease: ctx.lease, Keys: g.keys, Vals: g.vals}
 			nd.Send(g.node, op)
 		}
 		if lock != nil {

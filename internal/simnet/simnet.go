@@ -81,12 +81,6 @@ func DefaultTestbed(nodes int) Config {
 	}
 }
 
-// Envelope is a message in flight (the shared transport envelope).
-type Envelope = transport.Envelope
-
-// Stats aggregates network traffic counters (the shared transport type).
-type Stats = transport.Stats
-
 // link tracks per-link FIFO delivery state.
 type link struct {
 	mu   sync.Mutex
@@ -97,10 +91,9 @@ type link struct {
 type event struct {
 	at  time.Time
 	seq uint64
-	// Delivery events carry env+inbox; wakeups carry ch.
-	env   Envelope
-	inbox chan Envelope
-	ch    chan struct{}
+	// Delivery events carry env; wakeups carry ch.
+	env transport.Envelope
+	ch  chan struct{}
 }
 
 // before orders events by due time, ties broken by scheduling order.
@@ -159,11 +152,11 @@ func (h *eventHeap) pop() event {
 }
 
 // Network is a simulated cluster network. Send, Sleep and Inbox are safe for
-// concurrent use.
+// concurrent use. It hosts every node of the cluster in this process.
 type Network struct {
-	cfg     Config
-	inboxes [][]chan Envelope // [node][shard]
-	links   [][]*link
+	*transport.Host
+	cfg   Config
+	links [][]*link
 
 	schedMu   sync.Mutex
 	events    eventHeap
@@ -172,44 +165,27 @@ type Network struct {
 	stopped   bool
 	schedDone chan struct{}
 
-	sendMu  sync.RWMutex
-	closed  atomic.Bool
-	dropped atomic.Int64
+	sendMu sync.RWMutex
+	closed atomic.Bool
 
-	remoteMsgs   atomic.Int64
-	remoteBytes  atomic.Int64
-	loopMsgs     atomic.Int64
-	loopBytes    atomic.Int64
 	pairMsgs     []atomic.Int64 // nodes×nodes message counts
 	sleepEnabled bool
 }
 
 // New creates a network with cfg and starts its delivery scheduler.
 func New(cfg Config) *Network {
-	if cfg.Nodes <= 0 {
-		panic(fmt.Sprintf("simnet: invalid node count %d", cfg.Nodes))
-	}
-	if cfg.InboxSize <= 0 {
-		cfg.InboxSize = 1 << 16
-	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = 1
+	h, err := transport.NewHost(cfg.Nodes, cfg.Shards, nil, cfg.InboxSize)
+	if err != nil {
+		panic(fmt.Sprintf("simnet: %v", err))
 	}
 	n := &Network{
+		Host:         h,
 		cfg:          cfg,
-		inboxes:      make([][]chan Envelope, cfg.Nodes),
 		links:        make([][]*link, cfg.Nodes),
 		pairMsgs:     make([]atomic.Int64, cfg.Nodes*cfg.Nodes),
 		wake:         make(chan struct{}, 1),
 		schedDone:    make(chan struct{}),
 		sleepEnabled: cfg.Latency > 0 || cfg.LoopbackLatency > 0 || cfg.BytesPerSecond > 0,
-	}
-	perShard := (cfg.InboxSize + cfg.Shards - 1) / cfg.Shards
-	for i := range n.inboxes {
-		n.inboxes[i] = make([]chan Envelope, cfg.Shards)
-		for s := range n.inboxes[i] {
-			n.inboxes[i][s] = make(chan Envelope, perShard)
-		}
 	}
 	for src := range n.links {
 		n.links[src] = make([]*link, cfg.Nodes)
@@ -220,19 +196,6 @@ func New(cfg Config) *Network {
 	go n.scheduler()
 	return n
 }
-
-// Nodes returns the number of nodes.
-func (n *Network) Nodes() int { return n.cfg.Nodes }
-
-// Shards returns the per-node inbox shard count.
-func (n *Network) Shards() int { return n.cfg.Shards }
-
-// Local reports whether node is hosted here: the simulated network hosts
-// every node of the cluster in this process.
-func (n *Network) Local(node int) bool { return node >= 0 && node < n.cfg.Nodes }
-
-// Config returns the network configuration.
-func (n *Network) Config() Config { return n.cfg }
 
 // Send transmits m from src to dst. The message crosses the simulated wire
 // through the msg codec: it is encoded here and the receiver gets a freshly
@@ -255,35 +218,29 @@ func (n *Network) Send(src, dst int, m any) {
 	// The decode copied every byte out of the encode buffer, so it goes
 	// back to the pool before delivery (poisoned in poison mode).
 	msg.PutBuf(bp)
-	if err := msg.CheckShardPure(copied, n.cfg.Shards); err != nil {
+	if err := msg.CheckShardPure(copied, n.Shards()); err != nil {
 		// The simulated network is the testing transport: a batching bug
 		// that mixes shards in one key-addressed message fails loudly here
 		// instead of corrupting per-shard server state.
 		panic(fmt.Sprintf("simnet: %v", err))
 	}
 	m = copied
-	shard := msg.ShardOf(copied, n.cfg.Shards)
+	shard := msg.ShardOf(copied, n.Shards())
 	bytes := len(buf)
 
 	n.sendMu.RLock()
 	defer n.sendMu.RUnlock()
 	if n.closed.Load() {
 		sc.Release()
-		n.dropped.Add(1)
+		n.Drop(1)
 		return
 	}
-	if src == dst {
-		n.loopMsgs.Add(1)
-		n.loopBytes.Add(int64(bytes))
-	} else {
-		n.remoteMsgs.Add(1)
-		n.remoteBytes.Add(int64(bytes))
-	}
+	n.Sent(src, dst, bytes)
 	n.pairMsgs[src*n.cfg.Nodes+dst].Add(1)
 
-	env := Envelope{Src: src, Dst: dst, Msg: m, Shard: shard, Bytes: bytes, Scratch: sc}
+	env := transport.Envelope{Src: src, Dst: dst, Msg: m, Shard: shard, Bytes: bytes, Scratch: sc}
 	if !n.sleepEnabled {
-		n.inboxes[dst][shard] <- env
+		n.Deliver(env, nil)
 		return
 	}
 	lat := n.cfg.Latency
@@ -303,7 +260,7 @@ func (n *Network) Send(src, dst int, m any) {
 	}
 	l.last = at
 	l.mu.Unlock()
-	n.schedule(event{at: at, env: env, inbox: n.inboxes[dst][shard]})
+	n.schedule(event{at: at, env: env})
 }
 
 // Sleep blocks the caller for precisely d, driven by the central scheduler.
@@ -342,7 +299,7 @@ func (n *Network) fire(e event) {
 		close(e.ch)
 		return
 	}
-	e.inbox <- e.env
+	n.Deliver(e.env, nil)
 }
 
 // scheduler is the single delivery goroutine: it sleeps coarsely while the
@@ -388,12 +345,6 @@ func (n *Network) scheduler() {
 	}
 }
 
-// Inbox returns the receive channel of node's inbox shard. All messages
-// addressed to (node, shard) — from any source — are merged into this
-// channel; per-(source, shard) FIFO order is preserved. The channel is closed
-// by Close after all in-flight messages have been delivered.
-func (n *Network) Inbox(node, shard int) <-chan Envelope { return n.inboxes[node][shard] }
-
 // Close drains all in-flight messages and closes every inbox. It must be
 // called only when no goroutine will Send anymore; receivers observe channel
 // close after the last in-flight message.
@@ -421,41 +372,18 @@ func (n *Network) Close() {
 		n.fire(e)
 	}
 	<-n.schedDone
-	for _, node := range n.inboxes {
-		for _, in := range node {
-			close(in)
-		}
-	}
+	n.CloseInboxes()
 }
-
-// Stats returns a snapshot of the traffic counters.
-func (n *Network) Stats() Stats {
-	return Stats{
-		RemoteMessages:   n.remoteMsgs.Load(),
-		RemoteBytes:      n.remoteBytes.Load(),
-		LoopbackMessages: n.loopMsgs.Load(),
-		LoopbackBytes:    n.loopBytes.Load(),
-	}
-}
-
-// Dropped returns the number of messages discarded because they were sent
-// after Close (teardown traffic).
-func (n *Network) Dropped() int64 { return n.dropped.Load() }
-
-// Err implements transport.Network; the simulated network cannot fail.
-func (n *Network) Err() error { return nil }
 
 // PairMessages returns the number of messages sent from src to dst.
 func (n *Network) PairMessages(src, dst int) int64 {
 	return n.pairMsgs[src*n.cfg.Nodes+dst].Load()
 }
 
-// ResetStats zeroes all traffic counters (e.g. after a warm-up epoch).
+// ResetStats zeroes all traffic counters, the pair counts included (e.g.
+// after a warm-up epoch).
 func (n *Network) ResetStats() {
-	n.remoteMsgs.Store(0)
-	n.remoteBytes.Store(0)
-	n.loopMsgs.Store(0)
-	n.loopBytes.Store(0)
+	n.Host.ResetStats()
 	for i := range n.pairMsgs {
 		n.pairMsgs[i].Store(0)
 	}

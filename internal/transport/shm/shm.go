@@ -23,8 +23,9 @@
 //
 // Deployments mix transports: Config.UseRing marks which destinations are
 // ring-reachable (co-located); traffic to other nodes flows through
-// Config.Fallback, a tcp transport whose inboxes are pumped into this
-// network's, so consumers see one merged inbox per (node, shard). If a ring
+// Config.Fallback, a tcp transport whose transport.Host this network shares:
+// tcp readers and ring consumers deliver into the same inboxes and count into
+// the same counters, so consumers see one inbox per (node, shard). If a ring
 // cannot be established at all (peer missing, unsupported platform), the
 // link falls back to TCP as a unit — before its first ring frame — so each
 // (link, shard) stream stays on a single FIFO path for its whole life.
@@ -62,6 +63,8 @@ type Config struct {
 	RingSize int
 	// InboxSize bounds each local node's total inbox capacity (default
 	// 1<<16), divided across its Shards channels like the tcp transport.
+	// With a Fallback the inboxes are the fallback's, sized by its own
+	// InboxSize, and this field is unused.
 	InboxSize int
 	// DialTimeout is the total budget for a sender to find a peer's ring
 	// file (default 10s; covers peers that start slightly later).
@@ -77,8 +80,9 @@ type Config struct {
 	// (co-located). Nil means all. Non-ring destinations require Fallback.
 	UseRing []bool
 	// Fallback carries traffic to non-ring destinations and receives from
-	// non-ring sources; its inboxes are merged into this network's. It is
-	// owned by this network once New succeeds: Close closes it.
+	// non-ring sources. It must host the same Nodes, Shards and Local set;
+	// this network shares its inboxes and counters. It is owned by this
+	// network once New succeeds: Close closes it.
 	Fallback *tcp.Network
 }
 
@@ -93,13 +97,12 @@ type linkKey struct{ src, dst int }
 
 // Network is a shared-memory-ring cluster transport.
 type Network struct {
-	cfg      Config
-	frameCap int
-	spin     time.Duration // busyPoll, or 0 on a single-CPU host
-	local    []bool
-	ringTo   []bool
-	inboxes  [][]chan transport.Envelope // [node][shard]; nil for non-local
-	rings    map[ringKey]*ring           // consumer-side rings, created at New
+	*transport.Host // the Fallback's when one is set
+	cfg             Config
+	frameCap        int
+	spin            time.Duration // busyPoll, or 0 on a single-CPU host
+	ringTo          []bool
+	rings           map[ringKey]*ring // consumer-side rings, created at New
 
 	linkMu sync.Mutex
 	links  map[linkKey]*link
@@ -112,19 +115,9 @@ type Network struct {
 	done      chan struct{}
 	draining  chan struct{}
 	drainBy   atomic.Int64 // unix nanos; valid once draining is closed
-	dropped   atomic.Int64
-
-	errMu    sync.Mutex
-	firstErr error
 
 	consWg  sync.WaitGroup
 	writeWg sync.WaitGroup
-	pumpWg  sync.WaitGroup
-
-	remoteMsgs  atomic.Int64
-	remoteBytes atomic.Int64
-	loopMsgs    atomic.Int64
-	loopBytes   atomic.Int64
 }
 
 // New creates a shared-memory transport hosting cfg.Local (all nodes when
@@ -137,15 +130,6 @@ func New(cfg Config) (*Network, error) {
 	}
 	if cfg.Dir == "" {
 		return nil, errors.New("shm: Dir is required")
-	}
-	if cfg.Nodes <= 0 {
-		return nil, errors.New("shm: Nodes must be positive")
-	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = 1
-	}
-	if cfg.InboxSize <= 0 {
-		cfg.InboxSize = 1 << 16
 	}
 	if cfg.DialTimeout <= 0 {
 		cfg.DialTimeout = 10 * time.Second
@@ -172,12 +156,23 @@ func New(cfg Config) (*Network, error) {
 	if cfg.MaxMessage > 0 && cfg.MaxMessage < frameCap {
 		frameCap = cfg.MaxMessage
 	}
+	var h *transport.Host
+	if fb := cfg.Fallback; fb != nil {
+		if err := fb.Matches(cfg.Nodes, cfg.Shards, cfg.Local); err != nil {
+			return nil, fmt.Errorf("shm: Fallback hosts %w", err)
+		}
+		h = fb.Host
+	} else {
+		var err error
+		if h, err = transport.NewHost(cfg.Nodes, cfg.Shards, cfg.Local, cfg.InboxSize); err != nil {
+			return nil, fmt.Errorf("shm: %w", err)
+		}
+	}
 	n := &Network{
+		Host:     h,
 		cfg:      cfg,
 		frameCap: frameCap,
-		local:    make([]bool, cfg.Nodes),
 		ringTo:   make([]bool, cfg.Nodes),
-		inboxes:  make([][]chan transport.Envelope, cfg.Nodes),
 		rings:    make(map[ringKey]*ring),
 		links:    make(map[linkKey]*link),
 		done:     make(chan struct{}),
@@ -186,20 +181,8 @@ func New(cfg Config) (*Network, error) {
 	if runtime.GOMAXPROCS(0) > 1 {
 		n.spin = busyPoll
 	}
-	if cfg.Local == nil {
-		for i := range n.local {
-			n.local[i] = true
-		}
-	} else {
-		for _, node := range cfg.Local {
-			if node < 0 || node >= cfg.Nodes {
-				return nil, fmt.Errorf("shm: local node %d out of range [0,%d)", node, cfg.Nodes)
-			}
-			n.local[node] = true
-		}
-	}
 	for i := range n.ringTo {
-		n.ringTo[i] = cfg.UseRing == nil || cfg.UseRing[i] || n.local[i]
+		n.ringTo[i] = cfg.UseRing == nil || cfg.UseRing[i] || n.Local(i)
 	}
 	if cfg.Fallback == nil {
 		for i, ok := range n.ringTo {
@@ -214,19 +197,14 @@ func New(cfg Config) (*Network, error) {
 	// Create every incoming ring: one per (ring-reachable src, local dst,
 	// shard). Sources that never send cost only a sparse file.
 	for dst := 0; dst < cfg.Nodes; dst++ {
-		if !n.local[dst] {
+		if !n.Local(dst) {
 			continue
 		}
-		perShard := (cfg.InboxSize + cfg.Shards - 1) / cfg.Shards
-		n.inboxes[dst] = make([]chan transport.Envelope, cfg.Shards)
-		for s := range n.inboxes[dst] {
-			n.inboxes[dst][s] = make(chan transport.Envelope, perShard)
-		}
 		for src := 0; src < cfg.Nodes; src++ {
-			if !n.ringTo[src] && !n.local[src] {
+			if !n.ringTo[src] {
 				continue // that peer will reach us over the fallback
 			}
-			for s := 0; s < cfg.Shards; s++ {
+			for s := 0; s < n.Shards(); s++ {
 				r, err := createRing(cfg.Dir, src, dst, s, uint64(cfg.RingSize))
 				if err != nil {
 					n.releaseRings()
@@ -240,17 +218,6 @@ func New(cfg Config) (*Network, error) {
 		n.consWg.Add(1)
 		go n.consume(r, key.src, key.dst, key.shard)
 	}
-	if cfg.Fallback != nil {
-		for node := 0; node < cfg.Nodes; node++ {
-			if !n.local[node] {
-				continue
-			}
-			for s := 0; s < cfg.Shards; s++ {
-				n.pumpWg.Add(1)
-				go n.pump(node, s)
-			}
-		}
-	}
 	return n, nil
 }
 
@@ -260,50 +227,16 @@ func (n *Network) releaseRings() {
 	}
 }
 
-// Nodes returns the cluster-wide node count.
-func (n *Network) Nodes() int { return n.cfg.Nodes }
-
-// Shards returns the per-node inbox shard count.
-func (n *Network) Shards() int { return n.cfg.Shards }
-
-// Local reports whether node is hosted by this instance.
-func (n *Network) Local(node int) bool { return node >= 0 && node < len(n.local) && n.local[node] }
-
 // RingTo reports whether traffic to node rides a shared-memory ring; false
 // means sends to it fall back to the underlying transport (TCP). Observability
 // layers record the fallback links in the control-plane trace.
 func (n *Network) RingTo(node int) bool { return node >= 0 && node < len(n.ringTo) && n.ringTo[node] }
 
-// Err returns the first failure observed on either the ring paths or the
-// fallback transport.
-func (n *Network) Err() error {
-	n.errMu.Lock()
-	err := n.firstErr
-	n.errMu.Unlock()
-	if err == nil && n.cfg.Fallback != nil {
-		err = n.cfg.Fallback.Err()
-	}
-	return err
-}
-
-func (n *Network) fail(err error) {
-	n.errMu.Lock()
-	if n.firstErr == nil {
-		n.firstErr = err
-	}
-	n.errMu.Unlock()
-}
-
 // Send encodes m and writes it onto the (src, dst, shard) ring — inline when
 // the link's writer is idle — or routes it through the TCP fallback for
 // non-ring destinations. src must be local.
 func (n *Network) Send(src, dst int, m any) {
-	if !n.Local(src) {
-		panic(fmt.Sprintf("shm: Send from non-local node %d", src))
-	}
-	if dst < 0 || dst >= n.Nodes() {
-		panic(fmt.Sprintf("shm: Send to invalid node %d", dst))
-	}
+	n.CheckSend(src, dst)
 	if !n.ringTo[dst] {
 		n.cfg.Fallback.Send(src, dst, m)
 		return
@@ -311,92 +244,29 @@ func (n *Network) Send(src, dst int, m any) {
 	bp := msg.GetBuf()
 	*bp = msg.AppendTo(*bp, m)
 	if len(*bp) > n.frameCap {
-		n.fail(fmt.Errorf("shm: message %T of %d bytes exceeds ring frame cap %d", m, len(*bp), n.frameCap))
-		n.dropped.Add(1)
+		n.Fail(fmt.Errorf("shm: message %T of %d bytes exceeds ring frame cap %d", m, len(*bp), n.frameCap))
+		n.Drop(1)
 		msg.PutBuf(bp)
 		return
 	}
 	// The ring is picked by the sender with the same shard classification
 	// the receiver's decoder computes (messages are shard-pure), so each
 	// (link, shard) class rides exactly one SPSC FIFO.
-	shard := msg.ShardOf(m, n.cfg.Shards)
+	shard := msg.ShardOf(m, n.Shards())
 	l := n.getLink(src, dst)
 	if l == nil {
-		n.dropped.Add(1)
+		n.Drop(1)
 		msg.PutBuf(bp)
 		return
 	}
 	l.send(bp, shard)
 }
 
-// Inbox returns the receive channel of a local node's inbox shard; ring and
-// fallback traffic arrive merged. It is closed by Close after draining.
-func (n *Network) Inbox(node, shard int) <-chan transport.Envelope {
-	if !n.Local(node) {
-		panic(fmt.Sprintf("shm: Inbox of non-local node %d", node))
-	}
-	return n.inboxes[node][shard]
-}
-
-// Sleep blocks for d in wall-clock time.
-func (n *Network) Sleep(d time.Duration) {
-	if d > 0 {
-		time.Sleep(d)
-	}
-}
-
-// Stats returns this instance's traffic counters, ring and fallback combined.
-func (n *Network) Stats() transport.Stats {
-	s := transport.Stats{
-		RemoteMessages:   n.remoteMsgs.Load(),
-		RemoteBytes:      n.remoteBytes.Load(),
-		LoopbackMessages: n.loopMsgs.Load(),
-		LoopbackBytes:    n.loopBytes.Load(),
-	}
-	if fb := n.cfg.Fallback; fb != nil {
-		f := fb.Stats()
-		s.RemoteMessages += f.RemoteMessages
-		s.RemoteBytes += f.RemoteBytes
-		s.LoopbackMessages += f.LoopbackMessages
-		s.LoopbackBytes += f.LoopbackBytes
-	}
-	return s
-}
-
-// ResetStats zeroes the traffic counters, including the fallback's.
-func (n *Network) ResetStats() {
-	n.remoteMsgs.Store(0)
-	n.remoteBytes.Store(0)
-	n.loopMsgs.Store(0)
-	n.loopBytes.Store(0)
-	if fb := n.cfg.Fallback; fb != nil {
-		fb.ResetStats()
-	}
-}
-
-// Dropped returns the number of messages discarded, fallback included.
-func (n *Network) Dropped() int64 {
-	d := n.dropped.Load()
-	if fb := n.cfg.Fallback; fb != nil {
-		d += fb.Dropped()
-	}
-	return d
-}
-
-func (n *Network) countSent(src, dst, bytes int) {
-	if src == dst {
-		n.loopMsgs.Add(1)
-		n.loopBytes.Add(int64(bytes))
-	} else {
-		n.remoteMsgs.Add(1)
-		n.remoteBytes.Add(int64(bytes))
-	}
-}
-
 // Close flushes outgoing links into their rings, marks them closed for the
 // peers, waits — bounded by DrainTimeout — for in-flight incoming traffic,
-// closes the fallback transport, then closes the merged inboxes and removes
-// this instance's ring files. Idempotent and safe concurrently with Send.
+// closes the inboxes (by closing the fallback, which shares them, once its
+// own readers are done) and removes this instance's ring files. Idempotent
+// and safe concurrently with Send.
 func (n *Network) Close() {
 	n.closeOnce.Do(func() {
 		n.closed.Store(true)
@@ -404,16 +274,13 @@ func (n *Network) Close() {
 		// Flush outgoing first so messages sent just before Close are
 		// delivered: each writer drains its queue into the rings (bounded
 		// by DrainTimeout against a stalled consumer) and then sets the
-		// ring's closed flag for the peer's drain.
+		// ring's closed flag for the peer's drain. getLink checks closed
+		// under linkMu, so no link is added behind this loop.
 		n.linkMu.Lock()
-		links := make([]*link, 0, len(n.links))
 		for _, l := range n.links {
-			links = append(links, l)
-		}
-		n.linkMu.Unlock()
-		for _, l := range links {
 			l.close()
 		}
+		n.linkMu.Unlock()
 		n.writeWg.Wait()
 		// Rings from sources that never created a link still need their
 		// closed flag: this process is their only possible producer.
@@ -432,13 +299,9 @@ func (n *Network) Close() {
 		}
 		n.consWg.Wait()
 		if fb := n.cfg.Fallback; fb != nil {
-			fb.Close() // flushes fallback traffic, then closes its inboxes
-		}
-		n.pumpWg.Wait()
-		for _, node := range n.inboxes {
-			for _, in := range node {
-				close(in)
-			}
+			fb.Close() // flushes fallback traffic, then closes the shared inboxes
+		} else {
+			n.CloseInboxes()
 		}
 		n.releaseRings()
 		n.peerMu.Lock()
@@ -479,12 +342,11 @@ func (n *Network) getLink(src, dst int) *link {
 // in ring order into the destination's (node, shard) inbox.
 func (n *Network) consume(r *ring, src, dst, shard int) {
 	defer n.consWg.Done()
-	inbox := n.inboxes[dst][shard]
 	productive := false // spin only when frames were just flowing
 	for {
 		frame, err := r.peek()
 		if err != nil {
-			n.fail(err)
+			n.Fail(err)
 			return
 		}
 		if frame == nil {
@@ -508,7 +370,7 @@ func (n *Network) consume(r *ring, src, dst, shard int) {
 		m, _, err := sc.Decode(frame)
 		if err != nil {
 			sc.Release()
-			n.fail(fmt.Errorf("shm: malformed frame on ring %d->%d/%d: %w", src, dst, shard, err))
+			n.Fail(fmt.Errorf("shm: malformed frame on ring %d->%d/%d: %w", src, dst, shard, err))
 			return
 		}
 		size := len(frame)
@@ -516,38 +378,7 @@ func (n *Network) consume(r *ring, src, dst, shard int) {
 		// the slot before delivery: the producer unblocks sooner.
 		r.advance(size)
 		productive = true
-		env := transport.Envelope{Src: src, Dst: dst, Msg: m, Shard: shard, Bytes: size, Scratch: sc}
-		select {
-		case inbox <- env:
-		case <-n.done:
-			// Teardown: deliver if there is room, drop otherwise rather
-			// than stalling Close.
-			select {
-			case inbox <- env:
-			default:
-				sc.Release()
-				n.dropped.Add(1)
-			}
-		}
-	}
-}
-
-// pump forwards one (node, shard) inbox of the fallback transport into the
-// merged inbox. A single pump per channel preserves the fallback's FIFO.
-func (n *Network) pump(node, shard int) {
-	defer n.pumpWg.Done()
-	inbox := n.inboxes[node][shard]
-	for env := range n.cfg.Fallback.Inbox(node, shard) {
-		select {
-		case inbox <- env:
-		case <-n.done:
-			select {
-			case inbox <- env:
-			default:
-				env.Recycle()
-				n.dropped.Add(1)
-			}
-		}
+		n.Deliver(transport.Envelope{Src: src, Dst: dst, Msg: m, Shard: shard, Bytes: size, Scratch: sc}, n.done)
 	}
 }
 
@@ -589,7 +420,7 @@ func (l *link) send(bp *[]byte, shard int) {
 	l.mu.Lock()
 	if l.closed || l.dead {
 		l.mu.Unlock()
-		l.n.dropped.Add(1)
+		l.n.Drop(1)
 		msg.PutBuf(bp)
 		return
 	}
@@ -602,7 +433,7 @@ func (l *link) send(bp *[]byte, shard int) {
 		if l.rings[shard].tryWrite(*bp) {
 			size := len(*bp)
 			l.mu.Unlock()
-			l.n.countSent(l.src, l.dst, size)
+			l.n.Sent(l.src, l.dst, size)
 			msg.PutBuf(bp)
 			return
 		}
@@ -634,7 +465,7 @@ func (l *link) flushDeadline() time.Time {
 
 // die marks the link failed and discards queued frames.
 func (l *link) die(err error) {
-	l.n.fail(fmt.Errorf("shm: link %d->%d: %w", l.src, l.dst, err))
+	l.n.Fail(fmt.Errorf("shm: link %d->%d: %w", l.src, l.dst, err))
 	l.mu.Lock()
 	l.dead = true
 	dropped := l.queue
@@ -643,7 +474,7 @@ func (l *link) die(err error) {
 	for _, f := range dropped {
 		msg.PutBuf(f.bp)
 	}
-	l.n.dropped.Add(int64(len(dropped)))
+	l.n.Drop(len(dropped))
 }
 
 // run is the link's writer goroutine: open the shard rings (falling back to
@@ -678,11 +509,11 @@ func (l *link) run() {
 				for _, g := range batch[i:] {
 					msg.PutBuf(g.bp)
 				}
-				l.n.dropped.Add(int64(len(batch) - i))
+				l.n.Drop(len(batch) - i)
 				l.detach(rings)
 				return
 			}
-			l.n.countSent(l.src, l.dst, len(*f.bp))
+			l.n.Sent(l.src, l.dst, len(*f.bp))
 			msg.PutBuf(f.bp)
 		}
 		l.mu.Lock()
@@ -706,7 +537,7 @@ func (l *link) detach(rings []*ring) {
 // local destination, the peer's mmap-ed files otherwise.
 func (l *link) open() ([]*ring, error) {
 	n := l.n
-	rings := make([]*ring, n.cfg.Shards)
+	rings := make([]*ring, n.Shards())
 	if n.Local(l.dst) {
 		for s := range rings {
 			r := n.rings[ringKey{l.src, l.dst, s}]

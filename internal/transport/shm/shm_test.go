@@ -182,6 +182,88 @@ func TestFallbackWhenRingMissing(t *testing.T) {
 	}
 }
 
+// TestFallbackSharesInboxes checks that a network built with a Fallback has
+// no inboxes of its own: Inbox returns the fallback's channels, tcp readers
+// deliver non-ring traffic straight onto them in link order, and Close closes
+// them once.
+func TestFallbackSharesInboxes(t *testing.T) {
+	fb, err := tcp.New(tcp.Config{Addrs: []string{"127.0.0.1:0", "127.0.0.1:0"}, Shards: 2})
+	if err != nil {
+		t.Fatalf("tcp.New: %v", err)
+	}
+	n := newNet(t, shm.Config{
+		Dir: t.TempDir(), Nodes: 2, Shards: 2,
+		UseRing:  []bool{true, false}, // node 1 only reachable via TCP
+		Fallback: fb,
+	})
+	for node := 0; node < 2; node++ {
+		for s := 0; s < 2; s++ {
+			if n.Inbox(node, s) != fb.Inbox(node, s) {
+				t.Fatalf("Inbox(%d, %d) is not the fallback's channel", node, s)
+			}
+		}
+	}
+	const msgs = 400
+	for i := 0; i < msgs; i++ {
+		n.Send(0, 1, &msg.Op{Type: msg.OpPush, ID: uint64(i), Keys: []kv.Key{kv.Key(i)}, Vals: []float32{1}})
+	}
+	last := [2]int64{-1, -1}
+	deadline := time.Now().Add(5 * time.Second)
+	for got := 0; got < msgs; {
+		if time.Now().After(deadline) {
+			t.Fatalf("received %d of %d messages", got, msgs)
+		}
+		for s := 0; s < 2; s++ {
+			select {
+			case env := <-fb.Inbox(1, s):
+				id := int64(env.Msg.(*msg.Op).ID)
+				if env.Src != 0 || id <= last[s] {
+					t.Fatalf("shard %d: message %d from node %d after %d", s, id, env.Src, last[s])
+				}
+				last[s] = id
+				env.Recycle()
+				got++
+			default:
+				time.Sleep(50 * time.Microsecond)
+			}
+		}
+	}
+	n.Close()
+	if _, ok := <-fb.Inbox(1, 0); ok {
+		t.Fatal("shared inbox still open after Close")
+	}
+	if s := n.Stats(); s != fb.Stats() || s.RemoteMessages != msgs {
+		t.Fatalf("stats = %+v, fallback %+v, want %d remote messages in one count", s, fb.Stats(), msgs)
+	}
+}
+
+// TestFallbackMismatchRejected checks New refuses a Fallback that hosts a
+// different deployment than its Config: the two would share one Host.
+func TestFallbackMismatchRejected(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		fb   tcp.Config
+		cfg  shm.Config
+	}{
+		{"nodes", tcp.Config{Addrs: []string{"127.0.0.1:0", "127.0.0.1:0", "127.0.0.1:0"}}, shm.Config{Nodes: 2}},
+		{"shards", tcp.Config{Addrs: []string{"127.0.0.1:0", "127.0.0.1:0"}, Shards: 2}, shm.Config{Nodes: 2, Shards: 4}},
+		{"local", tcp.Config{Addrs: []string{"127.0.0.1:0", "127.0.0.1:0"}, Local: []int{0}}, shm.Config{Nodes: 2, Local: []int{1}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fb, err := tcp.New(tc.fb)
+			if err != nil {
+				t.Fatalf("tcp.New: %v", err)
+			}
+			defer fb.Close()
+			tc.cfg.Dir, tc.cfg.Fallback = t.TempDir(), fb
+			if n, err := shm.New(tc.cfg); err == nil {
+				n.Close()
+				t.Fatalf("New accepted a Fallback with different %s", tc.name)
+			}
+		})
+	}
+}
+
 // TestOversizeFrameRejected checks a frame exceeding the ring's cap is
 // dropped with a recorded error, not written corruptly.
 func TestOversizeFrameRejected(t *testing.T) {

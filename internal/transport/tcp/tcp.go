@@ -83,10 +83,9 @@ const (
 
 // Network is a TCP-backed cluster transport.
 type Network struct {
+	*transport.Host
 	cfg       Config
-	local     []bool
 	listeners []net.Listener
-	inboxes   [][]chan transport.Envelope // [node][shard]; nil for non-local nodes
 
 	addrMu sync.RWMutex
 	addrs  []string // effective dial addresses (resolved for local nodes)
@@ -100,10 +99,6 @@ type Network struct {
 	closed    atomic.Bool
 	closeOnce sync.Once
 	done      chan struct{}
-	dropped   atomic.Int64
-
-	errMu    sync.Mutex
-	firstErr error
 
 	readWg  sync.WaitGroup // acceptors + per-connection readers
 	writeWg sync.WaitGroup // per-link writers
@@ -111,11 +106,6 @@ type Network struct {
 	// and handshake written), selfAccepted those its readers have picked up;
 	// Close keeps the listeners open until the two meet.
 	selfDialed, selfAccepted atomic.Int64
-
-	remoteMsgs  atomic.Int64
-	remoteBytes atomic.Int64
-	loopMsgs    atomic.Int64
-	loopBytes   atomic.Int64
 }
 
 type linkKey struct{ src, dst int }
@@ -127,9 +117,6 @@ func New(cfg Config) (*Network, error) {
 	if len(cfg.Addrs) == 0 {
 		return nil, errors.New("tcp: no node addresses")
 	}
-	if cfg.InboxSize <= 0 {
-		cfg.InboxSize = 1 << 16
-	}
 	if cfg.DialTimeout <= 0 {
 		cfg.DialTimeout = 10 * time.Second
 	}
@@ -139,33 +126,21 @@ func New(cfg Config) (*Network, error) {
 	if cfg.MaxMessage <= 0 {
 		cfg.MaxMessage = 64 << 20
 	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = 1
+	h, err := transport.NewHost(len(cfg.Addrs), cfg.Shards, cfg.Local, cfg.InboxSize)
+	if err != nil {
+		return nil, fmt.Errorf("tcp: %w", err)
 	}
 	n := &Network{
+		Host:      h,
 		cfg:       cfg,
-		local:     make([]bool, len(cfg.Addrs)),
 		listeners: make([]net.Listener, len(cfg.Addrs)),
-		inboxes:   make([][]chan transport.Envelope, len(cfg.Addrs)),
 		addrs:     append([]string(nil), cfg.Addrs...),
 		links:     make(map[linkKey]*link),
 		conns:     make(map[net.Conn]struct{}),
 		done:      make(chan struct{}),
 	}
-	if cfg.Local == nil {
-		for i := range n.local {
-			n.local[i] = true
-		}
-	} else {
-		for _, node := range cfg.Local {
-			if node < 0 || node >= len(cfg.Addrs) {
-				return nil, fmt.Errorf("tcp: local node %d out of range [0,%d)", node, len(cfg.Addrs))
-			}
-			n.local[node] = true
-		}
-	}
-	for node, isLocal := range n.local {
-		if !isLocal {
+	for node := range cfg.Addrs {
+		if !n.Local(node) {
 			continue
 		}
 		ln, err := net.Listen("tcp", cfg.Addrs[node])
@@ -179,25 +154,11 @@ func New(cfg Config) (*Network, error) {
 		}
 		n.listeners[node] = ln
 		n.addrs[node] = ln.Addr().String()
-		n.inboxes[node] = make([]chan transport.Envelope, cfg.Shards)
-		perShard := (cfg.InboxSize + cfg.Shards - 1) / cfg.Shards
-		for s := range n.inboxes[node] {
-			n.inboxes[node][s] = make(chan transport.Envelope, perShard)
-		}
 		n.readWg.Add(1)
 		go n.acceptLoop(ln)
 	}
 	return n, nil
 }
-
-// Nodes returns the cluster-wide node count.
-func (n *Network) Nodes() int { return len(n.cfg.Addrs) }
-
-// Shards returns the per-node inbox shard count.
-func (n *Network) Shards() int { return n.cfg.Shards }
-
-// Local reports whether node is hosted by this instance.
-func (n *Network) Local(node int) bool { return node >= 0 && node < len(n.local) && n.local[node] }
 
 // Addr returns the effective address of node: the actual listen address for
 // local nodes (resolving ":0"), the configured or SetAddr-provided dial
@@ -217,36 +178,14 @@ func (n *Network) SetAddr(node int, addr string) {
 	n.addrs[node] = addr
 }
 
-// Err returns the first link failure observed (dial, write, or a malformed
-// incoming frame). Messages affected by failures are counted in Dropped.
-func (n *Network) Err() error {
-	n.errMu.Lock()
-	defer n.errMu.Unlock()
-	return n.firstErr
-}
-
-func (n *Network) fail(err error) {
-	n.errMu.Lock()
-	if n.firstErr == nil {
-		n.firstErr = err
-	}
-	n.errMu.Unlock()
-}
-
 // Send encodes m through the msg codec and hands it to the (src, dst) link,
 // which writes it inline or queues it; it never waits on the peer. src must
 // be local. Sends after Close — or on a link whose connection failed — are
 // dropped and counted in Dropped, mirroring writes on a closing connection.
 func (n *Network) Send(src, dst int, m any) {
-	if !n.Local(src) {
-		panic(fmt.Sprintf("tcp: Send from non-local node %d", src))
-	}
-	if dst < 0 || dst >= n.Nodes() {
-		panic(fmt.Sprintf("tcp: Send to invalid node %d", dst))
-	}
 	bp := msg.GetBuf()
 	*bp = msg.AppendTo(*bp, m)
-	n.sendFrame(src, dst, bp)
+	n.SendEncoded(src, dst, bp)
 }
 
 // SendEncoded sends an already-encoded frame — a pooled msg buffer whose
@@ -254,79 +193,24 @@ func (n *Network) Send(src, dst int, m any) {
 // transport uses it to fall back to TCP without re-encoding. It applies the
 // same validation, drop accounting, and traffic counting as Send.
 func (n *Network) SendEncoded(src, dst int, bp *[]byte) {
-	if !n.Local(src) {
-		panic(fmt.Sprintf("tcp: Send from non-local node %d", src))
-	}
-	if dst < 0 || dst >= n.Nodes() {
-		panic(fmt.Sprintf("tcp: Send to invalid node %d", dst))
-	}
-	n.sendFrame(src, dst, bp)
-}
-
-func (n *Network) sendFrame(src, dst int, bp *[]byte) {
+	n.CheckSend(src, dst)
 	if len(*bp) > n.cfg.MaxMessage {
 		// Reject on the sender: the receiver would treat the frame as
 		// corruption and kill the whole link.
-		n.fail(fmt.Errorf("tcp: frame of %d bytes exceeds MaxMessage %d", len(*bp), n.cfg.MaxMessage))
-		n.dropped.Add(1)
+		n.Fail(fmt.Errorf("tcp: frame of %d bytes exceeds MaxMessage %d", len(*bp), n.cfg.MaxMessage))
+		n.Drop(1)
 		msg.PutBuf(bp)
 		return
 	}
-	size := int64(len(*bp))
+	size := len(*bp)
 	l := n.getLink(src, dst)
 	if l == nil || !l.enqueue(bp) {
-		n.dropped.Add(1)
+		n.Drop(1)
 		msg.PutBuf(bp)
 		return
 	}
-	if src == dst {
-		n.loopMsgs.Add(1)
-		n.loopBytes.Add(size)
-	} else {
-		n.remoteMsgs.Add(1)
-		n.remoteBytes.Add(size)
-	}
+	n.Sent(src, dst, size)
 }
-
-// Inbox returns the receive channel of a local node's inbox shard. It is
-// closed by Close after in-flight messages drain.
-func (n *Network) Inbox(node, shard int) <-chan transport.Envelope {
-	if !n.Local(node) {
-		panic(fmt.Sprintf("tcp: Inbox of non-local node %d", node))
-	}
-	return n.inboxes[node][shard]
-}
-
-// Sleep blocks for d in wall-clock time: on a real transport, computation
-// takes as long as it takes.
-func (n *Network) Sleep(d time.Duration) {
-	if d > 0 {
-		time.Sleep(d)
-	}
-}
-
-// Stats returns this instance's traffic counters (in multi-process
-// deployments, each process counts only its own sends).
-func (n *Network) Stats() transport.Stats {
-	return transport.Stats{
-		RemoteMessages:   n.remoteMsgs.Load(),
-		RemoteBytes:      n.remoteBytes.Load(),
-		LoopbackMessages: n.loopMsgs.Load(),
-		LoopbackBytes:    n.loopBytes.Load(),
-	}
-}
-
-// ResetStats zeroes the traffic counters.
-func (n *Network) ResetStats() {
-	n.remoteMsgs.Store(0)
-	n.remoteBytes.Store(0)
-	n.loopMsgs.Store(0)
-	n.loopBytes.Store(0)
-}
-
-// Dropped returns the number of messages discarded (sent after Close or on a
-// failed link, plus undeliverable frames during teardown).
-func (n *Network) Dropped() int64 { return n.dropped.Load() }
 
 // Close flushes and closes all outgoing links, stops the listeners once every
 // link to a local node has been accepted, waits for in-flight incoming traffic
@@ -339,16 +223,13 @@ func (n *Network) Close() {
 		// Flush outgoing traffic first: links drain their queues (links
 		// still mid-dial get a bounded budget to connect), so messages
 		// sent just before Close are delivered, not dropped. Only then
-		// stop accepting.
+		// stop accepting. getLink checks closed under linkMu, so no link
+		// is added behind this loop.
 		n.linkMu.Lock()
-		links := make([]*link, 0, len(n.links))
 		for _, l := range n.links {
-			links = append(links, l)
-		}
-		n.linkMu.Unlock()
-		for _, l := range links {
 			l.close()
 		}
+		n.linkMu.Unlock()
 		n.writeWg.Wait()
 		// A link to one of our own nodes can be dialed, written and closed by
 		// its writer while the connection still sits in the listener's accept
@@ -372,11 +253,7 @@ func (n *Network) Close() {
 		}
 		n.connMu.Unlock()
 		n.readWg.Wait()
-		for _, node := range n.inboxes {
-			for _, in := range node {
-				close(in)
-			}
-		}
+		n.CloseInboxes()
 	})
 }
 
@@ -443,7 +320,7 @@ func (l *link) enqueue(frame *[]byte) bool {
 		l.direct = false
 		k, err := l.write(*frame)
 		if err != nil {
-			l.n.fail(fmt.Errorf("tcp: link %d->%d: %w", l.src, l.dst, err))
+			l.n.Fail(fmt.Errorf("tcp: link %d->%d: %w", l.src, l.dst, err))
 			l.dead = true
 			return false
 		}
@@ -473,7 +350,7 @@ func (l *link) close() {
 // die marks the link failed and discards queued frames (counted as dropped,
 // buffers returned to the pool).
 func (l *link) die(err error) {
-	l.n.fail(fmt.Errorf("tcp: link %d->%d: %w", l.src, l.dst, err))
+	l.n.Fail(fmt.Errorf("tcp: link %d->%d: %w", l.src, l.dst, err))
 	l.mu.Lock()
 	l.dead = true
 	dropped := l.queue
@@ -482,7 +359,7 @@ func (l *link) die(err error) {
 	for _, bp := range dropped {
 		msg.PutBuf(bp)
 	}
-	l.n.dropped.Add(int64(len(dropped)))
+	l.n.Drop(len(dropped))
 }
 
 // run is the link's writer goroutine: dial (with retries, so peers may start
@@ -665,20 +542,19 @@ func (n *Network) readLoop(conn net.Conn) {
 	}
 	hs := buf[start : start+handshakeBytes]
 	if binary.LittleEndian.Uint32(hs[0:4]) != handshakeMagic {
-		n.fail(fmt.Errorf("tcp: bad handshake magic %#x", binary.LittleEndian.Uint32(hs[0:4])))
+		n.Fail(fmt.Errorf("tcp: bad handshake magic %#x", binary.LittleEndian.Uint32(hs[0:4])))
 		return
 	}
 	src := int(int32(binary.LittleEndian.Uint32(hs[4:8])))
 	dst := int(int32(binary.LittleEndian.Uint32(hs[8:12])))
 	start += handshakeBytes
 	if src < 0 || src >= n.Nodes() || !n.Local(dst) {
-		n.fail(fmt.Errorf("tcp: handshake for invalid link %d->%d", src, dst))
+		n.Fail(fmt.Errorf("tcp: handshake for invalid link %d->%d", src, dst))
 		return
 	}
 	if n.Local(src) {
 		n.selfAccepted.Add(1)
 	}
-	inboxes := n.inboxes[dst]
 	for {
 		if err := fill(headerBytes); err != nil {
 			return // EOF: peer closed; deadline: teardown drain expired
@@ -687,7 +563,7 @@ func (n *Network) readLoop(conn net.Conn) {
 		if plen < 0 || plen > n.cfg.MaxMessage {
 			// Validate before fill so a corrupt length prefix cannot make
 			// the slab attempt a huge allocation.
-			n.fail(fmt.Errorf("tcp: frame of %d bytes from node %d exceeds limit", plen, src))
+			n.Fail(fmt.Errorf("tcp: frame of %d bytes from node %d exceeds limit", plen, src))
 			return
 		}
 		total := headerBytes + plen
@@ -699,26 +575,13 @@ func (n *Network) readLoop(conn net.Conn) {
 		start += total
 		if err != nil {
 			sc.Release()
-			n.fail(fmt.Errorf("tcp: malformed frame from node %d: %w", src, err))
+			n.Fail(fmt.Errorf("tcp: malformed frame from node %d: %w", src, err))
 			return
 		}
 		// Demux on decode: this reader delivers the connection's frames
 		// sequentially, so order is preserved per (connection, shard).
-		shard := msg.ShardOf(m, n.cfg.Shards)
-		inbox := inboxes[shard]
-		env := transport.Envelope{Src: src, Dst: dst, Msg: m, Shard: shard, Bytes: headerBytes + plen, Scratch: sc}
-		select {
-		case inbox <- env:
-		case <-n.done:
-			// Teardown: deliver if there is room, drop otherwise
-			// rather than stalling Close.
-			select {
-			case inbox <- env:
-			default:
-				sc.Release()
-				n.dropped.Add(1)
-			}
-		}
+		shard := msg.ShardOf(m, n.Shards())
+		n.Deliver(transport.Envelope{Src: src, Dst: dst, Msg: m, Shard: shard, Bytes: headerBytes + plen, Scratch: sc}, n.done)
 	}
 }
 

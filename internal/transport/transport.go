@@ -10,7 +10,7 @@
 //     a cluster to run as multiple OS processes (one or more nodes each);
 //   - internal/transport/shm: lock-free shared-memory rings between
 //     co-located processes, layered over a tcp fallback for cross-host
-//     links (the deployment layer auto-selects it; see internal/driver).
+//     links whose Host it shares (internal/driver auto-selects it).
 //
 // Every message crosses a transport through the wire codec of internal/msg:
 // Send encodes the message and the receiver observes a decoded copy, never
@@ -19,11 +19,12 @@
 // semantics a real network imposes, verified by the transport conformance
 // tests.
 //
-// A transport instance hosts a set of local nodes. The simulated network
-// hosts all of them; a TCP transport typically hosts one node per OS process
-// (but can host all nodes over loopback sockets, which the conformance suite
-// uses). Send may only be called with a local src, and Inbox only for local
-// nodes.
+// A transport instance hosts a set of local nodes: its Host holds them, their
+// inboxes, the traffic counters, the drop count and the first error, the same
+// for every implementation. The simulated network hosts all nodes; a TCP
+// transport typically hosts one per OS process (or all over loopback sockets,
+// as the conformance suite does). Send takes only a local src, Inbox a local
+// node.
 package transport
 
 import (
