@@ -1,28 +1,38 @@
-// Package classic implements the classic parameter-server architecture
-// (Section 2.1 of the paper), modeled after PS-Lite: parameters are
-// statically allocated to servers by a partitioner, there is no replication,
-// and precisely one server handles all pulls and pushes for a parameter.
+// Package classic implements the two static-allocation baselines the paper
+// measures Lapse against: the classic parameter server (Section 2.1),
+// modeled after PS-Lite, and the stale parameter server (Section 4.5),
+// modeled after Petuum. Both statically allocate parameters to servers by a
+// range partitioner, without relocation, and precisely one server handles
+// all pulls and pushes for a parameter; the stale PS adds bounded-staleness
+// replicas on top of the same servers (see stale.go).
 //
-// Two variants are provided, matching the paper's experiments:
+// Three variants are provided, matching the paper's experiments:
 //
-//   - Classic PS (PS-Lite): every parameter access — including access to
-//     parameters stored on the worker's own node — travels through the
+//   - Classic PS (PS-Lite, New): every parameter access — including access
+//     to parameters stored on the worker's own node — travels through the
 //     server's message path (the loopback link of the simulated network
 //     models PS-Lite's inter-process communication).
-//   - Classic PS with fast local access: identical static allocation, but
-//     workers access node-local parameters directly through shared memory,
-//     like Lapse does. This is the "Classic PS with fast local access (in
-//     Lapse)" baseline from Figures 1, 6, 7 and 8.
+//   - Classic PS with fast local access (New with FastLocalAccess):
+//     identical static allocation, but workers access node-local parameters
+//     directly through shared memory, like Lapse does. This is the "Classic
+//     PS with fast local access (in Lapse)" baseline from Figures 1, 6, 7
+//     and 8.
+//   - Stale PS (NewStale): workers read clock-tagged replicas within a
+//     staleness bound and buffer their updates until they advance their
+//     clock, with client-based (SSP) or server-based (SSPPush)
+//     synchronization — the baseline of Figure 9.
 //
-// Both variants provide per-key sequential consistency for synchronous and
-// asynchronous operations (Table 1): per-link FIFO delivery preserves each
-// worker's program order, and the single owning server serializes all
-// operations on a key.
+// The classic PS provides per-key sequential consistency for synchronous
+// and asynchronous operations (Table 1): per-link FIFO delivery preserves
+// each worker's program order, and the single owning server serializes all
+// operations on a key. The stale PS provides eventual and client-centric
+// consistency only.
 //
 // The message loop, pending-operation matching, future tracking, and
 // per-destination batching live in the shared runtime of package server;
-// this package contributes only the static-partitioning policy: route every
-// key to its assigned server, serve from the shard store.
+// this package contributes only the static-partitioning policy (route every
+// key to its assigned server, serve from the shard store) and the stale
+// PS's clock and replica bookkeeping.
 package classic
 
 import (
@@ -44,28 +54,30 @@ type Config struct {
 	FastLocalAccess bool
 }
 
-// System is a classic parameter server running on a cluster: one server
-// (goroutine) per node plus client handles for worker threads.
+// System is a static-allocation parameter server running on a cluster: one
+// server (goroutine) per node plus client handles for worker threads.
 type System struct {
 	cl     *cluster.Cluster
 	layout kv.Layout
 	cfg    Config
+	stale  *StaleConfig // nil for the classic PS
 	part   partition.Range
 	g      *server.Group
 	nodes  []*node
 }
 
-// node holds the per-node policy state: the server's store. The message
-// loops, pending-operation tables, and batching are the shared runtime's;
-// the runtime's shards each serve their static slice of the store through a
-// policyShard.
+// node holds the per-node policy state: the server's store and, for the
+// stale PS, its clocks and replicas. The message loops, pending-operation
+// tables, and batching are the shared runtime's; the runtime's shards each
+// serve their static slice of the store through a policyShard.
 type node struct {
 	sys   *System
 	srv   *server.Node
 	store *store.Dense
+	clk   *clocks // nil for the classic PS
 }
 
-// policyShard is one shard's view of the node policy: all messages it
+// policyShard is one shard's view of the node policy: all operations it
 // handles carry only keys of its shard.
 type policyShard struct {
 	nd *node
@@ -75,21 +87,29 @@ type policyShard struct {
 // New creates a classic PS on cl and starts one server goroutine per node.
 // All parameters are zero-initialized at their assigned server.
 func New(cl *cluster.Cluster, layout kv.Layout, cfg Config) *System {
+	return build(cl, layout, cfg, nil)
+}
+
+func build(cl *cluster.Cluster, layout kv.Layout, cfg Config, stale *StaleConfig) *System {
 	s := &System{
 		cl:     cl,
 		layout: layout,
 		cfg:    cfg,
+		stale:  stale,
 		part:   partition.NewRange(layout.NumKeys(), cl.Nodes()),
 		g:      server.NewGroup(cl, layout),
 		nodes:  make([]*node, cl.Nodes()),
 	}
-	// Only nodes hosted by this process get shard stores; remote shards
-	// live with their own process.
+	// Only nodes hosted by this process get shard stores (and replicas);
+	// remote nodes' state lives with their own process.
 	for n := 0; n < cl.Nodes(); n++ {
 		if !cl.Local(n) {
 			continue
 		}
 		s.nodes[n] = &node{sys: s, srv: s.g.Node(n), store: store.NewDense(layout, 0)}
+		if stale != nil {
+			s.nodes[n].clk = newClocks(cl.TotalWorkers())
+		}
 	}
 	// Zero-initialize every locally served key at its server.
 	for k := kv.Key(0); k < layout.NumKeys(); k++ {
@@ -118,7 +138,7 @@ func (s *System) Latencies() metrics.LatencySnapshot { return s.g.Latencies() }
 // invoked for every key — so stateful initializers produce identical
 // sequences in every process — but only locally served keys are stored.
 func (s *System) Init(fn func(k kv.Key, val []float32)) {
-	buf := make([]float32, 0)
+	var buf []float32
 	for k := kv.Key(0); k < s.layout.NumKeys(); k++ {
 		l := s.layout.Len(k)
 		if cap(buf) < l {
@@ -155,38 +175,50 @@ func (s *System) Shutdown() { s.g.Wait() }
 // be shared across goroutines.
 func (s *System) Handle(worker int) kv.KV {
 	n := s.cl.NodeOfWorker(worker)
-	return &handle{Handle: server.NewHandle(s.g.Node(n), worker), sys: s, nd: s.nodes[n]}
+	h := handle{Handle: server.NewHandle(s.g.Node(n), worker), sys: s, nd: s.nodes[n]}
+	if s.stale != nil {
+		return &staleHandle{handle: h, writeCache: make(map[kv.Key][]float32)}
+	}
+	return &h
 }
 
 // OnOpResp implements server.Policy (nothing to observe).
 func (sh *policyShard) OnOpResp(*msg.OpResp) {}
 
-// HandleMessage implements server.Policy: the classic server only ever
-// receives operation requests, which it serves from the store (the message's
-// keys all belong to this shard, so no other shard goroutine touches them).
+// HandleMessage implements server.Policy. Operations carry only this shard's
+// keys, so no other shard goroutine touches them. The stale PS's clock
+// messages reach only its own servers: SspClock is pinned to shard 0 by the
+// transport demux; SspSync may reach any shard (its node-level state is
+// clock-guarded, and replies deterministically land on the shard that
+// registered the fetch, because request and reply carry the same key list).
 func (sh *policyShard) HandleMessage(src int, m any) {
-	op, ok := m.(*msg.Op)
-	if !ok {
-		panic(fmt.Sprintf("classic: unexpected message %T at node %d", m, sh.rt.Node()))
+	switch t := m.(type) {
+	case *msg.Op:
+		sh.handleOp(t)
+		return
+	case *msg.SspClock:
+		if sh.nd.clk != nil {
+			sh.nd.handleClock(sh, t)
+			return
+		}
+	case *msg.SspSync:
+		if sh.nd.clk != nil {
+			sh.nd.handleSync(sh, src, t)
+			return
+		}
 	}
-	sh.handleOp(op)
+	panic(fmt.Sprintf("classic: unexpected message %T at node %d", m, sh.rt.Node()))
 }
 
+// handleOp serves a pull from the store or applies a push (for the stale PS,
+// a worker's clock flush) and acknowledges it: the ack keeps push futures
+// precise, as Petuum's oplog flush is likewise confirmed.
 func (sh *policyShard) handleOp(m *msg.Op) {
 	nd := sh.nd
+	resp := &msg.OpResp{Type: m.Type, ID: m.ID, Responder: int32(sh.rt.Node()), Keys: m.Keys}
 	switch m.Type {
 	case msg.OpPull:
-		vals := make([]float32, kv.BufferLen(nd.sys.layout, m.Keys))
-		off := 0
-		for _, k := range m.Keys {
-			l := nd.sys.layout.Len(k)
-			if !nd.store.Read(k, vals[off:off+l]) {
-				panic(fmt.Sprintf("classic: pull of key %d at node %d: not in store", k, sh.rt.Node()))
-			}
-			off += l
-		}
-		resp := &msg.OpResp{Type: msg.OpPull, ID: m.ID, Responder: int32(sh.rt.Node()), Keys: m.Keys, Vals: vals}
-		sh.rt.Send(int(m.Origin), resp)
+		resp.Vals = nd.readValues(m.Keys)
 	case msg.OpPush:
 		off := 0
 		for _, k := range m.Keys {
@@ -196,9 +228,22 @@ func (sh *policyShard) handleOp(m *msg.Op) {
 			}
 			off += l
 		}
-		resp := &msg.OpResp{Type: msg.OpPush, ID: m.ID, Responder: int32(sh.rt.Node()), Keys: m.Keys}
-		sh.rt.Send(int(m.Origin), resp)
 	}
+	sh.rt.Send(int(m.Origin), resp)
+}
+
+// readValues returns the stored values of keys, concatenated in key order.
+func (nd *node) readValues(keys []kv.Key) []float32 {
+	vals := make([]float32, kv.BufferLen(nd.sys.layout, keys))
+	off := 0
+	for _, k := range keys {
+		l := nd.sys.layout.Len(k)
+		if !nd.store.Read(k, vals[off:off+l]) {
+			panic(fmt.Sprintf("classic: read of key %d at node %d: not in store", k, nd.srv.ID()))
+		}
+		off += l
+	}
+	return vals
 }
 
 // handle is the per-worker client: identity, barrier, and WaitAll come from
@@ -209,7 +254,7 @@ type handle struct {
 	nd  *node
 }
 
-// Localize implements kv.KV: classic PSs allocate statically.
+// Localize implements kv.KV: classic and stale PSs allocate statically.
 func (h *handle) Localize([]kv.Key) error { return kv.ErrUnsupported }
 
 // LocalizeAsync implements kv.KV.

@@ -1,4 +1,4 @@
-package ssp
+package classic
 
 import (
 	"testing"
@@ -7,12 +7,14 @@ import (
 	"lapse/internal/cluster"
 	"lapse/internal/kv"
 	"lapse/internal/msg"
+	"lapse/internal/simnet"
 )
 
-func newTestSystem(t *testing.T, nodes, workers int, keys kv.Key, vlen int, cfg Config) (*cluster.Cluster, *System) {
+// newStaleSystem builds a stale PS on a zero-latency cluster.
+func newStaleSystem(t *testing.T, nodes, workers int, keys kv.Key, vlen int, cfg StaleConfig) (*cluster.Cluster, *System) {
 	t.Helper()
 	cl := cluster.New(cluster.Config{Nodes: nodes, WorkersPerNode: workers})
-	sys := New(cl, kv.NewUniformLayout(keys, vlen), cfg)
+	sys := NewStale(cl, kv.NewUniformLayout(keys, vlen), cfg)
 	t.Cleanup(func() {
 		cl.Close()
 		sys.Shutdown()
@@ -21,7 +23,7 @@ func newTestSystem(t *testing.T, nodes, workers int, keys kv.Key, vlen int, cfg 
 }
 
 func TestReadYourWrites(t *testing.T) {
-	_, sys := newTestSystem(t, 2, 1, 8, 2, Config{Staleness: 1})
+	_, sys := newStaleSystem(t, 2, 1, 8, 2, StaleConfig{Staleness: 1})
 	h := sys.Handle(0)
 	if err := h.Push([]kv.Key{6}, []float32{3, 4}); err != nil {
 		t.Fatal(err)
@@ -43,7 +45,7 @@ func TestReadYourWrites(t *testing.T) {
 }
 
 func TestClockFlushesUpdates(t *testing.T) {
-	_, sys := newTestSystem(t, 2, 1, 8, 1, Config{Staleness: 1})
+	_, sys := newStaleSystem(t, 2, 1, 8, 1, StaleConfig{Staleness: 1})
 	h := sys.Handle(0)
 	if err := h.Push([]kv.Key{5}, []float32{7}); err != nil {
 		t.Fatal(err)
@@ -59,7 +61,7 @@ func TestClockFlushesUpdates(t *testing.T) {
 func TestStaleReadWithinBound(t *testing.T) {
 	// With staleness 1, a worker at clock c can read replicas from c-1
 	// without contacting the server.
-	cl, sys := newTestSystem(t, 2, 2, 8, 1, Config{Staleness: 1})
+	cl, sys := newStaleSystem(t, 2, 2, 8, 1, StaleConfig{Staleness: 1})
 	h0 := sys.Handle(0)
 	buf := make([]float32, 1)
 	// Establish a replica at clock 0.
@@ -80,7 +82,7 @@ func TestStaleReadWithinBound(t *testing.T) {
 func TestBlockedReadWaitsForStragglers(t *testing.T) {
 	// A worker two clocks ahead must block reading until the straggler
 	// advances (staleness 1).
-	_, sys := newTestSystem(t, 1, 2, 4, 1, Config{Staleness: 1})
+	_, sys := newStaleSystem(t, 1, 2, 4, 1, StaleConfig{Staleness: 1})
 	fast := sys.Handle(0)
 	slow := sys.Handle(1)
 
@@ -114,7 +116,7 @@ func TestBlockedReadWaitsForStragglers(t *testing.T) {
 
 func TestUpdatesVisibleAfterClocks(t *testing.T) {
 	// After all workers clock, a sufficiently fresh read sees all updates.
-	cl, sys := newTestSystem(t, 2, 2, 8, 1, Config{Staleness: 1})
+	cl, sys := newStaleSystem(t, 2, 2, 8, 1, StaleConfig{Staleness: 1})
 	cl.RunWorkers(func(node, worker int) {
 		h := sys.Handle(worker)
 		if err := h.Push([]kv.Key{3}, []float32{1}); err != nil {
@@ -138,7 +140,7 @@ func TestUpdatesVisibleAfterClocks(t *testing.T) {
 func TestServerSyncPushesReplicas(t *testing.T) {
 	// In SSPPush mode, after a global clock advance the server pushes
 	// subscribed keys; a subsequent stale read needs no fetch.
-	cl, sys := newTestSystem(t, 2, 1, 8, 1, Config{Staleness: 0, ServerSync: true})
+	cl, sys := newStaleSystem(t, 2, 1, 8, 1, StaleConfig{Staleness: 0, ServerSync: true})
 	h0, h1 := sys.Handle(0), sys.Handle(1)
 	buf := make([]float32, 1)
 	// Subscribe node 0 to key 6 (homed at node 1).
@@ -184,7 +186,7 @@ func TestEventualConsistencyTotalSum(t *testing.T) {
 			name = "server"
 		}
 		t.Run(name, func(t *testing.T) {
-			cl, sys := newTestSystem(t, 4, 2, 16, 1, Config{Staleness: 2, ServerSync: serverSync})
+			cl, sys := newStaleSystem(t, 4, 2, 16, 1, StaleConfig{Staleness: 2, ServerSync: serverSync})
 			const rounds = 10
 			cl.RunWorkers(func(node, worker int) {
 				h := sys.Handle(worker)
@@ -213,16 +215,8 @@ func TestEventualConsistencyTotalSum(t *testing.T) {
 	}
 }
 
-func TestLocalizeUnsupported(t *testing.T) {
-	_, sys := newTestSystem(t, 2, 1, 8, 1, Config{Staleness: 1})
-	h := sys.Handle(0)
-	if err := h.Localize([]kv.Key{1}); err != kv.ErrUnsupported {
-		t.Fatalf("Localize = %v, want ErrUnsupported", err)
-	}
-}
-
 func TestGlobalClockView(t *testing.T) {
-	_, sys := newTestSystem(t, 1, 2, 4, 1, Config{Staleness: 1})
+	_, sys := newStaleSystem(t, 1, 2, 4, 1, StaleConfig{Staleness: 1})
 	h0, h1 := sys.Handle(0), sys.Handle(1)
 	h0.Clock()
 	h1.Clock()
@@ -238,13 +232,39 @@ func TestGlobalClockView(t *testing.T) {
 
 func TestMonotonicReplicaClocks(t *testing.T) {
 	// applyRefresh must ignore older refreshes.
-	_, sys := newTestSystem(t, 1, 1, 4, 1, Config{Staleness: 0})
+	_, sys := newStaleSystem(t, 1, 1, 4, 1, StaleConfig{Staleness: 0})
 	nd := sys.nodes[0]
 	nd.applyRefresh(&msg.SspSync{Clock: 2, Keys: []kv.Key{1}, Vals: []float32{5}})
 	nd.applyRefresh(&msg.SspSync{Clock: 1, Keys: []kv.Key{1}, Vals: []float32{3}}) // older: ignored
 	buf := make([]float32, 1)
-	h := sys.Handle(0).(*handle)
+	h := sys.Handle(0).(*staleHandle)
 	if !h.readReplica(1, 2, buf) || buf[0] != 5 {
 		t.Fatalf("replica regressed: %v", buf)
+	}
+}
+
+func TestPullAsyncCapturesIssueState(t *testing.T) {
+	// The fetch is still in flight (1 ms links) when the caller reuses its
+	// key slice and pushes again: the pull returns the value at issue time,
+	// and its completion touches neither the keys nor the write cache.
+	cl := cluster.New(cluster.Config{Nodes: 2, WorkersPerNode: 1, Net: simnet.Config{Latency: time.Millisecond}})
+	sys := NewStale(cl, kv.NewUniformLayout(8, 1), StaleConfig{})
+	defer func() { cl.Close(); sys.Shutdown() }()
+	h := sys.Handle(0)
+	if err := h.Push([]kv.Key{6}, []float32{2}); err != nil {
+		t.Fatal(err)
+	}
+	keys := []kv.Key{6}
+	got := []float32{-1}
+	f := h.PullAsync(keys, got)
+	keys[0] = 1
+	if err := h.Push([]kv.Key{6}, []float32{100}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if got[0] != 2 {
+		t.Fatalf("PullAsync = %v, want [2] (the value when it was issued)", got)
 	}
 }

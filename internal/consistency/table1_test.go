@@ -10,7 +10,6 @@ import (
 	"lapse/internal/cluster"
 	"lapse/internal/core"
 	"lapse/internal/kv"
-	"lapse/internal/ssp"
 )
 
 // This file reproduces Table 1 of the paper as executable checks: it drives
@@ -211,7 +210,7 @@ func TestTable1StaleClientCentric(t *testing.T) {
 	// The stale PS provides eventual consistency and the client-centric
 	// session guarantees, but not sequential consistency.
 	cl := cluster.New(cluster.Config{Nodes: t1Nodes, WorkersPerNode: t1Workers})
-	sys := ssp.New(cl, kv.NewUniformLayout(t1Keys, 1), ssp.Config{Staleness: 1})
+	sys := classic.NewStale(cl, kv.NewUniformLayout(t1Keys, 1), classic.StaleConfig{Staleness: 1})
 	defer func() { cl.Close(); sys.Shutdown() }()
 	rec := NewRecorder(cl.TotalWorkers())
 	cl.RunWorkers(func(node, worker int) {

@@ -3,6 +3,7 @@ package driver
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -563,6 +564,17 @@ func TestConformanceKVContract(t *testing.T) {
 						dst := make([]float32, confValLen)
 						if ok, err := h.PullIfLocal([]kv.Key{confKeys - 1}, dst); err != nil || ok {
 							fail("%s: PullIfLocal of remote key = (%v, %v), want (false, nil)", kind, ok, err)
+						}
+						// A pull that names a key twice fills both slots, the
+						// worker's own (for the stale PS, buffered) write included.
+						if err := h.Push([]kv.Key{confKeys - 1}, []float32{5, 5}); err != nil {
+							fail("%s: Push = %v", kind, err)
+						}
+						rep := []float32{-1, -1, -1, -1, -1, -1}
+						if err := h.Pull([]kv.Key{confKeys - 1, 1, confKeys - 1}, rep); err != nil {
+							fail("%s: Pull of a repeated key = %v", kind, err)
+						} else if want := []float32{5, 5, 0, 0, 5, 5}; !slices.Equal(rep, want) {
+							fail("%s: Pull of a repeated key = %v, want %v", kind, rep, want)
 						}
 					})
 				})

@@ -12,7 +12,6 @@ import (
 	"lapse/internal/core"
 	"lapse/internal/kv"
 	"lapse/internal/metrics"
-	"lapse/internal/ssp"
 )
 
 // Kind names a parameter-server variant from the paper's evaluation.
@@ -30,10 +29,11 @@ const (
 	Lapse Kind = "lapse"
 	// LapseCached is Lapse with location caches enabled (ablation §4.6).
 	LapseCached Kind = "lapse-cached"
-	// SSPClient is the stale PS (Petuum) with client-based
-	// synchronization (SSP consistency model).
+	// SSPClient is the stale PS (Petuum): the classic PS's servers
+	// (classic.NewStale) plus bounded-staleness replicas refreshed by
+	// client-based synchronization (SSP consistency model).
 	SSPClient Kind = "ssp-client"
-	// SSPServer is the stale PS with server-based synchronization
+	// SSPServer is the same stale PS with server-based synchronization
 	// (SSPPush consistency model).
 	SSPServer Kind = "ssp-server"
 )
@@ -93,9 +93,9 @@ func Build(kind Kind, cl *cluster.Cluster, layout kv.Layout, opt Options) PS {
 			Replicate: opt.Replicate, Adaptive: opt.Adaptive != nil,
 			Serving: opt.Serving})
 	case SSPClient:
-		return ssp.New(cl, layout, ssp.Config{Staleness: opt.Staleness})
+		return classic.NewStale(cl, layout, classic.StaleConfig{Staleness: opt.Staleness})
 	case SSPServer:
-		return ssp.New(cl, layout, ssp.Config{Staleness: opt.Staleness, ServerSync: true})
+		return classic.NewStale(cl, layout, classic.StaleConfig{Staleness: opt.Staleness, ServerSync: true})
 	default:
 		panic(fmt.Sprintf("driver: unknown PS kind %q", kind))
 	}
@@ -110,5 +110,4 @@ func SupportsLocalize(kind Kind) bool {
 var (
 	_ PS = (*classic.System)(nil)
 	_ PS = (*core.System)(nil)
-	_ PS = (*ssp.System)(nil)
 )

@@ -36,7 +36,8 @@ type KV interface {
 	// update terms in keys order; the server adds them to the current values.
 	Push(keys []Key, vals []float32) error
 	// PullAsync is Pull without waiting. dst must stay valid until the
-	// returned future completes.
+	// returned future completes. It keeps no reference to keys, which the
+	// caller may reuse once it returns.
 	PullAsync(keys []Key, dst []float32) *Future
 	// PushAsync is Push without waiting for the server acknowledgement.
 	// vals must stay unmodified until the returned future completes: a push

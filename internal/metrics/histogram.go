@@ -214,17 +214,6 @@ func (s HistSnapshot) Sub(base HistSnapshot) HistSnapshot {
 	return d
 }
 
-// Buckets calls fn for every nonempty bucket with the bucket's upper-bound
-// nanosecond value and its count, in ascending order — the shape Prometheus
-// cumulative-histogram exposition wants.
-func (s HistSnapshot) Buckets(fn func(upperNS int64, count uint64)) {
-	for i, c := range s.Counts {
-		if c != 0 {
-			fn(histBucketMid(i), c)
-		}
-	}
-}
-
 func (s HistSnapshot) String() string {
 	return fmt.Sprintf("n=%d mean=%v p50=%v p99=%v max=%v",
 		s.Count(), s.Mean(), s.Quantile(0.5), s.Quantile(0.99), s.Max())
