@@ -152,16 +152,13 @@ func TestConcurrentWorkersNoLostUpdates(t *testing.T) {
 }
 
 func TestLocalizeUnsupported(t *testing.T) {
-	_, classicPS := newTestSystem(t, 2, 1, 8, 1, Config{})
-	_, stalePS := newStaleSystem(t, 2, 1, 8, 1, StaleConfig{Staleness: 1})
-	for name, sys := range map[string]*System{"classic": classicPS, "stale": stalePS} {
-		h := sys.Handle(0)
-		if err := h.Localize([]kv.Key{1}); err != kv.ErrUnsupported {
-			t.Fatalf("%s: Localize = %v, want ErrUnsupported", name, err)
-		}
-		if err := h.LocalizeAsync([]kv.Key{1}).Wait(); err != kv.ErrUnsupported {
-			t.Fatalf("%s: LocalizeAsync = %v, want ErrUnsupported", name, err)
-		}
+	_, sys := newTestSystem(t, 2, 1, 8, 1, Config{})
+	h := sys.Handle(0)
+	if err := h.Localize([]kv.Key{1}); err != kv.ErrUnsupported {
+		t.Fatalf("Localize = %v, want ErrUnsupported", err)
+	}
+	if err := h.LocalizeAsync([]kv.Key{1}).Wait(); err != kv.ErrUnsupported {
+		t.Fatalf("LocalizeAsync = %v, want ErrUnsupported", err)
 	}
 }
 

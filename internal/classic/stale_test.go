@@ -215,6 +215,17 @@ func TestEventualConsistencyTotalSum(t *testing.T) {
 	}
 }
 
+func TestStaleLocalizeUnsupported(t *testing.T) {
+	_, sys := newStaleSystem(t, 2, 1, 8, 1, StaleConfig{Staleness: 1})
+	h := sys.Handle(0)
+	if err := h.Localize([]kv.Key{1}); err != kv.ErrUnsupported {
+		t.Fatalf("Localize = %v, want ErrUnsupported", err)
+	}
+	if err := h.LocalizeAsync([]kv.Key{1}).Wait(); err != kv.ErrUnsupported {
+		t.Fatalf("LocalizeAsync = %v, want ErrUnsupported", err)
+	}
+}
+
 func TestGlobalClockView(t *testing.T) {
 	_, sys := newStaleSystem(t, 1, 2, 4, 1, StaleConfig{Staleness: 1})
 	h0, h1 := sys.Handle(0), sys.Handle(1)

@@ -250,42 +250,52 @@ func TestLocalizeThrashReplicationWins(t *testing.T) {
 // managing — one promotion per key, not a promote/demote cycle on every noisy
 // reading. The window runs about half a second: over 90 ms, host scheduling
 // noise alone failed the throughput bar in 2 of 10 runs on a loaded 2-vCPU
-// box.
+// box. Even at half a second a neighbour's burst of CPU can take a tenth off
+// one run (1 in 8 runs beside another test package on that box), so each
+// configuration runs three times, the two interleaved, and the best
+// throughput of each is compared; every adaptive run must meet the other
+// bars.
 func TestAdaptiveHoldsAtNetworkLatency(t *testing.T) {
 	if testing.Short() {
 		t.Skip("several seconds of simulated-latency workload")
 	}
-	l := zipfLoad{nodes: 2, workers: 1, net: paperNet, keys: 2048, zipfS: 1.3, pushEvery: 2,
+	staticLoad := zipfLoad{nodes: 2, workers: 1, net: paperNet, keys: 2048, zipfS: 1.3, pushEvery: 2,
 		warmup: time.Second, ops: 2000}
-	l.opt.Replicate = hotKeys(32)
-	static := l.run(t)
-	l.opt = confAdaptiveOptions()
-	adapt := l.run(t)
+	adaptLoad := staticLoad
+	staticLoad.opt.Replicate = hotKeys(32)
+	adaptLoad.opt = confAdaptiveOptions()
 
-	w := adapt.window
-	if ratio := float64(w.RemoteReads) / float64(w.TotalReads()); ratio > 0.25 {
-		t.Errorf("adaptive: %.2f of the reads remote, want at most 0.25", ratio)
+	var static, adapt float64
+	for i := 0; i < 3; i++ {
+		static = max(static, staticLoad.run(t).throughput())
+		r := adaptLoad.run(t)
+		adapt = max(adapt, r.throughput())
+
+		w := r.window
+		if ratio := float64(w.RemoteReads) / float64(w.TotalReads()); ratio > 0.25 {
+			t.Errorf("adaptive: %.2f of the reads remote, want at most 0.25", ratio)
+		}
+		// Churn inflates the transitions of the whole run, warm-up included.
+		var managed int64
+		for _, n := range r.total.AdaptManaged {
+			managed += int64(n)
+		}
+		transitions := r.total.AdaptPromotions + r.total.AdaptDemotions + r.total.AdaptRelocations
+		if managed < 20 {
+			t.Errorf("only %d keys managed after warm-up: the top twenty carry 72 %% of the accesses", managed)
+		}
+		if transitions > 2*managed {
+			t.Errorf("%d transitions for %d managed keys, want at most 2 per key", transitions, managed)
+		}
+		t.Logf("adaptive %.0f ops/s, remote reads %d/%d, %d transitions for %d managed keys",
+			r.throughput(), w.RemoteReads, w.TotalReads(), transitions, managed)
 	}
 	// Under the race detector throughput measures the instrumentation (as in
 	// TestShardedServerThroughputScales): adaptive read 0.84× of static there.
-	if !raceEnabled && adapt.throughput() < 0.9*static.throughput() {
-		t.Errorf("adaptive %.0f ops/s vs static replication %.0f ops/s, want at least 0.9x",
-			adapt.throughput(), static.throughput())
+	if !raceEnabled && adapt < 0.9*static {
+		t.Errorf("adaptive %.0f ops/s vs static replication %.0f ops/s, want at least 0.9x", adapt, static)
 	}
-	// Churn inflates the transitions of the whole run, warm-up included.
-	var managed int64
-	for _, n := range adapt.total.AdaptManaged {
-		managed += int64(n)
-	}
-	transitions := adapt.total.AdaptPromotions + adapt.total.AdaptDemotions + adapt.total.AdaptRelocations
-	if managed < 20 {
-		t.Errorf("only %d keys managed after warm-up: the top twenty carry 72 %% of the accesses", managed)
-	}
-	if transitions > 2*managed {
-		t.Errorf("%d transitions for %d managed keys, want at most 2 per key", transitions, managed)
-	}
-	t.Logf("adaptive %.0f ops/s (static %.0f), remote reads %d/%d, %d transitions for %d managed keys",
-		adapt.throughput(), static.throughput(), w.RemoteReads, w.TotalReads(), transitions, managed)
+	t.Logf("best of three: adaptive %.0f ops/s, static %.0f ops/s", adapt, static)
 }
 
 // servingLoad is the serving schedule: a Zipf read mix of 4-key requests over
