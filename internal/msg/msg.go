@@ -3,11 +3,10 @@
 //
 // The real Lapse implementation uses ZeroMQ with protocol-buffer payloads;
 // here the codec is the actual message path: every transport (the simulated
-// network of internal/simnet as well as the TCP transport of
-// internal/transport/tcp) encodes messages on Send and hands receivers a
-// freshly decoded copy, so no pointer ever crosses a node boundary and the
-// encoded length doubles as the on-the-wire size for the latency/bandwidth
-// model.
+// network of internal/simnet, the TCP transport of internal/transport/tcp and
+// the shared-memory transport of internal/transport/shm) encodes messages on
+// Send and hands receivers a freshly decoded copy, so no pointer ever crosses
+// a node boundary.
 //
 // Wire format: each message is [kind:1][payloadLen:4][payload], little
 // endian throughout. Nil and zero-length slices are indistinguishable on the
@@ -55,35 +54,26 @@ const (
 	KindManage
 )
 
+var kindNames = [...]string{
+	KindOp:             "Op",
+	KindOpResp:         "OpResp",
+	KindLocalize:       "Localize",
+	KindRelocInstruct:  "RelocInstruct",
+	KindRelocTransfer:  "RelocTransfer",
+	KindSspClock:       "SspClock",
+	KindSspSync:        "SspSync",
+	KindBarrier:        "Barrier",
+	KindBlock:          "Block",
+	KindReplicaSync:    "ReplicaSync",
+	KindReplicaRefresh: "ReplicaRefresh",
+	KindManage:         "Manage",
+}
+
 func (k Kind) String() string {
-	switch k {
-	case KindOp:
-		return "Op"
-	case KindOpResp:
-		return "OpResp"
-	case KindLocalize:
-		return "Localize"
-	case KindRelocInstruct:
-		return "RelocInstruct"
-	case KindRelocTransfer:
-		return "RelocTransfer"
-	case KindSspClock:
-		return "SspClock"
-	case KindSspSync:
-		return "SspSync"
-	case KindBarrier:
-		return "Barrier"
-	case KindBlock:
-		return "Block"
-	case KindReplicaSync:
-		return "ReplicaSync"
-	case KindReplicaRefresh:
-		return "ReplicaRefresh"
-	case KindManage:
-		return "Manage"
-	default:
-		return fmt.Sprintf("Kind(%d)", uint8(k))
+	if int(k) < len(kindNames) && kindNames[k] != "" {
+		return kindNames[k]
 	}
+	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
 
 // OpType distinguishes pulls from pushes inside an Op message.
@@ -279,23 +269,20 @@ const (
 	ManageSweep
 )
 
+var manageNames = [...]string{
+	ManageReport:      "report",
+	ManageReplicate:   "replicate",
+	ManageUnreplicate: "unreplicate",
+	ManageDemoteAck:   "demote-ack",
+	ManageLocalize:    "localize-hint",
+	ManageSweep:       "sweep",
+}
+
 func (k ManageKind) String() string {
-	switch k {
-	case ManageReport:
-		return "report"
-	case ManageReplicate:
-		return "replicate"
-	case ManageUnreplicate:
-		return "unreplicate"
-	case ManageDemoteAck:
-		return "demote-ack"
-	case ManageLocalize:
-		return "localize-hint"
-	case ManageSweep:
-		return "sweep"
-	default:
-		return fmt.Sprintf("ManageKind(%d)", uint8(k))
+	if int(k) < len(manageNames) {
+		return manageNames[k]
 	}
+	return fmt.Sprintf("ManageKind(%d)", uint8(k))
 }
 
 // Manage is the adaptive-management control message: tracker reports flowing
@@ -313,60 +300,28 @@ type Manage struct {
 }
 
 const (
-	headerBytes = 1 + 4 // kind + payload length prefix used by Encode
+	headerBytes = 1 + 4 // kind + payload length prefix
 	keyBytes    = 8
 	valBytes    = 4
 )
 
-// Size returns the encoded size in bytes of m. It is used by the simulated
-// network's bandwidth model and matches the output length of Encode.
-func Size(m any) int {
-	switch t := m.(type) {
-	case *Op:
-		return headerBytes + 1 + 8 + 4 + 1 + 1 + 4 + 4 + len(t.Keys)*keyBytes + len(t.Vals)*valBytes
-	case *OpResp:
-		return headerBytes + 1 + 8 + 4 + 4 + 4 + 4 + len(t.Keys)*keyBytes + len(t.Vals)*valBytes
-	case *Localize:
-		return headerBytes + 8 + 4 + 4 + len(t.Keys)*keyBytes
-	case *RelocInstruct:
-		return headerBytes + 8 + 4 + 4 + len(t.Keys)*keyBytes
-	case *RelocTransfer:
-		return headerBytes + 8 + 4 + 4 + len(t.Keys)*keyBytes + len(t.Vals)*valBytes
-	case *SspClock:
-		return headerBytes + 4 + 4
-	case *SspSync:
-		return headerBytes + 8 + 4 + 4 + 4 + len(t.Keys)*keyBytes + len(t.Vals)*valBytes
-	case *Barrier:
-		return headerBytes + 1 + 4 + 4
-	case *Block:
-		return headerBytes + 4 + 4 + 4 + len(t.Vals)*valBytes
-	case *ReplicaSync:
-		return headerBytes + 4 + 4 + 4 + 4 + len(t.Keys)*keyBytes + len(t.Vals)*valBytes
-	case *ReplicaRefresh:
-		return headerBytes + 4 + 4 + 4 + 4 + len(t.Keys)*keyBytes + len(t.Vals)*valBytes
-	case *Manage:
-		return headerBytes + 1 + 4 + 4 + 4 + len(t.Keys)*keyBytes + len(t.Vals)*valBytes
-	default:
-		panic(fmt.Sprintf("msg: Size on unknown message type %T", m))
-	}
-}
+// Size returns the encoded size in bytes of m: the length of Encode(m).
+func Size(m any) int { return len(Encode(m)) }
 
 // Encode serializes m into a fresh byte slice.
 func Encode(m any) []byte { return AppendTo(nil, m) }
 
 // AppendTo appends the encoding of m to buf and returns the extended slice.
-// It computes Size(m) exactly once, grows buf by that many bytes up front,
-// and then writes every field into the reserved region with bulk
-// little-endian stores — the steady-state encode path allocates nothing when
-// buf has capacity (see GetBuf/PutBuf for the pooled-buffer protocol).
+// It appends the header with a placeholder length, then every field, and
+// patches the payload length into the header last. The steady-state encode
+// path allocates nothing when buf has capacity (see GetBuf/PutBuf for the
+// pooled-buffer protocol).
 func AppendTo(buf []byte, m any) []byte {
-	sz := Size(m)
 	base := len(buf)
-	buf = kv.Grow(buf, sz)
-	w := writer{b: buf, off: base}
+	w := writer{b: buf}
 	switch t := m.(type) {
 	case *Op:
-		w.header(KindOp, sz)
+		w.header(KindOp)
 		w.u8(byte(t.Type))
 		w.u64(t.ID)
 		w.u32(uint32(t.Origin))
@@ -375,7 +330,7 @@ func AppendTo(buf []byte, m any) []byte {
 		w.keys(t.Keys)
 		w.vals(t.Vals)
 	case *OpResp:
-		w.header(KindOpResp, sz)
+		w.header(KindOpResp)
 		w.u8(byte(t.Type))
 		w.u64(t.ID)
 		w.u32(uint32(t.Responder))
@@ -383,54 +338,54 @@ func AppendTo(buf []byte, m any) []byte {
 		w.keys(t.Keys)
 		w.vals(t.Vals)
 	case *Localize:
-		w.header(KindLocalize, sz)
+		w.header(KindLocalize)
 		w.u64(t.ID)
 		w.u32(uint32(t.Origin))
 		w.keys(t.Keys)
 	case *RelocInstruct:
-		w.header(KindRelocInstruct, sz)
+		w.header(KindRelocInstruct)
 		w.u64(t.ID)
 		w.u32(uint32(t.Dest))
 		w.keys(t.Keys)
 	case *RelocTransfer:
-		w.header(KindRelocTransfer, sz)
+		w.header(KindRelocTransfer)
 		w.u64(t.ID)
 		w.keys(t.Keys)
 		w.vals(t.Vals)
 	case *SspClock:
-		w.header(KindSspClock, sz)
+		w.header(KindSspClock)
 		w.u32(uint32(t.Worker))
 		w.u32(uint32(t.Clock))
 	case *SspSync:
-		w.header(KindSspSync, sz)
+		w.header(KindSspSync)
 		w.u64(t.ID)
 		w.u32(uint32(t.Clock))
 		w.keys(t.Keys)
 		w.vals(t.Vals)
 	case *Barrier:
-		w.header(KindBarrier, sz)
+		w.header(KindBarrier)
 		w.u8(boolByte(t.Enter))
 		w.u32(t.Seq)
 		w.u32(uint32(t.Worker))
 	case *Block:
-		w.header(KindBlock, sz)
+		w.header(KindBlock)
 		w.u32(uint32(t.ID))
 		w.u32(uint32(t.Worker))
 		w.vals(t.Vals)
 	case *ReplicaSync:
-		w.header(KindReplicaSync, sz)
+		w.header(KindReplicaSync)
 		w.u32(uint32(t.Origin))
 		w.u32(t.Seq)
 		w.keys(t.Keys)
 		w.vals(t.Vals)
 	case *ReplicaRefresh:
-		w.header(KindReplicaRefresh, sz)
+		w.header(KindReplicaRefresh)
 		w.u32(uint32(t.Origin))
 		w.u32(t.Ack)
 		w.keys(t.Keys)
 		w.vals(t.Vals)
 	case *Manage:
-		w.header(KindManage, sz)
+		w.header(KindManage)
 		w.u8(byte(t.Kind))
 		w.u32(uint32(t.Origin))
 		w.keys(t.Keys)
@@ -438,68 +393,51 @@ func AppendTo(buf []byte, m any) []byte {
 	default:
 		panic(fmt.Sprintf("msg: AppendTo on unknown message type %T", m))
 	}
-	if w.off != base+sz {
-		panic(fmt.Sprintf("msg: AppendTo wrote %d bytes for %T, Size says %d", w.off-base, m, sz))
-	}
-	return buf
+	binary.LittleEndian.PutUint32(w.b[base+1:], uint32(len(w.b)-base-headerBytes))
+	return w.b
 }
 
-// writer is a cursor over a pre-sized encode buffer. Unlike append-based
-// encoding it never re-checks capacity per field, and the key/value loops
-// store into one bounds-hoisted sub-slice.
-type writer struct {
-	b   []byte
-	off int
-}
+// writer appends little-endian fields to an encode buffer. The key and value
+// lists grow the buffer once and store into the grown region.
+type writer struct{ b []byte }
 
-func (w *writer) header(k Kind, sz int) {
-	w.u8(byte(k))
-	w.u32(uint32(sz - headerBytes))
-}
+// header appends the kind and a payload length that AppendTo patches last.
+func (w *writer) header(k Kind) { w.b = append(w.b, byte(k), 0, 0, 0, 0) }
 
-func (w *writer) u8(v byte) {
-	w.b[w.off] = v
-	w.off++
-}
+func (w *writer) u8(v byte) { w.b = append(w.b, v) }
 
-func (w *writer) u32(v uint32) {
-	binary.LittleEndian.PutUint32(w.b[w.off:], v)
-	w.off += 4
-}
+func (w *writer) u32(v uint32) { w.b = binary.LittleEndian.AppendUint32(w.b, v) }
 
-func (w *writer) u64(v uint64) {
-	binary.LittleEndian.PutUint64(w.b[w.off:], v)
-	w.off += 8
-}
+func (w *writer) u64(v uint64) { w.b = binary.LittleEndian.AppendUint64(w.b, v) }
 
 func (w *writer) keys(keys []kv.Key) {
 	w.u32(uint32(len(keys)))
-	b := w.b[w.off : w.off+len(keys)*keyBytes]
+	off := len(w.b)
+	w.b = kv.Grow(w.b, len(keys)*keyBytes)
+	b := w.b[off:]
 	for i, k := range keys {
 		binary.LittleEndian.PutUint64(b[i*keyBytes:], uint64(k))
 	}
-	w.off += len(keys) * keyBytes
 }
 
 func (w *writer) vals(vals []float32) {
 	w.u32(uint32(len(vals)))
-	b := w.b[w.off : w.off+len(vals)*valBytes]
+	off := len(w.b)
+	w.b = kv.Grow(w.b, len(vals)*valBytes)
+	b := w.b[off:]
 	for i, v := range vals {
 		binary.LittleEndian.PutUint32(b[i*valBytes:], math.Float32bits(v))
 	}
-	w.off += len(vals) * valBytes
 }
 
-// Decode parses one encoded message and returns it together with the number
-// of bytes consumed. Every field read is bounds-checked and the payload must
-// be consumed exactly, so Decode never panics and malformed input — from a
-// socket or the fuzzer — yields an error.
-func Decode(buf []byte) (any, int, error) { return decodeMsg(buf, nil) }
+// Decode parses one encoded message into a fresh Scratch and returns it
+// together with the number of bytes consumed. Every field read is
+// bounds-checked and the payload must be consumed exactly, so Decode never
+// panics and malformed input — from a socket or the fuzzer — yields an error.
+func Decode(buf []byte) (any, int, error) { return decodeMsg(buf, new(Scratch)) }
 
-// decodeMsg decodes one message. With s == nil every decoded struct and
-// slice is freshly allocated (the Decode contract); with a Scratch the
-// message struct and its Keys/Vals are backed by the scratch's reusable
-// arena (the Scratch.Decode contract).
+// decodeMsg decodes one message into s: the message struct is s's one for
+// its kind, and its Keys/Vals are backed by s's arenas.
 func decodeMsg(buf []byte, s *Scratch) (any, int, error) {
 	if len(buf) < headerBytes {
 		return nil, 0, fmt.Errorf("msg: short buffer (%d bytes)", len(buf))
@@ -510,119 +448,46 @@ func decodeMsg(buf []byte, s *Scratch) (any, int, error) {
 		return nil, 0, fmt.Errorf("msg: truncated %v payload: have %d, want %d", kind, len(buf)-headerBytes, plen)
 	}
 	d := &decoder{p: buf[headerBytes : headerBytes+plen], s: s}
-	total := headerBytes + plen
 	var m any
 	switch kind {
 	case KindOp:
-		var t *Op
-		if s != nil {
-			t = &s.op
-		} else {
-			t = new(Op)
-		}
-		*t = Op{Type: OpType(d.u8()), ID: d.u64(), Origin: int32(d.u32()),
+		s.op = Op{Type: OpType(d.u8()), ID: d.u64(), Origin: int32(d.u32()),
 			Hops: d.u8(), Lease: d.bool(), Keys: d.keys(), Vals: d.vals()}
-		m = t
+		m = &s.op
 	case KindOpResp:
-		var t *OpResp
-		if s != nil {
-			t = &s.opResp
-		} else {
-			t = new(OpResp)
-		}
-		*t = OpResp{Type: OpType(d.u8()), ID: d.u64(), Responder: int32(d.u32()),
+		s.opResp = OpResp{Type: OpType(d.u8()), ID: d.u64(), Responder: int32(d.u32()),
 			LeaseTTL: d.u32(), Keys: d.keys(), Vals: d.vals()}
-		m = t
+		m = &s.opResp
 	case KindLocalize:
-		var t *Localize
-		if s != nil {
-			t = &s.localize
-		} else {
-			t = new(Localize)
-		}
-		*t = Localize{ID: d.u64(), Origin: int32(d.u32()), Keys: d.keys()}
-		m = t
+		s.localize = Localize{ID: d.u64(), Origin: int32(d.u32()), Keys: d.keys()}
+		m = &s.localize
 	case KindRelocInstruct:
-		var t *RelocInstruct
-		if s != nil {
-			t = &s.instruct
-		} else {
-			t = new(RelocInstruct)
-		}
-		*t = RelocInstruct{ID: d.u64(), Dest: int32(d.u32()), Keys: d.keys()}
-		m = t
+		s.instruct = RelocInstruct{ID: d.u64(), Dest: int32(d.u32()), Keys: d.keys()}
+		m = &s.instruct
 	case KindRelocTransfer:
-		var t *RelocTransfer
-		if s != nil {
-			t = &s.transfer
-		} else {
-			t = new(RelocTransfer)
-		}
-		*t = RelocTransfer{ID: d.u64(), Keys: d.keys(), Vals: d.vals()}
-		m = t
+		s.transfer = RelocTransfer{ID: d.u64(), Keys: d.keys(), Vals: d.vals()}
+		m = &s.transfer
 	case KindSspClock:
-		var t *SspClock
-		if s != nil {
-			t = &s.sspClock
-		} else {
-			t = new(SspClock)
-		}
-		*t = SspClock{Worker: int32(d.u32()), Clock: int32(d.u32())}
-		m = t
+		s.sspClock = SspClock{Worker: int32(d.u32()), Clock: int32(d.u32())}
+		m = &s.sspClock
 	case KindSspSync:
-		var t *SspSync
-		if s != nil {
-			t = &s.sspSync
-		} else {
-			t = new(SspSync)
-		}
-		*t = SspSync{ID: d.u64(), Clock: int32(d.u32()), Keys: d.keys(), Vals: d.vals()}
-		m = t
+		s.sspSync = SspSync{ID: d.u64(), Clock: int32(d.u32()), Keys: d.keys(), Vals: d.vals()}
+		m = &s.sspSync
 	case KindBarrier:
-		var t *Barrier
-		if s != nil {
-			t = &s.barrier
-		} else {
-			t = new(Barrier)
-		}
-		*t = Barrier{Enter: d.bool(), Seq: d.u32(), Worker: int32(d.u32())}
-		m = t
+		s.barrier = Barrier{Enter: d.bool(), Seq: d.u32(), Worker: int32(d.u32())}
+		m = &s.barrier
 	case KindBlock:
-		var t *Block
-		if s != nil {
-			t = &s.block
-		} else {
-			t = new(Block)
-		}
-		*t = Block{ID: int32(d.u32()), Worker: int32(d.u32()), Vals: d.vals()}
-		m = t
+		s.block = Block{ID: int32(d.u32()), Worker: int32(d.u32()), Vals: d.vals()}
+		m = &s.block
 	case KindReplicaSync:
-		var t *ReplicaSync
-		if s != nil {
-			t = &s.repSync
-		} else {
-			t = new(ReplicaSync)
-		}
-		*t = ReplicaSync{Origin: int32(d.u32()), Seq: d.u32(), Keys: d.keys(), Vals: d.vals()}
-		m = t
+		s.repSync = ReplicaSync{Origin: int32(d.u32()), Seq: d.u32(), Keys: d.keys(), Vals: d.vals()}
+		m = &s.repSync
 	case KindReplicaRefresh:
-		var t *ReplicaRefresh
-		if s != nil {
-			t = &s.repRefresh
-		} else {
-			t = new(ReplicaRefresh)
-		}
-		*t = ReplicaRefresh{Origin: int32(d.u32()), Ack: d.u32(), Keys: d.keys(), Vals: d.vals()}
-		m = t
+		s.repRefresh = ReplicaRefresh{Origin: int32(d.u32()), Ack: d.u32(), Keys: d.keys(), Vals: d.vals()}
+		m = &s.repRefresh
 	case KindManage:
-		var t *Manage
-		if s != nil {
-			t = &s.manage
-		} else {
-			t = new(Manage)
-		}
-		*t = Manage{Kind: ManageKind(d.u8()), Origin: int32(d.u32()), Keys: d.keys(), Vals: d.vals()}
-		m = t
+		s.manage = Manage{Kind: ManageKind(d.u8()), Origin: int32(d.u32()), Keys: d.keys(), Vals: d.vals()}
+		m = &s.manage
 	default:
 		return nil, 0, fmt.Errorf("msg: unknown message kind %d", kind)
 	}
@@ -632,13 +497,13 @@ func decodeMsg(buf []byte, s *Scratch) (any, int, error) {
 	if len(d.p) != 0 {
 		return nil, 0, fmt.Errorf("msg: %d trailing payload bytes in %v", len(d.p), kind)
 	}
-	return m, total, nil
+	return m, headerBytes + plen, nil
 }
 
 // decoder is a bounds-checked cursor over a message payload. The first
 // failed read latches err and all subsequent reads return zero values, so
-// decode expressions can be written straight-line. With a Scratch attached,
-// keys and vals decode into the scratch arena instead of fresh slices.
+// decode expressions can be written straight-line. Keys and vals decode
+// into the attached scratch's arenas.
 type decoder struct {
 	p   []byte
 	err error
@@ -683,10 +548,9 @@ func (d *decoder) u64() uint64 {
 	return v
 }
 
-// keys reads a count-prefixed key list; a zero count decodes to nil. The
-// count is validated against the remaining payload before any allocation
-// (overflow-safe on 32-bit ints). With a scratch attached, the list is
-// decoded into the scratch's reusable key arena.
+// keys reads a count-prefixed key list into the scratch's key arena; a zero
+// count decodes to nil. The count is validated against the remaining payload
+// before the arena grows (overflow-safe on 32-bit ints).
 func (d *decoder) keys() []kv.Key {
 	n := int(d.u32())
 	if d.err != nil {
@@ -699,15 +563,10 @@ func (d *decoder) keys() []kv.Key {
 	if n == 0 {
 		return nil
 	}
-	var keys []kv.Key
-	if d.s != nil {
-		if cap(d.s.keys) < n {
-			d.s.keys = make([]kv.Key, n)
-		}
-		keys = d.s.keys[:n]
-	} else {
-		keys = make([]kv.Key, n)
+	if cap(d.s.keys) < n {
+		d.s.keys = make([]kv.Key, n)
 	}
+	keys := d.s.keys[:n]
 	b := d.p[:n*keyBytes]
 	for i := range keys {
 		keys[i] = kv.Key(binary.LittleEndian.Uint64(b[i*keyBytes:]))
@@ -716,9 +575,8 @@ func (d *decoder) keys() []kv.Key {
 	return keys
 }
 
-// vals reads a count-prefixed float32 list; a zero count decodes to nil.
-// Like keys, the count is validated overflow-safely before allocating, and a
-// scratch's value arena is reused when present.
+// vals reads a count-prefixed float32 list into the scratch's value arena,
+// validated like keys; a zero count decodes to nil.
 func (d *decoder) vals() []float32 {
 	n := int(d.u32())
 	if d.err != nil {
@@ -731,15 +589,10 @@ func (d *decoder) vals() []float32 {
 	if n == 0 {
 		return nil
 	}
-	var vals []float32
-	if d.s != nil {
-		if cap(d.s.vals) < n {
-			d.s.vals = make([]float32, n)
-		}
-		vals = d.s.vals[:n]
-	} else {
-		vals = make([]float32, n)
+	if cap(d.s.vals) < n {
+		d.s.vals = make([]float32, n)
 	}
+	vals := d.s.vals[:n]
 	b := d.p[:n*valBytes]
 	for i := range vals {
 		vals[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[i*valBytes:]))

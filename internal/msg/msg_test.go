@@ -1,7 +1,10 @@
 package msg
 
 import (
+	"fmt"
+	"os"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -239,5 +242,23 @@ func TestKindString(t *testing.T) {
 	}
 	if OpPull.String() != "pull" || OpPush.String() != "push" {
 		t.Error("OpType.String mismatch")
+	}
+}
+
+// TestWireGolden pins the wire format across commits: every seed message's
+// encoding and its shard at 4 shards must match testdata/wire.golden, one
+// "<type> <shard> <hex>" line per message. A deliberate wire change edits
+// the file by hand.
+func TestWireGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/wire.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got strings.Builder
+	for _, m := range seedMessages() {
+		fmt.Fprintf(&got, "%T %d %x\n", m, ShardOf(m, 4), Encode(m))
+	}
+	if got.String() != string(want) {
+		t.Fatalf("wire format changed:\n got:\n%s\nwant:\n%s", got.String(), want)
 	}
 }

@@ -126,20 +126,9 @@ func (s *Scratch) Release() {
 		for i := range vals {
 			vals[i] = PoisonVal
 		}
-		// Zero the structs too (keeping the arena slices out of them), so a
-		// retained struct pointer cannot quietly resurrect old field values.
-		s.op = Op{}
-		s.opResp = OpResp{}
-		s.localize = Localize{}
-		s.instruct = RelocInstruct{}
-		s.transfer = RelocTransfer{}
-		s.sspClock = SspClock{}
-		s.sspSync = SspSync{}
-		s.barrier = Barrier{}
-		s.block = Block{}
-		s.repSync = ReplicaSync{}
-		s.repRefresh = ReplicaRefresh{}
-		s.manage = Manage{}
+		// Zero the message structs too, keeping the arenas, so a retained
+		// struct pointer cannot quietly resurrect old field values.
+		*s = Scratch{keys: s.keys, vals: s.vals}
 	}
 	scratchPool.Put(s)
 }

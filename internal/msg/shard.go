@@ -47,40 +47,37 @@ func ShardOfKey(k kv.Key, shards int) int {
 }
 
 // ShardOf returns the inbox shard a decoded message is delivered to (the
-// demux-on-decode rule set above).
+// demux-on-decode rule set above): its first key's, or 0 when it names none.
 func ShardOf(m any, shards int) int {
 	if shards <= 1 {
 		return 0
 	}
+	return shardOfKeys(keysOf(m), shards)
+}
+
+// keysOf returns the keys m names: nil for SspClock, Barrier and Block.
+func keysOf(m any) []kv.Key {
 	switch t := m.(type) {
 	case *Op:
-		return shardOfKeys(t.Keys, shards)
+		return t.Keys
 	case *OpResp:
-		return shardOfKeys(t.Keys, shards)
+		return t.Keys
 	case *Localize:
-		return shardOfKeys(t.Keys, shards)
+		return t.Keys
 	case *RelocInstruct:
-		return shardOfKeys(t.Keys, shards)
+		return t.Keys
 	case *RelocTransfer:
-		return shardOfKeys(t.Keys, shards)
+		return t.Keys
 	case *SspSync:
-		return shardOfKeys(t.Keys, shards)
+		return t.Keys
 	case *Manage:
-		// Adaptive-management transitions are key-addressed so they stay
-		// FIFO with the operations of the keys they manage.
-		return shardOfKeys(t.Keys, shards)
+		return t.Keys
 	case *ReplicaSync:
-		// Replica sync is key-addressed so it stays FIFO with the install
-		// and the demote acknowledgement of the keys it carries.
-		return shardOfKeys(t.Keys, shards)
+		return t.Keys
 	case *ReplicaRefresh:
-		// A lease refresh or drop stays FIFO with the OpResp grant it
-		// chases on the holder's (link, shard) stream.
-		return shardOfKeys(t.Keys, shards)
-	default:
-		// SspClock, Barrier, Block: they name no key.
-		return 0
+		return t.Keys
 	}
+	return nil
 }
 
 func shardOfKeys(keys []kv.Key, shards int) int {
@@ -91,35 +88,16 @@ func shardOfKeys(keys []kv.Key, shards int) int {
 }
 
 // CheckShardPure verifies that a key-addressed protocol message is
-// shard-pure: all its keys map to ShardOf(m). It returns nil for message
-// kinds without the purity requirement. The simulated network calls it on
-// every send, so a batching bug that mixes shards fails loudly in tests
-// instead of corrupting per-shard state.
+// shard-pure: all its keys map to ShardOf(m). SspSync is exempt — its fetch
+// and reply only need to agree on the first key — and a message naming no
+// key is trivially pure. The simulated network calls it on every send, so a
+// batching bug that mixes shards fails loudly in tests instead of corrupting
+// per-shard state.
 func CheckShardPure(m any, shards int) error {
-	if shards <= 1 {
+	if _, stale := m.(*SspSync); stale || shards <= 1 {
 		return nil
 	}
-	var keys []kv.Key
-	switch t := m.(type) {
-	case *Op:
-		keys = t.Keys
-	case *OpResp:
-		keys = t.Keys
-	case *Localize:
-		keys = t.Keys
-	case *RelocInstruct:
-		keys = t.Keys
-	case *RelocTransfer:
-		keys = t.Keys
-	case *Manage:
-		keys = t.Keys
-	case *ReplicaSync:
-		keys = t.Keys
-	case *ReplicaRefresh:
-		keys = t.Keys
-	default:
-		return nil
-	}
+	keys := keysOf(m)
 	want := shardOfKeys(keys, shards)
 	for _, k := range keys {
 		if ShardOfKey(k, shards) != want {

@@ -3,6 +3,7 @@ package tcp
 import (
 	"io"
 	stdnet "net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -270,10 +271,22 @@ func TestSendNeverBlocksOnStalledPeer(t *testing.T) {
 // peer reads only frame by frame, so every frame sent queues and leaves in
 // one of the writer's batches. The batches reuse their slices: sending and
 // writing a queued frame allocates nothing.
+//
+// What the link reuses grows to a high-water mark, so the warm-up reaches
+// the one the measurement can: with n frames unread at most, a batch, the
+// queue behind it and the writer's iovec each hold at most n frames, and at
+// most 2n encode buffers are out of the pool — the batch in flight, whose
+// head the peer may have read already, and the queue. The warm-up queues
+// n+1 frames behind a batch twice, once in each of the link's two queue
+// slices, so n+1-frame batches are written and 2n+2 buffers go back to the
+// pool before the measured runs.
 func TestQueuedBatchesDoNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops buffers at random under the race detector")
 	}
+	// The measurement runs on one P (AllocsPerRun sets GOMAXPROCS to 1), so
+	// the warm-up fills that P's share of the buffer pool.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	peer, err := stdnet.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -313,21 +326,44 @@ func TestQueuedBatchesDoNotAllocate(t *testing.T) {
 		defer l.mu.Unlock()
 		return len(l.queue)
 	}
+	unread := 0
+	send := func() {
+		net.Send(0, 1, m)
+		unread++
+	}
+	recv := func() {
+		if _, err := io.ReadFull(conn, buf); err != nil {
+			panic(err)
+		}
+		unread--
+	}
 	for sent := 0; queued() < 64; sent++ {
 		if sent == 10000 {
 			t.Fatal("frames never queued behind the stalled socket")
 		}
-		net.Send(0, 1, m)
+		send()
 	}
 	const perRun = 16
+	backlog := unread
+	n := backlog + perRun
+	for range 2 {
+		for queued() <= n {
+			send()
+		}
+		// The writer takes the queue once its batch is written.
+		for queued() > 0 {
+			recv()
+		}
+	}
+	for unread > backlog {
+		recv()
+	}
 	allocs := testing.AllocsPerRun(50, func() {
 		for i := 0; i < perRun; i++ {
-			net.Send(0, 1, m)
+			send()
 		}
 		for i := 0; i < perRun; i++ {
-			if _, err := io.ReadFull(conn, buf); err != nil {
-				panic(err)
-			}
+			recv()
 		}
 	})
 	if allocs != 0 {
