@@ -6,7 +6,7 @@
 //
 // reproduces the entire evaluation. Under -short (or -bench with
 // testing.Short), the parallelism sweep is reduced to keep runs fast.
-// `go run ./cmd/lapse-sim <experiment> -short` renders one experiment alone.
+// `go run ./cmd/lapse-sim [-short] <experiment>` renders one experiment alone.
 package lapse_test
 
 import (
@@ -14,8 +14,6 @@ import (
 
 	"lapse"
 	"lapse/internal/harness"
-	"lapse/internal/kv"
-	"lapse/internal/loc"
 )
 
 func benchPars(b *testing.B) []harness.Parallelism {
@@ -99,11 +97,12 @@ func BenchmarkFigure9(b *testing.B) {
 // BenchmarkTable3 regenerates Table 3 (location-management strategy costs).
 func BenchmarkTable3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := loc.MeasureTable3(kv.Key(1024), 8)
+		rows, err := harness.Table3()
+		if err != nil {
+			b.Fatal(err)
+		}
 		if i == 0 {
-			for _, r := range rows {
-				b.Log(r.String())
-			}
+			b.Log("\n" + harness.RenderTable3(rows))
 		}
 	}
 }

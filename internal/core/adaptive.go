@@ -280,7 +280,7 @@ func (sh *policyShard) execute(a adaptive.Action) {
 	case adaptive.ActRelocate:
 		sh.stats.AdaptRelocations.Inc()
 		sh.trace.Record(sh.nd.id, sh.rt.Shard(), metrics.TraceAdaptRelocate, a.Key,
-			int(sh.nd.owner[a.Key].Load()), a.Dest, a.Detail)
+			int(sh.nd.ownerEntry(a.Key).Load()), a.Dest, a.Detail)
 		if a.Dest == sh.nd.id {
 			sh.localizeHere(a.Key)
 			return
@@ -302,7 +302,7 @@ func (sh *policyShard) beginReplicate(k kv.Key) {
 	if _, busy := sh.transitioning[k]; busy {
 		return
 	}
-	here := int(nd.owner[k].Load()) == nd.id
+	here := int(nd.ownerEntry(k).Load()) == nd.id
 	from := stateNotHere
 	if here {
 		from = stateOwned
@@ -320,7 +320,7 @@ func (sh *policyShard) beginReplicate(k kv.Key) {
 	if !here {
 		// Recall: make this node the owner and instruct the current one to
 		// transfer the key here.
-		prev := int(nd.owner[k].Swap(int32(nd.id)))
+		prev := int(nd.ownerEntry(k).Swap(int32(nd.id)))
 		sh.rt.SendOrDispatch(prev, &msg.RelocInstruct{Dest: int32(nd.id), Keys: []kv.Key{k}})
 	}
 	sh.queueMu.Unlock()

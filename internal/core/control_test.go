@@ -238,7 +238,7 @@ func TestControlTable(t *testing.T) {
 		if len(tr.Vals) != 1 || tr.Vals[0] != 5+1+2 {
 			t.Fatalf("transfer carries %v, want 8: 5 at the promotion plus node 2's 1 and node 0's 2, once each", tr.Vals)
 		}
-		if o := sh.nd.owner[k].Load(); o != 2 {
+		if o := sh.nd.ownerEntry(k).Load(); o != 2 {
 			t.Fatalf("owner %d, want 2", o)
 		}
 	})

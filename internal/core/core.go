@@ -137,7 +137,7 @@ type System struct {
 }
 
 // node holds the per-node policy state: the local parameter store, the
-// locality state of every key, the owner table for keys homed here, and one
+// locality state of every key, the owner table of the node's home range, and one
 // policyShard per server shard with that shard's relocation queues. The
 // message loops and pending-operation tables are the shared runtime's.
 type node struct {
@@ -148,9 +148,10 @@ type node struct {
 	store *store.Dense
 	// state[k] is the locality state of key k at this node.
 	state []atomic.Uint32
-	// owner[k] is the current owner of key k; meaningful only when this
-	// node is k's home. Only shard(k)'s goroutine writes it.
+	// owner[k-lo] is the current owner of key k, for the keys [lo, hi) homed
+	// here (ownerEntry). Only shard(k)'s goroutine writes it.
 	owner []atomic.Int32
+	lo    kv.Key
 	// cache[k] is the cached location of key k (-1 = unknown); only used
 	// when location caches are enabled.
 	cache []atomic.Int32
@@ -257,13 +258,15 @@ func New(cl *cluster.Cluster, layout kv.Layout, cfg Config) *System {
 			continue
 		}
 		srv := s.g.Node(n)
+		lo, hi := s.home.RangeOf(n)
 		nd := &node{
 			sys:   s,
 			srv:   srv,
 			id:    n,
 			store: store.NewDense(layout, 0),
 			state: make([]atomic.Uint32, nk),
-			owner: make([]atomic.Int32, nk),
+			owner: make([]atomic.Int32, hi-lo),
+			lo:    lo,
 			sh:    make([]*policyShard, srv.Shards()),
 		}
 		for sh := range nd.sh {
@@ -304,7 +307,7 @@ func New(cl *cluster.Cluster, layout kv.Layout, cfg Config) *System {
 				}
 				shp.classifier = adaptive.NewClassifier(adaptive.Config{}, adaptive.View{
 					Node:       n,
-					Owner:      func(k kv.Key) int { return int(nd.owner[k].Load()) },
+					Owner:      func(k kv.Key) int { return int(nd.ownerEntry(k).Load()) },
 					Replicated: func(k kv.Key) bool { return nd.state[k].Load() == stateReplicated },
 					Busy:       func(k kv.Key) bool { _, ok := shp.transitioning[k]; return ok },
 				})
@@ -330,15 +333,15 @@ func New(cl *cluster.Cluster, layout kv.Layout, cfg Config) *System {
 		}
 		// Initial allocation: every key lives at its home node; replicated
 		// keys live in the replication managers instead and are Replicated at
-		// every node. The owner table names the home for every key —
-		// including replicated ones, whose owner stays the home for as long
-		// as they are replicated — so demotion reopens correct routing with
-		// no table updates. Every process derives the same global picture
-		// from the shared partitioner but materializes only its local share.
-		for k := kv.Key(0); k < layout.NumKeys(); k++ {
-			h := s.home.NodeOf(k)
-			nd.owner[k].Store(int32(h))
-			if h == n && nd.state[k].Load() != stateReplicated {
+		// every node. The owner table names this node for every key of its
+		// home range — including replicated ones, whose owner stays the home
+		// for as long as they are replicated — so demotion reopens correct
+		// routing with no table updates. Every process derives the same
+		// global picture from the shared partitioner but materializes only
+		// its local share.
+		for k := lo; k < hi; k++ {
+			nd.ownerEntry(k).Store(int32(n))
+			if nd.state[k].Load() != stateReplicated {
 				nd.store.Set(k, make([]float32, layout.Len(k)))
 				nd.state[k].Store(stateOwned)
 			}
@@ -391,6 +394,9 @@ func (nd *node) shardOf(k kv.Key) *policyShard {
 	return nd.sh[msg.ShardOfKey(k, len(nd.sh))]
 }
 
+// ownerEntry returns the owner-table entry of k, a key homed at this node.
+func (nd *node) ownerEntry(k kv.Key) *atomic.Int32 { return &nd.owner[k-nd.lo] }
+
 // holds reports, lock-free, whether key k is local at this node: owned, or
 // replicated.
 func (nd *node) holds(k kv.Key) bool {
@@ -420,8 +426,13 @@ func (s *System) OwnerOf(k kv.Key) int {
 	if s.nodes[h] == nil {
 		panic(fmt.Sprintf("core: OwnerOf(%d): home node %d is not hosted by this process", k, h))
 	}
-	return int(s.nodes[h].owner[k].Load())
+	return int(s.nodes[h].ownerEntry(k).Load())
 }
+
+// DirectoryEntries returns the number of owner-table entries node n stores:
+// one per key of its home range, K/N of the K keys. Node n must be hosted by
+// this process.
+func (s *System) DirectoryEntries(n int) int { return len(s.nodes[n].owner) }
 
 // Init sets initial parameter values before training; it writes the stores
 // directly and must not run concurrently with workers. fn is invoked for
@@ -452,7 +463,7 @@ func (s *System) Init(fn func(k kv.Key, val []float32)) {
 		if s.nodes[h] == nil {
 			continue // homed (and, pre-training, owned) remotely
 		}
-		if nd := s.nodes[int(s.nodes[h].owner[k].Load())]; nd != nil {
+		if nd := s.nodes[int(s.nodes[h].ownerEntry(k).Load())]; nd != nil {
 			nd.store.Set(k, v)
 		}
 	}
@@ -697,7 +708,7 @@ func (sh *policyShard) slow(a *access) outcome {
 // it would be overtaken by what its worker has enqueued directly since.
 func (sh *policyShard) aheadOfRequest(k kv.Key) bool {
 	nd := sh.nd
-	return nd.sys.home.NodeOf(k) == nd.id && int(nd.owner[k].Load()) != nd.id
+	return nd.sys.home.NodeOf(k) == nd.id && int(nd.ownerEntry(k).Load()) != nd.id
 }
 
 // route names the node an access to k that cannot be handled here goes to. A
@@ -723,7 +734,7 @@ func (sh *policyShard) route(k kv.Key, local bool) int {
 		sh.stats.DoubleForwards.Inc()
 		return home
 	}
-	dest := int(nd.owner[k].Load())
+	dest := int(nd.ownerEntry(k).Load())
 	if dest == nd.id {
 		panic(fmt.Sprintf("core: key %d is registered at its home node %d but neither here nor arriving", k, nd.id))
 	}
@@ -925,7 +936,7 @@ func (sh *policyShard) handleLocalize(m *msg.Localize) {
 		if tr := sh.transitioning[k]; nd.state[k].Load() == stateReplicated || tr != nil && tr.kind == transPromote {
 			continue
 		}
-		prev := int(nd.owner[k].Swap(m.Origin))
+		prev := int(nd.ownerEntry(k).Swap(m.Origin))
 		groups[prev] = append(groups[prev], k)
 		sh.trace.Record(sh.rt.Node(), sh.rt.Shard(), metrics.TraceRelocStart, k, prev, int(m.Origin), "")
 	}

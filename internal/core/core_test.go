@@ -90,6 +90,46 @@ func TestLocalizeMovesOwnership(t *testing.T) {
 	}
 }
 
+// TestOwnerTableUnevenLayout runs the owner table on home ranges of uneven
+// size: 10 keys over 4 nodes are homed 3, 3, 2 and 2 to a node. Every node's
+// directory holds its own range only, and the first and last key of each range
+// route correctly once moved away from their home.
+func TestOwnerTableUnevenLayout(t *testing.T) {
+	const nodes = 4
+	_, sys := newTestSystem(t, nodes, 1, 10, 1, Config{})
+	sys.Init(func(k kv.Key, v []float32) { v[0] = float32(k) + 1 })
+	owner := make(map[kv.Key]int)
+	for n := 0; n < nodes; n++ {
+		lo, hi := sys.home.RangeOf(n)
+		if got, want := sys.DirectoryEntries(n), int(hi-lo); got != want || want < 2 {
+			t.Fatalf("node %d: directory holds %d entries, want %d (range [%d, %d))", n, got, want, lo, hi)
+		}
+		dest := (n + 1) % nodes
+		if err := sys.Handle(dest).Localize([]kv.Key{lo, hi - 1}); err != nil {
+			t.Fatal(err)
+		}
+		owner[lo], owner[hi-1] = dest, dest
+	}
+	buf := make([]float32, 1)
+	for k := kv.Key(0); k < 10; k++ {
+		home := sys.HomeOf(k)
+		want, moved := owner[k]
+		if !moved {
+			want = home
+		}
+		if got := sys.OwnerOf(k); got != want {
+			t.Errorf("key %d: owner %d, want %d", k, got, want)
+		}
+		// A third node: neither the key's home nor the node it moved to.
+		if err := sys.Handle((home+2)%nodes).Pull([]kv.Key{k}, buf); err != nil {
+			t.Fatal(err)
+		}
+		if buf[0] != float32(k)+1 {
+			t.Errorf("key %d: pulled %v, want %v", k, buf[0], float32(k)+1)
+		}
+	}
+}
+
 func TestLocalizePreservesValue(t *testing.T) {
 	_, sys := newTestSystem(t, 3, 1, 9, 2, Config{})
 	h0 := sys.Handle(0)

@@ -80,7 +80,7 @@ func (f *gateFixture) rig(n int, state uint32, queue bool) (*policyShard, kv.Key
 		nd.rep.EnterKey(k, []float32{5})
 	}
 	if n == f.sys.HomeOf(k) && state != stateOwned && !queue {
-		nd.owner[k].Store(2)
+		nd.ownerEntry(k).Store(2)
 	}
 	sh.queueMu.Lock()
 	nd.state[k].Store(state)
@@ -230,12 +230,12 @@ func TestGateTable(t *testing.T) {
 		// that reaches the shard goroutine now is ahead of that Localize and
 		// is forwarded ahead of the instruct; the node's own workers queue.
 		sh, k := f.rig(1, stateIncoming, true)
-		sh.nd.owner[k].Store(2)
+		sh.nd.ownerEntry(k).Store(2)
 		buf := []float32{2}
 		f.check(sh, msg.OpPush, k, buf, f.ask(sh, remoteAtHome, msg.OpPush, k, buf), true, toOwner)
 		// Once the Localize is in, the home is the registered owner and queues
 		// what it would have forwarded to itself.
-		sh.nd.owner[k].Store(1)
+		sh.nd.ownerEntry(k).Store(1)
 		f.check(sh, msg.OpPull, k, buf, f.ask(sh, remoteAtHome, msg.OpPull, k, buf), true, queued)
 	})
 }

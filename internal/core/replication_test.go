@@ -323,7 +323,11 @@ func TestMalformedReplicationInputIsDropped(t *testing.T) {
 			}
 		}
 		for k := range nd.state {
-			vals = append(vals, float32(nd.state[k].Load()), float32(nd.owner[k].Load()))
+			vals = append(vals, float32(nd.state[k].Load()))
+		}
+		lo, hi := sys.home.RangeOf(0)
+		for k := lo; k < hi; k++ {
+			vals = append(vals, float32(nd.ownerEntry(k).Load()))
 		}
 		return vals
 	}

@@ -181,7 +181,7 @@ func TestLocalizeWaiters(t *testing.T) {
 			b, _ := f.localize(1, k)
 			// The home has promised the key to node 2 already: the instruct
 			// overtook the transfer and waits in the queue.
-			f.sys.nodes[1].owner[k].Store(2)
+			f.sys.nodes[1].ownerEntry(k).Store(2)
 			sh.queueMu.Lock()
 			q := sh.queues[k]
 			q.entries = append(q.entries, queueEntry{instr: &msg.RelocInstruct{Dest: 2, Keys: []kv.Key{k}}, at: time.Now()})

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -144,5 +145,82 @@ func TestRenderOutputs(t *testing.T) {
 func TestParallelismString(t *testing.T) {
 	if (Parallelism{Nodes: 8, Workers: 4}).String() != "8x4" {
 		t.Fatal("bad Parallelism string")
+	}
+}
+
+// TestTable3 is the exact oracle for Table 3 (Section 3.5): every row, and the
+// accesses and relocations the table leaves out, in which the home shares a
+// node with another role and a hop stays on the node. A protocol change that
+// adds or drops a message fails it.
+func TestTable3(t *testing.T) {
+	rows, err := Table3()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Table3Row{
+		{"Static partition", true, 0, 2, -1, -1, -1},
+		{"Broadcast operations", false, 0, 8, 0, -1, -1},
+		{"Broadcast relocations", false, 1024, 2, 8, -1, -1},
+		{"Home node", true, 128, 3, 3, -1, -1},
+		{"Home node (with location caches)", true, 128, 3, 3, 2, 4},
+	}
+	if len(rows) != len(want) {
+		t.Fatalf("got\n%swant\n%s", RenderTable3(rows), RenderTable3(want))
+	}
+	for i, w := range want {
+		t.Run(w.Strategy, func(t *testing.T) {
+			if rows[i] != w {
+				t.Errorf("got %+v, want %+v", rows[i], w)
+			}
+		})
+	}
+	// Key 0 is homed at node 0. Each case runs on every kind it names and
+	// returns the counts of the operations it measures.
+	lapse := []driver.Kind{driver.Lapse}
+	for _, c := range []struct {
+		name  string
+		kinds []driver.Kind
+		run   func(p *probe) []int
+		want  []int
+	}{
+		{"home is the requester", lapse, func(p *probe) []int {
+			p.localize(1, 0)
+			return []int{p.pull(0, 0)}
+		}, []int{2}},
+		{"home is the relocation's destination", lapse, func(p *probe) []int {
+			p.localize(1, 0)
+			return []int{p.localize(0, 0)}
+		}, []int{2}},
+		{"home is the owner when a relocation starts", lapse, func(p *probe) []int {
+			return []int{p.localize(1, 0)}
+		}, []int{2}},
+		{"local access is free", []driver.Kind{driver.ClassicPS, driver.Lapse, driver.LapseCached}, func(p *probe) []int {
+			return []int{p.pull(0, 0)}
+		}, []int{0}},
+		{"local access after a relocation", lapse, func(p *probe) []int {
+			p.localize(1, 0)
+			return []int{p.pull(1, 0)}
+		}, []int{0}},
+		// Cold, warm, stale (the cache names node 1), and refreshed by the
+		// stale pull.
+		{"home node cache learns location", []driver.Kind{driver.LapseCached}, func(p *probe) []int {
+			p.localize(1, 0)
+			cold, warm := p.pull(2, 0), p.pull(2, 0)
+			p.localize(3, 0)
+			return []int{cold, warm, p.pull(2, 0), p.pull(2, 0)}
+		}, []int{3, 2, 4, 2}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			for _, kind := range c.kinds {
+				p := newProbe(kind)
+				got := c.run(p)
+				if err := p.close(); err != nil {
+					t.Fatalf("%v: %v", kind, err)
+				}
+				if !slices.Equal(got, c.want) {
+					t.Errorf("%v: %v messages, want %v", kind, got, c.want)
+				}
+			}
+		})
 	}
 }

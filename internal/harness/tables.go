@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"time"
@@ -8,9 +9,136 @@ import (
 	"lapse/internal/cluster"
 	"lapse/internal/data"
 	"lapse/internal/driver"
+	"lapse/internal/kv"
 	"lapse/internal/ml/kge"
 	"lapse/internal/ml/mf"
 )
+
+// Table 3's cluster: N nodes and K keys.
+const table3Nodes, table3Keys = 8, 1024
+
+// Table3Row is one location-management strategy of Table 3 (Section 3.5):
+// the location entries a node stores and the messages a remote access and a
+// relocation take. -1 marks a cost the strategy does not have.
+type Table3Row struct {
+	Strategy string
+	// Measured is false for a closed-form row: no system here implements the
+	// strategy, so its costs are the paper's formulas in N and K.
+	Measured   bool
+	Storage    int // location entries per node (the most any node holds)
+	Access     int // a remote access, location cache (if any) cold
+	Relocation int
+	Cached     int // a remote access with a correct location cache
+	Stale      int // a remote access with a stale location cache
+}
+
+// Table3 reproduces Table 3 at N = 8 nodes and K = 1,024 keys. The classic PS
+// and Lapse, without and with location caches, run on a simnet cluster: each
+// count is the remote messages of one single-key Pull or Localize, with
+// requester, home and owner on distinct nodes (a stale cache names a fourth),
+// and storage is the largest owner table a node holds. The two broadcast
+// strategies are closed forms.
+func Table3() ([]Table3Row, error) {
+	// Key k is homed at node 0; the other roles are nodes of their own.
+	const k, owner, requester, next = kv.Key(0), 1, 2, 3
+
+	static := newProbe(driver.ClassicPS)
+	hn := newProbe(driver.Lapse)
+	hn.localize(owner, k)
+	hnAccess := hn.pull(requester, k)
+	hnReloc := hn.localize(requester, k)
+
+	hc := newProbe(driver.LapseCached)
+	hc.localize(owner, k)
+	cold := hc.pull(requester, k)
+	warm := hc.pull(requester, k)
+	// The key moves on from owner to next: the requester's cache is stale.
+	hcReloc := hc.localize(next, k)
+	stale := hc.pull(requester, k)
+
+	rows := []Table3Row{
+		{"Static partition", true, static.directory(), static.pull(requester, k), -1, -1, -1},
+		// Each remote access asks the N-1 other nodes, and the owner answers.
+		{"Broadcast operations", false, 0, table3Nodes, 0, -1, -1},
+		// Every node knows every owner; a relocation is the destination's
+		// request, the owner's hand-over, and a notice to the N-2 others.
+		{"Broadcast relocations", false, table3Keys, 2, table3Nodes, -1, -1},
+		{"Home node", true, hn.directory(), hnAccess, hnReloc, -1, -1},
+		{"Home node (with location caches)", true, hc.directory(), cold, hcReloc, warm, stale},
+	}
+	return rows, errors.Join(static.close(), hn.close(), hc.close())
+}
+
+// probe is one system variant on a zero-latency simnet cluster of Table 3's
+// size, one worker per node, that counts the remote messages of operations.
+type probe struct {
+	cl  *cluster.Cluster
+	ps  driver.PS
+	err error
+}
+
+func newProbe(kind driver.Kind) *probe {
+	cl := cluster.New(cluster.Config{Nodes: table3Nodes, WorkersPerNode: 1})
+	return &probe{cl: cl, ps: driver.Build(kind, cl, kv.NewUniformLayout(table3Keys, 1), driver.Options{})}
+}
+
+// pull and localize return the remote messages of one single-key operation
+// by node n's worker.
+func (p *probe) pull(n int, k kv.Key) int {
+	return p.count(func() error { return p.ps.Handle(n).Pull([]kv.Key{k}, make([]float32, 1)) })
+}
+
+func (p *probe) localize(n int, k kv.Key) int {
+	return p.count(func() error { return p.ps.Handle(n).Localize([]kv.Key{k}) })
+}
+
+func (p *probe) count(op func() error) int {
+	before := p.cl.Net().Stats().RemoteMessages
+	if err := op(); err != nil && p.err == nil {
+		p.err = err
+	}
+	return int(p.cl.Net().Stats().RemoteMessages - before)
+}
+
+// directory returns the most owner-table entries any node stores: none
+// under static allocation, whose partitioner is code, not state.
+func (p *probe) directory() int {
+	d, ok := p.ps.(interface{ DirectoryEntries(n int) int })
+	most := 0
+	for n := 0; ok && n < table3Nodes; n++ {
+		most = max(most, d.DirectoryEntries(n))
+	}
+	return most
+}
+
+// close tears the cluster down and returns the first operation error.
+func (p *probe) close() error {
+	p.cl.Close()
+	p.ps.Shutdown()
+	return p.err
+}
+
+// RenderTable3 formats Table 3; n/a marks a cost a strategy does not have.
+func RenderTable3(rows []Table3Row) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "Table 3: location management (N=%d nodes, K=%d keys; messages per operation)\n", table3Nodes, table3Keys)
+	fmt.Fprintf(&b, "%-34s %8s %7s %11s %7s %6s  %s\n", "strategy", "storage", "access", "relocation", "cached", "stale", "source")
+	cell := func(v int) string {
+		if v < 0 {
+			return "n/a"
+		}
+		return fmt.Sprint(v)
+	}
+	for _, r := range rows {
+		source := "closed form"
+		if r.Measured {
+			source = "measured"
+		}
+		fmt.Fprintf(&b, "%-34s %8d %7d %11s %7s %6s  %s\n", r.Strategy, r.Storage, r.Access,
+			cell(r.Relocation), cell(r.Cached), cell(r.Stale), source)
+	}
+	return b.String()
+}
 
 // Table4Row characterizes one task's parameter-access pattern, measured for a
 // single worker thread on a single node (Table 4's two rightmost columns).
