@@ -1,13 +1,48 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"net"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
+
+// binDir holds the lapse-node binary the tests build, once per test run.
+var binDir string
+
+func TestMain(m *testing.M) {
+	dir, err := os.MkdirTemp("", "lapse-node-test")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	binDir = dir
+	code := m.Run()
+	os.RemoveAll(dir)
+	os.Exit(code)
+}
+
+var buildNode = sync.OnceValues(func() ([]byte, error) {
+	return exec.Command("go", "build", "-o", filepath.Join(binDir, "lapse-node"), ".").CombinedOutput()
+})
+
+// nodeBinary returns the path of the real lapse-node binary, building it on
+// first use; it skips the test in -short mode.
+func nodeBinary(t *testing.T) string {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("builds and launches subprocesses")
+	}
+	if out, err := buildNode(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	return filepath.Join(binDir, "lapse-node")
+}
 
 // reservePorts picks n distinct loopback ports by briefly binding them. The
 // tiny window between release and the node binding again is the standard
@@ -34,23 +69,24 @@ func reservePorts(t *testing.T, n int) []string {
 // binary, start a 3-node cluster as 3 OS processes — once with a single
 // server shard per node and once with 4, each on the auto-selected
 // shared-memory rings (same-host processes) and once more forced onto plain
-// TCP — and require every process to exit 0, which, for node 0, includes
-// verifying the converged parameter values pulled across process boundaries.
+// TCP, plus one cell with the serving tier on — and require every process to
+// exit 0, which, for node 0, includes verifying the converged parameter
+// values pulled across process boundaries (and, with -serving, every
+// worker's MultiGets of a strided hot set).
 func TestThreeProcessCluster(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds and launches subprocesses")
-	}
-	bin := filepath.Join(t.TempDir(), "lapse-node")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	bin := nodeBinary(t)
 	for _, tc := range []struct {
 		transport string
 		shards    int
+		serving   string
 	}{
-		{"shm", 1}, {"shm", 4}, {"tcp", 1}, {"tcp", 4},
+		{"shm", 1, ""}, {"shm", 4, ""}, {"tcp", 1, ""}, {"tcp", 4, ""}, {"shm", 2, "10s"},
 	} {
-		t.Run(fmt.Sprintf("%s/shards=%d", tc.transport, tc.shards), func(t *testing.T) {
+		name := fmt.Sprintf("%s/shards=%d", tc.transport, tc.shards)
+		if tc.serving != "" {
+			name += "/serving=" + tc.serving
+		}
+		t.Run(name, func(t *testing.T) {
 			addrs := reservePorts(t, 3)
 			addrList := strings.Join(addrs, ",")
 			// A private ring directory per cell: concurrent test runs must
@@ -70,9 +106,11 @@ func TestThreeProcessCluster(t *testing.T) {
 						"-addrs", addrList,
 						"-workers", "2",
 						"-shards", fmt.Sprint(tc.shards),
-						"-variant", "lapse",
 						"-keys", "48",
 						"-iters", "3",
+					}
+					if tc.serving != "" {
+						args = append(args, "-serving", tc.serving)
 					}
 					if tc.transport == "tcp" {
 						args = append(args, "-no-shm")
@@ -95,6 +133,41 @@ func TestThreeProcessCluster(t *testing.T) {
 				if want := "transport=" + tc.transport; !strings.Contains(string(r.out), want) {
 					t.Errorf("node %d did not report %s:\n%s", r.node, want, r.out)
 				}
+			}
+		})
+	}
+}
+
+// TestBadFlagsAreReported checks that a configuration the cluster rejects
+// ends the process with the facade's error on one line and exit status 1,
+// and that a shard count below 1 is a usage error (exit 2): the facade would
+// read 0 as a per-process default, which the processes of one deployment
+// need not share. A key count below 1 is one too: a negative one would
+// convert to a huge lapse.Key.
+func TestBadFlagsAreReported(t *testing.T) {
+	bin := nodeBinary(t)
+	for _, tc := range []struct {
+		flag, value string
+		exit        int
+		want        string
+	}{
+		{"-workers", "0", 1, "invalid topology"},
+		{"-vallen", "0", 1, "layout"},
+		{"-shards", "0", 2, "-shards and -keys must be at least 1"},
+		{"-keys", "0", 2, "-shards and -keys must be at least 1"},
+	} {
+		t.Run(tc.flag+"="+tc.value, func(t *testing.T) {
+			out, err := exec.Command(bin, "-node", "0", "-addrs", "127.0.0.1:0", "-q", tc.flag, tc.value).CombinedOutput()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != tc.exit {
+				t.Fatalf("exit = %v, want status %d\n%s", err, tc.exit, out)
+			}
+			lines := strings.Split(strings.TrimSpace(string(out)), "\n")
+			if !strings.Contains(lines[0], tc.want) {
+				t.Errorf("first line %q does not contain %q", lines[0], tc.want)
+			}
+			if tc.exit == 1 && len(lines) != 1 {
+				t.Errorf("error took %d lines, want 1:\n%s", len(lines), out)
 			}
 		})
 	}

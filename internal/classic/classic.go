@@ -175,10 +175,13 @@ func (s *System) Shutdown() { s.g.Wait() }
 // be shared across goroutines.
 func (s *System) Handle(worker int) kv.KV {
 	n := s.cl.NodeOfWorker(worker)
-	h := handle{Handle: server.NewHandle(s.g.Node(n), worker), sys: s, nd: s.nodes[n]}
+	h := handle{sys: s, nd: s.nodes[n]}
 	if s.stale != nil {
-		return &staleHandle{handle: h, writeCache: make(map[kv.Key][]float32)}
+		sh := &staleHandle{handle: h, writeCache: make(map[kv.Key][]float32)}
+		sh.Handle = server.NewHandle(s.g.Node(n), worker, sh)
+		return sh
 	}
+	h.Handle = server.NewHandle(s.g.Node(n), worker, &h)
 	return &h
 }
 
@@ -246,50 +249,13 @@ func (nd *node) readValues(keys []kv.Key) []float32 {
 	return vals
 }
 
-// handle is the per-worker client: identity, barrier, and WaitAll come from
-// the shared runtime handle; this type adds the static-partitioning router.
+// handle is the per-worker client: the shared runtime handle implements the
+// kv.KV operations — Localize as unsupported, since classic and stale PSs
+// allocate statically — and this type adds the static-partitioning router.
 type handle struct {
 	server.Handle
 	sys *System
 	nd  *node
-}
-
-// Localize implements kv.KV: classic and stale PSs allocate statically.
-func (h *handle) Localize([]kv.Key) error { return kv.ErrUnsupported }
-
-// LocalizeAsync implements kv.KV.
-func (h *handle) LocalizeAsync([]kv.Key) *kv.Future {
-	return kv.CompletedFuture(kv.ErrUnsupported)
-}
-
-// Pull implements kv.KV.
-func (h *handle) Pull(keys []kv.Key, dst []float32) error {
-	return h.PullAsync(keys, dst).Wait()
-}
-
-// Push implements kv.KV.
-func (h *handle) Push(keys []kv.Key, vals []float32) error {
-	return h.PushAsync(keys, vals).Wait()
-}
-
-// PullAsync implements kv.KV.
-func (h *handle) PullAsync(keys []kv.Key, dst []float32) *kv.Future {
-	if want := kv.BufferLen(h.sys.layout, keys); len(dst) != want {
-		return kv.CompletedFuture(fmt.Errorf("classic: pull buffer has %d values, want %d", len(dst), want))
-	}
-	fut := h.DispatchOp(h, msg.OpPull, keys, dst, nil)
-	h.Track(fut)
-	return fut
-}
-
-// PushAsync implements kv.KV.
-func (h *handle) PushAsync(keys []kv.Key, vals []float32) *kv.Future {
-	if want := kv.BufferLen(h.sys.layout, keys); len(vals) != want {
-		return kv.CompletedFuture(fmt.Errorf("classic: push buffer has %d values, want %d", len(vals), want))
-	}
-	fut := h.DispatchOp(h, msg.OpPush, keys, nil, vals)
-	h.Track(fut)
-	return fut
 }
 
 // RouteKey implements server.Router: every key goes to its statically

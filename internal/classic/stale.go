@@ -241,7 +241,7 @@ func (nd *node) applyRefresh(m *msg.SspSync) {
 
 // staleHandle is the per-worker stale-PS client: a worker clock, a
 // write-back update cache, and replica-first reads. Identity, barrier,
-// WaitAll and the unsupported Localize come from the classic handle.
+// WaitAll and the unsupported Localize come from the shared runtime handle.
 type staleHandle struct {
 	handle
 	clock      int32

@@ -538,7 +538,9 @@ func (s *System) ReadReplica(node int, k kv.Key, dst []float32) {
 func (s *System) Handle(worker int) kv.KV {
 	n := s.cl.NodeOfWorker(worker)
 	nd := s.nodes[n]
-	return &handle{Handle: server.NewHandle(s.g.Node(n), worker), sys: s, nd: nd, trk: nd.tracker.Handle()}
+	h := &handle{sys: s, nd: nd, trk: nd.tracker.Handle()}
+	h.Handle = server.NewHandle(s.g.Node(n), worker, h)
+	return h
 }
 
 // OnOpResp implements server.Policy: refresh the location cache with the

@@ -13,10 +13,10 @@ import (
 
 // handle is the per-worker-thread Lapse client. It implements the full API of
 // Table 2: pull, push, and localize, each synchronous and asynchronous, plus
-// PullIfLocal used by latency-hiding applications. Identity, barrier, and
-// WaitAll come from the shared runtime handle; operations dispatch through
-// the runtime's batched per-(destination, shard) path with this type as the
-// router.
+// PullIfLocal used by latency-hiding applications. Identity, barrier, WaitAll,
+// pull and push come from the shared runtime handle, which dispatches them
+// through the batched per-(destination, shard) path with this type as the
+// router; this type adds localize, MultiGet and PullIfLocal.
 type handle struct {
 	server.Handle
 	sys *System
@@ -29,39 +29,9 @@ type handle struct {
 	trk *replication.Handle
 }
 
-// Pull implements kv.KV.
-func (h *handle) Pull(keys []kv.Key, dst []float32) error {
-	return h.PullAsync(keys, dst).Wait()
-}
-
-// Push implements kv.KV.
-func (h *handle) Push(keys []kv.Key, vals []float32) error {
-	return h.PushAsync(keys, vals).Wait()
-}
-
 // Localize implements kv.KV.
 func (h *handle) Localize(keys []kv.Key) error {
 	return h.LocalizeAsync(keys).Wait()
-}
-
-// PullAsync implements kv.KV.
-func (h *handle) PullAsync(keys []kv.Key, dst []float32) *kv.Future {
-	if want := kv.BufferLen(h.sys.layout, keys); len(dst) != want {
-		return kv.CompletedFuture(fmt.Errorf("core: pull buffer has %d values, want %d", len(dst), want))
-	}
-	f := h.DispatchOp(h, msg.OpPull, keys, dst, nil)
-	h.Track(f)
-	return f
-}
-
-// PushAsync implements kv.KV.
-func (h *handle) PushAsync(keys []kv.Key, vals []float32) *kv.Future {
-	if want := kv.BufferLen(h.sys.layout, keys); len(vals) != want {
-		return kv.CompletedFuture(fmt.Errorf("core: push buffer has %d values, want %d", len(vals), want))
-	}
-	f := h.DispatchOp(h, msg.OpPush, keys, nil, vals)
-	h.Track(f)
-	return f
 }
 
 // RouteKey implements server.Router with the gate's lock-free step: a key
@@ -138,12 +108,7 @@ func (h *handle) RouteLocked(t msg.OpType, op *server.OpCtx, k kv.Key, dst, vals
 // (Config.Serving nil) MultiGet is equivalent to PullAsync. The returned
 // future completes when dst holds every value.
 func (h *handle) MultiGet(keys []kv.Key, dst []float32) *kv.Future {
-	if want := kv.BufferLen(h.sys.layout, keys); len(dst) != want {
-		return kv.CompletedFuture(fmt.Errorf("core: multi-get buffer has %d values, want %d", len(dst), want))
-	}
-	f := h.DispatchOpRO(h, keys, dst)
-	h.Track(f)
-	return f
+	return h.DispatchOpRO(h, keys, dst)
 }
 
 // PullIfLocal implements kv.KV: it reads the keys only if all of them are

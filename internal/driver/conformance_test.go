@@ -526,16 +526,31 @@ func TestConformanceKVContract(t *testing.T) {
 						if h.WorkerID() != worker || h.NodeID() != node {
 							fail("%s: handle identity = (%d,%d), want (%d,%d)", kind, h.NodeID(), h.WorkerID(), node, worker)
 						}
-						// Buffer-size validation, sync and async.
-						short := make([]float32, 1)
-						if err := h.Pull([]kv.Key{0, 1}, short); err == nil {
-							fail("%s: Pull with short buffer succeeded", kind)
+						// Buffer-size validation, sync and async: each call
+						// fails, whichever way its buffer is wrong.
+						two, short, long := []kv.Key{0, 1}, make([]float32, 1), make([]float32, 2*confValLen+1)
+						for _, c := range []struct {
+							call        string
+							sync, async error
+						}{
+							{"Pull with a short buffer", h.Pull(two, short), h.PullAsync(two, short).Wait()},
+							{"Push with a short buffer", h.Push(two, short), h.PushAsync(two, short).Wait()},
+							{"Pull with a long buffer", h.Pull(two, long), h.PullAsync(two, long).Wait()},
+							{"Push with a long buffer", h.Push(two, long), h.PushAsync(two, long).Wait()},
+							{"Pull of no keys into a buffer", h.Pull(nil, short), h.PullAsync(nil, short).Wait()},
+							{"Push of no keys from a buffer", h.Push(nil, short), h.PushAsync(nil, short).Wait()},
+						} {
+							if c.sync == nil || c.async == nil {
+								fail("%s: %s = %v (sync) / %v (async), want errors", kind, c.call, c.sync, c.async)
+							}
 						}
-						if err := h.Push([]kv.Key{0, 1}, short); err == nil {
-							fail("%s: Push with short buffer succeeded", kind)
-						}
-						if err := h.PullAsync([]kv.Key{0, 1}, short).Wait(); err == nil {
-							fail("%s: PullAsync with short buffer succeeded", kind)
+						if SupportsLocalize(kind) {
+							mg := h.(interface {
+								MultiGet([]kv.Key, []float32) *kv.Future
+							})
+							if err := mg.MultiGet(two, short).Wait(); err == nil {
+								fail("%s: MultiGet with a short buffer succeeded", kind)
+							}
 						}
 						// Localize support matches the declared capability.
 						locErr := h.Localize([]kv.Key{1})

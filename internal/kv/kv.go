@@ -22,9 +22,6 @@ type Key uint64
 // implement (e.g. Localize on a classic PS).
 var ErrUnsupported = errors.New("kv: primitive not supported by this parameter server")
 
-// ErrClosed is returned when operating on a shut-down parameter server.
-var ErrClosed = errors.New("kv: parameter server is closed")
-
 // KV is the client (worker-thread) view of a parameter server. A KV handle is
 // bound to one worker thread and must not be shared between goroutines;
 // the underlying server is shared.

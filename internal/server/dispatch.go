@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"sync"
 	"time"
 
@@ -212,12 +213,14 @@ func (ds *dispatchScratch) group(node, shard int) *sendGroup {
 }
 
 // DispatchOp issues one multi-key pull or push on behalf of this handle's
-// worker thread: it routes each key through the variant's Router and sends
-// the keys that need the network batched into one msg.Op envelope per
-// (destination node, shard) — so every message is shard-pure and lands
-// directly in the serving shard's inbox. The returned future completes when
-// every key has been served, whether by the fast path, a queued entry, or a
-// response message.
+// worker thread: it routes each key through r and sends the keys that need
+// the network batched into one msg.Op envelope per (destination node, shard)
+// — so every message is shard-pure and lands directly in the serving shard's
+// inbox. The returned future completes when every key has been served,
+// whether by the fast path, a queued entry, or a response message; WaitAll
+// waits for it too. An operation whose buffer (dst for a pull, vals for a
+// push) does not hold exactly the keys' values fails at once and sends
+// nothing.
 //
 // Pending-operation parts register lazily through the OpCtx: a shard's part
 // exists only if one of its keys was queued or sent, and it is always
@@ -226,6 +229,24 @@ func (ds *dispatchScratch) group(node, shard int) *sendGroup {
 // being routed. Offsets are tracked per key occurrence (OpEntry), so an
 // operation that names a key twice reads/writes both regions correctly.
 func (h *Handle) DispatchOp(r Router, t msg.OpType, keys []kv.Key, dst, vals []float32) *kv.Future {
+	nd := h.nd
+	layout := nd.g.layout
+	nShards := len(nd.shards)
+	ds := &h.ds
+	ds.reset(nShards, len(keys))
+	off := 0
+	for i, k := range keys {
+		ds.offs[i] = int32(off)
+		off += layout.Len(k)
+		ds.counts[msg.ShardOfKey(k, nShards)]++
+	}
+	buf := dst
+	if t == msg.OpPush {
+		buf = vals
+	}
+	if len(buf) != off {
+		return kv.CompletedFuture(fmt.Errorf("server: %v buffer has %d values, want %d", t, len(buf), off))
+	}
 	if len(keys) == 0 {
 		return kv.CompletedFuture(nil)
 	}
@@ -243,17 +264,6 @@ func (h *Handle) DispatchOp(r Router, t msg.OpType, keys []kv.Key, dst, vals []f
 	sampled := h.lat != nil && h.opSeq[kind]&(fastSampleEvery-1) == 0
 	if sampled {
 		start = nowFunc()
-	}
-	nd := h.nd
-	layout := nd.g.layout
-	nShards := len(nd.shards)
-	ds := &h.ds
-	ds.reset(nShards, len(keys))
-	off := 0
-	for i, k := range keys {
-		ds.offs[i] = int32(off)
-		off += layout.Len(k)
-		ds.counts[msg.ShardOfKey(k, nShards)]++
 	}
 	ctx := &ds.ctx
 	*ctx = OpCtx{nd: nd, t: t, lease: ds.lease, keys: keys, dst: dst, vals: vals, ds: ds}
@@ -350,7 +360,9 @@ func (h *Handle) DispatchOp(r Router, t msg.OpType, keys []kv.Key, dst, vals []f
 		}
 		ctx.agg.Time(lat, start)
 	}
-	return ctx.agg.Seal()
+	f := ctx.agg.Seal()
+	h.Track(f)
+	return f
 }
 
 // fastSampleEvery is the fast-path latency sampling period: all-fast-path
@@ -362,7 +374,8 @@ const fastSampleEvery = 8
 // serving-cache leases (Op.Lease): the router sees OpCtx.Lease and may serve
 // keys from the node's serving cache, and residual remote pulls install
 // leases for the next call. Everything else — batching, lazy pending-table
-// registration, the zero-allocation all-fast-path completion — is DispatchOp.
+// registration, the buffer check, the zero-allocation all-fast-path
+// completion, the tracking for WaitAll — is DispatchOp.
 func (h *Handle) DispatchOpRO(r Router, keys []kv.Key, dst []float32) *kv.Future {
 	h.ds.lease = true
 	f := h.DispatchOp(r, msg.OpPull, keys, dst, nil)

@@ -82,7 +82,7 @@ func newDispatchFixture(t *testing.T) (*cluster.Cluster, *Group, kv.UniformLayou
 // the first one untouched.)
 func TestDispatchOpDuplicateKeyPull(t *testing.T) {
 	_, g, _ := newDispatchFixture(t)
-	h := NewHandle(g.Node(0), 0)
+	h := NewHandle(g.Node(0), 0, nil)
 	keys := []kv.Key{5, 5, 7}
 	dst := []float32{-1, -1, -1, -1, -1, -1}
 	if err := h.DispatchOp(remoteRouter{}, msg.OpPull, keys, dst, nil).Wait(); err != nil {
@@ -100,7 +100,7 @@ func TestDispatchOpDuplicateKeyPull(t *testing.T) {
 // terms must be applied from their own value regions.
 func TestDispatchOpDuplicateKeyPush(t *testing.T) {
 	_, g, layout := newDispatchFixture(t)
-	h := NewHandle(g.Node(0), 0)
+	h := NewHandle(g.Node(0), 0, nil)
 	keys := []kv.Key{3, 3}
 	vals := []float32{1, 2, 4, 8}
 	if err := h.DispatchOp(remoteRouter{}, msg.OpPush, keys, nil, vals).Wait(); err != nil {
@@ -152,7 +152,7 @@ func TestDispatchOpDuplicateKeyMixedFastAndRemote(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			_, g, _ := newDispatchFixture(t)
-			h := NewHandle(g.Node(0), 0)
+			h := NewHandle(g.Node(0), 0, nil)
 			dst := []float32{-1, -1, -1, -1}
 			r := &mixedRouter{serveCall: tc.serveCall}
 			if err := h.DispatchOp(r, msg.OpPull, []kv.Key{5, 5}, dst, nil).Wait(); err != nil {
@@ -193,7 +193,7 @@ func (r *localRouter) RouteKey(t msg.OpType, _ *OpCtx, k kv.Key, dst, vals []flo
 // no aggregate, no future, no grouping state.
 func TestDispatchOpAllLocalZeroAlloc(t *testing.T) {
 	_, g, layout := newDispatchFixture(t)
-	h := NewHandle(g.Node(0), 0)
+	h := NewHandle(g.Node(0), 0, nil)
 	r := &localRouter{layout: layout, params: make([]float32, layout.TotalLen())}
 	keys := []kv.Key{1, 2, 3, 4, 5, 6, 7, 8}
 	buf := make([]float32, layout.ValLen*len(keys))

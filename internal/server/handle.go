@@ -6,15 +6,18 @@ import (
 
 	"lapse/internal/kv"
 	"lapse/internal/metrics"
+	"lapse/internal/msg"
 )
 
-// Handle implements the variant-independent portion of a kv.KV client:
-// identity, the cluster barrier, the outstanding-future tracking behind
-// WaitAll, and the worker-side operation dispatch (DispatchOp) with its
-// per-handle reusable scratch. Variants embed it and add their operation
-// methods. Like any kv.KV handle, it is bound to one worker thread and must
-// not be shared between goroutines — which is exactly what lets the dispatch
-// scratch go lock-free.
+// Handle implements every kv.KV method but PullIfLocal once for all
+// variants: identity, the cluster barrier, the outstanding-future tracking
+// behind WaitAll, pull and push — synchronous and asynchronous, each one
+// DispatchOp through the variant's Router — and Localize as unsupported.
+// Variants embed it, bind their Router in NewHandle, add PullIfLocal, and
+// override what they do differently (Lapse's Localize, the stale PS's
+// write-back Push and replica-first Pull). Like any kv.KV handle, it is bound
+// to one worker thread and must not be shared between goroutines — which is
+// exactly what lets the dispatch scratch go lock-free.
 type Handle struct {
 	// A worker writes its handle on every operation (dispatch scratch, opSeq),
 	// and the handles of co-located workers are often allocated back to back
@@ -24,6 +27,7 @@ type Handle struct {
 	// The buffers the handle points to are kept apart by ownLines.
 	_           [64]byte
 	nd          *Node
+	r           Router
 	worker      int
 	outstanding []*kv.Future
 	ds          dispatchScratch
@@ -36,14 +40,40 @@ type Handle struct {
 	_     [64]byte
 }
 
-// NewHandle returns a handle for the given worker bound to nd's node. The
-// node must be hosted by this process: a handle issues Sends with the node
-// as source, which only local nodes may do.
-func NewHandle(nd *Node, worker int) Handle {
+// NewHandle returns a handle for the given worker bound to nd's node, whose
+// Pull, Push, PullAsync and PushAsync route every key through r. The node
+// must be hosted by this process: a handle issues Sends with the node as
+// source, which only local nodes may do.
+func NewHandle(nd *Node, worker int, r Router) Handle {
 	if !nd.g.cl.Local(nd.node) {
 		panic(fmt.Sprintf("server: handle for worker %d of non-local node %d", worker, nd.node))
 	}
-	return Handle{nd: nd, worker: worker, lat: nd.latFor(worker)}
+	return Handle{nd: nd, r: r, worker: worker, lat: nd.latFor(worker)}
+}
+
+// Pull implements kv.KV.
+func (h *Handle) Pull(keys []kv.Key, dst []float32) error { return h.PullAsync(keys, dst).Wait() }
+
+// Push implements kv.KV.
+func (h *Handle) Push(keys []kv.Key, vals []float32) error { return h.PushAsync(keys, vals).Wait() }
+
+// PullAsync implements kv.KV.
+func (h *Handle) PullAsync(keys []kv.Key, dst []float32) *kv.Future {
+	return h.DispatchOp(h.r, msg.OpPull, keys, dst, nil)
+}
+
+// PushAsync implements kv.KV.
+func (h *Handle) PushAsync(keys []kv.Key, vals []float32) *kv.Future {
+	return h.DispatchOp(h.r, msg.OpPush, keys, nil, vals)
+}
+
+// Localize implements kv.KV as unsupported: static-allocation variants never
+// relocate a key. Lapse overrides it.
+func (h *Handle) Localize([]kv.Key) error { return kv.ErrUnsupported }
+
+// LocalizeAsync implements kv.KV as unsupported, like Localize.
+func (h *Handle) LocalizeAsync([]kv.Key) *kv.Future {
+	return kv.CompletedFuture(kv.ErrUnsupported)
 }
 
 // Lat returns the worker's operation-latency stripe. Variants record

@@ -29,7 +29,7 @@ func TestWorkerScratchIsIsolated(t *testing.T) {
 	r := &localRouter{layout: layout, params: make([]float32, layout.TotalLen())}
 	hs := make([]*Handle, 8)
 	for i := range hs {
-		h := NewHandle(g.Node(0), i)
+		h := NewHandle(g.Node(0), i, nil)
 		hs[i] = &h
 	}
 	keys := []kv.Key{1, 2}

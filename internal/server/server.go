@@ -7,7 +7,8 @@
 //     inboxes and dispatch messages,
 //   - the pending-operation tables that match responses to the futures
 //     workers wait on,
-//   - the per-worker future tracking behind WaitAll,
+//   - the worker handle (Handle) with pull and push for every variant, and
+//     the per-worker future tracking behind WaitAll,
 //   - the worker-side operation dispatch with per-(destination, shard)
 //     message batching: all keys of one multi-key Pull/Push that route to
 //     the same node and the same server shard travel in a single msg.Op
@@ -88,9 +89,6 @@ func NewGroup(cl *cluster.Cluster, layout kv.Layout) *Group {
 	return g
 }
 
-// Shards returns the per-node shard count.
-func (g *Group) Shards() int { return g.shards }
-
 // Node returns node n's runtime.
 func (g *Group) Node(n int) *Node { return g.nodes[n] }
 
@@ -98,8 +96,8 @@ func (g *Group) Node(n int) *Node { return g.nodes[n] }
 func (g *Group) Runtime(n, s int) *Runtime { return g.nodes[n].shards[s] }
 
 // Stats returns the per-shard server statistics of every node, node-major:
-// entry n*Shards()+s belongs to shard s of node n. Aggregate with
-// metrics.Sum for cluster totals.
+// with S shards per node, entry n*S+s belongs to shard s of node n.
+// Aggregate with metrics.Sum for cluster totals.
 func (g *Group) Stats() []*metrics.ServerStats {
 	out := make([]*metrics.ServerStats, 0, len(g.nodes)*g.shards)
 	for _, nd := range g.nodes {

@@ -102,11 +102,13 @@ type NetworkConfig struct {
 // shared-memory rings instead of loopback sockets — set DisableSHM to force
 // plain TCP, SHMDir to override the ring directory (co-located processes
 // must agree on it; defaults to a per-deployment directory derived from
-// Addrs). In multi-process mode (Node >= 0), Run executes the worker function only for
-// this node's workers, the cluster barrier spans processes, and Init / Read
-// are limited to keys owned by this process's node — read converged values
-// through Worker.Pull instead. Watch Cluster.Err for link failures:
-// operations whose messages were lost never complete.
+// Addrs). In multi-process mode (Node >= 0), every process calls NewCluster
+// with the same Config but its own Node, Run executes the worker function
+// only for this node's workers, the cluster barrier spans processes, and
+// Init / Read are limited to keys owned by this process's node — read
+// converged values through Worker.Pull instead. Watch Cluster.Err for link
+// failures: operations whose messages were lost never complete.
+// cmd/lapse-node is such a process, written against this package alone.
 type TCPDeployment struct {
 	Addrs      []string
 	Node       int
@@ -158,8 +160,7 @@ type Config struct {
 	Network NetworkConfig
 	// TCP, when non-nil, deploys the cluster over real TCP sockets
 	// instead of the simulated network: either all nodes in this process
-	// (loopback) or one node per OS process. See cmd/lapse-node for the
-	// multi-process runner.
+	// (loopback) or one node per OS process, as cmd/lapse-node runs it.
 	TCP *TCPDeployment
 	// ServerShards is the number of independent server shards per node
 	// (0 = DefaultServerShards, derived from GOMAXPROCS). Each shard owns
@@ -402,7 +403,7 @@ func (c *Cluster) Read(k Key, dst []float32) { c.sys.ReadParameter(k, dst) }
 func (c *Cluster) Run(fn func(w *Worker) error) error {
 	errs := make([]error, c.cl.TotalWorkers())
 	c.cl.RunWorkers(func(node, worker int) {
-		w := &Worker{c: c, kv: c.sys.Handle(worker)}
+		w := &Worker{c: c, kv: c.sys.Handle(worker).(client)}
 		if err := fn(w); err != nil {
 			errs[worker] = fmt.Errorf("worker %d: %w", worker, err)
 		}
@@ -494,8 +495,9 @@ func (c *Cluster) SyncReplicas() { c.sys.FlushReplicas() }
 
 // Err returns the first transport delivery failure (a dead TCP link, a
 // malformed frame), or nil. Operations whose messages were lost never
-// complete, so multi-process deployments should watch Err — see
-// cmd/lapse-node for the pattern. Simulated clusters never fail.
+// complete, so multi-process deployments should watch Err: cmd/lapse-node
+// polls it while Run is in progress and exits with the error. Simulated
+// clusters never fail.
 func (c *Cluster) Err() error { return c.cl.Err() }
 
 // Transport names the transport the cluster selected: "simnet", "tcp", or
@@ -521,7 +523,14 @@ func (c *Cluster) Close() {
 // the function given to Run. A Worker must not be shared across goroutines.
 type Worker struct {
 	c  *Cluster
-	kv kv.KV
+	kv client
+}
+
+// client is a Lapse worker handle: the kv.KV API plus the serving tier's
+// MultiGet.
+type client interface {
+	kv.KV
+	MultiGet(keys []kv.Key, dst []float32) *kv.Future
 }
 
 // ID returns the global worker index (0 … Workers-1).
@@ -575,12 +584,7 @@ func (w *Worker) MultiGet(keys []Key, dst []float32) error {
 
 // MultiGetAsync is MultiGet without waiting.
 func (w *Worker) MultiGetAsync(keys []Key, dst []float32) *Async {
-	if mg, ok := w.kv.(interface {
-		MultiGet([]kv.Key, []float32) *kv.Future
-	}); ok {
-		return &Async{f: mg.MultiGet(keys, dst)}
-	}
-	return &Async{f: w.kv.PullAsync(keys, dst)}
+	return &Async{f: w.kv.MultiGet(keys, dst)}
 }
 
 // PullIfLocal retrieves keys only if all of them are currently on this
