@@ -217,7 +217,8 @@ type policyShard struct {
 
 // keyQueue is everything that waits for a key relocating to this node (state
 // Incoming): the operations that arrived meanwhile, drained in arrival order,
-// and the localizes to complete once the key is in (see wake).
+// and the localizes to complete when the queue closes (see drain) — once the
+// key is local, or has left again if a later request took it onward.
 type keyQueue struct {
 	entries []queueEntry
 	waiters []*server.Agg
@@ -903,29 +904,14 @@ func (sh *policyShard) openQueue(k kv.Key) {
 	sh.queues[k] = &keyQueue{}
 }
 
-// wake completes the localizes waiting on k's queue: the key is known to be
-// here. It runs where a transfer comes in and where the queue closes — a
-// localize that finds the key Incoming in between joins the queue after the
-// first and is woken by the second — and for an instruct this node addressed
-// to itself. The caller holds queueMu, as LocalizeAsync does when it appends,
-// so no waiter is missed.
-func (sh *policyShard) wake(k kv.Key) {
-	if q := sh.queues[k]; q != nil {
-		for _, a := range q.waiters {
-			a.Finish(1)
-		}
-		q.waiters = nil
-	}
-}
-
 // handleLocalize runs at the home node (message 1 of the relocation
 // protocol): update the owner table immediately, then instruct each previous
 // owner to hand the keys over to the requester. Keys are grouped per previous
 // owner (message grouping, Section 3.7). A key that is replicated, or being
 // promoted, is skipped: the origin sent the Localize before the promotion's
 // ManageReplicate broadcast reached it, so the broadcast finds the origin's
-// queue open, installs the replica into it and wakes its localizes
-// (enterReplica).
+// queue open, installs the replica into it and drains it, which completes its
+// localizes (enterReplica).
 // A key being demoted is handled like any other: its queue is open at the
 // home, and the instruct waits there until the demotion ends.
 func (sh *policyShard) handleLocalize(m *msg.Localize) {
@@ -954,14 +940,9 @@ func (sh *policyShard) handleLocalize(m *msg.Localize) {
 // re-executed when the transfer arrives.
 func (sh *policyShard) handleInstruct(m *msg.RelocInstruct) {
 	if int(m.Dest) == sh.rt.Node() {
-		// Localize raced with a relocation that already made this node
-		// the owner; nothing to move. Confirm arrival to the waiting
-		// localizes directly.
-		sh.queueMu.Lock()
-		for _, k := range m.Keys {
-			sh.wake(k)
-		}
-		sh.queueMu.Unlock()
+		// Localize raced with a relocation that already made this node the
+		// owner: the home named it the owner before, so a queue open here is
+		// closed by the transfer already on its way. Nothing to move.
 		return
 	}
 	var moveKeys []kv.Key
@@ -1016,9 +997,6 @@ func (sh *policyShard) handleTransfer(m *msg.RelocTransfer) {
 		src += l
 		sh.stats.Relocations.Inc()
 		sh.trace.Record(sh.rt.Node(), sh.rt.Shard(), metrics.TraceRelocFinish, k, -1, sh.rt.Node(), "")
-		sh.queueMu.Lock()
-		sh.wake(k)
-		sh.queueMu.Unlock()
 		if tr, busy := sh.transitioning[k]; busy && tr.kind == transPromote {
 			// This arrival is the home recalling the key to promote it into
 			// replication: the value goes on to the replication manager
@@ -1034,13 +1012,14 @@ func (sh *policyShard) handleTransfer(m *msg.RelocTransfer) {
 // the key's value although its state is still Incoming, and then closes the
 // queue: under queueMu — so no access can slip between the last queued entry
 // and the first one that takes the fast path — onEmpty runs (a promotion
-// moves the value on there; nil otherwise), the localizes that joined the
-// queue since the transfer came in are woken, the queue goes, and the key
-// enters state next. A queued instruct sends the value on to its next owner
-// mid-drain (localization conflict: the key did arrive, it just moves on at
-// once); the entries behind it, and those that keep joining the still-open
-// queue, follow it through the gate in the same order, and the key is left
-// NotHere.
+// moves the value on there; nil otherwise), the queue goes, the key enters
+// state next, and only then are the queue's localizes completed: the one
+// place a localize completes, so its caller finds the key local. A queued
+// instruct sends the value on to its next owner mid-drain (localization
+// conflict: the key did arrive, it just moves on at once); the entries
+// behind it, and those that keep joining the still-open queue, follow it
+// through the gate in the same order, and the key is left NotHere: its
+// localizes complete once it has left again.
 func (sh *policyShard) drain(k kv.Key, b backing, next uint32, onEmpty func()) {
 	nd := sh.nd
 	for {
@@ -1052,11 +1031,15 @@ func (sh *policyShard) drain(k kv.Key, b backing, next uint32, onEmpty func()) {
 			} else if onEmpty != nil {
 				onEmpty()
 			}
-			sh.wake(k)
 			delete(sh.queues, k)
 			nd.state[k].Store(next)
 			if next == stateOwned && nd.cache != nil {
 				nd.cache[k].Store(int32(nd.id))
+			}
+			if q != nil {
+				for _, a := range q.waiters {
+					a.Finish(1)
+				}
 			}
 			sh.queueMu.Unlock()
 			return

@@ -131,10 +131,12 @@ func (h *handle) PullIfLocal(keys []kv.Key, dst []float32) (bool, error) {
 }
 
 // LocalizeAsync implements kv.KV: it requests relocation of all non-local
-// keys to this node and returns a future that completes when every key has
-// arrived (Section 3.2). The call joins, per key, the waiters of the key's
-// relocation queue under the shard's queue lock, so an arrival cannot be
-// missed. Keys already relocating here (requested by a co-located worker, or
+// keys to this node and returns a future that completes when every key is
+// local, Owned or Replicated (Section 3.2) — or, for a key a later request
+// took onward before its queue closed, has left again. The call joins, per
+// key, the waiters of the key's relocation queue under the shard's queue
+// lock; the queue's close (drain) completes them after storing the key's new
+// state. Keys already relocating here (requested by a co-located worker, or
 // recalled by this node as their home) are waited on without sending
 // additional messages; keys that do need a request are batched into one
 // message per (home node, shard) — relocation messages are shard-pure like

@@ -144,17 +144,16 @@ func TestLocalizeWaiters(t *testing.T) {
 			sh := f.incoming(k)
 			a, sentA := f.localize(0, k)
 			f.pending("early localize", a)
-			// The transfer comes in — handleTransfer up to its drain.
+			// The transfer comes in — handleTransfer up to its drain. The
+			// key is still Incoming while its queue drains, so the early
+			// localize keeps waiting, and a localize now joins it.
 			sh.nd.store.Set(k, []float32{5})
-			sh.queueMu.Lock()
-			sh.wake(k)
-			sh.queueMu.Unlock()
-			f.done("early localize", a)
-			// The key is still Incoming while its queue drains: a localize
-			// now waits for the queue to close.
+			f.pending("early localize after the value is stored", a)
 			b, sentB := f.localize(1, k)
 			f.pending("late localize", b)
+			// Both complete at the queue's close, with the key Owned.
 			sh.drain(k, backStore, stateOwned, nil)
+			f.done("early localize", a)
 			f.done("late localize", b)
 			f.closed(sh, k, stateOwned)
 			if sentA || sentB || f.relocationTimes(0) != times {
@@ -198,17 +197,19 @@ func TestLocalizeWaiters(t *testing.T) {
 			sh := f.incoming(k)
 			a, _ := f.localize(0, k)
 			sh.handleInstruct(&msg.RelocInstruct{Dest: 0, Keys: []kv.Key{k}})
-			f.done("localize woken by the instruct", a)
+			f.pending("localize after a self-addressed instruct", a)
 			sh.queueMu.Lock()
 			q := sh.queues[k]
 			sh.queueMu.Unlock()
 			if q == nil || sh.nd.state[k].Load() != stateIncoming {
 				f.t.Fatal("a self-addressed instruct closed the queue: it moves nothing, accesses keep waiting for the transfer")
 			}
-			// Whoever waits next is woken by the transfer.
+			// The transfer completes both the localize from before the
+			// instruct and one from after it.
 			b, sent := f.localize(1, k)
 			f.pending("localize after the instruct", b)
 			sh.handleTransfer(transfer(k, 5))
+			f.done("localize before the instruct", a)
 			f.done("localize after the instruct", b)
 			f.closed(sh, k, stateOwned)
 			if sent {

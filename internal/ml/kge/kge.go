@@ -128,14 +128,8 @@ func (c Config) InitEmbeddings() func(k kv.Key, v []float32) {
 	}
 }
 
-// Run trains cfg on ps over cl.
-func Run(cl *cluster.Cluster, ps driver.PS, kind driver.Kind, cfg Config, mode Mode) (*Result, error) {
-	kg := data.SyntheticKG(cfg.Entities, cfg.Relations, cfg.Triples, cfg.Seed)
-	return RunOnKG(cl, ps, kind, cfg, mode, kg)
-}
-
-// RunOnKG is Run with a caller-provided knowledge graph. The result is never
-// nil: on an error it holds the epochs completed before it.
+// RunOnKG trains cfg on ps over cl on the knowledge graph kg. The result is
+// never nil: on an error it holds the epochs completed before it.
 func RunOnKG(cl *cluster.Cluster, ps driver.PS, kind driver.Kind, cfg Config, mode Mode, kg *data.KG) (*Result, error) {
 	if mode != ModePlain && !driver.SupportsLocalize(kind) {
 		return &Result{}, fmt.Errorf("kge: mode %d requires a PS with localize support, got %q", mode, kind)

@@ -99,7 +99,8 @@ func TestModeRequiresLocalize(t *testing.T) {
 	cl := cluster.New(cluster.Config{Nodes: 1, WorkersPerNode: 1})
 	ps := driver.Build(driver.ClassicPS, cl, cfg.Layout(), driver.Options{})
 	defer func() { cl.Close(); ps.Shutdown() }()
-	if _, err := Run(cl, ps, driver.ClassicPS, cfg, ModeFull); err == nil {
+	kg := data.SyntheticKG(cfg.Entities, cfg.Relations, cfg.Triples, cfg.Seed)
+	if _, err := RunOnKG(cl, ps, driver.ClassicPS, cfg, ModeFull, kg); err == nil {
 		t.Fatal("ModeFull on classic PS should fail")
 	}
 }

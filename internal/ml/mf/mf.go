@@ -78,15 +78,10 @@ func (c Config) InitFactors() func(k kv.Key, v []float32) {
 	}
 }
 
-// Run trains cfg on ps over cl using DSGD. kind selects the PS-specific
-// behaviour (localize for Lapse variants, clocks for stale variants).
-func Run(cl *cluster.Cluster, ps driver.PS, kind driver.Kind, cfg Config) (*Result, error) {
-	m := data.SyntheticMatrix(cfg.Rows, cfg.Cols, cfg.NNZ, cfg.TrueRank, 0.05, cfg.Seed)
-	return RunOnMatrix(cl, ps, kind, cfg, m)
-}
-
-// RunOnMatrix is Run with a caller-provided matrix (shared across variants).
-// On an error the result holds the epochs completed before it.
+// RunOnMatrix trains cfg on ps over cl using DSGD on the matrix m (shared
+// across variants). kind selects the PS-specific behaviour (localize for
+// Lapse variants, clocks for stale variants). On an error the result holds
+// the epochs completed before it.
 func RunOnMatrix(cl *cluster.Cluster, ps driver.PS, kind driver.Kind, cfg Config, m *data.Matrix) (*Result, error) {
 	P := cl.TotalWorkers()
 	grid := m.BlockGrid(P)

@@ -92,15 +92,9 @@ func (c Config) InitVectors() func(k kv.Key, v []float32) {
 	}
 }
 
-// Run trains cfg on ps over cl. useLH enables the latency-hiding PAL
-// technique (requires a Lapse variant).
-func Run(cl *cluster.Cluster, ps driver.PS, kind driver.Kind, cfg Config, useLH bool) (*Result, error) {
-	corpus := data.SyntheticCorpus(cfg.Vocab, cfg.Sentences, cfg.SentenceLen, cfg.Seed)
-	return RunOnCorpus(cl, ps, kind, cfg, useLH, corpus)
-}
-
-// RunOnCorpus is Run with a caller-provided corpus. The result is never nil:
-// on an error it holds the epochs completed before it.
+// RunOnCorpus trains cfg on ps over cl on the corpus. useLH enables the
+// latency-hiding PAL technique (requires a Lapse variant). The result is
+// never nil: on an error it holds the epochs completed before it.
 func RunOnCorpus(cl *cluster.Cluster, ps driver.PS, kind driver.Kind, cfg Config, useLH bool, corpus *data.Corpus) (*Result, error) {
 	if useLH && !driver.SupportsLocalize(kind) {
 		return &Result{}, fmt.Errorf("w2v: latency hiding requires a Lapse variant, got %q", kind)

@@ -61,7 +61,8 @@ func TestLatencyHidingRequiresLapse(t *testing.T) {
 	cl := cluster.New(cluster.Config{Nodes: 1, WorkersPerNode: 1})
 	ps := driver.Build(driver.ClassicFast, cl, cfg.Layout(), driver.Options{})
 	defer func() { cl.Close(); ps.Shutdown() }()
-	if _, err := Run(cl, ps, driver.ClassicFast, cfg, true); err == nil {
+	corpus := data.SyntheticCorpus(cfg.Vocab, cfg.Sentences, cfg.SentenceLen, cfg.Seed)
+	if _, err := RunOnCorpus(cl, ps, driver.ClassicFast, cfg, true, corpus); err == nil {
 		t.Fatal("latency hiding on classic PS should fail")
 	}
 }

@@ -39,8 +39,8 @@ const (
 // Fast-path accesses are sampled: only every Nth takes the lock and adds N to
 // the key's count, so the overhead on the operation fast path is one private
 // increment. Slow-path accesses — each already costs a network round trip —
-// are counted unsampled in the handle's private buffer and merged by Roll.
-// Counts estimate total accesses either way.
+// are recorded unsampled under the same lock. Counts estimate total accesses
+// either way.
 //
 // Roll turns the counters into an exponentially decayed window clocked by
 // evidence (see WindowObservations); without Roll they are all-time totals.
@@ -56,10 +56,7 @@ type Tracker struct {
 	// its value when Roll last returned, idle the consecutive Rolls that saw
 	// no new observation.
 	fresh, rolled, idle int
-	// remote holds the private slow-path buffers of the handles that
-	// observed since the last merge.
-	remote []*remoteCounts
-	top    []KeyCount // Window scratch
+	top                 []KeyCount // Window scratch
 }
 
 // tally is a decayed count in its two units: n estimates accesses (a sampled
@@ -123,27 +120,14 @@ func (t *Tracker) observeLocked(k kv.Key, n, seen float64, slow bool) {
 	t.fresh += int(seen)
 }
 
-// remoteCounts is one handle's private buffer of unsampled slow-path
-// observations. Its lock is contended only by the tracker's merge, never by
-// another worker. registered is true while the buffer is on the tracker's
-// merge list; a buffer that stayed empty between two merges is taken off it
-// (and re-registers on its next observation), so the handles of finished
-// workers are not retained.
-type remoteCounts struct {
-	mu         sync.Mutex
-	count      map[kv.Key]uint32
-	registered bool
-}
-
 // Handle is a per-worker view of a Tracker: it samples with a plain private
 // counter, so tracking adds no cross-core write to the operation fast path. A
 // Handle must only be used by the single worker thread it was created for. A
 // nil Handle — a nil Tracker's — observes nothing: a node without the
 // controller gathers no evidence.
 type Handle struct {
-	t      *Tracker
-	n      uint64
-	remote remoteCounts
+	t *Tracker
+	n uint64
 }
 
 // Handle returns a new per-worker handle, nil for a nil tracker. The handle
@@ -181,55 +165,27 @@ func (t *Tracker) record(k kv.Key) {
 }
 
 // ObserveRemote records one slow-path access of k — one that is about to
-// wait for the network or a relocation — unsampled. A worker limited by
-// round trips issues few accesses per unit of time, so each of them is kept;
-// the cost is an uncontended lock and a map increment next to a round trip.
+// wait for the network or a relocation — unsampled, under the tracker's lock.
+// A worker limited by round trips issues few accesses per unit of time, so
+// each of them is kept; the cost is one lock acquisition and a map update
+// next to a round trip.
 func (h *Handle) ObserveRemote(k kv.Key) {
 	if h == nil {
 		return
 	}
-	r := &h.remote
-	r.mu.Lock()
-	if r.count == nil {
-		r.count = make(map[kv.Key]uint32)
-	}
-	r.count[k]++
-	register := !r.registered
-	r.registered = true
-	r.mu.Unlock()
-	if register {
-		h.t.mu.Lock()
-		h.t.remote = append(h.t.remote, r)
-		h.t.mu.Unlock()
-	}
+	h.t.mu.Lock()
+	h.t.observeLocked(k, 1, 1, true)
+	h.t.mu.Unlock()
 }
 
-// Roll advances the tracker's window by one controller tick: it merges the
-// slow-path buffers (taking those that stayed empty since the previous Roll
-// off the merge list) and, if the open window has gathered
-// WindowObservations (or nothing at all for WindowMaxAge Rolls), closes it
-// by halving every count. It reports whether the window changed since the
-// previous Roll — an idle tracker between closes does not.
+// Roll advances the tracker's window by one controller tick: if the open
+// window has gathered WindowObservations (or nothing at all for
+// WindowMaxAge Rolls), it closes it by halving every count. It reports
+// whether the window changed since the previous Roll — an idle tracker
+// between closes does not.
 func (t *Tracker) Roll() bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	keep := t.remote[:0]
-	for _, r := range t.remote {
-		r.mu.Lock()
-		if len(r.count) == 0 {
-			r.registered = false
-			r.mu.Unlock()
-			continue
-		}
-		for k, c := range r.count {
-			t.observeLocked(k, float64(c), float64(c), true)
-		}
-		clear(r.count)
-		r.mu.Unlock()
-		keep = append(keep, r)
-	}
-	clear(t.remote[len(keep):])
-	t.remote = keep
 	changed := t.fresh != t.rolled
 	if changed {
 		t.idle = 0

@@ -558,10 +558,14 @@ func (w *Worker) PushAsync(keys []Key, vals []float32) *Async {
 	return &Async{f: w.kv.PushAsync(keys, vals)}
 }
 
-// Localize relocates keys to this worker's node and waits for their arrival.
+// Localize relocates keys to this worker's node and waits until every key is
+// local (owned or replicated here), so the next access to it is a
+// shared-memory one. A key that a later request took onward before it settled
+// here is waited for until it has left again.
 func (w *Worker) Localize(keys []Key) error { return w.kv.Localize(keys) }
 
-// LocalizeAsync requests relocation without waiting.
+// LocalizeAsync requests relocation without waiting; the returned handle's
+// Wait reports what Localize waits for.
 func (w *Worker) LocalizeAsync(keys []Key) *Async {
 	return &Async{f: w.kv.LocalizeAsync(keys)}
 }
