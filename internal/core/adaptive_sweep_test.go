@@ -1,16 +1,12 @@
 package core
 
 import (
-	"sync"
 	"testing"
 	"time"
 
 	"lapse/internal/adaptive"
-	"lapse/internal/cluster"
 	"lapse/internal/kv"
 	"lapse/internal/msg"
-	"lapse/internal/simnet"
-	"lapse/internal/transport"
 )
 
 // TestAdaptiveIdleSweepDemotes drives a key hot from every node until the
@@ -51,52 +47,6 @@ func TestAdaptiveIdleSweepDemotes(t *testing.T) {
 	}
 }
 
-// heldSends holds every message any node sends until the test delivers it
-// with pump, on the test goroutine: with the nodes' background loops stopped
-// too, the control plane runs one schedule, the same every time.
-type heldSends struct {
-	transport.Network
-	mu   sync.Mutex
-	held []heldMsg
-	// delivered lists what pump delivered, in order.
-	delivered []heldMsg
-}
-
-type heldMsg struct {
-	src, dst int
-	m        any
-}
-
-// Send keeps a decoded copy, as a transport would: senders reuse their
-// messages once Send returns.
-func (n *heldSends) Send(src, dst int, m any) {
-	c, _, err := msg.Decode(msg.Encode(m))
-	if err != nil {
-		panic(err)
-	}
-	n.mu.Lock()
-	n.held = append(n.held, heldMsg{src, dst, c})
-	n.mu.Unlock()
-}
-
-// pump delivers the held messages, and the ones their handlers send, in send
-// order.
-func (n *heldSends) pump(sys *System) {
-	for {
-		n.mu.Lock()
-		if len(n.held) == 0 {
-			n.mu.Unlock()
-			return
-		}
-		h := n.held[0]
-		n.held = n.held[1:]
-		n.delivered = append(n.delivered, h)
-		n.mu.Unlock()
-		nd := sys.nodes[h.dst]
-		nd.sh[msg.ShardOf(h.m, len(nd.sh))].HandleMessage(h.src, h.m)
-	}
-}
-
 // TestImmatureRetractionIsRepeated: node 1 waits on key 3, homed at node 0,
 // until the controller replicates it, and on key 40, its own; then it stops.
 // Its idle window halves every WindowMaxAge (64) ticks. At the fifth close
@@ -110,11 +60,7 @@ func (n *heldSends) pump(sys *System) {
 // (tick 1,024); eight cold epochs later, at tick 1,032, the key is demoted. A
 // reporter that retracts once leaves it replicated for good.
 func TestImmatureRetractionIsRepeated(t *testing.T) {
-	net := &heldSends{Network: simnet.New(simnet.Config{Nodes: 2})}
-	cl := cluster.New(cluster.Config{Nodes: 2, WorkersPerNode: 1, Transport: net})
-	sys := New(cl, kv.NewUniformLayout(64, 1), Config{Adaptive: true})
-	t.Cleanup(func() { cl.Close(); sys.Shutdown() })
-	sys.stopLoops()
+	net, sys := newHeldSystem(t, 2, 1, 64, Config{Adaptive: true})
 	nd0, nd1 := sys.nodes[0], sys.nodes[1]
 	const k = kv.Key(3)
 	h := nd1.tracker.Handle()
@@ -125,7 +71,7 @@ func TestImmatureRetractionIsRepeated(t *testing.T) {
 		h.ObserveRemote(40) // homed at node 1: reported there, not to node 0
 	}
 	nd1.reportTick()
-	net.pump(sys)
+	net.pump()
 	if nd0.state[k].Load() != stateReplicated || nd1.state[k].Load() != stateReplicated {
 		t.Fatalf("key %d not replicated after node 1's report", k)
 	}
@@ -136,7 +82,7 @@ func TestImmatureRetractionIsRepeated(t *testing.T) {
 		}
 		nd1.reportTick()
 		nd0.reportTick()
-		net.pump(sys)
+		net.pump()
 	}
 	if tick > 1032 {
 		t.Fatalf("key %d demoted at idle tick %d, want by 1,032", k, tick)
@@ -151,11 +97,7 @@ func TestImmatureRetractionIsRepeated(t *testing.T) {
 // promoted it, so none demotes it.
 func TestStaticReplicationIsPinned(t *testing.T) {
 	const static, promoted = kv.Key(3), kv.Key(5)
-	net := &heldSends{Network: simnet.New(simnet.Config{Nodes: 2})}
-	cl := cluster.New(cluster.Config{Nodes: 2, WorkersPerNode: 1, Transport: net})
-	sys := New(cl, kv.NewUniformLayout(64, 1), Config{Replicate: []kv.Key{static}, Adaptive: true})
-	t.Cleanup(func() { cl.Close(); sys.Shutdown() })
-	sys.stopLoops()
+	net, sys := newHeldSystem(t, 2, 1, 64, Config{Replicate: []kv.Key{static}, Adaptive: true})
 	nd0, nd1 := sys.nodes[0], sys.nodes[1]
 	h := nd1.tracker.Handle()
 	for i := 0; i < 64; i++ {
@@ -167,7 +109,7 @@ func TestStaticReplicationIsPinned(t *testing.T) {
 	tick := func() {
 		nd1.reportTick()
 		nd0.reportTick()
-		net.pump(sys)
+		net.pump()
 	}
 	tick()
 	if nd0.state[promoted].Load() != stateReplicated {
@@ -196,16 +138,12 @@ func TestStaticReplicationIsPinned(t *testing.T) {
 // queue and completes the Localize.
 func TestLocalizeAfterPromotionGetsOneInstall(t *testing.T) {
 	const k = kv.Key(3)
-	net := &heldSends{Network: simnet.New(simnet.Config{Nodes: 2})}
-	cl := cluster.New(cluster.Config{Nodes: 2, WorkersPerNode: 1, Transport: net})
-	sys := New(cl, kv.NewUniformLayout(64, 1), Config{Adaptive: true})
-	t.Cleanup(func() { cl.Close(); sys.Shutdown() })
-	sys.stopLoops()
+	net, sys := newHeldSystem(t, 2, 1, 64, Config{Adaptive: true})
 	fut := sys.Handle(1).LocalizeAsync([]kv.Key{k}) // held on its way to node 0
 	sys.nodes[0].shardOf(k).execute(adaptive.Action{Kind: adaptive.ActReplicate, Key: k})
-	net.pump(sys)
+	net.pump()
 	installs := 0
-	for _, d := range net.delivered {
+	for _, d := range net.since(0) { // all delivered: pump leaves nothing held
 		if m, ok := d.m.(*msg.Manage); ok && m.Kind == msg.ManageReplicate && d.dst == 1 && m.Keys[0] == k {
 			installs++
 		}

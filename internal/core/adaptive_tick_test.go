@@ -140,13 +140,13 @@ func TestReportOfRejectsMalformedVals(t *testing.T) {
 	}
 }
 
-// TestFinishedHandlesLeaveNoTrackerBuffers runs 50 handle phases of node 1's
-// worker, each pulling 500 keys homed at node 0, and checks that no finished
-// phase leaves evidence behind. Without the controller the node has no
-// tracker and the handles observe nothing. With it, two idle ticks merge the
-// handles' slow-path buffers and then take them off the merge list, so every
-// finished handle can be collected.
-func TestFinishedHandlesLeaveNoTrackerBuffers(t *testing.T) {
+// TestFinishedTrackerHandlesAreCollected runs 50 handle phases of node 1's
+// worker, each pulling 500 keys homed at node 0, and checks that the tracker
+// keeps no finished phase's handle alive. Without the controller the node has
+// no tracker and the handles observe nothing. With it, a handle records its
+// accesses straight into the tracker, which refers to no handle: after two
+// idle ticks every finished handle can be collected.
+func TestFinishedTrackerHandlesAreCollected(t *testing.T) {
 	keys := make([]kv.Key, 500)
 	for i := range keys {
 		keys[i] = kv.Key(i)

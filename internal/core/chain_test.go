@@ -1,12 +1,12 @@
 package core
 
 import (
-	"sync"
 	"testing"
 	"time"
 
 	"lapse/internal/cluster"
 	"lapse/internal/kv"
+	"lapse/internal/metrics"
 	"lapse/internal/simnet"
 )
 
@@ -14,84 +14,41 @@ import (
 // localizes a key while its transfer to node 0 is still in flight, so the
 // instruct is queued at node 0 and the key chains onward when it arrives.
 func TestChainedRelocation(t *testing.T) {
-	cl := cluster.New(cluster.Config{
-		Nodes: 3, WorkersPerNode: 1,
-		Net: simnet.Config{Latency: 3 * time.Millisecond, LoopbackLatency: 50 * time.Microsecond},
-	})
-	sys := New(cl, kv.NewUniformLayout(9, 1), Config{})
-	defer func() { cl.Close(); sys.Shutdown() }()
-
-	k := []kv.Key{4} // homed at node 1
-	h0, h2 := sys.Handle(0), sys.Handle(2)
-	if err := h2.Push(k, []float32{11}); err != nil {
-		t.Fatal(err)
+	f := newFixture(t)
+	k := f.key()
+	f.sys.Handle(4).PushAsync([]kv.Key{k}, []float32{11})
+	f.ownedAt(4, k)
+	a, _ := f.localize(0, k)
+	c := f.chain(k)
+	f.net.pump()
+	f.done("node 0's localize", a)
+	f.done("node 2's localize", c)
+	// The value is intact and reachable, and node 2 owns the key again.
+	f.pulls(0, k, 11)
+	if o := f.sys.OwnerOf(k); o != 2 {
+		t.Fatalf("owner = %d, want 2", o)
 	}
-
-	// Node 0 and node 2 localize nearly simultaneously; the home node
-	// serializes them, and the loser's transfer chains through the winner.
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() { defer wg.Done(); h0.Localize(k) }()
-	go func() { defer wg.Done(); h2.Localize(k) }()
-	wg.Wait()
-
-	// Whoever owns it now, the value must be intact and reachable.
-	buf := make([]float32, 1)
-	if err := h0.Pull(k, buf); err != nil {
-		t.Fatal(err)
-	}
-	if buf[0] != 11 {
-		t.Fatalf("value after chained relocations = %v, want 11", buf[0])
-	}
-	owner := sys.OwnerOf(k[0])
-	if owner != 0 && owner != 2 {
-		t.Fatalf("owner = %d, want 0 or 2", owner)
-	}
-	// Both relocations were fulfilled.
-	var reloc int64
-	for _, st := range sys.Stats() {
-		reloc += st.Relocations.Load()
-	}
-	if reloc < 2 {
-		t.Fatalf("relocations = %d, want >= 2", reloc)
+	if got := metrics.Sum(f.sys.Stats()).Relocations; got != 3 {
+		t.Fatalf("relocations = %d, want 3: to node 2, to node 0 and on to node 2", got)
 	}
 }
 
-// TestQueuedOpsBehindChainedInstructRerouted verifies that local operations
-// queued behind a chained-away key are re-issued through the home node and
-// still complete with correct values.
+// TestQueuedOpsBehindChainedInstructRerouted verifies that a local operation
+// queued behind a chained-away key is re-issued through the home node and
+// still completes with the correct value.
 func TestQueuedOpsBehindChainedInstructRerouted(t *testing.T) {
-	cl := cluster.New(cluster.Config{
-		Nodes: 3, WorkersPerNode: 2,
-		Net: simnet.Config{Latency: 2 * time.Millisecond, LoopbackLatency: 50 * time.Microsecond},
-	})
-	sys := New(cl, kv.NewUniformLayout(9, 1), Config{})
-	defer func() { cl.Close(); sys.Shutdown() }()
-
-	k := []kv.Key{4}
-	h0 := sys.Handle(0)
-	h2 := sys.Handle(4) // node 2 worker
-
-	// Node 0 localizes; immediately queue a push and a pull locally.
-	loc := h0.LocalizeAsync(k)
-	pushDone := h0.PushAsync(k, []float32{5})
-	// Node 2 steals the key concurrently; depending on timing the
-	// queued ops drain before the chain or get re-routed.
-	if err := h2.Localize(k); err != nil {
-		t.Fatal(err)
-	}
-	if err := loc.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if err := pushDone.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]float32, 1)
-	if err := h0.Pull(k, buf); err != nil {
-		t.Fatal(err)
-	}
-	if buf[0] != 5 {
-		t.Fatalf("value = %v, want 5 (queued push must not be lost)", buf[0])
+	f := newFixture(t)
+	k := f.key()
+	f.ownedAt(4, k)
+	loc, _ := f.localize(0, k)
+	f.chain(k)
+	push := f.sys.Handle(0).PushAsync([]kv.Key{k}, []float32{5}) // queued behind the instruct
+	f.net.pump()
+	f.done("localize", loc)
+	f.done("push", push)
+	f.pulls(0, k, 5) // the queued push must not be lost
+	if got := f.sys.Stats()[0].RemoteWrites.Load(); got != 1 {
+		t.Fatalf("%d remote writes at node 0, want 1: the queued push re-issued", got)
 	}
 }
 

@@ -3,15 +3,11 @@ package core
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"testing"
 
 	"lapse/internal/adaptive"
-	"lapse/internal/cluster"
 	"lapse/internal/kv"
 	"lapse/internal/msg"
-	"lapse/internal/simnet"
-	"lapse/internal/transport"
 )
 
 // The control events of TestControlTable, in column order: the classifier's
@@ -100,46 +96,6 @@ var controlTable = []struct {
 // folded once already.
 const ackedRow = "demoting, node 2 already acked"
 
-// homeSends is a transport that records, and drops, every message node 1 —
-// the home of the fixture's keys — sends, so a cell sees exactly what its
-// event sends and nothing comes back to the home while the test drives its
-// shard by hand. last is the latest of those messages.
-type homeSends struct {
-	transport.Network
-	mu   sync.Mutex
-	log  []string
-	last any
-}
-
-func (n *homeSends) Send(src, dst int, m any) {
-	if src != 1 {
-		n.Network.Send(src, dst, m)
-		return
-	}
-	what := strings.TrimPrefix(fmt.Sprintf("%T", m), "*msg.")
-	if t, ok := m.(*msg.Manage); ok {
-		what += "/" + t.Kind.String()
-	}
-	n.mu.Lock()
-	n.log = append(n.log, fmt.Sprintf("%s→%d", what, dst))
-	n.last = m
-	n.mu.Unlock()
-}
-
-// since returns the sends recorded after the first i.
-func (n *homeSends) since(i int) string {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return strings.Join(n.log[i:], ", ")
-}
-
-// count returns the number of sends recorded so far.
-func (n *homeSends) count() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return len(n.log)
-}
-
 // TestControlTable rigs a fresh key into each row's state at its home node 1,
 // fires the column's event on the home's shard, and compares what the home
 // sent and where the key stands with the cell. Where node 2's ack was folded
@@ -147,13 +103,18 @@ func (n *homeSends) count() int {
 // duplicate ack counted again would also have ended the demotion, with node
 // 0's ack still outstanding.
 func TestControlTable(t *testing.T) {
-	net := &homeSends{Network: simnet.New(simnet.Config{Nodes: 3})}
-	cl := cluster.New(cluster.Config{Nodes: 3, WorkersPerNode: 1, Transport: net})
-	// One replicated key gives every node a replication manager.
-	sys := New(cl, kv.NewUniformLayout(300, 1), Config{Replicate: []kv.Key{299}})
-	t.Cleanup(func() { cl.Close(); sys.Shutdown() })
-	sys.stopLoops()
-	f := &gateFixture{t: t, sys: sys, next: 100} // node 1 homes 100..199
+	f := newFixture(t)               // nothing is delivered: a cell sees exactly what its event sends
+	sends := func(from int) string { // "RelocTransfer→2, Manage/replicate→0"
+		var what []string
+		for _, s := range f.net.since(from) {
+			kind := strings.TrimPrefix(fmt.Sprintf("%T", s.m), "*msg.")
+			if m, ok := s.m.(*msg.Manage); ok {
+				kind += "/" + m.Kind.String()
+			}
+			what = append(what, fmt.Sprintf("%s→%d", kind, s.dst))
+		}
+		return strings.Join(what, ", ")
+	}
 	fire := func(sh *policyShard, ev int, k kv.Key) {
 		switch ev {
 		case evReplicate:
@@ -202,10 +163,10 @@ func TestControlTable(t *testing.T) {
 			t.Run(r.row+"/"+events[ev], func(t *testing.T) {
 				f.t = t
 				sh, k := rig(r.row)
-				from := net.count()
+				from := len(f.net.since(0))
 				fire(sh, ev, k)
 				_, inFlight := sh.transitioning[k]
-				got := ctlCell{net.since(from), sh.nd.state[k].Load(), inFlight}
+				got := ctlCell{sends(from), sh.nd.state[k].Load(), inFlight}
 				if got != want {
 					t.Fatalf("got %+v, want %+v", got, want)
 				}
@@ -226,15 +187,14 @@ func TestControlTable(t *testing.T) {
 		f.t = t
 		sh, k := rig(ackedRow)
 		fire(sh, evLocalize, k)
-		from := net.count()
+		from := len(f.net.since(0))
 		sh.HandleMessage(0, &msg.Manage{Kind: msg.ManageDemoteAck, Origin: 0, Keys: []kv.Key{k}, Vals: []float32{2}})
 		_, inFlight := sh.transitioning[k]
-		if got, want := (ctlCell{net.since(from), sh.nd.state[k].Load(), inFlight}), (ctlCell{"RelocTransfer→2", stateNotHere, false}); got != want {
+		if got, want := (ctlCell{sends(from), sh.nd.state[k].Load(), inFlight}), (ctlCell{"RelocTransfer→2", stateNotHere, false}); got != want {
 			t.Fatalf("got %+v, want %+v", got, want)
 		}
-		net.mu.Lock()
-		tr := net.last.(*msg.RelocTransfer)
-		net.mu.Unlock()
+		out := f.net.since(from)
+		tr := out[len(out)-1].m.(*msg.RelocTransfer)
 		if len(tr.Vals) != 1 || tr.Vals[0] != 5+1+2 {
 			t.Fatalf("transfer carries %v, want 8: 5 at the promotion plus node 2's 1 and node 0's 2, once each", tr.Vals)
 		}

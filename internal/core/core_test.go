@@ -273,38 +273,20 @@ func TestRelocationRoundTrip(t *testing.T) {
 }
 
 func TestAccessDuringRelocationIsQueued(t *testing.T) {
-	// With real latency, ops issued right after a localize must be queued
-	// and answered after the transfer completes, with correct values.
-	cl := cluster.New(cluster.Config{
-		Nodes: 2, WorkersPerNode: 2,
-		Net: simnet.Config{Latency: 2 * time.Millisecond, LoopbackLatency: 100 * time.Microsecond},
-	})
-	sys := New(cl, kv.NewUniformLayout(8, 1), Config{})
-	defer func() { cl.Close(); sys.Shutdown() }()
-
-	h1 := sys.Handle(2) // node 1 worker
-	k := []kv.Key{6}    // homed at node 1
-	if err := h1.Push(k, []float32{42}); err != nil {
-		t.Fatal(err)
+	// An op issued right after a localize must be queued and answered after
+	// the transfer completes, with the correct value.
+	f := newFixture(t)
+	k := f.key()
+	f.sys.Handle(2).PushAsync([]kv.Key{k}, []float32{42}) // at the key's home
+	loc, _ := f.localize(0, k)
+	pull := f.pull(0, k)
+	if f.sys.Stats()[0].QueuedOps.Load() != 1 {
+		t.Fatal("the pull of an Incoming key was not queued")
 	}
-
-	h0 := sys.Handle(0)
-	loc := h0.LocalizeAsync(k)
-	// Issue a pull immediately: the key is Incoming at node 0, so this
-	// must be queued locally and served after the transfer.
-	got := make([]float32, 1)
-	if err := h0.Pull(k, got); err != nil {
-		t.Fatal(err)
-	}
-	if got[0] != 42 {
-		t.Fatalf("queued pull = %v, want 42", got[0])
-	}
-	if err := loc.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if sys.Stats()[0].QueuedOps.Load() == 0 {
-		t.Fatal("expected at least one queued op")
-	}
+	f.pending("queued pull", pull)
+	f.net.pump()
+	f.done("localize", loc)
+	f.pulls(0, k, 42)
 }
 
 func TestLocalizationConflict(t *testing.T) {

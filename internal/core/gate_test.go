@@ -45,29 +45,10 @@ var gateTable = map[uint32][2][3]verdict{
 	stateReplicated: {{fromReplica, fromReplica, fromReplica}, {fromReplica, fromReplica, fromReplica}},
 }
 
-// gateFixture is a three-node system whose tables a test rigs key by key:
-// node 0 is where local workers and "away" operations meet the gate, node 1
-// homes every key used, node 2 is the other node — the origin of remote
-// operations and the registered owner where the home must forward.
-type gateFixture struct {
-	t    *testing.T
-	sys  *System
-	next kv.Key
-}
-
-func newGateFixture(t *testing.T) *gateFixture {
-	// One replicated key gives every node a replication manager; its sync
-	// cycle is stopped, out of the way of the replicas the test installs by
-	// hand.
-	_, sys := newTestSystem(t, 3, 1, 300, 1, Config{Replicate: []kv.Key{299}})
-	sys.stopLoops()
-	return &gateFixture{t: t, sys: sys, next: 100} // node 1 homes 100..199
-}
-
 // rig puts a fresh key into state at node n, with or without an open queue,
 // holding value 5 in the backing the state implies. At the home, a key that
 // is neither Owned nor arriving (queue open) is registered at node 2.
-func (f *gateFixture) rig(n int, state uint32, queue bool) (*policyShard, kv.Key) {
+func (f *fixture) rig(n int, state uint32, queue bool) (*policyShard, kv.Key) {
 	k := f.next
 	f.next++
 	nd := f.sys.nodes[n]
@@ -95,13 +76,13 @@ func (f *gateFixture) rig(n int, state uint32, queue bool) (*policyShard, kv.Key
 // returns the outcome. A local worker's access runs under a real DispatchOp,
 // so a queued entry carries a valid pending-operation ID; its message, if it
 // is routed, goes to the key's untouched home and is answered there.
-func (f *gateFixture) ask(sh *policyShard, caller int, t msg.OpType, k kv.Key, buf []float32) (o outcome) {
+func (f *fixture) ask(sh *policyShard, caller int, t msg.OpType, k kv.Key, buf []float32) (o outcome) {
 	a := access{t: t, k: k, buf: buf}
 	if caller != localWorker {
 		a.m = &msg.Op{Type: t, ID: 1, Origin: 2}
 		return sh.gate(&a, byState)
 	}
-	h := f.sys.Handle(sh.nd.id).(*handle)
+	h := f.sys.Handle(2 * sh.nd.id).(*handle) // the node's first worker
 	h.DispatchOp(routerFunc(func(op *server.OpCtx) server.KeyRoute {
 		a.op = op
 		o = sh.gate(&a, byState)
@@ -118,7 +99,7 @@ func (fn routerFunc) RouteKey(_ msg.OpType, op *server.OpCtx, _ kv.Key, _, _ []f
 
 // check compares an outcome, and its effect on the value and the queue, with
 // the verdict the table names.
-func (f *gateFixture) check(sh *policyShard, t msg.OpType, k kv.Key, buf []float32, o outcome, queueWas bool, want verdict) {
+func (f *fixture) check(sh *policyShard, t msg.OpType, k kv.Key, buf []float32, o outcome, queueWas bool, want verdict) {
 	f.t.Helper()
 	nd := sh.nd
 	got := verdict(-1)
@@ -172,7 +153,7 @@ func (f *gateFixture) check(sh *policyShard, t msg.OpType, k kv.Key, buf []float
 // more than that: the key that arrives while the access waits for the queue
 // lock, and the home whose owner table lags its open queue.
 func TestGateTable(t *testing.T) {
-	f := newGateFixture(t)
+	f := newFixture(t)
 	stateNames := map[uint32]string{stateNotHere: "NotHere", stateOwned: "Owned", stateIncoming: "Incoming", stateReplicated: "Replicated"}
 	callerNames := [...]string{"local worker", "remote op at home", "remote op elsewhere"}
 	opNames := map[msg.OpType]string{msg.OpPull: "pull", msg.OpPush: "push"}

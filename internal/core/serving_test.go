@@ -5,13 +5,11 @@ import (
 	"testing"
 	"time"
 
-	"lapse/internal/cluster"
 	"lapse/internal/kv"
 	"lapse/internal/metrics"
 	"lapse/internal/msg"
 	"lapse/internal/partition"
 	"lapse/internal/replication"
-	"lapse/internal/simnet"
 )
 
 // servingTestConfig enables the serving tier with a TTL long enough that any
@@ -246,51 +244,35 @@ func TestForwardedLeasePullStillGranted(t *testing.T) {
 // worker's cache, with both acks outstanding; the second once the first ack
 // is in, with the second outstanding. A design that lets a refresh, or the
 // first of several acks, make the entry readable again serves a value without
-// the worker's own writes. Links are 20ms, so each of those moments is held
-// for about that long.
+// the worker's own writes. The held network holds each of those moments for
+// as long as the test needs it.
 func TestAsyncPushesKeepLeaseHolderInProgramOrder(t *testing.T) {
-	cl := cluster.New(cluster.Config{Nodes: 2, WorkersPerNode: 1,
-		Net: simnet.Config{Latency: 20 * time.Millisecond}})
-	sys := New(cl, kv.NewUniformLayout(8, 1), servingTestConfig())
-	t.Cleanup(func() {
-		cl.Close()
-		sys.Shutdown()
-	})
+	net, sys := newHeldSystem(t, 2, 1, 8, servingTestConfig())
 	h0, h1 := sys.Handle(0).(servingKV), sys.Handle(1)
 	st := sys.Stats()[0]
 	keys := []kv.Key{6} // homed (and owned) at node 1
 	buf := make([]float32, 1)
-	if err := h0.MultiGet(keys, buf).Wait(); err != nil {
-		t.Fatal(err)
-	}
-	inFlight := func(f *kv.Future, what string) {
-		t.Helper()
-		if done, _ := f.TryWait(); done {
-			t.Skipf("%s was acknowledged before the read could be issued behind it (stalled host)", what)
-		}
-	}
+	lease := h0.MultiGet(keys, buf)
+	net.pump()
 	p1 := h0.PushAsync(keys, []float32{1})
 	if err := h1.Push(keys, []float32{10}); err != nil { // its refresh leaves for node 0 at once
 		t.Fatal(err)
 	}
-	for deadline := time.Now().Add(5 * time.Second); st.LeaseRefreshes.Load() == 0; {
-		if time.Now().After(deadline) {
-			t.Fatal("owner's refresh never reached the lease holder")
-		}
-		runtime.Gosched()
+	if net.deliver(1, 0); st.LeaseRefreshes.Load() != 1 {
+		t.Fatal("owner's refresh did not reach the lease holder")
 	}
 	p2 := h0.PushAsync(keys, []float32{2})
-	inFlight(p1, "first push")
 	bufA, bufB := make([]float32, 1), make([]float32, 1)
 	mgA := h0.MultiGet(keys, bufA) // the foreign refresh is in, no ack is
-	if err := p1.Wait(); err != nil {
-		t.Fatal(err)
+	net.deliver(0, 1)              // the first push
+	for done, _ := p1.TryWait(); !done; done, _ = p1.TryWait() {
+		net.deliver(1, 0)
 	}
-	inFlight(p2, "second push")
 	mgB := h0.MultiGet(keys, bufB) // the first ack is in, the second is not
-	for _, f := range []*kv.Future{p2, mgA, mgB} {
-		if err := f.Wait(); err != nil {
-			t.Fatal(err)
+	net.pump()
+	for _, f := range []*kv.Future{lease, p2, mgA, mgB} {
+		if done, err := f.TryWait(); !done || err != nil {
+			t.Fatalf("operation not completed: done %t, err %v", done, err)
 		}
 	}
 	if bufA[0] != 13 || bufB[0] != 13 {
@@ -301,13 +283,11 @@ func TestAsyncPushesKeepLeaseHolderInProgramOrder(t *testing.T) {
 	}
 	// Both acks are in: the entry is readable again and holds the full sum.
 	remote := st.RemoteReads.Load()
-	if err := h0.MultiGet(keys, buf).Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if buf[0] != 13 {
+	last := h0.MultiGet(keys, buf)
+	if net.pump(); buf[0] != 13 {
 		t.Fatalf("MultiGet after both acks = %v, want [13]", buf)
 	}
-	if st.ServingHits.Load() != 1 || st.RemoteReads.Load() != remote {
+	if done, _ := last.TryWait(); !done || st.ServingHits.Load() != 1 || st.RemoteReads.Load() != remote {
 		t.Fatalf("MultiGet after both acks was not a cache hit: hits %d, remote reads %d -> %d",
 			st.ServingHits.Load(), remote, st.RemoteReads.Load())
 	}

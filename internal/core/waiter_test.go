@@ -2,95 +2,72 @@ package core
 
 import (
 	"testing"
-	"time"
 
-	"lapse/internal/cluster"
+	"lapse/internal/adaptive"
 	"lapse/internal/kv"
 	"lapse/internal/msg"
-	"lapse/internal/simnet"
 )
 
-// waiterFixture is a three-node system on links slow enough that a relocation
-// is still under way when the step after the call that started it runs.
-// Node 0 is where localizes wait (workers 0 and 1), node 1 homes the keys
-// used (100..199; workers 2 and 3), node 2 is the third party (worker 4).
-// Rigged rows open a queue by hand, so no message is in flight and the test
-// plays the shard goroutine's part, step by step.
-type waiterFixture struct {
-	t    *testing.T
-	cl   *cluster.Cluster
-	sys  *System
-	next kv.Key
-}
-
-func newWaiterFixture(t *testing.T) *waiterFixture {
-	cl := cluster.New(cluster.Config{Nodes: 3, WorkersPerNode: 2,
-		Net: simnet.Config{Latency: 10 * time.Millisecond, LoopbackLatency: 20 * time.Microsecond}})
-	// One replicated key gives every node a replication manager (promotions);
-	// its sync cycle is stopped, as in the gate fixture.
-	sys := New(cl, kv.NewUniformLayout(300, 1), Config{Replicate: []kv.Key{299}})
-	t.Cleanup(func() { cl.Close(); sys.Shutdown() })
-	sys.stopLoops()
-	return &waiterFixture{t: t, cl: cl, sys: sys, next: 100}
-}
-
-func (f *waiterFixture) key() kv.Key { f.next++; return f.next - 1 }
-
-// incoming opens k's queue at node 0 by hand: state Incoming, nothing sent.
-func (f *waiterFixture) incoming(k kv.Key) *policyShard {
-	sh := f.sys.nodes[0].shardOf(k)
-	sh.queueMu.Lock()
-	sh.openQueue(k)
-	sh.queueMu.Unlock()
-	return sh
-}
-
-// localize calls LocalizeAsync on worker w and reports whether the call put a
-// message on the network.
-func (f *waiterFixture) localize(w int, keys ...kv.Key) (fut *kv.Future, sent bool) {
-	before := f.cl.Net().Stats()
-	fut = f.sys.Handle(w).LocalizeAsync(keys)
-	d := f.cl.Net().Stats().Since(before)
-	return fut, d.RemoteMessages+d.LoopbackMessages > 0
-}
-
-func (f *waiterFixture) pending(what string, fut *kv.Future) {
+// drainAnswering delivers the next message on the link from src to dst,
+// whose handler drains a queue and answers the pull queued there: check runs
+// as the answer leaves.
+func (f *fixture) drainAnswering(src, dst int, check func()) {
 	f.t.Helper()
-	if done, _ := fut.TryWait(); done {
-		f.t.Fatalf("%s completed early", what)
-	}
-}
-
-// done asserts fut completed. A future completes at most once — a second wake
-// of the same waiter would panic in kv.Future.Complete — so together with the
-// emptied waiter list (closed) this is exactly-once completion.
-func (f *waiterFixture) done(what string, fut *kv.Future) {
-	f.t.Helper()
-	select {
-	case <-fut.Done():
-	case <-time.After(10 * time.Second):
-		f.t.Fatalf("%s never completed", what)
-	}
-}
-
-// closed waits for k's queue at sh to close into state want, and checks no
-// waiter was left behind.
-func (f *waiterFixture) closed(sh *policyShard, k kv.Key, want uint32) {
-	f.t.Helper()
-	for deadline := time.Now().Add(10 * time.Second); sh.nd.state[k].Load() != want; time.Sleep(100 * time.Microsecond) {
-		if time.Now().After(deadline) {
-			f.t.Fatalf("key %d at node %d in state %d, want %d", k, sh.nd.id, sh.nd.state[k].Load(), want)
+	answered := false
+	f.net.observe = func(s sent) {
+		if _, ok := s.m.(*msg.OpResp); ok && s.src == dst && !answered {
+			answered = true
+			check()
 		}
 	}
-	sh.queueMu.Lock()
-	defer sh.queueMu.Unlock()
-	if q := sh.queues[k]; q != nil {
-		f.t.Fatalf("key %d settled in state %d with its queue still open (%d waiters)", k, want, len(q.waiters))
+	f.net.deliver(src, dst)
+	f.net.observe = nil
+	if !answered {
+		f.t.Fatal("the drain answered no queued pull")
 	}
+}
+
+// stillIncoming is the check of a drain in progress: the localize a waits,
+// and k is still Incoming at sh.
+func (f *fixture) stillIncoming(a *kv.Future, sh *policyShard, k kv.Key) func() {
+	return func() {
+		f.pending("localize while the drain answers node 2", a)
+		if s := sh.nd.state[k].Load(); s != stateIncoming {
+			f.t.Fatalf("key %d at node %d in state %d while its queue drains, want Incoming", k, sh.nd.id, s)
+		}
+	}
+}
+
+// queuePull takes k, owned at node 2, on toward node 0, whose Localize of it
+// is the one message held on link 0→1: node 2 hands the key over (the
+// transfer is held on 2→0) and then pulls it, and the home forwards the pull
+// to node 0, where it waits in the queue. Taken from the home instead, the
+// key's transfer would lead the forwarded pull on link 1→0.
+func (f *fixture) queuePull(k kv.Key) *kv.Future {
+	f.t.Helper()
+	f.net.deliver(0, 1) // the Localize: the home instructs node 2
+	f.net.deliver(1, 2)
+	pull := f.pull(4, k)
+	f.net.deliver(2, 1)
+	f.net.deliver(1, 0)
+	f.pending("node 2's pull", pull)
+	return pull
+}
+
+// chain takes k, owned at node 2, on toward node 0 as queuePull does, and
+// then node 2 asks for the key back: the home's instruct overtakes the
+// transfer and waits in node 0's queue. It returns node 2's localize.
+func (f *fixture) chain(k kv.Key) *kv.Future {
+	f.net.deliver(0, 1)
+	f.net.deliver(1, 2)
+	c, _ := f.localize(4, k)
+	f.net.deliver(2, 1)
+	f.net.deliver(1, 0)
+	return c
 }
 
 // relocationTimes returns node n's RelocationTime observation count.
-func (f *waiterFixture) relocationTimes(n int) int64 {
+func (f *fixture) relocationTimes(n int) int64 {
 	return f.sys.Stats()[n].RelocationTime.Snapshot().Count()
 }
 
@@ -98,30 +75,30 @@ func (f *waiterFixture) relocationTimes(n int) int64 {
 // key's relocation queue and is woken: each row asserts that every waiter
 // completes exactly once, that only a worker whose call found the key NotHere
 // sends a Localize, and that exactly those calls observe a relocation time.
+// Where a drain answers a queued pull, the queue's localizes still wait as
+// the answer leaves: they complete at the queue's close, with the key local.
 func TestLocalizeWaiters(t *testing.T) {
-	f := newWaiterFixture(t)
-	transfer := func(k kv.Key, v float32) *msg.RelocTransfer {
-		return &msg.RelocTransfer{Keys: []kv.Key{k}, Vals: []float32{v}}
-	}
 	rows := []struct {
 		name string
-		run  func(f *waiterFixture)
+		run  func(f *fixture)
 	}{
-		{"registered before the transfer", func(f *waiterFixture) {
-			k, times := f.key(), f.relocationTimes(0)
+		{"registered before the transfer", func(f *fixture) {
+			k := f.key()
 			a, sent := f.localize(0, k)
 			if !sent {
 				f.t.Fatal("localize of a key that is not here sent no request")
 			}
+			f.net.deliver(0, 1) // the home owns the key and sends it
 			f.pending("localize", a)
+			f.net.deliver(1, 0)
 			f.done("localize", a)
-			f.closed(f.sys.nodes[0].shardOf(k), k, stateOwned)
-			if got := f.relocationTimes(0) - times; got != 1 {
+			f.closed(f.shard(0, k), k, stateOwned)
+			if got := f.relocationTimes(0); got != 1 {
 				f.t.Fatalf("%d relocation times observed, want 1", got)
 			}
 		}},
-		{"second co-located worker on an already-Incoming key", func(f *waiterFixture) {
-			k, times, moved := f.key(), f.relocationTimes(0), f.sys.Stats()[0].Relocations.Load()
+		{"second co-located worker on an already-Incoming key", func(f *fixture) {
+			k := f.key()
 			a, _ := f.localize(0, k)
 			b, sent := f.localize(1, k)
 			if sent {
@@ -129,74 +106,98 @@ func TestLocalizeWaiters(t *testing.T) {
 			}
 			f.pending("first localize", a)
 			f.pending("second localize", b)
+			f.net.pump()
 			f.done("first localize", a)
 			f.done("second localize", b)
-			f.closed(f.sys.nodes[0].shardOf(k), k, stateOwned)
-			if got := f.relocationTimes(0) - times; got != 1 {
+			f.closed(f.shard(0, k), k, stateOwned)
+			if got := f.relocationTimes(0); got != 1 {
 				f.t.Fatalf("%d relocation times observed, want 1 (the requester's)", got)
 			}
-			if got := f.sys.Stats()[0].Relocations.Load() - moved; got != 1 {
+			if got := f.sys.Stats()[0].Relocations.Load(); got != 1 {
 				f.t.Fatalf("the key arrived %d times, want 1", got)
 			}
 		}},
-		{"between transfer and queue close", func(f *waiterFixture) {
-			k, times := f.key(), f.relocationTimes(0)
-			sh := f.incoming(k)
+		{"between transfer and queue close", func(f *fixture) {
+			k := f.key()
+			f.ownedAt(4, k)
+			sh := f.shard(0, k)
+			// The home hints node 0 to take the key: node 0's shard opens the
+			// queue and sends the Localize, and no localize waits on it.
+			f.shard(1, k).execute(adaptive.Action{Kind: adaptive.ActRelocate, Key: k, Dest: 0})
+			f.net.deliver(1, 0)
 			a, sentA := f.localize(0, k)
-			f.pending("early localize", a)
-			// The transfer comes in — handleTransfer up to its drain. The
-			// key is still Incoming while its queue drains, so the early
-			// localize keeps waiting, and a localize now joins it.
-			sh.nd.store.Set(k, []float32{5})
-			f.pending("early localize after the value is stored", a)
-			b, sentB := f.localize(1, k)
-			f.pending("late localize", b)
+			pull := f.queuePull(k)
+			// The transfer comes in, and its drain answers the queued pull
+			// from the stored value. The key is still Incoming while its queue
+			// drains, so the early localize keeps waiting, and a localize now
+			// joins it.
+			var b *kv.Future
+			var sentB bool
+			f.drainAnswering(2, 0, func() {
+				f.pending("early localize after the value is stored", a)
+				b, sentB = f.localize(1, k)
+				f.pending("late localize", b)
+			})
 			// Both complete at the queue's close, with the key Owned.
-			sh.drain(k, backStore, stateOwned, nil)
 			f.done("early localize", a)
 			f.done("late localize", b)
 			f.closed(sh, k, stateOwned)
-			if sentA || sentB || f.relocationTimes(0) != times {
+			if sentA || sentB || f.relocationTimes(0) != 0 {
 				f.t.Fatalf("localizes of an Incoming key sent requests (%v, %v) or observed a relocation time", sentA, sentB)
 			}
+			f.net.pump()
+			f.done("node 2's pull", pull)
 		}},
-		{"two localizes on overlapping keys", func(f *waiterFixture) {
+		{"transfer into a queue holding a remote pull", func(f *fixture) {
+			k := f.key()
+			f.ownedAt(4, k)
+			sh := f.shard(0, k)
+			a, _ := f.localize(0, k)
+			pull := f.queuePull(k)
+			f.drainAnswering(2, 0, f.stillIncoming(a, sh, k)) // the transfer
+			f.done("localize", a)
+			f.closed(sh, k, stateOwned)
+			f.net.pump()
+			f.done("node 2's pull", pull)
+		}},
+		{"two localizes on overlapping keys", func(f *fixture) {
 			k7, k9 := f.key(), f.key()
-			sh7, sh9 := f.incoming(k7), f.incoming(k9)
+			f.ownedAt(4, k7) // k7 comes from node 2, k9 from its home
 			both, _ := f.localize(0, k7, k9)
 			one, _ := f.localize(1, k9)
-			sh9.handleTransfer(transfer(k9, 9))
+			f.net.deliver(0, 1) // the home sends k9 and instructs node 2 for k7
+			f.net.deliver(1, 0)
 			f.done("localize of the key that arrived", one)
 			f.pending("localize still missing a key", both)
-			sh7.handleTransfer(transfer(k7, 7))
+			f.net.pump()
 			f.done("localize of both keys", both)
-			f.closed(sh7, k7, stateOwned)
-			f.closed(sh9, k9, stateOwned)
+			f.closed(f.shard(0, k7), k7, stateOwned)
+			f.closed(f.shard(0, k9), k9, stateOwned)
 		}},
-		{"key that chains onward mid-drain", func(f *waiterFixture) {
+		{"key that chains onward mid-drain", func(f *fixture) {
 			k := f.key()
-			sh := f.incoming(k)
+			f.ownedAt(4, k)
 			a, _ := f.localize(0, k)
 			b, _ := f.localize(1, k)
-			// The home has promised the key to node 2 already: the instruct
-			// overtook the transfer and waits in the queue.
-			f.sys.nodes[1].ownerEntry(k).Store(2)
-			sh.queueMu.Lock()
-			q := sh.queues[k]
-			q.entries = append(q.entries, queueEntry{instr: &msg.RelocInstruct{Dest: 2, Keys: []kv.Key{k}}, at: time.Now()})
-			sh.queueMu.Unlock()
-			sh.handleTransfer(transfer(k, 5))
+			c := f.chain(k) // node 2 wants the key back before it has arrived
+			f.pending("first localize", a)
+			f.net.deliver(2, 0)
 			// The key did arrive, it just moved on at once.
 			f.done("first localize", a)
 			f.done("second localize", b)
-			f.closed(sh, k, stateNotHere)
-			f.closed(f.sys.nodes[2].shardOf(k), k, stateOwned)
+			f.closed(f.shard(0, k), k, stateNotHere)
+			f.net.pump()
+			f.done("node 2's localize", c)
+			f.closed(f.shard(2, k), k, stateOwned)
 		}},
-		{"self-addressed instruct, queue left open", func(f *waiterFixture) {
+		{"self-addressed instruct, queue left open", func(f *fixture) {
 			k := f.key()
-			sh := f.incoming(k)
+			sh := f.shard(0, k)
 			a, _ := f.localize(0, k)
-			sh.handleInstruct(&msg.RelocInstruct{Dest: 0, Keys: []kv.Key{k}})
+			// An instruct naming node 0, which the home has made the owner
+			// already. No schedule of this fixture sends one, so the row hands
+			// it to the shard itself.
+			sh.HandleMessage(1, &msg.RelocInstruct{Dest: 0, Keys: []kv.Key{k}})
 			f.pending("localize after a self-addressed instruct", a)
 			sh.queueMu.Lock()
 			q := sh.queues[k]
@@ -208,7 +209,7 @@ func TestLocalizeWaiters(t *testing.T) {
 			// instruct and one from after it.
 			b, sent := f.localize(1, k)
 			f.pending("localize after the instruct", b)
-			sh.handleTransfer(transfer(k, 5))
+			f.net.pump()
 			f.done("localize before the instruct", a)
 			f.done("localize after the instruct", b)
 			f.closed(sh, k, stateOwned)
@@ -216,30 +217,71 @@ func TestLocalizeWaiters(t *testing.T) {
 				f.t.Fatal("localize of an Incoming key sent a request")
 			}
 		}},
-		{"home's own recall for a promotion", func(f *waiterFixture) {
-			k, times := f.key(), f.relocationTimes(1)
-			if err := f.sys.Handle(4).Localize([]kv.Key{k}); err != nil { // node 2 owns it
-				f.t.Fatal(err)
-			}
-			home := f.sys.nodes[1].shardOf(k)
+		{"home's own recall for a promotion", func(f *fixture) {
+			k := f.key()
+			f.ownedAt(4, k)
+			home := f.shard(1, k)
 			home.beginReplicate(k) // recalls the key: Incoming at its home
 			a, sent := f.localize(2, k)
 			if sent {
 				f.t.Fatal("the home's worker sent a request for a key its node is recalling")
 			}
 			f.pending("localize at the recalling home", a)
+			f.net.pump()
 			f.done("localize at the recalling home", a)
 			f.closed(home, k, stateReplicated)
-			f.closed(f.sys.nodes[0].shardOf(k), k, stateReplicated)
-			if got := f.relocationTimes(1) - times; got != 0 {
+			f.closed(f.shard(0, k), k, stateReplicated)
+			if got := f.relocationTimes(1); got != 0 {
 				f.t.Fatalf("%d relocation times observed at the home, want 0: its worker sent nothing", got)
 			}
+		}},
+		{"install into a queue holding a remote pull", func(f *fixture) {
+			k := f.key()
+			f.ownedAt(0, k)
+			f.pulls(4, k, 0) // answered by node 0, which node 2's cache now names
+			// The home recalls the key and promotes it; the installs are held.
+			f.shard(1, k).beginReplicate(k)
+			f.net.deliver(1, 0)
+			f.net.deliver(0, 1)
+			// Node 0 asks for the key, which the home will not send, and node
+			// 2's pull waits in node 0's queue. The install adopts the queue.
+			sh := f.shard(0, k)
+			a, _ := f.localize(0, k)
+			pull := f.pull(4, k)
+			f.net.deliver(2, 0)
+			f.pending("node 2's pull", pull)
+			f.drainAnswering(1, 0, f.stillIncoming(a, sh, k))
+			f.done("localize", a)
+			f.closed(sh, k, stateReplicated)
+			f.net.pump()
+			f.done("node 2's pull", pull)
+		}},
+		{"home worker's localize behind a demotion, remote pull queued", func(f *fixture) {
+			k := f.key()
+			home := f.shard(1, k)
+			home.beginReplicate(k) // owned at the home: promoted at once
+			f.net.pump()
+			home.beginDemote(k) // Incoming at the home until both acks are in
+			a, sent := f.localize(2, k)
+			if sent {
+				f.t.Fatal("the home's worker sent a request for a key its node is demoting")
+			}
+			f.net.deliver(1, 2) // node 2 drops its replica and acks
+			pull := f.pull(4, k)
+			f.net.deliver(2, 1) // the ack; node 0's is still outstanding
+			f.net.deliver(2, 1) // node 2's pull waits in the home's queue
+			f.pending("node 2's pull", pull)
+			f.net.deliver(1, 0)                                 // node 0 drops its replica and acks
+			f.drainAnswering(0, 1, f.stillIncoming(a, home, k)) // the last ack ends the demotion
+			f.done("home worker's localize", a)
+			f.closed(home, k, stateOwned)
+			f.net.pump()
+			f.done("node 2's pull", pull)
 		}},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
-			f.t = t
-			row.run(f)
+			row.run(newFixture(t))
 		})
 	}
 }
