@@ -279,13 +279,15 @@ func TestAccessDuringRelocationIsQueued(t *testing.T) {
 	k := f.key()
 	f.sys.Handle(2).PushAsync([]kv.Key{k}, []float32{42}) // at the key's home
 	loc, _ := f.localize(0, k)
-	pull := f.pull(0, k)
-	if f.sys.Stats()[0].QueuedOps.Load() != 1 {
+	pull, got := f.pull(0, k)
+	if f.pending("queued pull", pull); f.sys.Stats()[0].QueuedOps.Load() != 1 {
 		t.Fatal("the pull of an Incoming key was not queued")
 	}
-	f.pending("queued pull", pull)
 	f.net.pump()
 	f.done("localize", loc)
+	if f.done("queued pull", pull); got[0] != 42 {
+		t.Fatalf("queued pull = %v, want 42", got[0])
+	}
 	f.pulls(0, k, 42)
 }
 

@@ -49,8 +49,7 @@ var gateTable = map[uint32][2][3]verdict{
 // holding value 5 in the backing the state implies. At the home, a key that
 // is neither Owned nor arriving (queue open) is registered at node 2.
 func (f *fixture) rig(n int, state uint32, queue bool) (*policyShard, kv.Key) {
-	k := f.next
-	f.next++
+	k := f.key()
 	nd := f.sys.nodes[n]
 	sh := nd.shardOf(k)
 	nd.store.Take(k)
@@ -75,14 +74,14 @@ func (f *fixture) rig(n int, state uint32, queue bool) (*policyShard, kv.Key) {
 // ask passes one access to k through the gate at sh as caller would and
 // returns the outcome. A local worker's access runs under a real DispatchOp,
 // so a queued entry carries a valid pending-operation ID; its message, if it
-// is routed, goes to the key's untouched home and is answered there.
+// is routed, is held on the network and never delivered.
 func (f *fixture) ask(sh *policyShard, caller int, t msg.OpType, k kv.Key, buf []float32) (o outcome) {
 	a := access{t: t, k: k, buf: buf}
 	if caller != localWorker {
 		a.m = &msg.Op{Type: t, ID: 1, Origin: 2}
 		return sh.gate(&a, byState)
 	}
-	h := f.sys.Handle(2 * sh.nd.id).(*handle) // the node's first worker
+	h := f.sys.Handle(2 * sh.nd.id).(*handle) // node n's first worker: the fixture runs two workers per node
 	h.DispatchOp(routerFunc(func(op *server.OpCtx) server.KeyRoute {
 		a.op = op
 		o = sh.gate(&a, byState)

@@ -151,15 +151,15 @@ func (f *fixture) ownedAt(w int, k kv.Key) {
 	f.done("localize that places the key", fut)
 }
 
-func (f *fixture) pull(w int, k kv.Key) *kv.Future {
-	return f.sys.Handle(w).PullAsync([]kv.Key{k}, make([]float32, 1))
+func (f *fixture) pull(w int, k kv.Key) (*kv.Future, []float32) {
+	got := make([]float32, 1)
+	return f.sys.Handle(w).PullAsync([]kv.Key{k}, got), got
 }
 
 // pulls asserts that worker w's pull of k, delivered in full, reads want.
 func (f *fixture) pulls(w int, k kv.Key, want float32) {
 	f.t.Helper()
-	got := make([]float32, 1)
-	fut := f.sys.Handle(w).PullAsync([]kv.Key{k}, got)
+	fut, got := f.pull(w, k)
 	f.net.pump()
 	if f.done("pull", fut); got[0] != want {
 		f.t.Fatalf("pull of key %d = %v, want %v", k, got[0], want)

@@ -270,7 +270,7 @@ func TestAsyncPushesKeepLeaseHolderInProgramOrder(t *testing.T) {
 	}
 	mgB := h0.MultiGet(keys, bufB) // the first ack is in, the second is not
 	net.pump()
-	for _, f := range []*kv.Future{lease, p2, mgA, mgB} {
+	for _, f := range []*kv.Future{lease, p1, p2, mgA, mgB} {
 		if done, err := f.TryWait(); !done || err != nil {
 			t.Fatalf("operation not completed: done %t, err %v", done, err)
 		}

@@ -47,7 +47,7 @@ func (f *fixture) queuePull(k kv.Key) *kv.Future {
 	f.t.Helper()
 	f.net.deliver(0, 1) // the Localize: the home instructs node 2
 	f.net.deliver(1, 2)
-	pull := f.pull(4, k)
+	pull, _ := f.pull(4, k)
 	f.net.deliver(2, 1)
 	f.net.deliver(1, 0)
 	f.pending("node 2's pull", pull)
@@ -247,7 +247,7 @@ func TestLocalizeWaiters(t *testing.T) {
 			// 2's pull waits in node 0's queue. The install adopts the queue.
 			sh := f.shard(0, k)
 			a, _ := f.localize(0, k)
-			pull := f.pull(4, k)
+			pull, _ := f.pull(4, k)
 			f.net.deliver(2, 0)
 			f.pending("node 2's pull", pull)
 			f.drainAnswering(1, 0, f.stillIncoming(a, sh, k))
@@ -267,7 +267,7 @@ func TestLocalizeWaiters(t *testing.T) {
 				f.t.Fatal("the home's worker sent a request for a key its node is demoting")
 			}
 			f.net.deliver(1, 2) // node 2 drops its replica and acks
-			pull := f.pull(4, k)
+			pull, _ := f.pull(4, k)
 			f.net.deliver(2, 1) // the ack; node 0's is still outstanding
 			f.net.deliver(2, 1) // node 2's pull waits in the home's queue
 			f.pending("node 2's pull", pull)
