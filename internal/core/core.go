@@ -687,8 +687,13 @@ func (sh *policyShard) slow(a *access) outcome {
 	e := queueEntry{at: time.Now()}
 	if a.m == nil {
 		// The pending part registers (op.ID) before the entry is published.
+		// A push owns its update values, as a remote one does: a.buf is the
+		// worker's, who may reuse it as soon as PushAsync returns.
 		e.a, e.id, e.off = *a, a.op.ID(a.k), a.op.Off()
 		e.a.op = nil
+		if a.t == msg.OpPush {
+			e.a.buf = append([]float32(nil), a.buf...)
+		}
 	} else {
 		// The entry outlives the handler, so it owns its update values:
 		// a.buf aliases the decoded message's recyclable scratch.

@@ -291,6 +291,25 @@ func TestAccessDuringRelocationIsQueued(t *testing.T) {
 	f.pulls(0, k, 42)
 }
 
+// TestQueuedPushAsyncOwnsItsValues: a PushAsync that meets an open relocation
+// queue is queued with a copy of its values, so the caller may overwrite them
+// as soon as the call returns, and the drain applies what was pushed.
+func TestQueuedPushAsyncOwnsItsValues(t *testing.T) {
+	f := newFixture(t)
+	k := f.key()
+	loc, _ := f.localize(0, k)
+	vals := []float32{5}
+	push := f.sys.Handle(1).PushAsync([]kv.Key{k}, vals)
+	vals[0] = -100
+	if f.pending("queued push", push); f.sys.Stats()[0].QueuedOps.Load() != 1 {
+		t.Fatal("the push to an Incoming key was not queued")
+	}
+	f.net.pump()
+	f.done("localize", loc)
+	f.done("queued push", push)
+	f.pulls(0, k, 5)
+}
+
 func TestLocalizationConflict(t *testing.T) {
 	// Multiple nodes repeatedly localize the same key while pushing;
 	// no update may be lost and the protocol must not wedge.
@@ -380,6 +399,96 @@ func TestMultiKeyOpAcrossStates(t *testing.T) {
 	}
 	if got[0] != 10 || got[1] != 20 || got[2] != 30 {
 		t.Fatalf("Pull = %v, want [10 20 30]", got)
+	}
+}
+
+// TestDispatchOpOnePassBoundary pins the accounting of DispatchOp's one pass,
+// per shard, on a node with two: the held keys before the first one that
+// leaves are served before any per-operation state exists, the state built at
+// that key accounts them as served, and held keys after it are served as
+// before. Node 0 homes keys 0–7, node 1 keys 8–15; key k is on shard k mod 2.
+// Each row pulls, then pushes, its keys from node 0, whose parameters start at
+// 10k+i.
+func TestDispatchOpOnePassBoundary(t *testing.T) {
+	for _, row := range []struct {
+		name          string
+		keys          []kv.Key
+		local, remote [2]int64 // node 0's keys per shard, each counter
+	}{
+		{"all held", []kv.Key{1, 2, 5}, [2]int64{1, 2}, [2]int64{}},
+		{"held prefix, a key that leaves, a held key", []kv.Key{0, 3, 9, 4}, [2]int64{2, 1}, [2]int64{0, 1}},
+		{"the first key leaves", []kv.Key{10, 1, 2}, [2]int64{1, 1}, [2]int64{1, 0}},
+		{"a held key twice around one that leaves", []kv.Key{2, 11, 2}, [2]int64{2, 0}, [2]int64{0, 1}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			cl := cluster.New(cluster.Config{Nodes: 2, WorkersPerNode: 1, Net: simnet.Config{Shards: 2}})
+			sys := New(cl, kv.NewUniformLayout(16, 2), Config{})
+			t.Cleanup(func() { cl.Close(); sys.Shutdown() })
+			sys.Init(func(k kv.Key, v []float32) { v[0], v[1] = float32(10*k), float32(10*k+1) })
+			h := sys.Handle(0)
+			got := make([]float32, 2*len(row.keys))
+			if err := h.Pull(row.keys, got); err != nil {
+				t.Fatal(err)
+			}
+			delta := make([]float32, len(got))
+			for i, k := range row.keys {
+				if got[2*i] != float32(10*k) || got[2*i+1] != float32(10*k+1) {
+					t.Fatalf("pull of %v = %v: key %d at occurrence %d", row.keys, got, k, i)
+				}
+				delta[2*i], delta[2*i+1] = 1, 2
+			}
+			if err := h.Push(row.keys, delta); err != nil {
+				t.Fatal(err)
+			}
+			st := sys.Stats() // node-major: node 0's two shards first
+			for s := 0; s < 2; s++ {
+				if st[s].LocalReads.Load() != row.local[s] || st[s].RemoteReads.Load() != row.remote[s] ||
+					st[s].LocalWrites.Load() != row.local[s] || st[s].RemoteWrites.Load() != row.remote[s] {
+					t.Errorf("shard %d: reads %d local, %d remote; writes %d local, %d remote; want %d local and %d remote each",
+						s, st[s].LocalReads.Load(), st[s].RemoteReads.Load(), st[s].LocalWrites.Load(), st[s].RemoteWrites.Load(),
+						row.local[s], row.remote[s])
+				}
+				if want := 2 * (row.local[s] + row.remote[s]); st[s].ReadValues.Load() != want {
+					t.Errorf("shard %d: %d values read, want %d", s, st[s].ReadValues.Load(), want)
+				}
+			}
+			if err := h.Pull(row.keys, got); err != nil {
+				t.Fatal(err)
+			}
+			for i, k := range row.keys {
+				pushes := float32(0) // every occurrence of k pushed [1 2]
+				for _, o := range row.keys {
+					if o == k {
+						pushes++
+					}
+				}
+				if got[2*i] != float32(10*k)+pushes || got[2*i+1] != float32(10*k+1)+2*pushes {
+					t.Fatalf("after the push, pull of %v = %v: key %d at occurrence %d", row.keys, got, k, i)
+				}
+			}
+		})
+	}
+}
+
+// TestDispatchOpWrongLengthPushAppliesNothing: a push whose values do not
+// match its keys fails before any key is served, held ones included.
+func TestDispatchOpWrongLengthPushAppliesNothing(t *testing.T) {
+	_, sys := newTestSystem(t, 2, 1, 16, 2, Config{})
+	h := sys.Handle(0) // node 0 homes keys 0–7
+	if err := h.Push([]kv.Key{1, 2, 9}, []float32{1, 1, 1, 1, 1}); err == nil {
+		t.Fatal("a push of 5 values to 3 keys of 2 succeeded")
+	}
+	got := make([]float32, 2)
+	for _, k := range []kv.Key{1, 2} {
+		sys.ReadParameter(k, got)
+		if got[0] != 0 || got[1] != 0 {
+			t.Fatalf("key %d = %v after the failed push, want [0 0]", k, got)
+		}
+	}
+	for n, st := range sys.Stats() {
+		if st.LocalWrites.Load() != 0 || st.RemoteWrites.Load() != 0 {
+			t.Fatalf("node %d counted %d local and %d remote writes of a failed push", n, st.LocalWrites.Load(), st.RemoteWrites.Load())
+		}
 	}
 }
 

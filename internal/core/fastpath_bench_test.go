@@ -54,6 +54,7 @@ func BenchmarkFastPathTwoWorkers(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	var wg sync.WaitGroup
 	for n := range ws {

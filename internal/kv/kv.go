@@ -36,10 +36,9 @@ type KV interface {
 	// returned future completes. It keeps no reference to keys, which the
 	// caller may reuse once it returns.
 	PullAsync(keys []Key, dst []float32) *Future
-	// PushAsync is Push without waiting for the server acknowledgement.
-	// vals must stay unmodified until the returned future completes: a push
-	// that waits behind a relocation is queued with the caller's slice. It
-	// keeps no reference to keys, which the caller may reuse once it returns.
+	// PushAsync is Push without waiting for the server acknowledgement. It
+	// keeps no reference to keys or vals, which the caller may reuse once it
+	// returns: a push that waits behind a relocation is queued with a copy.
 	PushAsync(keys []Key, vals []float32) *Future
 	// Localize requests relocation of keys to the caller's node and waits
 	// until the keys are local (Lapse only).

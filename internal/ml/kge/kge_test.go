@@ -215,6 +215,43 @@ func TestLossesIndependentOfLocality(t *testing.T) {
 	}
 }
 
+// TestLapseStepAllocatesNothing: on one node every parameter is local, and a
+// step reuses its buffers and index, so after a warm-up epoch an epoch
+// allocates only per epoch — the samples, the worker's share, the scorer and
+// the window — never per data point.
+func TestLapseStepAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	for _, model := range []Model{ComplEx, RESCAL} {
+		cfg := tinyConfig(model)
+		cfg.Triples = 20_000
+		kg := data.SyntheticKG(cfg.Entities, cfg.Relations, cfg.Triples, cfg.Seed)
+		cl := cluster.New(cluster.Config{Nodes: 1, WorkersPerNode: 1})
+		ps := driver.Build(driver.Lapse, cl, cfg.Layout(), driver.Options{})
+		parts, _ := kg.PartitionByRelation(cl.Nodes())
+		ps.Init(cfg.InitEmbeddings())
+		epoch := 0
+		// AllocsPerRun's first call, not counted, is the warm-up epoch 0.
+		perEpoch := testing.AllocsPerRun(2, func() {
+			cl.RunWorkers(func(node, worker int) {
+				if _, _, err := runWorkerEpoch(cl, ps, cfg, ModeFull, parts[node], epoch, node, worker); err != nil {
+					t.Error(err)
+				}
+			})
+			epoch++
+		})
+		cl.Close()
+		ps.Shutdown()
+		if perPoint := perEpoch / float64(cfg.Triples); perPoint >= 0.01 {
+			t.Errorf("%s: a KGE epoch allocates %.0f times for %d data points (%.4f per point), want < 0.01 per point",
+				model, perEpoch, cfg.Triples, perPoint)
+		} else {
+			t.Logf("%s: a KGE epoch allocates %.0f times for %d data points", model, perEpoch, cfg.Triples)
+		}
+	}
+}
+
 // kvCall is one Pull, Localize or LocalizeAsync call of a worker.
 type kvCall struct {
 	op   string // "pull", "localize" or "async"

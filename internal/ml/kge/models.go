@@ -3,28 +3,35 @@ package kge
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"lapse/internal/kv"
 )
 
 // scorer evaluates and differentiates one model, with AdaGrad updates pushed
-// through the PS. Buffers are reused across steps.
+// through the PS. Its buffers and its index are reused across steps, and
+// PushAsync keeps neither keys nor values, so a step allocates nothing.
 type scorer struct {
-	cfg     Config
-	lay     kv.Layout
-	pullBuf []float32
-	grads   map[kv.Key][]float32
-	deltas  map[kv.Key][]float32
+	cfg                 Config
+	lay                 kv.Layout
+	keys                []kv.Key // the point's keys: its entities, then the relation
+	pull, grads, deltas []float32
+	at                  map[kv.Key]param // the point's keys' parameters, by key
 }
 
+// param is one key's view in a step: its embedding and AdaGrad accumulator
+// (the two halves of its pulled value) and its gradient accumulator.
+type param struct{ emb, acc, grad []float32 }
+
 func newScorer(cfg Config) *scorer {
-	return &scorer{
-		cfg:    cfg,
-		lay:    cfg.Layout(),
-		grads:  make(map[kv.Key][]float32),
-		deltas: make(map[kv.Key][]float32),
+	return &scorer{cfg: cfg, lay: cfg.Layout(), at: make(map[kv.Key]param)}
+}
+
+// reuse returns (*buf)[:n], growing *buf first if it is shorter.
+func reuse(buf *[]float32, n int) []float32 {
+	if cap(*buf) < n {
+		*buf = make([]float32, n)
 	}
+	return (*buf)[:n]
 }
 
 // step pulls the parameters of one data point, computes the logistic loss and
@@ -34,44 +41,30 @@ func newScorer(cfg Config) *scorer {
 // point's triples.
 func (sc *scorer) step(h kv.KV, cfg Config, r int32, ents []int32, entKeys []kv.Key) (float64, error) {
 	rel := cfg.relKey(r)
-	keys := append(slices.Clip(entKeys), rel) // a copy: entKeys is the window's
+	sc.keys = append(append(sc.keys[:0], entKeys...), rel) // a copy: entKeys is the window's
+	keys := sc.keys
 	need := kv.BufferLen(sc.lay, keys)
-	if cap(sc.pullBuf) < need {
-		sc.pullBuf = make([]float32, need)
-	}
-	buf := sc.pullBuf[:need]
+	buf := reuse(&sc.pull, need)
 	if err := h.Pull(keys, buf); err != nil {
 		return 0, fmt.Errorf("kge: pull: %w", err)
 	}
-	// Index embeddings (first half of each value) and accumulators.
-	embOf := make(map[kv.Key][]float32, len(keys))
-	accOf := make(map[kv.Key][]float32, len(keys))
+	// Index embeddings (first half of each value), accumulators and zeroed
+	// gradients.
+	grads := reuse(&sc.grads, need/2)
+	clear(grads)
+	clear(sc.at)
 	off := 0
-	lay := sc.lay
 	for _, k := range keys {
-		l := lay.Len(k)
+		l := sc.lay.Len(k)
 		half := l / 2
-		embOf[k] = buf[off : off+half]
-		accOf[k] = buf[off+half : off+l]
+		sc.at[k] = param{emb: buf[off : off+half], acc: buf[off+half : off+l], grad: grads[off/2 : off/2+half]}
 		off += l
-	}
-	// Zero gradient accumulators for the involved keys.
-	for _, k := range keys {
-		g, ok := sc.grads[k]
-		want := len(embOf[k])
-		if !ok || len(g) != want {
-			g = make([]float32, want)
-			sc.grads[k] = g
-		}
-		for i := range g {
-			g[i] = 0
-		}
 	}
 
 	var loss float64
 	score := func(sub, obj int32, label float32) {
-		sk, ok := kv.Key(sub), kv.Key(obj)
-		f := sc.scoreAndGrad(cfg, embOf[sk], embOf[rel], embOf[ok], sc.grads[sk], sc.grads[rel], sc.grads[ok], label)
+		s, r, o := sc.at[kv.Key(sub)], sc.at[rel], sc.at[kv.Key(obj)]
+		f := sc.scoreAndGrad(cfg, s.emb, r.emb, o.emb, s.grad, r.grad, o.grad, label)
 		loss += logisticLoss(f, label)
 	}
 	s, o := ents[0], ents[1]
@@ -82,23 +75,20 @@ func (sc *scorer) step(h kv.KV, cfg Config, r int32, ents []int32, entKeys []kv.
 	}
 
 	// AdaGrad deltas: dacc = g², demb = -lr·g/√(acc+g²).
-	pushVals := make([]float32, 0, need)
+	deltas := reuse(&sc.deltas, need)
+	off = 0
 	for _, k := range keys {
-		g := sc.grads[k]
-		acc := accOf[k]
-		d, ok := sc.deltas[k]
-		if !ok || len(d) != 2*len(g) {
-			d = make([]float32, 2*len(g))
-			sc.deltas[k] = d
-		}
+		p := sc.at[k]
+		g := p.grad
+		d := deltas[off : off+2*len(g)]
 		for i, gi := range g {
 			g2 := gi * gi
-			d[i] = -cfg.LR * gi / float32(math.Sqrt(float64(acc[i]+g2))+1e-8)
+			d[i] = -cfg.LR * gi / float32(math.Sqrt(float64(p.acc[i]+g2))+1e-8)
 			d[len(g)+i] = g2
 		}
-		pushVals = append(pushVals, d...)
+		off += len(d)
 	}
-	h.PushAsync(keys, pushVals)
+	h.PushAsync(keys, deltas)
 	return loss, nil
 }
 

@@ -119,8 +119,9 @@ func runWorkerEpoch(cl *cluster.Cluster, ps driver.PS, kind driver.Kind, cfg Con
 	}
 	h.Barrier()
 
-	// One key pair serves every entry: Pull is synchronous and PushAsync
-	// keeps no reference to keys, so the training loop allocates nothing.
+	// One key pair and one delta serve every entry: Pull is synchronous and
+	// PushAsync keeps no reference to keys or values, so the training loop
+	// allocates nothing.
 	keys := make([]kv.Key, 2)
 	buf := make([]float32, 2*cfg.Rank)
 	delta := make([]float32, 2*cfg.Rank)

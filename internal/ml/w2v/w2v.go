@@ -116,13 +116,14 @@ type negPool struct {
 	sampler *data.UnigramSampler
 	pool    []int32
 	keys    []kv.Key // pool's output keys; LocalizeAsync keeps no reference
+	one     []kv.Key // the sample PullIfLocal checks, one key reused
 	next    int
 	h       kv.KV
 	useLH   bool
 }
 
 func newNegPool(cfg Config, sampler *data.UnigramSampler, h kv.KV, useLH bool) *negPool {
-	p := &negPool{cfg: cfg, sampler: sampler, h: h, useLH: useLH}
+	p := &negPool{cfg: cfg, sampler: sampler, h: h, useLH: useLH, one: make([]kv.Key, 1)}
 	p.refill()
 	return p
 }
@@ -155,7 +156,8 @@ func (p *negPool) take(buf []float32) (int32, bool) {
 		if !p.useLH {
 			return w, false
 		}
-		if ok, _ := p.h.PullIfLocal([]kv.Key{p.cfg.outKey(w)}, buf); ok {
+		p.one[0] = p.cfg.outKey(w)
+		if ok, _ := p.h.PullIfLocal(p.one, buf); ok {
 			return w, true
 		}
 	}
@@ -187,16 +189,11 @@ func runWorkerEpoch(cl *cluster.Cluster, ps driver.PS, cfg Config, useLH bool,
 	corpus *data.Corpus, epoch, worker int) error {
 	h := ps.Handle(worker)
 	P := cl.TotalWorkers()
-	rng := rand.New(rand.NewSource(cfg.Seed + int64(epoch)*31 + int64(worker)*7))
 	sampler := data.NewUnigramSampler(corpus.Freq, cfg.Seed+int64(worker)*101)
 	negs := newNegPool(cfg, sampler, h, useLH)
 
 	h.Barrier()
-	in := make([]float32, cfg.Dim)
-	out := make([]float32, cfg.Dim)
-	dIn := make([]float32, cfg.Dim)
-	dOut := make([]float32, cfg.Dim)
-	negBuf := make([]float32, cfg.Dim)
+	b := newPairBufs(cfg)
 
 	depth := 0
 	if useLH {
@@ -219,8 +216,7 @@ func runWorkerEpoch(cl *cluster.Cluster, ps driver.PS, cfg Config, useLH bool,
 				if j < 0 || j >= len(sent) || j == i {
 					continue
 				}
-				if err := trainPair(h, cfg, center, sent[j], negs, rng,
-					in, out, dIn, dOut, negBuf); err != nil {
+				if err := trainPair(h, cfg, center, sent[j], negs, b); err != nil {
 					return err
 				}
 				cl.Compute(cfg.PairCost)
@@ -234,40 +230,52 @@ func runWorkerEpoch(cl *cluster.Cluster, ps driver.PS, cfg Config, useLH bool,
 	return nil
 }
 
+// pairBufs are one worker's buffers for trainPair, reused for every pair: the
+// vectors, the deltas, and the one-key lists of the accesses. A []kv.Key
+// literal passed to a kv.KV method escapes to the heap, and PushAsync keeps
+// neither its keys nor its values, so a pair allocates nothing.
+type pairBufs struct {
+	in, out, dIn, dOut, neg []float32
+	inKey, outKey           []kv.Key
+}
+
+func newPairBufs(cfg Config) *pairBufs {
+	v := func() []float32 { return make([]float32, cfg.Dim) }
+	return &pairBufs{in: v(), out: v(), dIn: v(), dOut: v(), neg: v(),
+		inKey: make([]kv.Key, 1), outKey: make([]kv.Key, 1)}
+}
+
 // trainPair performs one skip-gram update: the positive (center, context)
 // pair plus cfg.Negatives negative samples.
-func trainPair(h kv.KV, cfg Config, center, context int32, negs *negPool, rng *rand.Rand,
-	in, out, dIn, dOut, negBuf []float32) error {
-	inKey := kv.Key(center)
-	if err := h.Pull([]kv.Key{inKey}, in); err != nil {
+func trainPair(h kv.KV, cfg Config, center, context int32, negs *negPool, b *pairBufs) error {
+	b.inKey[0] = kv.Key(center)
+	if err := h.Pull(b.inKey, b.in); err != nil {
 		return err
 	}
-	for i := range dIn {
-		dIn[i] = 0
-	}
+	clear(b.dIn)
 	// Positive example.
-	if err := h.Pull([]kv.Key{cfg.outKey(context)}, out); err != nil {
+	b.outKey[0] = cfg.outKey(context)
+	if err := h.Pull(b.outKey, b.out); err != nil {
 		return err
 	}
-	sgdPair(cfg, in, out, 1, dIn, dOut)
-	// PushAsync may keep vals until it completes, and dOut is reused: copy.
-	h.PushAsync([]kv.Key{cfg.outKey(context)}, append([]float32(nil), dOut...))
+	sgdPair(cfg, b.in, b.out, 1, b.dIn, b.dOut)
+	h.PushAsync(b.outKey, b.dOut)
 	// Negative examples.
 	for n := 0; n < cfg.Negatives; n++ {
-		w, local := negs.take(negBuf)
+		w, local := negs.take(b.neg)
 		if w == context || w == center {
 			continue
 		}
-		v := negBuf
+		b.outKey[0] = cfg.outKey(w)
 		if !local {
-			if err := h.Pull([]kv.Key{cfg.outKey(w)}, negBuf); err != nil {
+			if err := h.Pull(b.outKey, b.neg); err != nil {
 				return err
 			}
 		}
-		sgdPair(cfg, in, v, 0, dIn, dOut)
-		h.PushAsync([]kv.Key{cfg.outKey(w)}, append([]float32(nil), dOut...))
+		sgdPair(cfg, b.in, b.neg, 0, b.dIn, b.dOut)
+		h.PushAsync(b.outKey, b.dOut)
 	}
-	h.PushAsync([]kv.Key{inKey}, append([]float32(nil), dIn...))
+	h.PushAsync(b.inKey, b.dIn)
 	return nil
 }
 

@@ -315,3 +315,74 @@ func TestLayout(t *testing.T) {
 		t.Fatalf("outKey(0) = %d", cfg.outKey(0))
 	}
 }
+
+// pairsOf is the number of skip-gram pairs one pass over sentences trains.
+func pairsOf(cfg Config, sentences [][]int32) int {
+	n := 0
+	for _, s := range sentences {
+		for i := range s {
+			n += min(i+cfg.Window, len(s)-1) - max(i-cfg.Window, 0)
+		}
+	}
+	return n
+}
+
+// TestLapseTrainingAllocatesNothing: on one worker every vector is local, and
+// a pair reuses its buffers and key lists, so after a warm-up epoch an epoch
+// allocates only per epoch — the sampler, the negative pool, the window's key
+// lists — and per negative batch, never per pair.
+func TestLapseTrainingAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	cfg := tinyConfig()
+	cfg.Sentences = 2000
+	corpus := data.SyntheticCorpus(cfg.Vocab, cfg.Sentences, cfg.SentenceLen, cfg.Seed)
+	cl := cluster.New(cluster.Config{Nodes: 1, WorkersPerNode: 1})
+	ps := driver.Build(driver.Lapse, cl, cfg.Layout(), driver.Options{})
+	defer func() { cl.Close(); ps.Shutdown() }()
+	ps.Init(cfg.InitVectors())
+	epoch := 0
+	// AllocsPerRun's first call, not counted, is the warm-up epoch 0.
+	perEpoch := testing.AllocsPerRun(2, func() {
+		cl.RunWorkers(func(_, worker int) {
+			if err := runWorkerEpoch(cl, ps, cfg, true, corpus, epoch, worker); err != nil {
+				t.Error(err)
+			}
+		})
+		epoch++
+	})
+	pairs := pairsOf(cfg, corpus.Sentences)
+	if perPair := perEpoch / float64(pairs); perPair >= 0.01 {
+		t.Errorf("a word2vec epoch allocates %.0f times for %d pairs (%.4f per pair), want < 0.01 per pair",
+			perEpoch, pairs, perPair)
+	} else {
+		t.Logf("a word2vec epoch allocates %.0f times for %d pairs", perEpoch, pairs)
+	}
+}
+
+// BenchmarkTrainPair times one latency-hiding skip-gram pair (a positive and
+// cfg.Negatives negatives) on a 1 × 1 Lapse system, where every vector is
+// local: the trainer's share of an access on the shared-memory path.
+func BenchmarkTrainPair(b *testing.B) {
+	cfg := tinyConfig()
+	corpus := data.SyntheticCorpus(cfg.Vocab, cfg.Sentences, cfg.SentenceLen, cfg.Seed)
+	cl := cluster.New(cluster.Config{Nodes: 1, WorkersPerNode: 1})
+	ps := driver.Build(driver.Lapse, cl, cfg.Layout(), driver.Options{})
+	defer func() { cl.Close(); ps.Shutdown() }()
+	ps.Init(cfg.InitVectors())
+	h := ps.Handle(0)
+	negs := newNegPool(cfg, data.NewUnigramSampler(corpus.Freq, cfg.Seed), h, true)
+	bufs := newPairBufs(cfg)
+	sent := corpus.Sentences[0]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := trainPair(h, cfg, sent[i%len(sent)], sent[(i+1)%len(sent)], negs, bufs); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := h.WaitAll(); err != nil {
+		b.Fatal(err)
+	}
+}

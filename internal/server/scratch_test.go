@@ -20,13 +20,12 @@ func lineSpan[T any](s []T) (first, last uintptr, ok bool) {
 }
 
 // TestWorkerScratchIsIsolated pins the cache-line isolation of the buffers a
-// worker writes on every operation. Handles built one after the other from
+// worker writes on every operation that leaves the fast path. Handles built one after the other from
 // one goroutine allocate their scratch from one P's tiny-allocator block, the
 // way co-located workers that start on one P do; a line any two of them
-// share makes every all-local operation of each invalidate the other's.
+// share makes every such operation of each invalidate the other's.
 func TestWorkerScratchIsIsolated(t *testing.T) {
 	_, g, layout := newDispatchFixture(t)
-	r := &localRouter{layout: layout, params: make([]float32, layout.TotalLen())}
 	hs := make([]*Handle, 8)
 	for i := range hs {
 		h := NewHandle(g.Node(0), i, nil)
@@ -35,6 +34,9 @@ func TestWorkerScratchIsIsolated(t *testing.T) {
 	keys := []kv.Key{1, 2}
 	dst := make([]float32, layout.ValLen*len(keys))
 	for _, h := range hs {
+		// Key 1 is served in place and key 2 leaves the node: the operation
+		// builds its scratch at key 2.
+		r := &mixedRouter{serveCall: 0}
 		if err := h.DispatchOp(r, msg.OpPull, keys, dst, nil).Wait(); err != nil {
 			t.Fatal(err)
 		}

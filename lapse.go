@@ -445,7 +445,7 @@ type Stats struct {
 	LeaseInvalidations int64
 	// PullP50/P99/P999 and PushP50/P99/P999 are end-to-end operation-latency
 	// quantiles over every worker of this process, fast and slow paths
-	// merged. Fast-path (shared-memory) operations are sampled 1-in-8 with
+	// merged. Fast-path (shared-memory) operations are sampled 1-in-64 with
 	// matching weight, so the quantiles stay unbiased; log-scale bucketing
 	// bounds the relative error at about ±3%. Zero when no operation of the
 	// kind ran yet.
@@ -551,9 +551,9 @@ func (w *Worker) PullAsync(keys []Key, dst []float32) *Async {
 	return &Async{f: w.kv.PullAsync(keys, dst)}
 }
 
-// PushAsync is Push without waiting. vals must stay unmodified until the
-// returned handle's Wait reports completion: a push that waits behind a
-// relocation is queued with the caller's slice.
+// PushAsync is Push without waiting. It keeps no reference to keys or vals,
+// which the caller may reuse once it returns: a push that waits behind a
+// relocation is queued with a copy of its values.
 func (w *Worker) PushAsync(keys []Key, vals []float32) *Async {
 	return &Async{f: w.kv.PushAsync(keys, vals)}
 }
