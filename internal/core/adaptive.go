@@ -16,10 +16,12 @@ import (
 // msg.Manage handlers, and the live per-key transitions between the three
 // management states (home/relocated ownership ↔ replication).
 //
-// All transition state of a key mutates only on the shard(k) server goroutine
-// of the key's home node — Manage messages are key-addressed, so they arrive
-// there — which serializes every step of a transition against the key's
-// operation stream and against competing transitions. A key with an entry in
+// All transition state of a key mutates only in the shard(k) handlers of the
+// key's home node — Manage messages are key-addressed, so they arrive there —
+// which run one at a time under the shard's serving token, on the shard's
+// loop or on the transport goroutine that received the message. That
+// serializes every step of a transition against the key's operation stream
+// and against competing transitions. A key with an entry in
 // policyShard.transitioning is mid-transition: the classifier skips it (the
 // Busy view). Both transitions hold the key at the home in its relocation
 // queue, as an arrival does, and end in the same drain.

@@ -5,9 +5,12 @@
 // (S = the transport's shard count) and serves several co-located worker
 // threads. Workers access node-local parameters directly through shared
 // memory (striped latches); everything else flows through the network. Each
-// shard owns the interleaved static key slice k ≡ s (mod S): it is the only
-// goroutine on its node that serves, queues, or relocates those keys, so the
-// paper's per-key ordering arguments carry over shard by shard.
+// shard owns the interleaved static key slice k ≡ s (mod S): its handlers,
+// which run one message at a time under the shard's serving token (on the
+// shard goroutine, or on the transport goroutine that received a message
+// while the shard was idle), are the only server code on its node that
+// serves, queues, or relocates those keys, so the paper's per-key ordering
+// arguments carry over shard by shard.
 //
 // Location management (Section 3.5) uses the decentralized home-node
 // strategy: each key has a statically assigned home node that tracks the
@@ -194,14 +197,14 @@ type policyShard struct {
 	queues  map[kv.Key]*keyQueue
 	// transitioning tracks the shard's keys with a management transition in
 	// flight (promote into / demote out of replication). Only the shard's
-	// server goroutine touches it.
+	// handlers touch it, one at a time under the shard's serving token.
 	transitioning map[kv.Key]*transition
 	// classifier decides management transitions for keys homed here (nil
 	// unless adaptive management is enabled).
 	classifier *adaptive.Classifier
 	// managing is set while the classifier holds managed keys — the only
 	// state an idle sweep can act on — so the controller ticker knows whether
-	// this shard needs one. Written by the shard goroutine.
+	// this shard needs one. Written by the shard's handlers.
 	managing atomic.Bool
 	// reportAt[o] is one past the epoch origin o's latest report arrived (0:
 	// never), for the ticker's report-age gauge; setAsideAt[o] the epoch o's
@@ -209,7 +212,8 @@ type policyShard struct {
 	reportAt   []atomic.Uint32
 	setAsideAt []uint32
 	// handleOp answer scratch, reused across messages (only the shard's
-	// server goroutine touches it, and responses are consumed on send).
+	// handlers touch it, under the shard's serving token, and responses are
+	// consumed on send).
 	ansKeys []kv.Key
 	ansVals []float32
 	resp    msg.OpResp
@@ -817,9 +821,11 @@ func (sh *policyShard) serve(b backing, t msg.OpType, k kv.Key, buf []float32, m
 // shard-pure).
 //
 // The answer accumulators and the response struct are per-shard scratch:
-// handleOp runs only on the shard's server goroutine, and SendOrDispatch
-// consumes the response synchronously (encode on send, inline dispatch for
-// self), so the scratch is free again when handleOp returns.
+// handleOp runs only in the shard's handlers, which hold the shard's serving
+// token (on the shard's loop, or on the transport goroutine that received the
+// message), and SendOrDispatch consumes the response synchronously (encode
+// on send, inline dispatch for self), so the scratch is free again when
+// handleOp returns.
 func (sh *policyShard) handleOp(m *msg.Op, held backing) {
 	nd := sh.nd
 	if m.Hops > maxHops {
@@ -945,9 +951,12 @@ func (sh *policyShard) handleLocalize(m *msg.Localize) {
 // re-executed when the transfer arrives.
 func (sh *policyShard) handleInstruct(m *msg.RelocInstruct) {
 	if int(m.Dest) == sh.rt.Node() {
-		// Localize raced with a relocation that already made this node the
-		// owner: the home named it the owner before, so a queue open here is
-		// closed by the transfer already on its way. Nothing to move.
+		// The home named this node the owner twice in a row, as when a
+		// Localize races a demotion: the replica's install answers it, the
+		// demotion takes the replica away, and the node asks again. The
+		// transfer that the first Localize's instruct set off when the
+		// demotion ended has arrived or is on its way, and closes any queue
+		// open here (TestLocalizeWaiters). Nothing to move.
 		return
 	}
 	var moveKeys []kv.Key

@@ -190,32 +190,55 @@ func TestLocalizeWaiters(t *testing.T) {
 			f.done("node 2's localize", c)
 			f.closed(f.shard(2, k), k, stateOwned)
 		}},
-		{"self-addressed instruct, queue left open", func(f *fixture) {
+		{"self-addressed instruct behind its transfer", func(f *fixture) {
+			// Node 0 asks for a key whose replica has not reached it yet, and
+			// the home starts a demotion before the install arrives: the
+			// Localize names node 0 the owner, the install answers it, and
+			// the demotion then takes the replica away — node 0 holds nothing
+			// while the home names it the owner. Its next Localize makes the
+			// home instruct node 0 to move the key to node 0.
 			k := f.key()
-			sh := f.shard(0, k)
+			home, sh := f.shard(1, k), f.shard(0, k)
+			home.beginReplicate(k) // owned at the home: promoted at once
+			f.net.deliver(1, 2)    // node 2's install; node 0's is held
 			a, _ := f.localize(0, k)
-			// An instruct naming node 0, which the home has made the owner
-			// already. No schedule of this fixture sends one, so the row hands
-			// it to the shard itself.
-			sh.HandleMessage(1, &msg.RelocInstruct{Dest: 0, Keys: []kv.Key{k}})
-			f.pending("localize after a self-addressed instruct", a)
-			sh.queueMu.Lock()
-			q := sh.queues[k]
-			sh.queueMu.Unlock()
-			if q == nil || sh.nd.state[k].Load() != stateIncoming {
-				f.t.Fatal("a self-addressed instruct closed the queue: it moves nothing, accesses keep waiting for the transfer")
-			}
-			// The transfer completes both the localize from before the
-			// instruct and one from after it.
+			home.beginDemote(k)
+			f.net.deliver(0, 1) // the Localize: its instruct waits in the home's queue
+			f.net.deliver(1, 0) // the install adopts node 0's queue
+			f.done("localize answered by the install", a)
+			f.net.deliver(1, 0) // node 0 drops its replica and acks
 			b, sent := f.localize(1, k)
-			f.pending("localize after the instruct", b)
-			f.net.pump()
-			f.done("localize before the instruct", a)
-			f.done("localize after the instruct", b)
-			f.closed(sh, k, stateOwned)
-			if sent {
-				f.t.Fatal("localize of an Incoming key sent a request")
+			if !sent {
+				f.t.Fatal("node 0 sent no Localize for a key it no longer holds")
 			}
+			f.net.deliver(1, 2) // node 2 drops its replica and acks
+			f.net.deliver(2, 1)
+			f.net.deliver(0, 1) // the last ack: the home's drain transfers the key to node 0
+			mark := len(f.net.since(0))
+			f.net.deliver(0, 1) // the second Localize
+			self := false
+			for _, s := range f.net.since(mark) {
+				if in, ok := s.m.(*msg.RelocInstruct); ok && s.dst == 0 && in.Dest == 0 {
+					self = true
+				}
+			}
+			if !self {
+				f.t.Fatal("the home sent node 0 no instruct addressed to node 0")
+			}
+			f.pending("second localize", b)
+			f.net.deliver(1, 0) // the transfer
+			f.done("second localize", b)
+			f.closed(sh, k, stateOwned)
+			mark, moved := len(f.net.since(0)), sh.stats.Relocations.Load()
+			f.net.deliver(1, 0) // the self-addressed instruct: nothing to move
+			if got := f.net.since(mark); len(got) != 0 {
+				f.t.Fatalf("a self-addressed instruct sent %d messages, want none", len(got))
+			}
+			if got := sh.stats.Relocations.Load() - moved; got != 0 {
+				f.t.Fatalf("a self-addressed instruct relocated the key to its own node %d times", got)
+			}
+			f.closed(sh, k, stateOwned)
+			f.pulls(0, k, 0)
 		}},
 		{"home's own recall for a promotion", func(f *fixture) {
 			k := f.key()

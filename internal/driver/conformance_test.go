@@ -63,7 +63,7 @@ func confNameLapse(transport string, _ Kind, shards int) string {
 
 // newConfNet builds the named transport hosting the whole conformance
 // topology, with the given per-node server shard count.
-func newConfNet(t *testing.T, tr string, shards int) transport.Network {
+func newConfNet(t testing.TB, tr string, shards int) transport.Network {
 	t.Helper()
 	switch tr {
 	case "simnet":

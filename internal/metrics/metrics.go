@@ -96,7 +96,7 @@ type ServerStats struct {
 	// (localize issued until all keys are owned locally, Section 3.2).
 	RelocationTime Histogram
 	// ServeLatency records the per-message handling time of this shard's
-	// server loop — how long each inbound message held the shard goroutine.
+	// server — how long each inbound message held the shard's serving token.
 	ServeLatency Histogram
 	// QueueWait records how long operations sat on relocation queues before
 	// a queue drain applied them.

@@ -17,13 +17,17 @@
 // A node's runtime is split into S independent shards (S = the transport's
 // Shards()): each shard owns the interleaved static key slice k ≡ s (mod S),
 // its own pending-operation table, and its own message loop, so a node's
-// server work parallelizes across cores while every key still has exactly
-// one serving goroutine per node — which is what preserves the paper's
-// per-key ordering arguments. Transports deliver into per-shard inboxes
-// (demux on decode, see msg.ShardOf) with FIFO per (link, shard).
+// server work parallelizes across cores while every key's messages are still
+// handled one at a time, in arrival order — which is what preserves the
+// paper's per-key ordering arguments. Transports deliver per shard (demux on
+// decode, see msg.ShardOf) with FIFO per (link, shard). The transport's
+// serving token serialises a shard: the loop holds it for each message it
+// takes from the inbox, and a real transport's receiving goroutine holds it
+// when it handles a message itself because the shard was idle
+// (transport.Host.DeliverInline).
 //
 // A variant supplies only its policy: one Policy per (node, shard) that
-// handles the variant's wire messages on that shard's goroutine (home-node
+// handles the variant's wire messages under that shard's token (home-node
 // serving for the classic PS, replica/clock logic for the stale PS, routing
 // and relocation for Lapse), and a Router that decides per key how a worker
 // operation is served (shared-memory fast path, relocation queue, or a
@@ -39,12 +43,14 @@ import (
 	"lapse/internal/kv"
 	"lapse/internal/metrics"
 	"lapse/internal/msg"
+	"lapse/internal/transport"
 )
 
 // Policy is the variant-specific part of a node's server shard: it handles
 // every wire message except msg.OpResp, which the runtime consumes itself.
-// All methods run on the owning shard's goroutine; key-addressed messages
-// only ever carry keys of that shard.
+// All methods run one at a time per shard, under the shard's serving token
+// (on its loop or on the transport goroutine that received the message);
+// key-addressed messages only ever carry keys of that shard.
 type Policy interface {
 	// HandleMessage processes one variant message from node src.
 	HandleMessage(src int, m any)
@@ -128,7 +134,9 @@ func (g *Group) Latencies() metrics.LatencySnapshot {
 // Start binds each shard's policy and spawns the server goroutines. policy
 // is invoked once per (node, shard), in node-major order. Message loops run
 // only for nodes hosted by this process; in a multi-process deployment every
-// process serves its own share of the nodes.
+// process serves its own share of the nodes. A loop registers its shard's
+// handler with the transport only after the policy is bound: the transport's
+// receivers are running already and may call it from then on.
 func (g *Group) Start(policy func(node, shard int) Policy) {
 	for n, nd := range g.nodes {
 		for s, rt := range nd.shards {
@@ -233,10 +241,10 @@ func (rt *Runtime) Send(dest int, m any) { rt.nd.Send(dest, m) }
 
 // SendOrDispatch transmits m, handling node-local destinations inline on the
 // calling goroutine instead of looping them through the network (Lapse never
-// talks to itself over the network). It must only be called from this
-// shard's server goroutine, and only with messages of this shard's keys:
-// inline dispatch preserves arrival order precisely because that goroutine
-// is the only one that processes the shard's messages.
+// talks to itself over the network). It must only be called from a handler of
+// this shard, which holds the shard's serving token, and only with messages
+// of this shard's keys: inline dispatch preserves arrival order precisely
+// because the token holder is the only one processing the shard's messages.
 func (rt *Runtime) SendOrDispatch(dest int, m any) {
 	if dest == rt.nd.node {
 		rt.handle(rt.nd.node, m)
@@ -245,28 +253,32 @@ func (rt *Runtime) SendOrDispatch(dest int, m any) {
 	rt.Send(dest, m)
 }
 
-// loop is the shard's server goroutine: it processes incoming messages in
-// arrival order with no prioritization (Section 3.7: prioritizing relocation
-// messages would break consistency for asynchronous operations).
-//
-// The loop is the sole consumer of the shard's decoded messages, so after
-// the handler returns it recycles the envelope's decode scratch back to the
-// pool — the buffer-ownership protocol every Policy must honour: a handler
-// that needs message data past its return copies it first (DESIGN.md
-// "Allocation-free message path"; msg.SetPoison catches violations).
+// loop is the shard's server goroutine: it registers serve as the shard's
+// one handler and handles the inbox with it until the network closes. Inbox
+// or inline, messages are processed in arrival order with no prioritization
+// (Section 3.7: prioritizing relocation messages would break consistency for
+// asynchronous operations).
 func (rt *Runtime) loop() {
 	defer rt.nd.g.wg.Done()
-	for env := range rt.nd.g.cl.Net().Inbox(rt.nd.node, rt.shard) {
-		rt.handle(env.Src, env.Msg)
-		env.Recycle()
-	}
+	rt.nd.g.cl.Net().Serve(rt.nd.node, rt.shard, rt.serve)
+}
+
+// serve handles one delivered message. It is the sole consumer of the
+// shard's decoded messages, so after handling it recycles the envelope's
+// decode scratch back to the pool — the buffer-ownership protocol every
+// Policy must honour: a handler that needs message data past its return
+// copies it first (DESIGN.md "Allocation-free message path"; msg.SetPoison
+// catches violations).
+func (rt *Runtime) serve(env transport.Envelope) {
+	rt.handle(env.Src, env.Msg)
+	env.Recycle()
 }
 
 // handle dispatches one message: operation responses complete pending
 // operations and barrier protocol messages drive the cluster barrier, both
 // variant-independently; everything else is the variant's business. Each
 // message's handling time is observed on the shard's ServeLatency histogram
-// — how long it held the shard goroutine, the per-message queueing-theory
+// — how long it held the shard's token, the per-message queueing-theory
 // service time of the server.
 func (rt *Runtime) handle(src int, m any) {
 	start := nowFunc()

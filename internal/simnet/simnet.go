@@ -309,6 +309,16 @@ func (n *Network) fire(e event) {
 func (n *Network) scheduler() {
 	defer close(n.schedDone)
 	const spinHorizon = 3 * time.Millisecond
+	// One timer for every coarse sleep: since Go 1.23, Reset leaves no stale
+	// tick in its channel, so a wait cut short by wake needs no Stop.
+	timer := time.NewTimer(time.Hour)
+	sleep := func(d time.Duration) {
+		timer.Reset(d)
+		select {
+		case <-n.wake:
+		case <-timer.C:
+		}
+	}
 	for {
 		n.schedMu.Lock()
 		if len(n.events) == 0 {
@@ -317,10 +327,7 @@ func (n *Network) scheduler() {
 			if stopped {
 				return
 			}
-			select {
-			case <-n.wake:
-			case <-time.After(10 * time.Millisecond):
-			}
+			sleep(10 * time.Millisecond)
 			continue
 		}
 		next := n.events[0].at
@@ -334,10 +341,7 @@ func (n *Network) scheduler() {
 		d := next.Sub(now)
 		n.schedMu.Unlock()
 		if d > spinHorizon {
-			select {
-			case <-n.wake:
-			case <-time.After(d - spinHorizon + time.Millisecond):
-			}
+			sleep(d - spinHorizon + time.Millisecond)
 			continue
 		}
 		// Near: yield-spin until due (or an earlier event arrives).

@@ -16,12 +16,13 @@ import (
 // count into the same counters.
 //
 // Producers (a simulated-link scheduler, socket readers, ring consumers) call
-// Deliver; the transport closes the inboxes with CloseInboxes once every
-// producer has stopped.
+// Deliver or DeliverInline; the transport closes the inboxes with
+// CloseInboxes once every producer has stopped. A hosted shard's messages are
+// handled by the Handler its consumer passes to Serve, one at a time.
 type Host struct {
-	shards  int
-	local   []bool
-	inboxes [][]chan Envelope // [node][shard]; nil for non-local nodes
+	shards int
+	local  []bool
+	slots  [][]slot // [node][shard]; nil for non-local nodes
 
 	remoteMsgs  atomic.Int64
 	remoteBytes atomic.Int64
@@ -31,6 +32,30 @@ type Host struct {
 
 	errMu    sync.Mutex
 	firstErr error
+}
+
+// Handler handles one message delivered to a hosted (node, shard) and owns
+// its envelope from then on (it recycles the scratch when done). The host
+// calls a shard's Handler for one message at a time, holding the shard's
+// serving token: on the goroutine running Serve, or on the producer's own
+// goroutine when DeliverInline finds the shard idle.
+type Handler func(Envelope)
+
+// slot is one hosted (node, shard): its inbox and what serialises handling.
+type slot struct {
+	in chan Envelope
+	// token is held by whoever handles one of the shard's messages: Serve
+	// for each message it takes from in, or a producer in DeliverInline. It
+	// serialises the shard: one handler at a time, which the server's
+	// policies and their per-shard state rely on.
+	token sync.Mutex
+	// queued counts the messages put on in and not handled yet. It goes up
+	// before the channel send and down only after the message is handled,
+	// under token (see DeliverInline for why).
+	queued atomic.Int64
+	// handler is the Handler Serve published, nil before: until then every
+	// message goes to the inbox.
+	handler atomic.Pointer[Handler]
 }
 
 // NewHost creates the inboxes of the local nodes of a nodes-wide cluster:
@@ -47,15 +72,15 @@ func NewHost(nodes, shards int, local []int, inboxSize int) (*Host, error) {
 	if inboxSize <= 0 {
 		inboxSize = 1 << 16
 	}
-	h := &Host{shards: shards, local: set, inboxes: make([][]chan Envelope, nodes)}
+	h := &Host{shards: shards, local: set, slots: make([][]slot, nodes)}
 	perShard := (inboxSize + shards - 1) / shards
 	for node, ok := range set {
 		if !ok {
 			continue
 		}
-		h.inboxes[node] = make([]chan Envelope, shards)
-		for s := range h.inboxes[node] {
-			h.inboxes[node][s] = make(chan Envelope, perShard)
+		h.slots[node] = make([]slot, shards)
+		for s := range h.slots[node] {
+			h.slots[node][s].in = make(chan Envelope, perShard)
 		}
 	}
 	return h, nil
@@ -116,13 +141,36 @@ func (h *Host) CheckSend(src, dst int) {
 	}
 }
 
+// slot returns a hosted node's (node, shard), panicking for a non-local node.
+func (h *Host) slot(node, shard int, what string) *slot {
+	if !h.Local(node) {
+		panic(fmt.Sprintf("transport: %s of non-local node %d", what, node))
+	}
+	return &h.slots[node][shard]
+}
+
 // Inbox returns the receive channel of a hosted node's inbox shard. It is
 // closed by CloseInboxes, after the last delivery.
 func (h *Host) Inbox(node, shard int) <-chan Envelope {
-	if !h.Local(node) {
-		panic(fmt.Sprintf("transport: Inbox of non-local node %d", node))
+	return h.slot(node, shard, "Inbox").in
+}
+
+// Serve makes fn the handler of a hosted (node, shard) and handles the
+// shard's inbox with it, in order, until CloseInboxes closes the inbox. From
+// the moment fn is published, DeliverInline may also call it, on a
+// producer's goroutine; the shard's token keeps every call one at a time.
+func (h *Host) Serve(node, shard int, fn Handler) {
+	sl := h.slot(node, shard, "Serve")
+	// Published atomically: producers are already running and load it.
+	sl.handler.Store(&fn)
+	for env := range sl.in {
+		sl.token.Lock()
+		fn(env)
+		// Only now, handled and under the token, does the message stop
+		// counting: until here an inline delivery must not overtake it.
+		sl.queued.Add(-1)
+		sl.token.Unlock()
 	}
-	return h.inboxes[node][shard]
 }
 
 // Deliver puts env on the inbox of (env.Dst, env.Shard), waiting for room.
@@ -130,29 +178,59 @@ func (h *Host) Inbox(node, shard int) <-chan Envelope {
 // otherwise drops the message, recycling its scratch and counting it, so a
 // full inbox nobody drains cannot stall teardown. A nil done always waits.
 func (h *Host) Deliver(env Envelope, done <-chan struct{}) {
-	in := h.inboxes[env.Dst][env.Shard]
+	sl := &h.slots[env.Dst][env.Shard]
+	// Counted before the send, so no inline delivery that follows this one
+	// on the producer's goroutine can find the shard empty ahead of it.
+	sl.queued.Add(1)
 	if done == nil {
-		in <- env
+		sl.in <- env
 		return
 	}
 	select {
-	case in <- env:
+	case sl.in <- env:
 	case <-done:
 		select {
-		case in <- env:
+		case sl.in <- env:
 		default:
+			sl.queued.Add(-1)
 			env.Recycle()
 			h.dropped.Add(1)
 		}
 	}
 }
 
+// DeliverInline hands env to its shard's handler on the calling goroutine
+// when the shard is idle: a handler is published, nobody holds the shard's
+// token and nothing is queued for it. Otherwise it delivers env as Deliver
+// does. A producer that delivers one link's messages in order, one call after
+// the other, keeps them in order either way: per (link, shard) FIFO.
+//
+// The simulated network keeps to Deliver: its scheduler goroutine is the
+// simulation clock, and with timing off it delivers from inside Send, where
+// the sender may hold a lock the handler takes.
+func (h *Host) DeliverInline(env Envelope, done <-chan struct{}) {
+	sl := &h.slots[env.Dst][env.Shard]
+	if fn := sl.handler.Load(); fn != nil && sl.token.TryLock() {
+		// Per-(link, shard) FIFO: an earlier message of this link that went
+		// to the inbox counts in queued from before its channel send until
+		// after it is handled. Read under the token, queued == 0 means none
+		// is in the inbox or in Serve's hand, so env is next on its link.
+		if sl.queued.Load() == 0 {
+			(*fn)(env)
+			sl.token.Unlock()
+			return
+		}
+		sl.token.Unlock()
+	}
+	h.Deliver(env, done)
+}
+
 // CloseInboxes closes every hosted inbox. The transport calls it once, after
-// its last producer has returned from Deliver.
+// its last producer has returned from Deliver and DeliverInline.
 func (h *Host) CloseInboxes() {
-	for _, node := range h.inboxes {
-		for _, in := range node {
-			close(in)
+	for _, node := range h.slots {
+		for s := range node {
+			close(node[s].in)
 		}
 	}
 }

@@ -339,7 +339,9 @@ func (n *Network) getLink(src, dst int) *link {
 }
 
 // consume is the consumer goroutine of one incoming ring: it decodes frames
-// in ring order into the destination's (node, shard) inbox.
+// in ring order and delivers each to the destination's (node, shard), whose
+// handler runs on this goroutine when the shard is idle (DeliverInline) and
+// which otherwise gets it through its inbox.
 func (n *Network) consume(r *ring, src, dst, shard int) {
 	defer n.consWg.Done()
 	productive := false // spin only when frames were just flowing
@@ -378,7 +380,7 @@ func (n *Network) consume(r *ring, src, dst, shard int) {
 		// the slot before delivery: the producer unblocks sooner.
 		r.advance(size)
 		productive = true
-		n.Deliver(transport.Envelope{Src: src, Dst: dst, Msg: m, Shard: shard, Bytes: size, Scratch: sc}, n.done)
+		n.DeliverInline(transport.Envelope{Src: src, Dst: dst, Msg: m, Shard: shard, Bytes: size, Scratch: sc}, n.done)
 	}
 }
 

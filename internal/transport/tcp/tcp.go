@@ -579,9 +579,11 @@ func (n *Network) readLoop(conn net.Conn) {
 			return
 		}
 		// Demux on decode: this reader delivers the connection's frames
-		// sequentially, so order is preserved per (connection, shard).
+		// sequentially, so order is preserved per (connection, shard). An
+		// idle shard's handler runs right here (DeliverInline), saving the
+		// hop through the inbox and the wake of the shard's loop.
 		shard := msg.ShardOf(m, n.Shards())
-		n.Deliver(transport.Envelope{Src: src, Dst: dst, Msg: m, Shard: shard, Bytes: headerBytes + plen, Scratch: sc}, n.done)
+		n.DeliverInline(transport.Envelope{Src: src, Dst: dst, Msg: m, Shard: shard, Bytes: headerBytes + plen, Scratch: sc}, n.done)
 	}
 }
 

@@ -109,6 +109,13 @@ type Network interface {
 	// shard) FIFO order is preserved. The channel is closed by Close after
 	// in-flight messages drain.
 	Inbox(node, shard int) <-chan Envelope
+	// Serve handles a local node's inbox shard with h until Close closes
+	// it (see Host.Serve). Once h is registered, a real transport may also
+	// call it on the goroutine that received a message, when nothing is
+	// queued for the shard; h still runs for one message at a time and
+	// per-(source, shard) FIFO order is kept. A consumer reads a shard
+	// either through Serve or through Inbox, not both.
+	Serve(node, shard int, h Handler)
 	// Sleep blocks the caller for d in the transport's time base: the
 	// simulated network drives it through its event scheduler (the
 	// virtual-compute primitive), real transports sleep in wall-clock

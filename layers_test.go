@@ -49,7 +49,10 @@ var layers = []struct {
 		"internal/adaptive":    {"internal/kv"},
 	}},
 	{"server runtime", map[string][]string{
-		"internal/server": {"internal/cluster", "internal/kv", "internal/metrics", "internal/msg"},
+		// server → transport: each shard's loop registers the shard's one
+		// handler with the transport (Network.Serve), whose receivers may
+		// run it themselves when the shard is idle.
+		"internal/server": {"internal/cluster", "internal/kv", "internal/metrics", "internal/msg", "internal/transport"},
 	}},
 	{"cluster", map[string][]string{
 		// cluster → simnet: a cluster whose Config.Transport is nil builds a
