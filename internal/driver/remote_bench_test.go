@@ -1,6 +1,7 @@
 package driver
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -13,7 +14,8 @@ import (
 // transport, each worker pulling 4 keys homed on the other node in a closed
 // loop. b.N pulls in all, half per worker, so ns/op is the inverse of the
 // pair's throughput; allocs/op counts the whole process, both nodes' servers
-// and transports included.
+// and transports included. Sub-benchmarks are named transport/shards; at 4
+// shards a pull's keys fan out over the home's shards.
 func BenchmarkRemotePull(b *testing.B) {
 	const (
 		keys   = 2048
@@ -22,32 +24,34 @@ func BenchmarkRemotePull(b *testing.B) {
 		warmup = 1000 // pulls per worker before the clock starts
 	)
 	for _, tr := range []string{"tcp", "shm"} {
-		b.Run(tr, func(b *testing.B) {
-			cl := cluster.New(cluster.Config{Nodes: confNodes, WorkersPerNode: 1, Transport: newConfNet(b, tr, 1)})
-			ps := Build(Lapse, cl, kv.NewUniformLayout(keys, valLen), Options{})
-			defer func() { cl.Close(); ps.Shutdown() }()
-			pulls := func(n int) {
-				cl.RunWorkers(func(node, worker int) {
-					h := ps.Handle(worker)
-					rng := rand.New(rand.NewSource(int64(worker)))
-					lo := kv.Key(1-node) * keys / confNodes // the other node's range
-					ks := make([]kv.Key, batch)
-					buf := make([]float32, batch*valLen)
-					for i := worker; i < n; i += confNodes {
-						for j := range ks {
-							ks[j] = lo + kv.Key(rng.Intn(keys/confNodes))
+		for _, shards := range []int{1, 4} {
+			b.Run(fmt.Sprintf("%s/%d", tr, shards), func(b *testing.B) {
+				cl := cluster.New(cluster.Config{Nodes: confNodes, WorkersPerNode: 1, Transport: newConfNet(b, tr, shards)})
+				ps := Build(Lapse, cl, kv.NewUniformLayout(keys, valLen), Options{})
+				defer func() { cl.Close(); ps.Shutdown() }()
+				pulls := func(n int) {
+					cl.RunWorkers(func(node, worker int) {
+						h := ps.Handle(worker)
+						rng := rand.New(rand.NewSource(int64(worker)))
+						lo := kv.Key(1-node) * keys / confNodes // the other node's range
+						ks := make([]kv.Key, batch)
+						buf := make([]float32, batch*valLen)
+						for i := worker; i < n; i += confNodes {
+							for j := range ks {
+								ks[j] = lo + kv.Key(rng.Intn(keys/confNodes))
+							}
+							if err := h.Pull(ks, buf); err != nil {
+								b.Error(err)
+								return
+							}
 						}
-						if err := h.Pull(ks, buf); err != nil {
-							b.Error(err)
-							return
-						}
-					}
-				})
-			}
-			pulls(confNodes * warmup)
-			b.ReportAllocs()
-			b.ResetTimer()
-			pulls(b.N)
-		})
+					})
+				}
+				pulls(confNodes * warmup)
+				b.ReportAllocs()
+				b.ResetTimer()
+				pulls(b.N)
+			})
+		}
 	}
 }

@@ -10,13 +10,16 @@ import (
 	"unsafe"
 )
 
-// A ring is a lock-free single-producer single-consumer byte queue over a
-// mmap-ed file shared by two processes. The layout is
+// A segment is the shared mapping of one directed (src, dst) link: a link
+// control page followed by one ring per shard, in one mmap-ed file shared by
+// the two processes:
 //
-//	[ 4 KiB control page | power-of-two data region ]
+//	[ 4 KiB link page | shard 0: 4 KiB ring page, data region | shard 1: ... ]
 //
-// with free-running 64-bit head (producer) and tail (consumer) cursors in the
-// control page; an index is cursor & (size-1). Records are 8-byte aligned:
+// Each ring is a lock-free single-producer single-consumer byte queue with a
+// power-of-two data region and free-running 64-bit head (producer) and tail
+// (consumer) cursors in its ring page; an index is cursor & (size-1).
+// Records are 8-byte aligned:
 //
 //	[u32 length][payload][pad to 8]
 //
@@ -31,37 +34,41 @@ import (
 // the consumer observes it with a load of head before reading, and releases
 // space with a store of tail after it is done with the bytes.
 //
-// Wakeups ride doorbell FIFOs next to the ring file — one per direction
-// ("data available" toward the consumer, "space available" toward the
-// producer). cwait/pwait in the control page record that the peer parked, so
-// the steady-state ring write stays entirely syscall-free: a doorbell byte is
-// written only when the peer is actually parked, and parking is a deadline
-// read on the FIFO. A pipe read parks through the runtime's poller like any
-// socket — the scheduler hands the CPU to other goroutines immediately —
-// whereas parking in a raw futex/nanosleep syscall would pin the P for the
-// whole sleep, starving co-scheduled workers on small hosts (GOMAXPROCS=1
-// turns each such park into a multi-hundred-µs stall of the whole process).
+// Wakeups ride two doorbell FIFOs next to the file, one per direction:
+// "data available" toward the link's one consumer, "space available" toward
+// its one producer. The link page's cwait records that the consumer parked
+// (on all the link's rings at once), each ring page's pwait that the
+// producer parked on that ring, so the steady-state ring write stays
+// entirely syscall-free: a doorbell byte is written only when the peer is
+// actually parked, and parking is a deadline read on the FIFO. A pipe read
+// parks through the runtime's poller like any socket — the scheduler hands
+// the CPU to other goroutines immediately — whereas parking in a raw
+// futex/nanosleep syscall would pin the P for the whole sleep, starving
+// co-scheduled workers on small hosts (GOMAXPROCS=1 turns each such park
+// into a multi-hundred-µs stall of the whole process).
 
 const (
 	ringMagic   = 0x4C53484D // "LSHM"
-	ringVersion = 1
+	ringVersion = 2          // 1: one file and one doorbell pair per (src, dst, shard)
 
-	// ringHeader is the control-page size; the data region starts here,
-	// page-aligned, so cursor words and payload bytes never share a line.
-	ringHeader = 4096
+	// pageSize is the size of the link page and of each ring page; a data
+	// region starts right after its ring page, page-aligned, so cursor words
+	// and payload bytes never share a line.
+	pageSize = 4096
 
+	// Link page.
 	offMagic    = 0   // u32: ringMagic, stored last during init
 	offVersion  = 4   // u32
-	offSize     = 8   // u64: data region size
-	offSrc      = 16  // u32
-	offDst      = 20  // u32
-	offShard    = 24  // u32
-	offHead     = 64  // u64: producer cursor (own cache line)
-	offTail     = 128 // u64: consumer cursor (own cache line)
-	offCWait    = 192 // u32: consumer parked
-	offPWait    = 256 // u32: producer parked
-	offClosed   = 320 // u32: producer flushed everything and detached
-	offAttached = 384 // u32: a producer has opened this ring at least once
+	offSize     = 8   // u64: data region size of each ring
+	offShards   = 16  // u32
+	offCWait    = 64  // u32: consumer parked (own cache line)
+	offClosed   = 128 // u32: producer flushed everything and detached
+	offAttached = 192 // u32: a producer has opened this segment at least once
+
+	// Ring page.
+	offHead  = 0   // u64: producer cursor (own cache line)
+	offTail  = 64  // u64: consumer cursor (own cache line)
+	offPWait = 128 // u32: producer parked on this ring
 
 	wrapMarker = 0xFFFFFFFF
 
@@ -102,11 +109,8 @@ func RingSizeFor(maxMessage int) int {
 	return int(size)
 }
 
-type ring struct {
-	mem  []byte // full mapping, ringHeader+size bytes
-	data []byte // mem[ringHeader:]
-	size uint64
-	mask uint64
+type segment struct {
+	mem  []byte // full mapping
 	path string
 	// owned marks the consumer side, which created the files and unlinks them.
 	owned bool
@@ -116,41 +120,52 @@ type ring struct {
 	// never block and readers never see EOF.
 	dbData  *os.File
 	dbSpace *os.File
+	rings   []*ring // per shard
 }
 
-func (r *ring) word32(off int) *uint32 { return (*uint32)(unsafe.Pointer(&r.mem[off])) }
-func (r *ring) word64(off int) *uint64 { return (*uint64)(unsafe.Pointer(&r.mem[off])) }
-
-func (r *ring) head() *uint64     { return r.word64(offHead) }
-func (r *ring) tail() *uint64     { return r.word64(offTail) }
-func (r *ring) cwait() *uint32    { return r.word32(offCWait) }
-func (r *ring) pwait() *uint32    { return r.word32(offPWait) }
-func (r *ring) closed() *uint32   { return r.word32(offClosed) }
-func (r *ring) attached() *uint32 { return r.word32(offAttached) }
-
-func ringPath(dir string, src, dst, shard int) string {
-	return fmt.Sprintf("%s/ring-%d-%d-%d", dir, src, dst, shard)
+type ring struct {
+	seg  *segment
+	page []byte // this ring's control page
+	data []byte
+	size uint64
+	mask uint64
 }
 
-// Doorbell FIFO paths beside the ring file.
-func dbDataPath(path string) string  { return path + ".dbd" }
-func dbSpacePath(path string) string { return path + ".dbs" }
+func word32(b []byte, off int) *uint32 { return (*uint32)(unsafe.Pointer(&b[off])) }
+func word64(b []byte, off int) *uint64 { return (*uint64)(unsafe.Pointer(&b[off])) }
 
-// openDoorbells opens both doorbell FIFOs of path. O_RDWR keeps the open
-// from blocking on a missing peer and the FIFO from ever delivering EOF; the
-// os package puts the descriptors in non-blocking mode and registers them
-// with the runtime poller, which is the point of the design.
-func (r *ring) openDoorbells() error {
-	var err error
-	if r.dbData, err = os.OpenFile(dbDataPath(r.path), os.O_RDWR, 0); err != nil {
-		return err
+func (s *segment) cwait() *uint32 { return word32(s.mem, offCWait) }
+func (r *ring) head() *uint64     { return word64(r.page, offHead) }
+func (r *ring) tail() *uint64     { return word64(r.page, offTail) }
+func (r *ring) pwait() *uint32    { return word32(r.page, offPWait) }
+
+// The segment file of a link, its size, and the doorbell FIFOs beside it.
+func segmentPath(dir string, src, dst int) string { return fmt.Sprintf("%s/link-%d-%d", dir, src, dst) }
+func segmentBytes(shards int, size uint64) int    { return pageSize + shards*(pageSize+int(size)) }
+func dbDataPath(path string) string               { return path + ".dbd" }
+func dbSpacePath(path string) string              { return path + ".dbs" }
+
+// newSegment lays the shards' rings over a mapping of segmentBytes.
+func newSegment(mem []byte, path string, owned bool, shards int, size uint64) *segment {
+	s := &segment{mem: mem, path: path, owned: owned, rings: make([]*ring, shards)}
+	for i := range s.rings {
+		off := pageSize + i*(pageSize+int(size))
+		s.rings[i] = &ring{seg: s, page: mem[off : off+pageSize], data: mem[off+pageSize : off+pageSize+int(size)], size: size, mask: size - 1}
 	}
-	if r.dbSpace, err = os.OpenFile(dbSpacePath(r.path), os.O_RDWR, 0); err != nil {
-		r.dbData.Close()
-		r.dbData = nil
-		return err
+	return s
+}
+
+// openDoorbells opens both doorbell FIFOs of the segment. O_RDWR keeps the
+// open from blocking on a missing peer and the FIFO from ever delivering
+// EOF; the os package puts the descriptors in non-blocking mode and
+// registers them with the runtime poller, which is the point of the design.
+// On error the caller closes the segment, and with it what was opened.
+func (s *segment) openDoorbells() (err error) {
+	s.dbData, err = os.OpenFile(dbDataPath(s.path), os.O_RDWR, 0)
+	if err == nil {
+		s.dbSpace, err = os.OpenFile(dbSpacePath(s.path), os.O_RDWR, 0)
 	}
-	return nil
+	return err
 }
 
 // parkRead sleeps on a doorbell until a byte arrives or parkTimeout passes.
@@ -176,12 +191,12 @@ func ringBell(f *os.File) {
 	}
 }
 
-// createRing builds and maps the ring file for the (src, dst, shard) link.
-// The consumer (dst side) creates rings: the file is initialized under a
+// createSegment builds and maps the segment file of the (src, dst) link. The
+// consumer (dst side) creates segments: the file is initialized under a
 // temporary name and renamed into place, so a producer that races the open
 // never sees a half-initialized header.
-func createRing(dir string, src, dst, shard int, size uint64) (*ring, error) {
-	path := ringPath(dir, src, dst, shard)
+func createSegment(dir string, src, dst, shards int, size uint64) (*segment, error) {
+	path := segmentPath(dir, src, dst)
 	tmp := fmt.Sprintf("%s.tmp.%d", path, os.Getpid())
 	os.Remove(path)
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_RDWR|os.O_TRUNC, 0o600)
@@ -189,7 +204,7 @@ func createRing(dir string, src, dst, shard int, size uint64) (*ring, error) {
 		return nil, err
 	}
 	defer os.Remove(tmp)
-	total := ringHeader + int(size)
+	total := segmentBytes(shards, size)
 	if err := f.Truncate(int64(total)); err != nil {
 		f.Close()
 		return nil, err
@@ -199,42 +214,40 @@ func createRing(dir string, src, dst, shard int, size uint64) (*ring, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &ring{mem: mem, data: mem[ringHeader:], size: size, mask: size - 1, path: path, owned: true}
+	s := newSegment(mem, path, true, shards, size)
 	binary.LittleEndian.PutUint32(mem[offVersion:], ringVersion)
 	binary.LittleEndian.PutUint64(mem[offSize:], size)
-	binary.LittleEndian.PutUint32(mem[offSrc:], uint32(src))
-	binary.LittleEndian.PutUint32(mem[offDst:], uint32(dst))
-	binary.LittleEndian.PutUint32(mem[offShard:], uint32(shard))
-	// The doorbells must exist before the ring is renamed into place: a
-	// producer only looks for them once it has seen (and validated) the ring
-	// file, so it always opens this generation's FIFOs.
-	os.Remove(dbDataPath(path))
-	os.Remove(dbSpacePath(path))
-	err = mkfifo(dbDataPath(path))
-	if err == nil {
-		err = mkfifo(dbSpacePath(path))
+	binary.LittleEndian.PutUint32(mem[offShards:], uint32(shards))
+	// The doorbells must exist before the file is renamed into place: a
+	// producer only looks for them once it has seen (and validated) the
+	// segment, so it always opens this generation's FIFOs.
+	for _, db := range []string{dbDataPath(path), dbSpacePath(path)} {
+		os.Remove(db)
+		if err == nil {
+			err = mkfifo(db)
+		}
 	}
 	if err == nil {
-		err = r.openDoorbells()
+		err = s.openDoorbells()
 	}
 	if err != nil {
-		r.close()
+		s.close()
 		return nil, err
 	}
 	// Publish the header: producers validate the magic after mapping.
-	atomic.StoreUint32(r.word32(offMagic), ringMagic)
+	atomic.StoreUint32(word32(mem, offMagic), ringMagic)
 	if err := os.Rename(tmp, path); err != nil {
-		r.close()
+		s.close()
 		return nil, err
 	}
-	return r, nil
+	return s, nil
 }
 
-// openRing maps a peer-created ring file, retrying until it appears or the
-// deadline passes. cancel aborts the wait early (network shutdown).
-func openRing(dir string, src, dst, shard int, size uint64, deadline time.Time, cancel <-chan struct{}) (*ring, error) {
-	path := ringPath(dir, src, dst, shard)
-	total := ringHeader + int(size)
+// openSegment maps a peer-created segment file, retrying until it appears or
+// the deadline passes. cancel aborts the wait early (network shutdown).
+func openSegment(dir string, src, dst, shards int, size uint64, deadline time.Time, cancel <-chan struct{}) (*segment, error) {
+	path := segmentPath(dir, src, dst)
+	total := segmentBytes(shards, size)
 	for {
 		f, err := os.OpenFile(path, os.O_RDWR, 0)
 		if err == nil {
@@ -245,19 +258,20 @@ func openRing(dir string, src, dst, shard int, size uint64, deadline time.Time, 
 				if merr != nil {
 					return nil, merr
 				}
-				r := &ring{mem: mem, data: mem[ringHeader:], size: size, mask: size - 1, path: path}
-				if atomic.LoadUint32(r.word32(offMagic)) == ringMagic &&
+				if atomic.LoadUint32(word32(mem, offMagic)) == ringMagic &&
 					binary.LittleEndian.Uint32(mem[offVersion:]) == ringVersion &&
-					binary.LittleEndian.Uint64(mem[offSize:]) == size {
-					if err := r.openDoorbells(); err != nil {
-						unmapFile(mem)
+					binary.LittleEndian.Uint64(mem[offSize:]) == size &&
+					binary.LittleEndian.Uint32(mem[offShards:]) == uint32(shards) {
+					s := newSegment(mem, path, false, shards, size)
+					if err := s.openDoorbells(); err != nil {
+						s.close()
 						return nil, err
 					}
-					atomic.StoreUint32(r.attached(), 1)
-					return r, nil
+					s.markAttached()
+					return s, nil
 				}
 				// Not yet renamed-into-place by this peer generation, or a
-				// size mismatch; unmap and retry until the deadline.
+				// geometry mismatch; unmap and retry until the deadline.
 				unmapFile(mem)
 			} else {
 				f.Close()
@@ -266,28 +280,28 @@ func openRing(dir string, src, dst, shard int, size uint64, deadline time.Time, 
 			return nil, err
 		}
 		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("shm: ring %s not available within deadline", path)
+			return nil, fmt.Errorf("shm: segment %s not available within deadline", path)
 		}
 		select {
 		case <-cancel:
-			return nil, fmt.Errorf("shm: open of ring %s canceled", path)
+			return nil, fmt.Errorf("shm: open of segment %s canceled", path)
 		case <-time.After(2 * time.Millisecond):
 		}
 	}
 }
 
-func (r *ring) close() {
-	if r.dbData != nil {
-		r.dbData.Close()
+func (s *segment) close() {
+	if s.dbData != nil {
+		s.dbData.Close()
 	}
-	if r.dbSpace != nil {
-		r.dbSpace.Close()
+	if s.dbSpace != nil {
+		s.dbSpace.Close()
 	}
-	unmapFile(r.mem)
-	if r.owned {
-		os.Remove(r.path)
-		os.Remove(dbDataPath(r.path))
-		os.Remove(dbSpacePath(r.path))
+	unmapFile(s.mem)
+	if s.owned {
+		os.Remove(s.path)
+		os.Remove(dbDataPath(s.path))
+		os.Remove(dbSpacePath(s.path))
 	}
 }
 
@@ -315,9 +329,9 @@ func (r *ring) tryWrite(frame []byte) bool {
 	// The head store publishes the record: it is the release edge the
 	// consumer's head load synchronizes with.
 	atomic.StoreUint64(r.head(), head+advance)
-	if atomic.LoadUint32(r.cwait()) != 0 {
-		atomic.StoreUint32(r.cwait(), 0)
-		ringBell(r.dbData)
+	if s := r.seg; atomic.LoadUint32(s.cwait()) != 0 {
+		atomic.StoreUint32(s.cwait(), 0)
+		ringBell(s.dbData)
 	}
 	return true
 }
@@ -339,7 +353,7 @@ func (r *ring) write(frame []byte, deadline func() time.Time) bool {
 			atomic.StoreUint32(r.pwait(), 0)
 			continue
 		}
-		parkRead(r.dbSpace)
+		parkRead(r.seg.dbSpace)
 		atomic.StoreUint32(r.pwait(), 0)
 	}
 }
@@ -360,7 +374,7 @@ func (r *ring) peek() ([]byte, error) {
 			continue
 		}
 		if int(l) > maxFrameFor(r.size) || align8(4+uint64(l)) > r.size-idx {
-			return nil, fmt.Errorf("shm: corrupt ring %s: %d-byte record at cursor %d", r.path, l, tail)
+			return nil, fmt.Errorf("shm: corrupt ring in %s: %d-byte record at cursor %d", r.seg.path, l, tail)
 		}
 		return r.data[idx+4 : idx+4+uint64(l)], nil
 	}
@@ -373,22 +387,28 @@ func (r *ring) advanceBy(n uint64) {
 	atomic.StoreUint64(r.tail(), atomic.LoadUint64(r.tail())+n)
 	if atomic.LoadUint32(r.pwait()) != 0 {
 		atomic.StoreUint32(r.pwait(), 0)
-		ringBell(r.dbSpace)
+		ringBell(r.seg.dbSpace)
 	}
 }
 
-// empty reports whether the ring has no pending records.
-func (r *ring) empty() bool {
-	return atomic.LoadUint64(r.head()) == atomic.LoadUint64(r.tail())
+// empty reports whether none of the link's rings has a pending record.
+func (s *segment) empty() bool {
+	for _, r := range s.rings {
+		if atomic.LoadUint64(r.head()) != atomic.LoadUint64(r.tail()) {
+			return false
+		}
+	}
+	return true
 }
 
-// waitData parks the consumer until the ring is non-empty, spinning for the
-// busy-poll window first. Spurious returns are fine; the caller re-peeks.
-func (r *ring) waitData(spin time.Duration) {
+// waitData parks the link's consumer until one of its rings is non-empty,
+// spinning for the busy-poll window first. The spin and the park cover all
+// the link's rings at once. Spurious returns are fine; the caller re-polls.
+func (s *segment) waitData(spin time.Duration) {
 	if spin > 0 {
 		deadline := time.Now().Add(spin)
 		for i := 0; ; i++ {
-			if !r.empty() {
+			if !s.empty() {
 				return
 			}
 			if i&63 == 63 {
@@ -400,22 +420,31 @@ func (r *ring) waitData(spin time.Duration) {
 			}
 		}
 	}
-	atomic.StoreUint32(r.cwait(), 1)
-	if !r.empty() {
-		atomic.StoreUint32(r.cwait(), 0)
+	// Set the flag before the last look: a producer publishes its head
+	// before it reads the flag, so either that look sees the record or the
+	// producer sees the flag and rings.
+	atomic.StoreUint32(s.cwait(), 1)
+	if !s.empty() {
+		atomic.StoreUint32(s.cwait(), 0)
 		return
 	}
-	parkRead(r.dbData)
-	atomic.StoreUint32(r.cwait(), 0)
+	parkRead(s.dbData)
+	atomic.StoreUint32(s.cwait(), 0)
 }
 
 // wakeConsumer kicks a parked consumer (teardown path).
-func (r *ring) wakeConsumer() {
-	atomic.StoreUint32(r.cwait(), 0)
-	ringBell(r.dbData)
+func (s *segment) wakeConsumer() {
+	atomic.StoreUint32(s.cwait(), 0)
+	ringBell(s.dbData)
 }
 
-func (r *ring) setClosed()         { atomic.StoreUint32(r.closed(), 1) }
-func (r *ring) producerDone() bool { return atomic.LoadUint32(r.closed()) != 0 }
-func (r *ring) everAttached() bool { return atomic.LoadUint32(r.attached()) != 0 }
-func (r *ring) markAttached()      { atomic.StoreUint32(r.attached(), 1) }
+// detach marks the segment closed, after every frame its producer wrote, and
+// wakes the consumer so that its drain can finish.
+func (s *segment) detach() {
+	atomic.StoreUint32(word32(s.mem, offClosed), 1)
+	s.wakeConsumer()
+}
+
+func (s *segment) producerDone() bool { return atomic.LoadUint32(word32(s.mem, offClosed)) != 0 }
+func (s *segment) everAttached() bool { return atomic.LoadUint32(word32(s.mem, offAttached)) != 0 }
+func (s *segment) markAttached()      { atomic.StoreUint32(word32(s.mem, offAttached), 1) }

@@ -3,19 +3,23 @@ package shm
 import (
 	"bytes"
 	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
 
-func testRing(t *testing.T, size uint64) *ring {
+func testSegment(t *testing.T, shards int, size uint64) *segment {
 	t.Helper()
-	r, err := createRing(t.TempDir(), 0, 1, 0, size)
+	s, err := createSegment(t.TempDir(), 0, 1, shards, size)
 	if err != nil {
-		t.Fatalf("createRing: %v", err)
+		t.Fatalf("createSegment: %v", err)
 	}
-	t.Cleanup(r.close)
-	return r
+	t.Cleanup(s.close)
+	return s
 }
+
+func testRing(t *testing.T, size uint64) *ring { return testSegment(t, 1, size).rings[0] }
 
 func noDeadline() time.Time { return time.Time{} }
 
@@ -53,7 +57,7 @@ func TestRingWrapFIFO(t *testing.T) {
 	for len(pending) > 0 {
 		pop()
 	}
-	if !r.empty() {
+	if !r.seg.empty() {
 		t.Fatal("ring not empty after draining")
 	}
 }
@@ -90,7 +94,7 @@ func TestRingConcurrentProducerConsumer(t *testing.T) {
 			if frame != nil {
 				break
 			}
-			r.waitData(10 * time.Microsecond)
+			r.seg.waitData(10 * time.Microsecond)
 		}
 		got := int(frame[0]) | int(frame[1])<<8 | int(frame[2])<<16 | int(frame[3])<<24
 		if got != i {
@@ -125,6 +129,58 @@ func TestRingWriteDeadline(t *testing.T) {
 	}
 	if time.Since(start) > 2*time.Second {
 		t.Fatalf("deadline write blocked %v", time.Since(start))
+	}
+}
+
+// TestLinkDoorbellCoversEveryRing checks the link-level wait: a consumer
+// parked on the link (its cwait set) is rung by a frame on any shard's ring,
+// once, and a write to a link whose consumer is not parked rings nothing.
+func TestLinkDoorbellCoversEveryRing(t *testing.T) {
+	s := testSegment(t, 4, minRingSize)
+	rung := func() bool {
+		s.dbData.SetReadDeadline(time.Now().Add(10 * time.Millisecond))
+		var buf [16]byte
+		k, _ := s.dbData.Read(buf[:])
+		return k > 0
+	}
+	for shard, r := range s.rings {
+		*s.cwait() = 1
+		if !r.tryWrite([]byte{byte(shard)}) {
+			t.Fatalf("shard %d: write into an empty ring failed", shard)
+		}
+		if *s.cwait() != 0 || !rung() {
+			t.Fatalf("shard %d: a frame did not wake the link's parked consumer", shard)
+		}
+		if !r.tryWrite([]byte{byte(shard)}) || rung() {
+			t.Fatalf("shard %d: a write rang a consumer that is not parked", shard)
+		}
+	}
+	for shard := range s.rings {
+		s.waitData(0) // returns at once: every ring holds frames
+		if frame, _ := s.rings[shard].peek(); len(frame) != 1 || frame[0] != byte(shard) {
+			t.Fatalf("shard %d: ring holds %v", shard, frame)
+		}
+	}
+}
+
+// TestOneConsumerPerLink checks that a network hosting 2 nodes at 4 shards
+// runs one consumer goroutine per incoming (src, dst) link — 4, loopback
+// links included — not one per (src, dst, shard) ring. The consumers are
+// the goroutines New starts (writers start on first Send), counted by their
+// creator, which a goroutine that has not run yet also names.
+func TestOneConsumerPerLink(t *testing.T) {
+	consumers := func() int {
+		buf := make([]byte, 1<<20)
+		return strings.Count(string(buf[:runtime.Stack(buf, true)]), "created by lapse/internal/transport/shm.New in ")
+	}
+	before := consumers()
+	n, err := New(Config{Dir: t.TempDir(), Nodes: 2, Shards: 4})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer n.Close()
+	if got := consumers() - before; got != 4 {
+		t.Fatalf("%d consumer goroutines for 2 nodes at 4 shards, want 4", got)
 	}
 }
 

@@ -7,15 +7,17 @@
 // through the runtime netpoller, so waiting costs no CPU and no P (see
 // ring.go for the wakeup protocol).
 //
-// Topology: one ring file per directed (src, dst, shard) link, created by
-// the receiving instance under Config.Dir and opened by the sender. Keeping
-// shards on separate rings makes each ring strictly SPSC (one sender
-// goroutine, one consumer goroutine) and preserves the per-(link, shard)
-// FIFO invariant by construction: a ring is a FIFO, and every (link, shard)
-// class has exactly one.
+// Topology: one segment file per directed (src, dst) link, created by the
+// receiving instance under Config.Dir and opened by the sender, holding one
+// ring per shard. Keeping shards on separate rings makes each ring strictly
+// SPSC (the link's one producer, the link's one consumer goroutine) and
+// preserves the per-(link, shard) FIFO invariant by construction: a ring is
+// a FIFO, and every (link, shard) class has exactly one. The consumer polls
+// its link's rings in turn, so a process runs one consumer per incoming link
+// whatever the shard count, with one spin budget and one doorbell each.
 //
 // Sending: the sender encodes into a pooled buffer (msg.GetBuf), picks the
-// shard ring via msg.ShardOf — the same classification the receiver's
+// link's shard ring via msg.ShardOf — the same classification the receiver's
 // decoder would compute, as messages are shard-pure — and, when the link's
 // writer goroutine is idle, copies the frame into the ring inline without
 // any goroutine hop. Only when a ring fills does the writer goroutine take
@@ -54,8 +56,8 @@ type Config struct {
 	Nodes int
 	// Local lists the node indices hosted by this process; nil hosts all.
 	Local []int
-	// Shards is the per-node inbox shard count (default 1); one ring exists
-	// per (src, dst, shard). Every process must use the same value.
+	// Shards is the per-node inbox shard count (default 1); each link's
+	// segment holds one ring per shard. Every process must use the same value.
 	Shards int
 	// RingSize is the per-ring data size in bytes (default DefaultRingSize,
 	// rounded up to a power of two; grown to admit MaxMessage). Every
@@ -86,13 +88,13 @@ type Config struct {
 	Fallback *tcp.Network
 }
 
-// busyPoll is how long a consumer spins for the next frame after processing
-// one before parking on the doorbell, keeping mid-burst latency in the
-// sub-microsecond range — when a spare CPU exists: on a single-CPU host
-// spinning only steals the producer's time slice, and consumers park at once.
+// busyPoll is how long a link's consumer spins for the next frame, on any of
+// the link's rings, after processing one before parking on the doorbell,
+// keeping mid-burst latency in the sub-microsecond range — when a spare CPU
+// exists: on a single-CPU host spinning only steals the producer's time
+// slice, and consumers park at once.
 const busyPoll = 50 * time.Microsecond
 
-type ringKey struct{ src, dst, shard int }
 type linkKey struct{ src, dst int }
 
 // Network is a shared-memory-ring cluster transport.
@@ -102,28 +104,25 @@ type Network struct {
 	frameCap        int
 	spin            time.Duration // busyPoll, or 0 on a single-CPU host
 	ringTo          []bool
-	rings           map[ringKey]*ring // consumer-side rings, created at New
+	segs            map[linkKey]*segment // consumer side, created at New
 
 	linkMu sync.Mutex
 	links  map[linkKey]*link
 
-	peerMu    sync.Mutex
-	peerRings []*ring // producer-opened peer rings, unmapped at Close
-
 	closed    atomic.Bool
 	closeOnce sync.Once
 	done      chan struct{}
-	draining  chan struct{}
-	drainBy   atomic.Int64 // unix nanos; valid once draining is closed
+	drainBy   atomic.Int64 // unix nanos; 0 until Close starts the drain
 
-	consWg  sync.WaitGroup
+	consWg  sync.WaitGroup // one per incoming link's consumer
 	writeWg sync.WaitGroup
 }
 
 // New creates a shared-memory transport hosting cfg.Local (all nodes when
-// nil). It creates and maps every incoming ring before returning, so a peer
-// that opens them immediately afterwards cannot miss us. Outgoing rings are
-// opened lazily on first Send.
+// nil). It creates and maps every incoming segment before returning, so a
+// peer that opens them immediately afterwards cannot miss us, and starts one
+// consumer per incoming link. Outgoing segments are opened lazily on first
+// Send.
 func New(cfg Config) (*Network, error) {
 	if !Supported() {
 		return nil, errors.New("shm: platform not supported")
@@ -173,10 +172,9 @@ func New(cfg Config) (*Network, error) {
 		cfg:      cfg,
 		frameCap: frameCap,
 		ringTo:   make([]bool, cfg.Nodes),
-		rings:    make(map[ringKey]*ring),
+		segs:     make(map[linkKey]*segment),
 		links:    make(map[linkKey]*link),
 		done:     make(chan struct{}),
-		draining: make(chan struct{}),
 	}
 	if runtime.GOMAXPROCS(0) > 1 {
 		n.spin = busyPoll
@@ -194,8 +192,8 @@ func New(cfg Config) (*Network, error) {
 	if err := os.MkdirAll(cfg.Dir, 0o700); err != nil {
 		return nil, fmt.Errorf("shm: ring dir: %w", err)
 	}
-	// Create every incoming ring: one per (ring-reachable src, local dst,
-	// shard). Sources that never send cost only a sparse file.
+	// Create every incoming segment: one per (ring-reachable src, local
+	// dst). Sources that never send cost only a sparse file.
 	for dst := 0; dst < cfg.Nodes; dst++ {
 		if !n.Local(dst) {
 			continue
@@ -204,26 +202,24 @@ func New(cfg Config) (*Network, error) {
 			if !n.ringTo[src] {
 				continue // that peer will reach us over the fallback
 			}
-			for s := 0; s < n.Shards(); s++ {
-				r, err := createRing(cfg.Dir, src, dst, s, uint64(cfg.RingSize))
-				if err != nil {
-					n.releaseRings()
-					return nil, fmt.Errorf("shm: create ring %d->%d/%d: %w", src, dst, s, err)
-				}
-				n.rings[ringKey{src, dst, s}] = r
+			s, err := createSegment(cfg.Dir, src, dst, n.Shards(), uint64(cfg.RingSize))
+			if err != nil {
+				n.releaseSegments()
+				return nil, fmt.Errorf("shm: create segment %d->%d: %w", src, dst, err)
 			}
+			n.segs[linkKey{src, dst}] = s
 		}
 	}
-	for key, r := range n.rings {
+	for key, s := range n.segs {
 		n.consWg.Add(1)
-		go n.consume(r, key.src, key.dst, key.shard)
+		go n.consume(s, key.src, key.dst)
 	}
 	return n, nil
 }
 
-func (n *Network) releaseRings() {
-	for _, r := range n.rings {
-		r.close()
+func (n *Network) releaseSegments() {
+	for _, s := range n.segs {
+		s.close()
 	}
 }
 
@@ -274,7 +270,7 @@ func (n *Network) Close() {
 		// Flush outgoing first so messages sent just before Close are
 		// delivered: each writer drains its queue into the rings (bounded
 		// by DrainTimeout against a stalled consumer) and then sets the
-		// ring's closed flag for the peer's drain. getLink checks closed
+		// segment's closed flag for the peer's drain. getLink checks closed
 		// under linkMu, so no link is added behind this loop.
 		n.linkMu.Lock()
 		for _, l := range n.links {
@@ -282,20 +278,13 @@ func (n *Network) Close() {
 		}
 		n.linkMu.Unlock()
 		n.writeWg.Wait()
-		// Rings from sources that never created a link still need their
-		// closed flag: this process is their only possible producer.
-		for key, r := range n.rings {
-			if n.Local(key.src) {
-				r.setClosed()
-			}
-		}
-		// Bounded drain of incoming rings: consumers exit once their ring
-		// is empty and the producer detached (or never attached), or when
-		// the drain budget for laggard peers expires.
+		// Bounded drain of incoming links: a consumer exits once its rings
+		// are empty and the producer detached (or never attached: a link
+		// from a local source whose writer never started), or when the
+		// drain budget for laggard peers expires.
 		n.drainBy.Store(time.Now().Add(n.cfg.DrainTimeout).UnixNano())
-		close(n.draining)
-		for _, r := range n.rings {
-			r.wakeConsumer()
+		for _, s := range n.segs {
+			s.wakeConsumer()
 		}
 		n.consWg.Wait()
 		if fb := n.cfg.Fallback; fb != nil {
@@ -303,19 +292,24 @@ func (n *Network) Close() {
 		} else {
 			n.CloseInboxes()
 		}
-		n.releaseRings()
-		n.peerMu.Lock()
-		for _, r := range n.peerRings {
-			r.close()
+		n.releaseSegments()
+		for _, l := range n.links { // no writer is left to use them
+			if l.seg != nil && !n.Local(l.dst) {
+				l.seg.close()
+			}
 		}
-		n.peerRings = nil
-		n.peerMu.Unlock()
-		os.Remove(n.cfg.Dir) // succeeds only for whoever removes the last ring
+		os.Remove(n.cfg.Dir) // succeeds only for whoever removes the last segment
 	})
 }
 
-func (n *Network) pastDrainDeadline() bool {
-	return time.Now().UnixNano() > n.drainBy.Load()
+// drained reports whether the link s will bring nothing more for Close's
+// drain: its producer detached or never attached, or the drain budget is
+// spent. Read before a pass over the rings that then finds every one empty,
+// a true answer means the consumer has seen every frame: the producer
+// publishes its last frames before it sets closed.
+func (n *Network) drained(s *segment) bool {
+	by := n.drainBy.Load()
+	return by != 0 && (s.producerDone() || !s.everAttached() || time.Now().UnixNano() > by)
 }
 
 // getLink returns the outgoing link for (src, dst), creating it — and its
@@ -338,49 +332,52 @@ func (n *Network) getLink(src, dst int) *link {
 	return l
 }
 
-// consume is the consumer goroutine of one incoming ring: it decodes frames
-// in ring order and delivers each to the destination's (node, shard), whose
-// handler runs on this goroutine when the shard is idle (DeliverInline) and
-// which otherwise gets it through its inbox.
-func (n *Network) consume(r *ring, src, dst, shard int) {
+// consume is the consumer goroutine of one incoming link: it polls the
+// link's rings in turn, one frame from each that has one, and delivers each
+// frame to the destination's (node, shard) of its ring, whose handler runs
+// on this goroutine when the shard is idle (DeliverInline) and which
+// otherwise gets it through its inbox. Frames of one ring are delivered in
+// ring order, one call after the other: per-(link, shard) FIFO.
+func (n *Network) consume(s *segment, src, dst int) {
 	defer n.consWg.Done()
 	productive := false // spin only when frames were just flowing
 	for {
-		frame, err := r.peek()
-		if err != nil {
-			n.Fail(err)
-			return
-		}
-		if frame == nil {
-			select {
-			case <-n.draining:
-				if r.producerDone() || !r.everAttached() || n.pastDrainDeadline() {
-					return
-				}
-				r.waitData(0)
-			default:
-				if productive {
-					productive = false
-					r.waitData(n.spin)
-				} else {
-					r.waitData(0)
-				}
+		done := n.drained(s)
+		idle := true
+		for shard, r := range s.rings {
+			frame, err := r.peek()
+			if err != nil {
+				n.Fail(err)
+				return
 			}
-			continue
+			if frame == nil {
+				continue
+			}
+			idle = false
+			sc := msg.GetScratch()
+			m, _, err := sc.Decode(frame)
+			if err != nil {
+				sc.Release()
+				n.Fail(fmt.Errorf("shm: malformed frame on ring %d->%d/%d: %w", src, dst, shard, err))
+				return
+			}
+			size := len(frame)
+			// The scratch decode copied every byte out of the ring, so
+			// release the slot before delivery: the producer unblocks sooner.
+			r.advance(size)
+			n.DeliverInline(transport.Envelope{Src: src, Dst: dst, Msg: m, Shard: shard, Bytes: size, Scratch: sc}, n.done)
 		}
-		sc := msg.GetScratch()
-		m, _, err := sc.Decode(frame)
-		if err != nil {
-			sc.Release()
-			n.Fail(fmt.Errorf("shm: malformed frame on ring %d->%d/%d: %w", src, dst, shard, err))
+		switch {
+		case !idle:
+			productive = true
+		case done:
 			return
+		case productive && n.drainBy.Load() == 0:
+			productive = false
+			s.waitData(n.spin)
+		default:
+			s.waitData(0)
 		}
-		size := len(frame)
-		// The scratch decode copied every byte out of the ring, so release
-		// the slot before delivery: the producer unblocks sooner.
-		r.advance(size)
-		productive = true
-		n.DeliverInline(transport.Envelope{Src: src, Dst: dst, Msg: m, Shard: shard, Bytes: size, Scratch: sc}, n.done)
 	}
 }
 
@@ -405,9 +402,9 @@ type link struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	queue  []frameRef
-	rings  []*ring // per shard; set once opened
-	direct bool    // writer idle: senders may write inline
-	viaTCP bool    // ring establishment failed; frames flow via Fallback
+	seg    *segment // set once opened
+	direct bool     // writer idle: senders may write inline
+	viaTCP bool     // ring establishment failed; frames flow via Fallback
 	closed bool
 	dead   bool
 
@@ -432,7 +429,7 @@ func (l *link) send(bp *[]byte, shard int) {
 		return
 	}
 	if l.direct {
-		if l.rings[shard].tryWrite(*bp) {
+		if l.seg.rings[shard].tryWrite(*bp) {
 			size := len(*bp)
 			l.mu.Unlock()
 			l.n.Sent(l.src, l.dst, size)
@@ -479,12 +476,12 @@ func (l *link) die(err error) {
 	l.n.Drop(len(dropped))
 }
 
-// run is the link's writer goroutine: open the shard rings (falling back to
-// TCP as a unit if they cannot be established), then serve as the blocking
+// run is the link's writer goroutine: open the link's segment (falling back
+// to TCP as a unit if it cannot be established), then serve as the blocking
 // producer whenever senders outrun the consumer.
 func (l *link) run() {
 	defer l.n.writeWg.Done()
-	rings, err := l.open()
+	seg, err := l.open()
 	if err != nil {
 		if l.n.cfg.Fallback != nil {
 			l.fallbackToTCP()
@@ -494,7 +491,7 @@ func (l *link) run() {
 		return
 	}
 	l.mu.Lock()
-	l.rings = rings
+	l.seg = seg
 	for {
 		for len(l.queue) == 0 && !l.closed {
 			l.direct = true
@@ -506,13 +503,13 @@ func (l *link) run() {
 		closed := l.closed
 		l.mu.Unlock()
 		for i, f := range batch {
-			if !rings[f.shard].write(*f.bp, l.flushDeadline) {
+			if !seg.rings[f.shard].write(*f.bp, l.flushDeadline) {
 				// Flush deadline expired mid-teardown: drop the remainder.
 				for _, g := range batch[i:] {
 					msg.PutBuf(g.bp)
 				}
 				l.n.Drop(len(batch) - i)
-				l.detach(rings)
+				seg.detach()
 				return
 			}
 			l.n.Sent(l.src, l.dst, len(*f.bp))
@@ -521,50 +518,22 @@ func (l *link) run() {
 		l.mu.Lock()
 		if closed && len(l.queue) == 0 {
 			l.mu.Unlock()
-			l.detach(rings)
+			seg.detach()
 			return
 		}
 	}
 }
 
-// detach marks the rings closed so the peer's drain can finish.
-func (l *link) detach(rings []*ring) {
-	for _, r := range rings {
-		r.setClosed()
-		r.wakeConsumer()
-	}
-}
-
-// open resolves the link's shard rings: the shared in-process objects for a
-// local destination, the peer's mmap-ed files otherwise.
-func (l *link) open() ([]*ring, error) {
+// open resolves the link's segment: the shared in-process object for a local
+// destination, the peer's mmap-ed file otherwise.
+func (l *link) open() (*segment, error) {
 	n := l.n
-	rings := make([]*ring, n.Shards())
 	if n.Local(l.dst) {
-		for s := range rings {
-			r := n.rings[ringKey{l.src, l.dst, s}]
-			r.markAttached()
-			rings[s] = r
-		}
-		return rings, nil
+		s := n.segs[linkKey{l.src, l.dst}]
+		s.markAttached()
+		return s, nil
 	}
-	deadline := time.Now().Add(n.cfg.DialTimeout)
-	for s := range rings {
-		r, err := openRing(n.cfg.Dir, l.src, l.dst, s, uint64(n.cfg.RingSize), deadline, n.done)
-		if err != nil {
-			for _, o := range rings {
-				if o != nil {
-					o.close()
-				}
-			}
-			return nil, err
-		}
-		rings[s] = r
-	}
-	n.peerMu.Lock()
-	n.peerRings = append(n.peerRings, rings...)
-	n.peerMu.Unlock()
-	return rings, nil
+	return openSegment(n.cfg.Dir, l.src, l.dst, n.Shards(), uint64(n.cfg.RingSize), time.Now().Add(n.cfg.DialTimeout), n.done)
 }
 
 // fallbackToTCP forwards everything queued so far to the TCP fallback in

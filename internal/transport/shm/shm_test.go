@@ -297,30 +297,42 @@ func TestLargeMessageViaRing(t *testing.T) {
 }
 
 // TestCloseDrainsInFlight sends a burst and closes immediately: everything
-// already sent must still be delivered (Close flushes before draining).
+// already sent must still be delivered (Close flushes before draining). At 4
+// shards the burst spreads over all 4 rings of the link, and the link's one
+// consumer must drain every one of them, each in its own order.
 func TestCloseDrainsInFlight(t *testing.T) {
-	n := newNet(t, shm.Config{Dir: t.TempDir(), Nodes: 2, DrainTimeout: time.Second})
-	const msgs = 1000
-	for i := 0; i < msgs; i++ {
-		n.Send(0, 1, &msg.SspClock{Worker: 0, Clock: int32(i)})
-	}
-	var got int32
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for env := range n.Inbox(1, 0) {
-			c := env.Msg.(*msg.SspClock)
-			if c.Clock != got {
-				t.Errorf("got seq %d, want %d", c.Clock, got)
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			n := newNet(t, shm.Config{Dir: t.TempDir(), Nodes: 2, Shards: shards, DrainTimeout: time.Second})
+			const msgs = 1000
+			for i := 0; i < msgs; i++ {
+				n.Send(0, 1, &msg.Op{Type: msg.OpPush, ID: uint64(i), Keys: []kv.Key{kv.Key(i)}, Vals: []float32{1}})
 			}
-			got++
-			env.Recycle()
-		}
-	}()
-	n.Close()
-	<-done
-	if got != msgs {
-		t.Fatalf("received %d of %d messages across Close", got, msgs)
+			got := make([]int32, shards)
+			var wg sync.WaitGroup
+			for s := 0; s < shards; s++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for env := range n.Inbox(1, s) {
+						// Key i rides ring i % shards: the shard's k-th message is
+						// id k*shards + s.
+						if id, want := env.Msg.(*msg.Op).ID, uint64(int(got[s])*shards+s); id != want {
+							t.Errorf("shard %d: got id %d, want %d", s, id, want)
+						}
+						got[s]++
+						env.Recycle()
+					}
+				}()
+			}
+			n.Close()
+			wg.Wait()
+			for s := range got {
+				if want := int32(msgs / shards); got[s] != want {
+					t.Errorf("shard %d: received %d of %d messages across Close", s, got[s], want)
+				}
+			}
+		})
 	}
 }
 
