@@ -226,7 +226,8 @@ func (nd *node) dropLeases(k kv.Key) {
 }
 
 // sendHolders sends one coherence message about k to every node in mask. The
-// registry lock must be held: the message struct is the registry's.
+// registry lock must be held: the message struct is the registry's. mask
+// never names this node: handleOp grants leases only to other origins.
 func (reg *leaseReg) sendHolders(nd *node, k kv.Key, ttlMicros uint32, vals []float32, mask uint64) {
 	reg.key[0] = k
 	reg.out = msg.ReplicaRefresh{Origin: int32(nd.id), Ack: ttlMicros, Keys: reg.key[:], Vals: vals}
@@ -236,9 +237,6 @@ func (reg *leaseReg) sendHolders(nd *node, k kv.Key, ttlMicros uint32, vals []fl
 			continue
 		}
 		mask &^= 1 << uint(dest)
-		if dest == nd.id {
-			continue // self-grants are never recorded; defensive
-		}
 		stats.LeaseRevokes.Inc()
 		nd.srv.Send(dest, &reg.out)
 	}

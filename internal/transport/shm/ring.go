@@ -10,15 +10,17 @@ import (
 	"unsafe"
 )
 
-// A segment is the shared mapping of one directed (src, dst) link: a link
-// control page followed by one ring per shard, in one mmap-ed file shared by
-// the two processes:
+// A segment is the shared mapping of one directed (src, dst) link: a control
+// page followed by one data region, in one mmap-ed file shared by the two
+// processes:
 //
-//	[ 4 KiB link page | shard 0: 4 KiB ring page, data region | shard 1: ... ]
+//	[ 4 KiB control page | data region ]
 //
-// Each ring is a lock-free single-producer single-consumer byte queue with a
-// power-of-two data region and free-running 64-bit head (producer) and tail
-// (consumer) cursors in its ring page; an index is cursor & (size-1).
+// The data region is a lock-free single-producer single-consumer byte queue
+// of power-of-two size, with free-running 64-bit head (producer) and tail
+// (consumer) cursors in the control page; an index is cursor & (size-1).
+// The link carries every shard's frames in send order; the consumer finds
+// each frame's shard when it decodes it, as the tcp reader does.
 // Records are 8-byte aligned:
 //
 //	[u32 length][payload][pad to 8]
@@ -35,10 +37,9 @@ import (
 // space with a store of tail after it is done with the bytes.
 //
 // Wakeups ride two doorbell FIFOs next to the file, one per direction:
-// "data available" toward the link's one consumer, "space available" toward
-// its one producer. The link page's cwait records that the consumer parked
-// (on all the link's rings at once), each ring page's pwait that the
-// producer parked on that ring, so the steady-state ring write stays
+// "data available" toward the link's consumer, "space available" toward its
+// producer. The control page's cwait records that the consumer parked, its
+// pwait that the producer parked, so the steady-state ring write stays
 // entirely syscall-free: a doorbell byte is written only when the peer is
 // actually parked, and parking is a deadline read on the FIFO. A pipe read
 // parks through the runtime's poller like any socket — the scheduler hands
@@ -49,34 +50,32 @@ import (
 
 const (
 	ringMagic   = 0x4C53484D // "LSHM"
-	ringVersion = 2          // 1: one file and one doorbell pair per (src, dst, shard)
+	ringVersion = 3          // 2: one ring per shard in the link's file; 1: one file per (src, dst, shard)
 
-	// pageSize is the size of the link page and of each ring page; a data
-	// region starts right after its ring page, page-aligned, so cursor words
-	// and payload bytes never share a line.
+	// pageSize is the size of the control page; the data region starts
+	// right after it, page-aligned, so cursor words and payload bytes never
+	// share a line.
 	pageSize = 4096
 
-	// Link page.
+	// Control page. The header words are written once, before the file is
+	// published; every word that changes afterwards has a cache line of its
+	// own.
 	offMagic    = 0   // u32: ringMagic, stored last during init
 	offVersion  = 4   // u32
-	offSize     = 8   // u64: data region size of each ring
-	offShards   = 16  // u32
-	offCWait    = 64  // u32: consumer parked (own cache line)
-	offClosed   = 128 // u32: producer flushed everything and detached
-	offAttached = 192 // u32: a producer has opened this segment at least once
-
-	// Ring page.
-	offHead  = 0   // u64: producer cursor (own cache line)
-	offTail  = 64  // u64: consumer cursor (own cache line)
-	offPWait = 128 // u32: producer parked on this ring
+	offSize     = 8   // u64: data region size
+	offShards   = 16  // u32: the deployment's shard count (a check, not geometry)
+	offHead     = 64  // u64: producer cursor
+	offTail     = 128 // u64: consumer cursor
+	offCWait    = 192 // u32: consumer parked
+	offPWait    = 256 // u32: producer parked
+	offClosed   = 320 // u32: producer flushed everything and detached
+	offAttached = 384 // u32: a producer has opened this segment at least once
 
 	wrapMarker = 0xFFFFFFFF
 
-	// DefaultRingSize is the data-region size per directed (src, dst, shard)
-	// ring when Config.RingSize is zero.
+	// DefaultRingSize is the data-region size of each directed (src, dst)
+	// link's ring, grown only to admit Config.MaxMessage.
 	DefaultRingSize = 1 << 20
-
-	minRingSize = 1 << 12
 )
 
 // parkTimeout bounds one doorbell sleep so a missed wakeup (a doorbell byte
@@ -96,21 +95,22 @@ func align8(n uint64) uint64 { return (n + 7) &^ 7 }
 // space than the ring has.
 func maxFrameFor(size uint64) int { return int(size/2) - 12 }
 
-// RingSizeFor returns the smallest valid RingSize whose frame cap admits a
-// message of maxMessage encoded bytes.
+// RingSizeFor returns the ring size for a deployment whose largest message
+// is maxMessage encoded bytes: DefaultRingSize, doubled until its frame cap
+// admits the message.
 func RingSizeFor(maxMessage int) int {
-	size := uint64(minRingSize)
+	size := uint64(DefaultRingSize)
 	for maxFrameFor(size) < maxMessage {
 		size <<= 1
-	}
-	if size < DefaultRingSize {
-		size = DefaultRingSize
 	}
 	return int(size)
 }
 
 type segment struct {
-	mem  []byte // full mapping
+	mem  []byte // full mapping: control page, then data
+	data []byte
+	size uint64
+	mask uint64
 	path string
 	// owned marks the consumer side, which created the files and unlinks them.
 	owned bool
@@ -120,39 +120,24 @@ type segment struct {
 	// never block and readers never see EOF.
 	dbData  *os.File
 	dbSpace *os.File
-	rings   []*ring // per shard
-}
-
-type ring struct {
-	seg  *segment
-	page []byte // this ring's control page
-	data []byte
-	size uint64
-	mask uint64
 }
 
 func word32(b []byte, off int) *uint32 { return (*uint32)(unsafe.Pointer(&b[off])) }
 func word64(b []byte, off int) *uint64 { return (*uint64)(unsafe.Pointer(&b[off])) }
 
+func (s *segment) head() *uint64  { return word64(s.mem, offHead) }
+func (s *segment) tail() *uint64  { return word64(s.mem, offTail) }
 func (s *segment) cwait() *uint32 { return word32(s.mem, offCWait) }
-func (r *ring) head() *uint64     { return word64(r.page, offHead) }
-func (r *ring) tail() *uint64     { return word64(r.page, offTail) }
-func (r *ring) pwait() *uint32    { return word32(r.page, offPWait) }
+func (s *segment) pwait() *uint32 { return word32(s.mem, offPWait) }
 
 // The segment file of a link, its size, and the doorbell FIFOs beside it.
 func segmentPath(dir string, src, dst int) string { return fmt.Sprintf("%s/link-%d-%d", dir, src, dst) }
-func segmentBytes(shards int, size uint64) int    { return pageSize + shards*(pageSize+int(size)) }
+func segmentBytes(size uint64) int                { return pageSize + int(size) }
 func dbDataPath(path string) string               { return path + ".dbd" }
 func dbSpacePath(path string) string              { return path + ".dbs" }
 
-// newSegment lays the shards' rings over a mapping of segmentBytes.
-func newSegment(mem []byte, path string, owned bool, shards int, size uint64) *segment {
-	s := &segment{mem: mem, path: path, owned: owned, rings: make([]*ring, shards)}
-	for i := range s.rings {
-		off := pageSize + i*(pageSize+int(size))
-		s.rings[i] = &ring{seg: s, page: mem[off : off+pageSize], data: mem[off+pageSize : off+pageSize+int(size)], size: size, mask: size - 1}
-	}
-	return s
+func newSegment(mem []byte, path string, owned bool, size uint64) *segment {
+	return &segment{mem: mem, data: mem[pageSize:], size: size, mask: size - 1, path: path, owned: owned}
 }
 
 // openDoorbells opens both doorbell FIFOs of the segment. O_RDWR keeps the
@@ -204,7 +189,7 @@ func createSegment(dir string, src, dst, shards int, size uint64) (*segment, err
 		return nil, err
 	}
 	defer os.Remove(tmp)
-	total := segmentBytes(shards, size)
+	total := segmentBytes(size)
 	if err := f.Truncate(int64(total)); err != nil {
 		f.Close()
 		return nil, err
@@ -214,7 +199,7 @@ func createSegment(dir string, src, dst, shards int, size uint64) (*segment, err
 	if err != nil {
 		return nil, err
 	}
-	s := newSegment(mem, path, true, shards, size)
+	s := newSegment(mem, path, true, size)
 	binary.LittleEndian.PutUint32(mem[offVersion:], ringVersion)
 	binary.LittleEndian.PutUint64(mem[offSize:], size)
 	binary.LittleEndian.PutUint32(mem[offShards:], uint32(shards))
@@ -243,11 +228,12 @@ func createSegment(dir string, src, dst, shards int, size uint64) (*segment, err
 	return s, nil
 }
 
-// openSegment maps a peer-created segment file, retrying until it appears or
+// openSegment maps a peer-created segment file whose header matches this
+// side's version, ring size and shard count, retrying until one appears or
 // the deadline passes. cancel aborts the wait early (network shutdown).
 func openSegment(dir string, src, dst, shards int, size uint64, deadline time.Time, cancel <-chan struct{}) (*segment, error) {
 	path := segmentPath(dir, src, dst)
-	total := segmentBytes(shards, size)
+	total := segmentBytes(size)
 	for {
 		f, err := os.OpenFile(path, os.O_RDWR, 0)
 		if err == nil {
@@ -262,7 +248,7 @@ func openSegment(dir string, src, dst, shards int, size uint64, deadline time.Ti
 					binary.LittleEndian.Uint32(mem[offVersion:]) == ringVersion &&
 					binary.LittleEndian.Uint64(mem[offSize:]) == size &&
 					binary.LittleEndian.Uint32(mem[offShards:]) == uint32(shards) {
-					s := newSegment(mem, path, false, shards, size)
+					s := newSegment(mem, path, false, size)
 					if err := s.openDoorbells(); err != nil {
 						s.close()
 						return nil, err
@@ -271,7 +257,8 @@ func openSegment(dir string, src, dst, shards int, size uint64, deadline time.Ti
 					return s, nil
 				}
 				// Not yet renamed-into-place by this peer generation, or a
-				// geometry mismatch; unmap and retry until the deadline.
+				// header of another version, ring size or shard count than
+				// this deployment's; unmap and retry until the deadline.
 				unmapFile(mem)
 			} else {
 				f.Close()
@@ -307,29 +294,29 @@ func (s *segment) close() {
 
 // tryWrite appends one frame without blocking. It reports false when the
 // ring currently lacks space. Producer-side only.
-func (r *ring) tryWrite(frame []byte) bool {
+func (s *segment) tryWrite(frame []byte) bool {
 	need := align8(4 + uint64(len(frame)))
-	head := atomic.LoadUint64(r.head())
-	tail := atomic.LoadUint64(r.tail())
-	idx := head & r.mask
-	rem := r.size - idx
+	head := atomic.LoadUint64(s.head())
+	tail := atomic.LoadUint64(s.tail())
+	idx := head & s.mask
+	rem := s.size - idx
 	advance := need
 	if rem < need {
 		advance = rem + need
 	}
-	if r.size-(head-tail) < advance {
+	if s.size-(head-tail) < advance {
 		return false
 	}
 	if rem < need {
-		binary.LittleEndian.PutUint32(r.data[idx:], wrapMarker)
+		binary.LittleEndian.PutUint32(s.data[idx:], wrapMarker)
 		idx = 0
 	}
-	binary.LittleEndian.PutUint32(r.data[idx:], uint32(len(frame)))
-	copy(r.data[idx+4:], frame)
+	binary.LittleEndian.PutUint32(s.data[idx:], uint32(len(frame)))
+	copy(s.data[idx+4:], frame)
 	// The head store publishes the record: it is the release edge the
 	// consumer's head load synchronizes with.
-	atomic.StoreUint64(r.head(), head+advance)
-	if s := r.seg; atomic.LoadUint32(s.cwait()) != 0 {
+	atomic.StoreUint64(s.head(), head+advance)
+	if atomic.LoadUint32(s.cwait()) != 0 {
 		atomic.StoreUint32(s.cwait(), 0)
 		ringBell(s.dbData)
 	}
@@ -339,71 +326,62 @@ func (r *ring) tryWrite(frame []byte) bool {
 // write blocks until the frame fits. deadline is re-evaluated every park so
 // a teardown that starts mid-wait still bounds it; a non-zero deadline in
 // the past makes write report false.
-func (r *ring) write(frame []byte, deadline func() time.Time) bool {
+func (s *segment) write(frame []byte, deadline func() time.Time) bool {
 	for {
-		if r.tryWrite(frame) {
+		if s.tryWrite(frame) {
 			return true
 		}
 		if d := deadline(); !d.IsZero() && time.Now().After(d) {
 			return false
 		}
-		tail := atomic.LoadUint64(r.tail())
-		atomic.StoreUint32(r.pwait(), 1)
-		if atomic.LoadUint64(r.tail()) != tail {
-			atomic.StoreUint32(r.pwait(), 0)
+		tail := atomic.LoadUint64(s.tail())
+		atomic.StoreUint32(s.pwait(), 1)
+		if atomic.LoadUint64(s.tail()) != tail {
+			atomic.StoreUint32(s.pwait(), 0)
 			continue
 		}
-		parkRead(r.seg.dbSpace)
-		atomic.StoreUint32(r.pwait(), 0)
+		parkRead(s.dbSpace)
+		atomic.StoreUint32(s.pwait(), 0)
 	}
 }
 
 // peek returns the next frame as a view into the ring, or nil when the ring
 // is empty. The view is valid until advance. Consumer-side only.
-func (r *ring) peek() ([]byte, error) {
+func (s *segment) peek() ([]byte, error) {
 	for {
-		head := atomic.LoadUint64(r.head())
-		tail := atomic.LoadUint64(r.tail())
+		head := atomic.LoadUint64(s.head())
+		tail := atomic.LoadUint64(s.tail())
 		if head == tail {
 			return nil, nil
 		}
-		idx := tail & r.mask
-		l := binary.LittleEndian.Uint32(r.data[idx:])
+		idx := tail & s.mask
+		l := binary.LittleEndian.Uint32(s.data[idx:])
 		if l == wrapMarker {
-			r.advanceBy(r.size - idx)
+			s.advanceBy(s.size - idx)
 			continue
 		}
-		if int(l) > maxFrameFor(r.size) || align8(4+uint64(l)) > r.size-idx {
-			return nil, fmt.Errorf("shm: corrupt ring in %s: %d-byte record at cursor %d", r.seg.path, l, tail)
+		if int(l) > maxFrameFor(s.size) || align8(4+uint64(l)) > s.size-idx {
+			return nil, fmt.Errorf("shm: corrupt ring in %s: %d-byte record at cursor %d", s.path, l, tail)
 		}
-		return r.data[idx+4 : idx+4+uint64(l)], nil
+		return s.data[idx+4 : idx+4+uint64(l)], nil
 	}
 }
 
 // advance releases the record returned by the last peek.
-func (r *ring) advance(frameLen int) { r.advanceBy(align8(4 + uint64(frameLen))) }
+func (s *segment) advance(frameLen int) { s.advanceBy(align8(4 + uint64(frameLen))) }
 
-func (r *ring) advanceBy(n uint64) {
-	atomic.StoreUint64(r.tail(), atomic.LoadUint64(r.tail())+n)
-	if atomic.LoadUint32(r.pwait()) != 0 {
-		atomic.StoreUint32(r.pwait(), 0)
-		ringBell(r.seg.dbSpace)
+func (s *segment) advanceBy(n uint64) {
+	atomic.StoreUint64(s.tail(), atomic.LoadUint64(s.tail())+n)
+	if atomic.LoadUint32(s.pwait()) != 0 {
+		atomic.StoreUint32(s.pwait(), 0)
+		ringBell(s.dbSpace)
 	}
 }
 
-// empty reports whether none of the link's rings has a pending record.
-func (s *segment) empty() bool {
-	for _, r := range s.rings {
-		if atomic.LoadUint64(r.head()) != atomic.LoadUint64(r.tail()) {
-			return false
-		}
-	}
-	return true
-}
+func (s *segment) empty() bool { return atomic.LoadUint64(s.head()) == atomic.LoadUint64(s.tail()) }
 
-// waitData parks the link's consumer until one of its rings is non-empty,
-// spinning for the busy-poll window first. The spin and the park cover all
-// the link's rings at once. Spurious returns are fine; the caller re-polls.
+// waitData parks the consumer until the ring is non-empty, spinning for the
+// busy-poll window first. Spurious returns are fine; the caller re-polls.
 func (s *segment) waitData(spin time.Duration) {
 	if spin > 0 {
 		deadline := time.Now().Add(spin)

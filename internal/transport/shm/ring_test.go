@@ -2,14 +2,22 @@ package shm
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
+
+	"lapse/internal/kv"
+	"lapse/internal/msg"
 )
 
-func testSegment(t *testing.T, shards int, size uint64) *segment {
+// smallRing is the smallest ring the tests build: a few frames fill it, so
+// they wrap and block often.
+const smallRing = 1 << 12
+
+func testRing(t *testing.T, shards int, size uint64) *segment {
 	t.Helper()
 	s, err := createSegment(t.TempDir(), 0, 1, shards, size)
 	if err != nil {
@@ -19,14 +27,12 @@ func testSegment(t *testing.T, shards int, size uint64) *segment {
 	return s
 }
 
-func testRing(t *testing.T, size uint64) *ring { return testSegment(t, 1, size).rings[0] }
-
 func noDeadline() time.Time { return time.Time{} }
 
 // TestRingWrapFIFO pushes frames of varying sizes through a small ring so
 // records wrap the data region many times, and checks content and order.
 func TestRingWrapFIFO(t *testing.T) {
-	r := testRing(t, minRingSize)
+	r := testRing(t, 1, smallRing)
 	var pending [][]byte
 	seq := 0
 	pop := func() {
@@ -57,7 +63,7 @@ func TestRingWrapFIFO(t *testing.T) {
 	for len(pending) > 0 {
 		pop()
 	}
-	if !r.seg.empty() {
+	if !r.empty() {
 		t.Fatal("ring not empty after draining")
 	}
 }
@@ -67,7 +73,7 @@ func TestRingWrapFIFO(t *testing.T) {
 // park/wake protocol in both directions (full ring parks the producer, empty
 // ring parks the consumer).
 func TestRingConcurrentProducerConsumer(t *testing.T) {
-	r := testRing(t, minRingSize)
+	r := testRing(t, 1, smallRing)
 	const frames = 50000
 	errc := make(chan error, 1)
 	go func() {
@@ -94,7 +100,7 @@ func TestRingConcurrentProducerConsumer(t *testing.T) {
 			if frame != nil {
 				break
 			}
-			r.seg.waitData(10 * time.Microsecond)
+			r.waitData(10 * time.Microsecond)
 		}
 		got := int(frame[0]) | int(frame[1])<<8 | int(frame[2])<<16 | int(frame[3])<<24
 		if got != i {
@@ -118,8 +124,8 @@ func TestRingConcurrentProducerConsumer(t *testing.T) {
 // TestRingWriteDeadline verifies a blocked producer gives up once its
 // deadline — re-evaluated mid-wait, as teardown sets it — passes.
 func TestRingWriteDeadline(t *testing.T) {
-	r := testRing(t, minRingSize)
-	big := make([]byte, maxFrameFor(minRingSize))
+	r := testRing(t, 1, smallRing)
+	big := make([]byte, maxFrameFor(smallRing))
 	for r.tryWrite(big) {
 	}
 	start := time.Now()
@@ -132,34 +138,112 @@ func TestRingWriteDeadline(t *testing.T) {
 	}
 }
 
-// TestLinkDoorbellCoversEveryRing checks the link-level wait: a consumer
-// parked on the link (its cwait set) is rung by a frame on any shard's ring,
-// once, and a write to a link whose consumer is not parked rings nothing.
-func TestLinkDoorbellCoversEveryRing(t *testing.T) {
-	s := testSegment(t, 4, minRingSize)
-	rung := func() bool {
+// TestLinkDoorbell checks the link's wait: a parked consumer (cwait set) is
+// rung by a frame of any shard, exactly once, and a write to a link whose
+// consumer is not parked rings nothing. The link's one ring then gives the
+// frames back in send order across shards.
+func TestLinkDoorbell(t *testing.T) {
+	const shards = 4
+	s := testRing(t, shards, smallRing)
+	rings := func() int {
 		s.dbData.SetReadDeadline(time.Now().Add(10 * time.Millisecond))
 		var buf [16]byte
 		k, _ := s.dbData.Read(buf[:])
-		return k > 0
+		return k
 	}
-	for shard, r := range s.rings {
+	// Frame i is a push of a key of shard i % shards.
+	frame := func(i int) []byte {
+		k := kv.Key(i)
+		if got := msg.ShardOfKey(k, shards); got != i%shards {
+			t.Fatalf("key %d is on shard %d, want %d", k, got, i%shards)
+		}
+		return msg.Encode(&msg.Op{Type: msg.OpPush, ID: uint64(i), Keys: []kv.Key{k}, Vals: []float32{1}})
+	}
+	sent := 0
+	for shard := 0; shard < shards; shard++ {
 		*s.cwait() = 1
-		if !r.tryWrite([]byte{byte(shard)}) {
-			t.Fatalf("shard %d: write into an empty ring failed", shard)
+		if !s.tryWrite(frame(sent)) {
+			t.Fatalf("shard %d: write into a ring with room failed", shard)
 		}
-		if *s.cwait() != 0 || !rung() {
-			t.Fatalf("shard %d: a frame did not wake the link's parked consumer", shard)
+		sent++
+		if *s.cwait() != 0 {
+			t.Fatalf("shard %d: a frame left the consumer's park flag set", shard)
 		}
-		if !r.tryWrite([]byte{byte(shard)}) || rung() {
+		if k := rings(); k != 1 {
+			t.Fatalf("shard %d: a frame rang the parked consumer %d times, want 1", shard, k)
+		}
+		if !s.tryWrite(frame(sent)) {
+			t.Fatalf("shard %d: write into a ring with room failed", shard)
+		}
+		sent++
+		if k := rings(); k != 0 {
 			t.Fatalf("shard %d: a write rang a consumer that is not parked", shard)
 		}
 	}
-	for shard := range s.rings {
-		s.waitData(0) // returns at once: every ring holds frames
-		if frame, _ := s.rings[shard].peek(); len(frame) != 1 || frame[0] != byte(shard) {
-			t.Fatalf("shard %d: ring holds %v", shard, frame)
+	s.waitData(0) // returns at once: the ring holds frames
+	for i := 0; i < sent; i++ {
+		f, err := s.peek()
+		if err != nil || f == nil {
+			t.Fatalf("frame %d: peek = %v, %v", i, f, err)
 		}
+		m, _, err := msg.Decode(f)
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if id, sh := m.(*msg.Op).ID, msg.ShardOf(m, shards); id != uint64(i) || sh != i%shards {
+			t.Fatalf("frame %d: got id %d of shard %d, want id %d of shard %d", i, id, sh, i, i%shards)
+		}
+		s.advance(len(f))
+	}
+	if !s.empty() {
+		t.Fatal("ring not empty after every frame was read")
+	}
+}
+
+// TestProducerRefusesOtherHeader checks that a producer opens only a segment
+// made for its own deployment: one whose version, ring size or shard count
+// differs is refused until the open's deadline, which it does not outlast.
+func TestProducerRefusesOtherHeader(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		setup func(s *segment) // edits the consumer's header
+		size  uint64           // the producer's ring size
+		ok    bool
+	}{
+		{name: "same", size: smallRing, ok: true},
+		{name: "version 2", setup: func(s *segment) { binary.LittleEndian.PutUint32(s.mem[offVersion:], 2) }, size: smallRing},
+		{name: "ring size", size: 2 * smallRing}, // the file size already differs
+		{name: "ring size in header", setup: func(s *segment) { binary.LittleEndian.PutUint64(s.mem[offSize:], 2*smallRing) }, size: smallRing},
+		{name: "shard count", setup: func(s *segment) { binary.LittleEndian.PutUint32(s.mem[offShards:], 4) }, size: smallRing},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			cons, err := createSegment(dir, 0, 1, 1, smallRing)
+			if err != nil {
+				t.Fatalf("createSegment: %v", err)
+			}
+			defer cons.close()
+			if tc.setup != nil {
+				tc.setup(cons)
+			}
+			const wait = 50 * time.Millisecond
+			start := time.Now()
+			prod, err := openSegment(dir, 0, 1, 1, tc.size, start.Add(wait), nil)
+			if took := time.Since(start); took > wait+time.Second {
+				t.Fatalf("open returned %v after its deadline", took-wait)
+			}
+			if tc.ok {
+				if err != nil {
+					t.Fatalf("open of a matching segment: %v", err)
+				}
+				prod.close()
+				return
+			}
+			if err == nil {
+				prod.close()
+				t.Fatal("a producer opened a segment whose header differs from its own")
+			}
+		})
 	}
 }
 

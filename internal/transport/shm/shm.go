@@ -9,19 +9,17 @@
 //
 // Topology: one segment file per directed (src, dst) link, created by the
 // receiving instance under Config.Dir and opened by the sender, holding one
-// ring per shard. Keeping shards on separate rings makes each ring strictly
-// SPSC (the link's one producer, the link's one consumer goroutine) and
-// preserves the per-(link, shard) FIFO invariant by construction: a ring is
-// a FIFO, and every (link, shard) class has exactly one. The consumer polls
-// its link's rings in turn, so a process runs one consumer per incoming link
-// whatever the shard count, with one spin budget and one doorbell each.
+// ring. The ring is strictly SPSC (the link's one producer, the link's one
+// consumer goroutine) and a FIFO, so the link's frames arrive in send order,
+// and per-(link, shard) FIFO holds by construction. The consumer finds each
+// frame's shard when it decodes it (msg.ShardOf), as the tcp reader does, so
+// a process runs one consumer per incoming link whatever the shard count,
+// with one spin budget and one doorbell each.
 //
-// Sending: the sender encodes into a pooled buffer (msg.GetBuf), picks the
-// link's shard ring via msg.ShardOf — the same classification the receiver's
-// decoder would compute, as messages are shard-pure — and, when the link's
-// writer goroutine is idle, copies the frame into the ring inline without
-// any goroutine hop. Only when a ring fills does the writer goroutine take
-// over, blocking on ring space so callers never do.
+// Sending: the sender encodes into a pooled buffer (msg.GetBuf) and, when
+// the link's writer goroutine is idle, copies the frame into the ring inline
+// without any goroutine hop. Only when the ring fills does the writer
+// goroutine take over, blocking on ring space so callers never do.
 //
 // Deployments mix transports: Config.UseRing marks which destinations are
 // ring-reachable (co-located); traffic to other nodes flows through
@@ -29,8 +27,8 @@
 // tcp readers and ring consumers deliver into the same inboxes and count into
 // the same counters, so consumers see one inbox per (node, shard). If a ring
 // cannot be established at all (peer missing, unsupported platform), the
-// link falls back to TCP as a unit — before its first ring frame — so each
-// (link, shard) stream stays on a single FIFO path for its whole life.
+// link falls back to TCP as a unit — before its first ring frame — so the
+// link's stream stays on a single FIFO path for its whole life.
 package shm
 
 import (
@@ -56,18 +54,9 @@ type Config struct {
 	Nodes int
 	// Local lists the node indices hosted by this process; nil hosts all.
 	Local []int
-	// Shards is the per-node inbox shard count (default 1); each link's
-	// segment holds one ring per shard. Every process must use the same value.
+	// Shards is the per-node inbox shard count (default 1). Every process
+	// must use the same value; a sender refuses a segment made for another.
 	Shards int
-	// RingSize is the per-ring data size in bytes (default DefaultRingSize,
-	// rounded up to a power of two; grown to admit MaxMessage). Every
-	// process must use the same value.
-	RingSize int
-	// InboxSize bounds each local node's total inbox capacity (default
-	// 1<<16), divided across its Shards channels like the tcp transport.
-	// With a Fallback the inboxes are the fallback's, sized by its own
-	// InboxSize, and this field is unused.
-	InboxSize int
 	// DialTimeout is the total budget for a sender to find a peer's ring
 	// file (default 10s; covers peers that start slightly later).
 	DialTimeout time.Duration
@@ -75,8 +64,9 @@ type Config struct {
 	// peers that have not closed yet (default 2s).
 	DrainTimeout time.Duration
 	// MaxMessage bounds the encoded frame size. 0 means the ring's natural
-	// cap (half the ring, so a frame always fits); larger values grow
-	// RingSize to admit them.
+	// cap (half of DefaultRingSize, so a frame always fits); larger values
+	// grow the ring to admit them (RingSizeFor). Every process must use the
+	// same value.
 	MaxMessage int
 	// UseRing marks which destination nodes are ring-reachable
 	// (co-located). Nil means all. Non-ring destinations require Fallback.
@@ -88,11 +78,11 @@ type Config struct {
 	Fallback *tcp.Network
 }
 
-// busyPoll is how long a link's consumer spins for the next frame, on any of
-// the link's rings, after processing one before parking on the doorbell,
-// keeping mid-burst latency in the sub-microsecond range — when a spare CPU
-// exists: on a single-CPU host spinning only steals the producer's time
-// slice, and consumers park at once.
+// busyPoll is how long a link's consumer spins for the next frame after
+// processing one before parking on the doorbell, keeping mid-burst latency
+// in the sub-microsecond range — when a spare CPU exists: on a single-CPU
+// host spinning only steals the producer's time slice, and consumers park
+// at once.
 const busyPoll = 50 * time.Microsecond
 
 type linkKey struct{ src, dst int }
@@ -101,6 +91,7 @@ type linkKey struct{ src, dst int }
 type Network struct {
 	*transport.Host // the Fallback's when one is set
 	cfg             Config
+	ringSize        uint64
 	frameCap        int
 	spin            time.Duration // busyPoll, or 0 on a single-CPU host
 	ringTo          []bool
@@ -136,22 +127,11 @@ func New(cfg Config) (*Network, error) {
 	if cfg.DrainTimeout <= 0 {
 		cfg.DrainTimeout = 2 * time.Second
 	}
-	if cfg.RingSize <= 0 {
-		cfg.RingSize = DefaultRingSize
-	}
-	for cfg.RingSize&(cfg.RingSize-1) != 0 { // round up to a power of two
-		cfg.RingSize += cfg.RingSize & -cfg.RingSize
-	}
-	if cfg.RingSize < minRingSize {
-		cfg.RingSize = minRingSize
-	}
-	if cfg.MaxMessage > 0 && RingSizeFor(cfg.MaxMessage) > cfg.RingSize {
-		cfg.RingSize = RingSizeFor(cfg.MaxMessage)
-	}
 	if cfg.UseRing != nil && len(cfg.UseRing) != cfg.Nodes {
 		return nil, fmt.Errorf("shm: UseRing has %d entries for %d nodes", len(cfg.UseRing), cfg.Nodes)
 	}
-	frameCap := maxFrameFor(uint64(cfg.RingSize))
+	ringSize := uint64(RingSizeFor(cfg.MaxMessage))
+	frameCap := maxFrameFor(ringSize)
 	if cfg.MaxMessage > 0 && cfg.MaxMessage < frameCap {
 		frameCap = cfg.MaxMessage
 	}
@@ -163,13 +143,14 @@ func New(cfg Config) (*Network, error) {
 		h = fb.Host
 	} else {
 		var err error
-		if h, err = transport.NewHost(cfg.Nodes, cfg.Shards, cfg.Local, cfg.InboxSize); err != nil {
+		if h, err = transport.NewHost(cfg.Nodes, cfg.Shards, cfg.Local, 0); err != nil {
 			return nil, fmt.Errorf("shm: %w", err)
 		}
 	}
 	n := &Network{
 		Host:     h,
 		cfg:      cfg,
+		ringSize: ringSize,
 		frameCap: frameCap,
 		ringTo:   make([]bool, cfg.Nodes),
 		segs:     make(map[linkKey]*segment),
@@ -202,7 +183,7 @@ func New(cfg Config) (*Network, error) {
 			if !n.ringTo[src] {
 				continue // that peer will reach us over the fallback
 			}
-			s, err := createSegment(cfg.Dir, src, dst, n.Shards(), uint64(cfg.RingSize))
+			s, err := createSegment(cfg.Dir, src, dst, n.Shards(), ringSize)
 			if err != nil {
 				n.releaseSegments()
 				return nil, fmt.Errorf("shm: create segment %d->%d: %w", src, dst, err)
@@ -228,7 +209,7 @@ func (n *Network) releaseSegments() {
 // layers record the fallback links in the control-plane trace.
 func (n *Network) RingTo(node int) bool { return node >= 0 && node < len(n.ringTo) && n.ringTo[node] }
 
-// Send encodes m and writes it onto the (src, dst, shard) ring — inline when
+// Send encodes m and writes it onto the (src, dst) ring — inline when
 // the link's writer is idle — or routes it through the TCP fallback for
 // non-ring destinations. src must be local.
 func (n *Network) Send(src, dst int, m any) {
@@ -245,17 +226,13 @@ func (n *Network) Send(src, dst int, m any) {
 		msg.PutBuf(bp)
 		return
 	}
-	// The ring is picked by the sender with the same shard classification
-	// the receiver's decoder computes (messages are shard-pure), so each
-	// (link, shard) class rides exactly one SPSC FIFO.
-	shard := msg.ShardOf(m, n.Shards())
 	l := n.getLink(src, dst)
 	if l == nil {
 		n.Drop(1)
 		msg.PutBuf(bp)
 		return
 	}
-	l.send(bp, shard)
+	l.send(bp)
 }
 
 // Close flushes outgoing links into their rings, marks them closed for the
@@ -268,7 +245,7 @@ func (n *Network) Close() {
 		n.closed.Store(true)
 		close(n.done)
 		// Flush outgoing first so messages sent just before Close are
-		// delivered: each writer drains its queue into the rings (bounded
+		// delivered: each writer drains its queue into its ring (bounded
 		// by DrainTimeout against a stalled consumer) and then sets the
 		// segment's closed flag for the peer's drain. getLink checks closed
 		// under linkMu, so no link is added behind this loop.
@@ -278,8 +255,8 @@ func (n *Network) Close() {
 		}
 		n.linkMu.Unlock()
 		n.writeWg.Wait()
-		// Bounded drain of incoming links: a consumer exits once its rings
-		// are empty and the producer detached (or never attached: a link
+		// Bounded drain of incoming links: a consumer exits once its ring
+		// is empty and the producer detached (or never attached: a link
 		// from a local source whose writer never started), or when the
 		// drain budget for laggard peers expires.
 		n.drainBy.Store(time.Now().Add(n.cfg.DrainTimeout).UnixNano())
@@ -304,9 +281,9 @@ func (n *Network) Close() {
 
 // drained reports whether the link s will bring nothing more for Close's
 // drain: its producer detached or never attached, or the drain budget is
-// spent. Read before a pass over the rings that then finds every one empty,
-// a true answer means the consumer has seen every frame: the producer
-// publishes its last frames before it sets closed.
+// spent. Read before a look that then finds the ring empty, a true answer
+// means the consumer has seen every frame: the producer publishes its last
+// frames before it sets closed.
 func (n *Network) drained(s *segment) bool {
 	by := n.drainBy.Load()
 	return by != 0 && (s.producerDone() || !s.everAttached() || time.Now().UnixNano() > by)
@@ -332,68 +309,57 @@ func (n *Network) getLink(src, dst int) *link {
 	return l
 }
 
-// consume is the consumer goroutine of one incoming link: it polls the
-// link's rings in turn, one frame from each that has one, and delivers each
-// frame to the destination's (node, shard) of its ring, whose handler runs
-// on this goroutine when the shard is idle (DeliverInline) and which
-// otherwise gets it through its inbox. Frames of one ring are delivered in
-// ring order, one call after the other: per-(link, shard) FIFO.
+// consume is the consumer goroutine of one incoming link: it takes the
+// link's frames in ring order and delivers each to the destination's (node,
+// shard) that msg.ShardOf names for it, whose handler runs on this goroutine
+// when the shard is idle (DeliverInline) and which otherwise gets it through
+// its inbox. Frames are delivered one call after the other: per-(link,
+// shard) FIFO.
 func (n *Network) consume(s *segment, src, dst int) {
 	defer n.consWg.Done()
 	productive := false // spin only when frames were just flowing
 	for {
 		done := n.drained(s)
-		idle := true
-		for shard, r := range s.rings {
-			frame, err := r.peek()
-			if err != nil {
-				n.Fail(err)
-				return
-			}
-			if frame == nil {
-				continue
-			}
-			idle = false
-			sc := msg.GetScratch()
-			m, _, err := sc.Decode(frame)
-			if err != nil {
-				sc.Release()
-				n.Fail(fmt.Errorf("shm: malformed frame on ring %d->%d/%d: %w", src, dst, shard, err))
-				return
-			}
-			size := len(frame)
-			// The scratch decode copied every byte out of the ring, so
-			// release the slot before delivery: the producer unblocks sooner.
-			r.advance(size)
-			n.DeliverInline(transport.Envelope{Src: src, Dst: dst, Msg: m, Shard: shard, Bytes: size, Scratch: sc}, n.done)
-		}
-		switch {
-		case !idle:
-			productive = true
-		case done:
+		frame, err := s.peek()
+		if err != nil {
+			n.Fail(err)
 			return
-		case productive && n.drainBy.Load() == 0:
-			productive = false
-			s.waitData(n.spin)
-		default:
-			s.waitData(0)
 		}
+		if frame == nil {
+			switch {
+			case done:
+				return
+			case productive && n.drainBy.Load() == 0:
+				productive = false
+				s.waitData(n.spin)
+			default:
+				s.waitData(0)
+			}
+			continue
+		}
+		productive = true
+		sc := msg.GetScratch()
+		m, _, err := sc.Decode(frame)
+		if err != nil {
+			sc.Release()
+			n.Fail(fmt.Errorf("shm: malformed frame on ring %d->%d: %w", src, dst, err))
+			return
+		}
+		size := len(frame)
+		// The scratch decode copied every byte out of the ring, so release
+		// the slot before delivery: the producer unblocks sooner.
+		s.advance(size)
+		shard := msg.ShardOf(m, n.Shards())
+		n.DeliverInline(transport.Envelope{Src: src, Dst: dst, Msg: m, Shard: shard, Bytes: size, Scratch: sc}, n.done)
 	}
-}
-
-// frameRef is one queued outgoing frame: a pooled encode buffer plus its
-// shard ring. Whoever removes it from the queue owns returning the buffer.
-type frameRef struct {
-	bp    *[]byte
-	shard int32
 }
 
 // link is the sending half of one directed ring-reachable node pair. It has
 // two producer modes that never overlap: while the writer goroutine is idle
-// (direct == true, queue empty), senders copy frames into the shard rings
-// inline under mu — the common, goroutine-hop-free path; when a ring fills
-// or frames queue up, the writer goroutine is the sole producer until the
-// queue drains. Both modes serialize under mu, so each ring keeps exactly
+// (direct == true, queue empty), senders copy frames into the ring inline
+// under mu — the common, goroutine-hop-free path; when the ring fills or
+// frames queue up, the writer goroutine is the sole producer until the
+// queue drains. Both modes serialize under mu, so the ring keeps exactly
 // one producer at a time and stays SPSC.
 type link struct {
 	n        *Network
@@ -401,10 +367,10 @@ type link struct {
 
 	mu     sync.Mutex
 	cond   *sync.Cond
-	queue  []frameRef
-	seg    *segment // set once opened
-	direct bool     // writer idle: senders may write inline
-	viaTCP bool     // ring establishment failed; frames flow via Fallback
+	queue  []*[]byte // pooled encode buffers; whoever dequeues one returns it
+	seg    *segment  // set once opened
+	direct bool      // writer idle: senders may write inline
+	viaTCP bool      // ring establishment failed; frames flow via Fallback
 	closed bool
 	dead   bool
 
@@ -415,7 +381,7 @@ type link struct {
 }
 
 // send hands one encoded frame to the link. Ownership of bp transfers.
-func (l *link) send(bp *[]byte, shard int) {
+func (l *link) send(bp *[]byte) {
 	l.mu.Lock()
 	if l.closed || l.dead {
 		l.mu.Unlock()
@@ -429,7 +395,7 @@ func (l *link) send(bp *[]byte, shard int) {
 		return
 	}
 	if l.direct {
-		if l.seg.rings[shard].tryWrite(*bp) {
+		if l.seg.tryWrite(*bp) {
 			size := len(*bp)
 			l.mu.Unlock()
 			l.n.Sent(l.src, l.dst, size)
@@ -439,12 +405,12 @@ func (l *link) send(bp *[]byte, shard int) {
 		// Ring full: hand producership to the writer, which may block.
 		l.direct = false
 	}
-	l.queue = append(l.queue, frameRef{bp, int32(shard)})
+	l.queue = append(l.queue, bp)
 	l.cond.Signal()
 	l.mu.Unlock()
 }
 
-// close tells the writer to flush remaining frames into the rings — bounded
+// close tells the writer to flush remaining frames into the ring — bounded
 // by DrainTimeout against a stalled consumer — and mark them closed.
 func (l *link) close() {
 	l.flushBy.Store(time.Now().Add(l.n.cfg.DrainTimeout).UnixNano())
@@ -470,8 +436,8 @@ func (l *link) die(err error) {
 	dropped := l.queue
 	l.queue = nil
 	l.mu.Unlock()
-	for _, f := range dropped {
-		msg.PutBuf(f.bp)
+	for _, bp := range dropped {
+		msg.PutBuf(bp)
 	}
 	l.n.Drop(len(dropped))
 }
@@ -502,18 +468,18 @@ func (l *link) run() {
 		l.queue = nil
 		closed := l.closed
 		l.mu.Unlock()
-		for i, f := range batch {
-			if !seg.rings[f.shard].write(*f.bp, l.flushDeadline) {
+		for i, bp := range batch {
+			if !seg.write(*bp, l.flushDeadline) {
 				// Flush deadline expired mid-teardown: drop the remainder.
-				for _, g := range batch[i:] {
-					msg.PutBuf(g.bp)
+				for _, rest := range batch[i:] {
+					msg.PutBuf(rest)
 				}
 				l.n.Drop(len(batch) - i)
 				seg.detach()
 				return
 			}
-			l.n.Sent(l.src, l.dst, len(*f.bp))
-			msg.PutBuf(f.bp)
+			l.n.Sent(l.src, l.dst, len(*bp))
+			msg.PutBuf(bp)
 		}
 		l.mu.Lock()
 		if closed && len(l.queue) == 0 {
@@ -533,12 +499,12 @@ func (l *link) open() (*segment, error) {
 		s.markAttached()
 		return s, nil
 	}
-	return openSegment(n.cfg.Dir, l.src, l.dst, n.Shards(), uint64(n.cfg.RingSize), time.Now().Add(n.cfg.DialTimeout), n.done)
+	return openSegment(n.cfg.Dir, l.src, l.dst, n.Shards(), n.ringSize, time.Now().Add(n.cfg.DialTimeout), n.done)
 }
 
 // fallbackToTCP forwards everything queued so far to the TCP fallback in
 // order, then flips the link to direct TCP sends. No ring frame was ever
-// written, so the whole (link, shard) history rides one FIFO path.
+// written, so the link's whole history rides one FIFO path.
 func (l *link) fallbackToTCP() {
 	fb := l.n.cfg.Fallback
 	for {
@@ -551,8 +517,8 @@ func (l *link) fallbackToTCP() {
 		batch := l.queue
 		l.queue = nil
 		l.mu.Unlock()
-		for _, f := range batch {
-			fb.SendEncoded(l.src, l.dst, f.bp)
+		for _, bp := range batch {
+			fb.SendEncoded(l.src, l.dst, bp)
 		}
 	}
 }

@@ -267,8 +267,10 @@ func TestFallbackMismatchRejected(t *testing.T) {
 // TestOversizeFrameRejected checks a frame exceeding the ring's cap is
 // dropped with a recorded error, not written corruptly.
 func TestOversizeFrameRejected(t *testing.T) {
-	n := newNet(t, shm.Config{Dir: t.TempDir(), Nodes: 1, RingSize: 1 << 12})
-	n.Send(0, 0, &msg.Op{Type: msg.OpPush, Vals: make([]float32, 1<<12)}) // ~16 KiB encoded
+	n := newNet(t, shm.Config{Dir: t.TempDir(), Nodes: 1})
+	// Half the default ring in values alone: above the frame cap, which is
+	// half the ring less the record header and a wrap marker.
+	n.Send(0, 0, &msg.Op{Type: msg.OpPush, Vals: make([]float32, shm.DefaultRingSize/8)})
 	if n.Dropped() != 1 {
 		t.Fatalf("dropped = %d, want 1", n.Dropped())
 	}
@@ -298,8 +300,8 @@ func TestLargeMessageViaRing(t *testing.T) {
 
 // TestCloseDrainsInFlight sends a burst and closes immediately: everything
 // already sent must still be delivered (Close flushes before draining). At 4
-// shards the burst spreads over all 4 rings of the link, and the link's one
-// consumer must drain every one of them, each in its own order.
+// shards the burst spreads over all 4 shards, and the link's one consumer
+// must hand every shard its frames, each shard in its own order.
 func TestCloseDrainsInFlight(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -315,8 +317,8 @@ func TestCloseDrainsInFlight(t *testing.T) {
 				go func() {
 					defer wg.Done()
 					for env := range n.Inbox(1, s) {
-						// Key i rides ring i % shards: the shard's k-th message is
-						// id k*shards + s.
+						// Key i is on shard i % shards: the shard's k-th message
+						// is id k*shards + s.
 						if id, want := env.Msg.(*msg.Op).ID, uint64(int(got[s])*shards+s); id != want {
 							t.Errorf("shard %d: got id %d, want %d", s, id, want)
 						}
