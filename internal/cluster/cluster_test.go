@@ -89,10 +89,10 @@ func TestBarrierReusable(t *testing.T) {
 }
 
 func TestClusterUsesNetworkConfig(t *testing.T) {
-	c := New(Config{Nodes: 2, WorkersPerNode: 1, Net: simnet.Config{InboxSize: 4}})
+	c := New(Config{Nodes: 2, WorkersPerNode: 1, Net: simnet.Config{Shards: 2}})
 	defer c.Close()
-	if c.Net().Nodes() != 2 {
-		t.Fatalf("network nodes = %d, want 2", c.Net().Nodes())
+	if c.Net().Nodes() != 2 || c.Net().Shards() != 2 {
+		t.Fatalf("network has %d nodes × %d shards, want 2 × 2", c.Net().Nodes(), c.Net().Shards())
 	}
 	c.Net().Send(0, 1, &msg.Barrier{Enter: true, Seq: 7, Worker: 1})
 	env := <-c.Net().Inbox(1, 0)

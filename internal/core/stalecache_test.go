@@ -1,11 +1,35 @@
 package core
 
 import (
+	"sync"
 	"testing"
 
+	"lapse/internal/cluster"
 	"lapse/internal/kv"
 	"lapse/internal/simnet"
 )
+
+// linkCounter is a simulated network that counts the messages sent on each
+// directed link.
+type linkCounter struct {
+	*simnet.Network
+	mu   sync.Mutex
+	sent map[[2]int]int64
+}
+
+func (c *linkCounter) Send(src, dst int, m any) {
+	c.mu.Lock()
+	c.sent[[2]int{src, dst}]++
+	c.mu.Unlock()
+	c.Network.Send(src, dst, m)
+}
+
+// messages returns the number of messages sent from src to dst.
+func (c *linkCounter) messages(src, dst int) int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.sent[[2]int{src, dst}]
+}
 
 // TestStaleCacheDoubleForwardExactlyOneExtraHop pins the Figure 5d cost
 // model on message counts: when a relocation races ahead of a cached-owner
@@ -20,8 +44,13 @@ import (
 // i.e. 4 messages, one more than the cache-less forward strategy's 3
 // (Figure 5b), and the access still returns the current value.
 func TestStaleCacheDoubleForwardExactlyOneExtraHop(t *testing.T) {
-	cl, sys := newTestSystem(t, 4, 1, 8, 1, Config{LocationCaches: true})
-	net := cl.Net().(*simnet.Network)
+	net := &linkCounter{Network: simnet.New(simnet.Config{Nodes: 4}), sent: map[[2]int]int64{}}
+	cl := cluster.New(cluster.Config{Nodes: 4, WorkersPerNode: 1, Transport: net})
+	sys := New(cl, kv.NewUniformLayout(8, 1), Config{LocationCaches: true})
+	t.Cleanup(func() {
+		cl.Close()
+		sys.Shutdown()
+	})
 	const (
 		requester = 3
 		oldOwner  = 0
@@ -63,7 +92,7 @@ func TestStaleCacheDoubleForwardExactlyOneExtraHop(t *testing.T) {
 	beforeTotal := net.Stats().RemoteMessages
 	beforePair := make(map[link]int64, len(path))
 	for _, l := range path {
-		beforePair[l] = net.PairMessages(l.src, l.dst)
+		beforePair[l] = net.messages(l.src, l.dst)
 	}
 	beforeDF := sys.Stats()[oldOwner].DoubleForwards.Load()
 	beforeFwd := sys.Stats()[home].Forwards.Load()
@@ -78,7 +107,7 @@ func TestStaleCacheDoubleForwardExactlyOneExtraHop(t *testing.T) {
 		t.Fatalf("stale-cache pull used %d remote messages, want 4 (one extra hop over the 3-message forward)", got)
 	}
 	for _, l := range path {
-		if got := net.PairMessages(l.src, l.dst) - beforePair[l]; got != 1 {
+		if got := net.messages(l.src, l.dst) - beforePair[l]; got != 1 {
 			t.Fatalf("link %d->%d carried %d messages during the stale-cache pull, want exactly 1", l.src, l.dst, got)
 		}
 	}

@@ -61,7 +61,8 @@ func testInlineDelivery(t *testing.T, net transport.Network, shards, perLink int
 		}
 	}
 	handle := func(env transport.Envelope) {
-		if busy[env.Shard].Swap(true) {
+		s := msg.ShardOf(env.Msg, shards)
+		if busy[s].Swap(true) {
 			overlaps.Add(1)
 		}
 		m := env.Msg.(*msg.Op)
@@ -70,7 +71,7 @@ func testInlineDelivery(t *testing.T, net transport.Network, shards, perLink int
 		if in {
 			inline.Add(1)
 		}
-		link, s := env.Src, env.Shard
+		link := env.Src
 		lastInline[link][s].Store(in)
 		// Handlers of one shard run one at a time: next[link][s] needs no
 		// lock unless that fails, which overlaps reports.
@@ -81,7 +82,7 @@ func testInlineDelivery(t *testing.T, net transport.Network, shards, perLink int
 		if m.ID%97 == 96 {
 			time.Sleep(20 * time.Microsecond)
 		}
-		busy[env.Shard].Store(false)
+		busy[s].Store(false)
 		env.Recycle()
 		handled.Add(1)
 	}

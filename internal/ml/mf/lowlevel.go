@@ -1,7 +1,6 @@
 package mf
 
 import (
-	"math"
 	"math/rand"
 
 	"lapse/internal/cluster"
@@ -31,9 +30,8 @@ type LowLevel struct {
 // cross-node hand-offs travel as msg.Block through the transport, which
 // copies via the wire codec exactly like real MPI ring communication would.
 type blockMsg struct {
-	block     int
-	dstWorker int
-	vals      []float32
+	block int
+	vals  []float32
 }
 
 // NewLowLevel prepares the baseline for cfg on cl. The cluster must be
@@ -82,7 +80,7 @@ func (ll *LowLevel) Run(m *data.Matrix) *Result {
 			// so the ring's transfers all arrive on one channel per node.
 			for env := range ll.cl.Net().Inbox(n, 0) {
 				bm := env.Msg.(*msg.Block)
-				mailboxes[bm.Worker] <- blockMsg{block: int(bm.ID), dstWorker: int(bm.Worker), vals: bm.Vals}
+				mailboxes[bm.Worker] <- blockMsg{block: int(bm.ID), vals: bm.Vals}
 			}
 		}(n)
 	}
@@ -144,7 +142,7 @@ func (ll *LowLevel) workerEpoch(grid [][][]data.Entry, mailboxes []chan blockMsg
 		dst := (worker - 1 + P) % P
 		dstNode := ll.cl.NodeOfWorker(dst)
 		if dstNode == node {
-			mailboxes[dst] <- blockMsg{block: blockID, dstWorker: dst, vals: block}
+			mailboxes[dst] <- blockMsg{block: blockID, vals: block}
 		} else {
 			ll.cl.Net().Send(node, dstNode, &msg.Block{ID: int32(blockID), Worker: int32(dst), Vals: block})
 		}
@@ -161,25 +159,16 @@ func (ll *LowLevel) workerEpoch(grid [][][]data.Entry, mailboxes []chan blockMsg
 func (ll *LowLevel) evalRMSE(m *data.Matrix) float64 {
 	cfg := ll.cfg
 	P := ll.cl.TotalWorkers()
-	n := len(m.Entries)
-	if cfg.EvalSample > 0 && cfg.EvalSample < n {
-		n = cfg.EvalSample
-	}
-	var se float64
-	for i := 0; i < n; i++ {
-		e := m.Entries[i]
+	return rmse(cfg, m, func(e data.Entry) (dot float32) {
 		b := blockOfCol(e.J, cfg.Cols, P)
 		lo, _ := data.BlockRange(cfg.Cols, P, b)
 		w := ll.wFactors[e.I*cfg.Rank : (e.I+1)*cfg.Rank]
 		h := ll.hBlocks[b][(e.J-lo)*cfg.Rank : (e.J-lo+1)*cfg.Rank]
-		var dot float32
 		for r := 0; r < cfg.Rank; r++ {
 			dot += w[r] * h[r]
 		}
-		d := float64(e.V - dot)
-		se += d * d
-	}
-	return math.Sqrt(se / float64(n))
+		return dot
+	})
 }
 
 func blockOfCol(j, cols, blocks int) int {

@@ -178,22 +178,28 @@ func runWorkerEpoch(cl *cluster.Cluster, ps driver.PS, kind driver.Kind, cfg Con
 // EvalRMSE estimates the root-mean-square error on a sample of entries using
 // the authoritative parameter values.
 func EvalRMSE(ps driver.PS, cfg Config, m *data.Matrix) float64 {
+	w := make([]float32, cfg.Rank)
+	hv := make([]float32, cfg.Rank)
+	return rmse(cfg, m, func(e data.Entry) (dot float32) {
+		ps.ReadParameter(kv.Key(e.I), w)
+		ps.ReadParameter(cfg.colKey(e.J), hv)
+		for r := 0; r < cfg.Rank; r++ {
+			dot += w[r] * hv[r]
+		}
+		return dot
+	})
+}
+
+// rmse is the root-mean-square error of the model's prediction dot(e) on the
+// evaluation sample: the first cfg.EvalSample entries of m, or all of them.
+func rmse(cfg Config, m *data.Matrix, dot func(e data.Entry) float32) float64 {
 	n := len(m.Entries)
 	if cfg.EvalSample > 0 && cfg.EvalSample < n {
 		n = cfg.EvalSample
 	}
-	w := make([]float32, cfg.Rank)
-	hv := make([]float32, cfg.Rank)
 	var se float64
-	for i := 0; i < n; i++ {
-		e := m.Entries[i]
-		ps.ReadParameter(kv.Key(e.I), w)
-		ps.ReadParameter(cfg.colKey(e.J), hv)
-		var dot float32
-		for r := 0; r < cfg.Rank; r++ {
-			dot += w[r] * hv[r]
-		}
-		d := float64(e.V - dot)
+	for _, e := range m.Entries[:n] {
+		d := float64(e.V - dot(e))
 		se += d * d
 	}
 	return math.Sqrt(se / float64(n))

@@ -10,7 +10,7 @@ import (
 // shards, each owning a static slice of the key space and running its own
 // message loop. The shard of a key is global — identical on every node and
 // every process — so a message whose keys all belong to one shard can be
-// delivered straight into that shard's inbox by the transport ("demux on
+// delivered straight into that shard's inbox by transport.Host ("demux on
 // decode"): no shard tag travels on the wire, the receiver derives the shard
 // from the decoded message. Partitioning a FIFO link stream by a function of
 // the message preserves relative order within each class, so delivery stays

@@ -37,7 +37,6 @@ package simnet
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -50,9 +49,9 @@ import (
 type Config struct {
 	// Nodes is the number of cluster nodes.
 	Nodes int
-	// Shards is the number of per-node inbox shards (default 1). Messages
-	// are demultiplexed on decode via msg.ShardOf, preserving FIFO per
-	// (link, shard); the server runtime runs one message loop per shard.
+	// Shards is the number of per-node inbox shards (default 1). The Host
+	// puts each delivered message on its msg.ShardOf inbox, preserving FIFO
+	// per (link, shard); the server runtime runs one message loop per shard.
 	Shards int
 	// Latency is the one-way propagation delay between distinct nodes.
 	// Zero disables timed delivery (messages are delivered immediately,
@@ -62,10 +61,6 @@ type Config struct {
 	LoopbackLatency time.Duration
 	// BytesPerSecond is the link bandwidth; 0 means infinite.
 	BytesPerSecond float64
-	// InboxSize bounds each node's total inbox capacity (default 1<<16),
-	// divided evenly across its Shards inbox channels so memory and
-	// backpressure stay constant as the shard count grows.
-	InboxSize int
 }
 
 // DefaultTestbed mirrors the paper's cluster: 10 GBit Ethernet with ~100 µs
@@ -79,12 +74,6 @@ func DefaultTestbed(nodes int) Config {
 		LoopbackLatency: 2 * time.Microsecond,
 		BytesPerSecond:  1.25e9, // 10 GBit/s
 	}
-}
-
-// link tracks per-link FIFO delivery state.
-type link struct {
-	mu   sync.Mutex
-	last time.Time // delivery time of the previous message
 }
 
 // event is a scheduled occurrence: a message delivery or a sleeper wakeup.
@@ -155,12 +144,12 @@ func (h *eventHeap) pop() event {
 // concurrent use. It hosts every node of the cluster in this process.
 type Network struct {
 	*transport.Host
-	cfg   Config
-	links [][]*link
+	cfg Config
 
 	schedMu   sync.Mutex
 	events    eventHeap
 	seq       uint64
+	last      []time.Time // [src*nodes+dst]: due time of the link's latest delivery
 	wake      chan struct{}
 	stopped   bool
 	schedDone chan struct{}
@@ -168,30 +157,22 @@ type Network struct {
 	sendMu sync.RWMutex
 	closed atomic.Bool
 
-	pairMsgs     []atomic.Int64 // nodes×nodes message counts
 	sleepEnabled bool
 }
 
 // New creates a network with cfg and starts its delivery scheduler.
 func New(cfg Config) *Network {
-	h, err := transport.NewHost(cfg.Nodes, cfg.Shards, nil, cfg.InboxSize)
+	h, err := transport.NewHost(cfg.Nodes, cfg.Shards, nil, 0)
 	if err != nil {
 		panic(fmt.Sprintf("simnet: %v", err))
 	}
 	n := &Network{
 		Host:         h,
 		cfg:          cfg,
-		links:        make([][]*link, cfg.Nodes),
-		pairMsgs:     make([]atomic.Int64, cfg.Nodes*cfg.Nodes),
+		last:         make([]time.Time, cfg.Nodes*cfg.Nodes),
 		wake:         make(chan struct{}, 1),
 		schedDone:    make(chan struct{}),
 		sleepEnabled: cfg.Latency > 0 || cfg.LoopbackLatency > 0 || cfg.BytesPerSecond > 0,
-	}
-	for src := range n.links {
-		n.links[src] = make([]*link, cfg.Nodes)
-		for dst := range n.links[src] {
-			n.links[src][dst] = &link{}
-		}
 	}
 	go n.scheduler()
 	return n
@@ -224,8 +205,6 @@ func (n *Network) Send(src, dst int, m any) {
 		// instead of corrupting per-shard server state.
 		panic(fmt.Sprintf("simnet: %v", err))
 	}
-	m = copied
-	shard := msg.ShardOf(copied, n.Shards())
 	bytes := len(buf)
 
 	n.sendMu.RLock()
@@ -236,31 +215,21 @@ func (n *Network) Send(src, dst int, m any) {
 		return
 	}
 	n.Sent(src, dst, bytes)
-	n.pairMsgs[src*n.cfg.Nodes+dst].Add(1)
 
-	env := transport.Envelope{Src: src, Dst: dst, Msg: m, Shard: shard, Bytes: bytes, Scratch: sc}
+	env := transport.Envelope{Src: src, Dst: dst, Msg: copied, Scratch: sc}
 	if !n.sleepEnabled {
 		n.Deliver(env, nil)
 		return
 	}
-	lat := n.cfg.Latency
+	lat, serial := n.cfg.Latency, time.Duration(0)
 	if src == dst {
 		lat = n.cfg.LoopbackLatency
+	} else if n.cfg.BytesPerSecond > 0 {
+		// Bandwidth serialization applies to network links only: loopback
+		// (IPC) moves data at memory speed.
+		serial = time.Duration(float64(bytes) / n.cfg.BytesPerSecond * float64(time.Second))
 	}
-	l := n.links[src][dst]
-	l.mu.Lock()
-	at := time.Now().Add(lat)
-	if at.Before(l.last) {
-		at = l.last
-	}
-	// Bandwidth serialization applies to network links only: loopback
-	// (IPC) moves data at memory speed.
-	if n.cfg.BytesPerSecond > 0 && src != dst {
-		at = at.Add(time.Duration(float64(bytes) / n.cfg.BytesPerSecond * float64(time.Second)))
-	}
-	l.last = at
-	l.mu.Unlock()
-	n.schedule(event{at: at, env: env})
+	n.schedule(event{at: time.Now().Add(lat), env: env}, &n.last[src*n.cfg.Nodes+dst], serial)
 }
 
 // Sleep blocks the caller for precisely d, driven by the central scheduler.
@@ -272,15 +241,27 @@ func (n *Network) Sleep(d time.Duration) {
 		return
 	}
 	ch := make(chan struct{})
-	n.schedule(event{at: time.Now().Add(d), ch: ch})
+	n.schedule(event{at: time.Now().Add(d), ch: ch}, nil, 0)
 	<-ch
 }
 
-func (n *Network) schedule(e event) {
+// schedule queues e for its due time. A delivery passes its link's last due
+// time and its serialization delay: under schedMu it is then due no earlier
+// than the link's previous delivery plus serial, and gets a later sequence
+// number, so a link's deliveries fire in send order (per-link FIFO).
+func (n *Network) schedule(e event, last *time.Time, serial time.Duration) {
 	n.schedMu.Lock()
+	if last != nil {
+		if e.at.Before(*last) {
+			e.at = *last
+		}
+		e.at = e.at.Add(serial)
+		*last = e.at
+	}
 	if n.stopped {
 		n.schedMu.Unlock()
-		// Late event during teardown: deliver/complete immediately.
+		// A wakeup after Close (Close shuts Send out before it stops the
+		// scheduler, so no delivery gets here): complete it at once.
 		n.fire(e)
 		return
 	}
@@ -332,7 +313,9 @@ func (n *Network) scheduler() {
 		}
 		next := n.events[0].at
 		now := time.Now()
-		if !now.Before(next) {
+		// Once stopped, every event is due: Close waits for the rest to
+		// fire, in heap (time) order and after the one this loop fired last.
+		if n.stopped || !now.Before(next) {
 			e := n.events.pop()
 			n.schedMu.Unlock()
 			n.fire(e)
@@ -359,38 +342,18 @@ func (n *Network) Close() {
 	if !swapped {
 		return
 	}
-	// Tell the scheduler to drain: fire all remaining events immediately
-	// (in order), then exit.
+	// The scheduler alone delivers what is in flight: once stopped it fires
+	// the remaining events at once, in order, then exits. Delivering them
+	// here instead could overtake the event it is firing.
 	n.schedMu.Lock()
 	n.stopped = true
-	var rest eventHeap
-	rest, n.events = n.events, nil
 	n.schedMu.Unlock()
 	select {
 	case n.wake <- struct{}{}:
 	default:
 	}
-	// Deliver remaining events in time order ourselves.
-	sort.Slice(rest, func(i, j int) bool { return rest[i].before(&rest[j]) })
-	for _, e := range rest {
-		n.fire(e)
-	}
 	<-n.schedDone
 	n.CloseInboxes()
-}
-
-// PairMessages returns the number of messages sent from src to dst.
-func (n *Network) PairMessages(src, dst int) int64 {
-	return n.pairMsgs[src*n.cfg.Nodes+dst].Load()
-}
-
-// ResetStats zeroes all traffic counters, the pair counts included (e.g.
-// after a warm-up epoch).
-func (n *Network) ResetStats() {
-	n.Host.ResetStats()
-	for i := range n.pairMsgs {
-		n.pairMsgs[i].Store(0)
-	}
 }
 
 var _ transport.Network = (*Network)(nil)

@@ -116,26 +116,6 @@ func TestStats(t *testing.T) {
 	if want := int64(msg.Size(c)); s.LoopbackMessages != 1 || s.LoopbackBytes != want {
 		t.Fatalf("loopback stats = %+v, want 1 msg / %d bytes", s, want)
 	}
-	if got := n.PairMessages(0, 1); got != 1 {
-		t.Fatalf("PairMessages(0,1) = %d, want 1", got)
-	}
-	n.ResetStats()
-	if s := n.Stats(); s.RemoteMessages != 0 || s.LoopbackBytes != 0 {
-		t.Fatalf("stats after reset = %+v", s)
-	}
-}
-
-// TestEnvelopeCarriesEncodedSize pins Bytes to the codec's view of the
-// message, which the bandwidth model charges for.
-func TestEnvelopeCarriesEncodedSize(t *testing.T) {
-	n := New(Config{Nodes: 2})
-	defer n.Close()
-	m := &msg.Op{Type: msg.OpPush, ID: 9, Keys: []kv.Key{1, 2}, Vals: []float32{1, 2}}
-	n.Send(0, 1, m)
-	env := <-n.Inbox(1, 0)
-	if env.Bytes != msg.Size(m) {
-		t.Fatalf("envelope bytes = %d, want %d", env.Bytes, msg.Size(m))
-	}
 }
 
 func TestCloseDrainsInFlight(t *testing.T) {
@@ -155,6 +135,36 @@ func TestCloseDrainsInFlight(t *testing.T) {
 	n.Close()
 	if got := <-done; got != msgs {
 		t.Fatalf("received %d messages after Close, want %d", got, msgs)
+	}
+}
+
+// TestCloseKeepsLinkOrder closes the network while a link's messages are
+// still due one after the other, so the scheduler may be firing one of them
+// when Close starts: the rest must still arrive after it, in send order.
+func TestCloseKeepsLinkOrder(t *testing.T) {
+	n := New(Config{Nodes: 2, Latency: 20 * time.Microsecond})
+	const msgs = 400
+	for i := 0; i < msgs; i++ {
+		n.Send(0, 1, clockMsg(0, i))
+	}
+	got := make(chan []int32)
+	go func() {
+		var seqs []int32
+		for env := range n.Inbox(1, 0) {
+			seqs = append(seqs, env.Msg.(*msg.SspClock).Clock)
+		}
+		got <- seqs
+	}()
+	time.Sleep(20 * time.Microsecond)
+	n.Close()
+	seqs := <-got
+	if len(seqs) != msgs {
+		t.Fatalf("received %d messages after Close, want %d", len(seqs), msgs)
+	}
+	for i, seq := range seqs {
+		if int(seq) != i {
+			t.Fatalf("message %d arrived in place %d", seq, i)
+		}
 	}
 }
 

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"lapse/internal/msg"
 )
 
 // Host is the receiving side every transport shares: the set of nodes an
@@ -16,7 +18,8 @@ import (
 // count into the same counters.
 //
 // Producers (a simulated-link scheduler, socket readers, ring consumers) call
-// Deliver or DeliverInline; the transport closes the inboxes with
+// Deliver or DeliverInline with a decoded message and its link; the Host finds
+// the message's shard (msg.ShardOf). The transport closes the inboxes with
 // CloseInboxes once every producer has stopped. A hosted shard's messages are
 // handled by the Handler its consumer passes to Serve, one at a time.
 type Host struct {
@@ -173,12 +176,22 @@ func (h *Host) Serve(node, shard int, fn Handler) {
 	}
 }
 
-// Deliver puts env on the inbox of (env.Dst, env.Shard), waiting for room.
-// Once done is closed it waits no longer: it delivers if there is room and
+// dest returns the slot env is delivered to, the one place a received
+// message's shard is found: env.Dst's shard that msg.ShardOf names.
+func (h *Host) dest(env *Envelope) *slot {
+	return &h.slots[env.Dst][msg.ShardOf(env.Msg, h.shards)]
+}
+
+// Deliver puts env on its shard's inbox of env.Dst, waiting for room. Once
+// done is closed it waits no longer: it delivers if there is room and
 // otherwise drops the message, recycling its scratch and counting it, so a
 // full inbox nobody drains cannot stall teardown. A nil done always waits.
 func (h *Host) Deliver(env Envelope, done <-chan struct{}) {
-	sl := &h.slots[env.Dst][env.Shard]
+	h.deliver(h.dest(&env), env, done)
+}
+
+// deliver is Deliver into sl, the slot dest found for env.
+func (h *Host) deliver(sl *slot, env Envelope, done <-chan struct{}) {
 	// Counted before the send, so no inline delivery that follows this one
 	// on the producer's goroutine can find the shard empty ahead of it.
 	sl.queued.Add(1)
@@ -209,7 +222,7 @@ func (h *Host) Deliver(env Envelope, done <-chan struct{}) {
 // simulation clock, and with timing off it delivers from inside Send, where
 // the sender may hold a lock the handler takes.
 func (h *Host) DeliverInline(env Envelope, done <-chan struct{}) {
-	sl := &h.slots[env.Dst][env.Shard]
+	sl := h.dest(&env)
 	if fn := sl.handler.Load(); fn != nil && sl.token.TryLock() {
 		// Per-(link, shard) FIFO: an earlier message of this link that went
 		// to the inbox counts in queued from before its channel send until
@@ -222,7 +235,7 @@ func (h *Host) DeliverInline(env Envelope, done <-chan struct{}) {
 		}
 		sl.token.Unlock()
 	}
-	h.Deliver(env, done)
+	h.deliver(sl, env, done)
 }
 
 // CloseInboxes closes every hosted inbox. The transport calls it once, after
@@ -274,14 +287,6 @@ func (h *Host) Stats() Stats {
 		LoopbackMessages: h.loopMsgs.Load(),
 		LoopbackBytes:    h.loopBytes.Load(),
 	}
-}
-
-// ResetStats zeroes the traffic counters.
-func (h *Host) ResetStats() {
-	h.remoteMsgs.Store(0)
-	h.remoteBytes.Store(0)
-	h.loopMsgs.Store(0)
-	h.loopBytes.Store(0)
 }
 
 // Dropped returns the number of messages discarded: sent after Close, lost

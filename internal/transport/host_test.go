@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"lapse/internal/kv"
 	"lapse/internal/msg"
 	"lapse/internal/transport"
 )
@@ -92,5 +93,39 @@ func TestHostDeliverAfterDoneDrops(t *testing.T) {
 	h.CloseInboxes()
 	if _, ok := <-h.Inbox(0, 0); ok {
 		t.Fatal("inbox open after CloseInboxes")
+	}
+}
+
+// TestHostDemuxesByMessageShard checks that the Host finds a message's shard
+// itself, through Deliver and DeliverInline alike: an Op of key k lands on
+// inbox msg.ShardOfKey(k, 4) and a message naming no key on inbox 0. No
+// handler is published, so DeliverInline queues too.
+func TestHostDemuxesByMessageShard(t *testing.T) {
+	const shards = 4
+	h := newHost(t, 2, shards, []int{1}, 0)
+	for _, d := range []struct {
+		name    string
+		deliver func(transport.Envelope, <-chan struct{})
+	}{{"Deliver", h.Deliver}, {"DeliverInline", h.DeliverInline}} {
+		expect := func(m any, want int) {
+			t.Helper()
+			d.deliver(transport.Envelope{Src: 0, Dst: 1, Msg: m}, nil)
+			for s := range shards {
+				wantN := 0
+				if s == want {
+					wantN = 1
+				}
+				if n := len(h.Inbox(1, s)); n != wantN {
+					t.Fatalf("%s of %#v: %d messages on inbox %d, want %d", d.name, m, n, s, wantN)
+				}
+			}
+			if env := <-h.Inbox(1, want); env.Msg != m {
+				t.Fatalf("%s: inbox %d holds %#v, want %#v", d.name, want, env.Msg, m)
+			}
+		}
+		for k := range kv.Key(3 * shards) {
+			expect(&msg.Op{Type: msg.OpPull, ID: uint64(k), Keys: []kv.Key{k}}, msg.ShardOfKey(k, shards))
+		}
+		expect(&msg.SspClock{Worker: 1, Clock: 2}, 0)
 	}
 }

@@ -11,8 +11,8 @@
 // receiving instance under Config.Dir and opened by the sender, holding one
 // ring. The ring is strictly SPSC (the link's one producer, the link's one
 // consumer goroutine) and a FIFO, so the link's frames arrive in send order,
-// and per-(link, shard) FIFO holds by construction. The consumer finds each
-// frame's shard when it decodes it (msg.ShardOf), as the tcp reader does, so
+// and per-(link, shard) FIFO holds by construction. The consumer decodes each
+// frame and the Host finds its shard (msg.ShardOf), as for the tcp reader, so
 // a process runs one consumer per incoming link whatever the shard count,
 // with one spin budget and one doorbell each.
 //
@@ -310,11 +310,10 @@ func (n *Network) getLink(src, dst int) *link {
 }
 
 // consume is the consumer goroutine of one incoming link: it takes the
-// link's frames in ring order and delivers each to the destination's (node,
-// shard) that msg.ShardOf names for it, whose handler runs on this goroutine
-// when the shard is idle (DeliverInline) and which otherwise gets it through
-// its inbox. Frames are delivered one call after the other: per-(link,
-// shard) FIFO.
+// link's frames in ring order and delivers each through the Host. The frame's
+// shard handles it on this goroutine when the shard is idle (DeliverInline)
+// and otherwise gets it through its inbox. Frames are delivered one call
+// after the other: per-(link, shard) FIFO.
 func (n *Network) consume(s *segment, src, dst int) {
 	defer n.consWg.Done()
 	productive := false // spin only when frames were just flowing
@@ -345,12 +344,10 @@ func (n *Network) consume(s *segment, src, dst int) {
 			n.Fail(fmt.Errorf("shm: malformed frame on ring %d->%d: %w", src, dst, err))
 			return
 		}
-		size := len(frame)
 		// The scratch decode copied every byte out of the ring, so release
 		// the slot before delivery: the producer unblocks sooner.
-		s.advance(size)
-		shard := msg.ShardOf(m, n.Shards())
-		n.DeliverInline(transport.Envelope{Src: src, Dst: dst, Msg: m, Shard: shard, Bytes: size, Scratch: sc}, n.done)
+		s.advance(len(frame))
+		n.DeliverInline(transport.Envelope{Src: src, Dst: dst, Msg: m, Scratch: sc}, n.done)
 	}
 }
 

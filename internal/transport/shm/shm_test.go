@@ -60,11 +60,7 @@ func TestMultiInstance(t *testing.T) {
 				select {
 				case env := <-n.Inbox(node, s):
 					op := env.Msg.(*msg.Op)
-					if env.Shard != s {
-						errc <- fmt.Errorf("node %d: envelope shard %d delivered on inbox %d", node, env.Shard, s)
-						return
-					}
-					if want := msg.ShardOfKey(op.Keys[0], n.Shards()); want != s {
+					if want := msg.ShardOf(env.Msg, n.Shards()); want != s {
 						errc <- fmt.Errorf("node %d: key %d routed to shard %d, want %d", node, op.Keys[0], s, want)
 						return
 					}

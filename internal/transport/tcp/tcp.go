@@ -52,9 +52,9 @@ type Config struct {
 	// Local lists the node indices hosted by this process. Nil hosts all
 	// nodes (single-process loopback deployment).
 	Local []int
-	// Shards is the number of per-node inbox shards (default 1). Incoming
-	// frames are demultiplexed on decode via msg.ShardOf, preserving FIFO
-	// per (connection, shard). Every process of a deployment must use the
+	// Shards is the number of per-node inbox shards (default 1). The Host
+	// puts each decoded frame on its msg.ShardOf inbox, preserving FIFO per
+	// (connection, shard). Every process of a deployment must use the
 	// same value, like the node count.
 	Shards int
 	// InboxSize bounds each local node's total inbox capacity (default
@@ -578,12 +578,11 @@ func (n *Network) readLoop(conn net.Conn) {
 			n.Fail(fmt.Errorf("tcp: malformed frame from node %d: %w", src, err))
 			return
 		}
-		// Demux on decode: this reader delivers the connection's frames
-		// sequentially, so order is preserved per (connection, shard). An
-		// idle shard's handler runs right here (DeliverInline), saving the
-		// hop through the inbox and the wake of the shard's loop.
-		shard := msg.ShardOf(m, n.Shards())
-		n.DeliverInline(transport.Envelope{Src: src, Dst: dst, Msg: m, Shard: shard, Bytes: headerBytes + plen, Scratch: sc}, n.done)
+		// This reader delivers the connection's frames sequentially, so the
+		// Host's demux keeps order per (connection, shard). An idle shard's
+		// handler runs right here (DeliverInline), saving the hop through
+		// the inbox and the wake of the shard's loop.
+		n.DeliverInline(transport.Envelope{Src: src, Dst: dst, Msg: m, Scratch: sc}, n.done)
 	}
 }
 

@@ -20,11 +20,11 @@
 // tests.
 //
 // A transport instance hosts a set of local nodes: its Host holds them, their
-// inboxes, the traffic counters, the drop count and the first error, the same
-// for every implementation. The simulated network hosts all nodes; a TCP
-// transport typically hosts one per OS process (or all over loopback sockets,
-// as the conformance suite does). Send takes only a local src, Inbox a local
-// node.
+// inboxes, the traffic counters, the drop count and the first error, and finds
+// each received message's inbox shard, the same for every implementation. The
+// simulated network hosts all nodes; a TCP transport typically hosts one per
+// OS process (or all over loopback sockets, as the conformance suite does).
+// Send takes only a local src, Inbox a local node.
 package transport
 
 import (
@@ -33,18 +33,13 @@ import (
 	"lapse/internal/msg"
 )
 
-// Envelope is a delivered message: the decoded wire message plus routing
-// metadata. Msg is always a decoded copy owned by the receiver — never the
-// sender's pointer.
+// Envelope is a delivered message: the decoded wire message and its link.
+// Msg is always a decoded copy owned by the receiver — never the sender's
+// pointer. Its inbox shard is msg.ShardOf(Msg, shards), which the Host derives
+// on delivery; nothing travels on the wire for it.
 type Envelope struct {
 	Src, Dst int
 	Msg      any
-	// Shard is the destination inbox shard, derived from the decoded
-	// message via msg.ShardOf (demux on decode; nothing travels on the
-	// wire for it).
-	Shard int
-	// Bytes is the on-the-wire size of the encoded message.
-	Bytes int
 	// Scratch, when non-nil, is the pooled decode arena backing Msg. The
 	// consumer that finishes processing Msg calls Recycle to return it;
 	// consumers that retain Msg (or its Keys/Vals) simply never recycle and
@@ -86,12 +81,14 @@ func (s Stats) Since(base Stats) Stats {
 // value: Send encodes through the internal/msg codec and receivers get a
 // decoded copy.
 //
-// Each local node owns Shards() inboxes; messages are demultiplexed on
-// decode via msg.ShardOf, so every message of one key's shard arrives on one
-// channel in link order. The shard count is part of the deployment (all
-// processes of a cluster must agree on it, like the node count).
+// Each local node owns Shards() inboxes. The Host puts each received message
+// on the inbox msg.ShardOf names for it (demux on decode), so every message
+// of one key's shard arrives on one channel in link order. The shard count is
+// part of the deployment (all processes of a cluster must agree on it, like
+// the node count).
 //
-// Send, Sleep, Inbox and the stats methods are safe for concurrent use.
+// Send, Sleep, Inbox, Stats, Dropped and Err are safe for concurrent use.
+// Stats are cumulative; a caller measures a window with Stats.Since.
 type Network interface {
 	// Nodes returns the cluster-wide node count.
 	Nodes() int
@@ -124,8 +121,6 @@ type Network interface {
 	Sleep(d time.Duration)
 	// Stats returns a snapshot of this instance's traffic counters.
 	Stats() Stats
-	// ResetStats zeroes the traffic counters (e.g. after a warm-up epoch).
-	ResetStats()
 	// Dropped returns the number of messages discarded because they were
 	// sent after Close (teardown traffic) or because their link failed.
 	Dropped() int64
